@@ -48,7 +48,6 @@ func main() {
 	protocol := flag.String("protocol", "basic", "basic | enhanced")
 	seed := flag.Int64("seed", 7, "shared protocol seed (must match across parties)")
 	out := flag.String("out", "model.json", "model output (client 0)")
-	compress := flag.Bool("compress", false, "flate-compress wire frames (all parties must agree; helps structured frames only — ciphertexts are incompressible)")
 	sendQueue := flag.Int64("sendqueue", 0, "per-peer send-queue high-water mark in bytes (0 = default)")
 	reconnect := flag.Bool("reconnect", false, "run every peer wire over the reliable transport: sequence-numbered acknowledged frames, automatic redial and resume after a dropped link (all parties must agree)")
 	heartbeat := flag.Duration("heartbeat", 0, "keepalive interval for -reconnect wires; a peer missing 3 beats is redialed (0 = no heartbeats)")
@@ -64,7 +63,6 @@ func main() {
 
 	ep, err := transport.NewTCPEndpoint(transport.TCPConfig{
 		Addrs:          addrList,
-		Compress:       *compress,
 		SendQueueBytes: *sendQueue,
 		Reconnect:      *reconnect,
 		Heartbeat:      *heartbeat,

@@ -6,13 +6,12 @@
 // chains (micro-batching), so serving throughput scales with the batch
 // pipeline instead of paying one round chain per request.
 //
-// With -lanes S > 1 the daemon runs a session pool: S independent
-// federated meshes behind one registry and a cross-model fair scheduler,
-// so throughput scales with lanes and a dead lane degrades to S-1 and
-// rebuilds in the background instead of taking the daemon down.  The
-// wire can be secured with TLS (-tls-cert/-tls-key) and a shared auth
-// token (-auth), and -state-dir journals the registry (models +
-// versions) across restarts.
+// The daemon serves from -lanes S independent federated meshes (default
+// 1) behind one registry and a cross-model fair scheduler, so throughput
+// scales with lanes and a dead lane degrades to S-1 and rebuilds in the
+// background instead of taking the daemon down.  The wire can be secured
+// with TLS (-tls-cert/-tls-key) and a shared auth token (-auth), and
+// -state-dir journals the registry (models + versions) across restarts.
 //
 // Usage:
 //
@@ -26,11 +25,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -39,13 +40,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/transport"
 )
-
-// engine is what both serving backends (single-session Service, sharded
-// Pool) offer the daemon beyond the wire-facing Backend surface.
-type engine interface {
-	serve.Backend
-	Register(name string, mdl core.Predictor) (*serve.Entry, error)
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9100", "listen address")
@@ -66,7 +60,7 @@ func main() {
 	maxBatch := flag.Int("maxbatch", 256, "max samples per coalesced round chain")
 	maxQueue := flag.Int("queue", 1024, "admission bound on queued samples")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-	lanes := flag.Int("lanes", 1, "independent serving sessions (1 = classic single-session daemon)")
+	lanes := flag.Int("lanes", 1, "independent serving sessions")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate for a TLS wire (requires -tls-key)")
 	tlsKey := flag.String("tls-key", "", "PEM private key for -tls-cert")
 	auth := flag.String("auth", "", "shared auth token clients must present (pair with TLS off-loopback)")
@@ -117,47 +111,34 @@ func main() {
 		Journal:         journal,
 	}
 
-	// Serving engine: one session, or a pool of independent lanes.
-	var backend engine
-	var registry *serve.Registry
-	var trainSess *core.Session
-	if *lanes > 1 {
-		if cfg.Protocol == pivot.Enhanced {
-			// Enhanced models hold ciphertexts bound to one session's key
-			// material; independent lanes each deal their own keys.
-			fail(fmt.Errorf("-lanes %d requires the basic protocol (enhanced models are bound to a single session's keys)", *lanes))
-		}
-		parts, err := pivot.VerticalPartition(ds, *m, 0)
-		if err != nil {
-			fail(err)
-		}
-		start := time.Now()
-		pool, err := serve.NewPool(parts, serve.PoolConfig{
-			Config: svcCfg,
-			Lanes:  *lanes,
-			LaneFactory: func(lane int) (*core.Session, error) {
-				laneCfg := cfg
-				laneCfg.Seed = cfg.Seed + int64(lane)
-				return core.NewSession(parts, laneCfg)
-			},
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("spawned %d lanes in %s\n", *lanes, time.Since(start).Round(time.Millisecond))
-		backend, registry, trainSess = pool, pool.Registry, pool.LaneSession(0)
-	} else {
-		fed, err := pivot.NewFederation(ds, *m, cfg)
-		if err != nil {
-			fail(err)
-		}
-		svc, err := serve.New(fed.Session(), fed.Parts(), svcCfg)
-		if err != nil {
-			fed.Close()
-			fail(err)
-		}
-		backend, registry, trainSess = svc, svc.Registry, fed.Session()
+	// Serving engine: -lanes independent sessions, each its own mesh, dealer
+	// and key material (lane i's seed is offset by i).
+	enhanced := cfg.Protocol == pivot.Enhanced
+	if enhanced && *lanes > 1 {
+		// Enhanced models hold ciphertexts bound to one session's key
+		// material; independent lanes each deal their own keys.
+		fail(fmt.Errorf("-lanes %d requires the basic protocol (enhanced models are bound to a single session's keys)", *lanes))
 	}
+	parts, err := pivot.VerticalPartition(ds, *m, 0)
+	if err != nil {
+		fail(err)
+	}
+	var spawned atomic.Bool
+	start := time.Now()
+	backend, err := serve.NewSharded(parts, *lanes, func(lane int) (*core.Session, error) {
+		if enhanced && spawned.Swap(true) {
+			// A respawned lane deals fresh keys, under which the registry's
+			// enhanced models would decrypt to garbage: stay unavailable.
+			return nil, errors.New("enhanced models are bound to the dead session's keys")
+		}
+		laneCfg := cfg
+		laneCfg.Seed = cfg.Seed + int64(lane)
+		return core.NewSession(parts, laneCfg)
+	}, svcCfg)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("spawned %d lane(s) in %s\n", *lanes, time.Since(start).Round(time.Millisecond))
 	defer backend.Close()
 
 	// Registry persistence: reload the journal first (restored entries
@@ -167,7 +148,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		n, errs := store.Restore(registry)
+		n, errs := store.Restore(backend.Registry)
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "pivot-serve: state-dir:", e)
 		}
@@ -185,7 +166,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		mdl, err := core.Train(trainSess, core.TrainSpec{Model: core.ModelKind(kind)})
+		mdl, err := core.Train(backend.LaneSession(0), core.TrainSpec{Model: core.ModelKind(kind)})
 		if err != nil {
 			fail(fmt.Errorf("training %s: %w", kind, err))
 		}

@@ -14,13 +14,13 @@ import (
 	"repro/internal/serve"
 )
 
-// ServeScaleStats is the machine-readable baseline for the sharded
-// serving pool (written to BENCH_servescale.json by cmd/pivot-bench -exp
-// servescale -json): the same concurrent request stream replayed against
-// pools of 1, 2 and 4 independent federated lanes under 2 ms simulated
+// ServeScaleStats is the machine-readable baseline for sharded serving
+// (written to BENCH_servescale.json by cmd/pivot-bench -exp servescale
+// -json): the same concurrent request stream replayed against services
+// of 1, 2 and 4 independent federated lanes under 2 ms simulated
 // WAN latency, plus a chaos leg that kills a lane mid-stream.  The
-// deterministic per-lane round/message counters are the benchdiff-gated
-// part; wall-clock scaling is advisory (CI machines are noisy).
+// deterministic per-lane message counter is the benchdiff-gated part;
+// wall-clock scaling is advisory (CI machines are noisy).
 type ServeScaleStats struct {
 	KeyBits     int     `json:"key_bits"`
 	M           int     `json:"m"`
@@ -33,8 +33,10 @@ type ServeScaleStats struct {
 	// LaneRoundsPerBatch / LaneMsgsPerBatch are the MPC round count and
 	// message count of one LaneBatch-sample prediction chain on a single
 	// lane.  They depend only on the model structure and federation size —
-	// not on scheduling, lanes, or the WAN simulation — so benchdiff gates
-	// them exactly: a regression here means every lane pays more per batch.
+	// not on scheduling, lanes, or the WAN simulation.  benchdiff gates the
+	// message count exactly: a regression there means every lane pays more
+	// per batch.  The round count is recorded but pins nothing: basic-
+	// protocol prediction (Algorithm 4) runs no MPC rounds, so it reads 0.
 	LaneBatch          int   `json:"lane_batch"`
 	LaneRoundsPerBatch int64 `json:"lane_rounds_per_batch"`
 	LaneMsgsPerBatch   int64 `json:"lane_msgs_per_batch"`
@@ -53,7 +55,7 @@ type ServeScaleStats struct {
 
 	// Gates is the manifest pivot-benchdiff reads from the committed
 	// baseline: per-lane batch cost is scheduling-independent, so every
-	// lane must keep paying exactly these rounds/messages per chain.
+	// lane must keep paying exactly these messages per chain.
 	Gates Gates `json:"gates"`
 }
 
@@ -120,9 +122,7 @@ func ServeScaleBenchRaw(p Preset) (*ServeScaleStats, error) {
 		NetDelayMs:  float64(delay) / float64(time.Millisecond),
 		NetJitterMs: float64(jitter) / float64(time.Millisecond),
 		Seed:        99, ResultsIdentical: true,
-		Gates: Gates{Require: []string{
-			"lane_rounds_per_batch", "lane_msgs_per_batch",
-		}},
+		Gates: Gates{Require: []string{"lane_msgs_per_batch"}},
 	}
 
 	// Deterministic per-lane batch cost: one fixed-size chain, counted on
@@ -169,26 +169,21 @@ func ServeScaleBenchRaw(p Preset) (*ServeScaleStats, error) {
 	laneCfg := baseCfg
 	laneCfg.NetDelay = delay
 	laneCfg.NetJitter = jitter
-	newPool := func(lanes int) (*serve.Pool, error) {
-		return serve.NewPool(parts, serve.PoolConfig{
-			// Per-request chains (MaxBatch 1) keep every lane WAN-rate
-			// limited: a chain is mostly sequential message-hop sleep, so
-			// lanes overlap chains even on a single core.  Coalescing into
-			// big batches would shift the cost to HE compute, which one
-			// core cannot overlap (that trade is BENCH_serve's subject).
-			Config: serve.Config{Window: 0, MaxBatch: 1, MaxQueue: 4096},
-			Lanes:  lanes,
-			LaneFactory: func(lane int) (*core.Session, error) {
-				c := laneCfg
-				c.Seed += int64(lane)
-				return core.NewSession(parts, c)
-			},
-		})
+	factory := func(lane int) (*core.Session, error) {
+		c := laneCfg
+		c.Seed += int64(lane)
+		return core.NewSession(parts, c)
 	}
+	// Per-request chains (MaxBatch 1) keep every lane WAN-rate limited: a
+	// chain is mostly sequential message-hop sleep, so lanes overlap chains
+	// even on a single core.  Coalescing into big batches would shift the
+	// cost to HE compute, which one core cannot overlap (that trade is
+	// BENCH_serve's subject).
+	svcCfg := serve.Config{Window: 0, MaxBatch: 1, MaxQueue: 4096}
 
 	// stream fans the fixed request list over `clients` concurrent
 	// submitters; onDone (when set) observes each completion.
-	stream := func(pool *serve.Pool, preds []float64, errs []error, onDone func()) {
+	stream := func(pool *serve.Service, preds []float64, errs []error, onDone func()) {
 		work := make(chan int, requests)
 		for i := 0; i < requests; i++ {
 			work <- i
@@ -211,9 +206,9 @@ func ServeScaleBenchRaw(p Preset) (*ServeScaleStats, error) {
 		wg.Wait()
 	}
 
-	var killPool *serve.Pool
+	var killPool *serve.Service
 	for _, lanes := range []int{1, 2, 4} {
-		pool, err := newPool(lanes)
+		pool, err := serve.NewSharded(parts, lanes, factory, svcCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +259,6 @@ func ServeScaleBenchRaw(p Preset) (*ServeScaleStats, error) {
 	// in flight on the corpse must be requeued onto survivors; nothing may
 	// fail with anything but the typed unavailability.
 	defer killPool.Close()
-	st.Kill.Lanes = killPool.Lanes()
 	var done atomic.Int64
 	var killOnce sync.Once
 	preds := make([]float64, requests)
@@ -288,6 +282,7 @@ func ServeScaleBenchRaw(p Preset) (*ServeScaleStats, error) {
 		}
 	}
 	sv := killPool.Stats().Serve
+	st.Kill.Lanes = len(sv.Lanes)
 	st.Kill.Requeued = sv.Requeued
 	st.Kill.HealthyAfter = sv.LanesHealthy
 	return st, nil

@@ -12,9 +12,9 @@ import (
 	"repro/internal/core"
 )
 
-// Backend is what the wire server fronts: the single-session Service and
-// the sharded Pool both satisfy it, so a daemon picks its serving engine
-// with a flag and the wire protocol stays identical.
+// Backend is what the wire server fronts: Service implements it, and the
+// wire tests substitute a fake so the protocol is exercised without a
+// federation behind it.
 type Backend interface {
 	// Lookup resolves a model name to its current registry entry.
 	Lookup(name string) (*Entry, error)
@@ -38,11 +38,7 @@ type Backend interface {
 	Close()
 }
 
-// Compile-time interface checks.
-var (
-	_ Backend = (*Service)(nil)
-	_ Backend = (*Pool)(nil)
-)
+var _ Backend = (*Service)(nil)
 
 // WireConfig secures the serve wire.  The zero value is plaintext TCP
 // with no authentication — fine on a loopback dev box, not across a WAN.

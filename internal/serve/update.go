@@ -12,10 +12,10 @@ import (
 // boosting rounds for GBDT) and installs the result as version+1.  Entries
 // are immutable, so the swap is naturally torn-read free — every in-flight
 // prediction batch is pinned to the entry it was admitted under and
-// answers at exactly version N or N+1, never a mix.  On a Pool the update
-// chain runs on one reserved lane while the others keep serving; their
-// training data is then synced with a purely local AppendSamples phase so
-// a later absorb sees the same union everywhere.
+// answers at exactly version N or N+1, never a mix.  The update chain runs
+// on one reserved lane while the others keep serving; their training data
+// is then synced with a purely local AppendSamples phase so a later absorb
+// sees the same union everywhere.
 
 // appendPartitions slices flat sample rows (global column order) into
 // per-client partitions for core.Update.  Labels ride every partition —
@@ -35,31 +35,40 @@ func appendPartitions(feats [][]int, width int, rows [][]float64, labels []float
 	}
 	parts := make([]*dataset.Partition, len(feats))
 	for c, fs := range feats {
-		part := &dataset.Partition{
+		parts[c] = &dataset.Partition{
 			Client:   c,
 			Features: fs,
 			N:        len(rows),
-			X:        make([][]float64, len(rows)),
+			X:        localRows(fs, rows),
 			Y:        append([]float64(nil), labels...),
 		}
-		for t, row := range rows {
-			local := make([]float64, len(fs))
-			for j, f := range fs {
-				local[j] = row[f]
-			}
-			part.X[t] = local
-		}
-		parts[c] = part
 	}
 	return parts, nil
 }
 
+// localRows slices flat rows (global column order) down to one client's
+// feature columns.
+func localRows(feats []int, rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for t, row := range rows {
+		local := make([]float64, len(feats))
+		for j, f := range feats {
+			local[j] = row[f]
+		}
+		out[t] = local
+	}
+	return out
+}
+
 // Update absorbs appended samples (flat rows in global column order, one
-// label each) into the named model on the serving session and installs the
-// result as version+1.  Predictions admitted before the install keep
-// serving the prior version; the appended rows join the session's training
-// partitions for later absorbs.  addTrees sets the extra boosting rounds
-// for GBDT models (<= 0 selects 1) and is ignored for DT/RF.
+// label each) into the named model and installs the result as version+1.
+// The update chain is routed to one reserved live idle lane (waiting for
+// one to free up if need be) while the other lanes keep serving; on success
+// every other live lane's partitions are synced with the same appended rows
+// (a purely local phase), so they join every lane's training partitions for
+// later absorbs.  Predictions admitted before the install keep serving the
+// prior version.  addTrees sets the extra boosting rounds for GBDT models
+// (<= 0 selects 1) and is ignored for DT/RF.
 func (s *Service) Update(name string, rows [][]float64, labels []float64, addTrees int) (*Entry, error) {
 	entry, err := s.Lookup(name)
 	if err != nil {
@@ -70,33 +79,52 @@ func (s *Service) Update(name string, rows [][]float64, labels []float64, addTre
 		return nil, err
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if s.unavailable {
-		retry := s.cfg.RetryAfter
-		s.mu.Unlock()
-		return nil, &UnavailableError{RetryAfter: retry}
-	}
-	sess := s.sess
-	s.mu.Unlock()
-
-	mdl, err := core.Update(sess, core.UpdateSpec{Model: entry.Model, Append: parts, AddTrees: addTrees})
+	ln, sess, err := s.reserveLane()
 	if err != nil {
-		if !sess.Healthy() {
-			return nil, s.degrade(sess)
-		}
 		return nil, err
 	}
+	mdl, err := core.Update(sess, core.UpdateSpec{Model: entry.Model, Append: parts, AddTrees: addTrees})
 
 	s.mu.Lock()
+	ln.busy = false
+	s.laneFree.Broadcast()
+	if err != nil {
+		if !sess.Healthy() {
+			// The chain killed the lane: same degradation as a prediction
+			// batch dying on it.
+			s.laneDiedLocked(ln, sess)
+			s.reapLocked()
+			err = &UnavailableError{RetryAfter: s.cfg.RetryAfter}
+		}
+		s.mu.Unlock()
+		s.kick()
+		return nil, err
+	}
 	s.stats.Updates++
-	// Remember the batch: a rebuilt session comes from the factory with
-	// the original data and must replay every absorb before serving.
+	// Remember the batch: a rebuilt lane comes from the factory with the
+	// original data and must replay every absorb before serving.
 	s.appends = append(s.appends, parts)
+	var others []*lane
+	var sessions []*core.Session
+	for _, o := range s.lanes {
+		if o != ln && o.healthy {
+			others = append(others, o)
+			sessions = append(sessions, o.sess)
+		}
+	}
 	s.mu.Unlock()
+	s.kick()
+
+	// Sync the serving lanes' partitions (no protocol traffic; serializes
+	// with any in-flight batch at phase granularity).  A lane that fails
+	// the sync is treated like a lane death: rebuild replays the log.
+	for i, o := range others {
+		if core.AppendSamples(sessions[i], parts) != nil {
+			s.mu.Lock()
+			s.laneDiedLocked(o, sessions[i])
+			s.mu.Unlock()
+		}
+	}
 
 	ne, err := s.Register(name, mdl)
 	if err == nil && s.cfg.Journal != nil {
@@ -105,127 +133,31 @@ func (s *Service) Update(name string, rows [][]float64, labels []float64, addTre
 	return ne, err
 }
 
-// Update is the pool's absorb: the update chain is routed to one reserved
-// healthy idle lane (waiting for one to free up if need be) while the
-// other lanes keep serving; on success every other live lane's partitions
-// are synced with the same appended rows (a purely local phase) and the
-// refreshed model installs as version+1 pool-wide.
-func (p *Pool) Update(name string, rows [][]float64, labels []float64, addTrees int) (*Entry, error) {
-	entry, err := p.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := appendPartitions(p.feats, p.width, rows, labels)
-	if err != nil {
-		return nil, err
-	}
-
-	ln, err := p.reserveLane()
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	sess := ln.sess
-	p.mu.Unlock()
-
-	mdl, uerr := core.Update(sess, core.UpdateSpec{Model: entry.Model, Append: parts, AddTrees: addTrees})
-
-	p.mu.Lock()
-	ln.busy = false
-	p.wakeLaneWaitersLocked()
-	if uerr != nil && !sess.Healthy() {
-		// Spawning a rebuild while Drain may already be waiting on runWG
-		// would race the WaitGroup; a draining pool closes the corpse in
-		// Close anyway.
-		rebuild := ln.healthy && !p.draining
-		ln.healthy = false
-		retry := p.cfg.RetryAfter
-		p.mu.Unlock()
-		if rebuild {
-			p.runWG.Add(1)
-			go p.rebuildLane(ln)
-		}
-		p.kick()
-		return nil, &UnavailableError{RetryAfter: retry}
-	}
-	if uerr != nil {
-		p.mu.Unlock()
-		p.kick()
-		return nil, uerr
-	}
-	p.stats.Updates++
-	p.appends = append(p.appends, parts)
-	others := make([]*lane, 0, len(p.lanes)-1)
-	for _, o := range p.lanes {
-		if o != ln && o.healthy {
-			others = append(others, o)
-		}
-	}
-	sessions := make([]*core.Session, len(others))
-	for i, o := range others {
-		sessions[i] = o.sess
-	}
-	p.mu.Unlock()
-	p.kick()
-
-	// Sync the serving lanes' partitions (no protocol traffic; serializes
-	// with any in-flight batch at phase granularity).  A lane that fails
-	// the sync is treated like a lane death: rebuild replays the log.
-	for i, o := range others {
-		if aerr := core.AppendSamples(sessions[i], parts); aerr != nil {
-			p.mu.Lock()
-			rebuild := o.healthy && o.sess == sessions[i] && !p.draining
-			if o.sess == sessions[i] {
-				o.healthy = false
-			}
-			p.mu.Unlock()
-			if rebuild {
-				p.runWG.Add(1)
-				go p.rebuildLane(o)
-			}
-		}
-	}
-
-	ne, err := p.Register(name, mdl)
-	if err == nil && p.cfg.Journal != nil {
-		p.cfg.Journal(ne)
-	}
-	return ne, err
-}
-
-// reserveLane claims a healthy idle lane for an update chain, marking it
-// busy so the scheduler routes micro-batches around it.  It waits for one
-// to free up (updates and predictions contend for the same lanes) and
-// gives up only when the pool drains or loses every lane.
-func (p *Pool) reserveLane() (*lane, error) {
+// reserveLane claims a live idle lane (and its session) for an update
+// chain, marking it busy so the scheduler routes micro-batches around it.
+// It waits for one to free up — the scheduler dispatches nothing while a
+// reservation is parked, so the next lane to free is this caller's even
+// under a standing prediction backlog — and gives up only when the service
+// drains or loses every lane.
+func (s *Service) reserveLane() (*lane, *core.Session, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reserving++
+	defer func() {
+		s.reserving--
+		s.kick() // the scheduler held back for us; let it look again
+	}()
 	for {
-		p.mu.Lock()
-		if p.draining {
-			p.mu.Unlock()
-			return nil, ErrDraining
+		if s.draining {
+			return nil, nil, ErrDraining
 		}
-		if p.healthyLanesLocked() == 0 {
-			retry := p.cfg.RetryAfter
-			p.mu.Unlock()
-			return nil, &UnavailableError{RetryAfter: retry}
+		if s.reapLocked() == 0 {
+			return nil, nil, &UnavailableError{RetryAfter: s.cfg.RetryAfter}
 		}
-		if ln := p.idleLaneLocked(); ln != nil {
+		if ln := s.idleLaneLocked(); ln != nil {
 			ln.busy = true
-			p.mu.Unlock()
-			return ln, nil
+			return ln, ln.sess, nil
 		}
-		waiter := make(chan struct{})
-		p.laneWaiters = append(p.laneWaiters, waiter)
-		p.mu.Unlock()
-		<-waiter
+		s.laneFree.Wait()
 	}
-}
-
-// wakeLaneWaiters releases every goroutine parked in reserveLane; called
-// (with p.mu held) whenever a lane may have become available.
-func (p *Pool) wakeLaneWaitersLocked() {
-	for _, w := range p.laneWaiters {
-		close(w)
-	}
-	p.laneWaiters = nil
 }

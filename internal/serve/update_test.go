@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -24,43 +25,138 @@ func updateFixture(t *testing.T) (*dataset.Dataset, []*dataset.Partition, [][]fl
 	return ds, parts, ds.X[16:], ds.Y[16:]
 }
 
-// TestServiceUpdate drives the single-session absorb path: validation,
-// version bump, journal hook, stats, and served predictions equal to the
-// offline pipeline on the refreshed model.
-func TestServiceUpdate(t *testing.T) {
-	ds, parts, newRows, newLabels := updateFixture(t)
-	sess, err := core.NewSession(parts, fixtureConfig())
+// updateService starts a lanes-wide service over the update fixture's
+// training base with a DT trained on lane 0 registered as "dt".
+func updateService(t *testing.T, parts []*dataset.Partition, lanes int, cfg Config) (*Service, core.Predictor) {
+	t.Helper()
+	svc := startService(t, parts, lanes, cfg, testFactory(parts, nil, -1), true)
+	mdl, err := core.Train(svc.LaneSession(0), core.TrainSpec{Model: core.KindDT})
+	if err == nil {
+		_, err = svc.Register("dt", mdl)
+	}
 	if err != nil {
+		svc.Close()
 		t.Fatal(err)
 	}
-	defer sess.Close()
+	return svc, mdl
+}
 
-	var mu sync.Mutex
-	var journaled []*Entry
-	svc, err := New(sess, parts, Config{
-		Window: 5 * time.Millisecond, MaxBatch: 8,
-		Journal: func(e *Entry) { mu.Lock(); journaled = append(journaled, e); mu.Unlock() },
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestUpdate drives the absorb path at both widths: validation, version
+// bump, journal hook, stats, and served predictions equal to the offline
+// pipeline on the refreshed model.  The chain runs on one reserved lane and
+// the other lanes' partitions sync afterwards; the second absorb (which may
+// land on any lane) proves the sync held.
+func TestUpdate(t *testing.T) {
+	for _, lanes := range widths {
+		lanes := lanes
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			ds, parts, newRows, newLabels := updateFixture(t)
+			var mu sync.Mutex
+			var journaled []*Entry
+			svc, mdl := updateService(t, parts, lanes, Config{
+				Window: 5 * time.Millisecond, MaxBatch: 4,
+				Journal: func(e *Entry) { mu.Lock(); journaled = append(journaled, e); mu.Unlock() },
+			})
+			defer svc.Close()
+
+			if _, err := svc.Update("nope", newRows, newLabels, 0); err == nil {
+				t.Fatal("unknown model must refuse the update")
+			}
+			if _, err := svc.Update("dt", newRows, newLabels[:2], 0); err == nil {
+				t.Fatal("label/sample count mismatch must refuse the update")
+			}
+			if _, err := svc.Update("dt", nil, nil, 0); err == nil {
+				t.Fatal("empty append must refuse the update")
+			}
+
+			ne, err := svc.Update("dt", newRows, newLabels, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ne.Version != 2 {
+				t.Fatalf("absorb installed version %d, want 2", ne.Version)
+			}
+			upd, ok := ne.Model.(*core.Model)
+			if !ok {
+				t.Fatalf("absorb returned %T, want *core.Model", ne.Model)
+			}
+			if orig := mdl.(*core.Model); len(upd.Nodes) != len(orig.Nodes) {
+				t.Fatalf("DT absorb changed topology: %d nodes, had %d", len(upd.Nodes), len(orig.Nodes))
+			}
+
+			// Served predictions on the refreshed model must match the
+			// offline batched pipeline bit for bit.
+			queryParts, err := dataset.VerticalPartition(ds, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := flatRows(queryParts, svc.Width())
+			oracle, err := core.PredictAll(svc.LaneSession(0), ne.Model, queryParts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range rows {
+				if got, err := svc.Predict("dt", row); err != nil || got != oracle[i] {
+					t.Fatalf("sample %d: served %v, %v, oracle %v", i, got, err, oracle[i])
+				}
+			}
+
+			// A second absorb stacks on the first: every lane's partitions
+			// grew, so the append log and indicator extensions must stay
+			// consistent whichever lane it lands on.
+			ne2, err := svc.Update("dt", newRows, newLabels, 0)
+			if err != nil {
+				t.Fatalf("second absorb (lane sync check): %v", err)
+			}
+			if ne2.Version != 3 {
+				t.Fatalf("second absorb installed version %d, want 3", ne2.Version)
+			}
+			// Every lane keeps serving the refreshed model.
+			oracle, err = core.PredictAll(svc.LaneSession(0), ne2.Model, queryParts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, errs := predictAll(svc, "dt", rows)
+			for i := range rows {
+				if errs[i] != nil || got[i] != oracle[i] {
+					t.Fatalf("post-absorb sample %d: served %v, %v, oracle %v", i, got[i], errs[i], oracle[i])
+				}
+			}
+
+			if st := svc.Stats(); st.Serve == nil || st.Serve.Updates != 2 {
+				t.Fatalf("stats counted %+v updates, want 2", st.Serve)
+			}
+			mu.Lock()
+			if len(journaled) != 2 || journaled[0].Version != 2 || journaled[1].Version != 3 {
+				t.Fatalf("journal saw %d installs", len(journaled))
+			}
+			mu.Unlock()
+
+			svc.Drain()
+			if _, err := svc.Update("dt", newRows, newLabels, 0); !errors.Is(err, ErrDraining) {
+				t.Fatalf("post-drain update returned %v", err)
+			}
+		})
 	}
+}
+
+// TestUpdateUnderBacklog parks an Update behind a standing backlog of
+// single-sample chains on a one-lane service: the update must take the next
+// lane to free, not lose it to the scheduler until the backlog has drained.
+func TestUpdateUnderBacklog(t *testing.T) {
+	_, parts, newRows, newLabels := updateFixture(t)
+	svc, _ := updateService(t, parts, 1, Config{MaxBatch: 1})
 	defer svc.Close()
-	mdl, err := core.Train(sess, core.TrainSpec{Model: core.KindDT})
+
+	rows := flatRows(parts, svc.Width())
+	backlog := append(append([][]float64{}, rows...), rows...) // 32 chains
+	entry, err := svc.Lookup("dt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Register("dt", mdl); err != nil {
+	reqs, err := svc.submitEntry(entry, backlog, time.Time{})
+	if err != nil {
 		t.Fatal(err)
-	}
-
-	if _, err := svc.Update("nope", newRows, newLabels, 0); err == nil {
-		t.Fatal("unknown model must refuse the update")
-	}
-	if _, err := svc.Update("dt", newRows, newLabels[:2], 0); err == nil {
-		t.Fatal("label/sample count mismatch must refuse the update")
-	}
-	if _, err := svc.Update("dt", nil, nil, 0); err == nil {
-		t.Fatal("empty append must refuse the update")
 	}
 
 	ne, err := svc.Update("dt", newRows, newLabels, 0)
@@ -70,140 +166,16 @@ func TestServiceUpdate(t *testing.T) {
 	if ne.Version != 2 {
 		t.Fatalf("absorb installed version %d, want 2", ne.Version)
 	}
-	upd, ok := ne.Model.(*core.Model)
-	if !ok {
-		t.Fatalf("absorb returned %T, want *core.Model", ne.Model)
+	last := reqs[len(reqs)-1]
+	select {
+	case r := <-last.res:
+		t.Fatalf("update installed only after the whole backlog was served (last: %+v)", r)
+	default:
 	}
-	orig := mdl.(*core.Model)
-	if len(upd.Nodes) != len(orig.Nodes) {
-		t.Fatalf("DT absorb changed topology: %d nodes, had %d", len(upd.Nodes), len(orig.Nodes))
-	}
-
-	// Served predictions on the refreshed model must match the offline
-	// batched pipeline bit for bit.
-	queryParts, err := dataset.VerticalPartition(ds, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := core.PredictAll(sess, ne.Model, queryParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := flatRows(queryParts, svc.Width())
-	for i, row := range rows {
-		got, err := svc.Predict("dt", row)
-		if err != nil {
-			t.Fatal(err)
+	for i, rq := range reqs {
+		if r := <-rq.res; r.err != nil {
+			t.Fatalf("backlog request %d: %v", i, r.err)
 		}
-		if got != oracle[i] {
-			t.Fatalf("sample %d: served %v, oracle %v", i, got, oracle[i])
-		}
-	}
-
-	// A second absorb stacks on the first: the session's partitions grew,
-	// so the append log and indicator extensions must stay consistent.
-	ne2, err := svc.Update("dt", newRows, newLabels, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ne2.Version != 3 {
-		t.Fatalf("second absorb installed version %d, want 3", ne2.Version)
-	}
-
-	st := svc.Stats()
-	if st.Serve == nil || st.Serve.Updates != 2 {
-		t.Fatalf("stats counted %+v updates, want 2", st.Serve)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(journaled) != 2 || journaled[0].Version != 2 || journaled[1].Version != 3 {
-		t.Fatalf("journal saw %d installs", len(journaled))
-	}
-
-	svc.Drain()
-	if _, err := svc.Update("dt", newRows, newLabels, 0); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain update returned %v", err)
-	}
-}
-
-// TestPoolUpdate routes an absorb through a sharded pool: the chain runs
-// on one reserved lane, the other lanes' partitions sync afterwards, and a
-// second absorb (which may land on any lane) proves the sync held.
-func TestPoolUpdate(t *testing.T) {
-	ds, parts, newRows, newLabels := updateFixture(t)
-	factory := func(lane int) (*core.Session, error) {
-		c := fixtureConfig()
-		c.Seed += int64(lane)
-		return core.NewSession(parts, c)
-	}
-	pool, err := NewPool(parts, PoolConfig{
-		Config: Config{Window: 2 * time.Millisecond, MaxBatch: 4},
-		Lanes:  2, LaneFactory: factory,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	mdl, err := core.Train(pool.LaneSession(0), core.TrainSpec{Model: core.KindDT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Register("dt", mdl); err != nil {
-		t.Fatal(err)
-	}
-
-	ne, err := pool.Update("dt", newRows, newLabels, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ne.Version != 2 {
-		t.Fatalf("pool absorb installed version %d, want 2", ne.Version)
-	}
-	ne2, err := pool.Update("dt", newRows, newLabels, 0)
-	if err != nil {
-		t.Fatalf("second pool absorb (lane sync check): %v", err)
-	}
-	if ne2.Version != 3 {
-		t.Fatalf("second pool absorb installed version %d, want 3", ne2.Version)
-	}
-
-	// Both lanes keep serving the refreshed model, bit-identical to the
-	// offline pipeline.
-	queryParts, err := dataset.VerticalPartition(ds, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := core.PredictAll(pool.LaneSession(0), ne2.Model, queryParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := flatRows(queryParts, pool.Width())
-	got := make([]float64, len(rows))
-	errs := make([]error, len(rows))
-	var wg sync.WaitGroup
-	for i := range rows {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = pool.Predict("dt", rows[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range rows {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if got[i] != oracle[i] {
-			t.Fatalf("post-absorb sample %d: served %v, oracle %v", i, got[i], oracle[i])
-		}
-	}
-	if st := pool.Stats(); st.Serve == nil || st.Serve.Updates != 2 {
-		t.Fatalf("pool stats counted %+v updates, want 2", st.Serve)
-	}
-
-	pool.Drain()
-	if _, err := pool.Update("dt", newRows, newLabels, 0); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain pool update returned %v", err)
 	}
 }
 
@@ -216,23 +188,15 @@ func TestServeUpdateNoTornReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nightly: concurrent update/predict consistency")
 	}
+	for _, lanes := range widths {
+		lanes := lanes
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { testNoTornReads(t, lanes) })
+	}
+}
+
+func testNoTornReads(t *testing.T, lanes int) {
 	_, parts, newRows, newLabels := updateFixture(t)
-	sess, err := core.NewSession(parts, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	svc, err := New(sess, parts, Config{Window: 2 * time.Millisecond, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl, err := core.Train(sess, core.TrainSpec{Model: core.KindDT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Register("dt", mdl); err != nil {
-		t.Fatal(err)
-	}
+	svc, _ := updateService(t, parts, lanes, Config{Window: 2 * time.Millisecond, MaxBatch: 8})
 	srv, err := NewServer(svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

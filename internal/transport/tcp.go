@@ -125,10 +125,6 @@ type TCPConfig struct {
 	// single peer or the symmetric bulk exchanges will stall.
 	SendQueueBytes int64
 
-	// Compress enables per-frame flate compression (see WithCompression).
-	// All parties in the mesh must agree on this setting.
-	Compress bool
-
 	// DialTimeout bounds each peer dial during mesh setup (and redials in
 	// reconnect mode).  Zero selects 15s.
 	DialTimeout time.Duration
@@ -298,9 +294,6 @@ func newTCPEndpointOn(ctx context.Context, cfg TCPConfig, id int, ln net.Listene
 	}
 	if cfg.Reconnect {
 		go e.acceptLoop()
-	}
-	if cfg.Compress {
-		return WithCompression(e), nil
 	}
 	return e, nil
 }

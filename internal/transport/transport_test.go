@@ -404,3 +404,91 @@ func TestTCPHostileFramePrefix(t *testing.T) {
 		t.Fatal("expected error on hostile frame length")
 	}
 }
+
+// TestTCPSendBackpressure forces a tiny send-queue high-water mark and checks
+// that (a) a producer that outruns the consumer blocks instead of buffering
+// without limit, (b) the exchange still completes, and (c) the queue gauges
+// report a peak consistent with the mark.
+func TestTCPSendBackpressure(t *testing.T) {
+	const hwm = 64 * 1024
+	cfg := TCPConfig{
+		Addrs:          []string{"127.0.0.1:39171", "127.0.0.1:39172"},
+		SendQueueBytes: hwm,
+	}
+	eps := make([]Endpoint, 2)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ep, err := NewTCPEndpoint(cfg, i)
+			if err != nil {
+				errs <- err
+				return
+			}
+			eps[i] = ep
+		}(i)
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	defer func() {
+		for _, e := range eps {
+			if e != nil {
+				e.Close()
+			}
+		}
+	}()
+
+	const frames = 200
+	payload := bytes.Repeat([]byte{0x42}, 32*1024) // 200 × 32 KiB ≫ hwm
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for f := 0; f < frames; f++ {
+			if err := eps[0].Send(1, payload); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	// Slow consumer: the producer must hit the mark and block, not OOM.
+	for f := 0; f < frames; f++ {
+		if f < 3 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		b, err := eps[1].Recv(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != len(payload) {
+			t.Fatalf("frame %d truncated", f)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("producer never finished under backpressure")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	s := eps[0].Stats()
+	peak := s.QueuePeakBytes.Load()
+	if peak == 0 {
+		t.Fatal("queue peak gauge never moved")
+	}
+	// Peak may exceed hwm by at most one frame (the empty-queue admission).
+	if max := int64(hwm + len(payload)); peak > max {
+		t.Fatalf("queue peak %d exceeds mark+frame %d: backpressure not bounding", peak, max)
+	}
+	if q := s.QueuedBytes.Load(); q != 0 {
+		t.Fatalf("queue gauge did not drain to zero: %d", q)
+	}
+}
