@@ -1,11 +1,11 @@
 package pivot
 
-// One benchmark per table and figure of the paper's evaluation (§8).  Each
-// bench runs the corresponding experiment driver at the bench preset (a
-// scaled-down workload that preserves the protocol shapes; see
-// EXPERIMENTS.md) and reports the headline series as custom metrics, so
-// `go test -bench=. -benchmem` regenerates every result in one command.
-// For full-scale sweeps use `go run ./cmd/pivot-bench -preset paper`.
+// One sub-benchmark per registered experiment — every table and figure of
+// the paper's evaluation (§8) and every BENCH_*.json baseline.  Each runs
+// at the bench preset (a scaled-down workload that preserves the protocol
+// shapes) and reports the headline series as custom metrics, so `go test -bench=. -benchmem` regenerates every result in one
+// command.  For full-scale sweeps use `go run ./cmd/pivot-bench -preset
+// paper`.
 
 import (
 	"strings"
@@ -33,102 +33,35 @@ func benchPreset() experiments.Preset {
 	return p
 }
 
-// runExperiment executes one driver per iteration and reports the last
-// row's series as metrics (seconds, or accuracy for Table 3).
-func runExperiment(b *testing.B, fn func(experiments.Preset) (*experiments.Result, error)) {
-	b.Helper()
+// BenchmarkExperiment runs every registered experiment as a sub-benchmark
+// named by its id (`-bench 'Experiment/fig4a$'` regenerates Figure 4a; see
+// `pivot-bench -list` for the ids): one run per iteration, the last row's
+// series reported as metrics (seconds, or accuracy for Table 3; a baseline
+// experiment's last leg, or its whole record when it has none).
+func BenchmarkExperiment(b *testing.B) {
 	p := benchPreset()
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = fn(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if res != nil && len(res.Rows) > 0 {
-		last := res.Rows[len(res.Rows)-1]
-		for name, v := range last.Series {
-			b.ReportMetric(v, metricUnit(name, res.Unit))
-		}
-		b.Logf("\n%s", res.Format())
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			var res *experiments.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, _, err = e.Exec(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if res != nil && len(res.Rows) > 0 {
+				last := res.Rows[len(res.Rows)-1]
+				for name, v := range last.Series {
+					b.ReportMetric(v, metricUnit(name, res.Unit))
+				}
+				b.Logf("\n%s", res.Format())
+			}
+		})
 	}
 }
 
-// BenchmarkTable2CostModel regenerates Table 2 (predicted vs measured cost).
-func BenchmarkTable2CostModel(b *testing.B) { runExperiment(b, experiments.Table2) }
-
-// BenchmarkTable3Accuracy regenerates Table 3 (Pivot vs non-private accuracy).
-func BenchmarkTable3Accuracy(b *testing.B) { runExperiment(b, experiments.Table3) }
-
-// BenchmarkFig4a regenerates Figure 4a (training time vs m).
-func BenchmarkFig4a(b *testing.B) { runExperiment(b, experiments.Fig4a) }
-
-// BenchmarkFig4b regenerates Figure 4b (training time vs n).
-func BenchmarkFig4b(b *testing.B) { runExperiment(b, experiments.Fig4b) }
-
-// BenchmarkFig4c regenerates Figure 4c (training time vs d̄).
-func BenchmarkFig4c(b *testing.B) { runExperiment(b, experiments.Fig4c) }
-
-// BenchmarkFig4d regenerates Figure 4d (training time vs b).
-func BenchmarkFig4d(b *testing.B) { runExperiment(b, experiments.Fig4d) }
-
-// BenchmarkFig4e regenerates Figure 4e (training time vs h).
-func BenchmarkFig4e(b *testing.B) { runExperiment(b, experiments.Fig4e) }
-
-// BenchmarkFig4f regenerates Figure 4f (ensemble training time vs W).
-func BenchmarkFig4f(b *testing.B) { runExperiment(b, experiments.Fig4f) }
-
-// BenchmarkFig4g regenerates Figure 4g (prediction time vs m).
-func BenchmarkFig4g(b *testing.B) { runExperiment(b, experiments.Fig4g) }
-
-// BenchmarkFig4h regenerates Figure 4h (prediction time vs h).
-func BenchmarkFig4h(b *testing.B) { runExperiment(b, experiments.Fig4h) }
-
-// BenchmarkFig5a regenerates Figure 5a (Pivot vs SPDZ-DT vs NPD-DT, vary m).
-func BenchmarkFig5a(b *testing.B) { runExperiment(b, experiments.Fig5a) }
-
-// BenchmarkFig5b regenerates Figure 5b (Pivot vs SPDZ-DT vs NPD-DT, vary n).
-func BenchmarkFig5b(b *testing.B) { runExperiment(b, experiments.Fig5b) }
-
-// BenchmarkAblationArgmax compares the paper's linear oblivious argmax with
-// the tournament variant (design-choice ablation; not a paper figure).
-func BenchmarkAblationArgmax(b *testing.B) { runExperiment(b, experiments.AblationArgmax) }
-
-// BenchmarkAblationParallelDecrypt isolates the "-PP" parallel threshold
-// decryption speedup (§8.3: up to 2.7x on 6 cores).
-func BenchmarkAblationParallelDecrypt(b *testing.B) {
-	runExperiment(b, experiments.AblationParallelDecrypt)
-}
-
-// BenchmarkAblationHideLevels quantifies the §5.2 privacy/efficiency
-// trade-off: enhanced-protocol training and prediction time per hide level.
-func BenchmarkAblationHideLevels(b *testing.B) { runExperiment(b, experiments.AblationHideLevels) }
-
-// BenchmarkAblationCriterion compares secure Gini with the secure entropy
-// (ID3/C4.5) criterion built on the MPC logarithm.
-func BenchmarkAblationCriterion(b *testing.B) { runExperiment(b, experiments.AblationCriterion) }
-
-// BenchmarkPSIAlignment measures the initialization stage's private set
-// intersection (§3.1) as per-party set size grows.
-func BenchmarkPSIAlignment(b *testing.B) { runExperiment(b, experiments.PSIAlignment) }
-
-// BenchmarkPhaseBreakdown reports per-phase training time (Table 2 columns).
-func BenchmarkPhaseBreakdown(b *testing.B) { runExperiment(b, experiments.PhaseBreakdown) }
-
-// BenchmarkPaillierAcceleration reports the Paillier acceleration layer's
-// ops/sec comparison (sequential vs parallel vs precomputed) plus the
-// end-to-end training speedup; `pivot-bench -exp paillier -json
-// BENCH_paillier.json` persists the same numbers as the perf baseline.
-func BenchmarkPaillierAcceleration(b *testing.B) { runExperiment(b, experiments.PaillierBench) }
-
-// BenchmarkServe replays the serving layer's concurrent request stream
-// against per-request and micro-batched configurations under simulated
-// WAN latency; `pivot-bench -exp serve -json BENCH_serve.json` persists
-// the same numbers as the perf baseline.
-func BenchmarkServe(b *testing.B) { runExperiment(b, experiments.ServeBench) }
-
-// benchTrainDT measures one end-to-end TrainDecisionTree run per iteration.
+// benchTrainDT measures one end-to-end decision-tree training run per
+// iteration.
 func benchTrainDT(b *testing.B, workers, poolCapacity int) {
 	b.Helper()
 	ds := SyntheticClassification(48, 6, 2, 2.0, 1)
@@ -143,7 +76,7 @@ func benchTrainDT(b *testing.B, workers, poolCapacity int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := fed.TrainDecisionTree(); err != nil {
+		if _, err := fed.Train(TrainSpec{Model: KindDT}); err != nil {
 			b.Fatal(err)
 		}
 		fed.Close()

@@ -1,4 +1,6 @@
-// pivot-bench regenerates the paper's tables and figures.
+// pivot-bench regenerates the paper's tables and figures and the
+// deterministic-counter baselines (BENCH_*.json); every experiment comes
+// from the one registry in internal/experiments.
 //
 // Usage:
 //
@@ -12,116 +14,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
 
-// writers produce the machine-readable BENCH_*.json baselines (-json).
-// Each returns a one-line summary for the log; experiments without a
-// writer have no baseline format, so -json on them is an error instead of
-// a silently ignored flag.
-var writers = map[string]func(path string, p experiments.Preset) (string, error){
-	"paillier": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WritePaillierBenchJSON(path, p)
-		if err != nil {
-			return "", err
+// listExperiments prints every registered id, marking the baseline
+// experiments — the ones -json can write (CI's bench loop parses the mark).
+func listExperiments(w io.Writer, indent string) {
+	for _, e := range experiments.Registry {
+		if e.Baseline != nil {
+			fmt.Fprintf(w, "%s%s (baseline writer)\n", indent, e.ID)
+		} else {
+			fmt.Fprintf(w, "%s%s\n", indent, e.ID)
 		}
-		return fmt.Sprintf("enc speedup %.2fx, train speedup %.2fx", st.EncSpeedup, st.TrainSpeedup), nil
-	},
-	"levelwise": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WriteLevelwiseBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("rounds %d -> %d, %.2fx; trees identical: %v",
-			st.PerNodeRounds, st.LevelwiseRounds, st.RoundReduction, st.TreesIdentical), nil
-	},
-	"predict": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WritePredictBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("rounds %d -> %d, %.2fx; msgs %.2fx; WAN wall %.2fx; identical: %v",
-			st.PerSampleRounds, st.BatchRounds, st.RoundReduction,
-			st.MsgReduction, st.WANSpeedup, st.PredictionsIdentical), nil
-	},
-	"serve": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WriteServeBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("micro-batch speedup %.2fx at %gms WAN; identical: %v",
-			st.MicroBatchSpeedup, st.NetDelayMs, st.ResultsIdentical), nil
-	},
-	"servescale": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WriteServeScaleBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("S=%d scaling %.2fx at %gms WAN; lane batch %d = %d rounds / %d msgs; kill: ok=%d unavail=%d other=%d requeued=%d; identical: %v",
-			st.Points[len(st.Points)-1].Lanes, st.ScalingX, st.NetDelayMs,
-			st.LaneBatch, st.LaneRoundsPerBatch, st.LaneMsgsPerBatch,
-			st.Kill.Succeeded, st.Kill.Unavailable, st.Kill.FailedOther, st.Kill.Requeued,
-			st.ResultsIdentical), nil
-	},
-	"update": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WriteUpdateBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("GBDT rounds %d -> %d, %.2fx; enhanced update rounds %d -> %d, %.2fx; trees identical: %v",
-			st.SeqRounds, st.BatchRounds, st.RoundReduction,
-			st.EnhSeqUpdateRounds, st.EnhBatchUpdateRounds, st.EnhUpdateReduction,
-			st.TreesIdentical), nil
-	},
-	"pipeline": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WritePipelineBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		var sb strings.Builder
-		for i, leg := range st.Legs {
-			if i > 0 {
-				sb.WriteString("; ")
-			}
-			fmt.Fprintf(&sb, "leg %gms %.2fs -> %.2fs (%.2fx, in-flight peak %d, identical: %v)",
-				leg.DelayMs, leg.BarrierSeconds, leg.PipelinedSeconds, leg.WallSpeedup,
-				leg.InFlightPeak, leg.TreesIdentical)
-		}
-		return sb.String(), nil
-	},
-	"recovery": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WriteRecoveryBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("crash at level %d: resume %d rounds vs retrain %d, %.2fx wall; model match: %v",
-			st.CrashLevel, st.ResumeRounds, st.RetrainRounds, st.ResumeSpeedup, st.ModelMatch), nil
-	},
-	"incremental": func(path string, p experiments.Preset) (string, error) {
-		st, err := experiments.WriteIncrementalBenchJSON(path, p)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("absorb +%d samples: DT %d rounds vs retrain %d (%.1fx); GBDT %d vs %d (%.1fx); accuracy deltas %.4f / %.4f",
-			st.AppendN, st.AbsorbRounds, st.RetrainRounds, st.RoundReduction,
-			st.GBDTAbsorbRounds, st.GBDTRetrainRounds, st.GBDTRoundReduction,
-			st.AccuracyDelta, st.GBDTAccuracyDelta), nil
-	},
-}
-
-// experimentIDs lists every registered experiment, sorted.
-func experimentIDs() []string {
-	ids := make([]string, 0, len(experiments.Drivers))
-	for id := range experiments.Drivers {
-		ids = append(ids, id)
 	}
-	sort.Strings(ids)
-	return ids
 }
 
 func main() {
@@ -134,13 +43,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range experimentIDs() {
-			if _, ok := writers[id]; ok {
-				fmt.Printf("%s (baseline writer)\n", id)
-			} else {
-				fmt.Println(id)
-			}
-		}
+		listExperiments(os.Stdout, "")
 		return
 	}
 
@@ -157,8 +60,10 @@ func main() {
 	p.NetDelay = *latency
 	p.NetJitter = *jitter
 
+	start := time.Now()
+	elapsed := func() time.Duration { return time.Since(start).Round(time.Millisecond) }
+
 	if *exp == "all" {
-		start := time.Now()
 		results, err := experiments.All(p)
 		for _, r := range results {
 			fmt.Println(r.Format())
@@ -167,47 +72,36 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pivot-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("all experiments done in %s\n", experiments.Elapsed(start))
+		fmt.Printf("all %d experiments done in %s\n", len(results), elapsed())
 		return
 	}
 
-	fn, ok := experiments.Drivers[*exp]
+	e, ok := experiments.Lookup(*exp)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "pivot-bench: unknown experiment %q; registered experiments:\n", *exp)
-		for _, id := range experimentIDs() {
-			fmt.Fprintf(os.Stderr, "  %s\n", id)
-		}
+		listExperiments(os.Stderr, "  ")
+		os.Exit(2)
+	}
+	// Figure experiments have no baseline format, so -json on them is an
+	// error instead of a silently ignored flag.
+	if *jsonOut != "" && e.Baseline == nil {
+		fmt.Fprintf(os.Stderr, "pivot-bench: experiment %q has no baseline writer for -json; see -list\n", *exp)
 		os.Exit(2)
 	}
 
-	if *jsonOut != "" {
-		w, ok := writers[*exp]
-		if !ok {
-			withWriters := make([]string, 0, len(writers))
-			for id := range writers {
-				withWriters = append(withWriters, id)
-			}
-			sort.Strings(withWriters)
-			fmt.Fprintf(os.Stderr, "pivot-bench: experiment %q has no baseline writer for -json (writers: %s)\n",
-				*exp, strings.Join(withWriters, ", "))
-			os.Exit(2)
-		}
-		start := time.Now()
-		summary, err := w(*jsonOut, p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pivot-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s baseline -> %s (%s) in %s\n", *exp, *jsonOut, summary, experiments.Elapsed(start))
-		return
-	}
-
-	start := time.Now()
-	res, err := fn(p)
+	res, rec, err := e.Exec(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pivot-bench:", err)
 		os.Exit(1)
 	}
 	fmt.Println(res.Format())
-	fmt.Printf("done in %s\n", experiments.Elapsed(start))
+	if *jsonOut == "" {
+		fmt.Printf("done in %s\n", elapsed())
+		return
+	}
+	if err := rec.WriteFile(*jsonOut); err != nil {
+		fmt.Fprintln(os.Stderr, "pivot-bench:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("%s baseline -> %s in %s\n%s\n", *exp, *jsonOut, elapsed(), rec.Summary())
 }

@@ -37,28 +37,12 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
-// flatten walks arbitrarily nested JSON into dotted-path leaves.
-func flatten(prefix string, v any, out map[string]any) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, vv := range x {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			flatten(p, vv, out)
-		}
-	case []any:
-		for i, vv := range x {
-			flatten(fmt.Sprintf("%s[%d]", prefix, i), vv, out)
-		}
-	default:
-		out[prefix] = v
-	}
-}
-
+// load reads a bench JSON into dotted-path leaves (experiments.Flatten:
+// the path syntax the gates manifests use).
 func load(path string) (map[string]any, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -69,7 +53,9 @@ func load(path string) (map[string]any, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	out := map[string]any{}
-	flatten("", v, out)
+	for _, l := range experiments.Flatten(v) {
+		out[l.Path] = l.Value
+	}
 	return out, nil
 }
 
@@ -88,23 +74,6 @@ func loadGates(path string) ([]string, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m.Gates.Require, nil
-}
-
-// gated reports whether a key is a deterministic count metric that must not
-// regress.  Derived ratios and wall-clock figures are advisory only.
-func gated(key string) bool {
-	k := strings.ToLower(key)
-	for _, skip := range []string{"reduction", "speedup", "seconds", "throughput", "latency", "ratio"} {
-		if strings.Contains(k, skip) {
-			return false
-		}
-	}
-	for _, hit := range []string{"rounds", "msgs", "messages", "bytes"} {
-		if strings.Contains(k, hit) {
-			return true
-		}
-	}
-	return false
 }
 
 func main() {
@@ -144,7 +113,7 @@ func main() {
 		}
 		cvAny, ok := cur[k]
 		if !ok {
-			if gated(k) {
+			if experiments.Gated(k) {
 				fmt.Printf("%-42s %16g %16s %9s  MISSING\n", k, bv, "-", "-")
 				regressions++
 			}
@@ -159,7 +128,7 @@ func main() {
 			delta = fmt.Sprintf("%+.1f%%", 100*(cv-bv)/bv)
 		}
 		status := "advisory"
-		if gated(k) {
+		if experiments.Gated(k) {
 			status = "ok"
 			if cv > bv*(1+*tolerance) {
 				status = "REGRESSED"
@@ -189,7 +158,7 @@ func main() {
 		case !bok || !cok:
 			fmt.Printf("%-42s %16s %16s %9s  REQUIRED-MISSING\n", k, "-", "-", "-")
 			regressions++
-		case !gated(k):
+		case !experiments.Gated(k):
 			fmt.Printf("%-42s %16s %16s %9s  REQUIRED-UNGATED\n", k, "-", "-", "-")
 			regressions++
 		}

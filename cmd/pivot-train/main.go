@@ -135,10 +135,11 @@ func main() {
 	start := time.Now()
 	switch *modelKind {
 	case "dt":
-		model, err := fed.TrainDecisionTree()
+		mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindDT})
 		if err != nil {
 			fail(err)
 		}
+		model := mdl.(*pivot.Model)
 		f, err := os.Create(*out)
 		if err != nil {
 			fail(err)
@@ -159,16 +160,17 @@ func main() {
 			fmt.Printf("wrote Graphviz rendering -> %s\n", *dot)
 		}
 	case "rf":
-		fm, err := fed.TrainRandomForest()
+		mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindRF})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("trained random forest: %d trees\n", len(fm.Trees))
+		fmt.Printf("trained random forest: %d trees\n", len(mdl.(*pivot.ForestModel).Trees))
 	case "gbdt":
-		bm, err := fed.TrainGBDT()
+		mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindGBDT})
 		if err != nil {
 			fail(err)
 		}
+		bm := mdl.(*pivot.BoostModel)
 		total := 0
 		for _, f := range bm.Forests {
 			total += len(f)

@@ -56,16 +56,17 @@ func main() {
 		len(common), common[0], common[len(common)-1])
 
 	// Train on the aligned federation and sanity-check a few predictions.
-	model, err := fed.TrainDecisionTree()
+	mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindDT})
 	if err != nil {
 		log.Fatal(err)
 	}
+	model := mdl.(*pivot.Model)
 	fmt.Printf("trained a Pivot decision tree with %d nodes on the aligned data\n", len(model.Nodes))
 
 	correct := 0
 	const probe = 20
 	for i := 0; i < probe; i++ {
-		pred, err := fed.Predict(model, i)
+		pred, err := fed.PredictAt(model, i)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,10 +42,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model, err := fed.TrainDecisionTree()
+		mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindDT})
 		if err != nil {
 			log.Fatal(err)
 		}
+		model := mdl.(*pivot.Model)
 
 		fmt.Printf("== %s\n", lv.name)
 		fmt.Println("   released model, node by node (adversary's view):")
@@ -67,7 +68,7 @@ func main() {
 		correct := 0
 		const probe = 15
 		for i := 0; i < probe; i++ {
-			pred, err := fed.Predict(model, i) // secret-shared prediction (§5.2)
+			pred, err := fed.PredictAt(model, i) // secret-shared prediction (§5.2)
 			if err != nil {
 				log.Fatal(err)
 			}

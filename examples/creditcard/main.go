@@ -32,10 +32,11 @@ func main() {
 	}
 	defer fed.Close()
 
-	model, err := fed.TrainDecisionTree()
+	mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindDT})
 	if err != nil {
 		log.Fatal(err)
 	}
+	model := mdl.(*pivot.Model)
 	fmt.Printf("enhanced model: %d internal nodes; thresholds encrypted: %v\n",
 		model.InternalNodes(), model.Nodes[0].EncThreshold != nil)
 
@@ -53,7 +54,7 @@ func main() {
 	}
 	correct, n := 0, 10
 	for i := 0; i < n; i++ {
-		pred, err := fed.PredictSample(model, [][]float64{testParts[0].X[i], testParts[1].X[i]})
+		pred, err := fed.PredictOne(model, [][]float64{testParts[0].X[i], testParts[1].X[i]})
 		if err != nil {
 			log.Fatal(err)
 		}

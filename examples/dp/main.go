@@ -25,13 +25,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model, err := fed.TrainDecisionTree()
+		model, err := fed.Train(pivot.TrainSpec{Model: pivot.KindDT})
 		if err != nil {
 			log.Fatal(err)
 		}
 		correct := 0
 		for i := 0; i < ds.N(); i++ {
-			pred, err := fed.Predict(model, i)
+			pred, err := fed.PredictAt(model, i)
 			if err != nil {
 				log.Fatal(err)
 			}

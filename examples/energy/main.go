@@ -27,10 +27,11 @@ func main() {
 	}
 	defer fed.Close()
 
-	model, err := fed.TrainDecisionTree()
+	mdl, err := fed.Train(pivot.TrainSpec{Model: pivot.KindDT})
 	if err != nil {
 		log.Fatal(err)
 	}
+	model := mdl.(*pivot.Model)
 
 	var mse, baseline, mean float64
 	for _, y := range full.Y {
@@ -39,7 +40,7 @@ func main() {
 	mean /= float64(full.N())
 	const nEval = 25
 	for i := 0; i < nEval; i++ {
-		pred, err := fed.Predict(model, i)
+		pred, err := fed.PredictAt(model, i)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -172,7 +172,8 @@ type PipelineMode int
 const (
 	// PipelineAuto (the default) enables pipelining whenever the
 	// configuration supports it — semi-honest, no DP, packing enabled,
-	// level-wise training with the batched update — AND the transport has
+	// level-wise training with the batched update, no Checkpoint store —
+	// AND the transport has
 	// real per-round cost (loopback TCP or simulated WAN latency).  On the
 	// ideal in-memory network a round costs one channel send, so the
 	// overlap's fixed overhead (per-lane dealer top-ups) would dominate;
@@ -279,8 +280,9 @@ type Config struct {
 	// are on the wire, independent chains (leaf construction vs model
 	// update, random-forest trees) run concurrently on tag-multiplexed
 	// transport lanes, and the winner opening is issued early.  Default
-	// auto/on; malicious, DP, NoPack and non-default train/update modes
-	// fall back to the barrier path, which stays the equivalence oracle.
+	// auto/on; malicious, DP, NoPack, non-default train/update modes and
+	// a non-nil Checkpoint fall back to the barrier path (under
+	// PipelineOn too), which stays the equivalence oracle.
 	Pipeline PipelineMode
 
 	// PredictBatch caps how many samples the batched prediction pipeline
@@ -318,8 +320,9 @@ type Config struct {
 	// every completed tree level each party snapshots its recoverable state
 	// into the store, and ResumeSession rebuilds a crashed federation from
 	// the last checkpoint all parties committed (recovery.go).  Only the
-	// barrier-synchronous semi-honest path checkpoints; pipelined,
-	// malicious and DP runs leave the store untouched.
+	// barrier-synchronous path checkpoints, so a non-nil store selects it
+	// on every transport and under every Pipeline setting; malicious and
+	// DP runs leave the store untouched.
 	Checkpoint *CheckpointStore
 
 	// Chaos, when non-nil, wraps party ChaosParty's endpoint with the
@@ -380,8 +383,10 @@ func (c Config) withDefaults() Config {
 // pipelineActive reports whether this configuration runs the overlapped
 // level-wise driver.  The variants without an overlapped implementation —
 // malicious (per-value MACs and proofs), DP, NoPack (the per-value
-// Algorithm-2 oracle), per-node training and the sequential update — use
-// the barrier path.  In Auto mode, so does the zero-latency in-memory
+// Algorithm-2 oracle), per-node training, the sequential update and level
+// checkpointing (a Checkpoint store: pipelined lanes have no level barrier
+// to snapshot at) — use the barrier path.  In Auto mode, so does the
+// zero-latency in-memory
 // network, where rounds are nearly free and the overlap's fixed overhead
 // would cost more than it hides.
 func (c Config) pipelineActive() bool {
@@ -394,6 +399,7 @@ func (c Config) pipelineActive() bool {
 	return !c.Malicious &&
 		c.DP == nil &&
 		!c.NoPack &&
+		c.Checkpoint == nil &&
 		c.TrainMode == LevelWise &&
 		c.UpdateMode == UpdateBatched
 }
@@ -563,17 +569,17 @@ type ServeStats struct {
 	Rebuilds    int64
 
 	// Requeued counts samples re-admitted after their lane died mid-batch
-	// (pool serving only: the batch migrates to a surviving lane instead
-	// of failing).
+	// (the batch migrates to a surviving lane instead of failing; with one
+	// lane there is none, and it reads 0).
 	Requeued int64
 
 	// Updates counts incremental absorbs installed through the serving
 	// layer (each one bumped a registry entry to version+1).
 	Updates int64
 
-	// Pool serving (internal/serve.Pool): per-lane health and load, nil
-	// for a single-session Service.  LanesHealthy is the number of lanes
-	// currently accepting batches.
+	// Per-lane health and load, populated by serve.Service at every width
+	// (one entry for a one-lane service).  LanesHealthy is the number of
+	// lanes currently accepting batches.
 	LanesHealthy int         `json:",omitempty"`
 	Lanes        []LaneStats `json:",omitempty"`
 
@@ -584,7 +590,7 @@ type ServeStats struct {
 	LatencyMs  ServeHist
 }
 
-// LaneStats is one pool lane's health and load snapshot (ServeStats.Lanes).
+// LaneStats is one serving lane's health and load snapshot (ServeStats.Lanes).
 type LaneStats struct {
 	Lane     int   `json:"lane"`
 	Healthy  bool  `json:"healthy"`

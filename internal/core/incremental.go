@@ -67,9 +67,9 @@ func Update(s *Session, spec UpdateSpec) (Predictor, error) {
 }
 
 // AppendSamples grows the session's partitions by the new rows without
-// touching any model — the data-sync half of Update, used by serve.Pool to
-// keep the lanes that did not run the update chain aligned with the one
-// that did.  Purely local at every party: no protocol traffic.
+// touching any model — the data-sync half of Update, used by serve.Service
+// to keep the lanes that did not run the update chain aligned with the one
+// that did, and to replay the absorb log into a rebuilt lane.  Purely local at every party: no protocol traffic.
 func AppendSamples(s *Session, parts []*dataset.Partition) error {
 	if len(parts) != s.M {
 		return fmt.Errorf("core: %d appended partitions for %d clients", len(parts), s.M)
@@ -163,7 +163,7 @@ func replayable(m *Model) error {
 }
 
 // appendData grows this party's partition by the new rows.  Copy-on-append:
-// pool lanes share Partition pointers, so the old struct stays untouched
+// serving lanes share Partition pointers, so the old struct stays untouched
 // while other lanes keep serving from it.  The candidate-split grid (and so
 // every peer's splitCounts) is frozen — only the indicator vectors extend,
 // keeping released SplitIndex values valid for replay.

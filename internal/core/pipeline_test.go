@@ -14,6 +14,39 @@ import (
 // equivalence test trains the same fixed-seed workload with Pipeline on
 // and off and compares the rendered models.
 
+// TestPipelineActive pins which configurations select the overlapped
+// driver: Auto needs a transport with real per-round cost, and every
+// variant without an overlapped implementation — a checkpoint store among
+// them — gets the barrier driver even under PipelineOn.
+func TestPipelineActive(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want bool
+	}{
+		{"memory", func(c *Config) {}, false},
+		{"tcp", func(c *Config) { c.TCPLoopback = true }, true},
+		{"delay", func(c *Config) { c.NetDelay = time.Millisecond }, true},
+		{"jitter", func(c *Config) { c.NetJitter = time.Millisecond }, true},
+		{"memory/on", func(c *Config) { c.Pipeline = PipelineOn }, true},
+		{"tcp/off", func(c *Config) { c.TCPLoopback, c.Pipeline = true, PipelineOff }, false},
+		{"tcp/checkpoint", func(c *Config) { c.TCPLoopback, c.Checkpoint = true, &CheckpointStore{} }, false},
+		{"delay/checkpoint", func(c *Config) { c.NetDelay, c.Checkpoint = time.Millisecond, &CheckpointStore{} }, false},
+		{"on/checkpoint", func(c *Config) { c.Pipeline, c.Checkpoint = PipelineOn, &CheckpointStore{} }, false},
+		{"on/malicious", func(c *Config) { c.Pipeline, c.Malicious = PipelineOn, true }, false},
+		{"on/dp", func(c *Config) { c.Pipeline, c.DP = PipelineOn, &DPConfig{Epsilon: 1} }, false},
+		{"on/nopack", func(c *Config) { c.Pipeline, c.NoPack = PipelineOn, true }, false},
+		{"on/per-node", func(c *Config) { c.Pipeline, c.TrainMode = PipelineOn, PerNode }, false},
+		{"on/sequential-update", func(c *Config) { c.Pipeline, c.UpdateMode = PipelineOn, UpdateSequential }, false},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		if got := cfg.pipelineActive(); got != tc.want {
+			t.Errorf("%s: pipelineActive() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (on, off *Model) {
 	t.Helper()
 	cfg.TrainMode = LevelWise

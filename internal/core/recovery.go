@@ -264,11 +264,11 @@ func restoreTasks(snaps []*taskSnap) []*treeTask {
 // Checkpoint hook (runs SPMD at every completed level barrier)
 
 // checkpointing reports whether this party takes level checkpoints: a
-// store must be wired, a driver must have armed its unit context, and the
-// run must be on the recoverable path (semi-honest, no DP, barrier mode).
+// store must be wired (which already selects the barrier driver, see
+// Config.pipelineActive), a driver must have armed its unit context, and
+// the run must be on the recoverable path (semi-honest, no DP).
 func (p *Party) checkpointing() bool {
-	return p.ck != nil && p.rctx != nil && !p.pipelined() &&
-		!p.cfg.Malicious && p.cfg.DP == nil
+	return p.ck != nil && p.rctx != nil && !p.cfg.Malicious && p.cfg.DP == nil
 }
 
 // levelCheckpoint snapshots the party at a completed level barrier.  The

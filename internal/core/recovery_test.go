@@ -228,9 +228,10 @@ func TestRecoveryEquivalenceGBDTRegression(t *testing.T) {
 }
 
 // TestRecoveryChaosTCPLoopback is the CI chaos smoke: one crash-at-level
-// run over the real TCP loopback mesh (barrier mode — pipelined lanes do
-// not checkpoint), resumed and checked bit-identical against the
-// fault-free memory-network oracle.
+// run over the real TCP loopback mesh (where PipelineAuto would overlap
+// levels, were it not for the checkpoint store selecting the barrier
+// driver), resumed and checked bit-identical against the fault-free
+// memory-network oracle.
 func TestRecoveryChaosTCPLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP chaos smoke runs in the CI chaos step and the nightly suite")
@@ -247,7 +248,6 @@ func TestRecoveryChaosTCPLoopback(t *testing.T) {
 	}
 	tcfg := cfg
 	tcfg.TCPLoopback = true
-	tcfg.Pipeline = PipelineOff
 	res := crashAndResume(t, parts, tcfg, 1, func(p *Party) error {
 		_, err := p.TrainDT()
 		return err

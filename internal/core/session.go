@@ -361,6 +361,8 @@ func (s *Session) Stats() RunStats {
 		total.Phases = s.parties[0].Stats.Phases
 		total.Wall = s.parties[0].Stats.Wall
 		total.MPC.Rounds = s.parties[0].Stats.MPC.Rounds
+		// Every engine counts its requests, but only party 0 sends them.
+		total.MPC.DealerReqs = s.parties[0].Stats.MPC.DealerReqs
 		total.UpdateRounds = s.parties[0].Stats.UpdateRounds
 		total.TreesTrained = s.parties[0].Stats.TreesTrained
 		total.NodesTrained = s.parties[0].Stats.NodesTrained

@@ -161,7 +161,7 @@ func TestStatsArePopulated(t *testing.T) {
 	ds := smallClassification(30)
 	s, _, _ := trainSession(t, ds, 2, testConfig())
 	st := s.Stats()
-	if st.Encryptions == 0 || st.DecShares == 0 || st.MPC.Mults == 0 {
+	if st.Encryptions == 0 || st.DecShares == 0 || st.MPC.Mults == 0 || st.MPC.DealerReqs == 0 {
 		t.Fatalf("stats not populated: %+v", st)
 	}
 	if st.NodesTrained == 0 || st.TreesTrained != 1 {

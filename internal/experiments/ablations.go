@@ -18,22 +18,22 @@ import (
 // PIR selection and the oblivious feature selection range over larger
 // domains).
 func AblationHideLevels(p Preset) (*Result, error) {
-	res := &Result{ID: "ablation-hide", Title: "enhanced-protocol hide levels (§5.2 trade-off)", XLabel: "level (0=threshold,1=feature,2=client)", Unit: "seconds"}
+	res := &Result{XLabel: "level (0=threshold,1=feature,2=client)", Unit: "seconds"}
 	ds := synth(p, p.M)
 	const predSamples = 2
 	for _, level := range []core.HideLevel{core.HideThreshold, core.HideFeature, core.HideClient} {
 		cfg := cfgFor(p, core.Enhanced, 1)
 		cfg.Hide = level
-		trainT, _, err := trainOnce(ds, p.M, cfg)
+		_, _, trainSecs, err := trainKind(ds, p.M, cfg, core.KindDT)
 		if err != nil {
-			return nil, fmt.Errorf("ablation-hide %s: %w", level, err)
+			return nil, fmt.Errorf("%s: %w", level, err)
 		}
 		predT, err := predictionPoint(ds, p.M, cfg, predSamples)
 		if err != nil {
-			return nil, fmt.Errorf("ablation-hide %s prediction: %w", level, err)
+			return nil, fmt.Errorf("%s prediction: %w", level, err)
 		}
 		res.Rows = append(res.Rows, Row{X: float64(level), Series: map[string]float64{
-			"train":          trainT.Seconds(),
+			"train":          trainSecs,
 			"predict/sample": predT,
 		}})
 	}
@@ -44,17 +44,16 @@ func AblationHideLevels(p Preset) (*Result, error) {
 // with the secure entropy gains (the ID3/C4.5 generalization of §2.3, built
 // on the MPC logarithm): training time and training accuracy.
 func AblationCriterion(p Preset) (*Result, error) {
-	res := &Result{ID: "ablation-criterion", Title: "gini vs entropy split criterion", XLabel: "criterion (0=gini,1=entropy)", Unit: "seconds / accuracy"}
+	res := &Result{XLabel: "criterion (0=gini,1=entropy)", Unit: "seconds / accuracy"}
 	ds := synth(p, p.M)
 	for _, crit := range []core.SplitCriterion{core.Gini, core.Entropy} {
 		cfg := cfgFor(p, core.Basic, 1)
 		cfg.Tree.Criterion = crit
-		start := time.Now()
-		model, _, err := core.TrainDecisionTree(ds, p.M, cfg)
-		elapsed := time.Since(start)
+		mdl, _, secs, err := trainKind(ds, p.M, cfg, core.KindDT)
 		if err != nil {
-			return nil, fmt.Errorf("ablation-criterion %s: %w", crit, err)
+			return nil, fmt.Errorf("%s: %w", crit, err)
 		}
+		model := mdl.(*core.Model)
 		parts, err := dataset.VerticalPartition(ds, p.M, 0)
 		if err != nil {
 			return nil, err
@@ -74,7 +73,7 @@ func AblationCriterion(p Preset) (*Result, error) {
 			}
 		}
 		res.Rows = append(res.Rows, Row{X: float64(crit), Series: map[string]float64{
-			"train":    elapsed.Seconds(),
+			"train":    secs,
 			"accuracy": float64(correct) / float64(ds.N()),
 		}})
 	}
@@ -84,7 +83,7 @@ func AblationCriterion(p Preset) (*Result, error) {
 // PSIAlignment measures the initialization stage's private set intersection
 // (§3.1) for growing per-party set sizes: m parties, ~80% pairwise overlap.
 func PSIAlignment(p Preset) (*Result, error) {
-	res := &Result{ID: "psi", Title: "initialization: PSI alignment time", XLabel: "ids/party", Unit: "seconds"}
+	res := &Result{XLabel: "ids/party", Unit: "seconds"}
 	g := psi.TestGroup()
 	for _, size := range p.Ns {
 		sets := make([][]string, p.M)
@@ -111,7 +110,7 @@ func PSIAlignment(p Preset) (*Result, error) {
 		}
 		for c, err := range errs {
 			if err != nil {
-				return nil, fmt.Errorf("psi party %d: %w", c, err)
+				return nil, fmt.Errorf("party %d: %w", c, err)
 			}
 		}
 		res.Rows = append(res.Rows, Row{X: float64(size), Series: map[string]float64{

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§8).  Each driver returns a Result whose series mirror the
-// lines/columns of the original plot; cmd/pivot-bench prints them and
-// bench_test.go wraps them as Go benchmarks.
+// evaluation (§8) and the deterministic-counter baselines CI pins
+// (BENCH_*.json).  Registry lists them all: a figure driver returns a Result
+// whose series mirror the lines/columns of the original plot, a baseline
+// experiment fills a Baseline record; cmd/pivot-bench prints and writes
+// them and bench_test.go runs them as Go benchmarks.
 //
 // Absolute times are not comparable to the paper's cluster (see DESIGN.md),
 // so each experiment is parameterized by a Preset: Quick (laptop seconds,
@@ -12,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -84,7 +87,8 @@ type Row struct {
 	Series map[string]float64
 }
 
-// Result is one regenerated table or figure.
+// Result is one regenerated table or figure.  ID and Title come from the
+// experiment's Registry entry (Experiment.Exec stamps them).
 type Result struct {
 	ID     string
 	Title  string
@@ -108,6 +112,15 @@ func (r *Result) Format() string {
 	sort.Strings(names)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s (unit: %s)\n", r.ID, r.Title, r.Unit)
+	if len(r.Rows) == 1 {
+		// A single point (a flat baseline record has dozens of series)
+		// reads better one series per line than as one very wide row.
+		fmt.Fprintf(&sb, "%36s  %g\n", r.XLabel, r.Rows[0].X)
+		for _, n := range names {
+			fmt.Fprintf(&sb, "%36s  %s\n", n, strconv.FormatFloat(r.Rows[0].Series[n], 'f', -1, 64))
+		}
+		return sb.String()
+	}
 	fmt.Fprintf(&sb, "%12s", r.XLabel)
 	for _, n := range names {
 		fmt.Fprintf(&sb, "  %22s", n)
@@ -145,11 +158,90 @@ func synth(p Preset, m int) *dataset.Dataset {
 	return dataset.SyntheticClassification(p.N, p.DBar*m, p.Classes, 2.0, 99)
 }
 
-// trainOnce measures one Pivot training run.
-func trainOnce(ds *dataset.Dataset, m int, cfg core.Config) (time.Duration, core.RunStats, error) {
+// trainKind trains one model of the given family on a fresh session over
+// ds and reports the model, the session's aggregate stats (bring-up
+// handshakes included) and the wall time of the training phase alone.
+func trainKind(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind) (core.Predictor, core.RunStats, float64, error) {
+	parts, err := dataset.VerticalPartition(ds, m, 0)
+	if err != nil {
+		return nil, core.RunStats{}, 0, err
+	}
+	s, err := core.NewSession(parts, cfg)
+	if err != nil {
+		return nil, core.RunStats{}, 0, err
+	}
+	defer s.Close()
 	start := time.Now()
-	_, stats, err := core.TrainDecisionTree(ds, m, cfg)
-	return time.Since(start), stats, err
+	mdl, err := core.Train(s, core.TrainSpec{Model: kind})
+	secs := time.Since(start).Seconds()
+	if err != nil {
+		return nil, core.RunStats{}, 0, err
+	}
+	return mdl, s.Stats(), secs, nil
+}
+
+// trainBestOfTwo is trainKind run twice, reporting the faster wall time to
+// damp scheduler noise; the model and the counters are deterministic under
+// the fixed seed, so the second run's serve.
+func trainBestOfTwo(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind) (core.Predictor, core.RunStats, float64, error) {
+	_, _, first, err := trainKind(ds, m, cfg, kind)
+	if err != nil {
+		return nil, core.RunStats{}, 0, err
+	}
+	mdl, stats, second, err := trainKind(ds, m, cfg, kind)
+	return mdl, stats, min(first, second), err
+}
+
+// render flattens every tree of a trained model for equivalence checks.
+func render(mdl core.Predictor) string {
+	var trees []*core.Model
+	switch m := mdl.(type) {
+	case *core.Model:
+		trees = []*core.Model{m}
+	case *core.ForestModel:
+		trees = m.Trees
+	case *core.BoostModel:
+		for _, forest := range m.Forests {
+			trees = append(trees, forest...)
+		}
+	}
+	out := ""
+	for _, t := range trees {
+		out += t.String() + "\n"
+	}
+	return out
+}
+
+// ratio is a/b, or 0 when b is not positive (an empty leg).
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
+// msOf is d in (fractional) milliseconds, the unit of the *_ms keys.
+func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// flatRows rebuilds the first n samples as flat global-column rows, the way
+// the serving wire carries them.
+func flatRows(parts []*dataset.Partition, n int) [][]float64 {
+	width := 0
+	for _, pt := range parts {
+		for _, f := range pt.Features {
+			width = max(width, f+1)
+		}
+	}
+	rows := make([][]float64, n)
+	for t := range rows {
+		rows[t] = make([]float64, width)
+		for _, pt := range parts {
+			for j, f := range pt.Features {
+				rows[t][f] = pt.X[t][j]
+			}
+		}
+	}
+	return rows
 }
 
 // variants are the four lines of Figure 4a-4e.
@@ -162,18 +254,18 @@ func variants(p Preset) map[string]core.Config {
 	}
 }
 
-func sweep(p Preset, id, title, xlabel string, xs []int, point func(p Preset, x int) (Preset, int)) (*Result, error) {
-	res := &Result{ID: id, Title: title, XLabel: xlabel, Unit: "seconds"}
+func sweep(p Preset, xlabel string, xs []int, point func(p Preset, x int) (Preset, int)) (*Result, error) {
+	res := &Result{XLabel: xlabel, Unit: "seconds"}
 	for _, x := range xs {
 		pp, m := point(p, x)
 		ds := synth(pp, m)
 		row := Row{X: float64(x), Series: map[string]float64{}}
 		for name, cfg := range variants(pp) {
-			d, _, err := trainOnce(ds, m, cfg)
+			_, _, secs, err := trainKind(ds, m, cfg, core.KindDT)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s x=%d: %w", id, name, x, err)
+				return nil, fmt.Errorf("%s x=%d: %w", name, x, err)
 			}
-			row.Series[name] = d.Seconds()
+			row.Series[name] = secs
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -182,37 +274,37 @@ func sweep(p Preset, id, title, xlabel string, xs []int, point func(p Preset, x 
 
 // Fig4a: training time vs number of clients m.
 func Fig4a(p Preset) (*Result, error) {
-	return sweep(p, "fig4a", "training time vs m", "m", p.Ms,
+	return sweep(p, "m", p.Ms,
 		func(p Preset, x int) (Preset, int) { return p, x })
 }
 
 // Fig4b: training time vs number of samples n.
 func Fig4b(p Preset) (*Result, error) {
-	return sweep(p, "fig4b", "training time vs n", "n", p.Ns,
+	return sweep(p, "n", p.Ns,
 		func(p Preset, x int) (Preset, int) { p.N = x; return p, p.M })
 }
 
 // Fig4c: training time vs per-client features d̄.
 func Fig4c(p Preset) (*Result, error) {
-	return sweep(p, "fig4c", "training time vs d̄", "dbar", p.DBars,
+	return sweep(p, "dbar", p.DBars,
 		func(p Preset, x int) (Preset, int) { p.DBar = x; return p, p.M })
 }
 
 // Fig4d: training time vs max splits b.
 func Fig4d(p Preset) (*Result, error) {
-	return sweep(p, "fig4d", "training time vs b", "b", p.Bs,
+	return sweep(p, "b", p.Bs,
 		func(p Preset, x int) (Preset, int) { p.B = x; return p, p.M })
 }
 
 // Fig4e: training time vs max tree depth h.
 func Fig4e(p Preset) (*Result, error) {
-	return sweep(p, "fig4e", "training time vs h", "h", p.Hs,
+	return sweep(p, "h", p.Hs,
 		func(p Preset, x int) (Preset, int) { p.H = x; return p, p.M })
 }
 
 // Fig4f: ensemble training time vs number of trees W.
 func Fig4f(p Preset) (*Result, error) {
-	res := &Result{ID: "fig4f", Title: "ensemble training time vs W", XLabel: "W", Unit: "seconds"}
+	res := &Result{XLabel: "W", Unit: "seconds"}
 	for _, w := range p.Ws {
 		pp := p
 		pp.W = w
@@ -220,34 +312,21 @@ func Fig4f(p Preset) (*Result, error) {
 
 		clsDS := synth(pp, pp.M)
 		regDS := dataset.SyntheticRegression(pp.N, pp.DBar*pp.M, 0.3, 99)
-
-		type job struct {
+		for _, j := range []struct {
 			name string
 			ds   *dataset.Dataset
-			run  func(*core.Party) error
-		}
-		jobs := []job{
-			{"Pivot-RF-Classification", clsDS, func(p *core.Party) error { _, err := p.TrainRF(); return err }},
-			{"Pivot-RF-Regression", regDS, func(p *core.Party) error { _, err := p.TrainRF(); return err }},
-			{"Pivot-GBDT-Regression", regDS, func(p *core.Party) error { _, err := p.TrainGBDT(); return err }},
-			{"Pivot-GBDT-Classification", clsDS, func(p *core.Party) error { _, err := p.TrainGBDT(); return err }},
-		}
-		for _, j := range jobs {
-			parts, err := dataset.VerticalPartition(j.ds, pp.M, 0)
+			kind core.ModelKind
+		}{
+			{"Pivot-RF-Classification", clsDS, core.KindRF},
+			{"Pivot-RF-Regression", regDS, core.KindRF},
+			{"Pivot-GBDT-Regression", regDS, core.KindGBDT},
+			{"Pivot-GBDT-Classification", clsDS, core.KindGBDT},
+		} {
+			_, _, secs, err := trainKind(j.ds, pp.M, cfgFor(pp, core.Basic, 1), j.kind)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s W=%d: %w", j.name, w, err)
 			}
-			s, err := core.NewSession(parts, cfgFor(pp, core.Basic, 1))
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			err = s.Each(j.run)
-			row.Series[j.name] = time.Since(start).Seconds()
-			s.Close()
-			if err != nil {
-				return nil, fmt.Errorf("fig4f %s W=%d: %w", j.name, w, err)
-			}
+			row.Series[j.name] = secs
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -287,7 +366,7 @@ func predictionPoint(ds *dataset.Dataset, m int, cfg core.Config, samples int) (
 
 // Fig4g: prediction time per sample vs m.
 func Fig4g(p Preset) (*Result, error) {
-	res := &Result{ID: "fig4g", Title: "prediction time vs m", XLabel: "m", Unit: "seconds/sample"}
+	res := &Result{XLabel: "m", Unit: "seconds/sample"}
 	const samples = 3
 	for _, m := range p.Ms {
 		ds := synth(p, m)
@@ -295,7 +374,7 @@ func Fig4g(p Preset) (*Result, error) {
 		for name, proto := range map[string]core.Protocol{"Pivot-Basic": core.Basic, "Pivot-Enhanced": core.Enhanced} {
 			v, err := predictionPoint(ds, m, cfgFor(p, proto, 1), samples)
 			if err != nil {
-				return nil, fmt.Errorf("fig4g %s m=%d: %w", name, m, err)
+				return nil, fmt.Errorf("%s m=%d: %w", name, m, err)
 			}
 			row.Series[name] = v
 		}
@@ -311,7 +390,7 @@ func Fig4g(p Preset) (*Result, error) {
 
 // Fig4h: prediction time per sample vs h.
 func Fig4h(p Preset) (*Result, error) {
-	res := &Result{ID: "fig4h", Title: "prediction time vs h", XLabel: "h", Unit: "seconds/sample"}
+	res := &Result{XLabel: "h", Unit: "seconds/sample"}
 	const samples = 3
 	for _, h := range p.Hs {
 		pp := p
@@ -321,7 +400,7 @@ func Fig4h(p Preset) (*Result, error) {
 		for name, proto := range map[string]core.Protocol{"Pivot-Basic": core.Basic, "Pivot-Enhanced": core.Enhanced} {
 			v, err := predictionPoint(ds, pp.M, cfgFor(pp, proto, 1), samples)
 			if err != nil {
-				return nil, fmt.Errorf("fig4h %s h=%d: %w", name, h, err)
+				return nil, fmt.Errorf("%s h=%d: %w", name, h, err)
 			}
 			row.Series[name] = v
 		}
@@ -360,8 +439,8 @@ func npdPredictionPoint(ds *dataset.Dataset, m int, p Preset, samples int) (floa
 }
 
 // fig5 measures Pivot vs SPDZ-DT vs NPD-DT.
-func fig5(p Preset, id, xlabel string, xs []int, apply func(Preset, int) (Preset, int)) (*Result, error) {
-	res := &Result{ID: id, Title: "training time: Pivot vs baselines", XLabel: xlabel, Unit: "seconds"}
+func fig5(p Preset, xlabel string, xs []int, apply func(Preset, int) (Preset, int)) (*Result, error) {
+	res := &Result{XLabel: xlabel, Unit: "seconds"}
 	for _, x := range xs {
 		pp, m := apply(p, x)
 		ds := synth(pp, m)
@@ -371,22 +450,22 @@ func fig5(p Preset, id, xlabel string, xs []int, apply func(Preset, int) (Preset
 		}
 		row := Row{X: float64(x), Series: map[string]float64{}}
 		for name, proto := range map[string]core.Protocol{"Pivot-Basic": core.Basic, "Pivot-Enhanced": core.Enhanced} {
-			d, _, err := trainOnce(ds, m, cfgFor(pp, proto, 1))
+			_, _, secs, err := trainKind(ds, m, cfgFor(pp, proto, 1), core.KindDT)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", id, name, err)
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			row.Series[name] = d.Seconds()
+			row.Series[name] = secs
 		}
 		bcfg := baseline.DefaultConfig()
 		bcfg.Tree = core.TreeHyper{MaxDepth: pp.H, MaxSplits: pp.B, MinSamplesSplit: 2, LeafOnZeroGain: true}
 		start := time.Now()
 		if _, _, err := baseline.TrainSPDZDT(parts, bcfg); err != nil {
-			return nil, fmt.Errorf("%s spdz-dt: %w", id, err)
+			return nil, fmt.Errorf("spdz-dt: %w", err)
 		}
 		row.Series["SPDZ-DT"] = time.Since(start).Seconds()
 		start = time.Now()
 		if _, _, err := baseline.TrainNPDDT(parts, bcfg); err != nil {
-			return nil, fmt.Errorf("%s npd-dt: %w", id, err)
+			return nil, fmt.Errorf("npd-dt: %w", err)
 		}
 		row.Series["NPD-DT"] = time.Since(start).Seconds()
 		res.Rows = append(res.Rows, row)
@@ -396,19 +475,19 @@ func fig5(p Preset, id, xlabel string, xs []int, apply func(Preset, int) (Preset
 
 // Fig5a: Pivot vs baselines, varying m.
 func Fig5a(p Preset) (*Result, error) {
-	return fig5(p, "fig5a", "m", p.Ms, func(p Preset, x int) (Preset, int) { return p, x })
+	return fig5(p, "m", p.Ms, func(p Preset, x int) (Preset, int) { return p, x })
 }
 
 // Fig5b: Pivot vs baselines, varying n.
 func Fig5b(p Preset) (*Result, error) {
-	return fig5(p, "fig5b", "n", p.Ns, func(p Preset, x int) (Preset, int) { p.N = x; return p, p.M })
+	return fig5(p, "n", p.Ns, func(p Preset, x int) (Preset, int) { p.N = x; return p, p.M })
 }
 
 // Table3 compares Pivot-DT/RF/GBDT with the non-private sklearn-equivalent
 // baselines on the three stand-in datasets (accuracy for classification,
 // MSE for regression), averaged over Trials runs.
 func Table3(p Preset) (*Result, error) {
-	res := &Result{ID: "table3", Title: "model accuracy vs non-private baselines", XLabel: "dataset", Unit: "accuracy (rows 0-1) / MSE (row 2)"}
+	res := &Result{XLabel: "dataset", Unit: "accuracy (rows 0-1) / MSE (row 2)"}
 	type namedDS struct {
 		name string
 		gen  func(seed uint64) *dataset.Dataset
@@ -430,7 +509,6 @@ func Table3(p Preset) (*Result, error) {
 			addMetrics(row.Series, p, train, test, float64(p.Trials))
 		}
 		res.Rows = append(res.Rows, row)
-		_ = di
 	}
 	return res, nil
 }
@@ -475,7 +553,7 @@ func addMetrics(out map[string]float64, p Preset, train, test *dataset.Dataset, 
 	}
 	defer s.Close()
 
-	evalPlain := func(models []*core.Model, combine func(feat [][]float64) float64) float64 {
+	evalPlain := func(combine func(feat [][]float64) float64) float64 {
 		pred := make([]float64, test.N())
 		for i := 0; i < test.N(); i++ {
 			feat := make([][]float64, m)
@@ -487,42 +565,22 @@ func addMetrics(out map[string]float64, p Preset, train, test *dataset.Dataset, 
 		return metric(pred)
 	}
 
-	var dt *core.Model
-	if err := s.Each(func(p *core.Party) error {
-		mod, err := p.TrainDT()
-		if p.ID == 0 {
-			dt = mod
-		}
-		return err
-	}); err == nil && dt != nil {
-		out["Pivot-DT"] += evalPlain(nil, func(feat [][]float64) float64 {
+	if mdl, err := core.Train(s, core.TrainSpec{Model: core.KindDT}); err == nil {
+		dt := mdl.(*core.Model)
+		out["Pivot-DT"] += evalPlain(func(feat [][]float64) float64 {
 			v, _ := dt.PredictPlain(feat)
 			return v
 		}) / trials
 	}
-
-	var rf *core.ForestModel
-	if err := s.Each(func(p *core.Party) error {
-		mod, err := p.TrainRF()
-		if p.ID == 0 {
-			rf = mod
-		}
-		return err
-	}); err == nil && rf != nil {
-		out["Pivot-RF"] += evalPlain(nil, func(feat [][]float64) float64 {
+	if mdl, err := core.Train(s, core.TrainSpec{Model: core.KindRF}); err == nil {
+		rf := mdl.(*core.ForestModel)
+		out["Pivot-RF"] += evalPlain(func(feat [][]float64) float64 {
 			return forestVotePlain(rf, feat)
 		}) / trials
 	}
-
-	var bm *core.BoostModel
-	if err := s.Each(func(p *core.Party) error {
-		mod, err := p.TrainGBDT()
-		if p.ID == 0 {
-			bm = mod
-		}
-		return err
-	}); err == nil && bm != nil {
-		out["Pivot-GBDT"] += evalPlain(nil, func(feat [][]float64) float64 {
+	if mdl, err := core.Train(s, core.TrainSpec{Model: core.KindGBDT}); err == nil {
+		bm := mdl.(*core.BoostModel)
+		out["Pivot-GBDT"] += evalPlain(func(feat [][]float64) float64 {
 			return boostPredictPlain(bm, feat)
 		}) / trials
 	}

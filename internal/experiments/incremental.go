@@ -1,91 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// IncrementalBenchStats is the machine-readable baseline for incremental
-// training (BENCH_incremental.json, written by cmd/pivot-bench -exp
-// incremental -json).  The workload absorbs a +10% batch of aligned
-// samples into a trained model (core.Update: the released trees are
-// replayed over the union with zero MPC rounds, then only the leaves are
-// re-resolved — DT — or one extra boosting round is trained — GBDT) and
-// compares that against retraining from scratch on the union.  The round
-// and message counters are deterministic and gated; the absorbed model's
-// held-out accuracy must stay within 1% of the retrained model's.
-type IncrementalBenchStats struct {
-	KeyBits   int    `json:"key_bits"`
-	N         int    `json:"n"`
-	AppendN   int    `json:"append_n"`
-	HeldoutN  int    `json:"heldout_n"`
-	M         int    `json:"m"`
-	MaxDepth  int    `json:"max_depth"`
-	Splits    int    `json:"max_splits"`
-	Classes   int    `json:"classes"`
-	Rounds    int    `json:"boost_rounds"`
-	Seed      int    `json:"seed"`
-	DataSeed  int    `json:"data_seed"`
-	Transport string `json:"transport"`
-
-	// Headline DT leg: what absorbing the batch costs on the live session
-	// (stats delta around core.Update) vs a from-scratch retrain on the
-	// union (fresh session, bring-up included — same convention as the
-	// recovery bench's retrain leg).
-	AbsorbRounds  int64 `json:"absorb_mpc_rounds"`
-	RetrainRounds int64 `json:"retrain_mpc_rounds"`
-	AbsorbMsgs    int64 `json:"absorb_msgs_sent"`
-	RetrainMsgs   int64 `json:"retrain_msgs_sent"`
-	AbsorbBytes   int64 `json:"absorb_bytes_sent"`
-	RetrainBytes  int64 `json:"retrain_bytes_sent"`
-
-	// StructureKept: the absorb refreshed leaf labels only (the replayed
-	// tree's splits are frozen by construction).
-	StructureKept bool `json:"structure_kept"`
-
-	// Held-out accuracy of the absorbed vs the retrained model (advisory
-	// values, but the delta bound is enforced by the bench itself).
-	AbsorbAccuracy  float64 `json:"absorb_accuracy"`
-	RetrainAccuracy float64 `json:"retrain_accuracy"`
-	AccuracyDelta   float64 `json:"accuracy_delta"`
-
-	// GBDT leg: warm-start one extra boosting round over the union vs
-	// retraining all boost_rounds+1 rounds from scratch.
-	GBDTAbsorbRounds    int64   `json:"gbdt_absorb_mpc_rounds"`
-	GBDTRetrainRounds   int64   `json:"gbdt_retrain_mpc_rounds"`
-	GBDTAbsorbMsgs      int64   `json:"gbdt_absorb_msgs_sent"`
-	GBDTRetrainMsgs     int64   `json:"gbdt_retrain_msgs_sent"`
-	GBDTAbsorbAccuracy  float64 `json:"gbdt_absorb_accuracy"`
-	GBDTRetrainAccuracy float64 `json:"gbdt_retrain_accuracy"`
-	GBDTAccuracyDelta   float64 `json:"gbdt_accuracy_delta"`
-
-	// Advisory wall-clock figures (timing-noisy, never gated).
-	AbsorbSeconds      float64 `json:"absorb_seconds"`
-	RetrainSeconds     float64 `json:"retrain_seconds"`
-	GBDTAbsorbSeconds  float64 `json:"gbdt_absorb_seconds"`
-	GBDTRetrainSeconds float64 `json:"gbdt_retrain_seconds"`
-	RoundReduction     float64 `json:"round_reduction_ratio"`
-	GBDTRoundReduction float64 `json:"gbdt_round_reduction_ratio"`
-
-	// Gates is the manifest pivot-benchdiff reads from this file when it
-	// is the committed baseline.
-	Gates Gates `json:"gates"`
-}
-
-// incrementalGates are the counters CI must keep gating for this
-// experiment (read from the committed baseline by pivot-benchdiff).
-func incrementalGates() Gates {
-	return Gates{Require: []string{
-		"absorb_mpc_rounds", "retrain_mpc_rounds", "absorb_msgs_sent",
-		"gbdt_absorb_mpc_rounds", "gbdt_retrain_mpc_rounds",
-	}}
-}
 
 // sliceDataset is a labelled row range of a synthetic draw.
 func sliceDataset(ds *dataset.Dataset, lo, hi int) *dataset.Dataset {
@@ -132,13 +54,17 @@ func sameSplits(a, b *core.Model) bool {
 	return true
 }
 
-// IncrementalBenchRaw measures absorbing +10% data vs retraining from
-// scratch on the in-memory network (deterministic counters).
-func IncrementalBenchRaw(p Preset) (*IncrementalBenchStats, error) {
-	appendN := p.N / 10
-	if appendN < 1 {
-		appendN = 1
-	}
+// incrementalBaseline is the baseline for incremental training
+// (BENCH_incremental.json), measured on the in-memory network
+// (deterministic counters).  The workload absorbs a +10% batch of aligned
+// samples into a trained model (core.Update: the released trees are
+// replayed over the union with zero MPC rounds, then only the leaves are
+// re-resolved — DT — or one extra boosting round is trained — GBDT) and
+// compares that against retraining from scratch on the union.  The round
+// and message counters are deterministic and gated; the absorbed model's
+// held-out accuracy must stay within 1% of the retrained model's.
+func incrementalBaseline(p Preset) (*Baseline, error) {
+	appendN := max(p.N/10, 1)
 	heldN := 4 * p.N
 	d := p.DBar * p.M
 	ds := dataset.SyntheticClassification(p.N+appendN+heldN, d, p.Classes, 2.0, 99)
@@ -160,175 +86,139 @@ func IncrementalBenchRaw(p Preset) (*IncrementalBenchStats, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	cfg := cfgFor(p, core.Basic, 1)
-	st := &IncrementalBenchStats{
-		KeyBits: p.KeyBits, N: p.N, AppendN: appendN, HeldoutN: heldN,
-		M: p.M, MaxDepth: p.H, Splits: p.B, Classes: p.Classes, Rounds: p.W,
-		Seed: int(cfg.Seed), DataSeed: 99, Transport: "memory",
-		Gates: incrementalGates(),
+
+	// absorb trains kind on the base over a fresh session, absorbs the batch
+	// on the live session and reports what the absorb itself cost (stats
+	// delta around core.Update) and its wall seconds.
+	absorb := func(kind core.ModelKind, addTrees int) (before, after core.Predictor, cost core.RunStats, secs float64, err error) {
+		sess, err := core.NewSession(baseParts, cfg)
+		if err != nil {
+			return nil, nil, cost, 0, err
+		}
+		defer sess.Close()
+		if before, err = core.Train(sess, core.TrainSpec{Model: kind}); err != nil {
+			return nil, nil, cost, 0, fmt.Errorf("base leg: %w", err)
+		}
+		pre := sess.Stats()
+		start := time.Now()
+		after, err = core.Update(sess, core.UpdateSpec{Model: before, Append: appended, AddTrees: addTrees})
+		secs = time.Since(start).Seconds()
+		if err != nil {
+			return nil, nil, cost, 0, fmt.Errorf("absorb leg: %w", err)
+		}
+		post := sess.Stats()
+		cost.MPC.Rounds = post.MPC.Rounds - pre.MPC.Rounds
+		cost.Traffic.MsgsSent = post.Traffic.MsgsSent - pre.Traffic.MsgsSent
+		cost.Traffic.BytesSent = post.Traffic.BytesSent - pre.Traffic.BytesSent
+		return before, after, cost, secs, nil
 	}
 
-	// DT absorb leg: train on the base, absorb the batch on the live
-	// session, and count only what the absorb itself cost.
-	sess, err := core.NewSession(baseParts, cfg)
+	// Headline DT leg: absorbing the batch on the live session vs a
+	// from-scratch retrain on the union (fresh session, bring-up included —
+	// same convention as the recovery bench's retrain leg).
+	mdl, upd, dtAbsorb, dtAbsorbSecs, err := absorb(core.KindDT, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("incremental dt %w", err)
 	}
-	mdl, err := core.Train(sess, core.TrainSpec{Model: core.KindDT})
-	if err != nil {
-		sess.Close()
-		return nil, fmt.Errorf("incremental base leg: %w", err)
+	udt := upd.(*core.Model)
+	// The absorb refreshes leaf labels only: the replayed tree's splits
+	// are frozen by construction.
+	if !sameSplits(mdl.(*core.Model), udt) {
+		return nil, fmt.Errorf("incremental bench: the absorb moved a frozen split")
 	}
-	pre := sess.Stats()
 	start := time.Now()
-	upd, err := core.Update(sess, core.UpdateSpec{Model: mdl, Append: appended})
-	st.AbsorbSeconds = time.Since(start).Seconds()
-	if err != nil {
-		sess.Close()
-		return nil, fmt.Errorf("incremental absorb leg: %w", err)
-	}
-	post := sess.Stats()
-	sess.Close()
-	st.AbsorbRounds = post.MPC.Rounds - pre.MPC.Rounds
-	st.AbsorbMsgs = post.Traffic.MsgsSent - pre.Traffic.MsgsSent
-	st.AbsorbBytes = post.Traffic.BytesSent - pre.Traffic.BytesSent
-	st.StructureKept = sameSplits(mdl.(*core.Model), upd.(*core.Model))
-
-	// DT retrain leg on the union (fresh session, bring-up included).
-	start = time.Now()
-	retrained, retrainStats, err := core.TrainDecisionTree(union, p.M, cfg)
-	st.RetrainSeconds = time.Since(start).Seconds()
+	retrained, dtRetrain, err := core.TrainDecisionTree(union, p.M, cfg)
+	dtRetrainSecs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("incremental retrain leg: %w", err)
 	}
-	st.RetrainRounds = retrainStats.MPC.Rounds
-	st.RetrainMsgs = retrainStats.Traffic.MsgsSent
-	st.RetrainBytes = retrainStats.Traffic.BytesSent
-	if st.AbsorbRounds > 0 {
-		st.RoundReduction = float64(st.RetrainRounds) / float64(st.AbsorbRounds)
-	}
-
-	udt := upd.(*core.Model)
-	st.AbsorbAccuracy = accuracyOn(unionParts, held, func(f [][]float64) float64 {
+	dtAbsorbAcc := accuracyOn(unionParts, held, func(f [][]float64) float64 {
 		v, _ := udt.PredictPlain(f)
 		return v
 	})
-	st.RetrainAccuracy = accuracyOn(unionParts, held, func(f [][]float64) float64 {
+	dtRetrainAcc := accuracyOn(unionParts, held, func(f [][]float64) float64 {
 		v, _ := retrained.PredictPlain(f)
 		return v
 	})
-	st.AccuracyDelta = math.Abs(st.AbsorbAccuracy - st.RetrainAccuracy)
 
-	// GBDT leg: warm-start one extra round vs retraining W+1 rounds.
-	gsess, err := core.NewSession(baseParts, cfg)
+	// GBDT leg: warm-start one extra boosting round over the union vs
+	// retraining all boost_rounds+1 rounds from scratch.
+	_, gupd, gAbsorb, gAbsorbSecs, err := absorb(core.KindGBDT, 1)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("incremental gbdt %w", err)
 	}
-	gbase, err := core.Train(gsess, core.TrainSpec{Model: core.KindGBDT})
-	if err != nil {
-		gsess.Close()
-		return nil, fmt.Errorf("incremental gbdt base leg: %w", err)
-	}
-	pre = gsess.Stats()
-	start = time.Now()
-	gupd, err := core.Update(gsess, core.UpdateSpec{Model: gbase, Append: appended, AddTrees: 1})
-	st.GBDTAbsorbSeconds = time.Since(start).Seconds()
-	if err != nil {
-		gsess.Close()
-		return nil, fmt.Errorf("incremental gbdt absorb leg: %w", err)
-	}
-	post = gsess.Stats()
-	gsess.Close()
-	st.GBDTAbsorbRounds = post.MPC.Rounds - pre.MPC.Rounds
-	st.GBDTAbsorbMsgs = post.Traffic.MsgsSent - pre.Traffic.MsgsSent
-
 	rcfg := cfg
 	rcfg.NumTrees = p.W + 1
-	rsess, err := core.NewSession(unionParts, rcfg)
+	gretrained, gRetrain, gRetrainSecs, err := trainKind(union, p.M, rcfg, core.KindGBDT)
 	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	gretrained, err := core.Train(rsess, core.TrainSpec{Model: core.KindGBDT})
-	st.GBDTRetrainSeconds = time.Since(start).Seconds()
-	if err != nil {
-		rsess.Close()
 		return nil, fmt.Errorf("incremental gbdt retrain leg: %w", err)
 	}
-	gstats := rsess.Stats()
-	rsess.Close()
-	st.GBDTRetrainRounds = gstats.MPC.Rounds
-	st.GBDTRetrainMsgs = gstats.Traffic.MsgsSent
-	if st.GBDTAbsorbRounds > 0 {
-		st.GBDTRoundReduction = float64(st.GBDTRetrainRounds) / float64(st.GBDTAbsorbRounds)
-	}
-
-	gu, gr := gupd.(*core.BoostModel), gretrained.(*core.BoostModel)
-	st.GBDTAbsorbAccuracy = accuracyOn(unionParts, held, func(f [][]float64) float64 {
-		return boostPredictPlain(gu, f)
+	gAbsorbAcc := accuracyOn(unionParts, held, func(f [][]float64) float64 {
+		return boostPredictPlain(gupd.(*core.BoostModel), f)
 	})
-	st.GBDTRetrainAccuracy = accuracyOn(unionParts, held, func(f [][]float64) float64 {
-		return boostPredictPlain(gr, f)
+	gRetrainAcc := accuracyOn(unionParts, held, func(f [][]float64) float64 {
+		return boostPredictPlain(gretrained.(*core.BoostModel), f)
 	})
-	st.GBDTAccuracyDelta = math.Abs(st.GBDTAbsorbAccuracy - st.GBDTRetrainAccuracy)
 
 	// The bench enforces its own acceptance bounds so a silent protocol
 	// change cannot pass CI just by keeping counters stable.
-	if !st.StructureKept {
-		return st, fmt.Errorf("incremental bench: the absorb moved a frozen split")
+	dtDelta, gDelta := math.Abs(dtAbsorbAcc-dtRetrainAcc), math.Abs(gAbsorbAcc-gRetrainAcc)
+	if 3*dtAbsorb.MPC.Rounds > dtRetrain.MPC.Rounds {
+		return nil, fmt.Errorf("incremental bench: absorb cost %d rounds, retrain %d — absorbing +10%% data must be >= 3x cheaper",
+			dtAbsorb.MPC.Rounds, dtRetrain.MPC.Rounds)
 	}
-	if 3*st.AbsorbRounds > st.RetrainRounds {
-		return st, fmt.Errorf("incremental bench: absorb cost %d rounds, retrain %d — absorbing +10%% data must be >= 3x cheaper",
-			st.AbsorbRounds, st.RetrainRounds)
+	if gAbsorb.MPC.Rounds >= gRetrain.MPC.Rounds {
+		return nil, fmt.Errorf("incremental bench: gbdt absorb cost %d rounds, retrain %d — the warm start must win",
+			gAbsorb.MPC.Rounds, gRetrain.MPC.Rounds)
 	}
-	if st.GBDTAbsorbRounds >= st.GBDTRetrainRounds {
-		return st, fmt.Errorf("incremental bench: gbdt absorb cost %d rounds, retrain %d — the warm start must win",
-			st.GBDTAbsorbRounds, st.GBDTRetrainRounds)
+	if dtDelta > 0.01 {
+		return nil, fmt.Errorf("incremental bench: held-out accuracy drifted %.4f from the retrained model (bound 0.01)", dtDelta)
 	}
-	if st.AccuracyDelta > 0.01 {
-		return st, fmt.Errorf("incremental bench: held-out accuracy drifted %.4f from the retrained model (bound 0.01)",
-			st.AccuracyDelta)
+	if gDelta > 0.01 {
+		return nil, fmt.Errorf("incremental bench: gbdt held-out accuracy drifted %.4f from the retrained model (bound 0.01)", gDelta)
 	}
-	if st.GBDTAccuracyDelta > 0.01 {
-		return st, fmt.Errorf("incremental bench: gbdt held-out accuracy drifted %.4f from the retrained model (bound 0.01)",
-			st.GBDTAccuracyDelta)
-	}
-	return st, nil
-}
 
-// IncrementalBench wraps the raw stats as a Result for cmd/pivot-bench.
-func IncrementalBench(p Preset) (*Result, error) {
-	st, err := IncrementalBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "incremental", Title: "absorb +10% data vs full retrain",
-		XLabel: "append fraction", Unit: "rounds / accuracy"}
-	res.Rows = append(res.Rows, Row{X: 0.1, Series: map[string]float64{
-		"dt-absorb-rounds":    float64(st.AbsorbRounds),
-		"dt-retrain-rounds":   float64(st.RetrainRounds),
-		"gbdt-absorb-rounds":  float64(st.GBDTAbsorbRounds),
-		"gbdt-retrain-rounds": float64(st.GBDTRetrainRounds),
-		"dt-accuracy-delta":   st.AccuracyDelta,
-		"gbdt-accuracy-delta": st.GBDTAccuracyDelta,
-	}})
-	return res, nil
-}
-
-// WriteIncrementalBenchJSON runs the bench and writes the JSON baseline.
-func WriteIncrementalBenchJSON(path string, p Preset) (*IncrementalBenchStats, error) {
-	st, err := IncrementalBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("n", p.N)
+	b.Set("append_n", appendN)
+	b.Set("heldout_n", heldN)
+	b.Set("m", p.M)
+	b.Set("max_depth", p.H)
+	b.Set("max_splits", p.B)
+	b.Set("classes", p.Classes)
+	b.Set("boost_rounds", p.W)
+	b.Set("seed", cfg.Seed)
+	b.Set("data_seed", 99)
+	b.Set("transport", "memory")
+	b.Set("absorb_mpc_rounds", dtAbsorb.MPC.Rounds)
+	b.Set("retrain_mpc_rounds", dtRetrain.MPC.Rounds)
+	b.Set("absorb_msgs_sent", dtAbsorb.Traffic.MsgsSent)
+	b.Set("retrain_msgs_sent", dtRetrain.Traffic.MsgsSent)
+	b.Set("absorb_bytes_sent", dtAbsorb.Traffic.BytesSent)
+	b.Set("retrain_bytes_sent", dtRetrain.Traffic.BytesSent)
+	b.Set("structure_kept", true) // checked above: a moved split is an error, not a record
+	// Held-out accuracy of the absorbed vs the retrained model (advisory
+	// values; the delta bound is enforced above).
+	b.Set("absorb_accuracy", dtAbsorbAcc)
+	b.Set("retrain_accuracy", dtRetrainAcc)
+	b.Set("accuracy_delta", dtDelta)
+	b.Set("gbdt_absorb_mpc_rounds", gAbsorb.MPC.Rounds)
+	b.Set("gbdt_retrain_mpc_rounds", gRetrain.MPC.Rounds)
+	b.Set("gbdt_absorb_msgs_sent", gAbsorb.Traffic.MsgsSent)
+	b.Set("gbdt_retrain_msgs_sent", gRetrain.Traffic.MsgsSent)
+	b.Set("gbdt_absorb_accuracy", gAbsorbAcc)
+	b.Set("gbdt_retrain_accuracy", gRetrainAcc)
+	b.Set("gbdt_accuracy_delta", gDelta)
+	// Advisory wall-clock figures (timing-noisy, never gated).
+	b.Set("absorb_seconds", dtAbsorbSecs)
+	b.Set("retrain_seconds", dtRetrainSecs)
+	b.Set("gbdt_absorb_seconds", gAbsorbSecs)
+	b.Set("gbdt_retrain_seconds", gRetrainSecs)
+	b.Set("round_reduction_ratio", ratio(float64(dtRetrain.MPC.Rounds), float64(dtAbsorb.MPC.Rounds)))
+	b.Set("gbdt_round_reduction_ratio", ratio(float64(gRetrain.MPC.Rounds), float64(gAbsorb.MPC.Rounds)))
+	b.Gate("absorb_mpc_rounds", "retrain_mpc_rounds", "absorb_msgs_sent",
+		"gbdt_absorb_mpc_rounds", "gbdt_retrain_mpc_rounds")
+	return b, nil
 }

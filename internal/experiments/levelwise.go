@@ -1,45 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// LevelwiseBenchStats is the machine-readable baseline for the level-wise
-// training pipeline (written to BENCH_levelwise.json by cmd/pivot-bench
-// -exp levelwise -json): synchronous MPC open rounds, wall time and traffic
-// for a depth-4 tree trained by the paper's per-node recursion vs the
-// level-wise batched pipeline on the same fixed-seed dataset, plus the
-// rendered-tree equivalence check.  Future PRs diff against this file.
-type LevelwiseBenchStats struct {
-	KeyBits  int `json:"key_bits"`
-	N        int `json:"n"`
-	M        int `json:"m"`
-	MaxDepth int `json:"max_depth"`
-	Splits   int `json:"max_splits"`
-	Seed     int `json:"seed"`
-
-	PerNodeRounds   int64   `json:"per_node_mpc_rounds"`
-	LevelwiseRounds int64   `json:"levelwise_mpc_rounds"`
-	RoundReduction  float64 `json:"round_reduction"`
-
-	PerNodeSeconds   float64 `json:"per_node_train_seconds"`
-	LevelwiseSeconds float64 `json:"levelwise_train_seconds"`
-	WallSpeedup      float64 `json:"wall_speedup"`
-
-	PerNodeMsgs    int64 `json:"per_node_msgs_sent"`
-	LevelwiseMsgs  int64 `json:"levelwise_msgs_sent"`
-	PerNodeBytes   int64 `json:"per_node_bytes_sent"`
-	LevelwiseBytes int64 `json:"levelwise_bytes_sent"`
-
-	NodesTrained   int  `json:"nodes_trained"`
-	TreesIdentical bool `json:"trees_identical"`
-}
 
 // levelwiseCfg is the benchmark point: the evaluation's depth-4 tree at the
 // preset's scale, fixed seed so both pipelines see identical data.
@@ -50,103 +16,46 @@ func levelwiseCfg(p Preset, mode core.TrainMode) core.Config {
 	return cfg
 }
 
-// LevelwiseBenchRaw trains the same fixed-seed dataset once per pipeline
-// and reports rounds, wall time, traffic and tree equivalence.
-func LevelwiseBenchRaw(p Preset) (*LevelwiseBenchStats, error) {
+// levelwiseBaseline is the baseline for the level-wise training pipeline
+// (BENCH_levelwise.json): synchronous MPC open rounds, wall time and
+// traffic for a depth-4 tree trained by the paper's per-node recursion vs
+// the level-wise batched pipeline on the same fixed-seed dataset, plus the
+// rendered-tree equivalence check.
+func levelwiseBaseline(p Preset) (*Baseline, error) {
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
-	st := &LevelwiseBenchStats{
-		KeyBits: p.KeyBits, N: p.N, M: p.M, MaxDepth: 4, Splits: p.B, Seed: 7,
-	}
 
-	// Best-of-two wall time to damp scheduler noise; the round and traffic
-	// counters are deterministic under the fixed seed, so either run's
-	// stats serve.  On the in-memory transport wall time is computation
+	// Best-of-two wall time; on the in-memory transport it is computation
 	// bound — the round reduction is the latency win on a real network.
-	run := func(mode core.TrainMode) (*core.Model, core.RunStats, float64, error) {
-		var model *core.Model
-		var stats core.RunStats
-		best := -1.0
-		for r := 0; r < 2; r++ {
-			start := time.Now()
-			m, st, err := core.TrainDecisionTree(ds, p.M, levelwiseCfg(p, mode))
-			if err != nil {
-				return nil, core.RunStats{}, 0, err
-			}
-			if s := time.Since(start).Seconds(); best < 0 || s < best {
-				best = s
-			}
-			model, stats = m, st
-		}
-		return model, stats, best, nil
-	}
-
-	pnModel, pnStats, pnSecs, err := run(core.PerNode)
+	pnModel, pn, pnSecs, err := trainBestOfTwo(ds, p.M, levelwiseCfg(p, core.PerNode), core.KindDT)
 	if err != nil {
 		return nil, fmt.Errorf("per-node run: %w", err)
 	}
-	lwModel, lwStats, lwSecs, err := run(core.LevelWise)
+	lwModel, lw, lwSecs, err := trainBestOfTwo(ds, p.M, levelwiseCfg(p, core.LevelWise), core.KindDT)
 	if err != nil {
 		return nil, fmt.Errorf("level-wise run: %w", err)
 	}
+	if render(pnModel) != render(lwModel) {
+		return nil, fmt.Errorf("level-wise tree differs from per-node tree")
+	}
 
-	st.PerNodeRounds = pnStats.MPC.Rounds
-	st.LevelwiseRounds = lwStats.MPC.Rounds
-	if lwStats.MPC.Rounds > 0 {
-		st.RoundReduction = float64(pnStats.MPC.Rounds) / float64(lwStats.MPC.Rounds)
-	}
-	st.PerNodeSeconds = pnSecs
-	st.LevelwiseSeconds = lwSecs
-	if lwSecs > 0 {
-		st.WallSpeedup = pnSecs / lwSecs
-	}
-	st.PerNodeMsgs = pnStats.Traffic.MsgsSent
-	st.LevelwiseMsgs = lwStats.Traffic.MsgsSent
-	st.PerNodeBytes = pnStats.Traffic.BytesSent
-	st.LevelwiseBytes = lwStats.Traffic.BytesSent
-	st.NodesTrained = lwStats.NodesTrained
-	st.TreesIdentical = pnModel.String() == lwModel.String()
-	if !st.TreesIdentical {
-		return st, fmt.Errorf("level-wise tree differs from per-node tree")
-	}
-	return st, nil
-}
-
-// LevelwiseBench wraps the raw stats as a Result for cmd/pivot-bench and
-// the benchmark suite.
-func LevelwiseBench(p Preset) (*Result, error) {
-	st, err := LevelwiseBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "levelwise", Title: "per-node vs level-wise training (depth-4 tree)",
-		XLabel: "pipeline (0=per-node,1=level-wise)", Unit: "rounds / seconds / msgs"}
-	res.Rows = append(res.Rows,
-		Row{X: 0, Series: map[string]float64{
-			"mpc-rounds": float64(st.PerNodeRounds),
-			"seconds":    st.PerNodeSeconds,
-			"msgs-sent":  float64(st.PerNodeMsgs),
-		}},
-		Row{X: 1, Series: map[string]float64{
-			"mpc-rounds": float64(st.LevelwiseRounds),
-			"seconds":    st.LevelwiseSeconds,
-			"msgs-sent":  float64(st.LevelwiseMsgs),
-		}})
-	return res, nil
-}
-
-// WriteLevelwiseBenchJSON runs the bench and writes the JSON baseline.
-func WriteLevelwiseBenchJSON(path string, p Preset) (*LevelwiseBenchStats, error) {
-	st, err := LevelwiseBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("n", p.N)
+	b.Set("m", p.M)
+	b.Set("max_depth", 4)
+	b.Set("max_splits", p.B)
+	b.Set("seed", 7)
+	b.Set("per_node_mpc_rounds", pn.MPC.Rounds)
+	b.Set("levelwise_mpc_rounds", lw.MPC.Rounds)
+	b.Set("round_reduction", ratio(float64(pn.MPC.Rounds), float64(lw.MPC.Rounds)))
+	b.Set("per_node_train_seconds", pnSecs)
+	b.Set("levelwise_train_seconds", lwSecs)
+	b.Set("wall_speedup", ratio(pnSecs, lwSecs))
+	b.Set("per_node_msgs_sent", pn.Traffic.MsgsSent)
+	b.Set("levelwise_msgs_sent", lw.Traffic.MsgsSent)
+	b.Set("per_node_bytes_sent", pn.Traffic.BytesSent)
+	b.Set("levelwise_bytes_sent", lw.Traffic.BytesSent)
+	b.Set("nodes_trained", lw.NodesTrained)
+	b.Set("trees_identical", true) // checked above: a mismatch is an error, not a record
+	return b, nil
 }

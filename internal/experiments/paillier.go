@@ -2,41 +2,13 @@ package experiments
 
 import (
 	"crypto/rand"
-	"encoding/json"
-	"fmt"
 	"math/big"
-	"os"
 	"runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/paillier"
 )
-
-// PaillierBenchStats is the machine-readable perf baseline for the Paillier
-// acceleration layer (written to BENCH_paillier.json by cmd/pivot-bench
-// -exp paillier): encryption and partial-decryption throughput for the seed
-// sequential path, the worker-parallel path and the precomputed
-// (randomness-pool + fixed-base) path, plus end-to-end training wall time
-// with and without the acceleration.  Future PRs diff against this file.
-type PaillierBenchStats struct {
-	KeyBits int `json:"key_bits"`
-	CPUs    int `json:"cpus"`
-	Workers int `json:"workers"`
-
-	EncSequentialOpsPerSec          float64 `json:"enc_sequential_ops_per_sec"`
-	EncParallelOpsPerSec            float64 `json:"enc_parallel_ops_per_sec"`
-	EncPrecomputedOpsPerSec         float64 `json:"enc_precomputed_ops_per_sec"`
-	EncPrecomputedParallelOpsPerSec float64 `json:"enc_precomputed_parallel_ops_per_sec"`
-	EncSpeedup                      float64 `json:"enc_speedup_precomputed_parallel_vs_sequential"`
-
-	DecShareSequentialOpsPerSec float64 `json:"dec_share_sequential_ops_per_sec"`
-	DecShareParallelOpsPerSec   float64 `json:"dec_share_parallel_ops_per_sec"`
-
-	TrainSeedSeconds        float64 `json:"train_dt_seed_seconds"`        // Workers=1, pool disabled
-	TrainAcceleratedSeconds float64 `json:"train_dt_accelerated_seconds"` // Workers=NumCPU, pool enabled
-	TrainSpeedup            float64 `json:"train_dt_speedup"`
-}
 
 // measureOps runs fn on batches of size batch until minDur has elapsed and
 // returns ops/sec.
@@ -52,14 +24,20 @@ func measureOps(batch int, minDur time.Duration, fn func() error) (float64, erro
 	return float64(ops) / time.Since(start).Seconds(), nil
 }
 
-// PaillierBenchRaw measures the acceleration layer at the preset's key size.
-func PaillierBenchRaw(p Preset) (*PaillierBenchStats, error) {
+// paillierBaseline measures the Paillier acceleration layer at the preset's
+// key size (BENCH_paillier.json): encryption and partial-decryption
+// throughput for the seed sequential path, the worker-parallel path and the
+// precomputed (randomness-pool + fixed-base) path, plus end-to-end training
+// wall time with and without the acceleration.  Every figure is wall-clock,
+// so the record carries no gates.
+func paillierBaseline(p Preset) (*Baseline, error) {
 	const batch = 16
 	const minDur = 300 * time.Millisecond
 	keyBits := p.KeyBits
 	if keyBits < 512 {
 		keyBits = 512 // microbench at the paper's efficiency-study size floor
 	}
+	cpus := runtime.NumCPU()
 	pk, _, keys, err := paillier.KeyGen(rand.Reader, keyBits, p.M)
 	if err != nil {
 		return nil, err
@@ -68,49 +46,57 @@ func PaillierBenchRaw(p Preset) (*PaillierBenchStats, error) {
 	for i := range xs {
 		xs[i] = big.NewInt(int64(i * 31))
 	}
-	st := &PaillierBenchStats{KeyBits: keyBits, CPUs: runtime.NumCPU(), Workers: runtime.NumCPU()}
+	b := &Baseline{}
+	b.Set("key_bits", keyBits)
+	b.Set("cpus", cpus)
+	b.Set("workers", cpus)
 
-	encAt := func(workers int) (float64, error) {
-		return measureOps(batch, minDur, func() error {
+	// measure records one ops/sec leg under key and returns the rate.
+	measure := func(key string, fn func() error) (float64, error) {
+		rate, err := measureOps(batch, minDur, fn)
+		b.Set(key, rate)
+		return rate, err
+	}
+	encAt := func(key string, workers int) (float64, error) {
+		return measure(key, func() error {
 			_, err := pk.EncryptVec(rand.Reader, xs, workers)
 			return err
 		})
 	}
-	if st.EncSequentialOpsPerSec, err = encAt(1); err != nil {
+	encSeq, err := encAt("enc_sequential_ops_per_sec", 1)
+	if err != nil {
 		return nil, err
 	}
-	if st.EncParallelOpsPerSec, err = encAt(runtime.NumCPU()); err != nil {
+	if _, err := encAt("enc_parallel_ops_per_sec", cpus); err != nil {
 		return nil, err
 	}
 	if _, err := pk.EnablePool(paillier.PoolConfig{Workers: 1, Capacity: 1024}); err != nil {
 		return nil, err
 	}
 	defer pk.DisablePool()
-	if st.EncPrecomputedOpsPerSec, err = encAt(1); err != nil {
+	if _, err := encAt("enc_precomputed_ops_per_sec", 1); err != nil {
 		return nil, err
 	}
-	if st.EncPrecomputedParallelOpsPerSec, err = encAt(runtime.NumCPU()); err != nil {
+	encPrePar, err := encAt("enc_precomputed_parallel_ops_per_sec", cpus)
+	if err != nil {
 		return nil, err
 	}
-	if st.EncSequentialOpsPerSec > 0 {
-		st.EncSpeedup = st.EncPrecomputedParallelOpsPerSec / st.EncSequentialOpsPerSec
-	}
+	b.Set("enc_speedup_precomputed_parallel_vs_sequential", ratio(encPrePar, encSeq))
 
 	cts, err := pk.EncryptVec(rand.Reader, xs, 1)
 	if err != nil {
 		return nil, err
 	}
-	decAt := func(workers int) (float64, error) {
-		return measureOps(batch, minDur, func() error {
-			keys[0].PartialDecryptVec(pk, cts, workers)
+	for _, leg := range []struct {
+		key     string
+		workers int
+	}{{"dec_share_sequential_ops_per_sec", 1}, {"dec_share_parallel_ops_per_sec", cpus}} {
+		if _, err := measure(leg.key, func() error {
+			keys[0].PartialDecryptVec(pk, cts, leg.workers)
 			return nil
-		})
-	}
-	if st.DecShareSequentialOpsPerSec, err = decAt(1); err != nil {
-		return nil, err
-	}
-	if st.DecShareParallelOpsPerSec, err = decAt(runtime.NumCPU()); err != nil {
-		return nil, err
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	// End-to-end: one Pivot decision tree at the microbench key size, seed
@@ -122,82 +108,18 @@ func PaillierBenchRaw(p Preset) (*PaillierBenchStats, error) {
 	pp := p
 	pp.KeyBits = keyBits
 	ds := synth(pp, pp.M)
-	trainBest := func(cfg core.Config) (float64, error) {
-		best := -1.0
-		for r := 0; r < 2; r++ {
-			d, _, err := trainOnce(ds, pp.M, cfg)
-			if err != nil {
-				return 0, err
-			}
-			if s := d.Seconds(); best < 0 || s < best {
-				best = s
-			}
-		}
-		return best, nil
-	}
-	seedCfg := cfgFor(pp, core.Basic, 1)
-	seedCfg.PoolCapacity = -1
-	if st.TrainSeedSeconds, err = trainBest(seedCfg); err != nil {
-		return nil, err
-	}
-	accCfg := cfgFor(pp, core.Basic, runtime.NumCPU())
-	if st.TrainAcceleratedSeconds, err = trainBest(accCfg); err != nil {
-		return nil, err
-	}
-	if st.TrainAcceleratedSeconds > 0 {
-		st.TrainSpeedup = st.TrainSeedSeconds / st.TrainAcceleratedSeconds
-	}
-	return st, nil
-}
-
-// PaillierBench wraps the raw stats as a Result for cmd/pivot-bench and the
-// benchmark suite.
-func PaillierBench(p Preset) (*Result, error) {
-	st, err := PaillierBenchRaw(p)
+	seedCfg := cfgFor(pp, core.Basic, 1) // one worker, and ...
+	seedCfg.PoolCapacity = -1            // ... no randomness pool
+	_, _, seedSecs, err := trainBestOfTwo(ds, pp.M, seedCfg, core.KindDT)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: "paillier", Title: "Paillier acceleration layer (ops/sec and train wall time)",
-		XLabel: "variant (0=seq,1=par,2=pre,3=pre+par)", Unit: "ops/sec (enc, dec) / seconds (train)"}
-	rows := []struct {
-		x    float64
-		enc  float64
-		dec  float64
-		t    float64
-		has  bool
-		hasT bool
-	}{
-		{0, st.EncSequentialOpsPerSec, st.DecShareSequentialOpsPerSec, st.TrainSeedSeconds, true, true},
-		{1, st.EncParallelOpsPerSec, st.DecShareParallelOpsPerSec, 0, true, false},
-		{2, st.EncPrecomputedOpsPerSec, 0, 0, false, false},
-		{3, st.EncPrecomputedParallelOpsPerSec, 0, st.TrainAcceleratedSeconds, false, true},
-	}
-	for _, r := range rows {
-		s := map[string]float64{"enc": r.enc}
-		if r.has {
-			s["dec-share"] = r.dec
-		}
-		if r.hasT {
-			s["train"] = r.t
-		}
-		res.Rows = append(res.Rows, Row{X: r.x, Series: s})
-	}
-	return res, nil
-}
-
-// WritePaillierBenchJSON runs the bench and writes the JSON baseline.
-func WritePaillierBenchJSON(path string, p Preset) (*PaillierBenchStats, error) {
-	st, err := PaillierBenchRaw(p)
+	_, _, accSecs, err := trainBestOfTwo(ds, pp.M, cfgFor(pp, core.Basic, cpus), core.KindDT) // all cores, pool enabled
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b.Set("train_dt_seed_seconds", seedSecs)
+	b.Set("train_dt_accelerated_seconds", accSecs)
+	b.Set("train_dt_speedup", ratio(seedSecs, accSecs))
+	return b, nil
 }

@@ -1,71 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// PipelineBenchLeg is one simulated-WAN point of the pipelined-execution
-// benchmark: the same fixed-seed random forest trained by the barrier
-// driver (Pipeline off) and the pipelined driver (default), over the
-// kernel loopback with the given one-way delay injected on every frame.
-type PipelineBenchLeg struct {
-	DelayMs float64 `json:"delay_ms"`
-
-	BarrierSeconds   float64 `json:"barrier_seconds"`
-	PipelinedSeconds float64 `json:"pipelined_seconds"`
-	WallSpeedup      float64 `json:"wall_speedup"`
-
-	// Round/traffic counters must not regress: the pipelined driver
-	// reorders and overlaps chains but runs the same chains, so these are
-	// diff-stable and gated by pivot-benchdiff.
-	BarrierRounds   int64 `json:"barrier_mpc_rounds"`
-	PipelinedRounds int64 `json:"pipelined_mpc_rounds"`
-	BarrierMsgs     int64 `json:"barrier_msgs_sent"`
-	PipelinedMsgs   int64 `json:"pipelined_msgs_sent"`
-	BarrierBytes    int64 `json:"barrier_bytes_sent"`
-	PipelinedBytes  int64 `json:"pipelined_bytes_sent"`
-
-	// Aggregate blocked-receive time across all clients: the idle the
-	// overlap exists to hide.  Advisory (timing-noisy), not gated.
-	BarrierWireWaitSeconds   float64 `json:"barrier_wire_wait_seconds"`
-	PipelinedWireWaitSeconds float64 `json:"pipelined_wire_wait_seconds"`
-
-	// Peak number of simultaneously in-flight opening rounds at client 0;
-	// > 1 proves rounds actually overlapped.
-	InFlightPeak int64 `json:"pipelined_in_flight_peak"`
-
-	TreesIdentical bool `json:"trees_identical"`
-}
-
-// PipelineBenchStats is the machine-readable baseline for pipelined level
-// execution (BENCH_pipeline.json, written by cmd/pivot-bench -exp pipeline
-// -json).  The workload is a W-tree random forest — the ensemble's
-// independent per-tree chains are where a WAN loses the most to barrier
-// scheduling — measured at a metro-area and a cross-region delay.
-type PipelineBenchStats struct {
-	KeyBits   int    `json:"key_bits"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	MaxDepth  int    `json:"max_depth"`
-	Splits    int    `json:"max_splits"`
-	Classes   int    `json:"classes"`
-	Trees     int    `json:"trees"`
-	Seed      int    `json:"seed"`
-	DataSeed  int    `json:"data_seed"`
-	Transport string `json:"transport"`
-
-	Legs []PipelineBenchLeg `json:"legs"`
-
-	// Gates is the manifest pivot-benchdiff reads from the committed
-	// baseline: the pipelined driver reorders chains but must not add any.
-	Gates Gates `json:"gates"`
-}
 
 // pipelineBenchCfg is the benchmark point: basic-protocol random forest
 // (ensembles release plain trees, §7) over loopback TCP with injected
@@ -81,120 +22,65 @@ func pipelineBenchCfg(p Preset, delay time.Duration, mode core.PipelineMode) cor
 
 const pipelineBenchTrees = 4
 
-// trainRFOnce trains one fixed-seed forest and reports stats and wall time.
-func trainRFOnce(ds *dataset.Dataset, m int, cfg core.Config) (*core.ForestModel, core.RunStats, float64, error) {
-	parts, err := dataset.VerticalPartition(ds, m, 0)
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	s, err := core.NewSession(parts, cfg)
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	defer s.Close()
-	var fm *core.ForestModel
-	start := time.Now()
-	err = s.Each(func(p *core.Party) error {
-		mod, err := p.TrainRF()
-		if p.ID == 0 && err == nil {
-			fm = mod
-		}
-		return err
-	})
-	secs := time.Since(start).Seconds()
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	return fm, s.Stats(), secs, nil
-}
-
-// renderForestModel flattens a forest for equivalence checks.
-func renderForestModel(fm *core.ForestModel) string {
-	out := ""
-	for _, tree := range fm.Trees {
-		out += tree.String() + "\n"
-	}
-	return out
-}
-
-// PipelineBenchRaw runs barrier vs pipelined at each delay and reports
-// wall time, counters and tree equivalence.
-func PipelineBenchRaw(p Preset) (*PipelineBenchStats, error) {
+// pipelineBaseline is the baseline for pipelined level execution
+// (BENCH_pipeline.json).  The workload is a W-tree random forest — the
+// ensemble's independent per-tree chains are where a WAN loses the most to
+// barrier scheduling — trained by the barrier driver (Pipeline off) and the
+// pipelined driver over the kernel loopback, with a metro-area and a
+// cross-region one-way delay injected on every frame.
+func pipelineBaseline(p Preset) (*Baseline, error) {
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
-	st := &PipelineBenchStats{
-		KeyBits: p.KeyBits, N: p.N, M: p.M, MaxDepth: p.H, Splits: p.B,
-		Classes: p.Classes, Trees: pipelineBenchTrees, Seed: 7, DataSeed: 99,
-		Transport: "tcp-loopback",
-		Gates: Gates{Require: []string{
-			"legs[1].pipelined_mpc_rounds", "legs[1].pipelined_msgs_sent",
-		}},
-	}
+	var legs []*Baseline
 	for _, delay := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond} {
-		leg := PipelineBenchLeg{DelayMs: float64(delay) / float64(time.Millisecond)}
-		barModel, barStats, barSecs, err := trainRFOnce(ds, p.M, pipelineBenchCfg(p, delay, core.PipelineOff))
+		barModel, bar, barSecs, err := trainKind(ds, p.M, pipelineBenchCfg(p, delay, core.PipelineOff), core.KindRF)
 		if err != nil {
 			return nil, fmt.Errorf("barrier run at %v: %w", delay, err)
 		}
-		pipModel, pipStats, pipSecs, err := trainRFOnce(ds, p.M, pipelineBenchCfg(p, delay, core.PipelineOn))
+		pipModel, pip, pipSecs, err := trainKind(ds, p.M, pipelineBenchCfg(p, delay, core.PipelineOn), core.KindRF)
 		if err != nil {
 			return nil, fmt.Errorf("pipelined run at %v: %w", delay, err)
 		}
-		leg.BarrierSeconds = barSecs
-		leg.PipelinedSeconds = pipSecs
-		if pipSecs > 0 {
-			leg.WallSpeedup = barSecs / pipSecs
+		if render(barModel) != render(pipModel) {
+			return nil, fmt.Errorf("pipelined forest differs from barrier forest at %v", delay)
 		}
-		leg.BarrierRounds = barStats.MPC.Rounds
-		leg.PipelinedRounds = pipStats.MPC.Rounds
-		leg.BarrierMsgs = barStats.Traffic.MsgsSent
-		leg.PipelinedMsgs = pipStats.Traffic.MsgsSent
-		leg.BarrierBytes = barStats.Traffic.BytesSent
-		leg.PipelinedBytes = pipStats.Traffic.BytesSent
-		leg.BarrierWireWaitSeconds = float64(barStats.Traffic.RecvWaitNs) / 1e9
-		leg.PipelinedWireWaitSeconds = float64(pipStats.Traffic.RecvWaitNs) / 1e9
-		leg.InFlightPeak = pipStats.InFlightPeak
-		leg.TreesIdentical = renderForestModel(barModel) == renderForestModel(pipModel)
-		if !leg.TreesIdentical {
-			return st, fmt.Errorf("pipelined forest differs from barrier forest at %v", delay)
-		}
-		st.Legs = append(st.Legs, leg)
+		leg := &Baseline{}
+		leg.Set("delay_ms", msOf(delay))
+		leg.Set("barrier_seconds", barSecs)
+		leg.Set("pipelined_seconds", pipSecs)
+		leg.Set("wall_speedup", ratio(barSecs, pipSecs))
+		// Round/traffic counters must not regress: the pipelined driver
+		// reorders and overlaps chains but runs the same chains, so these
+		// are diff-stable and gated by pivot-benchdiff.
+		leg.Set("barrier_mpc_rounds", bar.MPC.Rounds)
+		leg.Set("pipelined_mpc_rounds", pip.MPC.Rounds)
+		leg.Set("barrier_msgs_sent", bar.Traffic.MsgsSent)
+		leg.Set("pipelined_msgs_sent", pip.Traffic.MsgsSent)
+		leg.Set("barrier_bytes_sent", bar.Traffic.BytesSent)
+		leg.Set("pipelined_bytes_sent", pip.Traffic.BytesSent)
+		// Aggregate blocked-receive time across all clients: the idle the
+		// overlap exists to hide.  Advisory (timing-noisy), not gated.
+		leg.Set("barrier_wire_wait_seconds", float64(bar.Traffic.RecvWaitNs)/1e9)
+		leg.Set("pipelined_wire_wait_seconds", float64(pip.Traffic.RecvWaitNs)/1e9)
+		// Peak number of simultaneously in-flight opening rounds at client
+		// 0; > 1 proves rounds actually overlapped.
+		leg.Set("pipelined_in_flight_peak", pip.InFlightPeak)
+		leg.Set("trees_identical", true) // checked above: a mismatch is an error, not a record
+		legs = append(legs, leg)
 	}
-	return st, nil
-}
 
-// PipelineBench wraps the raw stats as a Result for cmd/pivot-bench.
-func PipelineBench(p Preset) (*Result, error) {
-	st, err := PipelineBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "pipeline", Title: "barrier vs pipelined level execution (random forest, simulated WAN)",
-		XLabel: "one-way delay (ms)", Unit: "seconds / rounds"}
-	for _, leg := range st.Legs {
-		res.Rows = append(res.Rows, Row{X: leg.DelayMs, Series: map[string]float64{
-			"barrier-seconds":   leg.BarrierSeconds,
-			"pipelined-seconds": leg.PipelinedSeconds,
-			"wall-speedup":      leg.WallSpeedup,
-			"mpc-rounds":        float64(leg.PipelinedRounds),
-			"in-flight-peak":    float64(leg.InFlightPeak),
-		}})
-	}
-	return res, nil
-}
-
-// WritePipelineBenchJSON runs the bench and writes the JSON baseline.
-func WritePipelineBenchJSON(path string, p Preset) (*PipelineBenchStats, error) {
-	st, err := PipelineBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("n", p.N)
+	b.Set("m", p.M)
+	b.Set("max_depth", p.H)
+	b.Set("max_splits", p.B)
+	b.Set("classes", p.Classes)
+	b.Set("trees", pipelineBenchTrees)
+	b.Set("seed", 7)
+	b.Set("data_seed", 99)
+	b.Set("transport", "tcp-loopback")
+	b.Set("legs", legs)
+	// The pipelined driver reorders chains but must not add any.
+	b.Gate("legs[1].pipelined_mpc_rounds", "legs[1].pipelined_msgs_sent")
+	return b, nil
 }

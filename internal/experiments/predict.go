@@ -1,53 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"reflect"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// PredictBenchStats is the machine-readable baseline for the batched
-// prediction pipeline (written to BENCH_predict.json by cmd/pivot-bench
-// -exp predict -json): MPC rounds, messages and wall time for predicting a
-// fixed-seed sample batch under the enhanced protocol, per-sample vs
-// batched, plus the same comparison under simulated WAN latency
-// (transport.WithLatency) where the round reduction becomes a wall-clock
-// speedup.  Future PRs diff against this file.
-type PredictBenchStats struct {
-	KeyBits  int `json:"key_bits"`
-	M        int `json:"m"`
-	MaxDepth int `json:"max_depth"`
-	Samples  int `json:"samples"`
-	Seed     int `json:"seed"`
-
-	PerSampleRounds int64   `json:"per_sample_mpc_rounds"`
-	BatchRounds     int64   `json:"batch_mpc_rounds"`
-	RoundReduction  float64 `json:"round_reduction"`
-
-	PerSampleMsgs int64   `json:"per_sample_msgs_sent"`
-	BatchMsgs     int64   `json:"batch_msgs_sent"`
-	MsgReduction  float64 `json:"msg_reduction"`
-
-	PerSampleSeconds float64 `json:"per_sample_seconds"`
-	BatchSeconds     float64 `json:"batch_seconds"`
-	WallSpeedup      float64 `json:"wall_speedup"`
-
-	// WAN simulation point: same protocol over the latency-injecting
-	// transport wrapper, fewer samples so the per-sample chain stays
-	// CI-sized.
-	WANSamples          int     `json:"wan_samples"`
-	NetDelayMs          float64 `json:"net_delay_ms"`
-	NetJitterMs         float64 `json:"net_jitter_ms"`
-	PerSampleWANSeconds float64 `json:"per_sample_wan_seconds"`
-	BatchWANSeconds     float64 `json:"batch_wan_seconds"`
-	WANSpeedup          float64 `json:"wan_speedup"`
-
-	PredictionsIdentical bool `json:"predictions_identical"`
-}
 
 // predictBenchSamples is the batch the acceptance criterion is stated
 // over: 64 samples through the enhanced protocol.
@@ -103,16 +63,14 @@ func warmupParts(parts []*dataset.Partition) ([]*dataset.Partition, error) {
 	return out, nil
 }
 
-// PredictBenchRaw measures the per-sample loop against the batched
-// pipeline on the same fixed-seed enhanced model, without and with
-// simulated WAN latency.
-func PredictBenchRaw(p Preset) (*PredictBenchStats, error) {
+// predictBaseline is the baseline for the batched prediction pipeline
+// (BENCH_predict.json): MPC rounds, messages and wall time for predicting a
+// fixed-seed sample batch under the enhanced protocol, per-sample vs
+// batched, plus the same comparison under simulated WAN latency
+// (transport.WithLatency) where the round reduction becomes a wall-clock
+// speedup.
+func predictBaseline(p Preset) (*Baseline, error) {
 	cfg := cfgFor(p, core.Enhanced, 1)
-	st := &PredictBenchStats{
-		KeyBits: p.KeyBits, M: p.M, MaxDepth: p.H,
-		Samples: predictBenchSamples, Seed: 7,
-	}
-
 	s, parts, model, err := predictSession(p, cfg, predictBenchSamples)
 	if err != nil {
 		return nil, fmt.Errorf("predict bench session: %w", err)
@@ -125,7 +83,7 @@ func PredictBenchRaw(p Preset) (*PredictBenchStats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("per-sample prediction: %w", err)
 	}
-	st.PerSampleSeconds = time.Since(start).Seconds()
+	perSampleSecs := time.Since(start).Seconds()
 	mid := s.Stats()
 
 	start = time.Now()
@@ -133,37 +91,17 @@ func PredictBenchRaw(p Preset) (*PredictBenchStats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("batched prediction: %w", err)
 	}
-	st.BatchSeconds = time.Since(start).Seconds()
+	batchSecs := time.Since(start).Seconds()
 	after := s.Stats()
 
-	st.PerSampleRounds = mid.MPC.Rounds - before.MPC.Rounds
-	st.BatchRounds = after.MPC.Rounds - mid.MPC.Rounds
-	st.PerSampleMsgs = mid.Traffic.MsgsSent - before.Traffic.MsgsSent
-	st.BatchMsgs = after.Traffic.MsgsSent - mid.Traffic.MsgsSent
-	if st.BatchRounds > 0 {
-		st.RoundReduction = float64(st.PerSampleRounds) / float64(st.BatchRounds)
-	}
-	if st.BatchMsgs > 0 {
-		st.MsgReduction = float64(st.PerSampleMsgs) / float64(st.BatchMsgs)
-	}
-	if st.BatchSeconds > 0 {
-		st.WallSpeedup = st.PerSampleSeconds / st.BatchSeconds
-	}
-
-	st.PredictionsIdentical = len(perSample) == len(batched)
-	for i := range batched {
-		if batched[i] != perSample[i] {
-			st.PredictionsIdentical = false
-			break
-		}
-	}
-	if !st.PredictionsIdentical {
-		return st, fmt.Errorf("batched predictions differ from per-sample output")
+	if !reflect.DeepEqual(perSample, batched) {
+		return nil, fmt.Errorf("batched predictions differ from per-sample output")
 	}
 
 	// WAN point: identical protocol over the latency wire.  The per-sample
 	// chain pays one delay per round, so a small sample budget keeps the
 	// measurement CI-sized while the speedup stays round-dominated.
+	const wanSamples = 8
 	wanCfg := cfg
 	wanCfg.NetDelay = p.NetDelay
 	wanCfg.NetJitter = p.NetJitter
@@ -173,11 +111,7 @@ func PredictBenchRaw(p Preset) (*PredictBenchStats, error) {
 	if wanCfg.NetJitter == 0 {
 		wanCfg.NetJitter = 500 * time.Microsecond
 	}
-	st.NetDelayMs = float64(wanCfg.NetDelay) / float64(time.Millisecond)
-	st.NetJitterMs = float64(wanCfg.NetJitter) / float64(time.Millisecond)
-	st.WANSamples = 8
-
-	ws, wparts, wmodel, err := predictSession(p, wanCfg, st.WANSamples)
+	ws, wparts, wmodel, err := predictSession(p, wanCfg, wanSamples)
 	if err != nil {
 		return nil, fmt.Errorf("predict bench WAN session: %w", err)
 	}
@@ -187,56 +121,36 @@ func PredictBenchRaw(p Preset) (*PredictBenchStats, error) {
 	if _, err := core.PredictDatasetPerSample(ws, wmodel, wparts); err != nil {
 		return nil, fmt.Errorf("per-sample WAN prediction: %w", err)
 	}
-	st.PerSampleWANSeconds = time.Since(start).Seconds()
+	perSampleWANSecs := time.Since(start).Seconds()
 	start = time.Now()
 	if _, err := core.PredictDataset(ws, wmodel, wparts); err != nil {
 		return nil, fmt.Errorf("batched WAN prediction: %w", err)
 	}
-	st.BatchWANSeconds = time.Since(start).Seconds()
-	if st.BatchWANSeconds > 0 {
-		st.WANSpeedup = st.PerSampleWANSeconds / st.BatchWANSeconds
-	}
-	return st, nil
-}
+	batchWANSecs := time.Since(start).Seconds()
 
-// PredictBench wraps the raw stats as a Result for cmd/pivot-bench and the
-// benchmark suite.
-func PredictBench(p Preset) (*Result, error) {
-	st, err := PredictBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "predict", Title: "per-sample vs batched prediction (enhanced protocol)",
-		XLabel: "pipeline (0=per-sample,1=batched)", Unit: "rounds / msgs / seconds"}
-	res.Rows = append(res.Rows,
-		Row{X: 0, Series: map[string]float64{
-			"mpc-rounds":  float64(st.PerSampleRounds),
-			"msgs-sent":   float64(st.PerSampleMsgs),
-			"seconds":     st.PerSampleSeconds,
-			"wan-seconds": st.PerSampleWANSeconds,
-		}},
-		Row{X: 1, Series: map[string]float64{
-			"mpc-rounds":  float64(st.BatchRounds),
-			"msgs-sent":   float64(st.BatchMsgs),
-			"seconds":     st.BatchSeconds,
-			"wan-seconds": st.BatchWANSeconds,
-		}})
-	return res, nil
-}
-
-// WritePredictBenchJSON runs the bench and writes the JSON baseline.
-func WritePredictBenchJSON(path string, p Preset) (*PredictBenchStats, error) {
-	st, err := PredictBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	perSampleRounds, batchRounds := mid.MPC.Rounds-before.MPC.Rounds, after.MPC.Rounds-mid.MPC.Rounds
+	perSampleMsgs, batchMsgs := mid.Traffic.MsgsSent-before.Traffic.MsgsSent, after.Traffic.MsgsSent-mid.Traffic.MsgsSent
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("m", p.M)
+	b.Set("max_depth", p.H)
+	b.Set("samples", predictBenchSamples)
+	b.Set("seed", 7)
+	b.Set("per_sample_mpc_rounds", perSampleRounds)
+	b.Set("batch_mpc_rounds", batchRounds)
+	b.Set("round_reduction", ratio(float64(perSampleRounds), float64(batchRounds)))
+	b.Set("per_sample_msgs_sent", perSampleMsgs)
+	b.Set("batch_msgs_sent", batchMsgs)
+	b.Set("msg_reduction", ratio(float64(perSampleMsgs), float64(batchMsgs)))
+	b.Set("per_sample_seconds", perSampleSecs)
+	b.Set("batch_seconds", batchSecs)
+	b.Set("wall_speedup", ratio(perSampleSecs, batchSecs))
+	b.Set("wan_samples", wanSamples)
+	b.Set("net_delay_ms", msOf(wanCfg.NetDelay))
+	b.Set("net_jitter_ms", msOf(wanCfg.NetJitter))
+	b.Set("per_sample_wan_seconds", perSampleWANSecs)
+	b.Set("batch_wan_seconds", batchWANSecs)
+	b.Set("wan_speedup", ratio(perSampleWANSecs, batchWANSecs))
+	b.Set("predictions_identical", true) // checked above: a mismatch is an error, not a record
+	return b, nil
 }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"time"
 
@@ -14,63 +12,22 @@ import (
 	"repro/internal/transport"
 )
 
-// RecoveryBenchStats is the machine-readable baseline for crash recovery
-// (BENCH_recovery.json, written by cmd/pivot-bench -exp recovery -json).
-// The workload is one fixed-seed decision tree: a chaos-armed run crashes
-// a party a few operations into the level after CrashLevel (i.e. after the
-// level-CrashLevel checkpoint committed), and the resumed session finishes
-// training from that checkpoint.  The resumed model must hash identically
-// to the fault-free oracle, and resuming must cost fewer MPC rounds,
-// messages and bytes than retraining from scratch — those counters are
-// deterministic and gated by pivot-benchdiff.
-type RecoveryBenchStats struct {
-	KeyBits    int    `json:"key_bits"`
-	N          int    `json:"n"`
-	M          int    `json:"m"`
-	MaxDepth   int    `json:"max_depth"`
-	Splits     int    `json:"max_splits"`
-	Classes    int    `json:"classes"`
-	Seed       int    `json:"seed"`
-	DataSeed   int    `json:"data_seed"`
-	Transport  string `json:"transport"`
-	CrashLevel int    `json:"crash_level"`
-	CrashParty int    `json:"crash_party"`
-
-	// Bit-identity of the recovered model against the fault-free oracle.
-	ModelMatch     bool   `json:"model_match"`
-	OracleModelSHA string `json:"oracle_model_sha256"`
-	ResumeModelSHA string `json:"resume_model_sha256"`
-
-	// Gated counters: what a from-scratch retrain costs vs what finishing
-	// from the last committed checkpoint costs (the resume figures include
-	// the resumed session's bring-up handshakes).
-	RetrainRounds int64 `json:"retrain_mpc_rounds"`
-	ResumeRounds  int64 `json:"resume_mpc_rounds"`
-	RetrainMsgs   int64 `json:"retrain_msgs_sent"`
-	ResumeMsgs    int64 `json:"resume_msgs_sent"`
-	RetrainBytes  int64 `json:"retrain_bytes_sent"`
-	ResumeBytes   int64 `json:"resume_bytes_sent"`
-
-	// Advisory wall-clock figures (timing-noisy, never gated).
-	RetrainSeconds float64 `json:"retrain_seconds"`
-	ResumeSeconds  float64 `json:"resume_seconds"`
-	ResumeSpeedup  float64 `json:"resume_speedup"`
-
-	// Gates is the manifest pivot-benchdiff reads from the committed
-	// baseline: resuming must stay cheaper than retraining, and a silently
-	// disabled checkpoint path would zero or inflate these counters.
-	Gates Gates `json:"gates"`
-}
-
 // modelSHA hashes a released model's rendering for the equality check.
 func modelSHA(m *core.Model) string {
 	sum := sha256.Sum256([]byte(m.String()))
 	return hex.EncodeToString(sum[:])
 }
 
-// RecoveryBenchRaw measures crash-at-level recovery vs retraining on the
-// in-memory network (deterministic counters).
-func RecoveryBenchRaw(p Preset) (*RecoveryBenchStats, error) {
+// recoveryBaseline is the baseline for crash recovery (BENCH_recovery.json),
+// measured on the in-memory network (deterministic counters).  The workload
+// is one fixed-seed decision tree: a chaos-armed run crashes a party a few
+// operations into the level after crash_level (i.e. after the
+// level-crash_level checkpoint committed), and the resumed session finishes
+// training from that checkpoint.  The resumed model must hash identically
+// to the fault-free oracle, and resuming must cost fewer MPC rounds,
+// messages and bytes than retraining from scratch — those counters are
+// deterministic and gated by pivot-benchdiff.
+func recoveryBaseline(p Preset) (*Baseline, error) {
 	const (
 		crashLevel = 2
 		crashParty = 1
@@ -82,28 +39,15 @@ func RecoveryBenchRaw(p Preset) (*RecoveryBenchStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &RecoveryBenchStats{
-		KeyBits: p.KeyBits, N: p.N, M: p.M, MaxDepth: p.H, Splits: p.B,
-		Classes: p.Classes, Seed: 7, DataSeed: 99,
-		Transport: "memory", CrashLevel: crashLevel, CrashParty: crashParty,
-		Gates: Gates{Require: []string{
-			"resume_mpc_rounds", "retrain_mpc_rounds",
-			"resume_msgs_sent", "retrain_msgs_sent",
-		}},
-	}
 
 	// Retrain leg — also the fault-free oracle the recovered model must
 	// match bit for bit.
 	start := time.Now()
-	oracle, retrainStats, err := core.TrainDecisionTree(ds, p.M, cfg)
-	st.RetrainSeconds = time.Since(start).Seconds()
+	oracle, retrain, err := core.TrainDecisionTree(ds, p.M, cfg)
+	retrainSecs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("recovery retrain leg: %w", err)
 	}
-	st.RetrainRounds = retrainStats.MPC.Rounds
-	st.RetrainMsgs = retrainStats.Traffic.MsgsSent
-	st.RetrainBytes = retrainStats.Traffic.BytesSent
-	st.OracleModelSHA = modelSHA(oracle)
 
 	// Crashed leg: deterministic chaos kills crashParty just after the
 	// level-crashLevel checkpoint commits.
@@ -138,65 +82,53 @@ func RecoveryBenchRaw(p Preset) (*RecoveryBenchStats, error) {
 	defer rs.Close()
 	start = time.Now()
 	res, err := rs.Resume()
-	st.ResumeSeconds = time.Since(start).Seconds()
+	resumeSecs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("recovery resume leg: %w", err)
 	}
-	rstats := rs.Stats()
-	st.ResumeRounds = rstats.MPC.Rounds
-	st.ResumeMsgs = rstats.Traffic.MsgsSent
-	st.ResumeBytes = rstats.Traffic.BytesSent
-	if st.ResumeSeconds > 0 {
-		st.ResumeSpeedup = st.RetrainSeconds / st.ResumeSeconds
+	resume := rs.Stats()
+
+	oracleSHA, resumeSHA := modelSHA(oracle), modelSHA(res.DT)
+	if resumeSHA != oracleSHA || !reflect.DeepEqual(res.DT, oracle) {
+		return nil, fmt.Errorf("recovery bench: resumed model differs from the fault-free oracle")
+	}
+	if resume.MPC.Rounds >= retrain.MPC.Rounds {
+		return nil, fmt.Errorf("recovery bench: resume cost %d rounds, retrain %d — resuming must win",
+			resume.MPC.Rounds, retrain.MPC.Rounds)
 	}
 
-	st.ResumeModelSHA = modelSHA(res.DT)
-	st.ModelMatch = st.ResumeModelSHA == st.OracleModelSHA && reflect.DeepEqual(res.DT, oracle)
-	if !st.ModelMatch {
-		return st, fmt.Errorf("recovery bench: resumed model differs from the fault-free oracle")
-	}
-	if st.ResumeRounds >= st.RetrainRounds {
-		return st, fmt.Errorf("recovery bench: resume cost %d rounds, retrain %d — resuming must win",
-			st.ResumeRounds, st.RetrainRounds)
-	}
-	return st, nil
-}
-
-// RecoveryBench wraps the raw stats as a Result for cmd/pivot-bench.
-func RecoveryBench(p Preset) (*Result, error) {
-	st, err := RecoveryBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "recovery", Title: "crash-at-level resume vs retrain (decision tree)",
-		XLabel: "crash level", Unit: "rounds / seconds"}
-	match := 0.0
-	if st.ModelMatch {
-		match = 1
-	}
-	res.Rows = append(res.Rows, Row{X: float64(st.CrashLevel), Series: map[string]float64{
-		"retrain-rounds": float64(st.RetrainRounds),
-		"resume-rounds":  float64(st.ResumeRounds),
-		"retrain-secs":   st.RetrainSeconds,
-		"resume-secs":    st.ResumeSeconds,
-		"model-match":    match,
-	}})
-	return res, nil
-}
-
-// WriteRecoveryBenchJSON runs the bench and writes the JSON baseline.
-func WriteRecoveryBenchJSON(path string, p Preset) (*RecoveryBenchStats, error) {
-	st, err := RecoveryBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("n", p.N)
+	b.Set("m", p.M)
+	b.Set("max_depth", p.H)
+	b.Set("max_splits", p.B)
+	b.Set("classes", p.Classes)
+	b.Set("seed", 7)
+	b.Set("data_seed", 99)
+	b.Set("transport", "memory")
+	b.Set("crash_level", crashLevel)
+	b.Set("crash_party", crashParty)
+	// Bit-identity of the recovered model against the fault-free oracle
+	// (checked above: a mismatch is an error, not a record).
+	b.Set("model_match", true)
+	b.Set("oracle_model_sha256", oracleSHA)
+	b.Set("resume_model_sha256", resumeSHA)
+	// Gated counters: what a from-scratch retrain costs vs what finishing
+	// from the last committed checkpoint costs (the resume figures include
+	// the resumed session's bring-up handshakes).
+	b.Set("retrain_mpc_rounds", retrain.MPC.Rounds)
+	b.Set("resume_mpc_rounds", resume.MPC.Rounds)
+	b.Set("retrain_msgs_sent", retrain.Traffic.MsgsSent)
+	b.Set("resume_msgs_sent", resume.Traffic.MsgsSent)
+	b.Set("retrain_bytes_sent", retrain.Traffic.BytesSent)
+	b.Set("resume_bytes_sent", resume.Traffic.BytesSent)
+	// Advisory wall-clock figures (timing-noisy, never gated).
+	b.Set("retrain_seconds", retrainSecs)
+	b.Set("resume_seconds", resumeSecs)
+	b.Set("resume_speedup", ratio(retrainSecs, resumeSecs))
+	// Resuming must stay cheaper than retraining, and a silently disabled
+	// checkpoint path would zero or inflate these counters.
+	b.Gate("resume_mpc_rounds", "retrain_mpc_rounds", "resume_msgs_sent", "retrain_msgs_sent")
+	return b, nil
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -12,48 +10,42 @@ import (
 	"repro/internal/serve"
 )
 
-// ServeBenchStats is the machine-readable baseline for the prediction
-// serving layer (written to BENCH_serve.json by cmd/pivot-bench -exp
-// serve -json): wall time and throughput for a fixed stream of concurrent
-// single-sample requests against a Service, per-request round chains vs
-// micro-batched coalescing at several windows, under 2 ms simulated WAN
-// latency per message.  Future PRs diff against this file.
-type ServeBenchStats struct {
-	KeyBits     int     `json:"key_bits"`
-	M           int     `json:"m"`
-	Requests    int     `json:"requests"`
-	Clients     int     `json:"clients"`
-	NetDelayMs  float64 `json:"net_delay_ms"`
-	NetJitterMs float64 `json:"net_jitter_ms"`
-	Seed        int     `json:"seed"`
-
-	Points []ServePoint `json:"points"`
-
-	// MicroBatchSpeedup is per-request wall time divided by the best
-	// micro-batched point's wall time.
-	MicroBatchSpeedup float64 `json:"micro_batch_speedup"`
-	// ResultsIdentical asserts every point's served predictions matched
-	// the offline batched pipeline bit-for-bit.
-	ResultsIdentical bool `json:"results_identical"`
+// streamRequests sends every row as one single-sample request for model
+// "dt", from `clients` concurrent submitters draining a shared work list —
+// the daemon's steady-state shape — and returns each request's prediction
+// and error; onDone (when set) observes each completion.
+func streamRequests(svc *serve.Service, rows [][]float64, clients int, onDone func()) ([]float64, []error) {
+	preds := make([]float64, len(rows))
+	errs := make([]error, len(rows))
+	work := make(chan int, len(rows)) // sized to hold the whole list
+	for i := range rows {
+		work <- i
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				preds[i], errs[i] = svc.Predict("dt", rows[i])
+				if onDone != nil {
+					onDone()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return preds, errs
 }
 
-// ServePoint is one serving configuration's measurement.
-type ServePoint struct {
-	// Label is "per-request" (MaxBatch=1) or "window-<ms>ms".
-	Label      string  `json:"label"`
-	WindowMs   float64 `json:"window_ms"`
-	MaxBatch   int     `json:"max_batch"`
-	Seconds    float64 `json:"seconds"`
-	Throughput float64 `json:"throughput_rps"`
-	Batches    int64   `json:"batches"`
-	AvgBatch   float64 `json:"avg_batch"`
-	MaxSeen    int     `json:"max_batch_seen"`
-}
-
-// ServeBenchRaw brings one federation up under simulated WAN latency,
-// trains a tree, and replays the same concurrent request stream through
-// serving Services with different micro-batch windows.
-func ServeBenchRaw(p Preset) (*ServeBenchStats, error) {
+// serveBaseline is the baseline for the prediction serving layer
+// (BENCH_serve.json): it brings one federation up under simulated WAN
+// latency (2 ms per message unless the preset overrides it), trains a tree,
+// and replays the same stream of concurrent single-sample requests through
+// Services with per-request round chains and with micro-batched coalescing
+// at several windows, recording wall time and throughput per point.
+func serveBaseline(p Preset) (*Baseline, error) {
 	delay, jitter := p.NetDelay, p.NetJitter
 	if delay == 0 {
 		delay = 2 * time.Millisecond
@@ -83,46 +75,21 @@ func ServeBenchRaw(p Preset) (*ServeBenchStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	rows := flatRows(parts, requests)
 
-	// Flat global-column rows, as the wire would carry them.
-	width := 0
-	for _, pt := range parts {
-		for _, f := range pt.Features {
-			if f+1 > width {
-				width = f + 1
-			}
-		}
-	}
-	rows := make([][]float64, requests)
-	for t := range rows {
-		row := make([]float64, width)
-		for _, pt := range parts {
-			for j, f := range pt.Features {
-				row[f] = pt.X[t][j]
-			}
-		}
-		rows[t] = row
-	}
-
-	st := &ServeBenchStats{
-		KeyBits: p.KeyBits, M: p.M, Requests: requests, Clients: clients,
-		NetDelayMs:  float64(delay) / float64(time.Millisecond),
-		NetJitterMs: float64(jitter) / float64(time.Millisecond),
-		Seed:        99, ResultsIdentical: true,
-	}
-
-	type point struct {
-		label    string
+	identical := true
+	var points []*Baseline
+	var perRequestSecs, bestSecs float64
+	for k, pt := range []struct {
+		label    string // "per-request" (MaxBatch=1) or "window-<ms>ms"
 		window   time.Duration
 		maxBatch int
-	}
-	points := []point{
+	}{
 		{"per-request", 0, 1},
 		{"window-0ms", 0, 256},
 		{"window-2ms", 2 * time.Millisecond, 256},
 		{"window-5ms", 5 * time.Millisecond, 256},
-	}
-	for _, pt := range points {
+	} {
 		svc, err := serve.New(sess, parts, serve.Config{Window: pt.window, MaxBatch: pt.maxBatch, MaxQueue: 4096})
 		if err != nil {
 			return nil, err
@@ -131,33 +98,8 @@ func ServeBenchRaw(p Preset) (*ServeBenchStats, error) {
 			return nil, err
 		}
 
-		// The request stream: `clients` concurrent submitters draining a
-		// shared work list of single-sample requests — the daemon's
-		// steady-state shape.
-		preds := make([]float64, requests)
-		errs := make([]error, clients)
-		work := make(chan int, requests)
-		for i := 0; i < requests; i++ {
-			work <- i
-		}
-		close(work)
 		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range work {
-					v, err := svc.Predict("dt", rows[i])
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					preds[i] = v
-				}
-			}(w)
-		}
-		wg.Wait()
+		preds, errs := streamRequests(svc, rows, clients, nil)
 		secs := time.Since(start).Seconds()
 		svc.Drain() // flush, keep the shared session alive for the next point
 		for _, err := range errs {
@@ -167,70 +109,40 @@ func ServeBenchRaw(p Preset) (*ServeBenchStats, error) {
 		}
 		for i := range preds {
 			if preds[i] != oracle[i] {
-				st.ResultsIdentical = false
+				identical = false
 			}
 		}
+		if k == 0 {
+			perRequestSecs, bestSecs = secs, secs
+		}
+		bestSecs = min(bestSecs, secs)
 
 		sv := svc.Stats().Serve
-		avg := 0.0
-		if sv.Batches > 0 {
-			avg = float64(sv.Coalesced) / float64(sv.Batches)
-		}
-		st.Points = append(st.Points, ServePoint{
-			Label:      pt.label,
-			WindowMs:   float64(pt.window) / float64(time.Millisecond),
-			MaxBatch:   pt.maxBatch,
-			Seconds:    secs,
-			Throughput: float64(requests) / secs,
-			Batches:    sv.Batches,
-			AvgBatch:   avg,
-			MaxSeen:    sv.MaxBatch,
-		})
+		point := &Baseline{}
+		point.Set("label", pt.label)
+		point.Set("window_ms", msOf(pt.window))
+		point.Set("max_batch", pt.maxBatch)
+		point.Set("seconds", secs)
+		point.Set("throughput_rps", float64(requests)/secs)
+		point.Set("batches", sv.Batches)
+		point.Set("avg_batch", ratio(float64(sv.Coalesced), float64(sv.Batches)))
+		point.Set("max_batch_seen", sv.MaxBatch)
+		points = append(points, point)
 	}
 
-	best := st.Points[0].Seconds
-	for _, pt := range st.Points[1:] {
-		if pt.Seconds < best {
-			best = pt.Seconds
-		}
-	}
-	if best > 0 {
-		st.MicroBatchSpeedup = st.Points[0].Seconds / best
-	}
-	return st, nil
-}
-
-// ServeBench adapts the raw bench to the experiment Result table.
-func ServeBench(p Preset) (*Result, error) {
-	st, err := ServeBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "serve", Title: "prediction serving: per-request vs micro-batched round chains (2ms WAN)",
-		XLabel: "point index (see labels)", Unit: "seconds / rps / batch size"}
-	for i, pt := range st.Points {
-		res.Rows = append(res.Rows, Row{X: float64(i), Series: map[string]float64{
-			"seconds":   pt.Seconds,
-			"rps":       pt.Throughput,
-			"avg-batch": pt.AvgBatch,
-		}})
-	}
-	return res, nil
-}
-
-// WriteServeBenchJSON runs the bench and writes the JSON baseline.
-func WriteServeBenchJSON(path string, p Preset) (*ServeBenchStats, error) {
-	st, err := ServeBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("m", p.M)
+	b.Set("requests", requests)
+	b.Set("clients", clients)
+	b.Set("net_delay_ms", msOf(delay))
+	b.Set("net_jitter_ms", msOf(jitter))
+	b.Set("seed", 99)
+	b.Set("points", points)
+	// Per-request wall time divided by the best point's wall time.
+	b.Set("micro_batch_speedup", ratio(perRequestSecs, bestSecs))
+	// Every point's served predictions matched the offline batched
+	// pipeline bit-for-bit.
+	b.Set("results_identical", identical)
+	return b, nil
 }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/dataset"
 )
 
 // Table2 evaluates the theoretical cost model: it calibrates the
@@ -14,7 +11,7 @@ import (
 // reproduction target is the *shape* agreement (both near-flat for basic,
 // both near-linear for enhanced), not the absolute ratio.
 func Table2(p Preset) (*Result, error) {
-	res := &Result{ID: "table2", Title: "cost model: predicted vs measured training time", XLabel: "n", Unit: "seconds"}
+	res := &Result{XLabel: "n", Unit: "seconds"}
 	k, err := costmodel.Calibrate(p.KeyBits, p.M)
 	if err != nil {
 		return nil, err
@@ -31,11 +28,11 @@ func Table2(p Preset) (*Result, error) {
 		row.Series["model-basic"] = costmodel.TrainBasic(params, k).Seconds()
 		row.Series["model-enhanced"] = costmodel.TrainEnhanced(params, k).Seconds()
 		for name, proto := range map[string]core.Protocol{"measured-basic": core.Basic, "measured-enhanced": core.Enhanced} {
-			d, _, err := trainOnce(ds, pp.M, cfgFor(pp, proto, 1))
+			_, _, secs, err := trainKind(ds, pp.M, cfgFor(pp, proto, 1), core.KindDT)
 			if err != nil {
 				return nil, err
 			}
-			row.Series[name] = d.Seconds()
+			row.Series[name] = secs
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -46,7 +43,7 @@ func Table2(p Preset) (*Result, error) {
 // tournament variant this implementation adds (not in the paper): same
 // model output, different round structure.
 func AblationArgmax(p Preset) (*Result, error) {
-	res := &Result{ID: "ablation-argmax", Title: "linear vs tournament oblivious argmax", XLabel: "b", Unit: "seconds"}
+	res := &Result{XLabel: "b", Unit: "seconds"}
 	for _, b := range p.Bs {
 		pp := p
 		pp.B = b
@@ -55,11 +52,11 @@ func AblationArgmax(p Preset) (*Result, error) {
 		for name, tournament := range map[string]bool{"linear (paper)": false, "tournament": true} {
 			cfg := cfgFor(pp, core.Basic, 1)
 			cfg.ArgmaxTournament = tournament
-			d, _, err := trainOnce(ds, pp.M, cfg)
+			_, _, secs, err := trainKind(ds, pp.M, cfg, core.KindDT)
 			if err != nil {
 				return nil, err
 			}
-			row.Series[name] = d.Seconds()
+			row.Series[name] = secs
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -69,14 +66,14 @@ func AblationArgmax(p Preset) (*Result, error) {
 // AblationParallelDecrypt isolates the "-PP" effect: enhanced-protocol
 // training time at increasing worker counts (paper: up to 2.7x on 6 cores).
 func AblationParallelDecrypt(p Preset) (*Result, error) {
-	res := &Result{ID: "ablation-pp", Title: "parallel threshold decryption speedup", XLabel: "workers", Unit: "seconds"}
+	res := &Result{XLabel: "workers", Unit: "seconds"}
 	ds := synth(p, p.M)
 	for _, workers := range []int{1, 2, 4, 6} {
-		d, _, err := trainOnce(ds, p.M, cfgFor(p, core.Enhanced, workers))
+		_, _, secs, err := trainKind(ds, p.M, cfgFor(p, core.Enhanced, workers), core.KindDT)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, Row{X: float64(workers), Series: map[string]float64{"Pivot-Enhanced": d.Seconds()}})
+		res.Rows = append(res.Rows, Row{X: float64(workers), Series: map[string]float64{"Pivot-Enhanced": secs}})
 	}
 	return res, nil
 }
@@ -84,10 +81,10 @@ func AblationParallelDecrypt(p Preset) (*Result, error) {
 // PhaseBreakdown reports per-phase time for one basic and one enhanced run,
 // the decomposition behind Table 2's columns.
 func PhaseBreakdown(p Preset) (*Result, error) {
-	res := &Result{ID: "phases", Title: "per-phase training time", XLabel: "protocol (0=basic,1=enhanced)", Unit: "seconds"}
+	res := &Result{XLabel: "protocol (0=basic,1=enhanced)", Unit: "seconds"}
 	ds := synth(p, p.M)
 	for i, proto := range []core.Protocol{core.Basic, core.Enhanced} {
-		_, stats, err := trainOnce(ds, p.M, cfgFor(p, proto, 1))
+		_, stats, _, err := trainKind(ds, p.M, cfgFor(p, proto, 1), core.KindDT)
 		if err != nil {
 			return nil, err
 		}
@@ -101,63 +98,3 @@ func PhaseBreakdown(p Preset) (*Result, error) {
 	}
 	return res, nil
 }
-
-// All runs every experiment in the quick preset (cmd/pivot-bench -exp all).
-func All(p Preset) ([]*Result, error) {
-	type driver struct {
-		name string
-		fn   func(Preset) (*Result, error)
-	}
-	drivers := []driver{
-		{"table2", Table2}, {"table3", Table3},
-		{"fig4a", Fig4a}, {"fig4b", Fig4b}, {"fig4c", Fig4c}, {"fig4d", Fig4d},
-		{"fig4e", Fig4e}, {"fig4f", Fig4f}, {"fig4g", Fig4g}, {"fig4h", Fig4h},
-		{"fig5a", Fig5a}, {"fig5b", Fig5b},
-		{"ablation-argmax", AblationArgmax}, {"ablation-pp", AblationParallelDecrypt},
-		{"ablation-hide", AblationHideLevels}, {"ablation-criterion", AblationCriterion},
-		{"psi", PSIAlignment},
-		{"phases", PhaseBreakdown},
-		{"paillier", PaillierBench},
-		{"levelwise", LevelwiseBench},
-		{"predict", PredictBench},
-		{"serve", ServeBench},
-		{"update", UpdateBench},
-		{"pipeline", PipelineBench},
-		{"incremental", IncrementalBench},
-	}
-	var out []*Result
-	for _, d := range drivers {
-		r, err := d.fn(p)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Drivers maps experiment ids to their functions (for cmd/pivot-bench).
-var Drivers = map[string]func(Preset) (*Result, error){
-	"table2": Table2, "table3": Table3,
-	"fig4a": Fig4a, "fig4b": Fig4b, "fig4c": Fig4c, "fig4d": Fig4d,
-	"fig4e": Fig4e, "fig4f": Fig4f, "fig4g": Fig4g, "fig4h": Fig4h,
-	"fig5a": Fig5a, "fig5b": Fig5b,
-	"ablation-argmax": AblationArgmax, "ablation-pp": AblationParallelDecrypt,
-	"ablation-hide": AblationHideLevels, "ablation-criterion": AblationCriterion,
-	"psi":         PSIAlignment,
-	"phases":      PhaseBreakdown,
-	"paillier":    PaillierBench,
-	"levelwise":   LevelwiseBench,
-	"predict":     PredictBench,
-	"serve":       ServeBench,
-	"servescale":  ServeScaleBench,
-	"update":      UpdateBench,
-	"pipeline":    PipelineBench,
-	"recovery":    RecoveryBench,
-	"incremental": IncrementalBench,
-}
-
-// Elapsed is a tiny helper for the CLI.
-func Elapsed(start time.Time) string { return time.Since(start).Round(time.Millisecond).String() }
-
-var _ = dataset.SplitCandidates

@@ -1,76 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// UpdateBenchStats is the machine-readable baseline for the frontier-wide
-// batched model update (written to BENCH_update.json by cmd/pivot-bench
-// -exp update -json).  The headline comparison is a fixed-seed depth-4
-// multi-class GBDT trained by the sequential level-wise pipeline (per-class
-// trees, per-node update loop — the previous round structure) vs the
-// batched pipeline (cross-class shared frontier, one update chain per
-// level); a second slice isolates the enhanced-protocol update phase, where
-// the EQZ ladders and conversions dominate.  Future PRs diff against this
-// file via cmd/pivot-benchdiff.
-type UpdateBenchStats struct {
-	KeyBits  int `json:"key_bits"`
-	N        int `json:"n"`
-	M        int `json:"m"`
-	MaxDepth int `json:"max_depth"`
-	Splits   int `json:"max_splits"`
-	Classes  int `json:"classes"`
-	Rounds   int `json:"boost_rounds"`
-	Seed     int `json:"seed"`      // protocol seed (cfg.Seed)
-	DataSeed int `json:"data_seed"` // synthetic-dataset generator seed
-
-	// Packing configuration in effect for these numbers: ciphertext packing
-	// in the Algorithm-2 conversions plus bounded packed opens in the MPC
-	// engine (DESIGN.md, "Ciphertext packing").  False is the NoPack oracle
-	// path; PackKappa is the statistical masking parameter that sets the
-	// packed slot widths.
-	Packing   bool `json:"packing"`
-	PackKappa uint `json:"pack_kappa"`
-
-	// Transport names the substrate the timed GBDT legs ran on:
-	// "tcp-loopback" (kernel loopback sockets, per-message cost included)
-	// vs "memory" (in-process channels).
-	Transport string `json:"transport"`
-
-	// Gates is the manifest pivot-benchdiff reads from the committed
-	// baseline: the packing win must stay locked in, so these keys must
-	// exist and gate, not just "gate if still present".
-	Gates Gates `json:"gates"`
-
-	// Depth-4 multi-class GBDT, whole-training counters.
-	SeqRounds      int64   `json:"gbdt_seq_mpc_rounds"`
-	BatchRounds    int64   `json:"gbdt_batch_mpc_rounds"`
-	RoundReduction float64 `json:"round_reduction"`
-
-	SeqMsgs      int64   `json:"gbdt_seq_msgs_sent"`
-	BatchMsgs    int64   `json:"gbdt_batch_msgs_sent"`
-	MsgReduction float64 `json:"msg_reduction"`
-
-	SeqBytes   int64 `json:"gbdt_seq_bytes_sent"`
-	BatchBytes int64 `json:"gbdt_batch_bytes_sent"`
-
-	SeqSeconds   float64 `json:"gbdt_seq_train_seconds"`
-	BatchSeconds float64 `json:"gbdt_batch_train_seconds"`
-	WallSpeedup  float64 `json:"wall_speedup"`
-
-	// Enhanced-protocol decision tree, update-phase rounds only.
-	EnhSeqUpdateRounds   int64   `json:"enhanced_seq_update_rounds"`
-	EnhBatchUpdateRounds int64   `json:"enhanced_batch_update_rounds"`
-	EnhUpdateReduction   float64 `json:"enhanced_update_round_reduction"`
-
-	TreesIdentical bool `json:"trees_identical"`
-}
 
 // updateBenchCfg is the GBDT benchmark point: the paper's depth-4 trees
 // over four classes, fixed seed, basic protocol (ensembles release plain
@@ -89,47 +24,14 @@ func updateBenchCfg(p Preset, mode core.UpdateMode) core.Config {
 	return cfg
 }
 
-// renderBoost flattens every tree of a boost model for equivalence checks.
-func renderBoost(bm *core.BoostModel) string {
-	out := ""
-	for k := range bm.Forests {
-		for _, tree := range bm.Forests[k] {
-			out += tree.String() + "\n"
-		}
-	}
-	return out
-}
-
-// trainGBDTOnce trains one fixed-seed GBDT and reports stats and wall time.
-func trainGBDTOnce(ds *dataset.Dataset, m int, cfg core.Config) (*core.BoostModel, core.RunStats, float64, error) {
-	parts, err := dataset.VerticalPartition(ds, m, 0)
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	s, err := core.NewSession(parts, cfg)
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	defer s.Close()
-	var bm *core.BoostModel
-	start := time.Now()
-	err = s.Each(func(p *core.Party) error {
-		mod, err := p.TrainGBDT()
-		if p.ID == 0 && err == nil {
-			bm = mod
-		}
-		return err
-	})
-	secs := time.Since(start).Seconds()
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	return bm, s.Stats(), secs, nil
-}
-
-// UpdateBenchRaw runs both pipelines on the same fixed-seed data and
-// reports rounds, messages, wall time and tree equivalence.
-func UpdateBenchRaw(p Preset) (*UpdateBenchStats, error) {
+// updateBaseline is the baseline for the frontier-wide batched model update
+// (BENCH_update.json).  The headline comparison is a fixed-seed depth-4
+// multi-class GBDT trained by the sequential level-wise pipeline (per-class
+// trees, per-node update loop — the previous round structure) vs the
+// batched pipeline (cross-class shared frontier, one update chain per
+// level); a second slice isolates the enhanced-protocol update phase, where
+// the EQZ ladders and conversions dominate.
+func updateBaseline(p Preset) (*Baseline, error) {
 	const classes = 4
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, classes, 2.0, 99)
 	benchCfg := updateBenchCfg(p, core.UpdateBatched)
@@ -137,116 +39,81 @@ func UpdateBenchRaw(p Preset) (*UpdateBenchStats, error) {
 	if kappa == 0 {
 		kappa = 40 // DefaultConfig's value, applied by withDefaults
 	}
-	st := &UpdateBenchStats{
-		KeyBits: p.KeyBits, N: p.N, M: p.M, MaxDepth: 4, Splits: p.B,
-		Classes: classes, Rounds: 2, Seed: 7, DataSeed: 99,
-		Packing: !benchCfg.NoPack, PackKappa: kappa,
-		Transport: "tcp-loopback",
-		Gates: Gates{Require: []string{
-			"gbdt_batch_bytes_sent", "gbdt_batch_msgs_sent", "gbdt_batch_mpc_rounds",
-		}},
-	}
 
-	seqModel, seqStats, seqSecs, err := trainGBDTOnce(ds, p.M, updateBenchCfg(p, core.UpdateSequential))
+	seqModel, seq, seqSecs, err := trainKind(ds, p.M, updateBenchCfg(p, core.UpdateSequential), core.KindGBDT)
 	if err != nil {
 		return nil, fmt.Errorf("sequential-update run: %w", err)
 	}
-	batModel, batStats, batSecs, err := trainGBDTOnce(ds, p.M, updateBenchCfg(p, core.UpdateBatched))
+	batModel, bat, batSecs, err := trainKind(ds, p.M, benchCfg, core.KindGBDT)
 	if err != nil {
 		return nil, fmt.Errorf("batched-update run: %w", err)
 	}
-
-	st.SeqRounds = seqStats.MPC.Rounds
-	st.BatchRounds = batStats.MPC.Rounds
-	if batStats.MPC.Rounds > 0 {
-		st.RoundReduction = float64(seqStats.MPC.Rounds) / float64(batStats.MPC.Rounds)
-	}
-	st.SeqMsgs = seqStats.Traffic.MsgsSent
-	st.BatchMsgs = batStats.Traffic.MsgsSent
-	if batStats.Traffic.MsgsSent > 0 {
-		st.MsgReduction = float64(seqStats.Traffic.MsgsSent) / float64(batStats.Traffic.MsgsSent)
-	}
-	st.SeqBytes = seqStats.Traffic.BytesSent
-	st.BatchBytes = batStats.Traffic.BytesSent
-	st.SeqSeconds = seqSecs
-	st.BatchSeconds = batSecs
-	if batSecs > 0 {
-		st.WallSpeedup = seqSecs / batSecs
-	}
-	st.TreesIdentical = renderBoost(seqModel) == renderBoost(batModel)
 
 	// Enhanced-protocol slice: the update phase alone (EQZ ladders,
 	// conversions, Eqn-10), where the frontier-wide batching shows up
 	// undiluted by the shared gain/argmax chains.
 	enhDS := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
-	enh := func(mode core.UpdateMode) (*core.Model, core.RunStats, error) {
+	enh := func(mode core.UpdateMode) (core.Predictor, core.RunStats, error) {
 		cfg := cfgFor(p, core.Enhanced, 0)
 		cfg.Tree.MaxDepth = 3
 		// A full-width frontier (no zero-gain pruning) exposes the
 		// per-level vs per-node round structure undamped.
 		cfg.Tree.LeafOnZeroGain = false
 		cfg.UpdateMode = mode
-		model, stats, err := core.TrainDecisionTree(enhDS, p.M, cfg)
+		model, stats, _, err := trainKind(enhDS, p.M, cfg, core.KindDT)
 		return model, stats, err
 	}
-	enhSeqModel, enhSeqStats, err := enh(core.UpdateSequential)
+	enhSeqModel, enhSeq, err := enh(core.UpdateSequential)
 	if err != nil {
 		return nil, fmt.Errorf("enhanced sequential run: %w", err)
 	}
-	enhBatModel, enhBatStats, err := enh(core.UpdateBatched)
+	enhBatModel, enhBat, err := enh(core.UpdateBatched)
 	if err != nil {
 		return nil, fmt.Errorf("enhanced batched run: %w", err)
 	}
-	st.EnhSeqUpdateRounds = enhSeqStats.UpdateRounds
-	st.EnhBatchUpdateRounds = enhBatStats.UpdateRounds
-	if enhBatStats.UpdateRounds > 0 {
-		st.EnhUpdateReduction = float64(enhSeqStats.UpdateRounds) / float64(enhBatStats.UpdateRounds)
+	if render(seqModel) != render(batModel) || render(enhSeqModel) != render(enhBatModel) {
+		return nil, fmt.Errorf("batched-update trees differ from sequential-update trees")
 	}
-	st.TreesIdentical = st.TreesIdentical && enhSeqModel.String() == enhBatModel.String()
-	if !st.TreesIdentical {
-		return st, fmt.Errorf("batched-update trees differ from sequential-update trees")
-	}
-	return st, nil
-}
 
-// UpdateBench wraps the raw stats as a Result for cmd/pivot-bench and the
-// benchmark suite.
-func UpdateBench(p Preset) (*Result, error) {
-	st, err := UpdateBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "update", Title: "sequential vs batched model update (depth-4 multi-class GBDT)",
-		XLabel: "pipeline (0=sequential,1=batched)", Unit: "rounds / seconds / msgs"}
-	res.Rows = append(res.Rows,
-		Row{X: 0, Series: map[string]float64{
-			"mpc-rounds":        float64(st.SeqRounds),
-			"seconds":           st.SeqSeconds,
-			"msgs-sent":         float64(st.SeqMsgs),
-			"enh-update-rounds": float64(st.EnhSeqUpdateRounds),
-		}},
-		Row{X: 1, Series: map[string]float64{
-			"mpc-rounds":        float64(st.BatchRounds),
-			"seconds":           st.BatchSeconds,
-			"msgs-sent":         float64(st.BatchMsgs),
-			"enh-update-rounds": float64(st.EnhBatchUpdateRounds),
-		}})
-	return res, nil
-}
-
-// WriteUpdateBenchJSON runs the bench and writes the JSON baseline.
-func WriteUpdateBenchJSON(path string, p Preset) (*UpdateBenchStats, error) {
-	st, err := UpdateBenchRaw(p)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: write %s: %w", path, err)
-	}
-	return st, nil
+	b := &Baseline{}
+	b.Set("key_bits", p.KeyBits)
+	b.Set("n", p.N)
+	b.Set("m", p.M)
+	b.Set("max_depth", 4)
+	b.Set("max_splits", p.B)
+	b.Set("classes", classes)
+	b.Set("boost_rounds", 2)
+	b.Set("seed", 7)       // protocol seed (cfg.Seed)
+	b.Set("data_seed", 99) // synthetic-dataset generator seed
+	// Packing configuration in effect for these numbers: ciphertext packing
+	// in the Algorithm-2 conversions plus bounded packed opens in the MPC
+	// engine (DESIGN.md, "Ciphertext packing").  False is the NoPack oracle
+	// path; pack_kappa is the statistical masking parameter that sets the
+	// packed slot widths.
+	b.Set("packing", !benchCfg.NoPack)
+	b.Set("pack_kappa", int(kappa))
+	// The substrate the timed GBDT legs ran on: "tcp-loopback" (kernel
+	// loopback sockets, per-message cost included) vs "memory".
+	b.Set("transport", "tcp-loopback")
+	// Depth-4 multi-class GBDT, whole-training counters.
+	b.Set("gbdt_seq_mpc_rounds", seq.MPC.Rounds)
+	b.Set("gbdt_batch_mpc_rounds", bat.MPC.Rounds)
+	b.Set("round_reduction", ratio(float64(seq.MPC.Rounds), float64(bat.MPC.Rounds)))
+	b.Set("gbdt_seq_msgs_sent", seq.Traffic.MsgsSent)
+	b.Set("gbdt_batch_msgs_sent", bat.Traffic.MsgsSent)
+	b.Set("msg_reduction", ratio(float64(seq.Traffic.MsgsSent), float64(bat.Traffic.MsgsSent)))
+	b.Set("gbdt_seq_bytes_sent", seq.Traffic.BytesSent)
+	b.Set("gbdt_batch_bytes_sent", bat.Traffic.BytesSent)
+	b.Set("gbdt_seq_train_seconds", seqSecs)
+	b.Set("gbdt_batch_train_seconds", batSecs)
+	b.Set("wall_speedup", ratio(seqSecs, batSecs))
+	// Enhanced-protocol decision tree, update-phase rounds only.
+	b.Set("enhanced_seq_update_rounds", enhSeq.UpdateRounds)
+	b.Set("enhanced_batch_update_rounds", enhBat.UpdateRounds)
+	b.Set("enhanced_update_round_reduction", ratio(float64(enhSeq.UpdateRounds), float64(enhBat.UpdateRounds)))
+	b.Set("trees_identical", true) // checked above: a mismatch is an error, not a record
+	// The packing win must stay locked in, so these keys must exist and
+	// gate, not just "gate if still present".
+	b.Gate("gbdt_batch_bytes_sent", "gbdt_batch_msgs_sent", "gbdt_batch_mpc_rounds")
+	return b, nil
 }

@@ -789,40 +789,44 @@ func (s *Service) rebuildLane(ln *lane) {
 			return
 		}
 		ns, err := s.factory(ln.id)
-		if err == nil {
-			// Replay every absorbed batch: the factory rebuilt from the
-			// original data, and the registry's models were refined over
-			// the union.  A failed replay restarts the factory loop.
+		// Replay every absorbed batch: the factory rebuilt from the
+		// original data, and the registry's models were refined over the
+		// union.  The log can grow while a replay runs — an Update on a
+		// surviving lane appends to it and skips this still-unhealthy lane
+		// in its sync — so the lane is installed only in a critical section
+		// that finds nothing left to replay.  A failed replay restarts the
+		// factory loop.
+		for replayed := 0; err == nil; {
 			s.mu.Lock()
-			appends := append([][]*dataset.Partition(nil), s.appends...)
+			if s.draining {
+				// Lost the race with Close: the service owns no live
+				// session for this lane anymore, so tear the fresh one
+				// down here.
+				s.mu.Unlock()
+				ns.Close()
+				return
+			}
+			tail := append([][]*dataset.Partition(nil), s.appends[replayed:]...)
+			if len(tail) == 0 {
+				ln.sess = ns
+				ln.healthy = true
+				ln.rebuilds++
+				s.stats.Rebuilds++
+				s.laneFree.Broadcast()
+				s.mu.Unlock()
+				s.kick()
+				return
+			}
 			s.mu.Unlock()
-			for _, ap := range appends {
+			for _, ap := range tail {
 				if err = core.AppendSamples(ns, ap); err != nil {
 					ns.Close()
 					break
 				}
 			}
+			replayed += len(tail)
 		}
-		if err != nil {
-			time.Sleep(delay)
-			continue
-		}
-		s.mu.Lock()
-		if s.draining {
-			// Lost the race with Close: the service owns no live session
-			// for this lane anymore, so tear the fresh one down here.
-			s.mu.Unlock()
-			ns.Close()
-			return
-		}
-		ln.sess = ns
-		ln.healthy = true
-		ln.rebuilds++
-		s.stats.Rebuilds++
-		s.laneFree.Broadcast()
-		s.mu.Unlock()
-		s.kick()
-		return
+		time.Sleep(delay)
 	}
 }
 

@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,5 +311,106 @@ func testNoTornReads(t *testing.T, lanes int) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestRebuildDuringUpdate lands an Update while a dead lane's respawn is
+// replaying the absorb log: the Update skips the still-unhealthy lane in
+// its sync, so the rebuild must pick the new batch up before the lane goes
+// live.  The respawned session comes back with a phase held open, which
+// parks rebuildLane's replay after it has read the log; the batch absorbed
+// meanwhile is the training base twice over with every label flipped, so a
+// lane that missed it refines later models to the opposite leaf majorities.
+// Retiring the other lane forces the next Update onto the rebuilt one, and
+// its model must equal what a service that never lost a lane installs.
+func TestRebuildDuringUpdate(t *testing.T) {
+	_, parts, newRows, newLabels := updateFixture(t)
+	base := flatRows(parts, 4)
+	var floodRows [][]float64
+	var floodLabels []float64
+	for rep := 0; rep < 2; rep++ {
+		for i, row := range base {
+			floodRows = append(floodRows, row)
+			floodLabels = append(floodLabels, 1-parts[0].Y[i])
+		}
+	}
+	absorb := func(svc *Service, rows [][]float64, labels []float64) *Entry {
+		t.Helper()
+		e, err := svc.Update("dt", rows, labels, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	saved := func(e *Entry) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := core.SavePredictor(&sb, e.Model); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+
+	control, _ := updateService(t, parts, 1, Config{})
+	defer control.Close()
+	absorb(control, newRows, newLabels)
+	absorb(control, floodRows, floodLabels)
+	want := saved(absorb(control, newRows, newLabels))
+
+	spawn := testFactory(parts, nil, -1)
+	var up atomic.Bool // the initial lanes are up: later spawns are respawns
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	factory := func(lane int) (*core.Session, error) {
+		if !up.Load() {
+			return spawn(lane)
+		}
+		if lane == 0 {
+			return nil, errors.New("lane 0 stays retired")
+		}
+		ns, err := spawn(lane)
+		if err != nil {
+			return nil, err
+		}
+		go ns.Each(func(p *core.Party) error {
+			if p.ID == 0 {
+				close(parked)
+			}
+			<-release
+			return nil
+		})
+		<-parked
+		return ns, nil
+	}
+	svc := startService(t, parts, 2, Config{}, factory, true)
+	defer svc.Close()
+	mdl, err := core.Train(svc.LaneSession(0), core.TrainSpec{Model: core.KindDT})
+	if err == nil {
+		_, err = svc.Register("dt", mdl)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.Store(true)
+	absorb(svc, newRows, newLabels) // a non-empty log for the replay to park on
+
+	svc.LaneSession(1).Close()
+	if h := svc.Health(); h.LanesHealthy != 1 { // reaps the corpse, starts the rebuild
+		t.Fatalf("health with lane 1 dead: %+v", h)
+	}
+	<-parked
+	absorb(svc, floodRows, floodLabels) // on lane 0, while lane 1 replays
+	close(release)
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.Health().LanesHealthy != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("lane 1 did not come back: %+v", svc.Health())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	svc.LaneSession(0).Close()
+	if got := saved(absorb(svc, newRows, newLabels)); got != want {
+		t.Fatal("the rebuilt lane refined over different rows than a lane that never died")
 	}
 }

@@ -63,8 +63,7 @@ type (
 	// per-node recursion.
 	TrainMode = core.TrainMode
 	// Predictor is any trained model a federation can evaluate: *Model,
-	// *ForestModel and *BoostModel all satisfy it.  PredictOne /
-	// PredictAt / PredictAll replace the per-type Predict* zoo.
+	// *ForestModel and *BoostModel all satisfy it.
 	Predictor = core.Predictor
 	// Trainer describes a training flow for Federation.Train; TrainSpec
 	// is the standard implementation.
@@ -329,90 +328,6 @@ func (f *Federation) Update(mdl Predictor, appended *Dataset, addTrees int) (Pre
 		f.parts[c] = merged
 	}
 	return out, nil
-}
-
-// TrainDecisionTree trains one Pivot decision tree (Algorithm 3; the
-// protocol — basic or enhanced — comes from the federation config).
-//
-// Deprecated: use Train(TrainSpec{Model: KindDT}).
-func (f *Federation) TrainDecisionTree() (*Model, error) {
-	mdl, err := f.Train(TrainSpec{Model: KindDT})
-	if err != nil {
-		return nil, err
-	}
-	return mdl.(*Model), nil
-}
-
-// TrainRandomForest trains a Pivot-RF ensemble (§7.1).
-//
-// Deprecated: use Train(TrainSpec{Model: KindRF}).
-func (f *Federation) TrainRandomForest() (*ForestModel, error) {
-	mdl, err := f.Train(TrainSpec{Model: KindRF})
-	if err != nil {
-		return nil, err
-	}
-	return mdl.(*ForestModel), nil
-}
-
-// TrainGBDT trains a Pivot-GBDT ensemble (§7.2).
-//
-// Deprecated: use Train(TrainSpec{Model: KindGBDT}).
-func (f *Federation) TrainGBDT() (*BoostModel, error) {
-	mdl, err := f.Train(TrainSpec{Model: KindGBDT})
-	if err != nil {
-		return nil, err
-	}
-	return mdl.(*BoostModel), nil
-}
-
-// Predict runs the prediction protocol for training sample index i.
-//
-// Deprecated: use PredictAt — it serves every model family.
-func (f *Federation) Predict(model *Model, i int) (float64, error) {
-	return f.PredictAt(model, i)
-}
-
-// PredictSample predicts an out-of-training sample whose features are
-// already split per client.
-//
-// Deprecated: use PredictOne — it serves every model family.
-func (f *Federation) PredictSample(model *Model, featuresByClient [][]float64) (float64, error) {
-	return f.PredictOne(model, featuresByClient)
-}
-
-// PredictDataset evaluates the model on every sample.
-//
-// Deprecated: use PredictAll — it serves every model family.
-func (f *Federation) PredictDataset(model *Model) ([]float64, error) {
-	return f.PredictAll(model)
-}
-
-// PredictForestDataset evaluates a Pivot-RF on every sample.
-//
-// Deprecated: use PredictAll — it serves every model family.
-func (f *Federation) PredictForestDataset(fm *ForestModel) ([]float64, error) {
-	return f.PredictAll(fm)
-}
-
-// PredictBoostDataset evaluates a Pivot-GBDT on every sample.
-//
-// Deprecated: use PredictAll — it serves every model family.
-func (f *Federation) PredictBoostDataset(bm *BoostModel) ([]float64, error) {
-	return f.PredictAll(bm)
-}
-
-// PredictForest votes the Pivot-RF prediction for training sample i.
-//
-// Deprecated: use PredictAt — it serves every model family.
-func (f *Federation) PredictForest(fm *ForestModel, i int) (float64, error) {
-	return f.PredictAt(fm, i)
-}
-
-// PredictBoost computes the Pivot-GBDT prediction for training sample i.
-//
-// Deprecated: use PredictAt — it serves every model family.
-func (f *Federation) PredictBoost(bm *BoostModel, i int) (float64, error) {
-	return f.PredictAt(bm, i)
 }
 
 // ---------------------------------------------------------------------------

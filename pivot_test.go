@@ -19,13 +19,13 @@ func TestFacadeTrainPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fed.Close()
-	model, err := fed.TrainDecisionTree()
+	model, err := fed.Train(TrainSpec{Model: KindDT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
 	for i := 0; i < 10; i++ {
-		pred, err := fed.Predict(model, i)
+		pred, err := fed.PredictAt(model, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,30 +41,30 @@ func TestFacadeTrainPredict(t *testing.T) {
 	}
 }
 
-func TestFacadePredictSample(t *testing.T) {
+func TestFacadePredictOne(t *testing.T) {
 	ds := SyntheticClassification(30, 4, 2, 3.0, 6)
 	fed, err := NewFederation(ds, 2, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fed.Close()
-	model, err := fed.TrainDecisionTree()
+	model, err := fed.Train(TrainSpec{Model: KindDT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parts := fed.Parts()
-	got, err := fed.PredictSample(model, [][]float64{parts[0].X[3], parts[1].X[3]})
+	got, err := fed.PredictOne(model, [][]float64{parts[0].X[3], parts[1].X[3]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fed.Predict(model, 3)
+	want, err := fed.PredictAt(model, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("PredictSample %v != Predict %v", got, want)
+		t.Fatalf("PredictOne %v != PredictAt %v", got, want)
 	}
-	if _, err := fed.PredictSample(model, [][]float64{{1}}); err == nil {
+	if _, err := fed.PredictOne(model, [][]float64{{1}}); err == nil {
 		t.Fatal("expected slice-count validation error")
 	}
 }
@@ -85,12 +85,11 @@ func TestFacadeUnifiedAPI(t *testing.T) {
 	if mdl.Kind() != KindDT || mdl.NumClasses() != 2 {
 		t.Fatalf("kind %q classes %d", mdl.Kind(), mdl.NumClasses())
 	}
-	tree, ok := mdl.(*Model)
-	if !ok {
+	if _, ok := mdl.(*Model); !ok {
 		t.Fatalf("Train returned %T, want *Model", mdl)
 	}
 
-	// The unified entry points agree with the deprecated typed wrappers.
+	// The batched and per-sample entry points agree on every sample.
 	all, err := fed.PredictAll(mdl)
 	if err != nil {
 		t.Fatal(err)
@@ -98,22 +97,16 @@ func TestFacadeUnifiedAPI(t *testing.T) {
 	if len(all) != ds.N() {
 		t.Fatalf("PredictAll returned %d predictions", len(all))
 	}
-	old, err := fed.PredictDataset(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range all {
-		if all[i] != old[i] {
-			t.Fatalf("sample %d: PredictAll %v != PredictDataset %v", i, all[i], old[i])
+		at, err := fed.PredictAt(mdl, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all[i] != at {
+			t.Fatalf("sample %d: PredictAll %v != PredictAt %v", i, all[i], at)
 		}
 	}
-	at, err := fed.PredictAt(mdl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at != all[3] {
-		t.Fatalf("PredictAt %v != PredictAll[3] %v", at, all[3])
-	}
+	at := all[3]
 	parts := fed.Parts()
 	one, err := fed.PredictOne(mdl, [][]float64{parts[0].X[3], parts[1].X[3]})
 	if err != nil {
@@ -146,14 +139,14 @@ func TestFacadeEnsembles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fed.Close()
-	fm, err := fed.TrainRandomForest()
+	fm, err := fed.Train(TrainSpec{Model: KindRF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fm.Trees) != cfg.NumTrees {
-		t.Fatalf("forest size %d", len(fm.Trees))
+	if trees := fm.(*ForestModel).Trees; len(trees) != cfg.NumTrees {
+		t.Fatalf("forest size %d", len(trees))
 	}
-	if _, err := fed.PredictForest(fm, 0); err != nil {
+	if _, err := fed.PredictAt(fm, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -200,14 +193,14 @@ func TestFacadeAlignedFederation(t *testing.T) {
 	}
 	// Rows must be aligned across clients: reassemble sample 0 and check it
 	// matches one original row of ds.
-	model, err := fed.TrainDecisionTree()
+	model, err := fed.Train(TrainSpec{Model: KindDT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(model.Nodes) == 0 {
+	if len(model.(*Model).Nodes) == 0 {
 		t.Fatal("empty model from aligned federation")
 	}
-	if _, err := fed.Predict(model, 0); err != nil {
+	if _, err := fed.PredictAt(model, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,11 +240,11 @@ func TestFacadeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fed.Close()
-	model, err := fed.TrainDecisionTree()
+	model, err := fed.Train(TrainSpec{Model: KindDT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Predict(model, 99); err == nil {
+	if _, err := fed.PredictAt(model, 99); err == nil {
 		t.Fatal("expected index range error")
 	}
 }
