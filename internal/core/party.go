@@ -651,30 +651,17 @@ func (p *Party) encToShares(cts []*paillier.Ciphertext, count int, kStat uint) (
 		} else {
 			v = new(big.Int).Neg(masks[j])
 		}
-		shares[j] = mpc.Share{V: mpc.ToField(v)}
+		shares[j] = mpc.Share{V: mpc.ElemFromBig(v)}
 	}
 	// Remove the sign offset inside the field.
 	negOff := new(big.Int).Neg(offset)
 	for j := range shares {
-		shares[j] = p.eng.AddConst(p.rawShare(shares[j]), negOff)
+		shares[j] = p.eng.AddConst(shares[j], negOff)
 	}
 	if p.cfg.Malicious {
 		return p.authenticateShares(shares)
 	}
 	return shares, nil
-}
-
-// rawShare attaches a zero MAC placeholder in semi-honest mode (no-op) —
-// in malicious mode raw conversion shares are re-authenticated below.
-func (p *Party) rawShare(s mpc.Share) mpc.Share {
-	if !p.cfg.Malicious {
-		return s
-	}
-	// Temporary unauthenticated share; M is filled by authenticateShares.
-	if s.M == nil {
-		s.M = new(big.Int)
-	}
-	return s
 }
 
 // authenticateShares re-inputs raw conversion shares through the
@@ -687,16 +674,12 @@ func (p *Party) authenticateShares(raw []mpc.Share) ([]mpc.Share, error) {
 		vals := make([]*big.Int, count)
 		if p.ID == c {
 			for j := range vals {
-				vals[j] = raw[j].V
+				vals[j] = raw[j].V.Big()
 			}
 		}
 		in := p.eng.InputVec(c, vals)
 		for j := range in {
-			if sum[j].V == nil {
-				sum[j] = in[j]
-			} else {
-				sum[j] = p.eng.Add(sum[j], in[j])
-			}
+			sum[j] = p.eng.Add(sum[j], in[j])
 		}
 	}
 	return sum, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 	"sync"
 
 	"repro/internal/mpc"
@@ -214,26 +213,12 @@ func cloneModels(ms []*Model) []*Model {
 	return out
 }
 
-func cloneShare(s mpc.Share) mpc.Share {
-	var out mpc.Share
-	if s.V != nil {
-		out.V = new(big.Int).Set(s.V)
-	}
-	if s.M != nil {
-		out.M = new(big.Int).Set(s.M)
-	}
-	return out
-}
-
 // cloneFrontier copies the frontier structs: trainLevel writes nShare into
-// the slice elements in place, so the elements must be copied; the nodeData
-// ciphertext slices are never mutated in place and stay shared.
+// the slice elements in place, so the elements must be copied (shares are
+// values, so copying the struct copies the share); the nodeData ciphertext
+// slices are never mutated in place and stay shared.
 func cloneFrontier(frontier []frontierNode) []frontierNode {
-	out := append([]frontierNode(nil), frontier...)
-	for i := range out {
-		out[i].nShare = cloneShare(out[i].nShare)
-	}
-	return out
+	return append([]frontierNode(nil), frontier...)
 }
 
 func snapTasks(tasks []*treeTask) []*taskSnap {

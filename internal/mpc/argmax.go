@@ -1,7 +1,5 @@
 package mpc
 
-import "math/big"
-
 // Oblivious argmax, the "secure maximum computation" of §4.1: the clients
 // scan all candidates, obliviously keeping the running maximum and its
 // identifier via secure comparison and selection, so that neither the gains
@@ -23,7 +21,7 @@ func (e *Engine) ArgmaxLinear(vals []Share, ids [][]int64, k uint) ArgmaxResult 
 	cols := len(ids[0])
 	cur := ArgmaxResult{Max: vals[0], IDs: make([]Share, cols)}
 	for c := 0; c < cols; c++ {
-		cur.IDs[c] = e.Const(big.NewInt(ids[0][c]))
+		cur.IDs[c] = e.ConstInt64(ids[0][c])
 	}
 	for t := 1; t < len(vals); t++ {
 		sign := e.LT(cur.Max, vals[t], k)
@@ -33,7 +31,7 @@ func (e *Engine) ArgmaxLinear(vals []Share, ids [][]int64, k uint) ArgmaxResult 
 		as = append(as, vals[t])
 		bs = append(bs, cur.Max)
 		for c := 0; c < cols; c++ {
-			as = append(as, e.Const(big.NewInt(ids[t][c])))
+			as = append(as, e.ConstInt64(ids[t][c]))
 			bs = append(bs, cur.IDs[c])
 		}
 		sel := e.SelectVec(sign, as, bs)
@@ -55,7 +53,7 @@ func (e *Engine) ArgmaxTournament(vals []Share, ids [][]int64, k uint) ArgmaxRes
 	for t := range vals {
 		cand[t] = ArgmaxResult{Max: vals[t], IDs: make([]Share, cols)}
 		for c := 0; c < cols; c++ {
-			cand[t].IDs[c] = e.Const(big.NewInt(ids[t][c]))
+			cand[t].IDs[c] = e.ConstInt64(ids[t][c])
 		}
 	}
 	for len(cand) > 1 {
@@ -153,7 +151,7 @@ func (e *Engine) argmaxGroupedLinear(vals []Share, groups []int, ids [][]int64, 
 	for g := range cur {
 		cur[g] = ArgmaxResult{Max: vals[offs[g]], IDs: make([]Share, cols)}
 		for c := 0; c < cols; c++ {
-			cur[g].IDs[c] = e.Const(big.NewInt(ids[offs[g]][c]))
+			cur[g].IDs[c] = e.ConstInt64(ids[offs[g]][c])
 		}
 	}
 	for t := 1; t < maxSize; t++ {
@@ -179,7 +177,7 @@ func (e *Engine) argmaxGroupedLinear(vals []Share, groups []int, ids [][]int64, 
 			bs = append(bs, cur[g].Max)
 			for c := 0; c < cols; c++ {
 				ss = append(ss, signs[i])
-				as = append(as, e.Const(big.NewInt(ids[idx][c])))
+				as = append(as, e.ConstInt64(ids[idx][c]))
 				bs = append(bs, cur[g].IDs[c])
 			}
 		}
@@ -206,7 +204,7 @@ func (e *Engine) argmaxGroupedTournament(vals []Share, groups []int, ids [][]int
 		for t := 0; t < sz; t++ {
 			cands[g][t] = ArgmaxResult{Max: vals[off+t], IDs: make([]Share, cols)}
 			for c := 0; c < cols; c++ {
-				cands[g][t].IDs[c] = e.Const(big.NewInt(ids[off+t][c]))
+				cands[g][t].IDs[c] = e.ConstInt64(ids[off+t][c])
 			}
 		}
 		off += sz

@@ -1,0 +1,268 @@
+package mpc
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/transport"
+)
+
+// Per-layer benchmarks of the MPC substrate (ROADMAP aim 1: ns/op and
+// allocs/op for every layer): the field element, the wire codec, the dealer,
+// and the engine's vector primitives on a 3-party memory mesh.  Everything
+// below liveSession goes through the public API only, so those benchmarks
+// also run at a commit with a different share representation.
+//
+//	go test ./internal/mpc -run '^$' -bench . -benchmem
+
+// liveSession is an n-party memory mesh with an in-process dealer whose
+// engines stay up across calls, for benchmarks and allocation gates that
+// invoke a primitive many times.
+type liveSession struct {
+	engs   []*Engine
+	eps    []transport.Endpoint
+	dealer chan error
+}
+
+func newLiveSession(tb testing.TB, n int, cfg Config) *liveSession {
+	tb.Helper()
+	s := &liveSession{engs: make([]*Engine, n), eps: transport.NewMemoryNetwork(n+1, 4096), dealer: make(chan error, 1)}
+	go func() { s.dealer <- RunDealer(s.eps[n], DealerConfig{Seed: 7, Authenticated: cfg.Authenticated}) }()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for p := range s.engs {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			s.engs[p], errs[p] = NewEngine(s.eps[p], cfg)
+		}(p)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tb.Cleanup(func() {
+		s.engs[0].Shutdown()
+		if err := <-s.dealer; err != nil {
+			tb.Errorf("dealer: %v", err)
+		}
+		for _, ep := range s.eps {
+			ep.Close()
+		}
+	})
+	return s
+}
+
+// spmd runs fn as every party and waits for all of them.
+func (s *liveSession) spmd(fn func(e *Engine)) {
+	var wg sync.WaitGroup
+	for _, e := range s.engs {
+		wg.Add(1)
+		go func(e *Engine) {
+			defer wg.Done()
+			fn(e)
+		}(e)
+	}
+	wg.Wait()
+}
+
+// benchShares returns count sharings of small signed fixed-point constants
+// for every party, built once outside the timed region.
+func (s *liveSession) benchShares(count int, positive bool) map[*Engine][]Share {
+	out := make(map[*Engine][]Share, len(s.engs))
+	for _, e := range s.engs {
+		xs := make([]Share, count)
+		for i := range xs {
+			v := int64(i%2001-1000) << 16
+			if positive {
+				v = int64(i%997+1) << 16
+			}
+			xs[i] = e.ConstInt64(v)
+		}
+		out[e] = xs
+	}
+	return out
+}
+
+// engineKernels are the vector primitives the benchmarks and the allocation
+// gates share: name, and the call on count elements.
+var engineKernels = []struct {
+	name  string
+	count int // elements per benchmarked call
+	run   func(e *Engine, xs, pos []Share)
+}{
+	{"MulVec", 1024, func(e *Engine, xs, pos []Share) { e.MulVec(xs, pos) }},
+	{"TruncVec", 256, func(e *Engine, xs, pos []Share) { e.TruncVec(xs, 48, 16) }},
+	{"LTZVec", 256, func(e *Engine, xs, pos []Share) { e.LTZVec(xs, 38) }},
+	{"FPDivVec", 64, func(e *Engine, xs, pos []Share) { e.FPDivVec(pos, pos, 40) }},
+}
+
+func benchConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	return cfg
+}
+
+func BenchmarkEngine(b *testing.B) {
+	for _, k := range engineKernels {
+		count := k.count
+		b.Run(fmt.Sprintf("%s/%d", k.name, count), func(b *testing.B) {
+			s := newLiveSession(b, 3, benchConfig())
+			xs, pos := s.benchShares(count, false), s.benchShares(count, true)
+			call := func(e *Engine) { k.run(e, xs[e], pos[e]) }
+			s.spmd(call) // warm-up: the first dealer top-ups
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.spmd(call)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count), "ns/elem")
+		})
+	}
+}
+
+// TestEngineAllocationsPerElement is the allocation gate on the vector
+// primitives: on 256 elements a call allocates a bounded number of slices
+// and frames, not objects per element.  AllocsPerRun counts the whole
+// process — three parties, the dealer, the memory mesh's frame copies and
+// the goroutines of the harness — so the ceilings cover all of them: MulVec
+// stays under 1 allocation per element, and the two comparison ladders,
+// which run 16 and 37 multiplication rounds, under 12 and 24 (the
+// *big.Int engine measured 197 for MulVec and 9 815 for TruncVec).
+func TestEngineAllocationsPerElement(t *testing.T) {
+	const count = 256
+	ceilings := map[string]float64{"MulVec": 1, "TruncVec": 12, "LTZVec": 24}
+	s := newLiveSession(t, 3, benchConfig())
+	xs, pos := s.benchShares(count, false), s.benchShares(count, true)
+	for _, k := range engineKernels {
+		ceiling, gated := ceilings[k.name]
+		if !gated {
+			continue
+		}
+		call := func(e *Engine) { k.run(e, xs[e], pos[e]) }
+		perElem := testing.AllocsPerRun(5, func() { s.spmd(call) }) / count
+		t.Logf("%s(%d): %.2f allocations per element", k.name, count, perElem)
+		if perElem > ceiling {
+			t.Errorf("%s(%d) allocates %.2f times per element, ceiling %v", k.name, count, perElem, ceiling)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Below the public API: field element, wire codec, dealer, parallelFor.
+
+func BenchmarkElem(b *testing.B) {
+	x := Elem{0x1234567890abcdef, 0xfedcba0987654321, 0x0f1e2d3c4b5a6978, 0x7123456789abcdef}
+	y := Elem{0xa5a5a5a5a5a5a5a5, 0x5a5a5a5a5a5a5a5a, 0x1111111111111111, 0x2222222222222222}
+	wide := [8]uint64{1, 2, 3, 4, 5, 6, 7, ^uint64(0)}
+	g := newPRG([]byte("bench"))
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Add", func() { x = x.Add(y) }},
+		{"Sub", func() { x = x.Sub(y) }},
+		{"Mul", func() { x = x.Mul(y) }},
+		{"Lsh", func() { x = x.Lsh(82) }},
+		{"reduce512", func() { wide[0]++; x = reduce512(wide) }},
+		{"fieldElem", func() { x = g.fieldElem() }},
+		{"beaver", func() {
+			// c + b·d + a·f + d·f, the recombination of one product.
+			x = x.Add(y.Mul(x)).Add(x.Mul(y)).Add(x.Mul(y))
+		}},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op.fn()
+			}
+		})
+	}
+	sinkElem = x
+}
+
+func BenchmarkElemWire(b *testing.B) {
+	const count = 1024
+	g := newPRG([]byte("wire"))
+	xs := make([]Elem, count)
+	for i := range xs {
+		xs[i] = g.fieldElem()
+	}
+	enc := appendElems(nil, xs)
+	b.Run("appendElems/1024", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		buf := make([]byte, 0, len(enc))
+		for i := 0; i < b.N; i++ {
+			buf = appendElems(buf[:0], xs)
+		}
+	})
+	b.Run("parseElems/1024", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			if _, _, err := parseElems(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkDealTriples(b *testing.B) {
+	for _, auth := range []bool{false, true} {
+		b.Run(fmt.Sprintf("512/auth=%v", auth), func(b *testing.B) {
+			d, err := newDealer(3, DealerConfig{Seed: 1, Authenticated: auth})
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.dealTriples(512) // size the frames
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.dealTriples(512)
+			}
+		})
+	}
+}
+
+// BenchmarkParallelFor is where parallelMinElems comes from: Beaver
+// recombination of n products inline and split across two workers.
+func BenchmarkParallelFor(b *testing.B) {
+	g := newPRG([]byte("parallel"))
+	const maxN = 16384
+	ts := make([]triple, maxN)
+	df := make([]Elem, 2*maxN)
+	for i := range ts {
+		ts[i] = triple{a: Share{V: g.fieldElem()}, b: Share{V: g.fieldElem()}, c: Share{V: g.fieldElem()}}
+		df[2*i], df[2*i+1] = g.fieldElem(), g.fieldElem()
+	}
+	out := make([]Share, maxN)
+	e := &Engine{}
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = e.beaver(&ts[i], df[2*i], df[2*i+1])
+		}
+	}
+	for _, n := range []int{64, 256, 1024, 2048, 4096, 16384} {
+		b.Run(fmt.Sprintf("inline/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body(0, n)
+			}
+		})
+		b.Run(fmt.Sprintf("split2/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					body(n/2, n)
+				}()
+				body(0, n/2)
+				wg.Wait()
+			}
+		})
+	}
+}

@@ -2,7 +2,7 @@ package mpc
 
 import (
 	"fmt"
-	"math/big"
+	"slices"
 	"sync"
 )
 
@@ -29,121 +29,104 @@ type PRGState struct {
 	Buf []byte
 }
 
+func (st PRGState) clone() PRGState {
+	st.Buf = slices.Clone(st.Buf)
+	return st
+}
+
 // state snapshots the PRG (deep copy).
 func (p *prg) state() PRGState {
-	return PRGState{Key: p.key, Ctr: p.ctr, Buf: append([]byte(nil), p.buf...)}
+	return PRGState{Key: p.key, Ctr: p.ctr, Buf: p.buf}.clone()
 }
 
 // prgFromState rebuilds a PRG at the snapshotted cursor.
 func prgFromState(st PRGState) *prg {
-	return &prg{key: st.Key, ctr: st.Ctr, buf: append([]byte(nil), st.Buf...)}
+	buf := slices.Clone(st.Buf)
+	return &prg{key: st.Key, ctr: st.Ctr, buf: buf, store: buf}
 }
 
-// EngineState is one party's deep snapshot of its engine's consumable
-// state.  It is immutable once taken: Restore copies out of it, so the
-// same snapshot can seed several recovery attempts.
+// EngineState is one party's snapshot of its engine's consumable state.
+// Shares are values, so copying the buffers copies the material; the plain
+// integers of encryption masks are shared, which is safe because nothing
+// modifies them once dealt.  A snapshot is immutable once taken: Restore
+// copies out of it, so the same snapshot can seed several recovery attempts.
 type EngineState struct {
-	alphaShare *big.Int
+	alphaShare Elem
 	local      PRGState
 	triples    []triple
 	bndTriples map[twidth][]triple
 	bits       []Share
 	inputMasks map[int][]inputMask
-	encMasks   map[uint][]encMask
+	encMasks   map[uint][]EncMask
 }
 
-func copyInt(x *big.Int) *big.Int {
-	if x == nil {
-		return nil
-	}
-	return new(big.Int).Set(x)
-}
-
-func copyShare(s Share) Share {
-	return Share{V: copyInt(s.V), M: copyInt(s.M)}
-}
-
-func copyTriples(ts []triple) []triple {
-	out := make([]triple, len(ts))
-	for i, t := range ts {
-		out[i] = triple{a: copyShare(t.a), b: copyShare(t.b), c: copyShare(t.c)}
+// cloneQueues copies a map of material queues, slices included.
+func cloneQueues[K comparable, T any](m map[K][]T) map[K][]T {
+	out := make(map[K][]T, len(m))
+	for k, q := range m {
+		out[k] = slices.Clone(q)
 	}
 	return out
 }
 
-// Snapshot deep-copies the engine's consumable state.  The engine must be
-// quiescent (no pending opens) and semi-honest.
-func (e *Engine) Snapshot() (*EngineState, error) {
-	if e.cfg.Authenticated {
-		return nil, fmt.Errorf("mpc: authenticated sessions are not checkpointable (the MAC transcript cannot be replayed)")
+// clone copies the snapshot's buffers.
+func (st *EngineState) clone() *EngineState {
+	return &EngineState{
+		alphaShare: st.alphaShare,
+		local:      st.local.clone(),
+		triples:    slices.Clone(st.triples),
+		bndTriples: cloneQueues(st.bndTriples),
+		bits:       slices.Clone(st.bits),
+		inputMasks: cloneQueues(st.inputMasks),
+		encMasks:   cloneQueues(st.encMasks),
 	}
-	if len(e.pendingOpens) > 0 {
-		return nil, fmt.Errorf("mpc: cannot snapshot with %d opens in flight", len(e.pendingOpens))
-	}
-	st := &EngineState{
-		alphaShare: copyInt(e.alphaShare),
-		local:      e.local.state(),
-		triples:    copyTriples(e.triples),
-		bndTriples: make(map[twidth][]triple, len(e.bndTriples)),
-		bits:       make([]Share, len(e.bits)),
-		inputMasks: make(map[int][]inputMask, len(e.inputMasks)),
-		encMasks:   make(map[uint][]encMask, len(e.encMasks)),
-	}
-	for w, ts := range e.bndTriples {
-		st.bndTriples[w] = copyTriples(ts)
-	}
-	for i, b := range e.bits {
-		st.bits[i] = copyShare(b)
-	}
-	for owner, ms := range e.inputMasks {
-		out := make([]inputMask, len(ms))
-		for i, m := range ms {
-			out[i] = inputMask{share: copyShare(m.share), plain: copyInt(m.plain)}
-		}
-		st.inputMasks[owner] = out
-	}
-	for w, ms := range e.encMasks {
-		out := make([]encMask, len(ms))
-		for i, m := range ms {
-			out[i] = encMask{share: copyShare(m.share), plain: copyInt(m.plain)}
-		}
-		st.encMasks[w] = out
-	}
-	return st, nil
 }
 
-// Restore overwrites the engine's consumable state from a snapshot (deep
-// copy — the snapshot stays reusable).  The engine keeps its endpoint and
+// quiescent reports why the engine cannot be snapshotted or restored now.
+func (e *Engine) quiescent(verb string) error {
+	if e.cfg.Authenticated {
+		return fmt.Errorf("mpc: cannot %s an authenticated session (the MAC transcript cannot be replayed)", verb)
+	}
+	if len(e.pendingOpens) > 0 {
+		return fmt.Errorf("mpc: cannot %s with %d opens in flight", verb, len(e.pendingOpens))
+	}
+	return nil
+}
+
+// Snapshot copies the engine's consumable state.  The engine must be
+// quiescent (no pending opens) and semi-honest.
+func (e *Engine) Snapshot() (*EngineState, error) {
+	if err := e.quiescent("snapshot"); err != nil {
+		return nil, err
+	}
+	live := EngineState{
+		alphaShare: e.alphaShare,
+		local:      e.local.state(),
+		triples:    e.triples,
+		bndTriples: e.bndTriples,
+		bits:       e.bits,
+		inputMasks: e.inputMasks,
+		encMasks:   e.encMasks,
+	}
+	return live.clone(), nil
+}
+
+// Restore overwrites the engine's consumable state from a snapshot (by copy
+// — the snapshot stays reusable).  The engine keeps its endpoint and
 // identity; only material buffers, the local PRG cursor and the MAC key
 // share are rewound.
 func (e *Engine) Restore(st *EngineState) error {
-	if e.cfg.Authenticated {
-		return fmt.Errorf("mpc: authenticated sessions are not recoverable")
-	}
-	if len(e.pendingOpens) > 0 {
-		return fmt.Errorf("mpc: cannot restore with %d opens in flight", len(e.pendingOpens))
-	}
-	donor := &Engine{ // reuse Snapshot's deep-copy logic in reverse
-		cfg:        e.cfg,
-		alphaShare: st.alphaShare,
-		local:      prgFromState(st.local),
-		triples:    st.triples,
-		bndTriples: st.bndTriples,
-		bits:       st.bits,
-		inputMasks: st.inputMasks,
-		encMasks:   st.encMasks,
-	}
-	copied, err := donor.Snapshot()
-	if err != nil {
+	if err := e.quiescent("restore"); err != nil {
 		return err
 	}
-	e.alphaShare = copied.alphaShare
-	e.local = prgFromState(st.local)
-	e.triples = copied.triples
-	e.bndTriples = copied.bndTriples
-	e.bits = copied.bits
-	e.inputMasks = copied.inputMasks
-	e.encMasks = copied.encMasks
+	c := st.clone()
+	e.alphaShare = c.alphaShare
+	e.local = prgFromState(c.local)
+	e.triples = c.triples
+	e.bndTriples = c.bndTriples
+	e.bits = c.bits
+	e.inputMasks = c.inputMasks
+	e.encMasks = c.encMasks
 	return nil
 }
 
@@ -154,8 +137,8 @@ func (e *Engine) Restore(st *EngineState) error {
 // own snapshots — before the dealer's PRG cursor is recorded.
 func (e *Engine) DealerCheckpoint() error {
 	e.request(reqCheckpoint)
-	ack := e.recvDealer()
-	if len(ack) != 1 || ack[0].Sign() == 0 {
+	ack := e.dealerVector(1)
+	if nextElem(&ack).IsZero() {
 		return fmt.Errorf("mpc: dealer refused checkpoint (no store configured?)")
 	}
 	return nil
@@ -166,18 +149,13 @@ func (e *Engine) DealerCheckpoint() error {
 // values without advancing the PRG) plus the PRG cursor after the last
 // served request.
 type DealerState struct {
-	Alpha       *big.Int
-	AlphaShares []*big.Int
+	Alpha       Elem
+	AlphaShares []Elem
 	PRG         PRGState
 }
 
 func (st *DealerState) clone() *DealerState {
-	out := &DealerState{Alpha: copyInt(st.Alpha), PRG: PRGState{Key: st.PRG.Key, Ctr: st.PRG.Ctr, Buf: append([]byte(nil), st.PRG.Buf...)}}
-	out.AlphaShares = make([]*big.Int, len(st.AlphaShares))
-	for i, s := range st.AlphaShares {
-		out.AlphaShares[i] = copyInt(s)
-	}
-	return out
+	return &DealerState{Alpha: st.Alpha, AlphaShares: slices.Clone(st.AlphaShares), PRG: st.PRG.clone()}
 }
 
 // DealerCheckpointStore is the in-process mailbox the dealer writes its

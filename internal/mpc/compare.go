@@ -19,14 +19,19 @@ func (e *Engine) checkWidth(k uint) {
 	}
 }
 
-// randBitwise returns, for each of count instances, `width` shared random
-// bits plus the assembled shared value Σ 2^i·b_i.
-func (e *Engine) randBitwise(count int, width uint) ([][]Share, []Share) {
+// uniformWidths returns count copies of width.
+func uniformWidths(count int, width uint) []uint {
 	widths := make([]uint, count)
 	for t := range widths {
 		widths[t] = width
 	}
-	return e.randBitwiseGrouped(widths)
+	return widths
+}
+
+// randBitwise returns, for each of count instances, `width` shared random
+// bits plus the assembled shared value Σ 2^i·b_i.
+func (e *Engine) randBitwise(count int, width uint) ([][]Share, []Share) {
+	return e.randBitwiseGrouped(uniformWidths(count, width))
 }
 
 // randBitwiseGrouped is randBitwise with a per-instance bit width: instance t
@@ -43,9 +48,11 @@ func (e *Engine) randBitwiseGrouped(widths []uint) ([][]Share, []Share) {
 	for t, w := range widths {
 		bits[t] = flat[off : off+int(w)]
 		off += int(w)
-		acc := e.zeroShare()
-		for i := uint(0); i < w; i++ {
-			acc = e.Add(acc, e.MulPub(bits[t][i], new(big.Int).Lsh(big.NewInt(1), i)))
+		// Σ 2^i·b_i by Horner from the top bit: one doubling and one
+		// addition per bit share.
+		var acc Share
+		for i := int(w) - 1; i >= 0; i-- {
+			acc = e.Add(e.Add(acc, acc), bits[t][i])
 		}
 		vals[t] = acc
 	}
@@ -63,38 +70,34 @@ func (e *Engine) randMask(count int, width uint) []Share {
 // public integer and r_t is given by `width` shared bits (LSB first).
 // Linear round count in width; each level is one batched multiplication
 // round across all instances.
-func (e *Engine) bitLTPub(cs []*big.Int, rbits [][]Share, width uint) []Share {
+func (e *Engine) bitLTPub(cs []Elem, rbits [][]Share, width uint) []Share {
 	count := len(cs)
 	// p[t] = prefix product (from MSB) of XNOR(c_i, r_i); u accumulates
 	// r_i·(1-c_i)·p_{i+1}.
+	one := e.ConstInt64(1)
 	prefix := make([]Share, count)
 	acc := make([]Share, count)
 	for t := range prefix {
-		prefix[t] = e.Const(big.NewInt(1))
-		acc[t] = e.zeroShare()
+		prefix[t] = one
 	}
+	xs := make([]Share, 2*count)
+	ys := make([]Share, 2*count)
 	for i := int(width) - 1; i >= 0; i-- {
-		xs := make([]Share, 0, 2*count)
-		ys := make([]Share, 0, 2*count)
 		for t := 0; t < count; t++ {
 			rb := rbits[t][i]
-			var xnor Share
-			if cs[t].Bit(i) == 1 {
-				xnor = rb
-			} else {
-				xnor = e.Sub(e.ConstInt64(1), rb)
+			xnor := rb
+			if cs[t].Bit(i) == 0 {
+				xnor = e.Sub(one, rb)
 			}
-			xs = append(xs, prefix[t], prefix[t])
-			ys = append(ys, xnor, rb)
+			xs[2*t], xs[2*t+1] = prefix[t], prefix[t]
+			ys[2*t], ys[2*t+1] = xnor, rb
 		}
 		prods := e.mulVecBits(xs, ys)
 		for t := 0; t < count; t++ {
-			newPrefix := prods[2*t]
-			tTerm := prods[2*t+1] // p_{i+1}·r_i
 			if cs[t].Bit(i) == 0 {
-				acc[t] = e.Add(acc[t], tTerm)
+				acc[t] = e.Add(acc[t], prods[2*t+1]) // p_{i+1}·r_i
 			}
-			prefix[t] = newPrefix
+			prefix[t] = prods[2*t]
 		}
 	}
 	return acc
@@ -109,27 +112,23 @@ func (e *Engine) Mod2mVec(as []Share, k, m uint) []Share {
 	count := len(as)
 	rbits, rlow := e.randBitwise(count, m)
 	rhigh := e.randMask(count, k-m+e.cfg.Kappa)
-	offset := new(big.Int).Lsh(big.NewInt(1), k-1)
+	offset := Elem{1}.Lsh(k - 1)
 	masked := make([]Share, count)
 	for t := range as {
-		v := e.AddConst(as[t], offset)
+		v := e.addElem(as[t], offset)
 		v = e.Add(v, rlow[t])
-		v = e.Add(v, e.MulPub(rhigh[t], new(big.Int).Lsh(big.NewInt(1), m)))
-		masked[t] = v
+		masked[t] = e.Add(v, e.lsh(rhigh[t], m))
 	}
 	// masked < 2^k + 2^m + 2^(k+κ) < 2^(k+κ+1): open packed.
-	cs := e.OpenVecBounded(masked, k+e.cfg.Kappa+1)
-	mod := new(big.Int).Lsh(big.NewInt(1), m)
-	cmods := make([]*big.Int, count)
-	for t := range cs {
-		cmods[t] = new(big.Int).Mod(cs[t], mod)
+	cmods := e.openBoundedElems(masked, k+e.cfg.Kappa+1)
+	for t := range cmods {
+		cmods[t] = cmods[t].slot(0, m) // c mod 2^m
 	}
 	us := e.bitLTPub(cmods, rbits, m)
 	out := make([]Share, count)
 	for t := range out {
-		v := e.AddConst(e.Neg(rlow[t]), cmods[t])
-		v = e.Add(v, e.MulPub(us[t], mod))
-		out[t] = v
+		v := e.addElem(e.Neg(rlow[t]), cmods[t])
+		out[t] = e.Add(v, e.lsh(us[t], m))
 	}
 	return out
 }
@@ -137,10 +136,10 @@ func (e *Engine) Mod2mVec(as []Share, k, m uint) []Share {
 // TruncVec computes ⟨floor(a / 2^m)⟩ (floor semantics for negative a).
 func (e *Engine) TruncVec(as []Share, k, m uint) []Share {
 	mods := e.Mod2mVec(as, k, m)
-	inv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), m), Q)
+	inv := invPow2(m)
 	out := make([]Share, len(as))
 	for t := range as {
-		out[t] = e.MulPub(e.Sub(as[t], mods[t]), inv)
+		out[t] = e.mulElem(e.Sub(as[t], mods[t]), inv)
 	}
 	return out
 }
@@ -153,10 +152,9 @@ func (e *Engine) Trunc(a Share, k, m uint) Share {
 // LTZVec computes ⟨1{a < 0}⟩ for signed a with |a| < 2^(k-1).
 func (e *Engine) LTZVec(as []Share, k uint) []Share {
 	e.Stats.Comparisons += int64(len(as))
-	ts := e.TruncVec(as, k, k-1)
-	out := make([]Share, len(as))
-	for i := range ts {
-		out[i] = e.Neg(ts[i])
+	out := e.TruncVec(as, k, k-1)
+	for i := range out {
+		out[i] = e.Neg(out[i])
 	}
 	return out
 }
@@ -182,10 +180,10 @@ func (e *Engine) LT(x, y Share, k uint) Share {
 // level equals that of a single comparison — the counterpart of
 // ArgmaxGrouped for the batched prediction pipeline.
 func (e *Engine) LEVec(xs, ys []Share, k uint) []Share {
-	gts := e.LTVec(ys, xs, k)
-	out := make([]Share, len(xs))
-	for i := range gts {
-		out[i] = e.Sub(e.ConstInt64(1), gts[i])
+	out := e.LTVec(ys, xs, k)
+	one := e.ConstInt64(1)
+	for i := range out {
+		out[i] = e.Sub(one, out[i])
 	}
 	return out
 }
@@ -197,11 +195,7 @@ func (e *Engine) LE(x, y Share, k uint) Share {
 
 // EQZVec computes ⟨1{a == 0}⟩ for signed a with |a| < 2^(k-1).
 func (e *Engine) EQZVec(as []Share, k uint) []Share {
-	ks := make([]uint, len(as))
-	for t := range ks {
-		ks[t] = k
-	}
-	return e.EQZVecGrouped(as, ks)
+	return e.EQZVecGrouped(as, uniformWidths(len(as), k))
 }
 
 // EQZVecGrouped computes ⟨1{a_t == 0}⟩ with a per-instance signed width
@@ -217,78 +211,63 @@ func (e *Engine) EQZVecGrouped(as []Share, ks []uint) []Share {
 	if count == 0 {
 		return nil
 	}
+	maxK := uint(0)
 	for _, k := range ks {
 		e.checkWidth(k)
+		maxK = max(maxK, k)
 	}
 	rbits, rlow := e.randBitwiseGrouped(ks)
 	rhigh := e.randMask(count, e.cfg.Kappa)
 	masked := make([]Share, count)
 	for t := range as {
-		offset := new(big.Int).Lsh(big.NewInt(1), ks[t]-1)
-		v := e.AddConst(as[t], offset)
+		v := e.addElem(as[t], Elem{1}.Lsh(ks[t]-1))
 		v = e.Add(v, rlow[t])
-		v = e.Add(v, e.MulPub(rhigh[t], new(big.Int).Lsh(big.NewInt(1), ks[t])))
-		masked[t] = v
-	}
-	maxK := uint(0)
-	for _, k := range ks {
-		if k > maxK {
-			maxK = k
-		}
+		masked[t] = e.Add(v, e.lsh(rhigh[t], ks[t]))
 	}
 	// masked < 2^k + 2^k + 2^(k+κ) < 2^(k+κ+1) per instance: open packed at
 	// the widest instance's bound.
-	cs := e.OpenVecBounded(masked, maxK+e.cfg.Kappa+1)
-	// a == 0  iff  (c - 2^(k-1)) mod 2^k equals r mod 2^k bitwise.
+	cs := e.openBoundedElems(masked, maxK+e.cfg.Kappa+1)
+	// a == 0  iff  (c - 2^(k-1)) mod 2^k equals r mod 2^k bitwise; adding
+	// 2^(k-1) instead leaves the same low k bits and never goes negative.
+	one := e.ConstInt64(1)
 	xnors := make([][]Share, count)
 	for t := range cs {
 		k := ks[t]
-		offset := new(big.Int).Lsh(big.NewInt(1), k-1)
-		c2 := new(big.Int).Sub(cs[t], offset)
-		c2.Mod(c2, new(big.Int).Lsh(big.NewInt(1), k))
+		c2 := cs[t].Add(Elem{1}.Lsh(k - 1))
 		row := make([]Share, k)
-		for i := uint(0); i < k; i++ {
-			if c2.Bit(int(i)) == 1 {
+		for i := range row {
+			if c2.Bit(i) == 1 {
 				row[i] = rbits[t][i]
 			} else {
-				row[i] = e.Sub(e.ConstInt64(1), rbits[t][i])
+				row[i] = e.Sub(one, rbits[t][i])
 			}
 		}
 		xnors[t] = row
 	}
 	// AND-reduce each row with a log-depth product tree, batched across rows.
+	var xs, ys []Share
 	for {
-		maxLen := 0
+		xs, ys = xs[:0], ys[:0]
 		for _, row := range xnors {
-			if len(row) > maxLen {
-				maxLen = len(row)
-			}
-		}
-		if maxLen <= 1 {
-			break
-		}
-		var xs, ys []Share
-		var idx [][2]int
-		for t, row := range xnors {
 			for i := 0; i+1 < len(row); i += 2 {
 				xs = append(xs, row[i])
 				ys = append(ys, row[i+1])
-				idx = append(idx, [2]int{t, i / 2})
 			}
+		}
+		if len(xs) == 0 {
+			break
 		}
 		prods := e.mulVecBits(xs, ys)
-		next := make([][]Share, count)
+		// Halve each row in place: products first, an odd tail carried over.
 		for t, row := range xnors {
-			n := (len(row) + 1) / 2
-			next[t] = make([]Share, n)
+			pairs := len(row) / 2
+			copy(row, prods[:pairs])
+			prods = prods[pairs:]
 			if len(row)%2 == 1 {
-				next[t][n-1] = row[len(row)-1]
+				row[pairs] = row[len(row)-1]
 			}
+			xnors[t] = row[:(len(row)+1)/2]
 		}
-		for j, p := range prods {
-			next[idx[j][0]][idx[j][1]] = p
-		}
-		xnors = next
 	}
 	out := make([]Share, count)
 	for t := range out {
@@ -304,7 +283,7 @@ func (e *Engine) EQZ(a Share, k uint) Share {
 
 // EQPub computes ⟨1{a == c}⟩ for public c.
 func (e *Engine) EQPub(a Share, c *big.Int, k uint) Share {
-	return e.EQZ(e.AddConst(a, new(big.Int).Neg(c)), k)
+	return e.EQZ(e.addElem(a, ElemFromBig(c).Neg()), k)
 }
 
 // BitDecVec decomposes non-negative a < 2^k into k shared bits (LSB first).
@@ -315,46 +294,37 @@ func (e *Engine) BitDecVec(as []Share, k uint) [][]Share {
 	rhigh := e.randMask(count, e.cfg.Kappa)
 	masked := make([]Share, count)
 	for t := range as {
-		v := e.Add(as[t], rlow[t])
-		v = e.Add(v, e.MulPub(rhigh[t], new(big.Int).Lsh(big.NewInt(1), k)))
-		masked[t] = v
+		masked[t] = e.Add(e.Add(as[t], rlow[t]), e.lsh(rhigh[t], k))
 	}
 	// masked < 2^k + 2^k + 2^(k+κ) < 2^(k+κ+1): open packed.
-	cs := e.OpenVecBounded(masked, k+e.cfg.Kappa+1)
+	cs := e.openBoundedElems(masked, k+e.cfg.Kappa+1)
 	// bits(a) = bits((c - r) mod 2^k): binary subtraction with shared borrow.
+	one := e.ConstInt64(1)
+	flat := make([]Share, count*int(k))
 	out := make([][]Share, count)
-	borrow := make([]Share, count)
 	for t := range out {
-		out[t] = make([]Share, k)
-		borrow[t] = e.zeroShare()
+		out[t] = flat[t*int(k) : (t+1)*int(k) : (t+1)*int(k)]
 	}
-	for i := uint(0); i < k; i++ {
+	borrow := make([]Share, count)
+	xs := make([]Share, count)
+	for i := 0; i < int(k); i++ {
 		// One batched multiplication per level: r_i·borrow.
-		xs := make([]Share, count)
-		ys := make([]Share, count)
 		for t := 0; t < count; t++ {
 			xs[t] = rbits[t][i]
-			ys[t] = borrow[t]
 		}
-		rb := e.mulVecBits(xs, ys)
+		rb := e.mulVecBits(xs, borrow)
 		for t := 0; t < count; t++ {
-			ci := int64(cs[t].Bit(int(i)))
 			ri := rbits[t][i]
-			// xor = r_i ⊕ borrow (shared), then ⊕ public c_i
-			xor := e.Sub(e.Add(ri, borrow[t]), e.MulPub(rb[t], big.NewInt(2)))
-			var bit Share
-			if ci == 1 {
-				bit = e.Sub(e.ConstInt64(1), xor)
-			} else {
-				bit = xor
-			}
-			out[t][i] = bit
-			// borrow' = (1-c_i)·(r_i OR borrow) + c_i·(r_i AND borrow)
-			or := e.Sub(e.Add(ri, borrow[t]), rb[t])
-			if ci == 1 {
+			sum := e.Add(ri, borrow[t])
+			// xor = r_i ⊕ borrow (shared), then ⊕ public c_i;
+			// borrow' = (1-c_i)·(r_i OR borrow) + c_i·(r_i AND borrow).
+			xor := e.Sub(sum, e.Add(rb[t], rb[t]))
+			if cs[t].Bit(i) == 1 {
+				out[t][i] = e.Sub(one, xor)
 				borrow[t] = rb[t]
 			} else {
-				borrow[t] = or
+				out[t][i] = xor
+				borrow[t] = e.Sub(sum, rb[t])
 			}
 		}
 	}
@@ -366,34 +336,30 @@ func (e *Engine) BitDecVec(as []Share, k uint) [][]Share {
 // bit.  a·v then lies in [2^(k-1), 2^k).  It also returns ⟨p⟩.
 func (e *Engine) msbNormalizeVec(bits [][]Share, k uint) ([]Share, []Share) {
 	count := len(bits)
-	// Suffix products of (1 - z_i) from the MSB: prefix[t] after step i is
-	// Π_{j>=i}(1-z_j); s_i = 1 - prefix marks "some bit >= i is set".
+	// Suffix products of (1 - z_i) from the MSB: suffix[t] after step i is
+	// Π_{j>=i}(1-z_j); s_i = 1 - suffix marks "some bit >= i is set".
+	one := e.ConstInt64(1)
 	suffix := make([]Share, count)
 	sPrev := make([]Share, count) // s_{i+1}
 	vs := make([]Share, count)
 	ps := make([]Share, count)
 	for t := range suffix {
-		suffix[t] = e.Const(big.NewInt(1))
-		sPrev[t] = e.zeroShare()
-		vs[t] = e.zeroShare()
-		ps[t] = e.zeroShare()
+		suffix[t] = one
 	}
+	ys := make([]Share, count)
 	for i := int(k) - 1; i >= 0; i-- {
-		xs := make([]Share, count)
-		ys := make([]Share, count)
 		for t := 0; t < count; t++ {
-			xs[t] = suffix[t]
-			ys[t] = e.Sub(e.ConstInt64(1), bits[t][i])
+			ys[t] = e.Sub(one, bits[t][i])
 		}
-		prods := e.mulVecBits(xs, ys)
+		prods := e.mulVecBits(suffix, ys)
 		for t := 0; t < count; t++ {
-			sCur := e.Sub(e.ConstInt64(1), prods[t])
+			sCur := e.Sub(one, prods[t])
 			m := e.Sub(sCur, sPrev[t]) // 1 exactly at the MSB position
-			vs[t] = e.Add(vs[t], e.MulPub(m, new(big.Int).Lsh(big.NewInt(1), k-1-uint(i))))
-			ps[t] = e.Add(ps[t], e.MulPub(m, big.NewInt(int64(i))))
+			vs[t] = e.Add(vs[t], e.lsh(m, k-1-uint(i)))
+			ps[t] = e.Add(ps[t], e.mulElem(m, Elem{uint64(i)}))
 			sPrev[t] = sCur
-			suffix[t] = prods[t]
 		}
+		suffix = prods
 	}
 	return vs, ps
 }

@@ -3,8 +3,11 @@ package mpc
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -56,20 +59,22 @@ type Engine struct {
 	dealer int // dealer party index
 
 	cfg        Config
-	alphaShare *big.Int
+	alphaShare Elem
 	local      *prg
 
 	triples    []triple
 	bndTriples map[twidth][]triple
 	bits       []Share
 	inputMasks map[int][]inputMask
-	encMasks   map[uint][]encMask
+	encMasks   map[uint][]EncMask
 
-	pendingA []*big.Int // opened values awaiting MAC check
-	pendingM []*big.Int // this party's MAC shares for them
+	pendingA []Elem // opened values awaiting MAC check
+	pendingM []Elem // this party's MAC shares for them
 
 	pendingOpens []*PendingOpen // issued-but-unawaited openings, FIFO
 	gauge        *RoundGauge    // in-flight rounds across this engine and forks
+
+	wbuf []byte // outgoing frame under construction (Send does not retain it)
 
 	Stats OpStats
 }
@@ -96,15 +101,16 @@ func NewEngine(ep transport.Endpoint, cfg Config) (*Engine, error) {
 		local:      newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d", ep.ID(), cfg.Seed))),
 		bndTriples: make(map[twidth][]triple),
 		inputMasks: make(map[int][]inputMask),
-		encMasks:   make(map[uint][]encMask),
+		encMasks:   make(map[uint][]EncMask),
 		gauge:      &RoundGauge{},
 	}
-	hello, err := transport.RecvInts(ep, e.dealer)
+	frame, err := ep.Recv(e.dealer)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: dealer hello: %w", err)
 	}
-	if len(hello) != 1 {
-		return nil, fmt.Errorf("mpc: malformed dealer hello")
+	hello, err := parseElemsN(frame, 1)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: dealer hello: %w", err)
 	}
 	e.alphaShare = hello[0]
 	return e, nil
@@ -114,7 +120,7 @@ func NewEngine(ep transport.Endpoint, cfg Config) (*Engine, error) {
 // all parties may call it.
 func (e *Engine) Shutdown() {
 	if e.id == 0 {
-		_ = transport.SendInts(e.ep, e.dealer, []*big.Int{big.NewInt(reqShutdown)})
+		_ = e.ep.Send(e.dealer, appendRequest(nil, reqShutdown))
 	}
 }
 
@@ -138,10 +144,6 @@ func (e *Engine) broadcast(b []byte) error {
 	return nil
 }
 
-func (e *Engine) broadcastInts(xs []*big.Int) error {
-	return e.broadcast(transport.MarshalInts(xs))
-}
-
 // F returns the fixed-point fractional bit count.
 func (e *Engine) F() uint { return e.cfg.F }
 
@@ -151,57 +153,93 @@ func (e *Engine) Authenticated() bool { return e.cfg.Authenticated }
 // ---------------------------------------------------------------------------
 // Dealer material
 
+// appendRequest encodes a dealer request: the kind and its arguments as a
+// vector of small non-negative integers.
+func appendRequest(dst []byte, kind int, args ...int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(1+len(args)))
+	dst = appendElem(dst, Elem{uint64(kind)})
+	for _, a := range args {
+		dst = appendElem(dst, Elem{uint64(a)})
+	}
+	return dst
+}
+
 func (e *Engine) request(kind int, args ...int64) {
 	if e.id == 0 {
-		req := make([]*big.Int, 1+len(args))
-		req[0] = big.NewInt(int64(kind))
-		for i, a := range args {
-			req[i+1] = big.NewInt(a)
-		}
-		if err := transport.SendInts(e.ep, e.dealer, req); err != nil {
+		e.wbuf = appendRequest(e.wbuf[:0], kind, args...)
+		if err := e.ep.Send(e.dealer, e.wbuf); err != nil {
 			panic(fmt.Sprintf("mpc: dealer request: %v", err))
 		}
 	}
 	e.Stats.DealerReqs++
 }
 
-func (e *Engine) recvDealer() []*big.Int {
-	xs, err := transport.RecvInts(e.ep, e.dealer)
+func (e *Engine) recvDealer() []byte {
+	b, err := e.ep.Recv(e.dealer)
 	if err != nil {
 		panic(fmt.Sprintf("mpc: dealer response: %v", err))
 	}
-	return xs
+	return b
 }
 
-// parseShares splits a dealer payload of count values (with optional MACs)
-// into shares, returning the leftover payload.
-func (e *Engine) parseShares(payload []*big.Int, count int) ([]Share, []*big.Int) {
-	stride := 1
+// shareStride is the number of field elements a dealt share occupies on the
+// wire: the value, and with MACs its MAC share.
+func shareStride(authenticated bool) int {
+	if authenticated {
+		return 2
+	}
+	return 1
+}
+
+func (e *Engine) stride() int { return shareStride(e.cfg.Authenticated) }
+
+// dealerVector receives one dealer response and opens it as a vector that
+// must hold exactly want elements.
+func (e *Engine) dealerVector(want int) elemReader {
+	r, err := readElemsN(e.recvDealer(), want)
+	if err != nil {
+		panic(fmt.Sprintf("mpc: dealer response: %v", err))
+	}
+	return r
+}
+
+// nextElem reads one element of a dealer response.
+func nextElem(r *elemReader) Elem {
+	x, err := r.next()
+	if err != nil {
+		panic(fmt.Sprintf("mpc: dealer response: %v", err))
+	}
+	return x
+}
+
+// nextShare reads one dealt share (value, then MAC share if authenticated).
+func (e *Engine) nextShare(r *elemReader) Share {
+	s := Share{V: nextElem(r)}
 	if e.cfg.Authenticated {
-		stride = 2
+		s.M = nextElem(r)
 	}
-	out := make([]Share, count)
-	for i := 0; i < count; i++ {
-		out[i] = Share{V: payload[i*stride]}
-		if e.cfg.Authenticated {
-			out[i].M = payload[i*stride+1]
-		}
+	return s
+}
+
+// fetchTriples requests batch triples of the given request kind and appends
+// them, parsed straight out of the dealer's frame, to q.
+func (e *Engine) fetchTriples(q []triple, batch int, kind int, args ...int64) []triple {
+	e.request(kind, append([]int64{int64(batch)}, args...)...)
+	r := e.dealerVector(3 * batch * e.stride())
+	q = slices.Grow(q, batch)
+	for i := 0; i < batch; i++ {
+		var t triple
+		t.a = e.nextShare(&r)
+		t.b = e.nextShare(&r)
+		t.c = e.nextShare(&r)
+		q = append(q, t)
 	}
-	return out, payload[count*stride:]
+	return q
 }
 
 func (e *Engine) takeTriples(count int) []triple {
-	for len(e.triples) < count {
-		batch := count - len(e.triples)
-		if batch < e.cfg.BatchSize {
-			batch = e.cfg.BatchSize
-		}
-		e.request(reqTriples, int64(batch))
-		payload := e.recvDealer()
-		shares, _ := e.parseShares(payload, 3*batch)
-		for i := 0; i < batch; i++ {
-			e.triples = append(e.triples, triple{a: shares[3*i], b: shares[3*i+1], c: shares[3*i+2]})
-		}
+	if len(e.triples) < count {
+		e.triples = e.fetchTriples(e.triples, max(count-len(e.triples), e.cfg.BatchSize), reqTriples)
 	}
 	out := e.triples[:count]
 	e.triples = e.triples[count:]
@@ -209,15 +247,14 @@ func (e *Engine) takeTriples(count int) []triple {
 }
 
 func (e *Engine) takeBits(count int) []Share {
-	for len(e.bits) < count {
-		batch := count - len(e.bits)
-		if batch < e.cfg.BatchSize {
-			batch = e.cfg.BatchSize
-		}
+	if len(e.bits) < count {
+		batch := max(count-len(e.bits), e.cfg.BatchSize)
 		e.request(reqBits, int64(batch))
-		payload := e.recvDealer()
-		shares, _ := e.parseShares(payload, batch)
-		e.bits = append(e.bits, shares...)
+		r := e.dealerVector(batch * e.stride())
+		e.bits = slices.Grow(e.bits, batch)
+		for i := 0; i < batch; i++ {
+			e.bits = append(e.bits, e.nextShare(&r))
+		}
 	}
 	out := e.bits[:count]
 	e.bits = e.bits[count:]
@@ -226,137 +263,116 @@ func (e *Engine) takeBits(count int) []Share {
 
 func (e *Engine) takeInputMasks(owner, count int) []inputMask {
 	q := e.inputMasks[owner]
-	for len(q) < count {
-		batch := count - len(q)
-		if batch < 64 {
-			batch = 64
-		}
+	if len(q) < count {
+		batch := max(count-len(q), 64)
 		e.request(reqInputMasks, int64(batch), int64(owner))
-		payload := e.recvDealer()
-		shares, rest := e.parseShares(payload, batch)
-		masks := make([]inputMask, batch)
-		for i := range masks {
-			masks[i] = inputMask{share: shares[i]}
-			if e.id == owner {
-				masks[i].plain = rest[i]
+		want := batch * e.stride()
+		if e.id == owner {
+			want += batch // the owner also learns the plain masks
+		}
+		r := e.dealerVector(want)
+		first := len(q)
+		q = slices.Grow(q, batch)
+		for i := 0; i < batch; i++ {
+			q = append(q, inputMask{share: e.nextShare(&r)})
+		}
+		if e.id == owner {
+			for i := first; i < len(q); i++ {
+				q[i].plain = nextElem(&r)
 			}
 		}
-		q = append(q, masks...)
 	}
 	e.inputMasks[owner] = q[count:]
-	return q[:count]
-}
-
-func (e *Engine) takeEncMasks(count int, width uint) []encMask {
-	q := e.encMasks[width]
-	for len(q) < count {
-		batch := count - len(q)
-		if batch < 64 {
-			batch = 64
-		}
-		e.request(reqEncMasks, int64(batch), int64(width))
-		payload := e.recvDealer()
-		masks := make([]encMask, batch)
-		if e.cfg.Authenticated {
-			for i := range masks {
-				plain := payload[2*i]
-				masks[i] = encMask{
-					plain: plain,
-					share: Share{V: modQ(new(big.Int).Set(plain)), M: payload[2*i+1]},
-				}
-			}
-		} else {
-			for i := range masks {
-				plain := payload[i]
-				masks[i] = encMask{plain: plain, share: Share{V: modQ(new(big.Int).Set(plain))}}
-			}
-		}
-		q = append(q, masks...)
-	}
-	e.encMasks[width] = q[count:]
 	return q[:count]
 }
 
 // ---------------------------------------------------------------------------
 // Linear (local) share algebra
 
-// zeroShare returns a share of 0 with a valid (zero) MAC share.
-func (e *Engine) zeroShare() Share {
-	s := Share{V: new(big.Int)}
+// constElem returns a sharing of the public field element c: party 0 holds
+// c, the rest hold 0, and every party holds α_i·c as MAC share.
+func (e *Engine) constElem(c Elem) Share {
+	var s Share
+	if e.id == 0 {
+		s.V = c
+	}
 	if e.cfg.Authenticated {
-		s.M = new(big.Int)
+		s.M = e.alphaShare.Mul(c)
 	}
 	return s
 }
 
-// Const returns a sharing of the public constant c: party 0 holds c, the
-// rest hold 0, and every party holds α_i·c as MAC share.
-func (e *Engine) Const(c *big.Int) Share {
-	s := e.zeroShare()
-	if e.id == 0 {
-		s.V = ToField(c)
-	}
-	if e.cfg.Authenticated {
-		s.M = modQ(new(big.Int).Mul(e.alphaShare, ToField(c)))
-	}
-	return s
-}
+// Const returns a sharing of the public constant c.
+func (e *Engine) Const(c *big.Int) Share { return e.constElem(ElemFromBig(c)) }
 
 // ConstInt64 is Const for small constants.
-func (e *Engine) ConstInt64(c int64) Share { return e.Const(big.NewInt(c)) }
+func (e *Engine) ConstInt64(c int64) Share { return e.constElem(elemFromInt64(c)) }
 
 // Add returns x + y.
 func (e *Engine) Add(x, y Share) Share {
-	s := Share{V: modQ(new(big.Int).Add(x.V, y.V))}
+	s := Share{V: x.V.Add(y.V)}
 	if e.cfg.Authenticated {
-		s.M = modQ(new(big.Int).Add(x.M, y.M))
+		s.M = x.M.Add(y.M)
 	}
 	return s
 }
 
 // Sub returns x - y.
 func (e *Engine) Sub(x, y Share) Share {
-	s := Share{V: modQ(new(big.Int).Sub(x.V, y.V))}
+	s := Share{V: x.V.Sub(y.V)}
 	if e.cfg.Authenticated {
-		s.M = modQ(new(big.Int).Sub(x.M, y.M))
+		s.M = x.M.Sub(y.M)
 	}
 	return s
 }
 
 // Neg returns -x.
 func (e *Engine) Neg(x Share) Share {
-	s := Share{V: modQ(new(big.Int).Neg(x.V))}
+	s := Share{V: x.V.Neg()}
 	if e.cfg.Authenticated {
-		s.M = modQ(new(big.Int).Neg(x.M))
+		s.M = x.M.Neg()
+	}
+	return s
+}
+
+// addElem returns x + c for a public field element c.
+func (e *Engine) addElem(x Share, c Elem) Share {
+	if e.id == 0 {
+		x.V = x.V.Add(c)
+	}
+	if e.cfg.Authenticated {
+		x.M = x.M.Add(e.alphaShare.Mul(c))
+	}
+	return x
+}
+
+// mulElem returns c·x for a public field element c.
+func (e *Engine) mulElem(x Share, c Elem) Share {
+	s := Share{V: x.V.Mul(c)}
+	if e.cfg.Authenticated {
+		s.M = x.M.Mul(c)
+	}
+	return s
+}
+
+// lsh returns 2^n·x.
+func (e *Engine) lsh(x Share, n uint) Share {
+	s := Share{V: x.V.Lsh(n)}
+	if e.cfg.Authenticated {
+		s.M = x.M.Lsh(n)
 	}
 	return s
 }
 
 // AddConst returns x + c for public c.
-func (e *Engine) AddConst(x Share, c *big.Int) Share {
-	s := Share{V: new(big.Int).Set(x.V)}
-	if e.id == 0 {
-		s.V = modQ(s.V.Add(s.V, c))
-	}
-	if e.cfg.Authenticated {
-		m := new(big.Int).Mul(e.alphaShare, ToField(c))
-		s.M = modQ(m.Add(m, x.M))
-	}
-	return s
-}
+func (e *Engine) AddConst(x Share, c *big.Int) Share { return e.addElem(x, ElemFromBig(c)) }
 
 // MulPub returns c·x for public c.
-func (e *Engine) MulPub(x Share, c *big.Int) Share {
-	s := Share{V: modQ(new(big.Int).Mul(x.V, c))}
-	if e.cfg.Authenticated {
-		s.M = modQ(new(big.Int).Mul(x.M, c))
-	}
-	return s
-}
+func (e *Engine) MulPub(x Share, c *big.Int) Share { return e.mulElem(x, ElemFromBig(c)) }
 
 // Sum returns the sum of shares.
 func (e *Engine) Sum(xs []Share) Share {
-	acc := e.zeroShare()
+	var acc Share
 	for _, x := range xs {
 		acc = e.Add(acc, x)
 	}
@@ -373,17 +389,10 @@ func (e *Engine) Select(s, a, b Share) Share {
 // SelectVec applies the same selector bit to each (a, b) pair in one round.
 func (e *Engine) SelectVec(s Share, as, bs []Share) []Share {
 	sel := make([]Share, len(as))
-	diff := make([]Share, len(as))
-	for i := range as {
+	for i := range sel {
 		sel[i] = s
-		diff[i] = e.Sub(as[i], bs[i])
 	}
-	prods := e.MulVec(sel, diff)
-	out := make([]Share, len(as))
-	for i := range as {
-		out[i] = e.Add(bs[i], prods[i])
-	}
-	return out
+	return e.selectPairwise(sel, as, bs)
 }
 
 // ---------------------------------------------------------------------------
@@ -394,12 +403,18 @@ func (e *Engine) SelectVec(s Share, as, bs []Share) []Share {
 // the opened values are queued for CheckMACs.  Implemented as an
 // issue/await pair; see OpenVecIssue for the overlapped form.
 func (e *Engine) OpenVec(xs []Share) []*big.Int {
-	return e.OpenVecIssue(xs).Await()
+	return elemsToBig(e.openElems(xs))
+}
+
+// openElems is OpenVec for callers inside the package: the opened values
+// stay field elements.
+func (e *Engine) openElems(xs []Share) []Elem {
+	return e.OpenVecIssue(xs).await()
 }
 
 // Open reconstructs a single value.
 func (e *Engine) Open(x Share) *big.Int {
-	return e.OpenVec([]Share{x})[0]
+	return e.openElems([]Share{x})[0].Big()
 }
 
 // OpenSigned reconstructs a value and decodes it as signed.
@@ -409,53 +424,57 @@ func (e *Engine) OpenSigned(x Share) *big.Int {
 
 // InputVec secret-shares values held by owner: the dealer supplies random
 // masks ⟨r⟩ with r revealed to the owner, the owner broadcasts δ = x - r,
-// and everyone computes ⟨x⟩ = ⟨r⟩ + δ.
+// and everyone computes ⟨x⟩ = ⟨r⟩ + δ.  The owner knows len(xs); the other
+// parties pass a slice of the same length (they know it from protocol
+// context), whose contents are ignored.
 func (e *Engine) InputVec(owner int, xs []*big.Int) []Share {
 	e.drainPendingOpens() // the owner's delta recv must not race an issued open
-	count := e.inputCount(owner, len(xs))
+	count := len(xs)
 	masks := e.takeInputMasks(owner, count)
-	var deltas []*big.Int
+	var deltas []Elem
 	if e.id == owner {
-		deltas = make([]*big.Int, count)
+		deltas = make([]Elem, count)
 		for i := range deltas {
-			d := new(big.Int).Sub(ToField(xs[i]), masks[i].plain)
-			deltas[i] = modQ(d)
+			deltas[i] = ElemFromBig(xs[i]).Sub(masks[i].plain)
 		}
-		if err := e.broadcastInts(deltas); err != nil {
+		e.wbuf = appendElems(e.wbuf[:0], deltas)
+		if err := e.broadcast(e.wbuf); err != nil {
 			panic(fmt.Sprintf("mpc: input broadcast: %v", err))
 		}
 	} else {
-		var err error
-		deltas, err = transport.RecvInts(e.ep, owner)
+		frame, err := e.ep.Recv(owner)
+		if err == nil {
+			deltas, err = parseElemsN(frame, count)
+		}
 		if err != nil {
 			panic(fmt.Sprintf("mpc: input recv: %v", err))
-		}
-		if len(deltas) != count {
-			panic("mpc: input length mismatch")
 		}
 	}
 	e.Stats.Rounds++
 	out := make([]Share, count)
 	for i := range out {
-		out[i] = e.AddConst(masks[i].share, deltas[i])
+		out[i] = e.addElem(masks[i].share, deltas[i])
 	}
 	return out
 }
 
-// inputCount agrees on the batch size: the owner knows len(xs); other
-// parties pass len == expected count (they must know it from protocol
-// context).  Both sides simply use the passed length.
-func (e *Engine) inputCount(owner, n int) int { return n }
-
 // Input secret-shares one value held by owner.  Non-owners pass nil.
 func (e *Engine) Input(owner int, x *big.Int) Share {
-	var xs []*big.Int
-	if e.id == owner {
-		xs = []*big.Int{x}
-	} else {
-		xs = []*big.Int{nil}
+	return e.InputVec(owner, []*big.Int{x})[0]
+}
+
+// beaver recombines one Beaver product from its triple and the opened
+// differences d = x − a, f = y − b: ⟨xy⟩ = ⟨c⟩ + d·⟨b⟩ + f·⟨a⟩ + d·f.
+func (e *Engine) beaver(t *triple, d, f Elem) Share {
+	df := d.Mul(f)
+	z := Share{V: t.c.V.Add(t.b.V.Mul(d)).Add(t.a.V.Mul(f))}
+	if e.id == 0 {
+		z.V = z.V.Add(df)
 	}
-	return e.InputVec(owner, xs)[0]
+	if e.cfg.Authenticated {
+		z.M = t.c.M.Add(t.b.M.Mul(d)).Add(t.a.M.Mul(f)).Add(e.alphaShare.Mul(df))
+	}
+	return z
 }
 
 // MulVec multiplies pairwise with Beaver triples: one open round per batch.
@@ -468,21 +487,19 @@ func (e *Engine) MulVec(xs, ys []Share) []Share {
 	}
 	e.Stats.Mults += int64(len(xs))
 	ts := e.takeTriples(len(xs))
-	opens := make([]Share, 0, 2*len(xs))
+	opens := make([]Share, 2*len(xs))
 	for i := range xs {
-		opens = append(opens, e.Sub(xs[i], ts[i].a), e.Sub(ys[i], ts[i].b))
+		opens[2*i] = e.Sub(xs[i], ts[i].a)
+		opens[2*i+1] = e.Sub(ys[i], ts[i].b)
 	}
-	ef := e.OpenVec(opens)
+	df := e.openElems(opens)
 	out := make([]Share, len(xs))
 	// Beaver recombination is communication-free and touches only immutable
 	// engine state, so it parallelizes across the configured workers.
-	parallelFor(len(xs), e.cfg.Workers, func(i int) {
-		ev, fv := ef[2*i], ef[2*i+1]
-		z := ts[i].c
-		z = e.Add(z, e.MulPub(ts[i].b, ev))
-		z = e.Add(z, e.MulPub(ts[i].a, fv))
-		z = e.AddConst(z, new(big.Int).Mul(ev, fv))
-		out[i] = z
+	parallelFor(len(xs), e.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = e.beaver(&ts[i], df[2*i], df[2*i+1])
+		}
 	})
 	return out
 }
@@ -495,6 +512,10 @@ func (e *Engine) Mul(x, y Share) Share {
 // ---------------------------------------------------------------------------
 // MAC checking (malicious model)
 
+// ErrBadReveal is returned (wrapped, naming the peer) when a peer's half of
+// a commit-reveal exchange is malformed or does not match its commitment.
+var ErrBadReveal = errors.New("mpc: bad commit-reveal message")
+
 // CheckMACs runs the SPDZ batched MAC check over every value opened since
 // the last check.  It returns an error if the MAC relation fails, meaning
 // some party tampered with a share.
@@ -506,52 +527,50 @@ func (e *Engine) CheckMACs() error {
 		return nil
 	}
 	// Jointly derive public coefficients by commit-reveal of per-party seeds.
-	seed := e.local.read(32)
-	combined, err := e.commitReveal(seed)
+	var seed [32]byte
+	copy(seed[:], e.local.read(32))
+	combined, err := e.commitReveal(seed[:])
 	if err != nil {
 		return err
 	}
 	coeffs := coinCoeffs(combined, len(e.pendingA))
 	// σ_i = Σ ρ_j·m_ij − α_i·(Σ ρ_j·a_j)
-	aCombo := new(big.Int)
-	mCombo := new(big.Int)
+	var aCombo, mCombo Elem
 	for j := range e.pendingA {
-		aCombo.Add(aCombo, new(big.Int).Mul(coeffs[j], e.pendingA[j]))
-		mCombo.Add(mCombo, new(big.Int).Mul(coeffs[j], e.pendingM[j]))
+		aCombo = aCombo.Add(coeffs[j].Mul(e.pendingA[j]))
+		mCombo = mCombo.Add(coeffs[j].Mul(e.pendingM[j]))
 	}
-	modQ(aCombo)
-	modQ(mCombo)
-	sigma := modQ(new(big.Int).Sub(mCombo, new(big.Int).Mul(e.alphaShare, aCombo)))
+	sigma := mCombo.Sub(e.alphaShare.Mul(aCombo))
 	e.pendingA = e.pendingA[:0]
 	e.pendingM = e.pendingM[:0]
 
 	// Commit-reveal σ shares, then check they sum to zero.
-	sigmas, err := e.commitRevealValues([]*big.Int{sigma})
+	sigmas, err := e.commitRevealValues([]Elem{sigma})
 	if err != nil {
 		return err
 	}
-	total := new(big.Int)
+	var total Elem
 	for _, s := range sigmas {
-		total.Add(total, s)
+		total = total.Add(s)
 	}
-	if modQ(total).Sign() != 0 {
+	if !total.IsZero() {
 		return fmt.Errorf("mpc: MAC check failed (party %d)", e.id)
 	}
 	return nil
 }
 
-// commitReveal broadcasts H(seed), then seed, verifying peers' commitments,
-// and returns the XOR of all seeds.
-func (e *Engine) commitReveal(seed []byte) ([]byte, error) {
+// exchangeCommitted broadcasts H(msg), collects every peer's commitment,
+// broadcasts msg, and returns every peer's opened message (nil at this
+// party's own index) after checking it against the commitment.
+func (e *Engine) exchangeCommitted(msg []byte) ([][]byte, error) {
 	e.drainPendingOpens()
-	h := sha256.Sum256(seed)
+	h := sha256.Sum256(msg)
 	if err := e.broadcast(h[:]); err != nil {
 		return nil, err
 	}
 	commits := make([][]byte, e.n)
 	for p := 0; p < e.n; p++ {
 		if p == e.id {
-			commits[p] = h[:]
 			continue
 		}
 		c, err := e.ep.Recv(p)
@@ -560,77 +579,78 @@ func (e *Engine) commitReveal(seed []byte) ([]byte, error) {
 		}
 		commits[p] = c
 	}
-	if err := e.broadcast(seed); err != nil {
+	if err := e.broadcast(msg); err != nil {
 		return nil, err
 	}
-	combined := make([]byte, 32)
-	copy(combined, seed)
+	opened := make([][]byte, e.n)
 	for p := 0; p < e.n; p++ {
 		if p == e.id {
 			continue
 		}
-		s, err := e.ep.Recv(p)
+		m, err := e.ep.Recv(p)
 		if err != nil {
 			return nil, err
 		}
-		hh := sha256.Sum256(s)
+		hh := sha256.Sum256(m)
 		if !bytes.Equal(hh[:], commits[p]) {
-			return nil, fmt.Errorf("mpc: party %d broke its coin commitment", p)
+			return nil, fmt.Errorf("%w: party %d broke its commitment", ErrBadReveal, p)
 		}
-		for i := range combined {
-			combined[i] ^= s[i%len(s)]
-		}
+		opened[p] = m
 	}
 	e.Stats.Rounds += 2
+	return opened, nil
+}
+
+// commitReveal commit-reveals one 32-byte seed per party and returns the XOR
+// of all seeds.
+func (e *Engine) commitReveal(seed []byte) ([]byte, error) {
+	opened, err := e.exchangeCommitted(seed)
+	if err != nil {
+		return nil, err
+	}
+	combined := append([]byte(nil), seed...)
+	for p, s := range opened {
+		if p == e.id {
+			continue
+		}
+		if len(s) != len(seed) {
+			return nil, fmt.Errorf("%w: party %d revealed a %d-byte coin seed, want %d", ErrBadReveal, p, len(s), len(seed))
+		}
+		for i := range combined {
+			combined[i] ^= s[i]
+		}
+	}
 	return combined, nil
 }
 
-// commitRevealValues commit-reveals one field element per party and returns
-// all parties' values (own value included).
-func (e *Engine) commitRevealValues(vals []*big.Int) ([]*big.Int, error) {
-	e.drainPendingOpens()
-	payload := transport.MarshalInts(vals)
-	nonce := e.local.read(16)
-	blob := append(append([]byte{}, payload...), nonce...)
-	h := sha256.Sum256(blob)
-	if err := e.broadcast(h[:]); err != nil {
+// revealNonceLen is the length of the hiding nonce appended to committed
+// values.
+const revealNonceLen = 16
+
+// commitRevealValues commit-reveals len(vals) field elements per party and
+// returns all parties' values in party order (own values included).
+func (e *Engine) commitRevealValues(vals []Elem) ([]Elem, error) {
+	blob := appendElems(nil, vals)
+	blob = append(blob, e.local.read(revealNonceLen)...)
+	opened, err := e.exchangeCommitted(blob)
+	if err != nil {
 		return nil, err
 	}
-	commits := make([][]byte, e.n)
-	for p := 0; p < e.n; p++ {
-		if p == e.id {
-			continue
-		}
-		c, err := e.ep.Recv(p)
-		if err != nil {
-			return nil, err
-		}
-		commits[p] = c
-	}
-	if err := e.broadcast(blob); err != nil {
-		return nil, err
-	}
-	out := make([]*big.Int, 0, e.n*len(vals))
-	for p := 0; p < e.n; p++ {
+	out := make([]Elem, 0, e.n*len(vals))
+	for p, b := range opened {
 		if p == e.id {
 			out = append(out, vals...)
 			continue
 		}
-		b, err := e.ep.Recv(p)
-		if err != nil {
-			return nil, err
+		if len(b) < revealNonceLen {
+			return nil, fmt.Errorf("%w: party %d revealed %d bytes, shorter than the nonce", ErrBadReveal, p, len(b))
 		}
-		hh := sha256.Sum256(b)
-		if !bytes.Equal(hh[:], commits[p]) {
-			return nil, fmt.Errorf("mpc: party %d broke its value commitment", p)
-		}
-		theirs, _, err := transport.UnmarshalInts(b[:len(b)-16])
+		theirs, err := parseElemsN(b[:len(b)-revealNonceLen], len(vals))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: party %d: %v", ErrBadReveal, p, err)
 		}
 		out = append(out, theirs...)
 	}
-	e.Stats.Rounds += 2
 	return out, nil
 }
 
@@ -639,7 +659,9 @@ func (e *Engine) commitRevealValues(vals []*big.Int) ([]*big.Int, error) {
 
 // EncMask pairs this party's plain integer piece R_i with its field share of
 // R = Σ R_i.  The HE↔MPC bridges (core package) use these to convert shared
-// values into threshold-Paillier ciphertexts without leaving the integers.
+// values into threshold-Paillier ciphertexts without leaving the integers,
+// so Plain is an integer — its width is the caller's and may exceed the
+// field's — and is never modified once dealt.
 type EncMask struct {
 	Plain *big.Int
 	Share Share
@@ -647,10 +669,29 @@ type EncMask struct {
 
 // EncMasks returns count encryption masks of the given bit width per piece.
 func (e *Engine) EncMasks(count int, width uint) []EncMask {
-	ms := e.takeEncMasks(count, width)
-	out := make([]EncMask, count)
-	for i, m := range ms {
-		out[i] = EncMask{Plain: m.plain, Share: m.share}
+	q := e.encMasks[width]
+	if len(q) < count {
+		batch := max(count-len(q), 64)
+		e.request(reqEncMasks, int64(batch), int64(width))
+		stride := e.stride()
+		payload, _, err := transport.UnmarshalInts(e.recvDealer())
+		if err == nil && len(payload) != batch*stride {
+			err = fmt.Errorf("%d integers, want %d", len(payload), batch*stride)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("mpc: dealer response: %v", err))
+		}
+		q = slices.Grow(q, batch)
+		for i := 0; i < batch; i++ {
+			// The field share of R is the piece itself, reduced.
+			m := EncMask{Plain: payload[i*stride]}
+			m.Share.V = ElemFromBig(m.Plain)
+			if e.cfg.Authenticated {
+				m.Share.M = ElemFromBig(payload[i*stride+1])
+			}
+			q = append(q, m)
+		}
 	}
-	return out
+	e.encMasks[width] = q[count:]
+	return q[:count:count]
 }

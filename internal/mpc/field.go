@@ -30,20 +30,12 @@ var Q = func() *big.Int {
 // qHalf is Q/2, used for signed decoding.
 var qHalf = new(big.Int).Rsh(Q, 1)
 
-// Share is one party's additive share of a secret value in Z_Q.  In
-// authenticated (malicious-secure) mode M holds the share of the SPDZ MAC
-// α·value; in semi-honest mode M is nil.
+// Share is one party's additive share of a secret value in Z_Q, by value:
+// copying a share copies the secret share.  In authenticated
+// (malicious-secure) mode M holds the share of the SPDZ MAC α·value; in
+// semi-honest mode M stays zero and is never read.
 type Share struct {
-	V *big.Int
-	M *big.Int
-}
-
-func modQ(x *big.Int) *big.Int {
-	x.Mod(x, Q)
-	if x.Sign() < 0 {
-		x.Add(x, Q)
-	}
-	return x
+	V, M Elem
 }
 
 // Signed interprets a field element as a signed integer in (-Q/2, Q/2].
@@ -57,16 +49,17 @@ func Signed(x *big.Int) *big.Int {
 
 // ToField maps a signed integer into Z_Q.
 func ToField(x *big.Int) *big.Int {
-	return modQ(new(big.Int).Set(x))
+	return new(big.Int).Mod(x, Q)
 }
 
 // prg is a deterministic expandable randomness source used by the dealer and
 // by public coin derivation.  SHA-256 in counter mode; plenty for a protocol
 // simulation (see DESIGN.md).
 type prg struct {
-	key [32]byte
-	ctr uint64
-	buf []byte
+	key   [32]byte
+	ctr   uint64
+	buf   []byte // generated, not yet consumed; a window of store
+	store []byte // backing array reused across refills
 }
 
 func newPRG(seed []byte) *prg {
@@ -75,35 +68,60 @@ func newPRG(seed []byte) *prg {
 	return p
 }
 
+// read consumes the next n bytes of the stream.  The returned slice is only
+// valid until the next read, and the caller may overwrite it.
 func (p *prg) read(n int) []byte {
-	for len(p.buf) < n {
-		var blk [40]byte
-		copy(blk[:32], p.key[:])
-		binary.BigEndian.PutUint64(blk[32:], p.ctr)
-		p.ctr++
-		h := sha256.Sum256(blk[:])
-		p.buf = append(p.buf, h[:]...)
+	if len(p.buf) < n {
+		// Refill: the unconsumed tail moves to the front of the backing
+		// array, so a steady stream of reads reuses one allocation.
+		need := len(p.buf) + (n-len(p.buf)+31)/32*32
+		if cap(p.store) < need {
+			p.store = make([]byte, 0, 2*need)
+		}
+		p.buf = append(p.store[:0], p.buf...)
+		for len(p.buf) < n {
+			var blk [40]byte
+			copy(blk[:32], p.key[:])
+			binary.BigEndian.PutUint64(blk[32:], p.ctr)
+			p.ctr++
+			h := sha256.Sum256(blk[:])
+			p.buf = append(p.buf, h[:]...)
+		}
 	}
 	out := p.buf[:n]
 	p.buf = p.buf[n:]
 	return out
 }
 
-// fieldElem samples a uniform element of Z_Q.  The modulo bias from reducing
-// 512 random bits is below 2^-250.
-func (p *prg) fieldElem() *big.Int {
-	x := new(big.Int).SetBytes(p.read(64))
-	return x.Mod(x, Q)
+// fieldElem samples a uniform element of Z_Q: 64 stream bytes, read as a
+// big-endian integer, reduced mod Q.  The modulo bias from reducing 512
+// random bits is below 2^-250.
+func (p *prg) fieldElem() Elem {
+	b := p.read(64)
+	var t [8]uint64
+	for i := range t {
+		t[7-i] = binary.BigEndian.Uint64(b[8*i:])
+	}
+	return reduce512(t)
 }
 
-// intn samples a uniform integer in [0, 2^bits).
-func (p *prg) intn(bits uint) *big.Int {
+// intnBytes samples a uniform integer in [0, 2^bits) — ⌈bits/8⌉ stream
+// bytes, read big-endian and shifted right by the surplus bits — and returns
+// its minimal big-endian magnitude (empty for zero), valid until the next
+// read.
+func (p *prg) intnBytes(bits uint) []byte {
 	nbytes := int(bits+7) / 8
-	x := new(big.Int).SetBytes(p.read(nbytes))
+	b := p.read(nbytes)
 	if rem := uint(nbytes*8) - bits; rem > 0 {
-		x.Rsh(x, rem)
+		for i := nbytes - 1; i > 0; i-- {
+			b[i] = b[i]>>rem | b[i-1]<<(8-rem)
+		}
+		b[0] >>= rem
 	}
-	return x
+	for len(b) > 0 && b[0] == 0 {
+		b = b[1:]
+	}
+	return b
 }
 
 func (p *prg) bit() uint {
@@ -112,9 +130,9 @@ func (p *prg) bit() uint {
 
 // coinCoeffs expands a public seed into count field coefficients (used by
 // the MAC check's random linear combination).
-func coinCoeffs(seed []byte, count int) []*big.Int {
+func coinCoeffs(seed []byte, count int) []Elem {
 	g := newPRG(seed)
-	out := make([]*big.Int, count)
+	out := make([]Elem, count)
 	for i := range out {
 		out[i] = g.fieldElem()
 	}

@@ -11,9 +11,25 @@ import (
 // (Catrina–Saxena, FC'10), matching the secure division SPDZ provides and
 // the paper invokes for Eqn (8).
 
+// fixed rounds x to the engine's fixed-point scale.
+func (e *Engine) fixed(x float64) int64 {
+	return int64(math.Round(x * math.Ldexp(1, int(e.cfg.F))))
+}
+
 // EncodeConst encodes a float constant at the engine's fixed-point scale.
-func (e *Engine) EncodeConst(x float64) *big.Int {
-	return big.NewInt(int64(math.Round(x * math.Ldexp(1, int(e.cfg.F)))))
+func (e *Engine) EncodeConst(x float64) *big.Int { return big.NewInt(e.fixed(x)) }
+
+// encode is EncodeConst into the field.
+func (e *Engine) encode(x float64) Elem { return elemFromInt64(e.fixed(x)) }
+
+// constVec returns count sharings of the public field element c.
+func (e *Engine) constVec(count int, c Elem) []Share {
+	out := make([]Share, count)
+	s := e.constElem(c)
+	for i := range out {
+		out[i] = s
+	}
+	return out
 }
 
 // DecodeSigned decodes an opened field element to a float at scale 2^F.
@@ -71,17 +87,16 @@ func (e *Engine) FPDivVec(as, bs []Share, k uint) []Share {
 	// the w-update's truncation contract cover BOTH regimes — a packed slot
 	// that overflows its declared width would corrupt its neighbours, so the
 	// garbage path must stay bounded by construction, not by luck.
-	w0c := e.EncodeConst(2.9142)
+	w0c := e.encode(2.9142)
 	ws := make([]Share, count)
 	for t := range ws {
-		ws[t] = e.AddConst(e.MulPub(xs[t], big.NewInt(-2)), w0c)
+		ws[t] = e.addElem(e.Neg(e.Add(xs[t], xs[t])), w0c)
 	}
-	two := new(big.Int).Lsh(big.NewInt(1), f+1)
+	two := Elem{1}.Lsh(f + 1)
 	for iter := 0; iter < 4; iter++ {
-		ts := e.FPMulVecW(xs, ws, f+1, f+6, 2*f+3)
-		corr := make([]Share, count)
+		corr := e.FPMulVecW(xs, ws, f+1, f+6, 2*f+3)
 		for t := range corr {
-			corr[t] = e.AddConst(e.Neg(ts[t]), two)
+			corr[t] = e.addElem(e.Neg(corr[t]), two)
 		}
 		ws = e.FPMulVecW(ws, corr, f+6, f+2, 2*f+9)
 	}
@@ -102,11 +117,7 @@ func (e *Engine) FPDiv(a, b Share, k uint) Share {
 
 // RecipVec computes f-scaled reciprocals ⟨2^F/b⟩ for positive integers b.
 func (e *Engine) RecipVec(bs []Share, k uint) []Share {
-	ones := make([]Share, len(bs))
-	for i := range ones {
-		ones[i] = e.ConstInt64(1)
-	}
-	return e.FPDivVec(ones, bs, k)
+	return e.FPDivVec(e.constVec(len(bs), Elem{1}), bs, k)
 }
 
 // expMaxAbs bounds the clamped exponent input.
@@ -117,16 +128,9 @@ const expMaxAbs = 20.0
 func (e *Engine) ExpVec(xs []Share, kIn uint) []Share {
 	f := e.cfg.F
 	count := len(xs)
-	lo := e.EncodeConst(-expMaxAbs)
-	hi := e.EncodeConst(expMaxAbs)
-
 	// Clamp to [-20, 20].
-	loS := make([]Share, count)
-	hiS := make([]Share, count)
-	for t := range loS {
-		loS[t] = e.Const(lo)
-		hiS[t] = e.Const(hi)
-	}
+	loS := e.constVec(count, e.encode(-expMaxAbs))
+	hiS := e.constVec(count, e.encode(expMaxAbs))
 	// Clamp differences are bounded by |x| + 20·2^f.
 	wd := kIn
 	if f+6 > wd {
@@ -138,38 +142,32 @@ func (e *Engine) ExpVec(xs []Share, kIn uint) []Share {
 	clamped = e.selectPairwiseW(aboves, hiS, clamped, wd)
 
 	// y = x·log2(e); t = y + 32 ∈ (2, 62); split integer/fraction.
-	log2e := e.EncodeConst(math.Log2(math.E))
+	log2e := e.encode(math.Log2(math.E))
 	ys := make([]Share, count)
 	for t := range ys {
-		ys[t] = e.MulPub(clamped[t], log2e)
+		ys[t] = e.mulElem(clamped[t], log2e)
 	}
-	ys = e.TruncVec(ys, 2*f+7, f)
-	off := new(big.Int).Lsh(big.NewInt(32), f)
-	ts := make([]Share, count)
+	ts := e.TruncVec(ys, 2*f+7, f)
+	off := Elem{32}.Lsh(f)
 	for t := range ts {
-		ts[t] = e.AddConst(ys[t], off)
+		ts[t] = e.addElem(ts[t], off)
 	}
 	ips := e.TruncVec(ts, f+7, f)
 	rems := make([]Share, count)
-	scaleF := new(big.Int).Lsh(big.NewInt(1), f)
 	for t := range rems {
-		rems[t] = e.Sub(ts[t], e.MulPub(ips[t], scaleF))
+		rems[t] = e.Sub(ts[t], e.lsh(ips[t], f))
 	}
 
 	// 2^ip from the 6 bits of ip.  Before step j the running product is at
 	// most 2^(2^j - 1) and the step factor at most 2^(2^j), so both sides
 	// stay bounded and the Beaver differences pack.
 	bits := e.BitDecVec(ips, 6)
-	pows := make([]Share, count)
-	for t := range pows {
-		pows[t] = e.Const(big.NewInt(1))
-	}
+	pows := e.constVec(count, Elem{1})
+	terms := make([]Share, count)
 	for j := uint(0); j < 6; j++ {
-		terms := make([]Share, count)
-		mult := new(big.Int).Lsh(big.NewInt(1), 1<<j)
-		mult.Sub(mult, big.NewInt(1))
+		mult := Elem{1}.Lsh(1 << j).Sub(Elem{1})
 		for t := range terms {
-			terms[t] = e.AddConst(e.MulPub(bits[t][j], mult), big.NewInt(1))
+			terms[t] = e.addElem(e.mulElem(bits[t][j], mult), Elem{1})
 		}
 		pows = e.MulVecBounded(pows, terms, 1<<j, (1<<j)+1)
 	}
@@ -206,18 +204,13 @@ func exp2Coeffs() []float64 {
 // polyHorner evaluates Σ c_j·x^j with Horner's rule on f-scaled inputs.
 func (e *Engine) polyHorner(xs []Share, coeffs []float64, k uint) []Share {
 	f := e.cfg.F
-	count := len(xs)
-	acc := make([]Share, count)
-	top := e.EncodeConst(coeffs[len(coeffs)-1])
-	for t := range acc {
-		acc[t] = e.Const(top)
-	}
+	acc := e.constVec(len(xs), e.encode(coeffs[len(coeffs)-1]))
 	for j := len(coeffs) - 2; j >= 0; j-- {
 		// The accumulator is bounded by Σ|c_j| < 4 and x by 1 at f scale.
 		acc = e.FPMulVecW(acc, xs, f+2, f+1, k)
-		c := e.EncodeConst(coeffs[j])
+		c := e.encode(coeffs[j])
 		for t := range acc {
-			acc[t] = e.AddConst(acc[t], c)
+			acc[t] = e.addElem(acc[t], c)
 		}
 	}
 	return acc
@@ -229,10 +222,9 @@ func (e *Engine) selectPairwise(ss, as, bs []Share) []Share {
 	for i := range as {
 		diffs[i] = e.Sub(as[i], bs[i])
 	}
-	prods := e.MulVec(ss, diffs)
-	out := make([]Share, len(as))
-	for i := range as {
-		out[i] = e.Add(bs[i], prods[i])
+	out := e.MulVec(ss, diffs)
+	for i := range out {
+		out[i] = e.Add(bs[i], out[i])
 	}
 	return out
 }
@@ -245,10 +237,9 @@ func (e *Engine) selectPairwiseW(ss, as, bs []Share, w uint) []Share {
 	for i := range as {
 		diffs[i] = e.Sub(as[i], bs[i])
 	}
-	prods := e.MulVecSigned(ss, diffs, 1, w)
-	out := make([]Share, len(as))
-	for i := range as {
-		out[i] = e.Add(bs[i], prods[i])
+	out := e.MulVecSigned(ss, diffs, 1, w)
+	for i := range out {
+		out[i] = e.Add(bs[i], out[i])
 	}
 	return out
 }
@@ -268,39 +259,34 @@ func (e *Engine) LnVec(xs []Share) []Share {
 
 	// w = u - 1 ∈ [0, 1);  t = w / (2 + w) ∈ [0, 1/3);
 	// ln u = 2·atanh(t) = 2(t + t³/3 + t⁵/5 + t⁷/7 + t⁹/9).
-	scaleF := new(big.Int).Lsh(big.NewInt(1), f)
+	negOne, two := Elem{1}.Lsh(f).Neg(), Elem{2}.Lsh(f)
 	wShares := make([]Share, count)
 	denoms := make([]Share, count)
-	two := new(big.Int).Lsh(big.NewInt(2), f)
 	for t := range wShares {
-		wShares[t] = e.AddConst(Bs[t], new(big.Int).Neg(scaleF))
-		denoms[t] = e.AddConst(wShares[t], two)
+		wShares[t] = e.addElem(Bs[t], negOne)
+		denoms[t] = e.addElem(wShares[t], two)
 	}
 	ts := e.FPDivVec(wShares, denoms, f+3)
 	// |t| < 1/3 on the domain, but t = -1 exactly on the x = 0 garbage path
 	// (annihilated later by p·ln p), so declare the bound that covers both.
 	t2 := e.FPMulVecW(ts, ts, f+1, f+1, 2*f+3)
 	// Horner in t²: ((1/9·t² + 1/7)·t² + 1/5)·t² + 1/3)·t² + 1, then ·t·2.
-	acc := make([]Share, count)
-	c9 := e.EncodeConst(1.0 / 9.0)
-	for t := range acc {
-		acc[t] = e.Const(c9)
-	}
+	acc := e.constVec(count, e.encode(1.0/9.0))
 	for _, cf := range []float64{1.0 / 7.0, 1.0 / 5.0, 1.0 / 3.0, 1.0} {
 		acc = e.FPMulVecW(acc, t2, f+2, f+1, 2*f+3) // |acc| < 2, t² ≤ 1
-		c := e.EncodeConst(cf)
+		c := e.encode(cf)
 		for t := range acc {
-			acc[t] = e.AddConst(acc[t], c)
+			acc[t] = e.addElem(acc[t], c)
 		}
 	}
 	atanh := e.FPMulVecW(acc, ts, f+2, f+1, 2*f+3)
 
 	// ln x = 2·atanh + (p - f)·ln 2.
-	ln2 := e.EncodeConst(math.Ln2)
+	ln2, negF := e.encode(math.Ln2), elemFromInt64(-int64(f))
 	out := make([]Share, count)
 	for t := range out {
-		pTerm := e.MulPub(e.AddConst(ps[t], big.NewInt(-int64(f))), ln2)
-		out[t] = e.Add(e.MulPub(atanh[t], big.NewInt(2)), pTerm)
+		pTerm := e.mulElem(e.addElem(ps[t], negF), ln2)
+		out[t] = e.Add(e.Add(atanh[t], atanh[t]), pTerm)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"sync/atomic"
@@ -65,7 +66,7 @@ func (e *Engine) Fork(ep transport.Endpoint, lane uint32) *Engine {
 		local:      newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d-lane-%d", e.id, e.cfg.Seed, lane))),
 		bndTriples: make(map[twidth][]triple),
 		inputMasks: make(map[int][]inputMask),
-		encMasks:   make(map[uint][]encMask),
+		encMasks:   make(map[uint][]EncMask),
 		gauge:      e.gauge,
 	}
 }
@@ -88,8 +89,8 @@ func (e *Engine) MergeStats(child *Engine) {
 // FIFO per pair), so Await drains every earlier ticket first.
 type PendingOpen struct {
 	e    *Engine
-	xs   []Share
-	res  []*big.Int
+	sum  []Elem // this party's shares, then the running reconstruction
+	macs []Elem // this party's MAC shares (authenticated mode only)
 	done bool
 }
 
@@ -98,7 +99,8 @@ type PendingOpen struct {
 // ticket is awaited, the engine must perform no other peer receive — only
 // purely local work, dealer traffic, or further issues — or frames would
 // cross-deliver.  (Engine primitives enforce this by draining pending
-// opens before any peer receive.)
+// opens before any peer receive.)  The shares are copied out of xs, which
+// the caller may reuse at once.
 func (e *Engine) OpenVecIssue(xs []Share) *PendingOpen {
 	e.Stats.Opens++
 	e.Stats.OpenValues += int64(len(xs))
@@ -106,14 +108,21 @@ func (e *Engine) OpenVecIssue(xs []Share) *PendingOpen {
 	if e.gauge != nil {
 		e.gauge.enter()
 	}
-	mine := make([]*big.Int, len(xs))
-	for i, x := range xs {
-		mine[i] = x.V
+	po := &PendingOpen{e: e, sum: make([]Elem, len(xs))}
+	if e.cfg.Authenticated {
+		po.macs = make([]Elem, len(xs))
 	}
-	if err := e.broadcastInts(mine); err != nil {
+	e.wbuf = binary.AppendUvarint(e.wbuf[:0], uint64(len(xs)))
+	for i := range xs {
+		po.sum[i] = xs[i].V
+		if po.macs != nil {
+			po.macs[i] = xs[i].M
+		}
+		e.wbuf = appendElem(e.wbuf, xs[i].V)
+	}
+	if err := e.broadcast(e.wbuf); err != nil {
 		panic(fmt.Sprintf("mpc: open broadcast: %v", err))
 	}
-	po := &PendingOpen{e: e, xs: xs}
 	e.pendingOpens = append(e.pendingOpens, po)
 	return po
 }
@@ -122,10 +131,15 @@ func (e *Engine) OpenVecIssue(xs []Share) *PendingOpen {
 // reconstructed values.  Safe to call once per ticket, on the engine's
 // owning goroutine.
 func (po *PendingOpen) Await() []*big.Int {
+	return elemsToBig(po.await())
+}
+
+// await is Await without the conversion to integers.
+func (po *PendingOpen) await() []Elem {
 	for !po.done {
 		po.e.drainOneOpen()
 	}
-	return po.res
+	return po.sum
 }
 
 // drainOneOpen completes the oldest pending open: receives every peer's
@@ -137,37 +151,43 @@ func (e *Engine) drainOneOpen() {
 	}
 	po := e.pendingOpens[0]
 	e.pendingOpens = e.pendingOpens[1:]
-	totals := make([]*big.Int, len(po.xs))
-	for i := range totals {
-		totals[i] = new(big.Int).Set(po.xs[i].V)
-	}
 	for p := 0; p < e.n; p++ {
 		if p == e.id {
 			continue
 		}
-		theirs, err := transport.RecvInts(e.ep, p)
+		frame, err := e.ep.Recv(p)
+		if err == nil {
+			err = addElems(po.sum, frame)
+		}
 		if err != nil {
-			panic(fmt.Sprintf("mpc: open recv: %v", err))
-		}
-		if len(theirs) != len(po.xs) {
-			panic(fmt.Sprintf("mpc: open length mismatch: got %d want %d", len(theirs), len(po.xs)))
-		}
-		for i := range totals {
-			totals[i].Add(totals[i], theirs[i])
+			panic(fmt.Sprintf("mpc: open recv from party %d: %v", p, err))
 		}
 	}
-	for i := range totals {
-		modQ(totals[i])
-		if e.cfg.Authenticated {
-			e.pendingA = append(e.pendingA, totals[i])
-			e.pendingM = append(e.pendingM, po.xs[i].M)
-		}
+	if e.cfg.Authenticated {
+		e.pendingA = append(e.pendingA, po.sum...)
+		e.pendingM = append(e.pendingM, po.macs...)
 	}
 	if e.gauge != nil {
 		e.gauge.leave()
 	}
-	po.res = totals
 	po.done = true
+}
+
+// addElems adds the encoded vector in frame, which must hold exactly
+// len(acc) elements, into acc.
+func addElems(acc []Elem, frame []byte) error {
+	r, err := readElemsN(frame, len(acc))
+	if err != nil {
+		return err
+	}
+	for i := range acc {
+		x, err := r.next()
+		if err != nil {
+			return err
+		}
+		acc[i] = acc[i].Add(x)
+	}
+	return nil
 }
 
 // drainPendingOpens resolves every outstanding issued opening.  Engine

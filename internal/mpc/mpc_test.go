@@ -549,7 +549,7 @@ func TestAuthenticatedDetectsTampering(t *testing.T) {
 			x := e.Input(0, big.NewInt(5))
 			if p == 2 {
 				// Malicious party 2 shifts its share before the open.
-				x.V = modQ(new(big.Int).Add(x.V, big.NewInt(1)))
+				x.V = x.V.Add(Elem{1})
 			}
 			e.Open(x)
 			results[p] = e.CheckMACs()

@@ -1,9 +1,6 @@
 package mpc
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // Packed bounded openings.  Traffic attribution on the update bench shows
 // nearly all compute-party bytes are OpenVec share broadcasts, and most of
@@ -37,43 +34,33 @@ func packCapacity(width uint) int {
 // cannot fit at least twice in the field, or in authenticated mode (the MAC
 // check needs per-value MAC shares).
 func (e *Engine) OpenVecBounded(xs []Share, width uint) []*big.Int {
+	return elemsToBig(e.openBoundedElems(xs, width))
+}
+
+// openBoundedElems is OpenVecBounded for callers inside the package.
+func (e *Engine) openBoundedElems(xs []Share, width uint) []Elem {
 	slots := packCapacity(width)
 	if e.cfg.NoPack || e.cfg.Authenticated || slots < 2 || len(xs) < 2 {
-		return e.OpenVec(xs)
+		return e.openElems(xs)
 	}
 	groups := (len(xs) + slots - 1) / slots
 	packed := make([]Share, groups)
 	for g := range packed {
 		lo := g * slots
-		hi := lo + slots
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		// Horner from the top slot; eager reduction keeps intermediates small.
-		acc := new(big.Int).Set(xs[hi-1].V)
+		hi := min(lo+slots, len(xs))
+		// Horner from the top slot.
+		acc := xs[hi-1].V
 		for j := hi - 2; j >= lo; j-- {
-			acc.Lsh(acc, width)
-			acc.Add(acc, xs[j].V)
-			modQ(acc)
+			acc = acc.Lsh(width).Add(xs[j].V)
 		}
-		packed[g] = Share{V: acc}
+		packed[g].V = acc
 	}
-	totals := e.OpenVec(packed)
-	// OpenVec counted the field elements; account for the logical values.
+	totals := e.openElems(packed)
+	// The open counted the field elements; account for the logical values.
 	e.Stats.OpenValues += int64(len(xs) - len(packed))
-	out := make([]*big.Int, len(xs))
-	mask := new(big.Int).Lsh(big.NewInt(1), width)
-	mask.Sub(mask, big.NewInt(1))
-	for g, tot := range totals {
-		lo := g * slots
-		hi := lo + slots
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		for j := lo; j < hi; j++ {
-			v := new(big.Int).Rsh(tot, width*uint(j-lo))
-			out[j] = v.And(v, mask)
-		}
+	out := make([]Elem, len(xs))
+	for j := range out {
+		out[j] = totals[j/slots].slot(width*uint(j%slots), width)
 	}
 	return out
 }
@@ -86,17 +73,8 @@ type twidth struct{ wa, wb uint }
 func (e *Engine) takeBoundedTriples(count int, wa, wb uint) []triple {
 	key := twidth{wa, wb}
 	q := e.bndTriples[key]
-	for len(q) < count {
-		batch := count - len(q)
-		if batch < e.cfg.BatchSize {
-			batch = e.cfg.BatchSize
-		}
-		e.request(reqBoundedTriples, int64(batch), int64(wa), int64(wb))
-		payload := e.recvDealer()
-		shares, _ := e.parseShares(payload, 3*batch)
-		for i := 0; i < batch; i++ {
-			q = append(q, triple{a: shares[3*i], b: shares[3*i+1], c: shares[3*i+2]})
-		}
+	if len(q) < count {
+		q = e.fetchTriples(q, max(count-len(q), e.cfg.BatchSize), reqBoundedTriples, int64(wa), int64(wb))
 	}
 	e.bndTriples[key] = q[count:]
 	return q[:count]
@@ -127,25 +105,19 @@ func (e *Engine) MulVecBounded(xs, ys []Share, wx, wy uint) []Share {
 	}
 	e.Stats.Mults += int64(len(xs))
 	ts := e.takeBoundedTriples(len(xs), wa, wb)
-	offA := new(big.Int).Lsh(big.NewInt(1), wa)
-	offB := new(big.Int).Lsh(big.NewInt(1), wb)
-	opens := make([]Share, 0, 2*len(xs))
+	offA, offB := Elem{1}.Lsh(wa), Elem{1}.Lsh(wb)
+	opens := make([]Share, 2*len(xs))
 	for i := range xs {
 		// d = x - a ∈ (-2^wa, 2^wx]; d + 2^wa is non-negative and < 2^slotW.
-		opens = append(opens,
-			e.AddConst(e.Sub(xs[i], ts[i].a), offA),
-			e.AddConst(e.Sub(ys[i], ts[i].b), offB))
+		opens[2*i] = e.addElem(e.Sub(xs[i], ts[i].a), offA)
+		opens[2*i+1] = e.addElem(e.Sub(ys[i], ts[i].b), offB)
 	}
-	vals := e.OpenVecBounded(opens, slotW)
+	vals := e.openBoundedElems(opens, slotW)
 	out := make([]Share, len(xs))
-	parallelFor(len(xs), e.cfg.Workers, func(i int) {
-		d := new(big.Int).Sub(vals[2*i], offA)
-		f := new(big.Int).Sub(vals[2*i+1], offB)
-		z := ts[i].c
-		z = e.Add(z, e.MulPub(ts[i].b, d))
-		z = e.Add(z, e.MulPub(ts[i].a, f))
-		z = e.AddConst(z, new(big.Int).Mul(d, f))
-		out[i] = z
+	parallelFor(len(xs), e.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = e.beaver(&ts[i], vals[2*i].Sub(offA), vals[2*i+1].Sub(offB))
+		}
 	})
 	return out
 }
@@ -185,28 +157,20 @@ func (e *Engine) MulVecSigned(xs, ys []Share, wx, wy uint) []Share {
 	if e.cfg.NoPack || e.cfg.Authenticated || wa+wb >= 254 || packCapacity(slotW) < 2 {
 		return e.MulVec(xs, ys)
 	}
-	X := new(big.Int).Lsh(big.NewInt(1), wx)
-	Y := new(big.Int).Lsh(big.NewInt(1), wy)
+	X, Y := Elem{1}.Lsh(wx), Elem{1}.Lsh(wy)
 	lx := make([]Share, len(xs))
 	ly := make([]Share, len(ys))
 	for i := range xs {
-		lx[i] = e.AddConst(xs[i], X)
-		ly[i] = e.AddConst(ys[i], Y)
+		lx[i] = e.addElem(xs[i], X)
+		ly[i] = e.addElem(ys[i], Y)
 	}
 	prods := e.MulVecBounded(lx, ly, wx+1, wy+1)
-	negXY := new(big.Int).Neg(new(big.Int).Mul(X, Y))
+	negXY := X.Mul(Y).Neg()
 	out := make([]Share, len(xs))
 	for i := range xs {
-		z := e.Sub(prods[i], e.MulPub(xs[i], Y))
-		z = e.Sub(z, e.MulPub(ys[i], X))
-		out[i] = e.AddConst(z, negXY)
+		z := e.Sub(prods[i], e.lsh(xs[i], wy))
+		z = e.Sub(z, e.lsh(ys[i], wx))
+		out[i] = e.addElem(z, negXY)
 	}
 	return out
-}
-
-func init() {
-	// The packed slot arithmetic assumes Q has at least packFieldBits+1 bits.
-	if Q.BitLen() <= packFieldBits {
-		panic(fmt.Sprintf("mpc: field too small for %d-bit packing", packFieldBits))
-	}
 }
