@@ -213,6 +213,12 @@ func (p *Party) appendData(np *dataset.Partition) error {
 		part.Y = append(part.Y, np.Y...)
 	}
 	for j := range p.cands {
+		// Copy-on-append, like the indicators: lane contexts share the slices.
+		bucket := append(make([]int, 0, n), p.bucket[j]...)
+		for t := 0; t < np.N; t++ {
+			bucket = append(bucket, bucketOf(p.cands[j], np.X[t][j]))
+		}
+		p.bucket[j] = bucket
 		for s, tau := range p.cands[j] {
 			v := make([]*big.Int, 0, n)
 			v = append(v, p.indic[j][s]...)

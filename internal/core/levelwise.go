@@ -601,30 +601,24 @@ func (p *Party) gammaMaskedSuper(nodes []frontierNode) ([]*paillier.Ciphertext, 
 }
 
 // computeSplitStatsLevel is computeSplitStats for a whole frontier: every
-// client computes all its (node, split, channel, side) dot products in one
-// parallel batch and ships them to the super client in a single message.
+// client computes all its (node, feature, channel) bucket passes in one
+// parallel batch and ships the statistics to the super client in a single
+// message.
 // The returned per-splitter slices (canonical split order, as the
 // conversion expects) are non-nil only at the super client.
 func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillier.Ciphertext) ([][]*paillier.Ciphertext, error) {
 	K := len(nodes)
 	statsPerSplit := 2 * (1 + len(gchs[0]))
-	var xss [][]*big.Int
-	var chs [][]*paillier.Ciphertext
+	channels := make([][][]*paillier.Ciphertext, K)
 	for i := range nodes {
-		channels := append([][]*paillier.Ciphertext{nodes[i].nd.alpha}, gchs[i]...)
-		for j := range p.indic {
-			for s := range p.indic[j] {
-				vl := p.indic[j][s]
-				vr := complement(vl)
-				for _, ch := range channels {
-					xss = append(xss, vl, vr)
-					chs = append(chs, ch, ch)
-				}
-			}
-		}
+		channels[i] = append([][]*paillier.Ciphertext{nodes[i].nd.alpha}, gchs[i]...)
 	}
-	p.poolReserve(len(xss))
-	mine, err := p.dotRerandVec(xss, chs)
+	p.poolReserve(K * p.clientSplits(p.ID) * statsPerSplit)
+	stats, err := p.bucketStats(channels)
+	if err != nil {
+		return nil, err
+	}
+	mine, err := p.rerandVec(stats)
 	if err != nil {
 		return nil, err
 	}

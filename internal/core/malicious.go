@@ -170,7 +170,10 @@ func (a *auditor) recvWithPOPK(from int) ([]*paillier.Ciphertext, error) {
 		return nil, fmt.Errorf("core: malformed committed vector")
 	}
 	n := len(xs) / 4
-	cts := paillier.UnmarshalCiphertexts(xs[:n])
+	cts, err := p.checkedCts(from, 1, xs[:n])
+	if err != nil {
+		return nil, err
+	}
 	for t := 0; t < n; t++ {
 		pr := &zkp.POPK{U: xs[n+3*t], Z: xs[n+3*t+1], W: xs[n+3*t+2]}
 		if err := zkp.VerifyPOPK(p.pk, cts[t], pr); err != nil {

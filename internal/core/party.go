@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sort"
 	"time"
 
 	"repro/internal/dataset"
@@ -44,6 +45,9 @@ type Party struct {
 	cands [][]float64 // candidate thresholds per local feature
 	indic [][][]*big.Int
 	// indic[j][s][t] = 1 iff sample t goes left under split s of feature j
+	bucket [][]int
+	// bucket[j][t] = the first split of feature j under which sample t goes
+	// left (len(cands[j]) if none): indic[j][s][t] = 1 iff bucket[j][t] <= s
 
 	// Public split bookkeeping replicated at every client:
 	splitCounts [][]int // [client][feature] -> number of candidate splits
@@ -103,7 +107,9 @@ func NewParty(ep transport.Endpoint, part *dataset.Partition, pk *paillier.Publi
 	if cfg.Malicious {
 		p.audit = newAuditor(p)
 	}
-	p.prepareSplits()
+	if err := p.prepareSplits(); err != nil {
+		return nil, err
+	}
 	if err := p.exchangeSplitCounts(); err != nil {
 		return nil, err
 	}
@@ -116,18 +122,32 @@ func (p *Party) Close() { p.eng.Shutdown() }
 // Engine exposes the MPC engine (used by the baselines and tests).
 func (p *Party) Engine() *mpc.Engine { return p.eng }
 
-// prepareSplits computes the local candidate thresholds and the left-branch
-// indicator vector v_l for every (feature, split) pair (§4.1).
-func (p *Party) prepareSplits() {
+// prepareSplits computes the local candidate thresholds, the left-branch
+// indicator vector v_l for every (feature, split) pair (§4.1) and every
+// sample's bucket per feature.  The thresholds of one feature must ascend:
+// that is what nests the v_l and lets computeSplitStats derive every split's
+// statistics from one pass over the buckets.
+func (p *Party) prepareSplits() error {
 	d := len(p.part.Features)
 	p.cands = make([][]float64, d)
 	p.indic = make([][][]*big.Int, d)
+	p.bucket = make([][]int, d)
 	for j := 0; j < d; j++ {
 		col := make([]float64, p.part.N)
 		for t := range col {
 			col[t] = p.part.X[t][j]
 		}
 		p.cands[j] = dataset.SplitCandidates(col, p.cfg.Tree.MaxSplits)
+		for s := 1; s < len(p.cands[j]); s++ {
+			if !(p.cands[j][s-1] <= p.cands[j][s]) {
+				return p.errf("feature %d: candidate thresholds do not ascend (%v before %v)",
+					j, p.cands[j][s-1], p.cands[j][s])
+			}
+		}
+		p.bucket[j] = make([]int, p.part.N)
+		for t, x := range col {
+			p.bucket[j][t] = bucketOf(p.cands[j], x)
+		}
 		p.indic[j] = make([][]*big.Int, len(p.cands[j]))
 		for s, tau := range p.cands[j] {
 			v := make([]*big.Int, p.part.N)
@@ -141,6 +161,13 @@ func (p *Party) prepareSplits() {
 			p.indic[j][s] = v
 		}
 	}
+	return nil
+}
+
+// bucketOf returns the index of the first of the ascending thresholds that x
+// does not exceed, len(cands) if it exceeds them all (or is NaN).
+func bucketOf(cands []float64, x float64) int {
+	return sort.Search(len(cands), func(s int) bool { return x <= cands[s] })
 }
 
 // exchangeSplitCounts publishes per-feature candidate-split counts so every
@@ -233,7 +260,18 @@ func (p *Party) recvCts(from int) ([]*paillier.Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	return paillier.UnmarshalCiphertexts(xs), nil
+	return p.checkedCts(from, 1, xs)
+}
+
+// checkedCts wraps integers received from a peer as level-s ciphertexts
+// after validating them: nothing a peer sends reaches Neg (which panics on a
+// non-invertible value) or the mod-N² kernel unchecked.
+func (p *Party) checkedCts(from, level int, xs []*big.Int) ([]*paillier.Ciphertext, error) {
+	cts := paillier.UnmarshalCiphertexts(xs)
+	if err := p.pk.CheckCiphertexts(level, cts); err != nil {
+		return nil, fmt.Errorf("client %d: ciphertexts received from client %d: %w", p.ID, from, err)
+	}
+	return cts, nil
 }
 
 // ctChunk is the number of ciphertexts that safely fit in one wire frame;
@@ -328,7 +366,7 @@ func (p *Party) recvCtsChunked(from, total int) ([]*paillier.Ciphertext, error) 
 	if err != nil {
 		return nil, err
 	}
-	return paillier.UnmarshalCiphertexts(xs), nil
+	return p.checkedCts(from, 1, xs)
 }
 
 // The *Level variants carry Damgård–Jurik level-s ciphertexts (mod N^(s+1)),
@@ -357,7 +395,7 @@ func (p *Party) recvCtsChunkedLevel(from, total, level int) ([]*paillier.Ciphert
 	if len(out) != total {
 		return nil, p.errf("chunked receive from %d: got %d values, want %d", from, len(out), total)
 	}
-	return paillier.UnmarshalCiphertexts(out), nil
+	return p.checkedCts(from, level, out)
 }
 
 // encryptVec encrypts with stats accounting and the configured parallelism.
@@ -394,11 +432,16 @@ func (p *Party) dotRerandVec(xss [][]*big.Int, chs [][]*paillier.Ciphertext) ([]
 	for _, x := range xss {
 		p.Stats.HEOps += int64(len(x))
 	}
-	out, err := p.pk.RerandomizeVec(cryptoRand(), dots, p.cfg.Workers)
+	return p.rerandVec(dots)
+}
+
+// rerandVec rerandomizes every ciphertext in parallel across workers.
+func (p *Party) rerandVec(cts []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	out, err := p.pk.RerandomizeVec(cryptoRand(), cts, p.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	p.Stats.Encryptions += int64(len(dots))
+	p.Stats.Encryptions += int64(len(cts))
 	return out, nil
 }
 
@@ -415,19 +458,7 @@ func (p *Party) jointDecryptTo(to int, cts []*paillier.Ciphertext) ([]*big.Int, 
 	if p.ID != to {
 		return nil, p.sendIntsChunked(to, paillier.MarshalShares(shares))
 	}
-	byParty := make([][]*paillier.DecryptionShare, p.M)
-	byParty[p.ID] = shares
-	for c := 0; c < p.M; c++ {
-		if c == p.ID {
-			continue
-		}
-		xs, err := p.recvIntsChunked(c, len(cts))
-		if err != nil {
-			return nil, err
-		}
-		byParty[c] = paillier.UnmarshalShares(c, xs)
-	}
-	return p.pk.CombineSharesVec(byParty, p.cfg.Workers)
+	return p.combineWithPeers(shares)
 }
 
 // jointDecryptAll decrypts a batch so every client learns the plaintexts
@@ -438,15 +469,24 @@ func (p *Party) jointDecryptAll(cts []*paillier.Ciphertext) ([]*big.Int, error) 
 	if err := p.broadcastIntsChunked(paillier.MarshalShares(shares)); err != nil {
 		return nil, err
 	}
+	return p.combineWithPeers(shares)
+}
+
+// combineWithPeers receives every other client's decryption shares for the
+// batch this client just partially decrypted, and combines them.
+func (p *Party) combineWithPeers(shares []*paillier.DecryptionShare) ([]*big.Int, error) {
 	byParty := make([][]*paillier.DecryptionShare, p.M)
 	byParty[p.ID] = shares
 	for c := 0; c < p.M; c++ {
 		if c == p.ID {
 			continue
 		}
-		xs, err := p.recvIntsChunked(c, len(cts))
+		xs, err := p.recvIntsChunked(c, len(shares))
 		if err != nil {
 			return nil, err
+		}
+		if err := p.pk.CheckShares(1, xs); err != nil {
+			return nil, fmt.Errorf("client %d: decryption shares received from client %d: %w", p.ID, c, err)
 		}
 		byParty[c] = paillier.UnmarshalShares(c, xs)
 	}

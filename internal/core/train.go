@@ -466,21 +466,11 @@ func (p *Party) computeSplitStats(alpha []*paillier.Ciphertext, gch [][]*paillie
 			}
 		}
 	} else {
-		var xss [][]*big.Int
-		var chs [][]*paillier.Ciphertext
-		for j := range p.indic {
-			for s := range p.indic[j] {
-				vl := p.indic[j][s]
-				vr := complement(vl)
-				for _, ch := range channels {
-					xss = append(xss, vl, vr)
-					chs = append(chs, ch, ch)
-				}
-			}
-		}
-		var err error
-		mine, err = p.dotRerandVec(xss, chs)
+		stats, err := p.bucketStats([][][]*paillier.Ciphertext{channels})
 		if err != nil {
+			return nil, err
+		}
+		if mine, err = p.rerandVec(stats); err != nil {
 			return nil, err
 		}
 	}
@@ -552,16 +542,61 @@ func (p *Party) dotRerand(v []*big.Int, ch []*paillier.Ciphertext) (*paillier.Ci
 	return out, nil
 }
 
-func complement(v []*big.Int) []*big.Int {
-	out := make([]*big.Int, len(v))
-	for t, x := range v {
-		if x.Sign() == 0 {
-			out[t] = big.NewInt(1)
-		} else {
-			out[t] = big.NewInt(0)
+// bucketStats computes this client's split statistics, before
+// rerandomization, for a batch of nodes: channels[i] lists node i's encrypted
+// channels (mask vector first).  The thresholds of a feature ascend, so its
+// left indicator vectors are nested and every sample lies in exactly one
+// bucket (Party.bucket): one pass per (node, feature, channel) multiplies
+// each sample into its bucket, and split s's left statistic is the product of
+// buckets 0..s, its right statistic the product of buckets s+1..b — the same
+// integers as v_l ⊙ [ch] and (1 − v_l) ⊙ [ch], at n + 2(b − 1) ciphertext
+// products per feature and channel instead of 2nb.  The result is flat in
+// (node, feature, split, channel, [left, right]) order.
+func (p *Party) bucketStats(channels [][][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	C := len(channels[0])
+	// One job per (node, feature, channel); feats names the feature of each
+	// run of C consecutive jobs.
+	var feats []int
+	var css [][]*paillier.Ciphertext
+	var buckets [][]int
+	var nbs []int
+	for _, chs := range channels {
+		for j := range p.cands {
+			if len(p.cands[j]) == 0 {
+				continue
+			}
+			feats = append(feats, j)
+			for _, ch := range chs {
+				css = append(css, ch)
+				buckets = append(buckets, p.bucket[j])
+				nbs = append(nbs, len(p.cands[j])+1)
+			}
 		}
 	}
-	return out
+	prods, err := p.pk.BucketProductsVec(css, buckets, nbs, p.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*paillier.Ciphertext, 0, len(channels)*p.clientSplits(p.ID)*2*C)
+	for g, j := range feats {
+		b := len(p.cands[j])
+		sides := make([]*paillier.Ciphertext, 2*b*C) // [split][channel][left, right]
+		for c := 0; c < C; c++ {
+			bk := prods[g*C+c]
+			at := func(s, side int) int { return (s*C+c)*2 + side }
+			sides[at(0, 0)] = bk[0]
+			for s := 1; s < b; s++ {
+				sides[at(s, 0)] = p.pk.Add(sides[at(s-1, 0)], bk[s])
+			}
+			sides[at(b-1, 1)] = bk[b]
+			for s := b - 2; s >= 0; s-- {
+				sides[at(s, 1)] = p.pk.Add(sides[at(s+1, 1)], bk[s+1])
+			}
+			p.Stats.HEOps += int64(len(css[g*C+c]) + 2*(b-1))
+		}
+		out = append(out, sides...)
+	}
+	return out, nil
 }
 
 // computeGains turns the converted statistics into one secretly shared gain

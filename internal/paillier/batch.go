@@ -156,6 +156,30 @@ func (pk *PublicKey) DotVec(xss [][]*big.Int, vss [][]*Ciphertext, workers int) 
 	return out, firstErr
 }
 
+// BucketProductsVec computes one BucketProducts pass per (cs, bucket, nb)
+// triple, in parallel across workers.
+func (pk *PublicKey) BucketProductsVec(css [][]*Ciphertext, buckets [][]int, nbs []int, workers int) ([][]*Ciphertext, error) {
+	if len(css) != len(buckets) || len(css) != len(nbs) {
+		return nil, fmt.Errorf("paillier: BucketProductsVec length mismatch %d/%d/%d", len(css), len(buckets), len(nbs))
+	}
+	out := make([][]*Ciphertext, len(css))
+	var firstErr error
+	var mu sync.Mutex
+	parallelFor(len(css), workers, func(i int) {
+		prods, err := pk.BucketProducts(css[i], buckets[i], nbs[i])
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			return
+		}
+		out[i] = prods
+	})
+	return out, firstErr
+}
+
 // RerandomizeVec rerandomizes every ciphertext (fresh obfuscators, pooled
 // when a pool is attached).
 func (pk *PublicKey) RerandomizeVec(random io.Reader, cs []*Ciphertext, workers int) ([]*Ciphertext, error) {
@@ -181,10 +205,12 @@ func (pk *PublicKey) RerandomizeVec(random io.Reader, cs []*Ciphertext, workers 
 // sequential on purpose: every client must derive the identical ciphertext
 // without communication.
 func (pk *PublicKey) FoldAdd(cs []*Ciphertext) *Ciphertext {
+	r := pk.n2()
+	s := r.pool.Get().(*scratch)
+	defer r.pool.Put(s)
 	acc := new(big.Int).Set(cs[0].C)
 	for _, c := range cs[1:] {
-		acc.Mul(acc, c.C)
-		acc.Mod(acc, pk.N2)
+		r.mulMod(acc, acc, c.C, s)
 	}
 	return &Ciphertext{C: acc}
 }
@@ -205,6 +231,68 @@ func UnmarshalCiphertexts(xs []*big.Int) []*Ciphertext {
 		out[i] = &Ciphertext{C: x}
 	}
 	return out
+}
+
+// ErrBadCiphertext reports a value received as a ciphertext or decryption
+// share that cannot be one under this key.
+type ErrBadCiphertext struct {
+	Index  int // position in the checked vector
+	Reason string
+}
+
+func (e *ErrBadCiphertext) Error() string {
+	return fmt.Sprintf("paillier: bad ciphertext at index %d: %s", e.Index, e.Reason)
+}
+
+// CheckCiphertexts validates level-s ciphertexts received from a peer:
+// 0 < c < N^(s+1) and N ∤ c.  Zero and the multiples of N — which anyone can
+// form without a factor of N — have no inverse, and Neg panics on them; a
+// value beyond the modulus would be reduced silently and drag every later
+// product through the reducer's slow path.
+func (pk *PublicKey) CheckCiphertexts(level int, cs []*Ciphertext) error {
+	mod := pk.levelModulus(level)
+	rem := new(big.Int)
+	for i, c := range cs {
+		if err := checkResidue(i, c.C, mod); err != nil {
+			return err
+		}
+		if rem.Mod(c.C, pk.N).Sign() == 0 {
+			return &ErrBadCiphertext{Index: i, Reason: "multiple of N"}
+		}
+	}
+	return nil
+}
+
+// CheckShares validates the range of level-s decryption shares received from
+// a peer: 0 < v < N^(s+1).
+func (pk *PublicKey) CheckShares(level int, xs []*big.Int) error {
+	mod := pk.levelModulus(level)
+	for i, x := range xs {
+		if err := checkResidue(i, x, mod); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// levelModulus returns N^(level+1), the level's ciphertext modulus.
+func (pk *PublicKey) levelModulus(level int) *big.Int {
+	if level == 1 {
+		return pk.N2
+	}
+	return new(big.Int).Exp(pk.N, big.NewInt(int64(level+1)), nil)
+}
+
+func checkResidue(i int, x, mod *big.Int) error {
+	switch {
+	case x == nil:
+		return &ErrBadCiphertext{Index: i, Reason: "missing"}
+	case x.Sign() <= 0:
+		return &ErrBadCiphertext{Index: i, Reason: "not positive"}
+	case x.Cmp(mod) >= 0:
+		return &ErrBadCiphertext{Index: i, Reason: fmt.Sprintf("%d bits, beyond the %d-bit modulus", x.BitLen(), mod.BitLen())}
+	}
+	return nil
 }
 
 // MarshalShares flattens decryption shares (index order is positional).

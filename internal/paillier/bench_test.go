@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"runtime"
 	"testing"
@@ -96,6 +97,7 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl.Exp(e)
@@ -131,4 +133,139 @@ func benchPartialDecrypt(b *testing.B, workers int) {
 		keys[0].PartialDecryptVec(pk, cts, workers)
 	}
 	b.ReportMetric(float64(b.N*len(cts))/b.Elapsed().Seconds(), "dec/s")
+}
+
+// benchKeys holds one key per size, generated once per test binary (a
+// 1024-bit KeyGen costs more than most of the benchmarks below).
+var benchKeys = map[int]*PublicKey{} // by key bits; benchmarks run one at a time
+
+func benchKeyBits(b *testing.B, bits int) *PublicKey {
+	b.Helper()
+	if pk := benchKeys[bits]; pk != nil {
+		return pk
+	}
+	pk, _, _, err := KeyGen(rand.Reader, bits, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchKeys[bits] = pk
+	return pk
+}
+
+func benchResidues(b *testing.B, m *big.Int, n int) []*big.Int {
+	b.Helper()
+	xs := make([]*big.Int, n)
+	for i := range xs {
+		x, err := rand.Int(rand.Reader, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs[i] = x
+	}
+	return xs
+}
+
+// BenchmarkMulMod times one modular multiplication at the three N² sizes the
+// benchmark workloads use (256-, 512- and 1024-bit keys): barrett is the
+// reducer every homomorphic operation runs on, bigmod the Mul+Mod pair it
+// replaced.
+func BenchmarkMulMod(b *testing.B) {
+	for _, bits := range []int{512, 1024, 2048} {
+		pk := benchKeyBits(b, bits/2)
+		xs := benchResidues(b, pk.N2, 64)
+		b.Run(fmt.Sprintf("%d/barrett", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			r, s, z := pk.n2(), new(scratch), new(big.Int)
+			for i := 0; i < b.N; i++ {
+				r.mulMod(z, xs[i%64], xs[(i+1)%64], s)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/bigmod", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			z := new(big.Int)
+			for i := 0; i < b.N; i++ {
+				z.Mul(xs[i%64], xs[(i+1)%64])
+				z.Mod(z, pk.N2)
+			}
+		})
+	}
+}
+
+// BenchmarkObfuscator times one Pool.generate — the unit of work behind
+// every pooled encryption and rerandomization — by key size.
+func BenchmarkObfuscator(b *testing.B) {
+	for _, bits := range []int{512, 1024} {
+		b.Run(fmt.Sprint(bits), func(b *testing.B) {
+			pool, err := NewPool(benchKeyBits(b, bits), PoolConfig{Workers: 1, Capacity: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pool.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pool.generate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSplitStats times one (node, feature, channel) unit of the split
+// statistics at train-he's shape (n = 2400, 1024-bit key): bucket is the
+// single pass plus prefix/suffix sums, dots the 2b indicator dot products it
+// replaced.
+func BenchmarkSplitStats(b *testing.B) {
+	const n = 2400
+	pk := benchKeyBits(b, 1024)
+	ch := make([]*Ciphertext, n)
+	for t, c := range benchResidues(b, pk.N2, n) {
+		ch[t] = &Ciphertext{C: c}
+	}
+	for _, splits := range []int{3, 8} {
+		bucket := make([]int, n)
+		lefts := make([][]*big.Int, splits)
+		rights := make([][]*big.Int, splits)
+		for s := range lefts {
+			lefts[s], rights[s] = make([]*big.Int, n), make([]*big.Int, n)
+		}
+		for t := range bucket {
+			bucket[t] = t % (splits + 1)
+			for s := 0; s < splits; s++ {
+				l := int64(0)
+				if bucket[t] <= s {
+					l = 1
+				}
+				lefts[s][t], rights[s][t] = big.NewInt(l), big.NewInt(1-l)
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d/b=%d/bucket", n, splits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bk, err := pk.BucketProducts(ch, bucket, splits+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				left, right := bk[0], bk[splits]
+				for s := 1; s < splits; s++ {
+					left = pk.Add(left, bk[s])
+					right = pk.Add(right, bk[splits-s])
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/b=%d/dots", n, splits), func(b *testing.B) {
+			b.ReportAllocs()
+			xss := append(append([][]*big.Int{}, lefts...), rights...)
+			chs := make([][]*Ciphertext, len(xss))
+			for i := range chs {
+				chs[i] = ch
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := pk.DotVec(xss, chs, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -29,6 +29,8 @@ type DJ struct {
 	S   int
 	NS  *big.Int // N^s, the plaintext modulus
 	NS1 *big.Int // N^(s+1), the ciphertext modulus
+
+	red *reducer // mod-N^(s+1) multiplier (modmul.go)
 }
 
 // DJ returns the level-s view of the key.  Level 1 operations are identical
@@ -42,7 +44,8 @@ func (pk *PublicKey) DJ(s int) *DJ {
 	for i := 1; i < s; i++ {
 		ns.Mul(ns, pk.N)
 	}
-	return &DJ{PK: pk, S: s, NS: ns, NS1: new(big.Int).Mul(ns, pk.N)}
+	ns1 := new(big.Int).Mul(ns, pk.N)
+	return &DJ{PK: pk, S: s, NS: ns, NS1: ns1, red: newReducer(ns1)}
 }
 
 // Capacity returns the usable signed plaintext width in bits: packed totals
@@ -79,19 +82,20 @@ func (d *DJ) onePlusNExp(m *big.Int) *big.Int {
 	fact := big.NewInt(1)
 	npow := big.NewInt(1)
 	tmp := new(big.Int)
+	t := new(big.Int)
+	s := d.red.pool.Get().(*scratch)
+	defer d.red.pool.Put(s)
 	for i := 1; i <= d.S; i++ {
-		tmp.Sub(m, big.NewInt(int64(i-1)))
-		term.Mul(term, tmp)
-		term.Mod(term, d.NS1)
+		tmp.Sub(m, big.NewInt(int64(i-1))) // negative for m < i-1: mulMod reduces it
+		d.red.mulMod(term, term, tmp, s)
 		fact.Mul(fact, big.NewInt(int64(i)))
 		npow.Mul(npow, d.PK.N)
 		inv := new(big.Int).ModInverse(fact, d.NS1)
-		t := new(big.Int).Mul(term, inv)
-		t.Mod(t, d.NS1)
-		t.Mul(t, npow)
-		t.Mod(t, d.NS1)
-		out.Add(out, t)
-		out.Mod(out, d.NS1)
+		d.red.mulMod(t, term, inv, s)
+		d.red.mulMod(t, t, npow, s)
+		if out.Add(out, t).Cmp(d.NS1) >= 0 {
+			out.Sub(out, d.NS1)
+		}
 	}
 	return out
 }
@@ -140,9 +144,7 @@ func (d *DJ) Encrypt(random io.Reader, x *big.Int) (*Ciphertext, error) {
 		return nil, err
 	}
 	c := new(big.Int).Exp(r, d.NS, d.NS1)
-	c.Mul(c, d.onePlusNExp(m))
-	c.Mod(c, d.NS1)
-	return &Ciphertext{C: c}, nil
+	return &Ciphertext{C: d.red.mul(c, c, d.onePlusNExp(m))}, nil
 }
 
 // Decrypt recovers the signed plaintext with the non-threshold key:
@@ -175,8 +177,7 @@ func (d *DJ) CombineShares(shares []*DecryptionShare) (*big.Int, error) {
 	}
 	u := new(big.Int).Set(shares[0].Value)
 	for _, s := range shares[1:] {
-		u.Mul(u, s.Value)
-		u.Mod(u, d.NS1)
+		d.red.mul(u, u, s.Value)
 	}
 	m := d.decode(u)
 	return d.DecodeSigned(m), nil
@@ -184,9 +185,7 @@ func (d *DJ) CombineShares(shares []*DecryptionShare) (*big.Int, error) {
 
 // Add returns [x1 + x2] at level s.
 func (d *DJ) Add(c1, c2 *Ciphertext) *Ciphertext {
-	c := new(big.Int).Mul(c1.C, c2.C)
-	c.Mod(c, d.NS1)
-	return &Ciphertext{C: c}
+	return &Ciphertext{C: d.red.mul(new(big.Int), c1.C, c2.C)}
 }
 
 // MulConst returns [k·x] at level s for a signed constant k.
@@ -196,9 +195,8 @@ func (d *DJ) MulConst(c *Ciphertext, k *big.Int) *Ciphertext {
 
 // AddPlain returns [x + k] at level s for a signed constant k.
 func (d *DJ) AddPlain(c *Ciphertext, k *big.Int) *Ciphertext {
-	out := new(big.Int).Mul(c.C, d.onePlusNExp(d.EncodeSigned(k)))
-	out.Mod(out, d.NS1)
-	return &Ciphertext{C: out}
+	gm := d.onePlusNExp(d.EncodeSigned(k))
+	return &Ciphertext{C: d.red.mul(gm, gm, c.C)}
 }
 
 // EncryptVec encrypts a vector at level s in parallel.
@@ -296,21 +294,7 @@ func (d *DJ) DotVec(x []*big.Int, v []*Ciphertext) (*Ciphertext, error) {
 	if len(x) != len(v) {
 		return nil, fmt.Errorf("paillier: dot length mismatch %d vs %d", len(x), len(v))
 	}
-	acc := big.NewInt(1)
-	for i, xi := range x {
-		switch {
-		case xi.Sign() == 0:
-			continue
-		case xi.Cmp(one) == 0:
-			acc.Mul(acc, v[i].C)
-			acc.Mod(acc, d.NS1)
-		default:
-			t := expSigned(v[i].C, xi, d.NS1)
-			acc.Mul(acc, t)
-			acc.Mod(acc, d.NS1)
-		}
-	}
-	return &Ciphertext{C: acc}, nil
+	return &Ciphertext{C: d.red.dot(x, v)}, nil
 }
 
 // djShare returns this party's additive share of the level-s threshold

@@ -20,6 +20,7 @@ import (
 type FixedBaseTable struct {
 	base    *big.Int
 	mod     *big.Int
+	red     *reducer
 	window  uint
 	maxBits uint
 	rows    [][]*big.Int
@@ -39,24 +40,23 @@ func NewFixedBaseTable(base, mod *big.Int, window, maxBits uint) *FixedBaseTable
 	t := &FixedBaseTable{
 		base:    new(big.Int).Mod(base, mod),
 		mod:     mod,
+		red:     newReducer(mod),
 		window:  window,
 		maxBits: maxBits,
 		rows:    make([][]*big.Int, numRows),
 	}
+	s := new(scratch)
 	cur := new(big.Int).Set(t.base) // base^(2^(i·w)) for the current row
 	size := 1 << window
 	for i := range t.rows {
 		row := make([]*big.Int, size)
 		row[0] = big.NewInt(1)
 		for j := 1; j < size; j++ {
-			row[j] = new(big.Int).Mul(row[j-1], cur)
-			row[j].Mod(row[j], mod)
+			row[j] = t.red.mulMod(new(big.Int), row[j-1], cur, s)
 		}
 		t.rows[i] = row
 		// Advance to the next row's base: cur^(2^w) = row[2^w - 1] · cur.
-		next := new(big.Int).Mul(row[size-1], cur)
-		next.Mod(next, mod)
-		cur = next
+		cur = t.red.mulMod(new(big.Int), row[size-1], cur, s)
 	}
 	return t
 }
@@ -71,7 +71,9 @@ func (t *FixedBaseTable) Exp(e *big.Int) *big.Int {
 	if e.Sign() < 0 || uint(e.BitLen()) > t.maxBits {
 		return new(big.Int).Exp(t.base, e, t.mod)
 	}
-	acc := big.NewInt(1)
+	s := t.red.pool.Get().(*scratch)
+	defer t.red.pool.Put(s)
+	acc := t.red.unit()
 	bits := uint(e.BitLen())
 	for i, row := range t.rows {
 		lo := uint(i) * t.window
@@ -82,11 +84,13 @@ func (t *FixedBaseTable) Exp(e *big.Int) *big.Int {
 		for b := uint(0); b < t.window; b++ {
 			digit |= int(e.Bit(int(lo+b))) << b
 		}
-		if digit == 0 {
-			continue
+		switch {
+		case digit == 0:
+		case acc.Cmp(one) == 0:
+			acc.Set(row[digit]) // first factor: nothing to reduce
+		default:
+			t.red.mulMod(acc, acc, row[digit], s)
 		}
-		acc.Mul(acc, row[digit])
-		acc.Mod(acc, t.mod)
 	}
 	return acc
 }

@@ -155,3 +155,48 @@ func TestPoolNonceIsUnit(t *testing.T) {
 		seen[key] = true
 	}
 }
+
+// TestPooledEncryptSkipsNonce: encryption and rerandomization consume only
+// h^e, so a pool that never serves Obfuscator never builds the nonce table;
+// the first Obfuscator call does, and its pair still satisfies rn = r^N.
+func TestPooledEncryptSkipsNonce(t *testing.T) {
+	pk, sk, _ := testKey(t, 1)
+	pool, err := pk.EnablePool(PoolConfig{Workers: 1, Capacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pk.DisablePool()
+	pool.Reserve(40, 2)
+	for i := 0; i < 100; i++ {
+		ct, err := pk.Encrypt(rand.Reader, big.NewInt(int64(i-50)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct, err = pk.Rerandomize(rand.Reader, ct); err != nil {
+			t.Fatal(err)
+		}
+		if got := sk.Decrypt(pk, ct); got.Int64() != int64(i-50) {
+			t.Fatalf("pooled encrypt+rerandomize decrypts to %v, want %d", got, i-50)
+		}
+	}
+	cts, err := pk.EncryptVec(rand.Reader, []*big.Int{big.NewInt(1), big.NewInt(2)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pk.RerandomizeVec(rand.Reader, cts, 2); err != nil {
+		t.Fatal(err)
+	}
+	if pool.tblN != nil {
+		t.Fatal("encryption built the nonce table nobody reads")
+	}
+	r, rn, err := pk.Obfuscator(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.tblN == nil {
+		t.Fatal("Obfuscator did not build the nonce table")
+	}
+	if want := new(big.Int).Exp(r, pk.N, pk.N2); want.Cmp(rn) != 0 {
+		t.Fatal("on-demand nonce inconsistent: rn != r^N")
+	}
+}

@@ -36,6 +36,19 @@ type PublicKey struct {
 	// obfuscators (see pool.go).  Keys are shared by reference across
 	// parties, so one pool serves a whole session.
 	pool atomic.Pointer[Pool]
+
+	// red is the mod-N² multiplier (modmul.go), built on first use because
+	// keys are also assembled as literals from wire material.
+	red atomic.Pointer[reducer]
+}
+
+// n2 returns the key's mod-N² multiplier.
+func (pk *PublicKey) n2() *reducer {
+	if r := pk.red.Load(); r != nil {
+		return r
+	}
+	pk.red.CompareAndSwap(nil, newReducer(pk.N2))
+	return pk.red.Load()
 }
 
 // SecretKey is the non-threshold secret key (λ, μ).  It is produced by
@@ -194,6 +207,25 @@ func (pk *PublicKey) Obfuscator(random io.Reader) (*big.Int, *big.Int, error) {
 	return r, new(big.Int).Exp(r, pk.N, pk.N2), nil
 }
 
+// obfuscator returns r^N mod N² alone, which is all that Encrypt,
+// Rerandomize and the vector APIs consume: a pooled pair then costs one
+// table walk, the nonce r being derived only for callers of Obfuscator.
+func (pk *PublicKey) obfuscator(random io.Reader) (*big.Int, error) {
+	if p := pk.pool.Load(); p != nil {
+		o, err := p.take()
+		return o.rn, err
+	}
+	_, rn, err := pk.Obfuscator(random)
+	return rn, err
+}
+
+// onePlusNExp returns (1+N)^m = 1 + mN for m in Z_N (DJ.onePlusNExp at
+// level 1); the value is below N² without a reduction.
+func (pk *PublicKey) onePlusNExp(m *big.Int) *big.Int {
+	gm := new(big.Int).Mul(m, pk.N)
+	return gm.Add(gm, one)
+}
+
 // EncodeSigned maps a signed integer into Z_N.
 func (pk *PublicKey) EncodeSigned(x *big.Int) *big.Int {
 	v := new(big.Int).Mod(x, pk.N)
@@ -216,26 +248,24 @@ func (pk *PublicKey) DecodeSigned(x *big.Int) *big.Int {
 
 // Encrypt encrypts a signed plaintext.
 func (pk *PublicKey) Encrypt(random io.Reader, x *big.Int) (*Ciphertext, error) {
-	ct, _, err := pk.EncryptWithNonce(random, x)
-	return ct, err
+	rn, err := pk.obfuscator(random)
+	if err != nil {
+		return nil, err
+	}
+	c := pk.onePlusNExp(pk.EncodeSigned(x))
+	return &Ciphertext{C: pk.n2().mul(c, c, rn)}, nil
 }
 
 // EncryptWithNonce encrypts x and also returns the randomness r, which the
 // zero-knowledge proofs in internal/zkp need as part of the witness.
 // The ciphertext is (1+N)^x · r^N mod N², computed as (1 + xN) · r^N.
 func (pk *PublicKey) EncryptWithNonce(random io.Reader, x *big.Int) (*Ciphertext, *big.Int, error) {
-	m := pk.EncodeSigned(x)
 	r, rn, err := pk.Obfuscator(random)
 	if err != nil {
 		return nil, nil, err
 	}
-	// (1+N)^m = 1 + mN (mod N²)
-	gm := new(big.Int).Mul(m, pk.N)
-	gm.Add(gm, one)
-	gm.Mod(gm, pk.N2)
-	c := gm.Mul(gm, rn)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}, r, nil
+	c := pk.onePlusNExp(pk.EncodeSigned(x))
+	return &Ciphertext{C: pk.n2().mul(c, c, rn)}, r, nil
 }
 
 // EncryptInt64 is a convenience wrapper over Encrypt.
@@ -287,10 +317,10 @@ func (pk *PublicKey) CombineShares(shares []*DecryptionShare) (*big.Int, error) 
 	if len(shares) == 0 {
 		return nil, errors.New("paillier: no decryption shares")
 	}
+	r := pk.n2()
 	u := new(big.Int).Set(shares[0].Value)
 	for _, s := range shares[1:] {
-		u.Mul(u, s.Value)
-		u.Mod(u, pk.N2)
+		r.mul(u, u, s.Value)
 	}
 	// u = c^d = (1+N)^x, so x = L(u).
 	m := lFunc(u, pk.N)
@@ -300,9 +330,7 @@ func (pk *PublicKey) CombineShares(shares []*DecryptionShare) (*big.Int, error) 
 
 // Add returns [x1 + x2] = c1 · c2 mod N².
 func (pk *PublicKey) Add(c1, c2 *Ciphertext) *Ciphertext {
-	c := new(big.Int).Mul(c1.C, c2.C)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}
+	return &Ciphertext{C: pk.n2().mul(new(big.Int), c1.C, c2.C)}
 }
 
 // Sub returns [x1 - x2].
@@ -326,13 +354,8 @@ func (pk *PublicKey) MulConst(c *Ciphertext, k *big.Int) *Ciphertext {
 
 // AddPlain returns [x + k] for a signed constant k.
 func (pk *PublicKey) AddPlain(c *Ciphertext, k *big.Int) *Ciphertext {
-	m := pk.EncodeSigned(k)
-	gm := new(big.Int).Mul(m, pk.N)
-	gm.Add(gm, one)
-	gm.Mod(gm, pk.N2)
-	gm.Mul(gm, c.C)
-	gm.Mod(gm, pk.N2)
-	return &Ciphertext{C: gm}
+	gm := pk.onePlusNExp(pk.EncodeSigned(k))
+	return &Ciphertext{C: pk.n2().mul(gm, gm, c.C)}
 }
 
 // Dot returns [x · v] = Π v_i^{x_i} for a plaintext vector x and ciphertext
@@ -344,33 +367,64 @@ func (pk *PublicKey) Dot(x []*big.Int, v []*Ciphertext) (*Ciphertext, error) {
 	if len(x) != len(v) {
 		return nil, fmt.Errorf("paillier: dot length mismatch %d vs %d", len(x), len(v))
 	}
-	acc := new(big.Int).Set(one) // Enc(0) with r=1; callers rerandomize if needed
-	tmp := new(big.Int)
+	return &Ciphertext{C: pk.n2().dot(x, v)}, nil
+}
+
+// dot returns Π v_i^{x_i} mod m, skipping the exponentiation for entries of
+// x equal to 0 or 1.  An empty product is 1: Enc(0) with r = 1, which callers
+// rerandomize where it must hide anything.
+func (r *reducer) dot(x []*big.Int, v []*Ciphertext) *big.Int {
+	s := r.pool.Get().(*scratch)
+	defer r.pool.Put(s)
+	acc := r.unit()
 	for i, xi := range x {
 		switch {
 		case xi.Sign() == 0:
 			continue
 		case xi.Cmp(one) == 0:
-			acc.Mul(acc, v[i].C)
-			acc.Mod(acc, pk.N2)
+			r.mulMod(acc, acc, v[i].C, s)
 		default:
-			tmp = expSigned(v[i].C, xi, pk.N2)
-			acc.Mul(acc, tmp)
-			acc.Mod(acc, pk.N2)
+			r.mulMod(acc, acc, expSigned(v[i].C, xi, r.m), s)
 		}
 	}
-	return &Ciphertext{C: acc}, nil
+	return acc
+}
+
+// BucketProducts partitions one ciphertext vector by bucket[t] in [0, nb) and
+// returns the nb per-bucket products Π_{bucket[t]=b} cs[t] in a single pass
+// (1 for an empty bucket).  Split statistics are built from it: a feature's
+// ascending thresholds put every sample in exactly one bucket, so all of the
+// feature's left and right sums are prefix and suffix sums over the buckets
+// instead of one Dot over every sample per candidate split.
+func (pk *PublicKey) BucketProducts(cs []*Ciphertext, bucket []int, nb int) ([]*Ciphertext, error) {
+	if len(cs) != len(bucket) {
+		return nil, fmt.Errorf("paillier: bucket length mismatch %d vs %d", len(bucket), len(cs))
+	}
+	r := pk.n2()
+	s := r.pool.Get().(*scratch)
+	defer r.pool.Put(s)
+	out := make([]*Ciphertext, nb)
+	for b := range out {
+		out[b] = &Ciphertext{C: r.unit()}
+	}
+	for t, c := range cs {
+		b := bucket[t]
+		if b < 0 || b >= nb {
+			return nil, fmt.Errorf("paillier: bucket %d of sample %d outside [0,%d)", b, t, nb)
+		}
+		r.mulMod(out[b].C, out[b].C, c.C, s)
+	}
+	return out, nil
 }
 
 // Rerandomize multiplies c by a fresh encryption of zero.
 func (pk *PublicKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, error) {
-	_, rn, err := pk.Obfuscator(random)
+	rn, err := pk.obfuscator(random)
 	if err != nil {
 		return nil, err
 	}
-	out := new(big.Int).Mul(rn, c.C)
-	out.Mod(out, pk.N2)
-	return &Ciphertext{C: out}, nil
+	// A pooled rn is consumed exactly once, so it doubles as the result.
+	return &Ciphertext{C: pk.n2().mul(rn, rn, c.C)}, nil
 }
 
 // EncryptZero returns a fresh encryption of 0.

@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -261,5 +262,53 @@ func BenchmarkDotBinary(b *testing.B) {
 		if _, err := pk.Dot(xs, cts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCheckCiphertexts: values no honest peer can send — zero, multiples of
+// N, anything at or beyond the modulus, negatives — are refused with a typed
+// error carrying the index; honest ciphertexts and shares pass.
+func TestCheckCiphertexts(t *testing.T) {
+	pk, _, keys := testKeys(t, 2)
+	good, err := pk.EncryptVec(rand.Reader, []*big.Int{big.NewInt(7), big.NewInt(-7)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pk.CheckCiphertexts(1, good); err != nil {
+		t.Fatalf("honest ciphertexts refused: %v", err)
+	}
+	shares := MarshalShares(keys[0].PartialDecryptVec(pk, good, 1))
+	if err := pk.CheckShares(1, shares); err != nil {
+		t.Fatalf("honest shares refused: %v", err)
+	}
+	n3 := new(big.Int).Mul(pk.N2, pk.N)
+	bad := map[string]*big.Int{
+		"zero":     new(big.Int),
+		"N":        pk.N,
+		"7N":       new(big.Int).Mul(pk.N, big.NewInt(7)),
+		"N2":       pk.N2,
+		"2^4096":   new(big.Int).Lsh(one, 4096),
+		"negative": big.NewInt(-5),
+		"nil":      nil,
+	}
+	for name, v := range bad {
+		err := pk.CheckCiphertexts(1, []*Ciphertext{good[0], {C: v}})
+		var bc *ErrBadCiphertext
+		if !errors.As(err, &bc) || bc.Index != 1 {
+			t.Errorf("%s: got %v, want ErrBadCiphertext at index 1", name, err)
+		}
+		// Shares are range-checked only: a multiple of N below N² passes.
+		err = pk.CheckShares(1, []*big.Int{shares[0], v})
+		inRange := v != nil && v.Sign() > 0 && v.Cmp(pk.N2) < 0
+		if inRange != (err == nil) {
+			t.Errorf("%s as a share: got %v, in range %v", name, err, inRange)
+		}
+	}
+	// The modulus follows the level: N² is a valid level-2 residue, N³ is not.
+	if err := pk.CheckCiphertexts(2, []*Ciphertext{{C: new(big.Int).Add(pk.N2, one)}}); err != nil {
+		t.Errorf("N²+1 refused at level 2: %v", err)
+	}
+	if err := pk.CheckCiphertexts(2, []*Ciphertext{{C: n3}}); err == nil {
+		t.Error("N³ accepted at level 2")
 	}
 }

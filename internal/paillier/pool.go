@@ -15,14 +15,28 @@ import (
 //  1. Obfuscators are generated ahead of time by background workers, so a
 //     hot-path Encrypt usually pops a ready pair and performs one mulmod.
 //  2. Generation itself uses the classic fixed-base shortcut (Damgård–Jurik
-//     §4.2): fix a random unit ρ, precompute windowed tables for ρ mod N and
-//     h = ρ^N mod N², and produce each obfuscator as (ρ^e mod N, h^e mod N²)
-//     for a fresh short exponent e.  Two table lookup products replace a
-//     full N-bit exponentiation; the hiding assumption is that h^e is
-//     indistinguishable from a uniform N-th power (see DESIGN.md,
-//     "Substitutions").
+//     §4.2): fix a random unit ρ, precompute a windowed table for
+//     h = ρ^N mod N², and produce each obfuscator as h^e mod N² for a fresh
+//     short exponent e.  One table walk replaces a full N-bit
+//     exponentiation; the hiding assumption is that h^e is indistinguishable
+//     from a uniform N-th power (see DESIGN.md, "Acceleration layer").
 //
-// Each pooled pair is consumed exactly once.
+// A pooled pair is (e, h^e).  Encryption and rerandomization consume only
+// h^e; the nonce r = ρ^e mod N, which only the zero-knowledge proofs read, is
+// derived from the stored exponent when Obfuscator is called, through a
+// second table built on first use.  Each pooled pair is consumed exactly
+// once.
+
+const (
+	// poolWindow is the fixed-base window width: 43 products per obfuscator
+	// from a 0.7 MB table at 1024-bit keys.  Window 8 (32 products, 2.4 MB)
+	// was measured on train-he and bought nothing (3.1–3.2 s per train
+	// against 2.8–3.2 s): the larger table falls out of cache.
+	poolWindow = 6
+	// poolExpBits is the short-exponent width, the floor the hiding
+	// assumption is calibrated for.
+	poolExpBits = 256
+)
 
 // PoolConfig tunes the randomness pool.
 type PoolConfig struct {
@@ -32,13 +46,6 @@ type PoolConfig struct {
 	// Capacity is the number of obfuscator pairs buffered ahead of demand
 	// (default 1024).
 	Capacity int
-	// ExpBits is the short-exponent width for fixed-base generation.
-	// Values below 256 (including 0) are raised to 256 — the floor the
-	// short-exponent hiding assumption is calibrated for; larger is
-	// slower and strictly more conservative.
-	ExpBits uint
-	// Window is the fixed-base window width (default 6).
-	Window uint
 	// MaxReserve caps how many pairs a single Reserve call may buffer
 	// ahead (default 65536).  Frontier-wide training batches announce
 	// nodes·channels·samples consumptions at once — unbounded at paper
@@ -54,21 +61,16 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Capacity <= 0 {
 		c.Capacity = 1024
 	}
-	if c.ExpBits < 256 {
-		c.ExpBits = 256 // enforce the documented floor; wider is fine
-	}
-	if c.Window == 0 {
-		c.Window = 6
-	}
 	if c.MaxReserve <= 0 {
 		c.MaxReserve = 1 << 16
 	}
 	return c
 }
 
-// obf is one precomputed obfuscator: a unit r mod N and rn = r^N mod N².
+// obf is one precomputed obfuscator rn = h^e = (ρ^e)^N mod N² with the
+// exponent it came from; e is as secret as the nonce ρ^e it stands for.
 type obf struct {
-	r, rn *big.Int
+	e, rn *big.Int
 }
 
 // Pool precomputes encryption obfuscators for one public key.  It is safe
@@ -76,13 +78,18 @@ type obf struct {
 type Pool struct {
 	pk     *PublicKey
 	cfg    PoolConfig
-	tblN   *FixedBaseTable // ρ^e mod N  (the nonce)
+	rho    *big.Int
 	tblN2  *FixedBaseTable // (ρ^N)^e mod N²  (the obfuscator)
 	ch     chan obf
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed sync.Once
 	expMax *big.Int
+
+	// tblN serves ρ^e mod N (the nonce) and is built by the first
+	// Obfuscator call; semi-honest training never makes one.
+	tblNOnce sync.Once
+	tblN     *FixedBaseTable
 
 	// extra is the overflow buffer filled by Reserve for batches larger
 	// than the channel capacity; it is drained before the channel.
@@ -106,11 +113,11 @@ func NewPool(pk *PublicKey, cfg PoolConfig) (*Pool, error) {
 	p := &Pool{
 		pk:     pk,
 		cfg:    cfg,
-		tblN:   NewFixedBaseTable(rho, pk.N, cfg.Window, cfg.ExpBits),
-		tblN2:  NewFixedBaseTable(h, pk.N2, cfg.Window, cfg.ExpBits),
+		rho:    rho,
+		tblN2:  NewFixedBaseTable(h, pk.N2, poolWindow, poolExpBits),
 		ch:     make(chan obf, cfg.Capacity),
 		stop:   make(chan struct{}),
-		expMax: new(big.Int).Lsh(big.NewInt(1), cfg.ExpBits),
+		expMax: new(big.Int).Lsh(big.NewInt(1), poolExpBits),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		p.wg.Add(1)
@@ -135,7 +142,7 @@ func (p *Pool) fill() {
 	}
 }
 
-// generate produces one obfuscator pair via the fixed-base tables.
+// generate produces one obfuscator pair via the fixed-base table.
 func (p *Pool) generate() (obf, error) {
 	e, err := rand.Int(rand.Reader, p.expMax)
 	if err != nil {
@@ -145,28 +152,37 @@ func (p *Pool) generate() (obf, error) {
 	if e.Sign() == 0 {
 		e.SetInt64(1)
 	}
-	return obf{r: p.tblN.Exp(e), rn: p.tblN2.Exp(e)}, nil
+	return obf{e: e, rn: p.tblN2.Exp(e)}, nil
 }
 
-// Obfuscator returns a fresh (r, r^N mod N²) pair: reserved if available,
-// then buffered, then generated inline through the fixed-base tables.
-func (p *Pool) Obfuscator() (*big.Int, *big.Int, error) {
+// take returns a fresh pair: reserved if available, then buffered, then
+// generated inline through the fixed-base table.
+func (p *Pool) take() (obf, error) {
 	if o, ok := p.takeExtra(); ok {
 		p.Hits.Add(1)
-		return o.r, o.rn, nil
+		return o, nil
 	}
 	select {
 	case o := <-p.ch:
 		p.Hits.Add(1)
-		return o.r, o.rn, nil
+		return o, nil
 	default:
 	}
 	p.Misses.Add(1)
-	o, err := p.generate()
+	return p.generate()
+}
+
+// Obfuscator returns a fresh (r, r^N mod N²) pair, deriving the nonce
+// r = ρ^e mod N from the pair's exponent.
+func (p *Pool) Obfuscator() (*big.Int, *big.Int, error) {
+	o, err := p.take()
 	if err != nil {
 		return nil, nil, err
 	}
-	return o.r, o.rn, nil
+	p.tblNOnce.Do(func() {
+		p.tblN = NewFixedBaseTable(p.rho, p.pk.N, poolWindow, poolExpBits)
+	})
+	return p.tblN.Exp(o.e), o.rn, nil
 }
 
 func (p *Pool) takeExtra() (obf, bool) {
@@ -229,7 +245,7 @@ func (p *Pool) Reserve(size, workers int) {
 	wg.Wait()
 	p.extraMu.Lock()
 	for _, o := range fresh {
-		if o.r != nil {
+		if o.rn != nil {
 			p.extra = append(p.extra, o)
 		}
 	}
