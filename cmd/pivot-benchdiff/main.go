@@ -8,7 +8,10 @@
 // freely but must not exceed baseline·(1+tolerance).  Everything else —
 // wall-clock seconds, speedups, throughput, derived reduction ratios — is
 // advisory: printed for the log, never fatal, because CI machine noise
-// would make gating them flaky.
+// would make gating them flaky.  A gated metric more than the tolerance
+// BELOW its baseline prints STALE: the one-sided gate would pass a
+// regression all the way back up to the committed value, so the baseline
+// wants re-recording.  STALE is advisory and does not change the exit code.
 //
 // Usage:
 //
@@ -104,7 +107,7 @@ func main() {
 	}
 	sort.Strings(keys)
 
-	regressions := 0
+	regressions, stale := 0, 0
 	fmt.Printf("%-42s %16s %16s %9s  %s\n", "metric", "baseline", "current", "delta", "status")
 	for _, k := range keys {
 		bv, bok := base[k].(float64)
@@ -130,9 +133,13 @@ func main() {
 		status := "advisory"
 		if experiments.Gated(k) {
 			status = "ok"
-			if cv > bv*(1+*tolerance) {
+			switch {
+			case cv > bv*(1+*tolerance):
 				status = "REGRESSED"
 				regressions++
+			case cv < bv*(1-*tolerance):
+				status = "STALE"
+				stale++
 			}
 		}
 		fmt.Printf("%-42s %16g %16g %9s  %s\n", k, bv, cv, delta, status)
@@ -162,6 +169,10 @@ func main() {
 			fmt.Printf("%-42s %16s %16s %9s  REQUIRED-UNGATED\n", k, "-", "-", "-")
 			regressions++
 		}
+	}
+	if stale > 0 {
+		fmt.Printf("pivot-benchdiff: %d gated metric(s) more than %.0f%% below %s (STALE): re-record it, a regression back up to the committed value would pass\n",
+			stale, *tolerance*100, *baseline)
 	}
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "pivot-benchdiff: %d gated metric(s) regressed beyond %.0f%% vs %s\n",

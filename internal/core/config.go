@@ -112,7 +112,8 @@ func (h HideLevel) String() string {
 	}
 }
 
-// TrainMode selects the tree-training driver.
+// TrainMode selects the schedule on which the one set of training kernels
+// (trainLevel and the functions it calls) visits a tree's nodes.
 type TrainMode int
 
 const (
@@ -123,11 +124,11 @@ const (
 	// count.  It produces exactly the same tree as PerNode (same splits,
 	// same leaves) under fixed seeds.
 	LevelWise TrainMode = iota
-	// PerNode is the paper's Algorithm-3 depth-first recursion: one full
-	// conversion → gains → comparison → argmax round chain per node.  Kept
-	// as the equivalence-test reference; the malicious (§9.1) and DP (§9.2)
-	// extensions always use it because their proof and noise sub-protocols
-	// are specified per node.
+	// PerNode is the paper's Algorithm-3 schedule: depth-first, every node a
+	// frontier of one, so each pays its own conversion → gains → comparison
+	// → argmax round chain.  It is the equivalence-test reference, and the
+	// malicious (§9.1) and DP (§9.2) extensions always run on it because
+	// their proof and noise sub-protocols are specified per node.
 	PerNode
 )
 
@@ -138,43 +139,14 @@ func (m TrainMode) String() string {
 	return "level-wise"
 }
 
-// UpdateMode selects the model-update round structure of the level-wise
-// driver (ignored under PerNode, which always runs the paper's per-node
-// update bodies).
-type UpdateMode int
-
-const (
-	// UpdateBatched (the default) runs one model-update round chain per
-	// tree level, shared by the whole frontier and grouped by best-split
-	// owner: one grouped equality ladder over every node's PIR diffs, one
-	// grouped share→ciphertext conversion, one batched owner selection and
-	// one Eqn-10 conversion/recombination covering all nodes.  GBDT
-	// classification boosting rounds additionally train all class trees in
-	// one shared frontier, so the chains batch across classes too.
-	UpdateBatched UpdateMode = iota
-	// UpdateSequential keeps the per-node update loop inside each level and
-	// trains GBDT class trees one at a time — the round structure of the
-	// original level-wise pipeline — as a benchmarking baseline next to the
-	// PerNode oracle.
-	UpdateSequential
-)
-
-func (u UpdateMode) String() string {
-	if u == UpdateSequential {
-		return "sequential"
-	}
-	return "batched"
-}
-
 // PipelineMode gates the overlapped (pipelined) level-wise execution.
 type PipelineMode int
 
 const (
 	// PipelineAuto (the default) enables pipelining whenever the
-	// configuration supports it — semi-honest, no DP, packing enabled,
-	// level-wise training with the batched update, no Checkpoint store —
-	// AND the transport has
-	// real per-round cost (loopback TCP or simulated WAN latency).  On the
+	// configuration supports it — packing enabled, the level-wise schedule
+	// (so neither malicious nor DP), no Checkpoint store — AND the transport
+	// has real per-round cost (loopback TCP or simulated WAN latency).  On the
 	// ideal in-memory network a round costs one channel send, so the
 	// overlap's fixed overhead (per-lane dealer top-ups) would dominate;
 	// Auto keeps the barrier driver there.  Anything unsupported falls
@@ -265,22 +237,17 @@ type Config struct {
 	// byte-accounting experiments.
 	NoPack bool
 
-	// TrainMode selects level-wise batched training (default) or the
-	// paper's per-node recursion.  Malicious and DP runs always train
-	// per-node regardless of this setting.
+	// TrainMode selects the level-wise schedule (default) or the paper's
+	// per-node one.  Malicious and DP runs always train per-node regardless
+	// of this setting (Config.perNode).
 	TrainMode TrainMode
-
-	// UpdateMode selects the level-wise driver's model-update round
-	// structure: frontier-wide batched chains (default) or the sequential
-	// per-node loop kept as a benchmarking baseline.
-	UpdateMode UpdateMode
 
 	// Pipeline gates the overlapped level-wise execution: local Paillier
 	// passes for the next phase start while the current phase's openings
 	// are on the wire, independent chains (leaf construction vs model
 	// update, random-forest trees) run concurrently on tag-multiplexed
 	// transport lanes, and the winner opening is issued early.  Default
-	// auto/on; malicious, DP, NoPack, non-default train/update modes and
+	// auto/on; NoPack, the per-node schedule (so malicious and DP too) and
 	// a non-nil Checkpoint fall back to the barrier path (under
 	// PipelineOn too), which stays the equivalence oracle.
 	Pipeline PipelineMode
@@ -380,15 +347,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// perNode reports whether trees are trained on Algorithm 3's schedule — one
+// node per round chain, depth-first — instead of one chain per level.  The
+// malicious (§9.1) and DP (§9.2) sub-protocols are specified per node, so
+// they always are.
+func (c Config) perNode() bool {
+	return c.TrainMode == PerNode || c.Malicious || c.DP != nil
+}
+
 // pipelineActive reports whether this configuration runs the overlapped
 // level-wise driver.  The variants without an overlapped implementation —
-// malicious (per-value MACs and proofs), DP, NoPack (the per-value
-// Algorithm-2 oracle), per-node training, the sequential update and level
-// checkpointing (a Checkpoint store: pipelined lanes have no level barrier
-// to snapshot at) — use the barrier path.  In Auto mode, so does the
-// zero-latency in-memory
-// network, where rounds are nearly free and the overlap's fixed overhead
-// would cost more than it hides.
+// NoPack (the per-value Algorithm-2 oracle), the per-node schedule (a
+// frontier of one leaves nothing to overlap; malicious and DP with it) and
+// level checkpointing (a Checkpoint store: pipelined lanes have no level
+// barrier to snapshot at) — use the barrier path.  In Auto mode, so does the
+// zero-latency in-memory network, where rounds are nearly free and the
+// overlap's fixed overhead would cost more than it hides.
 func (c Config) pipelineActive() bool {
 	if c.Pipeline == PipelineOff {
 		return false
@@ -396,12 +370,7 @@ func (c Config) pipelineActive() bool {
 	if c.Pipeline == PipelineAuto && !c.TCPLoopback && c.NetDelay == 0 && c.NetJitter == 0 {
 		return false
 	}
-	return !c.Malicious &&
-		c.DP == nil &&
-		!c.NoPack &&
-		c.Checkpoint == nil &&
-		c.TrainMode == LevelWise &&
-		c.UpdateMode == UpdateBatched
+	return !c.NoPack && c.Checkpoint == nil && !c.perNode()
 }
 
 // mpcConfig derives the engine configuration.

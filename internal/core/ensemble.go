@@ -260,15 +260,14 @@ func (p *Party) squareChannels(encYs [][]*paillier.Ciphertext) ([][]*paillier.Ci
 	return out, nil
 }
 
-// trainBoostRound trains one boosting round's class trees.  Under the
-// level-wise batched pipeline all C trees share a single frontier, so each
-// depth's conversion, gain, argmax and model-update chains run once for the
-// whole round instead of once per class; the per-node, malicious, DP and
-// sequential-update modes keep the paper's per-class loop.
+// trainBoostRound trains one boosting round's class trees.  On the
+// level-wise schedule all C trees share a single frontier, so each depth's
+// conversion, gain, argmax and model-update chains run once for the whole
+// round instead of once per class; the per-node schedule keeps the paper's
+// per-class loop.
 func (p *Party) trainBoostRound(encY [][]*paillier.Ciphertext) ([]*Model, [][][]*paillier.Ciphertext, error) {
 	c := len(encY)
-	if p.cfg.TrainMode == PerNode || p.cfg.Malicious || p.cfg.DP != nil ||
-		p.cfg.UpdateMode == UpdateSequential {
+	if p.cfg.perNode() {
 		trees := make([]*Model, c)
 		las := make([][][]*paillier.Ciphertext, c)
 		for k := 0; k < c; k++ {

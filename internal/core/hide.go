@@ -37,71 +37,14 @@ func (p *Party) localFlatSplits() []flatSplit {
 	return out
 }
 
-// splitEnhancedHidden is the model update step for HideFeature (iStar >= 0)
-// and HideClient (iStar < 0) on a single node.  flat is the shared PIR
-// index: owner-local for HideFeature, global for HideClient.  Shared by the
-// per-node and level-wise drivers.
-func (p *Party) splitEnhancedHidden(nd nodeData, iStar int, flat mpc.Share) (Node, nodeData, nodeData, error) {
-	node := Node{Owner: iStar, Feature: -1}
-	n := len(nd.alpha)
-	nPrime := p.totalSplits()
-	if iStar >= 0 {
-		nPrime = p.clientSplits(iStar)
-	}
-
-	var left, right nodeData
-	// ⟨λ_t⟩ = ⟨1{flat == t}⟩ for t in [0, n').
-	diffs := make([]mpc.Share, nPrime)
-	for t := 0; t < nPrime; t++ {
-		diffs[t] = p.eng.AddConst(flat, big.NewInt(-int64(t)))
-	}
-	kEq := uint(bitsFor(nPrime)) + 3
-	lamShares := p.eng.EQZVec(diffs, kEq)
-
-	// [λ] must reach every contributing client: the owner under
-	// HideFeature, all clients under HideClient.  shareToEnc already
-	// broadcasts the combined ciphertexts to everyone.
-	combiner := iStar
-	if combiner < 0 {
-		combiner = p.Super
-	}
-	encLam, err := p.shareToEnc(lamShares, 4, combiner)
-	if err != nil {
-		return node, left, right, err
-	}
-
-	// Split-indicator and threshold selection.  Each contributing
-	// client computes the partial dot products over its own segment of
-	// [λ]; partials are broadcast and summed homomorphically, so the
-	// final [v] and [τ] are identical at every client.
-	encV, encTau, err := p.selectHidden(iStar, encLam, n)
-	if err != nil {
-		return node, left, right, err
-	}
-	node.EncThreshold = encTau
-
-	// Feature selectors are public functions of [λ] (split counts are
-	// public), so every client derives them locally, no messages.
-	node.EncFeatSel = p.featureSelectors(iStar, encLam)
-
-	// Encrypted mask vector update, Eqn (10).
-	left.alpha, err = p.encMaskedProduct(nd.alpha, encV, combiner)
-	if err != nil {
-		return node, left, right, err
-	}
-	right.alpha = make([]*paillier.Ciphertext, n)
-	for t := 0; t < n; t++ {
-		right.alpha[t] = p.pk.Sub(nd.alpha[t], left.alpha[t])
-	}
-	p.Stats.HEOps += int64(n)
-	return node, left, right, nil
-}
-
-// splitEnhancedHiddenLevel is splitEnhancedHidden for a whole frontier: one
-// grouped equality ladder over every node's (owner-local or global) PIR
-// diffs, one grouped conversion with each [λ] combined at its node's
-// combiner, one batched hidden selection and one Eqn-10 chain for all
-// nodes' mask updates.
+// splitEnhancedHiddenLevel is the model update step for HideFeature
+// (iStars[i] >= 0) and HideClient (iStars[i] < 0) on a frontier of nodes.
+// flats[i] is node i's shared PIR index: owner-local for HideFeature, global
+// for HideClient.  One grouped equality ladder over every node's PIR diffs,
+// one grouped conversion with each [λ] combined at its node's combiner (the
+// owner, or the super client when the owner is concealed — [λ] must reach
+// every contributing client, and the conversion broadcasts it), one batched
+// hidden selection and one Eqn-10 chain for all nodes' mask updates.
 func (p *Party) splitEnhancedHiddenLevel(nds []nodeData, iStars []int, flats []mpc.Share) ([]splitOutcome, error) {
 	K := len(nds)
 	n := len(nds[0].alpha)
@@ -160,123 +103,13 @@ func (p *Party) splitEnhancedHiddenLevel(nds []nodeData, iStars []int, flats []m
 	return out, nil
 }
 
-// updateEnhancedHidden wraps splitEnhancedHidden for the per-node recursion.
-func (p *Party) updateEnhancedHidden(model *Model, nd nodeData, iStar int, flat mpc.Share, depth int) (int, error) {
-	var node Node
-	var left, right nodeData
-	err := timed(&p.Stats.Phases.ModelUpdate, func() error {
-		r0 := p.eng.Stats.Rounds
-		defer func() { p.Stats.UpdateRounds += p.eng.Stats.Rounds - r0 }()
-		var err error
-		node, left, right, err = p.splitEnhancedHidden(nd, iStar, flat)
-		return err
-	})
-	if err != nil {
-		return 0, p.errf("hidden model update (%s): %v", p.cfg.Hide, err)
-	}
-
-	idx := len(model.Nodes)
-	model.Nodes = append(model.Nodes, node)
-	l, err := p.buildNode(model, left, depth+1)
-	if err != nil {
-		return 0, err
-	}
-	r, err := p.buildNode(model, right, depth+1)
-	if err != nil {
-		return 0, err
-	}
-	model.Nodes[idx].Left = l
-	model.Nodes[idx].Right = r
-	return idx, nil
-}
-
-// selectHidden computes [v] = V ⊗ [λ] and [τ] under the hidden regimes.
-// For HideFeature (iStar >= 0) only the owner holds V rows; for HideClient
+// selectHiddenLevel computes every frontier node's [v] = V ⊗ [λ] and [τ]
+// under the hidden regimes in shared batches.  HideFeature groups nodes by
+// their (public) owner — only the owner holds V rows — each owner batching
+// all of its nodes' dot products into a single broadcast; under HideClient
 // every client contributes the segment of the dot product covered by its own
-// splits, and the partials are summed homomorphically.
-func (p *Party) selectHidden(iStar int, encLam []*paillier.Ciphertext, n int) ([]*paillier.Ciphertext, *paillier.Ciphertext, error) {
-	mine := iStar < 0 || iStar == p.ID
-	var partV []*paillier.Ciphertext
-	var partTau *paillier.Ciphertext
-	if mine {
-		// My segment of [λ]: all of it under HideFeature (I am the owner);
-		// my own global slice under HideClient.
-		seg := encLam
-		if iStar < 0 {
-			base := p.clientBase(p.ID)
-			seg = encLam[base : base+p.clientSplits(p.ID)]
-		}
-		splits := p.localFlatSplits()
-		if len(splits) != len(seg) {
-			return nil, nil, p.errf("hidden selection: %d local splits vs %d lambda entries", len(splits), len(seg))
-		}
-		partV = make([]*paillier.Ciphertext, n)
-		for t := 0; t < n; t++ {
-			row := make([]*big.Int, len(splits))
-			for fs, sp := range splits {
-				row[fs] = p.indic[sp.j][sp.s][t]
-			}
-			ct, err := p.dotRerand(row, seg)
-			if err != nil {
-				return nil, nil, err
-			}
-			partV[t] = ct
-		}
-		taus := make([]*big.Int, len(splits))
-		for fs, sp := range splits {
-			taus[fs] = p.cod.Encode(p.cands[sp.j][sp.s])
-		}
-		var err error
-		partTau, err = p.dotRerand(taus, seg)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if iStar >= 0 {
-		// HideFeature: the owner's partials are the final values.
-		if mine {
-			if err := p.broadcastCts(append(append([]*paillier.Ciphertext{}, partV...), partTau)); err != nil {
-				return nil, nil, err
-			}
-			return partV, partTau, nil
-		}
-		cts, err := p.recvCts(iStar)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cts[:n], cts[n], nil
-	}
-
-	// HideClient: broadcast partials, sum all clients' contributions.
-	if err := p.broadcastCts(append(append([]*paillier.Ciphertext{}, partV...), partTau)); err != nil {
-		return nil, nil, err
-	}
-	encV := partV
-	encTau := partTau
-	for c := 0; c < p.M; c++ {
-		if c == p.ID {
-			continue
-		}
-		cts, err := p.recvCts(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		for t := 0; t < n; t++ {
-			encV[t] = p.pk.Add(encV[t], cts[t])
-		}
-		encTau = p.pk.Add(encTau, cts[n])
-	}
-	p.Stats.HEOps += int64((n + 1) * (p.M - 1))
-	return encV, encTau, nil
-}
-
-// selectHiddenLevel computes every frontier node's [v] and [τ] under the
-// hidden regimes in shared batches.  HideFeature groups nodes by their
-// (public) owner, each owner batching all of its nodes' dot products into a
-// single broadcast; under HideClient every client contributes its global
-// segment for all nodes in one broadcast and the partials are summed
-// homomorphically.
+// splits, for all nodes in one broadcast, and the partials are summed
+// homomorphically, so the final [v] and [τ] are identical at every client.
 func (p *Party) selectHiddenLevel(iStars []int, segs [][]*paillier.Ciphertext, n int) ([][]*paillier.Ciphertext, []*paillier.Ciphertext, error) {
 	K := len(iStars)
 	encVs := make([][]*paillier.Ciphertext, K)

@@ -4,27 +4,31 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/dp"
 	"repro/internal/mpc"
 	"repro/internal/paillier"
 )
 
-// Level-wise (breadth-first) training pipeline.  The paper's Algorithm 3 is
-// a per-node recursion: every node pays a full conversion → gains →
-// comparison → argmax chain of synchronous MPC rounds.  Once the local
-// Paillier work is accelerated, those rounds dominate latency — so this
-// driver collects the whole frontier of active nodes at a depth and runs
-// each stage once for all of them: one batched Paillier pass for the masked
-// label channels and split statistics, one Algorithm-2 conversion for the
-// concatenated statistics vector, one grouped gain evaluation, and one
-// grouped oblivious argmax whose comparison rounds are shared across nodes.
-// The round cost of a tree becomes O(depth) chains instead of O(nodes).
+// The node-training kernels and their two schedules.  trainLevel trains a
+// frontier of nodes at one depth, running each stage once for all of them:
+// one batched Paillier pass for the masked label channels and split
+// statistics, one Algorithm-2 conversion for the concatenated statistics
+// vector, one grouped gain evaluation, one grouped oblivious argmax whose
+// comparison rounds are shared across nodes, and one model-update chain.
 //
-// The pipeline is exactly tree-equivalent to the per-node recursion (same
-// splits, same leaves under fixed seeds): every MPC primitive used here is a
-// deterministic function of its inputs — masks and Beaver triples cancel
-// exactly — so batching changes only the round structure, never the values.
-// Nodes are appended to the model in breadth-first order (the recursion
-// appends depth-first); the rendered tree is identical.
+// The level-wise schedule (runLevels) hands it the whole frontier of a depth,
+// so a tree costs O(depth) round chains.  The paper's Algorithm 3 pays a full
+// conversion → gains → comparison → argmax chain per node; that is the same
+// kernels on a frontier of one, walked depth-first (walkDepthFirst), and it
+// is the schedule the malicious (§9.1) and DP (§9.2) extensions run on: their
+// proof and noise hooks sit inside the kernels as loops over whatever
+// frontier they are handed.
+//
+// The two schedules grow the same tree (same splits, same leaves under fixed
+// seeds): every MPC primitive used here is a deterministic function of its
+// inputs — masks and Beaver triples cancel exactly — so batching changes only
+// the round structure, never the values.  They differ in Model.Nodes order
+// (breadth-first against preorder); the rendered tree is identical.
 
 // frontierNode is one active node awaiting training at the current depth.
 type frontierNode struct {
@@ -50,29 +54,21 @@ type splitOutcome struct {
 	left, right nodeData
 }
 
-// buildLevels trains the tree breadth-first from the root's nodeData.
-func (p *Party) buildLevels(model *Model, root nodeData) error {
-	task := &treeTask{model: model, capture: p.captureLeaves}
-	if err := p.buildLevelsMulti([]*treeTask{task}, []nodeData{root}); err != nil {
-		return err
-	}
-	if task.capture {
-		p.leafAlphas = append(p.leafAlphas, task.leafAlphas...)
+// walkDepthFirst is Algorithm 3's schedule: every node is trained as a
+// frontier of one, before its left subtree and then its right — preorder, so
+// Model.Nodes, the LeafPos numbering and the captured leaf masks come out in
+// the order the paper's recursion visits them.
+func (p *Party) walkDepthFirst(tasks []*treeTask, nodes []frontierNode, depth int) error {
+	for i := range nodes {
+		children, err := p.trainLevel(tasks, nodes[i:i+1], depth)
+		if err != nil {
+			return err
+		}
+		if err := p.walkDepthFirst(tasks, children, depth+1); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// buildLevelsMulti trains all tasks' trees breadth-first in one shared
-// frontier: nodes of every tree at the same depth are batched together, so
-// the per-level round chains are paid once for the whole set of trees.
-func (p *Party) buildLevelsMulti(tasks []*treeTask, roots []nodeData) error {
-	frontier := make([]frontierNode, len(roots))
-	for i := range roots {
-		frontier[i] = frontierNode{nd: roots[i], tree: i, parent: -1}
-	}
-	// runLevels (recovery.go) drives the per-depth loop so the same code
-	// path serves both fresh training and checkpoint resume.
-	return p.runLevels(tasks, frontier, 0)
 }
 
 // trainLevel trains every frontier node at one depth and returns the next
@@ -125,6 +121,19 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			ys := make([]mpc.Share, G)
 			for g := range frontier {
 				xs[g] = frontier[g].nShare
+			}
+			if p.cfg.DP != nil {
+				// §9.2: noisy pruning-condition query (sensitivity 1).  The
+				// counts move to fixed-point scale to match the noise.
+				scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+				noise := dp.LaplaceVec(p.eng, 1/p.cfg.DP.Epsilon, G)
+				for g := range xs {
+					xs[g] = p.eng.Add(p.eng.MulPub(xs[g], scale), noise[g])
+				}
+				threshold = p.eng.MulPub(threshold, scale)
+				width += p.cfg.F
+			}
+			for g := range ys {
 				ys[g] = threshold
 			}
 			for g, v := range p.eng.OpenVec(p.eng.LTVec(xs, ys, width)) {
@@ -244,6 +253,24 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			if err != nil {
 				return err
 			}
+			if p.cfg.DP != nil {
+				// §9.2: the exponential mechanism over each node's gains
+				// (sensitivity 2) instead of the argmax, and no zero-gain
+				// opening.  Following Friedman & Schuster (the paper's [33]),
+				// the quality function is the count-weighted gain n·gain(τ),
+				// whose larger score spread gives the mechanism usable
+				// utility.
+				for i, g := range splitters {
+					ns := make([]mpc.Share, S)
+					for s := range ns {
+						ns[s] = nShares[i]
+					}
+					weighted := p.eng.MulVec(gains[i*S:(i+1)*S], ns)
+					ids := dp.ExponentialSelect(p.eng, weighted, p.splitIDs, p.cfg.DP.Epsilon, 2.0, p.w.gain+p.w.count+2)
+					bests[g] = mpc.ArgmaxResult{Max: p.eng.ConstInt64(1), IDs: ids}
+				}
+				return nil
+			}
 			groups := make([]int, len(splitters))
 			ids := make([][]int64, 0, len(gains))
 			for i := range groups {
@@ -336,11 +363,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			r0 := p.eng.Stats.Rounds
 			defer func() { p.Stats.UpdateRounds += p.eng.Stats.Rounds - r0 }()
 			var err error
-			if p.cfg.UpdateMode == UpdateSequential {
-				outcomes, err = p.updateLevelSequential(nds, bestsK, idsK)
-			} else {
-				outcomes, err = p.updateLevelBatched(nds, bestsK, idsK)
-			}
+			outcomes, err = p.updateLevelBatched(nds, bestsK, idsK)
 			return err
 		})
 	}
@@ -484,40 +507,14 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 	}
 }
 
-// updateLevelSequential runs the per-node update bodies one frontier node at
-// a time — the round structure of the original level-wise pipeline, kept as
-// a benchmarking baseline (cfg.UpdateMode == UpdateSequential).
-func (p *Party) updateLevelSequential(nds []nodeData, bests []mpc.ArgmaxResult, opened [][]*big.Int) ([]splitOutcome, error) {
-	out := make([]splitOutcome, len(nds))
-	for i := range nds {
-		var err error
-		ids := opened[i]
-		switch {
-		case p.cfg.Protocol == Basic:
-			out[i].node, out[i].left, out[i].right, err = p.splitBasic(nds[i],
-				int(ids[0].Int64()), int(ids[1].Int64()), int(ids[2].Int64()))
-		case p.cfg.Hide == HideFeature:
-			iStar := int(ids[0].Int64())
-			flat := p.eng.AddConst(bests[i].IDs[3], big.NewInt(-int64(p.clientBase(iStar))))
-			out[i].node, out[i].left, out[i].right, err = p.splitEnhancedHidden(nds[i], iStar, flat)
-		case p.cfg.Hide == HideClient:
-			out[i].node, out[i].left, out[i].right, err = p.splitEnhancedHidden(nds[i], -1, bests[i].IDs[3])
-		default:
-			out[i].node, out[i].left, out[i].right, err = p.splitEnhanced(nds[i],
-				int(ids[0].Int64()), int(ids[1].Int64()), bests[i].IDs[2])
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// computeGammasLevel is computeGammas for a whole frontier: the super client
-// derives every splitter's masked label channels in one parallel Paillier
-// batch and ships them in a single broadcast (the per-node path sends one
-// message per node and channel).  In encrypted-label mode the channels are
-// already maintained per node and nothing is sent.
+// computeGammasLevel is the local computation step's first half: the super
+// client derives every splitter's masked label channels [γ] from its [α]
+// (classification: one 0/1 channel per class; regression: y and y² channels)
+// in one parallel Paillier batch and ships them in a single broadcast.  In
+// encrypted-label mode the channels are already maintained per node by the
+// split owners and nothing is sent.  In malicious mode every channel travels
+// inside its POPCM proofs against the label commitments (§9.1.2), one
+// message per node and channel.
 func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Ciphertext, error) {
 	out := make([][][]*paillier.Ciphertext, len(nodes))
 	if nodes[0].nd.gch != nil {
@@ -528,6 +525,19 @@ func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Cipher
 	}
 	C := p.channels(nodes[0].nd)
 	n := p.part.N
+	if p.audit != nil {
+		for i := range nodes {
+			out[i] = make([][]*paillier.Ciphertext, C)
+			for k := range out[i] {
+				ch, err := p.audit.gammaWithProofs(nodes[i].nd.alpha, k)
+				if err != nil {
+					return nil, err
+				}
+				out[i][k] = ch
+			}
+		}
+		return out, nil
+	}
 	if p.ID != p.Super {
 		masked, err := p.recvCtsChunked(p.Super, len(nodes)*C*n)
 		if err != nil {
@@ -600,10 +610,11 @@ func (p *Party) gammaMaskedSuper(nodes []frontierNode) ([]*paillier.Ciphertext, 
 	return p.scalarMulRerandVec(flatCts, flatBetas)
 }
 
-// computeSplitStatsLevel is computeSplitStats for a whole frontier: every
-// client computes all its (node, feature, channel) bucket passes in one
-// parallel batch and ships the statistics to the super client in a single
-// message.
+// computeSplitStatsLevel is the second half of the local computation step:
+// every client computes, for each of its candidate splits, the encrypted left
+// and right statistics over every channel plus the counts (Eqn 7) — all its
+// (node, feature, channel) bucket passes in one parallel batch — and ships
+// them to the super client in a single message for conversion.
 // The returned per-splitter slices (canonical split order, as the
 // conversion expects) are non-nil only at the super client.
 func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillier.Ciphertext) ([][]*paillier.Ciphertext, error) {
@@ -612,6 +623,9 @@ func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillie
 	channels := make([][][]*paillier.Ciphertext, K)
 	for i := range nodes {
 		channels[i] = append([][]*paillier.Ciphertext{nodes[i].nd.alpha}, gchs[i]...)
+	}
+	if p.audit != nil {
+		return p.provenSplitStats(channels)
 	}
 	p.poolReserve(K * p.clientSplits(p.ID) * statsPerSplit)
 	stats, err := p.bucketStats(channels)
@@ -661,12 +675,58 @@ func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillie
 	return out, nil
 }
 
+// provenSplitStats is the malicious-mode (§9.1.2) computeSplitStatsLevel:
+// every left statistic is a homomorphic dot product carrying a POHDP against
+// its owner's committed split indicator, sent to the super client one message
+// per (node, split, channel) and verified there; right = total − left is
+// publicly derivable, so it carries no proof.  channels[i] lists node i's
+// encrypted channels, mask vector first.
+func (p *Party) provenSplitStats(channels [][][]*paillier.Ciphertext) ([][]*paillier.Ciphertext, error) {
+	out := make([][]*paillier.Ciphertext, len(channels))
+	for i, chs := range channels {
+		totals := make([]*paillier.Ciphertext, len(chs))
+		for c, ch := range chs {
+			totals[c] = p.foldAdd(ch)
+		}
+		var mine []*paillier.Ciphertext
+		for flat, vl := range p.flatSplits() {
+			for c, ch := range chs {
+				dl, err := p.audit.statWithProof(flat, ch, vl)
+				if err != nil {
+					return nil, err
+				}
+				mine = append(mine, dl, p.pk.Sub(totals[c], dl))
+			}
+		}
+		if p.ID != p.Super {
+			continue // statWithProof shipped each statistic
+		}
+		// Super: assemble all clients' statistics in canonical order.
+		for c := 0; c < p.M; c++ {
+			if c == p.ID {
+				out[i] = append(out[i], mine...)
+				continue
+			}
+			for s := 0; s < p.clientSplits(c); s++ {
+				for k, ch := range chs {
+					dl, err := p.audit.verifyStat(c, s, ch)
+					if err != nil {
+						return nil, err
+					}
+					out[i] = append(out[i], dl, p.pk.Sub(totals[k], dl))
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
 // makeLeavesLevel resolves all of a level's leaves in shared batches: one
 // conversion, one reciprocal/truncation chain (regression) or one grouped
 // argmax over the per-class counts (classification), and one batched
 // opening (basic) or share-to-ciphertext conversion (enhanced).  Leaf
-// positions are assigned in entry order per tree, exactly as the per-node
-// recursion assigns them in visit order.
+// positions are assigned in entry order per tree — visit order, on either
+// schedule.
 func (p *Party) makeLeavesLevel(tasks []*treeTask, entries []frontierNode) ([]Node, error) {
 	L := len(entries)
 	nodes := make([]Node, L)
@@ -730,6 +790,15 @@ func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode
 	})
 	if err != nil {
 		return err
+	}
+	if p.cfg.DP != nil {
+		// §9.2: Laplace noise on each class count (parallel composition).
+		// Counts are integers; they move to the noise's fixed-point scale.
+		noise := dp.LaplaceVec(p.eng, 1/p.cfg.DP.Epsilon, L*C)
+		scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+		for j := range shares {
+			shares[j] = p.eng.Add(p.eng.MulPub(shares[j], scale), noise[j])
+		}
 	}
 	groups := make([]int, L)
 	ids := make([][]int64, L*C)
@@ -814,6 +883,13 @@ func (p *Party) leavesRegression(nodes []Node, entries []frontierNode) error {
 	// 2f-scaled means: |Σy| < 2^stat, 0 < 1/n ≤ 1 at f scale.
 	raws := p.eng.MulVecSigned(sumShares, recips, p.w.stat, p.cfg.F+2)
 	means := p.eng.TruncVec(raws, p.w.stat+p.cfg.F+4, p.cfg.F)
+	if p.cfg.DP != nil {
+		// §9.2: Laplace noise on each mean.
+		sens := float64(int64(2)<<p.cfg.LabelBits) / float64(maxInt(p.cfg.Tree.MinSamplesSplit, 1))
+		for i, noise := range dp.LaplaceVec(p.eng, sens/p.cfg.DP.Epsilon, L) {
+			means[i] = p.eng.Add(means[i], noise)
+		}
+	}
 	if p.cfg.Protocol == Basic {
 		for i, v := range p.eng.OpenVec(means) {
 			nodes[i].Label = p.eng.DecodeSigned(v)

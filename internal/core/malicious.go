@@ -208,12 +208,9 @@ func (a *auditor) proveMasks(cts []*paillier.Ciphertext, plain []*big.Int) ([]*b
 // verifyMasks checks peers' POPKs for their conversion masks.
 func (a *auditor) verifyMasks(from int, cts []*paillier.Ciphertext) error {
 	p := a.p
-	xs, err := transport.RecvInts(p.ep, from)
+	xs, err := p.recvIntsN(from, 3*len(cts))
 	if err != nil {
-		return err
-	}
-	if len(xs) != 3*len(cts) {
-		return fmt.Errorf("core: malformed mask proofs from client %d", from)
+		return fmt.Errorf("mask proofs: %w", err)
 	}
 	for t := range cts {
 		pr := &zkp.POPK{U: xs[3*t], Z: xs[3*t+1], W: xs[3*t+2]}
@@ -252,12 +249,9 @@ func (a *auditor) gammaWithProofs(encAlpha []*paillier.Ciphertext, k int) ([]*pa
 		}
 		return out, nil
 	}
-	xs, err := transport.RecvInts(p.ep, p.Super)
+	xs, err := p.recvIntsN(p.Super, 6*n)
 	if err != nil {
-		return nil, err
-	}
-	if len(xs) != 6*n {
-		return nil, fmt.Errorf("core: malformed gamma broadcast")
+		return nil, fmt.Errorf("gamma broadcast: %w", err)
 	}
 	out := make([]*paillier.Ciphertext, n)
 	for t := 0; t < n; t++ {
@@ -296,13 +290,10 @@ func (a *auditor) statWithProof(flatIdx int, gamma []*paillier.Ciphertext, v []*
 // verifyStat receives and verifies one proven statistic from a peer.
 func (a *auditor) verifyStat(from, flatIdx int, gamma []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
 	p := a.p
-	xs, err := transport.RecvInts(p.ep, from)
-	if err != nil {
-		return nil, err
-	}
 	n := len(gamma)
-	if len(xs) != 1+6*n {
-		return nil, fmt.Errorf("core: malformed stat proof from client %d", from)
+	xs, err := p.recvIntsN(from, 1+6*n)
+	if err != nil {
+		return nil, fmt.Errorf("stat proof: %w", err)
 	}
 	res := &paillier.Ciphertext{C: xs[0]}
 	pr := &zkp.POHDP{Terms: make([]*paillier.Ciphertext, n), Proofs: make([]*zkp.POPCM, n)}
@@ -348,12 +339,9 @@ func (a *auditor) provenScalarMulVec(sender, flatIdx int, base []*paillier.Ciphe
 func (a *auditor) recvProvenScalarMulVec(from, flatIdx int, base []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
 	p := a.p
 	n := len(base)
-	xs, err := transport.RecvInts(p.ep, from)
+	xs, err := p.recvIntsN(from, 6*n)
 	if err != nil {
-		return nil, err
-	}
-	if len(xs) != 6*n {
-		return nil, fmt.Errorf("core: malformed proven masked vector from client %d", from)
+		return nil, fmt.Errorf("proven masked vector: %w", err)
 	}
 	out := make([]*paillier.Ciphertext, n)
 	for t := 0; t < n; t++ {

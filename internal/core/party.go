@@ -125,7 +125,7 @@ func (p *Party) Engine() *mpc.Engine { return p.eng }
 // prepareSplits computes the local candidate thresholds, the left-branch
 // indicator vector v_l for every (feature, split) pair (§4.1) and every
 // sample's bucket per feature.  The thresholds of one feature must ascend:
-// that is what nests the v_l and lets computeSplitStats derive every split's
+// that is what nests the v_l and lets bucketStats derive every split's
 // statistics from one pass over the buckets.
 func (p *Party) prepareSplits() error {
 	d := len(p.part.Features)
@@ -255,6 +255,32 @@ func (p *Party) sendCts(to int, cts []*paillier.Ciphertext) error {
 	return transport.SendInts(p.ep, to, paillier.MarshalCiphertexts(cts))
 }
 
+// ErrMessageLength is returned when a message from a peer holds a different
+// number of values than the protocol step fixes.  Every receive on the
+// training path is counted, so nothing a peer sends is indexed before its
+// length is known.
+type ErrMessageLength struct {
+	Client, From int // the receiving and the sending client
+	Got, Want    int
+}
+
+func (e *ErrMessageLength) Error() string {
+	return fmt.Sprintf("client %d: message from client %d holds %d values, want %d", e.Client, e.From, e.Got, e.Want)
+}
+
+// recvIntsN receives one message from a peer and requires it to hold exactly
+// want integers.
+func (p *Party) recvIntsN(from, want int) ([]*big.Int, error) {
+	xs, err := transport.RecvInts(p.ep, from)
+	if err != nil {
+		return nil, err
+	}
+	if len(xs) != want {
+		return nil, &ErrMessageLength{Client: p.ID, From: from, Got: len(xs), Want: want}
+	}
+	return xs, nil
+}
+
 func (p *Party) recvCts(from int) ([]*paillier.Ciphertext, error) {
 	xs, err := transport.RecvInts(p.ep, from)
 	if err != nil {
@@ -333,22 +359,7 @@ func (p *Party) sendIntsChunked(to int, xs []*big.Int) error {
 }
 
 func (p *Party) recvIntsChunked(from, total int) ([]*big.Int, error) {
-	out := make([]*big.Int, 0, total)
-	err := p.chunked(total, func(lo, hi int) error {
-		xs, err := transport.RecvInts(p.ep, from)
-		if err != nil {
-			return err
-		}
-		out = append(out, xs...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != total {
-		return nil, p.errf("chunked receive from %d: got %d values, want %d", from, len(out), total)
-	}
-	return out, nil
+	return p.recvIntsChunkedLevel(from, total, 1)
 }
 
 func (p *Party) broadcastCtsChunked(cts []*paillier.Ciphertext) error {
@@ -380,6 +391,16 @@ func (p *Party) sendCtsChunkedLevel(to, level int, cts []*paillier.Ciphertext) e
 }
 
 func (p *Party) recvCtsChunkedLevel(from, total, level int) ([]*paillier.Ciphertext, error) {
+	xs, err := p.recvIntsChunkedLevel(from, total, level)
+	if err != nil {
+		return nil, err
+	}
+	return p.checkedCts(from, level, xs)
+}
+
+// recvIntsChunkedLevel receives exactly `total` integers sent in frames of
+// the level-s ciphertext budget.
+func (p *Party) recvIntsChunkedLevel(from, total, level int) ([]*big.Int, error) {
 	out := make([]*big.Int, 0, total)
 	err := p.chunkedLevel(total, level, func(lo, hi int) error {
 		xs, err := transport.RecvInts(p.ep, from)
@@ -393,9 +414,9 @@ func (p *Party) recvCtsChunkedLevel(from, total, level int) ([]*paillier.Ciphert
 		return nil, err
 	}
 	if len(out) != total {
-		return nil, p.errf("chunked receive from %d: got %d values, want %d", from, len(out), total)
+		return nil, &ErrMessageLength{Client: p.ID, From: from, Got: len(out), Want: total}
 	}
-	return p.checkedCts(from, level, out)
+	return out, nil
 }
 
 // encryptVec encrypts with stats accounting and the configured parallelism.

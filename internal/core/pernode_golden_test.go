@@ -225,3 +225,19 @@ func TestPerNodeScheduleGolden(t *testing.T) {
 		t.Logf("this tree produces:\n%s", out)
 	}
 }
+
+// TestDPDeterministic pins what lets a recorded DP entry exist at all, and
+// what the width-one schedule relies on: the §9.2 noise is a function of the
+// seed and the order the program draws it in, so two runs of one
+// configuration grow the same tree.
+func TestDPDeterministic(t *testing.T) {
+	for _, v := range goldenVariants {
+		if v.config().DP == nil {
+			continue
+		}
+		a, b := runGolden(t, v), runGolden(t, v)
+		if !reflect.DeepEqual(a.Outlines, b.Outlines) {
+			t.Errorf("%s: two runs grew different trees:\n%s\n%s", v.name, a.Outlines[0], b.Outlines[0])
+		}
+	}
+}

@@ -37,7 +37,6 @@ func TestPipelineActive(t *testing.T) {
 		{"on/dp", func(c *Config) { c.Pipeline, c.DP = PipelineOn, &DPConfig{Epsilon: 1} }, false},
 		{"on/nopack", func(c *Config) { c.Pipeline, c.NoPack = PipelineOn, true }, false},
 		{"on/per-node", func(c *Config) { c.Pipeline, c.TrainMode = PipelineOn, PerNode }, false},
-		{"on/sequential-update", func(c *Config) { c.Pipeline, c.UpdateMode = PipelineOn, UpdateSequential }, false},
 	} {
 		cfg := DefaultConfig()
 		tc.set(&cfg)

@@ -31,9 +31,10 @@ import (
 //
 // What is NOT recoverable: malicious-mode sessions (the SPDZ MAC
 // transcript cannot be replayed — see mpc.EngineState), DP runs (their
-// noise draws are not checkpointed), and pipelined sessions (lanes hold
-// in-flight opens at level boundaries; the barrier driver is the
-// recoverable path and the checkpoint hooks no-op when pipelining is
+// noise draws are not checkpointed) — both train on the per-node schedule,
+// which has no level barrier to checkpoint at — and pipelined sessions
+// (lanes hold in-flight opens at level boundaries; the barrier driver is
+// the recoverable path and the checkpoint hooks no-op when pipelining is
 // active).
 
 // trainKind tags which training driver produced a checkpoint.
@@ -205,14 +206,6 @@ func cloneModel(m *Model) *Model {
 	return &cp
 }
 
-func cloneModels(ms []*Model) []*Model {
-	out := make([]*Model, len(ms))
-	for i, m := range ms {
-		out[i] = cloneModel(m)
-	}
-	return out
-}
-
 // cloneFrontier copies the frontier structs: trainLevel writes nShare into
 // the slice elements in place, so the elements must be copied (shares are
 // values, so copying the struct copies the share); the nodeData ciphertext
@@ -250,10 +243,11 @@ func restoreTasks(snaps []*taskSnap) []*treeTask {
 
 // checkpointing reports whether this party takes level checkpoints: a
 // store must be wired (which already selects the barrier driver, see
-// Config.pipelineActive), a driver must have armed its unit context, and
-// the run must be on the recoverable path (semi-honest, no DP).
+// Config.pipelineActive) and a driver must have armed its unit context.
+// Only runLevels asks, so the per-node schedule — and with it the
+// unrecoverable malicious and DP runs — never checkpoints.
 func (p *Party) checkpointing() bool {
-	return p.ck != nil && p.rctx != nil && !p.cfg.Malicious && p.cfg.DP == nil
+	return p.ck != nil && p.rctx != nil
 }
 
 // levelCheckpoint snapshots the party at a completed level barrier.  The

@@ -4,13 +4,12 @@ import (
 	"math/big"
 	"time"
 
-	"repro/internal/dp"
 	"repro/internal/mpc"
 	"repro/internal/paillier"
 )
 
-// nodeData carries the encrypted per-node state down the tree recursion: the
-// encrypted mask vector [α] (§4.1) and, in encrypted-label mode (GBDT trees
+// nodeData carries a node's encrypted state down the tree: the encrypted
+// mask vector [α] (§4.1) and, in encrypted-label mode (GBDT trees
 // after the first round, §7.2), the masked label channels [γ].
 type nodeData struct {
 	alpha []*paillier.Ciphertext
@@ -60,17 +59,23 @@ func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext
 	if encY != nil {
 		model.Classes = 0 // boosting rounds fit regression trees
 	}
-	// The malicious and DP extensions specify their proof and noise
-	// sub-protocols per node, so they always run the per-node recursion;
-	// everything else defaults to the level-wise pipeline (identical trees,
-	// far fewer synchronous MPC rounds).
-	if p.cfg.TrainMode == PerNode || p.cfg.Malicious || p.cfg.DP != nil {
-		if _, err := p.buildNode(model, nd, 0); err != nil {
-			return nil, err
-		}
-	} else if err := p.buildLevels(model, nd); err != nil {
+	// One set of kernels (trainLevel), two schedules: Algorithm 3's
+	// depth-first walk, one node per round chain, where the configuration
+	// asks for it or the malicious and DP extensions' per-node proof and
+	// noise sub-protocols require it; otherwise breadth-first, the whole
+	// frontier of a depth per chain (identical trees, far fewer synchronous
+	// MPC rounds).
+	task := &treeTask{model: model, capture: p.captureLeaves}
+	tasks, root := []*treeTask{task}, []frontierNode{{nd: nd, parent: -1}}
+	if p.cfg.perNode() {
+		err = p.walkDepthFirst(tasks, root, 0)
+	} else {
+		err = p.runLevels(tasks, root, 0)
+	}
+	if err != nil {
 		return nil, err
 	}
+	p.leafAlphas = append(p.leafAlphas, task.leafAlphas...)
 	if p.cfg.Malicious {
 		if err := p.eng.CheckMACs(); err != nil {
 			return nil, p.errf("MAC check: %v", err)
@@ -102,15 +107,18 @@ func (p *Party) trainTreesShared(encYs, encY2s [][]*paillier.Ciphertext) ([]*Mod
 		return nil, nil, err
 	}
 	tasks := make([]*treeTask, len(encYs))
-	roots := make([]nodeData, len(encYs))
+	roots := make([]frontierNode, len(encYs))
 	for k := range encYs {
 		tasks[k] = &treeTask{
 			model:   &Model{Protocol: p.cfg.Protocol, Hide: p.cfg.Hide},
 			capture: true,
 		}
-		roots[k] = nodeData{alpha: alpha, gch: [][]*paillier.Ciphertext{encYs[k], encY2s[k]}}
+		roots[k] = frontierNode{
+			nd:   nodeData{alpha: alpha, gch: [][]*paillier.Ciphertext{encYs[k], encY2s[k]}},
+			tree: k, parent: -1,
+		}
 	}
-	if err := p.buildLevelsMulti(tasks, roots); err != nil {
+	if err := p.runLevels(tasks, roots, 0); err != nil {
 		return nil, nil, err
 	}
 	models := make([]*Model, len(tasks))
@@ -196,337 +204,6 @@ func (p *Party) foldAdd(cts []*paillier.Ciphertext) *paillier.Ciphertext {
 	return p.pk.FoldAdd(cts)
 }
 
-// buildNode recursively splits one node and returns its index in the model.
-func (p *Party) buildNode(model *Model, nd nodeData, depth int) (int, error) {
-	p.Stats.NodesTrained++
-
-	// ----- pruning conditions (Algorithm 3, lines 1-3) -----
-	nodeCt := p.foldAdd(nd.alpha)
-	var nShare mpc.Share
-	err := timed(&p.Stats.Phases.Conversion, func() error {
-		sh, err := p.encToShares([]*paillier.Ciphertext{nodeCt}, 1, p.w.count+2)
-		if err != nil {
-			return err
-		}
-		nShare = sh[0]
-		return nil
-	})
-	if err != nil {
-		return 0, p.errf("node count conversion: %v", err)
-	}
-	leaf := depth >= p.cfg.Tree.MaxDepth || p.totalSplits() == 0
-	if !leaf {
-		err := timed(&p.Stats.Phases.MPCComputation, func() error {
-			checked := nShare
-			threshold := p.eng.ConstInt64(int64(p.cfg.Tree.MinSamplesSplit))
-			width := p.w.count + 4
-			if p.cfg.DP != nil {
-				// §9.2: noisy pruning-condition query (sensitivity 1).  The
-				// count moves to fixed-point scale to match the noise.
-				scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
-				checked = p.eng.Add(p.eng.MulPub(checked, scale), dp.Laplace(p.eng, 1/p.cfg.DP.Epsilon))
-				threshold = p.eng.MulPub(threshold, scale)
-				width += p.cfg.F
-			}
-			lt := p.eng.LT(checked, threshold, width)
-			leaf = p.eng.Open(lt).Sign() != 0
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	if leaf {
-		return p.makeLeaf(model, nd, nShare)
-	}
-
-	// ----- local computation step: [L] and encrypted statistics -----
-	var gch [][]*paillier.Ciphertext
-	err = timed(&p.Stats.Phases.LocalComputation, func() error {
-		var err error
-		gch, err = p.computeGammas(nd)
-		return err
-	})
-	if err != nil {
-		return 0, p.errf("gamma computation: %v", err)
-	}
-	C := len(gch)
-	gTotals := make([]*paillier.Ciphertext, C)
-	for k := range gch {
-		gTotals[k] = p.foldAdd(gch[k])
-	}
-	var statCts []*paillier.Ciphertext
-	err = timed(&p.Stats.Phases.LocalComputation, func() error {
-		var err error
-		statCts, err = p.computeSplitStats(nd.alpha, gch)
-		return err
-	})
-	if err != nil {
-		return 0, p.errf("split statistics: %v", err)
-	}
-
-	// ----- MPC computation step: convert, gains, oblivious argmax -----
-	statsPerSplit := 2 + 2*C
-	total := C + p.totalSplits()*statsPerSplit
-	var all []*paillier.Ciphertext
-	if p.ID == p.Super {
-		all = append(append([]*paillier.Ciphertext{}, gTotals...), statCts...)
-	} else {
-		all = gTotals // only the totals matter locally; super holds the rest
-		all = append(append([]*paillier.Ciphertext{}, gTotals...), make([]*paillier.Ciphertext, total-C)...)
-	}
-	var shares []mpc.Share
-	err = timed(&p.Stats.Phases.Conversion, func() error {
-		var err error
-		shares, err = p.encToShares(all, total, p.w.stat)
-		return err
-	})
-	if err != nil {
-		return 0, p.errf("statistics conversion: %v", err)
-	}
-
-	var best mpc.ArgmaxResult
-	var useDP = p.cfg.DP != nil
-	var leafByGain bool
-	err = timed(&p.Stats.Phases.MPCComputation, func() error {
-		gains, err := p.computeGains(shares[:C], shares[C:], []mpc.Share{nShare}, C, statsPerSplit, model.Classes > 0)
-		if err != nil {
-			return err
-		}
-		if useDP {
-			// §9.2: exponential mechanism over the gains with sensitivity 2.
-			// Following Friedman & Schuster (the paper's [33]), the quality
-			// function is the count-weighted gain n·gain(τ), whose larger
-			// score spread gives the mechanism usable utility.
-			weighted := make([]mpc.Share, len(gains))
-			ns := make([]mpc.Share, len(gains))
-			for i := range gains {
-				ns[i] = nShare
-			}
-			weighted = p.eng.MulVec(gains, ns)
-			ids := dp.ExponentialSelect(p.eng, weighted, p.splitIDs, p.cfg.DP.Epsilon, 2.0, p.w.gain+p.w.count+2)
-			best = mpc.ArgmaxResult{Max: p.eng.ConstInt64(1), IDs: ids}
-			return nil
-		}
-		best = p.eng.Argmax(gains, p.splitIDs, p.w.gain+2, p.cfg.ArgmaxTournament)
-		if p.cfg.Tree.LeafOnZeroGain {
-			le := p.eng.LE(best.Max, p.eng.ConstInt64(0), p.w.gain+2)
-			leafByGain = p.eng.Open(le).Sign() != 0
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, p.errf("gain computation: %v", err)
-	}
-	if leafByGain {
-		return p.makeLeaf(model, nd, nShare)
-	}
-
-	// ----- model update step -----
-	if p.cfg.Protocol == Basic {
-		ids := p.eng.OpenVec(best.IDs[:3])
-		iStar := int(ids[0].Int64())
-		jStar := int(ids[1].Int64())
-		sStar := int(ids[2].Int64())
-		return p.updateBasic(model, nd, iStar, jStar, sStar, depth)
-	}
-	switch p.cfg.Hide {
-	case HideFeature:
-		// §5.2 discussion: only i* is revealed; the PIR index ranges over
-		// all of the owner's splits.  The owner-local flat index is the
-		// shared global index minus the owner's public base offset.
-		iStar := int(p.eng.OpenVec(best.IDs[:1])[0].Int64())
-		flat := p.eng.AddConst(best.IDs[3], big.NewInt(-int64(p.clientBase(iStar))))
-		return p.updateEnhancedHidden(model, nd, iStar, flat, depth)
-	case HideClient:
-		// Nothing is revealed; the PIR index ranges over all db splits.
-		return p.updateEnhancedHidden(model, nd, -1, best.IDs[3], depth)
-	default:
-		ids := p.eng.OpenVec(best.IDs[:2])
-		iStar := int(ids[0].Int64())
-		jStar := int(ids[1].Int64())
-		return p.updateEnhanced(model, nd, iStar, jStar, best.IDs[2], depth)
-	}
-}
-
-// computeGammas is the local computation step's first half: the super client
-// derives the masked label channels [γ] from [α] and broadcasts them
-// (classification: one 0/1 channel per class; regression: y and y²
-// channels).  In encrypted-label mode the channels are already maintained
-// per node by the split owners, so nothing needs to be sent.
-func (p *Party) computeGammas(nd nodeData) ([][]*paillier.Ciphertext, error) {
-	if nd.gch != nil {
-		return nd.gch, nil
-	}
-	C := p.channels(nd)
-	out := make([][]*paillier.Ciphertext, C)
-	if p.audit != nil {
-		for k := 0; k < C; k++ {
-			ch, err := p.audit.gammaWithProofs(nd.alpha, k)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = ch
-		}
-		return out, nil
-	}
-	if p.ID == p.Super {
-		n := p.part.N
-		for k := 0; k < C; k++ {
-			betas := make([]*big.Int, n)
-			for t := 0; t < n; t++ {
-				if p.part.Classes > 0 {
-					if int(p.part.Y[t]) == k {
-						betas[t] = big.NewInt(1)
-					} else {
-						betas[t] = big.NewInt(0)
-					}
-				} else if k == 0 {
-					betas[t] = p.cod.Encode(p.part.Y[t])
-				} else {
-					y := p.cod.Encode(p.part.Y[t])
-					betas[t] = new(big.Int).Mul(y, y)
-				}
-			}
-			ch, err := p.scalarMulRerandVec(nd.alpha, betas)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.broadcastCts(ch); err != nil {
-				return nil, err
-			}
-			out[k] = ch
-		}
-		return out, nil
-	}
-	for k := 0; k < C; k++ {
-		ch, err := p.recvCts(p.Super)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = ch
-	}
-	return out, nil
-}
-
-// scalarMulRerand computes a rerandomized β ⊗ [x] (fresh randomness so the
-// result reveals nothing about β).
-func (p *Party) scalarMulRerand(ct *paillier.Ciphertext, beta *big.Int) (*paillier.Ciphertext, error) {
-	p.Stats.HEOps++
-	var out *paillier.Ciphertext
-	switch {
-	case beta.Sign() == 0:
-		return p.encryptInt64(0)
-	case beta.Cmp(big.NewInt(1)) == 0:
-		out = ct
-	default:
-		out = p.pk.MulConst(ct, beta)
-	}
-	res, err := p.pk.Rerandomize(cryptoRand(), out)
-	if err != nil {
-		return nil, err
-	}
-	p.Stats.Encryptions++
-	return res, nil
-}
-
-// computeSplitStats is the second half of the local computation step: every
-// client computes, for each of its candidate splits, the encrypted left and
-// right statistics over every channel plus the counts (Eqn 7), and ships
-// them to the super client for conversion.  The returned slice is non-nil
-// only at the super client, in canonical split order.
-func (p *Party) computeSplitStats(alpha []*paillier.Ciphertext, gch [][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	channels := append([][]*paillier.Ciphertext{alpha}, gch...)
-	statsPerSplit := 2 * len(channels)
-
-	// Compute my own statistics.  In semi-honest mode all (split, channel,
-	// side) dot products are independent, so they run as one parallel batch
-	// across the configured workers; the malicious path keeps its serial
-	// proof protocol.
-	var mine []*paillier.Ciphertext
-	if p.audit != nil {
-		totals := make([]*paillier.Ciphertext, len(channels))
-		for c, ch := range channels {
-			totals[c] = p.foldAdd(ch)
-		}
-		flat := 0
-		for j := range p.indic {
-			for s := range p.indic[j] {
-				vl := p.indic[j][s]
-				for c, ch := range channels {
-					// Proven left statistic; right = total − left is
-					// publicly derivable, so it carries no proof.
-					dl, err := p.audit.statWithProof(flat, ch, vl)
-					if err != nil {
-						return nil, err
-					}
-					mine = append(mine, dl, p.pk.Sub(totals[c], dl))
-				}
-				flat++
-			}
-		}
-	} else {
-		stats, err := p.bucketStats([][][]*paillier.Ciphertext{channels})
-		if err != nil {
-			return nil, err
-		}
-		if mine, err = p.rerandVec(stats); err != nil {
-			return nil, err
-		}
-	}
-
-	if p.ID != p.Super {
-		if len(mine) > 0 && p.audit == nil {
-			if err := p.sendCts(p.Super, mine); err != nil {
-				return nil, err
-			}
-		}
-		// In malicious mode statWithProof already shipped each statistic.
-		return nil, nil
-	}
-
-	// Super: assemble all clients' statistics in canonical order.
-	var all []*paillier.Ciphertext
-	for c := 0; c < p.M; c++ {
-		nSplits := 0
-		for _, cnt := range p.splitCounts[c] {
-			nSplits += cnt
-		}
-		if nSplits == 0 {
-			continue
-		}
-		if c == p.ID {
-			all = append(all, mine...)
-			continue
-		}
-		if p.audit != nil {
-			totals := make([]*paillier.Ciphertext, len(channels))
-			for k, ch := range channels {
-				totals[k] = p.foldAdd(ch)
-			}
-			for s := 0; s < nSplits; s++ {
-				for k, ch := range channels {
-					dl, err := p.audit.verifyStat(c, s, ch)
-					if err != nil {
-						return nil, err
-					}
-					all = append(all, dl, p.pk.Sub(totals[k], dl))
-				}
-			}
-			continue
-		}
-		theirs, err := p.recvCts(c)
-		if err != nil {
-			return nil, err
-		}
-		if len(theirs) != nSplits*statsPerSplit {
-			return nil, p.errf("client %d sent %d stats, want %d", c, len(theirs), nSplits*statsPerSplit)
-		}
-		all = append(all, theirs...)
-	}
-	return all, nil
-}
-
 // dotRerand is a rerandomized homomorphic dot product.
 func (p *Party) dotRerand(v []*big.Int, ch []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
 	d, err := p.pk.Dot(v, ch)
@@ -604,9 +281,8 @@ func (p *Party) bucketStats(channels [][][]*paillier.Ciphertext) ([]*paillier.Ci
 // It is grouped over nodes: nNodes holds one node-count share per node
 // (group), totals holds C channel totals per node, and stats holds
 // statsPerSplit values per split laid out as [n_l, n_r, ch1_l, ch1_r, ...],
-// S splits per node, node-major.  The per-node recursion calls it with a
-// single group; the level-wise pipeline passes the whole frontier so every
-// reciprocal, multiplication and truncation round is shared across nodes.
+// S splits per node, node-major, so every reciprocal, multiplication and
+// truncation round is shared across the nodes of the frontier.
 // The returned gains are node-major, S per node.
 func (p *Party) computeGains(totals, stats []mpc.Share, nNodes []mpc.Share, C, statsPerSplit int, classification bool) ([]mpc.Share, error) {
 	S := p.totalSplits()
@@ -858,146 +534,6 @@ func (p *Party) varianceGains(totals, stats, recips []mpc.Share, rns []mpc.Share
 		gains[i] = eng.Sub(nodeIV, eng.Add(terms[2*i], terms[2*i+1]))
 	}
 	return gains, nil
-}
-
-// makeLeaf finishes a branch: the leaf value is computed under MPC and
-// either opened (basic) or converted to a ciphertext (enhanced).
-func (p *Party) makeLeaf(model *Model, nd nodeData, nShare mpc.Share) (int, error) {
-	if p.captureLeaves {
-		p.leafAlphas = append(p.leafAlphas, nd.alpha)
-	}
-	node := Node{Leaf: true, LeafPos: model.Leaves}
-	err := timed(&p.Stats.Phases.MPCComputation, func() error {
-		if model.Classes > 0 {
-			return p.leafClassification(model, &node, nd)
-		}
-		return p.leafRegression(model, &node, nd, nShare)
-	})
-	if err != nil {
-		return 0, p.errf("leaf: %v", err)
-	}
-	model.Leaves++
-	idx := len(model.Nodes)
-	model.Nodes = append(model.Nodes, node)
-	return idx, nil
-}
-
-// leafClassification picks the majority class obliviously.
-func (p *Party) leafClassification(model *Model, node *Node, nd nodeData) error {
-	C := model.Classes
-	// Super computes the encrypted per-class counts [g_k] = β_k ⊙ [α],
-	// one parallel batch over the classes.
-	counts := make([]*paillier.Ciphertext, C)
-	if p.ID == p.Super {
-		betas := make([][]*big.Int, C)
-		alphas := make([][]*paillier.Ciphertext, C)
-		for k := 0; k < C; k++ {
-			beta := make([]*big.Int, p.part.N)
-			for t := range beta {
-				if int(p.part.Y[t]) == k {
-					beta[t] = big.NewInt(1)
-				} else {
-					beta[t] = big.NewInt(0)
-				}
-			}
-			betas[k] = beta
-			alphas[k] = nd.alpha
-		}
-		var err error
-		counts, err = p.dotRerandVec(betas, alphas)
-		if err != nil {
-			return err
-		}
-	}
-	var shares []mpc.Share
-	err := timed(&p.Stats.Phases.Conversion, func() error {
-		var err error
-		shares, err = p.encToShares(counts, C, p.w.count+2)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if p.cfg.DP != nil {
-		// §9.2: Laplace noise on each class count (parallel composition).
-		noise := dp.LaplaceVec(p.eng, 1/p.cfg.DP.Epsilon, C)
-		scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
-		for k := range shares {
-			// Counts are integers; bring the noise to integer scale.
-			shares[k] = p.eng.Add(p.eng.MulPub(shares[k], scale), p.eng.MulPub(noise[k], big.NewInt(1)))
-		}
-	}
-	ids := make([][]int64, C)
-	for k := range ids {
-		ids[k] = []int64{int64(k)}
-	}
-	kCmp := p.w.count + p.cfg.F + 4
-	best := p.eng.Argmax(shares, ids, kCmp, p.cfg.ArgmaxTournament)
-	if p.cfg.Protocol == Basic {
-		label := p.eng.OpenSigned(best.IDs[0])
-		node.Label = float64(label.Int64())
-		return nil
-	}
-	// Store the concealed label at the common fixed-point scale so the
-	// shared-model prediction decodes uniformly.
-	scaled := p.eng.MulPub(best.IDs[0], new(big.Int).Lsh(big.NewInt(1), p.cfg.F))
-	cts, err := p.shareToEnc([]mpc.Share{scaled}, p.cfg.F+10, p.Super)
-	if err != nil {
-		return err
-	}
-	node.EncLabel = cts[0]
-	return nil
-}
-
-// leafRegression computes the (possibly encrypted) mean label.
-func (p *Party) leafRegression(model *Model, node *Node, nd nodeData, nShare mpc.Share) error {
-	// Encrypted label sum: fold the maintained γ1 channel (encrypted-label
-	// mode) or let the super compute y ⊙ [α].
-	var sumCt *paillier.Ciphertext
-	if nd.gch != nil {
-		sumCt = p.foldAdd(nd.gch[0])
-	} else if p.ID == p.Super {
-		y := make([]*big.Int, p.part.N)
-		for t := range y {
-			y[t] = p.cod.Encode(p.part.Y[t])
-		}
-		var err error
-		sumCt, err = p.dotRerand(y, nd.alpha)
-		if err != nil {
-			return err
-		}
-	}
-	var sumShare mpc.Share
-	err := timed(&p.Stats.Phases.Conversion, func() error {
-		sh, err := p.encToShares([]*paillier.Ciphertext{sumCt}, 1, p.w.stat)
-		if err != nil {
-			return err
-		}
-		sumShare = sh[0]
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	recip := p.eng.RecipVec([]mpc.Share{nShare}, p.w.count+2)[0]
-	// 2f-scaled mean; even a single multiplication packs its two Beaver
-	// differences into one opened element.
-	raw := p.eng.MulVecSigned([]mpc.Share{sumShare}, []mpc.Share{recip}, p.w.stat, p.cfg.F+2)[0]
-	mean := p.eng.Trunc(raw, p.w.stat+p.cfg.F+4, p.cfg.F)
-	if p.cfg.DP != nil {
-		sens := float64(int64(2)<<p.cfg.LabelBits) / float64(maxInt(p.cfg.Tree.MinSamplesSplit, 1))
-		mean = p.eng.Add(mean, dp.Laplace(p.eng, sens/p.cfg.DP.Epsilon))
-	}
-	if p.cfg.Protocol == Basic {
-		node.Label = p.eng.DecodeSigned(p.eng.Open(mean))
-		return nil
-	}
-	cts, err := p.shareToEnc([]mpc.Share{mean}, p.w.value+2, p.Super)
-	if err != nil {
-		return err
-	}
-	node.EncLabel = cts[0]
-	return nil
 }
 
 func maxInt(a, b int) int {

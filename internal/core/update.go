@@ -7,91 +7,17 @@ import (
 
 	"repro/internal/mpc"
 	"repro/internal/paillier"
-	"repro/internal/transport"
 )
 
 func cryptoRand() io.Reader { return rand.Reader }
 
-// splitBasic is the basic protocol's model update step (§4.1) for a single
-// node: the best split identifier is public, the owner announces the
-// plaintext threshold, computes the children's encrypted mask vectors
-// [α_l], [α_r] (and, in encrypted-label mode, the masked label channels)
-// and broadcasts them.  Shared by the per-node and level-wise drivers.
-func (p *Party) splitBasic(nd nodeData, iStar, jStar, sStar int) (Node, nodeData, nodeData, error) {
-	node := Node{Owner: iStar, Feature: jStar, SplitIndex: sStar}
-	me := iStar == p.ID
-
-	// Threshold announcement (part of the public model).
-	if me {
-		tau := p.cands[jStar][sStar]
-		encoded := p.cod.Encode(tau)
-		// Store the fixed-point-rounded value so every client holds a
-		// bit-identical model.
-		node.Threshold = p.cod.Decode(encoded)
-		if err := p.broadcastInts([]*big.Int{mpc.ToField(encoded)}); err != nil {
-			return node, nodeData{}, nodeData{}, err
-		}
-	} else {
-		xs, err := transport.RecvInts(p.ep, iStar)
-		if err != nil {
-			return node, nodeData{}, nodeData{}, err
-		}
-		node.Threshold = p.cod.Decode(mpc.Signed(xs[0]))
-	}
-
-	// Child mask vectors (and label channels in encrypted-label mode).
-	vectors := append([][]*paillier.Ciphertext{nd.alpha}, nd.gch...)
-	var lefts, rights [][]*paillier.Ciphertext
-	if me {
-		vl := p.indic[jStar][sStar]
-		flat := p.flatIndex(jStar, sStar)
-		for _, vec := range vectors {
-			l, err := p.maskVector(vec, vl, flat)
-			if err != nil {
-				return node, nodeData{}, nodeData{}, err
-			}
-			r := p.pk.SubVec(vec, l, p.cfg.Workers)
-			p.Stats.HEOps += int64(len(vec))
-			lefts = append(lefts, l)
-			rights = append(rights, r)
-			if p.audit == nil {
-				if err := p.broadcastCts(l); err != nil {
-					return node, nodeData{}, nodeData{}, err
-				}
-			}
-			if err := p.broadcastCts(r); err != nil {
-				return node, nodeData{}, nodeData{}, err
-			}
-		}
-	} else {
-		flat := p.flatIndexFor(iStar, jStar, sStar)
-		for _, vec := range vectors {
-			l, err := p.recvMasked(iStar, flat, vec)
-			if err != nil {
-				return node, nodeData{}, nodeData{}, err
-			}
-			r, err := p.recvCts(iStar)
-			if err != nil {
-				return node, nodeData{}, nodeData{}, err
-			}
-			lefts = append(lefts, l)
-			rights = append(rights, r)
-		}
-	}
-	left := nodeData{alpha: lefts[0]}
-	right := nodeData{alpha: rights[0]}
-	if nd.gch != nil {
-		left.gch = lefts[1:]
-		right.gch = rights[1:]
-	}
-	return node, left, right, nil
-}
-
-// splitBasicLevel is splitBasic for a whole frontier: thresholds are
-// announced in one message per owning client, and every owner computes all
-// of its nodes' child mask vectors (and label channels) in one parallel
-// Paillier batch shipped as one chunked broadcast — replacing the per-node
-// announcement and the per-(node, channel, side) broadcasts.
+// splitBasicLevel is the basic protocol's model update step (§4.1) for a
+// frontier of nodes whose best split identifiers are public: every owner
+// announces its nodes' plaintext thresholds in one message, computes all of
+// their child mask vectors [α_l], [α_r] (and, in encrypted-label mode, the
+// masked label channels) in one parallel Paillier batch and ships them as one
+// chunked broadcast.  In malicious mode the children go node by node inside
+// their proofs instead (auditedChildren).
 func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcome, error) {
 	K := len(nds)
 	out := make([]splitOutcome, K)
@@ -121,18 +47,30 @@ func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcom
 		if o == p.ID || len(byOwner[o]) == 0 {
 			continue
 		}
-		xs, err := transport.RecvInts(p.ep, o)
+		xs, err := p.recvIntsN(o, len(byOwner[o]))
 		if err != nil {
 			return nil, err
-		}
-		if len(xs) != len(byOwner[o]) {
-			return nil, p.errf("basic update: %d thresholds from %d, want %d", len(xs), o, len(byOwner[o]))
 		}
 		for idx, i := range byOwner[o] {
 			out[i].node.Threshold = p.cod.Decode(mpc.Signed(xs[idx]))
 		}
 	}
 
+	if p.audit != nil {
+		// Proven child vectors, node by node: my own nodes first (d = 0),
+		// then each other owner's, so the sends never wait on a receive, as
+		// in the batched exchange below.
+		for d := 0; d < p.M; d++ {
+			o := (p.ID + d) % p.M
+			for _, i := range byOwner[o] {
+				var err error
+				if out[i].left, out[i].right, err = p.auditedChildren(o, nds[i], js[i], ss[i]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return out, nil
+	}
 	// Child mask vectors (and label channels in encrypted-label mode).
 	vecsOf := func(i int) [][]*paillier.Ciphertext {
 		return append([][]*paillier.Ciphertext{nds[i].alpha}, nds[i].gch...)
@@ -198,66 +136,40 @@ func sliceChildren(nd nodeData, lefts, rights []*paillier.Ciphertext, pos *int) 
 	return left, right
 }
 
-// updateBasic wraps splitBasic for the per-node recursion.
-func (p *Party) updateBasic(model *Model, nd nodeData,
-	iStar, jStar, sStar, depth int) (int, error) {
-
-	var node Node
-	var left, right nodeData
-	err := timed(&p.Stats.Phases.ModelUpdate, func() error {
-		r0 := p.eng.Stats.Rounds
-		defer func() { p.Stats.UpdateRounds += p.eng.Stats.Rounds - r0 }()
-		var err error
-		node, left, right, err = p.splitBasic(nd, iStar, jStar, sStar)
-		return err
-	})
-	if err != nil {
-		return 0, p.errf("model update: %v", err)
+// auditedChildren is the malicious-mode (§9.1.2) model update of one node
+// split on owner's (feature j, split s): each left vector v ⊗ [x] travels
+// inside POPCM proofs against the owner's committed indicator vector, each
+// right vector [x] ⊖ left follows as plain ciphertexts.  The owner proves and
+// broadcasts; everyone else verifies.
+func (p *Party) auditedChildren(owner int, nd nodeData, j, s int) (left, right nodeData, err error) {
+	flat := p.flatIndexFor(owner, j, s)
+	var lefts, rights [][]*paillier.Ciphertext
+	for _, vec := range append([][]*paillier.Ciphertext{nd.alpha}, nd.gch...) {
+		var l, r []*paillier.Ciphertext
+		if owner == p.ID {
+			if l, err = p.audit.provenScalarMulVec(p.ID, flat, vec, p.indic[j][s]); err != nil {
+				return left, right, err
+			}
+			r = p.pk.SubVec(vec, l, p.cfg.Workers)
+			p.Stats.HEOps += int64(len(vec))
+			err = p.broadcastCtsChunked(r)
+		} else {
+			if l, err = p.audit.recvProvenScalarMulVec(owner, flat, vec); err != nil {
+				return left, right, err
+			}
+			r, err = p.recvCtsChunked(owner, len(vec))
+		}
+		if err != nil {
+			return left, right, err
+		}
+		lefts = append(lefts, l)
+		rights = append(rights, r)
 	}
-
-	idx := len(model.Nodes)
-	model.Nodes = append(model.Nodes, node)
-	l, err := p.buildNode(model, left, depth+1)
-	if err != nil {
-		return 0, err
+	left, right = nodeData{alpha: lefts[0]}, nodeData{alpha: rights[0]}
+	if nd.gch != nil {
+		left.gch, right.gch = lefts[1:], rights[1:]
 	}
-	r, err := p.buildNode(model, right, depth+1)
-	if err != nil {
-		return 0, err
-	}
-	model.Nodes[idx].Left = l
-	model.Nodes[idx].Right = r
-	return idx, nil
-}
-
-// flatIndex maps a local (feature, split) pair to the flat split index.
-func (p *Party) flatIndex(j, s int) int {
-	flat := 0
-	for jj := 0; jj < j; jj++ {
-		flat += len(p.indic[jj])
-	}
-	return flat + s
-}
-
-// maskVector computes the elementwise v ⊗ [x] with rerandomization: entries
-// with v=1 are rerandomized copies, entries with v=0 fresh zeros.  In
-// malicious mode the products carry POPCM proofs against the committed
-// indicator vector and are broadcast inside the proof protocol.
-func (p *Party) maskVector(vec []*paillier.Ciphertext, v []*big.Int, flatIdx int) ([]*paillier.Ciphertext, error) {
-	if p.audit != nil {
-		return p.audit.provenScalarMulVec(p.ID, flatIdx, vec, v)
-	}
-	return p.scalarMulRerandVec(vec, v)
-}
-
-// recvMasked receives a masked vector; in malicious mode it runs the
-// verification side of the proof protocol against the sender's committed
-// indicator vector.
-func (p *Party) recvMasked(from, flatIdx int, base []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if p.audit != nil {
-		return p.audit.recvProvenScalarMulVec(from, flatIdx, base)
-	}
-	return p.recvCts(from)
+	return left, right, nil
 }
 
 // flatIndexFor maps another client's (feature, split) pair to its flat split
@@ -270,93 +182,14 @@ func (p *Party) flatIndexFor(client, j, s int) int {
 	return flat + s
 }
 
-// splitEnhanced is the enhanced protocol's model update step (§5.2) for a
-// single node: s* stays secret.  The clients convert ⟨s*⟩ into the encrypted
-// PIR vector [λ] via an oblivious equality ladder, the owner privately
-// selects the split indicator [v] = V ⊗ [λ] and the encrypted threshold, and
-// the encrypted mask vector is updated by Eqn (10) using integer conversion
-// shares.  Shared by the per-node and level-wise drivers.
-func (p *Party) splitEnhanced(nd nodeData, iStar, jStar int, sStar mpc.Share) (Node, nodeData, nodeData, error) {
-	node := Node{Owner: iStar, Feature: jStar}
-	me := iStar == p.ID
-	n := len(nd.alpha)
-	nPrime := p.splitCounts[iStar][jStar]
-
-	var left, right nodeData
-	// ⟨λ_t⟩ = ⟨1{s* == t}⟩ for t in [0, n').
-	diffs := make([]mpc.Share, nPrime)
-	for t := 0; t < nPrime; t++ {
-		diffs[t] = p.eng.AddConst(sStar, big.NewInt(-int64(t)))
-	}
-	kEq := uint(bitsFor(nPrime)) + 3
-	lamShares := p.eng.EQZVec(diffs, kEq)
-
-	// Private split selection: [λ] goes to the owner (Theorem 2).
-	encLam, err := p.shareToEnc(lamShares, 4, iStar)
-	if err != nil {
-		return node, left, right, err
-	}
-
-	// Owner selects [v] = V ⊗ [λ] and the encrypted threshold, then
-	// broadcasts both ([v] stays encrypted; nothing about s* leaks).
-	var encV []*paillier.Ciphertext
-	var encTau *paillier.Ciphertext
-	if me {
-		rows := make([][]*big.Int, n)
-		lams := make([][]*paillier.Ciphertext, n)
-		for t := 0; t < n; t++ {
-			row := make([]*big.Int, nPrime)
-			for s := 0; s < nPrime; s++ {
-				row[s] = p.indic[jStar][s][t]
-			}
-			rows[t] = row
-			lams[t] = encLam
-		}
-		encV, err = p.dotRerandVec(rows, lams)
-		if err != nil {
-			return node, left, right, err
-		}
-		taus := make([]*big.Int, nPrime)
-		for s := 0; s < nPrime; s++ {
-			taus[s] = p.cod.Encode(p.cands[jStar][s])
-		}
-		encTau, err = p.dotRerand(taus, encLam)
-		if err != nil {
-			return node, left, right, err
-		}
-		if err := p.broadcastCts(append(append([]*paillier.Ciphertext{}, encV...), encTau)); err != nil {
-			return node, left, right, err
-		}
-	} else {
-		cts, err := p.recvCts(iStar)
-		if err != nil {
-			return node, left, right, err
-		}
-		encV = cts[:n]
-		encTau = cts[n]
-	}
-	node.EncThreshold = encTau
-
-	// Encrypted mask vector update, Eqn (10): convert [α] to integer
-	// shares, exponentiate [v] by each share, recombine at the owner.
-	left.alpha, err = p.encMaskedProduct(nd.alpha, encV, iStar)
-	if err != nil {
-		return node, left, right, err
-	}
-	right.alpha = make([]*paillier.Ciphertext, n)
-	for t := 0; t < n; t++ {
-		right.alpha[t] = p.pk.Sub(nd.alpha[t], left.alpha[t])
-	}
-	p.Stats.HEOps += int64(n)
-	return node, left, right, nil
-}
-
-// splitEnhancedLevel is splitEnhanced for a whole frontier: one grouped
-// equality ladder over every node's PIR diffs, one grouped share→ciphertext
-// conversion with each [λ] combined at its owner, one batched owner
-// selection per owning client, and a single Eqn-10 chain covering all
-// nodes' encrypted mask updates — O(1) round chains per level instead of
-// O(frontier).
+// splitEnhancedLevel is the enhanced protocol's model update step (§5.2) for
+// a frontier of nodes: every s* stays secret.  The clients convert the ⟨s*⟩
+// into encrypted PIR vectors [λ] via one grouped oblivious equality ladder
+// and one grouped share→ciphertext conversion, each [λ] combined at its
+// owner; every owner privately selects its nodes' split indicators
+// [v] = V ⊗ [λ] and encrypted thresholds in one batch; and a single Eqn-10
+// chain on integer conversion shares updates all nodes' encrypted mask
+// vectors — O(1) round chains per call, whatever the frontier's width.
 func (p *Party) splitEnhancedLevel(nds []nodeData, iStars, jStars []int, sStars []mpc.Share) ([]splitOutcome, error) {
 	K := len(nds)
 	n := len(nds[0].alpha)
@@ -439,87 +272,6 @@ func (p *Party) splitEnhancedLevel(nds []nodeData, iStars, jStars []int, sStars 
 	return out, nil
 }
 
-// updateEnhanced wraps splitEnhanced for the per-node recursion.
-func (p *Party) updateEnhanced(model *Model, nd nodeData, iStar, jStar int, sStar mpc.Share, depth int) (int, error) {
-	var node Node
-	var left, right nodeData
-	err := timed(&p.Stats.Phases.ModelUpdate, func() error {
-		r0 := p.eng.Stats.Rounds
-		defer func() { p.Stats.UpdateRounds += p.eng.Stats.Rounds - r0 }()
-		var err error
-		node, left, right, err = p.splitEnhanced(nd, iStar, jStar, sStar)
-		return err
-	})
-	if err != nil {
-		return 0, p.errf("enhanced model update: %v", err)
-	}
-
-	idx := len(model.Nodes)
-	model.Nodes = append(model.Nodes, node)
-	l, err := p.buildNode(model, left, depth+1)
-	if err != nil {
-		return 0, err
-	}
-	r, err := p.buildNode(model, right, depth+1)
-	if err != nil {
-		return 0, err
-	}
-	model.Nodes[idx].Left = l
-	model.Nodes[idx].Right = r
-	return idx, nil
-}
-
-// encMaskedProduct computes [α_t · v_t] for all t (Eqn 10): each client
-// exponentiates [v_t] by its integer conversion share of α_t and the owner
-// homomorphically recombines, strips the conversion offset, rerandomizes and
-// broadcasts.
-func (p *Party) encMaskedProduct(alpha, encV []*paillier.Ciphertext, owner int) ([]*paillier.Ciphertext, error) {
-	n := len(alpha)
-	ints, off, err := p.encToIntShares(alpha, p.w.count+2)
-	if err != nil {
-		return nil, err
-	}
-	// The conversion shares are full-width masked integers, so these
-	// exponentiations are the step's dominant cost — run them across the
-	// configured workers.
-	contrib := p.pk.ScalarMulVec(encV, ints, p.cfg.Workers)
-	p.Stats.HEOps += int64(n)
-	if p.ID != owner {
-		if err := p.sendCts(owner, contrib); err != nil {
-			return nil, err
-		}
-		return p.recvCts(owner)
-	}
-	out := contrib
-	for c := 0; c < p.M; c++ {
-		if c == owner {
-			continue
-		}
-		theirs, err := p.recvCts(c)
-		if err != nil {
-			return nil, err
-		}
-		out = p.pk.AddVec(out, theirs, p.cfg.Workers)
-	}
-	// Σ_i shares = α_t + off, so subtract off·v_t homomorphically.
-	negOff := new(big.Int).Neg(off)
-	negOffs := make([]*big.Int, n)
-	for t := range negOffs {
-		negOffs[t] = negOff
-	}
-	out = p.pk.AddVec(out, p.pk.ScalarMulVec(encV, negOffs, p.cfg.Workers), p.cfg.Workers)
-	out, err = p.pk.RerandomizeVec(cryptoRand(), out, p.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	p.Stats.HEOps += int64(2 * n)
-	p.Stats.Encryptions += int64(n)
-	if err := p.broadcastCts(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ownerSelectLevel is the shared owner-side selection batch: for each node
 // grouped under an owning client, rowsFor(i) returns that node's n
 // indicator rows plus its threshold row (called only at the owner — the
@@ -577,13 +329,13 @@ func (p *Party) ownerSelectLevel(byOwner [][]int, n int,
 	return encVs, encTaus, nil
 }
 
-// encMaskedProductLevel runs Eqn (10) for a whole frontier in one chain:
-// the concatenated [α] vectors of all nodes are converted to integer shares
-// in a single conversion, every client exponentiates all [v] entries in one
-// parallel pass, contributions flow to each node's owner in one chunked
-// message per (client, owner) pair, and each owner recombines, strips the
-// conversion offset, rerandomizes and broadcasts all of its nodes' products
-// together.
+// encMaskedProductLevel computes [α_t · v_t] for all t of every node (Eqn
+// 10) in one chain: the concatenated [α] vectors of all nodes are converted
+// to integer shares in a single conversion, every client exponentiates all
+// [v] entries by its shares in one parallel pass, contributions flow to each
+// node's owner in one chunked message per (client, owner) pair, and each
+// owner homomorphically recombines, strips the conversion offset,
+// rerandomizes and broadcasts all of its nodes' products together.
 func (p *Party) encMaskedProductLevel(alphas, encVs [][]*paillier.Ciphertext, owners []int) ([][]*paillier.Ciphertext, error) {
 	K := len(alphas)
 	offs := make([]int, K)

@@ -180,7 +180,7 @@ func TestUpdateBatchEquivalenceGBDT(t *testing.T) {
 
 // TestUpdateBatchRoundFloor asserts the point of the batched update: the
 // level-wise update phase pays one round chain per tree level, independent
-// of the frontier width, while the sequential loop pays one chain per node.
+// of the frontier width, while the per-node schedule pays one chain per node.
 func TestUpdateBatchRoundFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow protocol run")
@@ -192,14 +192,14 @@ func TestUpdateBatchRoundFloor(t *testing.T) {
 	// under test is width-independence, not pruning.
 	cfg.Tree.LeafOnZeroGain = false
 
-	run := func(mode UpdateMode) (*Model, RunStats) {
+	run := func(mode TrainMode) (*Model, RunStats) {
 		c := cfg
-		c.UpdateMode = mode
+		c.TrainMode = mode
 		s, _, m := trainSession(t, ds, 2, c)
 		return m, s.Stats()
 	}
-	mSeq, stSeq := run(UpdateSequential)
-	mBat, stBat := run(UpdateBatched)
+	mSeq, stSeq := run(PerNode)
+	mBat, stBat := run(LevelWise)
 	assertSameTree(t, "round-floor", mBat, mSeq)
 
 	internal := mBat.InternalNodes()

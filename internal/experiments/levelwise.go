@@ -18,9 +18,9 @@ func levelwiseCfg(p Preset, mode core.TrainMode) core.Config {
 
 // levelwiseBaseline is the baseline for the level-wise training pipeline
 // (BENCH_levelwise.json): synchronous MPC open rounds, wall time and
-// traffic for a depth-4 tree trained by the paper's per-node recursion vs
-// the level-wise batched pipeline on the same fixed-seed dataset, plus the
-// rendered-tree equivalence check.
+// traffic for a depth-4 tree trained on the paper's per-node schedule vs
+// the level-wise one on the same fixed-seed dataset, plus the rendered-tree
+// equivalence check.
 func levelwiseBaseline(p Preset) (*Baseline, error) {
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
 

@@ -41,7 +41,7 @@ var Registry = []Experiment{
 	{ID: "predict", Title: "per-sample vs batched prediction (enhanced protocol)", Baseline: predictBaseline},
 	{ID: "serve", Title: "prediction serving: per-request vs micro-batched round chains (2ms WAN)", Baseline: serveBaseline},
 	{ID: "servescale", Title: "sharded serving: throughput vs lane count (2ms WAN) + lane-kill failover", Baseline: serveScaleBaseline},
-	{ID: "update", Title: "sequential vs batched model update (depth-4 multi-class GBDT)", Baseline: updateBaseline},
+	{ID: "update", Title: "per-node vs level-wise model update (depth-4 multi-class GBDT)", Baseline: updateBaseline},
 	{ID: "pipeline", Title: "barrier vs pipelined level execution (random forest, simulated WAN)", Baseline: pipelineBaseline},
 	{ID: "recovery", Title: "crash-at-level resume vs retrain (decision tree)", Baseline: recoveryBaseline},
 	{ID: "incremental", Title: "absorb +10% data vs full retrain", Baseline: incrementalBaseline},

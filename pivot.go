@@ -59,8 +59,8 @@ type (
 	HideLevel = core.HideLevel
 	// SplitCriterion selects gini or entropy classification gains.
 	SplitCriterion = core.SplitCriterion
-	// TrainMode selects the level-wise batched pipeline or the paper's
-	// per-node recursion.
+	// TrainMode selects the level-wise training schedule or the paper's
+	// per-node one.
 	TrainMode = core.TrainMode
 	// Predictor is any trained model a federation can evaluate: *Model,
 	// *ForestModel and *BoostModel all satisfy it.
