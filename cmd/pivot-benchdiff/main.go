@@ -11,7 +11,8 @@
 // would make gating them flaky.  A gated metric more than the tolerance
 // BELOW its baseline prints STALE: the one-sided gate would pass a
 // regression all the way back up to the committed value, so the baseline
-// wants re-recording.  STALE is advisory and does not change the exit code.
+// wants re-recording.  STALE does not change the exit code; the CI loop
+// that runs this tool greps for it and fails the leg.
 //
 // Usage:
 //

@@ -224,10 +224,6 @@ type Config struct {
 	// DP, if non-nil, enables the §9.2 differential privacy extension.
 	DP *DPConfig
 
-	// ArgmaxTournament replaces the paper's linear oblivious-max scan with
-	// a log-depth tournament (ablation; not part of the paper's protocol).
-	ArgmaxTournament bool
-
 	// NoPack disables ciphertext and opened-value packing: conversions fall
 	// back to one value per ciphertext (the per-value Algorithm-2 oracle)
 	// and the MPC engine opens one value per field element.  Malicious runs

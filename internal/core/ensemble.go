@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mpc"
 	"repro/internal/paillier"
-	"repro/internal/transport"
 )
 
 // Ensemble extensions (§7): random forest and gradient boosting built from
@@ -122,7 +121,7 @@ func (p *Party) PredictRF(fm *ForestModel, x []float64) (float64, error) {
 			votes[k] = p.eng.Add(votes[k], eq)
 		}
 	}
-	best := p.eng.Argmax(votes, ids, 16, p.cfg.ArgmaxTournament)
+	best := p.eng.ArgmaxTournament(votes, ids, 16)
 	label := p.eng.OpenSigned(best.IDs[0])
 	return float64(label.Int64()), nil
 }
@@ -163,7 +162,7 @@ func (p *Party) trainGBDTRegression() (*BoostModel, error) {
 			if err != nil {
 				return err
 			}
-			if err := p.broadcastCts(cts); err != nil {
+			if err := p.broadcastCtsChunked(cts); err != nil {
 				return err
 			}
 			// Base is public model information: announce it.
@@ -174,11 +173,11 @@ func (p *Party) trainGBDTRegression() (*BoostModel, error) {
 			return nil
 		}
 		var err error
-		encY, err = p.recvCts(p.Super)
+		encY, err = p.recvCtsChunked(p.Super, n)
 		if err != nil {
 			return err
 		}
-		xs, err := p.recvIntsFrom(p.Super)
+		xs, err := p.recvIntsN(p.Super, 1)
 		if err != nil {
 			return err
 		}
@@ -350,13 +349,13 @@ func (p *Party) trainGBDTClassification() (*BoostModel, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.broadcastCts(cts); err != nil {
+			if err := p.broadcastCtsChunked(cts); err != nil {
 				return nil, err
 			}
 			encY[k] = cts
 		} else {
 			var err error
-			encY[k], err = p.recvCts(p.Super)
+			encY[k], err = p.recvCtsChunked(p.Super, n)
 			if err != nil {
 				return nil, err
 			}
@@ -540,12 +539,7 @@ func (p *Party) PredictGBDT(bm *BoostModel, x []float64) (float64, error) {
 	for k := range ids {
 		ids[k] = []int64{int64(k)}
 	}
-	best := p.eng.Argmax(shares, ids, p.w.stat+2, p.cfg.ArgmaxTournament)
+	best := p.eng.ArgmaxTournament(shares, ids, p.w.stat+2)
 	label := p.eng.OpenSigned(best.IDs[0])
 	return float64(label.Int64()), nil
-}
-
-// recvIntsFrom is a small typed wrapper used by the ensemble code.
-func (p *Party) recvIntsFrom(from int) ([]*big.Int, error) {
-	return transport.RecvInts(p.ep, from)
 }

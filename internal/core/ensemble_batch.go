@@ -86,7 +86,7 @@ func (p *Party) PredictRFBatch(fm *ForestModel, X [][]float64) ([]float64, error
 			ids = append(ids, []int64{int64(k)})
 		}
 	}
-	best := p.eng.ArgmaxGrouped(votes, groups, ids, 16, p.cfg.ArgmaxTournament)
+	best := p.eng.ArgmaxGrouped(votes, groups, ids, 16)
 	return p.openLabels(best)
 }
 
@@ -172,7 +172,7 @@ func (p *Party) PredictGBDTBatch(bm *BoostModel, X [][]float64) ([]float64, erro
 			ids = append(ids, []int64{int64(k)})
 		}
 	}
-	best := p.eng.ArgmaxGrouped(shares, groups, ids, p.w.stat+2, p.cfg.ArgmaxTournament)
+	best := p.eng.ArgmaxGrouped(shares, groups, ids, p.w.stat+2)
 	return p.openLabels(best)
 }
 

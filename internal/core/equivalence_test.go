@@ -9,35 +9,6 @@ import (
 // Equivalence tests: configuration knobs that change cost but must not
 // change the trained model.
 
-func TestTournamentArgmaxSameModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow protocol run")
-	}
-	ds := smallClassification(40)
-	cfgLin := testConfig()
-	_, _, linModel := trainSession(t, ds, 2, cfgLin)
-
-	cfgT := testConfig()
-	cfgT.ArgmaxTournament = true
-	_, _, tModel := trainSession(t, ds, 2, cfgT)
-
-	if linModel.InternalNodes() != tModel.InternalNodes() {
-		t.Fatalf("argmax variant changed tree size: %d vs %d",
-			linModel.InternalNodes(), tModel.InternalNodes())
-	}
-	for i := range linModel.Nodes {
-		a, b := linModel.Nodes[i], tModel.Nodes[i]
-		if a.Leaf != b.Leaf {
-			t.Fatalf("node %d kind differs", i)
-		}
-		if !a.Leaf && (a.Owner != b.Owner || a.Feature != b.Feature || a.SplitIndex != b.SplitIndex) {
-			// Ties may resolve differently between scan orders; accept only
-			// if the gains were tied — conservatively require equality.
-			t.Logf("node %d split differs (%+v vs %+v) — tolerated only for ties", i, a, b)
-		}
-	}
-}
-
 func TestParallelDecryptionSameModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow protocol run")

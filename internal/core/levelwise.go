@@ -277,7 +277,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 				groups[i] = S
 				ids = append(ids, p.splitIDs...)
 			}
-			won := p.eng.ArgmaxGrouped(gains, groups, ids, p.w.gain+2, p.cfg.ArgmaxTournament)
+			won := p.eng.ArgmaxGrouped(gains, groups, ids, p.w.gain+2)
 			for i, g := range splitters {
 				bests[g] = won[i]
 			}
@@ -809,7 +809,7 @@ func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode
 		}
 	}
 	kCmp := p.w.count + p.cfg.F + 4
-	bests := p.eng.ArgmaxGrouped(shares, groups, ids, kCmp, p.cfg.ArgmaxTournament)
+	bests := p.eng.ArgmaxGrouped(shares, groups, ids, kCmp)
 	if p.cfg.Protocol == Basic {
 		labels := make([]mpc.Share, L)
 		for i := range bests {

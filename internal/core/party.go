@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -170,6 +171,18 @@ func bucketOf(cands []float64, x float64) int {
 	return sort.Search(len(cands), func(s int) bool { return x <= cands[s] })
 }
 
+// ErrBadSplitCounts is returned (wrapped, naming the peer) when a peer's
+// split-count announcement is not one count in [0, Tree.MaxSplits] per
+// feature for between 1 and maxClientFeatures features.
+var ErrBadSplitCounts = errors.New("bad split-count announcement")
+
+// maxClientFeatures bounds the features one client may announce.  The
+// announcement is what tells the others a client's feature count, so its
+// length cannot be checked against a known value; the bound keeps the split
+// enumeration built from it (MaxSplits identifier rows per feature) from
+// growing to a size of the sender's choosing.
+const maxClientFeatures = 1 << 16
+
 // exchangeSplitCounts publishes per-feature candidate-split counts so every
 // client can enumerate the db total splits (their values stay private).
 func (p *Party) exchangeSplitCounts() error {
@@ -191,9 +204,15 @@ func (p *Party) exchangeSplitCounts() error {
 			if err != nil {
 				return err
 			}
+			if len(counts) < 1 || len(counts) > maxClientFeatures {
+				return fmt.Errorf("client %d: %w from client %d: %d features, want 1 to %d", p.ID, ErrBadSplitCounts, c, len(counts), maxClientFeatures)
+			}
 		}
 		p.splitCounts[c] = make([]int, len(counts))
 		for j, v := range counts {
+			if !v.IsInt64() || v.Int64() > int64(p.cfg.Tree.MaxSplits) {
+				return fmt.Errorf("client %d: %w from client %d: feature %d has %v splits, want 0 to %d", p.ID, ErrBadSplitCounts, c, j, v, p.cfg.Tree.MaxSplits)
+			}
 			p.splitCounts[c][j] = int(v.Int64())
 		}
 	}

@@ -19,6 +19,13 @@ import (
 // rounds, encryptions and decryption shares, and no more messages.  The
 // malicious entry is held tighter — equal messages, bytes within 100 — so a
 // dropped proof shows up.
+//
+// PR 22 (log-depth comparison ladders, tournament argmax, masks dealt as
+// values) re-recorded the MPC rounds, messages and bytes of every entry and
+// nothing else of the twelve non-DP ones: their trees, node order,
+// predictions, update rounds, encryptions and decryption shares are still
+// the recursion's.  The dp entry was re-recorded whole — its noise comes
+// from the dealer's stream, whose cursor the new mask request moves.
 
 // goldenVariant is one recorded configuration: 2 clients, 256-bit keys,
 // seed 1, trained on ds and evaluated on its own rows.

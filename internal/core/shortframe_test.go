@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -89,6 +91,130 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 		}
 		if short.Client != 0 || short.From != 1 || short.Got != tc.got || short.Want != tc.want {
 			t.Errorf("%s: got %+v, want client 0 refusing %d of %d values from client 1", tc.name, *short, tc.got, tc.want)
+		}
+	}
+}
+
+// shortFrameEndpoint is a client whose nth HE-layer message to one peer
+// arrives one value short; everything else it sends is honest.
+type shortFrameEndpoint struct {
+	transport.Endpoint
+	to, nth, seen int
+}
+
+func (e *shortFrameEndpoint) Send(to int, b []byte) error {
+	if to == e.to {
+		if e.seen == e.nth {
+			xs, _, err := transport.UnmarshalInts(b)
+			if err != nil || len(xs) == 0 {
+				return err
+			}
+			b = transport.MarshalInts(xs[:len(xs)-1])
+		}
+		e.seen++
+	}
+	return e.Endpoint.Send(to, b)
+}
+
+// TestShortTrainingFrameRefused has the super client send client 1 one of the
+// vectors that open a training run — the encrypted root mask, the encrypted
+// GBDT labels, the GBDT base prediction — one value short.  Each used to be
+// taken at whatever length it arrived and indexed later (alpha[t], xs[0]): a
+// panic in the honest client.  They are counted receives now.
+func TestShortTrainingFrameRefused(t *testing.T) {
+	const n = 16
+	cls := dataset.SyntheticClassification(n, 4, 2, 3.0, 3)
+	reg := dataset.SyntheticRegression(n, 4, 0.2, 9)
+	for _, tc := range []struct {
+		name      string
+		ds        *dataset.Dataset
+		nth       int // which of the super client's messages is cut
+		train     func(p *Party) error
+		got, want int
+	}{
+		{"root mask vector", cls, 0, func(p *Party) error { _, err := p.TrainDT(); return err }, n - 1, n},
+		{"gbdt regression labels", reg, 0, func(p *Party) error { _, err := p.TrainGBDT(); return err }, n - 1, n},
+		{"gbdt regression base prediction", reg, 1, func(p *Party) error { _, err := p.TrainGBDT(); return err }, 0, 1},
+		{"gbdt classification residuals", cls, 0, func(p *Party) error { _, err := p.TrainGBDT(); return err }, n - 1, n},
+	} {
+		cfg := testConfig()
+		cfg.NumTrees = 1
+		cfg.Tree.MaxDepth = 1
+		parts, err := dataset.VerticalPartition(tc.ds, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		super := s.Party(0)
+		super.ep = &shortFrameEndpoint{Endpoint: super.ep, to: 1, nth: tc.nth}
+		var honest error // client 1's outcome; Each reports client 0's first
+		_ = s.Each(func(p *Party) (err error) {
+			if p.ID == 1 {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panicked: %v", r)
+					}
+					honest = err
+				}()
+			}
+			return tc.train(p)
+		})
+		s.Close()
+		var short *ErrMessageLength
+		if !errors.As(honest, &short) {
+			t.Errorf("%s: client 1 got %v, want an ErrMessageLength", tc.name, honest)
+			continue
+		}
+		if short.Client != 1 || short.From != 0 || short.Got != tc.got || short.Want != tc.want {
+			t.Errorf("%s: got %+v, want client 1 refusing %d of %d values from client 0", tc.name, *short, tc.got, tc.want)
+		}
+	}
+}
+
+// TestHostileSplitCountsRefused: a peer's split-count announcement sizes the
+// identifier table every client builds (one row per announced split), so a
+// count above Tree.MaxSplits or an absurd feature count was an allocation of
+// the sender's choosing.
+func TestHostileSplitCountsRefused(t *testing.T) {
+	cfg := testConfig()
+	for name, counts := range map[string][]*big.Int{
+		"count above MaxSplits": {big.NewInt(2), big.NewInt(2_000_000)},
+		"count beyond int64":    {new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(2)},
+		"no features":           {},
+		"too many features":     make([]*big.Int, maxClientFeatures+1),
+		"honest":                {big.NewInt(0), big.NewInt(int64(cfg.Tree.MaxSplits))},
+	} {
+		for i, c := range counts {
+			if c == nil {
+				counts[i] = big.NewInt(1)
+			}
+		}
+		parts, err := dataset.VerticalPartition(smallClassification(16), 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Each(func(p *Party) error {
+			if p.ID == 1 {
+				return transport.SendInts(p.ep, 0, counts)
+			}
+			return p.exchangeSplitCounts()
+		})
+		s.Close()
+		if name == "honest" {
+			if err != nil {
+				t.Errorf("honest announcement refused: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadSplitCounts) || !strings.Contains(err.Error(), "from client 1") {
+			t.Errorf("%s: got %v, want ErrBadSplitCounts naming client 1", name, err)
 		}
 	}
 }

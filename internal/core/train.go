@@ -180,12 +180,12 @@ func (p *Party) initialAlpha(counts []int64) ([]*paillier.Ciphertext, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.broadcastCts(cts); err != nil {
+		if err := p.broadcastCtsChunked(cts); err != nil {
 			return nil, err
 		}
 		return cts, nil
 	}
-	return p.recvCts(p.Super)
+	return p.recvCtsChunked(p.Super, p.part.N)
 }
 
 // channels returns the number of label channels C: one per class for

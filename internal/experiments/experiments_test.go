@@ -46,12 +46,22 @@ func TestFig4aShape(t *testing.T) {
 		if basic <= 0 || enhanced <= 0 {
 			t.Fatalf("non-positive timings: %+v", row.Series)
 		}
-		// Paper: Pivot-Basic always beats Pivot-Enhanced in training.  At
-		// this tiny n the enhanced protocol's extra O(n) work is noise-
-		// level, so allow a margin; the growth claim is asserted in
-		// TestEnhancedGrowsFasterInN at increasing n.
-		if enhanced < basic*0.8 {
-			t.Errorf("m=%v: enhanced (%.2fs) much faster than basic (%.2fs)", row.X, enhanced, basic)
+	}
+	// Paper: Pivot-Basic always beats Pivot-Enhanced in training.  Two
+	// 0.1 s trainings cannot be ordered by their wall clock, so the claim
+	// is asserted on what makes it true — the enhanced protocol's extra
+	// encryptions and threshold decryptions — which are deterministic.
+	p := tiny()
+	for _, m := range p.Ms {
+		heOps := func(proto core.Protocol) int64 {
+			_, stats, _, err := trainKind(synth(p, m), m, cfgFor(p, proto, 1), core.KindDT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats.DecShares + stats.Encryptions
+		}
+		if basic, enhanced := heOps(core.Basic), heOps(core.Enhanced); enhanced < basic {
+			t.Errorf("m=%d: enhanced does %d encryptions + decryption shares, fewer than basic's %d", m, enhanced, basic)
 		}
 	}
 }

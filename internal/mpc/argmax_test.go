@@ -6,11 +6,75 @@ import (
 	"testing"
 )
 
-// Property test: for random group shapes and values, ArgmaxGrouped must
+// argmaxGroupedLinear is the oracle for ArgmaxGrouped: the paper's sequential
+// oblivious-update loop advanced in lockstep across groups.  Step t compares
+// every group's running maximum against its t-th candidate in one batched
+// comparison, then applies all selections in one batched multiplication
+// round.
+func (e *Engine) argmaxGroupedLinear(vals []Share, groups []int, ids [][]int64, k uint) []ArgmaxResult {
+	G := len(groups)
+	cols := len(ids[0])
+	offs := make([]int, G)
+	maxSize := 0
+	{
+		off := 0
+		for g, sz := range groups {
+			offs[g] = off
+			off += sz
+			if sz > maxSize {
+				maxSize = sz
+			}
+		}
+	}
+	cur := make([]ArgmaxResult, G)
+	for g := range cur {
+		cur[g] = ArgmaxResult{Max: vals[offs[g]], IDs: make([]Share, cols)}
+		for c := 0; c < cols; c++ {
+			cur[g].IDs[c] = e.ConstInt64(ids[offs[g]][c])
+		}
+	}
+	for t := 1; t < maxSize; t++ {
+		var active []int
+		for g, sz := range groups {
+			if t < sz {
+				active = append(active, g)
+			}
+		}
+		xs := make([]Share, len(active))
+		ys := make([]Share, len(active))
+		for i, g := range active {
+			xs[i] = cur[g].Max
+			ys[i] = vals[offs[g]+t]
+		}
+		signs := e.LTVec(xs, ys, k)
+		// One batched round for all selects of all groups.
+		var ss, as, bs []Share
+		for i, g := range active {
+			idx := offs[g] + t
+			ss = append(ss, signs[i])
+			as = append(as, vals[idx])
+			bs = append(bs, cur[g].Max)
+			for c := 0; c < cols; c++ {
+				ss = append(ss, signs[i])
+				as = append(as, e.ConstInt64(ids[idx][c]))
+				bs = append(bs, cur[g].IDs[c])
+			}
+		}
+		sel := e.selectPairwise(ss, as, bs)
+		stride := cols + 1
+		for i, g := range active {
+			cur[g].Max = sel[i*stride]
+			cur[g].IDs = sel[i*stride+1 : (i+1)*stride]
+		}
+	}
+	return cur
+}
+
+// Property test: for random group shapes and values, the grouped argmax must
 // return, per group, exactly what the ungrouped Argmax returns on that
 // group's slice — same maximum, same identifier, same tie-breaking — for
-// both the linear scan and the tournament.  Small sizes keep it
-// -short-friendly; it is the unit contract the level-wise training
+// both the linear oracle and the tournament ArgmaxGrouped runs.  Small sizes
+// keep it -short-friendly; it is the unit contract the level-wise training
 // pipeline relies on.
 func TestArgmaxGroupedMatchesPerGroup(t *testing.T) {
 	runParties(t, 2, DefaultConfig(), func(e *Engine) error {
@@ -34,7 +98,11 @@ func TestArgmaxGroupedMatchesPerGroup(t *testing.T) {
 				}
 			}
 			for _, tournament := range []bool{false, true} {
-				got := e.ArgmaxGrouped(vals, groups, ids, 16, tournament)
+				grouped := e.argmaxGroupedLinear
+				if tournament {
+					grouped = e.ArgmaxGrouped
+				}
+				got := grouped(vals, groups, ids, 16)
 				if len(got) != G {
 					return fmt.Errorf("trial %d: %d results for %d groups", trial, len(got), G)
 				}

@@ -98,7 +98,20 @@ var engineKernels = []struct {
 	{"TruncVec", 256, func(e *Engine, xs, pos []Share) { e.TruncVec(xs, 48, 16) }},
 	{"LTZVec", 256, func(e *Engine, xs, pos []Share) { e.LTZVec(xs, 38) }},
 	{"FPDivVec", 64, func(e *Engine, xs, pos []Share) { e.FPDivVec(pos, pos, 40) }},
+	// A four-node frontier with 18 candidate splits each.
+	{"ArgmaxGrouped", 72, func(e *Engine, xs, pos []Share) {
+		e.ArgmaxGrouped(xs, []int{18, 18, 18, 18}, benchIDs[:len(xs)], 38)
+	}},
 }
+
+// benchIDs are public three-column identifiers (owner, feature, split).
+var benchIDs = func() [][]int64 {
+	ids := make([][]int64, 128)
+	for t := range ids {
+		ids[t] = []int64{int64(t % 3), int64(t / 3), int64(t)}
+	}
+	return ids
+}()
 
 func benchConfig() Config {
 	cfg := DefaultConfig()
@@ -114,12 +127,20 @@ func BenchmarkEngine(b *testing.B) {
 			xs, pos := s.benchShares(count, false), s.benchShares(count, true)
 			call := func(e *Engine) { k.run(e, xs[e], pos[e]) }
 			s.spmd(call) // warm-up: the first dealer top-ups
+			before, dealtBefore := s.engs[0].Stats, s.eps[3].Stats().BytesSent.Load()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.spmd(call)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count), "ns/elem")
+			// The counts a latency-bound run pays for: sequential rounds,
+			// Beaver products, and offline material shipped by the dealer
+			// (an average: it arrives in BatchSize top-ups).
+			after := s.engs[0].Stats
+			b.ReportMetric(float64(after.Rounds-before.Rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(after.Mults-before.Mults)/float64(b.N), "mults/op")
+			b.ReportMetric(float64(s.eps[3].Stats().BytesSent.Load()-dealtBefore)/float64(b.N), "dealerB/op")
 		})
 	}
 }
@@ -130,11 +151,12 @@ func BenchmarkEngine(b *testing.B) {
 // process — three parties, the dealer, the memory mesh's frame copies and
 // the goroutines of the harness — so the ceilings cover all of them: MulVec
 // stays under 1 allocation per element, and the two comparison ladders,
-// which run 16 and 37 multiplication rounds, under 12 and 24 (the
-// *big.Int engine measured 197 for MulVec and 9 815 for TruncVec).
+// which run 4 and 6 multiplication rounds and measure 0.98 and 1.34, under
+// 2 and 3 (the *big.Int engine measured 197 for MulVec and 9 815 for
+// TruncVec, the one-round-per-bit ladders 2.98 and 6.44).
 func TestEngineAllocationsPerElement(t *testing.T) {
 	const count = 256
-	ceilings := map[string]float64{"MulVec": 1, "TruncVec": 12, "LTZVec": 24}
+	ceilings := map[string]float64{"MulVec": 1, "TruncVec": 2, "LTZVec": 3}
 	s := newLiveSession(t, 3, benchConfig())
 	xs, pos := s.benchShares(count, false), s.benchShares(count, true)
 	for _, k := range engineKernels {

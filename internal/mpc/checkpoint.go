@@ -56,6 +56,7 @@ type EngineState struct {
 	triples    []triple
 	bndTriples map[twidth][]triple
 	bits       []Share
+	masks      map[uint][]Share
 	inputMasks map[int][]inputMask
 	encMasks   map[uint][]EncMask
 }
@@ -77,6 +78,7 @@ func (st *EngineState) clone() *EngineState {
 		triples:    slices.Clone(st.triples),
 		bndTriples: cloneQueues(st.bndTriples),
 		bits:       slices.Clone(st.bits),
+		masks:      cloneQueues(st.masks),
 		inputMasks: cloneQueues(st.inputMasks),
 		encMasks:   cloneQueues(st.encMasks),
 	}
@@ -105,6 +107,7 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		triples:    e.triples,
 		bndTriples: e.bndTriples,
 		bits:       e.bits,
+		masks:      e.masks,
 		inputMasks: e.inputMasks,
 		encMasks:   e.encMasks,
 	}
@@ -125,6 +128,7 @@ func (e *Engine) Restore(st *EngineState) error {
 	e.triples = c.triples
 	e.bndTriples = c.bndTriples
 	e.bits = c.bits
+	e.masks = c.masks
 	e.inputMasks = c.inputMasks
 	e.encMasks = c.encMasks
 	return nil

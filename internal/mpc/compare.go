@@ -59,48 +59,109 @@ func (e *Engine) randBitwiseGrouped(widths []uint) ([][]Share, []Share) {
 	return bits, vals
 }
 
-// randMask returns count shared random values of the given bit width
-// (assembled from dealer bits).
+// randMask returns count shared random values uniform in [0, 2^width), each
+// dealt as one additive sharing (dealMasks): nothing consumes a statistical
+// mask bit by bit, so no bit sharings are spent on it.  Masks are queued per
+// width and topped up by a quarter of BatchSize: a ladder spends one mask per
+// instance where it spends a triple per bit, and the dozen widths a training
+// run uses each hold their own queue.
 func (e *Engine) randMask(count int, width uint) []Share {
-	_, vals := e.randBitwise(count, width)
-	return vals
+	q := e.masks[width]
+	if len(q) < count {
+		q = e.fetchShares(q, max(count-len(q), e.cfg.BatchSize/4), reqMasks, int64(width))
+	}
+	e.masks[width] = q[count:]
+	return q[:count:count]
 }
 
 // bitLTPub computes, per instance, a sharing of 1{c_t < r_t} where c_t is a
-// public integer and r_t is given by `width` shared bits (LSB first).
-// Linear round count in width; each level is one batched multiplication
-// round across all instances.
+// public integer and r_t is given by `width` shared bits (LSB first).  It is
+// the carry out of a tree over (propagate, generate) pairs: a segment of bit
+// positions propagates (p) when c and r agree on all of it and generates (g)
+// when r exceeds c inside it; one bit has p = XNOR(c, r) and g = r·(1−c),
+// both affine in ⟨r⟩ because c is public, and a high segment H joins the low
+// segment L below it as (p, g) = (p_H·p_L, g_H + p_H·g_L).  The answer is the
+// whole row's g, after ⌈log₂ width⌉ batched multiplication rounds.  Rows are
+// flat count × nodes arrays, halved in place; node 0 of a row is only ever a
+// low operand, so its p is never needed.
 func (e *Engine) bitLTPub(cs []Elem, rbits [][]Share, width uint) []Share {
-	count := len(cs)
-	// p[t] = prefix product (from MSB) of XNOR(c_i, r_i); u accumulates
-	// r_i·(1-c_i)·p_{i+1}.
-	one := e.ConstInt64(1)
-	prefix := make([]Share, count)
-	acc := make([]Share, count)
-	for t := range prefix {
-		prefix[t] = one
+	count, w := len(cs), int(width)
+	if w == 0 {
+		return make([]Share, count)
 	}
-	xs := make([]Share, 2*count)
-	ys := make([]Share, 2*count)
-	for i := int(width) - 1; i >= 0; i-- {
-		for t := 0; t < count; t++ {
-			rb := rbits[t][i]
-			xnor := rb
-			if cs[t].Bit(i) == 0 {
-				xnor = e.Sub(one, rb)
+	one := e.ConstInt64(1)
+	// First level: both p and g of an adjacent bit pair are affine in the one
+	// product r_H·r_L.
+	pairs, n := w/2, (w+1)/2
+	xs := make([]Share, count*pairs)
+	ys := make([]Share, count*pairs)
+	for t, row := range rbits {
+		for j := 0; j < pairs; j++ {
+			xs[t*pairs+j], ys[t*pairs+j] = row[2*j+1], row[2*j]
+		}
+	}
+	qs := e.mulVecBits(xs, ys)
+	ps := make([]Share, count*n)
+	gs := make([]Share, count*n)
+	for t, row := range rbits {
+		for j := 0; j < pairs; j++ {
+			rl, rh, q := row[2*j], row[2*j+1], qs[t*pairs+j]
+			cl, ch := cs[t].Bit(2*j), cs[t].Bit(2*j+1)
+			var p, g Share
+			switch {
+			case ch == 1 && cl == 1:
+				p = q // g = 0
+			case ch == 1:
+				p, g = e.Sub(rh, q), q
+			case cl == 1:
+				p, g = e.Sub(rl, q), rh
+			default:
+				g = e.Sub(e.Add(rh, rl), q) // r_H OR r_L
+				p = e.Sub(one, g)
 			}
-			xs[2*t], xs[2*t+1] = prefix[t], prefix[t]
-			ys[2*t], ys[2*t+1] = xnor, rb
+			ps[t*n+j], gs[t*n+j] = p, g
+		}
+		if w%2 == 1 {
+			// The unpaired top bit enters as a leaf: p = XNOR(c, r), g = r·(1−c).
+			if r := row[w-1]; cs[t].Bit(w-1) == 1 {
+				ps[t*n+pairs] = r
+			} else {
+				ps[t*n+pairs], gs[t*n+pairs] = e.Sub(one, r), r
+			}
+		}
+	}
+	// Later levels: p_H·g_L for every pair of nodes, p_H·p_L for all but the
+	// lowest; an odd top node moves up unchanged.
+	for n > 1 {
+		pairs = n / 2
+		per := 2*pairs - 1
+		xs, ys = xs[:count*per], ys[:count*per]
+		for t := 0; t < count; t++ {
+			row, o := t*n, t*per
+			for j := 0; j < pairs; j++ {
+				xs[o+j], ys[o+j] = ps[row+2*j+1], gs[row+2*j]
+			}
+			for j := 1; j < pairs; j++ {
+				xs[o+pairs+j-1], ys[o+pairs+j-1] = ps[row+2*j+1], ps[row+2*j]
+			}
 		}
 		prods := e.mulVecBits(xs, ys)
+		next := (n + 1) / 2
 		for t := 0; t < count; t++ {
-			if cs[t].Bit(i) == 0 {
-				acc[t] = e.Add(acc[t], prods[2*t+1]) // p_{i+1}·r_i
+			row, dst, o := t*n, t*next, t*per
+			for j := 0; j < pairs; j++ {
+				gs[dst+j] = e.Add(gs[row+2*j+1], prods[o+j])
+				if j > 0 {
+					ps[dst+j] = prods[o+pairs+j-1]
+				}
 			}
-			prefix[t] = prods[2*t]
+			if n%2 == 1 {
+				ps[dst+pairs], gs[dst+pairs] = ps[row+n-1], gs[row+n-1]
+			}
 		}
+		n = next
 	}
-	return acc
+	return gs[:count:count]
 }
 
 // Mod2mVec computes ⟨a mod 2^m⟩ for signed a with |a| < 2^(k-1), m < k.

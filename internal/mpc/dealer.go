@@ -28,6 +28,7 @@ const (
 	reqShutdown
 	reqBoundedTriples
 	reqCheckpoint
+	reqMasks
 )
 
 type triple struct {
@@ -159,6 +160,8 @@ func RunDealer(ep transport.Endpoint, cfg DealerConfig) error {
 			d.dealBoundedTriples(req.count, uint(req.a), uint(req.b))
 		case reqBits:
 			d.dealBits(req.count)
+		case reqMasks:
+			d.dealMasks(req.count, uint(req.a))
 		case reqInputMasks:
 			d.dealInputMasks(req.count, req.a)
 		case reqEncMasks:
@@ -227,6 +230,8 @@ func parseDealerRequest(raw []byte, n, stride int) (dealerRequest, error) {
 		name, nargs, itemBytes = "triples", 1, 3*stride*maxWireElem
 	case reqBits:
 		name, nargs, itemBytes = "bits", 1, stride*maxWireElem
+	case reqMasks:
+		name, nargs, itemBytes = "masks", 2, stride*maxWireElem
 	case reqInputMasks:
 		name, nargs, itemBytes = "input-masks", 2, (stride+1)*maxWireElem
 	case reqBoundedTriples:
@@ -251,6 +256,10 @@ func parseDealerRequest(raw []byte, n, stride int) (dealerRequest, error) {
 		// The masks must be canonical field elements.
 		if req.a > 254 || req.b > 254 {
 			return bad("%s request %v: mask wider than 254 bits", name, f[1:nf])
+		}
+	case reqMasks:
+		if req.a < 1 || req.a > 254 {
+			return bad("%s request %v: width outside [1, 254]", name, f[1:nf])
 		}
 	}
 	return req, nil
@@ -323,6 +332,19 @@ func (d *dealer) dealBits(count int) {
 	d.vals = d.vals[:0]
 	for i := 0; i < count; i++ {
 		d.vals = append(d.vals, Elem{uint64(d.g.bit())})
+	}
+	d.begin(count * d.stride)
+	d.dealValues()
+}
+
+// dealMasks deals count sharings of values uniform in [0, 2^width): the
+// statistical masks of the comparison ladders' openings, which the parties
+// use whole.  The dealer knows every bit it deals, so a mask dealt as a value
+// tells it nothing a mask summed from its bits did not.
+func (d *dealer) dealMasks(count int, width uint) {
+	d.vals = d.vals[:0]
+	for i := 0; i < count; i++ {
+		d.vals = append(d.vals, limbsFromBytes(d.g.intnBytes(width)))
 	}
 	d.begin(count * d.stride)
 	d.dealValues()

@@ -65,6 +65,7 @@ type Engine struct {
 	triples    []triple
 	bndTriples map[twidth][]triple
 	bits       []Share
+	masks      map[uint][]Share // statistical masks, by bit width
 	inputMasks map[int][]inputMask
 	encMasks   map[uint][]EncMask
 
@@ -100,6 +101,7 @@ func NewEngine(ep transport.Endpoint, cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		local:      newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d", ep.ID(), cfg.Seed))),
 		bndTriples: make(map[twidth][]triple),
+		masks:      make(map[uint][]Share),
 		inputMasks: make(map[int][]inputMask),
 		encMasks:   make(map[uint][]EncMask),
 		gauge:      &RoundGauge{},
@@ -246,15 +248,21 @@ func (e *Engine) takeTriples(count int) []triple {
 	return out
 }
 
+// fetchShares requests batch single-share items of the given request kind
+// and appends them, parsed out of the dealer's frame, to q.
+func (e *Engine) fetchShares(q []Share, batch int, kind int, args ...int64) []Share {
+	e.request(kind, append([]int64{int64(batch)}, args...)...)
+	r := e.dealerVector(batch * e.stride())
+	q = slices.Grow(q, batch)
+	for i := 0; i < batch; i++ {
+		q = append(q, e.nextShare(&r))
+	}
+	return q
+}
+
 func (e *Engine) takeBits(count int) []Share {
 	if len(e.bits) < count {
-		batch := max(count-len(e.bits), e.cfg.BatchSize)
-		e.request(reqBits, int64(batch))
-		r := e.dealerVector(batch * e.stride())
-		e.bits = slices.Grow(e.bits, batch)
-		for i := 0; i < batch; i++ {
-			e.bits = append(e.bits, e.nextShare(&r))
-		}
+		e.bits = e.fetchShares(e.bits, max(count-len(e.bits), e.cfg.BatchSize), reqBits)
 	}
 	out := e.bits[:count]
 	e.bits = e.bits[count:]

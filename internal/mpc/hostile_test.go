@@ -73,6 +73,12 @@ func TestDealerRejectsMalformedRequests(t *testing.T) {
 		{"triples count beyond 2^64", wide, "field 1 out of range"},
 		{"bits without a count", req(reqBits), "bits request"},
 		{"bits count beyond a frame", req(reqBits, 1<<28), "bits request"},
+		{"masks without a width", req(reqMasks, 4), "masks request [4]: 1 arguments, want 2"},
+		{"masks with a stray argument", req(reqMasks, 4, 41, 1), "masks request [4 41 1]: 3 arguments, want 2"},
+		{"masks count zero", req(reqMasks, 0, 41), "masks request [0 41]: count"},
+		{"masks count beyond a frame", req(reqMasks, 1<<28, 41), "masks request [268435456 41]: count"},
+		{"masks of width zero", req(reqMasks, 4, 0), "masks request [4 0]: width"},
+		{"masks wider than the field", req(reqMasks, 4, 255), "masks request [4 255]: width"},
 		{"input masks without an owner", req(reqInputMasks, 4), "input-masks request [4]: 1 arguments, want 2"},
 		{"input masks for the dealer", req(reqInputMasks, 4, n), "owner"},
 		{"bounded triples without widths", req(reqBoundedTriples, 4), "bounded-triples request [4]"},
@@ -99,8 +105,12 @@ func TestDealerRejectsMalformedRequests(t *testing.T) {
 		})
 	}
 	// The largest count a frame holds is still served.
-	if _, err := parseDealerRequest(req(reqBits, uint64((transport.MaxFrameSize-5)/maxWireElem)), n, 1); err != nil {
+	largest := uint64((transport.MaxFrameSize - 5) / maxWireElem)
+	if _, err := parseDealerRequest(req(reqBits, largest), n, 1); err != nil {
 		t.Fatalf("largest legal bits request: %v", err)
+	}
+	if _, err := parseDealerRequest(req(reqMasks, largest, 254), n, 1); err != nil {
+		t.Fatalf("largest legal masks request: %v", err)
 	}
 }
 

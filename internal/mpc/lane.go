@@ -65,6 +65,7 @@ func (e *Engine) Fork(ep transport.Endpoint, lane uint32) *Engine {
 		alphaShare: e.alphaShare,
 		local:      newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d-lane-%d", e.id, e.cfg.Seed, lane))),
 		bndTriples: make(map[twidth][]triple),
+		masks:      make(map[uint][]Share),
 		inputMasks: make(map[int][]inputMask),
 		encMasks:   make(map[uint][]EncMask),
 		gauge:      e.gauge,

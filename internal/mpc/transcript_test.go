@@ -18,10 +18,12 @@ import (
 // PRG streams are consumed exactly as before (same dealt shares, same masked
 // openings) and every frame on every directed pair — dealer included — is
 // byte-for-byte the same.  It is written against the public *big.Int API
-// only, so this file compiles unchanged at the commit that produced the
-// golden digests below — the last commit whose shares were {V, M *big.Int}.
-// A failure prints the new transcript; paste it in only when a wire or PRG
-// change is intended.
+// only.  The digests below were recorded at PR 22, whose three changes were
+// meant to move them (the ladders multiply in a different order, masks are
+// dealt as values and draw the dealer's stream differently, the grouped
+// argmax is the tournament); before it they had stood since the engine's
+// shares were {V, M *big.Int}.  A failure prints the new transcript; paste it
+// in only when a wire or PRG change is intended.
 
 // recordingEndpoint hashes every frame it sends, one running SHA-256 per
 // destination.  Each endpoint is driven by one goroutine, so the hashers
@@ -253,11 +255,13 @@ func semiHonestScript(e *Engine, log func(tag string, xs ...*big.Int)) error {
 		r := e.Argmax(xs[:13], ids, 32, tournament)
 		log("argmax", append(e.OpenVec(r.IDs), e.Open(r.Max))...)
 	}
-	for _, r := range e.ArgmaxGrouped(xs[:13], []int{4, 1, 8}, ids, 32, false) {
+	for _, r := range e.ArgmaxGrouped(xs[:13], []int{4, 1, 8}, ids, 32) {
 		log("argmaxgrouped", append(e.OpenVec(r.IDs), e.Open(r.Max))...)
 	}
 
 	log("randuniform", e.OpenVec(e.RandUniformFP(5))...)
+	// Past the first batch of dealt masks.
+	log("randuniform-topup", e.OpenVec(e.RandUniformFP(600))...)
 	for _, width := range []uint{60, 300} { // the second is wider than the field
 		for _, m := range e.EncMasks(70, width) {
 			log("encmask", m.Plain, e.Open(m.Share))
@@ -323,16 +327,16 @@ func TestTranscriptGolden(t *testing.T) {
 		want   transcript
 	}{
 		{"semi-honest", semi, semiHonestScript, transcript{
-			party:   "81fb1c6176d748cc5ea0651f96a46d34ff81d1d8937b7bb22793ada61f26eedc",
-			dealer:  "75aa38b8cc07824b021df8310ef4a4e3a7dd14c827c52aefea2740c9df7ece95",
-			results: "463e7fc4efeea8ab912ee60dc2ee5ee3212f20edf682e8d2aa127878d8775155",
-			bytes:   29790208,
+			party:   "be07dc1c513d07c8379b9314cd0ebd25f8da51e264f9cee79f7ff8729f5b45d4",
+			dealer:  "4c97ad8b2128199a5e9ee783cab8403f5371537985ce3672e5301f6571cd4576",
+			results: "5b0c717d31bbd50059596a70d63734418990ea6a832cfcc29cce4616d5c987b4",
+			bytes:   17699112,
 		}},
 		{"authenticated", auth, authenticatedScript, transcript{
-			party:   "1175eb16ceb8e4c6cadd18f98ce2b69efd67af809dd6e9f6f6a533156607ec56",
-			dealer:  "00d5be40fa9dec1369dbcd8e2ba87d3dd8b8e15c84d464847ba081d88754727a",
-			results: "dd6181d7816c744536614255c3a5d49d4ea7f16004f708a7bd454c880102f4a3",
-			bytes:   1268645,
+			party:   "19e77b682681041c6209e9e400d145dcfdaf87399d2b7eb7c5609864a5494028",
+			dealer:  "3482d1e74793f7f74cc5e8f82712a95f77c25e505290622f2eafe9bf2a42f92e",
+			results: "43c1e4754761375457a624e164181adc041c1c229510cc1c6e60533851c8118f",
+			bytes:   681790,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
