@@ -160,10 +160,8 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		for i, g := range splitters {
 			splitNodes[i] = frontier[g]
 		}
-		C := p.channels(splitNodes[0].nd)
-		statsPerSplit := 2 + 2*C
-		S := p.totalSplits()
-		totalPer := C + S*statsPerSplit
+		// C label channels enter the gains; E are sent (sentChannels).
+		C, E, S := p.channels(splitNodes[0].nd), p.sentChannels(splitNodes[0].nd), p.totalSplits()
 
 		var gchs [][][]*paillier.Ciphertext
 		err = p.timedWire(&p.Stats.Phases.LocalComputation, &p.Stats.Phases.LocalComputationWire, func() error {
@@ -178,23 +176,15 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 					return specErr
 				}
 				n := p.part.N
-				sel := make([]*paillier.Ciphertext, 0, len(splitters)*C*n)
+				sel := make([]*paillier.Ciphertext, 0, len(splitters)*E*n)
 				for _, g := range splitters {
-					off := g * C * n
-					sel = append(sel, maskedAll[off:off+C*n]...)
+					off := g * E * n
+					sel = append(sel, maskedAll[off:off+E*n]...)
 				}
 				if err := p.broadcastCtsChunked(sel); err != nil {
 					return err
 				}
-				gchs = make([][][]*paillier.Ciphertext, len(splitNodes))
-				for i := range splitNodes {
-					chs := make([][]*paillier.Ciphertext, C)
-					for k := 0; k < C; k++ {
-						off := (i*C + k) * n
-						chs[k] = sel[off : off+n]
-					}
-					gchs[i] = chs
-				}
+				gchs = splitChannels(sel, len(splitNodes), E, n)
 				return nil
 			}
 			var err error
@@ -202,7 +192,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			return err
 		})
 		if err != nil {
-			return nil, p.errf("level %d gamma computation: %v", depth, err)
+			return nil, p.errf("level %d gamma computation: %w", depth, err)
 		}
 		var statCts [][]*paillier.Ciphertext
 		err = p.timedWire(&p.Stats.Phases.LocalComputation, &p.Stats.Phases.LocalComputationWire, func() error {
@@ -211,45 +201,21 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			return err
 		})
 		if err != nil {
-			return nil, p.errf("level %d split statistics: %v", depth, err)
+			return nil, p.errf("level %d split statistics: %w", depth, err)
 		}
 
-		// One Algorithm-2 conversion for the concatenated statistics of the
-		// whole frontier: per splitter, the C channel totals followed by the
-		// S·statsPerSplit statistics (only the super client's ciphertexts
-		// matter; the others contribute masks).
-		all := make([]*paillier.Ciphertext, 0, len(splitters)*totalPer)
+		nShares := make([]mpc.Share, len(splitNodes))
 		for i := range splitNodes {
-			for k := 0; k < C; k++ {
-				all = append(all, p.foldAdd(gchs[i][k]))
-			}
-			if p.ID == p.Super {
-				all = append(all, statCts[i]...)
-			} else {
-				all = append(all, make([]*paillier.Ciphertext, S*statsPerSplit)...)
-			}
+			nShares[i] = splitNodes[i].nShare
 		}
-		var shares []mpc.Share
-		err = p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
-			var err error
-			shares, err = p.encToShares(all, len(splitters)*totalPer, p.w.stat)
-			return err
-		})
+		var totalsAll, statsAll []mpc.Share
+		totalsAll, statsAll, err = p.convertSplitStats(nShares, gchs, statCts, C)
 		if err != nil {
-			return nil, p.errf("level %d statistics conversion: %v", depth, err)
+			return nil, p.errf("level %d statistics conversion: %w", depth, err)
 		}
 
 		err = p.timedWire(&p.Stats.Phases.MPCComputation, &p.Stats.Phases.MPCComputationWire, func() error {
-			totalsAll := make([]mpc.Share, 0, len(splitters)*C)
-			statsAll := make([]mpc.Share, 0, len(splitters)*S*statsPerSplit)
-			nShares := make([]mpc.Share, len(splitters))
-			for i, g := range splitters {
-				b := i * totalPer
-				totalsAll = append(totalsAll, shares[b:b+C]...)
-				statsAll = append(statsAll, shares[b+C:b+totalPer]...)
-				nShares[i] = frontier[g].nShare
-			}
-			gains, err := p.computeGains(totalsAll, statsAll, nShares, C, statsPerSplit, tasks[0].model.Classes > 0)
+			gains, err := p.computeGains(totalsAll, statsAll, nShares, C, 2+2*C, tasks[0].model.Classes > 0)
 			if err != nil {
 				return err
 			}
@@ -509,12 +475,12 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 
 // computeGammasLevel is the local computation step's first half: the super
 // client derives every splitter's masked label channels [γ] from its [α]
-// (classification: one 0/1 channel per class; regression: y and y² channels)
-// in one parallel Paillier batch and ships them in a single broadcast.  In
-// encrypted-label mode the channels are already maintained per node by the
-// split owners and nothing is sent.  In malicious mode every channel travels
-// inside its POPCM proofs against the label commitments (§9.1.2), one
-// message per node and channel.
+// (classification: one 0/1 channel per class but the last, which is α minus
+// the others; regression: y and y² channels) in one parallel Paillier batch
+// and ships them in a single broadcast.  In encrypted-label mode the channels
+// are already maintained per node by the split owners and nothing is sent.
+// In malicious mode every channel travels inside its POPCM proofs against the
+// label commitments (§9.1.2), one message per node and channel.
 func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Ciphertext, error) {
 	out := make([][][]*paillier.Ciphertext, len(nodes))
 	if nodes[0].nd.gch != nil {
@@ -523,11 +489,11 @@ func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Cipher
 		}
 		return out, nil
 	}
-	C := p.channels(nodes[0].nd)
+	E := p.sentChannels(nodes[0].nd)
 	n := p.part.N
 	if p.audit != nil {
 		for i := range nodes {
-			out[i] = make([][]*paillier.Ciphertext, C)
+			out[i] = make([][]*paillier.Ciphertext, E)
 			for k := range out[i] {
 				ch, err := p.audit.gammaWithProofs(nodes[i].nd.alpha, k)
 				if err != nil {
@@ -538,49 +504,46 @@ func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Cipher
 		}
 		return out, nil
 	}
+	var masked []*paillier.Ciphertext
+	var err error
 	if p.ID != p.Super {
-		masked, err := p.recvCtsChunked(p.Super, len(nodes)*C*n)
-		if err != nil {
-			return nil, err
+		masked, err = p.recvCtsChunked(p.Super, len(nodes)*E*n)
+	} else {
+		masked, err = p.gammaMaskedSuper(nodes)
+		if err == nil {
+			err = p.broadcastCtsChunked(masked)
 		}
-		for i := range nodes {
-			chs := make([][]*paillier.Ciphertext, C)
-			for k := 0; k < C; k++ {
-				off := (i*C + k) * n
-				chs[k] = masked[off : off+n]
-			}
-			out[i] = chs
-		}
-		return out, nil
 	}
-	masked, err := p.gammaMaskedSuper(nodes)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.broadcastCtsChunked(masked); err != nil {
-		return nil, err
-	}
-	for i := range nodes {
-		chs := make([][]*paillier.Ciphertext, C)
-		for k := 0; k < C; k++ {
-			off := (i*C + k) * n
-			chs[k] = masked[off : off+n]
-		}
-		out[i] = chs
-	}
-	return out, nil
+	return splitChannels(masked, len(nodes), E, n), nil
 }
 
-// gammaMaskedSuper computes the super client's masked label channels for
+// splitChannels views a flat (node, channel, record) ciphertext vector as
+// per-node channel slices.
+func splitChannels(flat []*paillier.Ciphertext, nodes, E, n int) [][][]*paillier.Ciphertext {
+	out := make([][][]*paillier.Ciphertext, nodes)
+	for i := range out {
+		out[i] = make([][]*paillier.Ciphertext, E)
+		for k := range out[i] {
+			off := (i*E + k) * n
+			out[i][k] = flat[off : off+n]
+		}
+	}
+	return out
+}
+
+// gammaMaskedSuper computes the super client's sent masked label channels for
 // nodes, flat over (node, channel, record) — pure local Paillier compute,
 // nothing sent.  The pipelined driver runs it speculatively for the whole
 // frontier while the pruning rounds are in flight.
 func (p *Party) gammaMaskedSuper(nodes []frontierNode) ([]*paillier.Ciphertext, error) {
-	C := p.channels(nodes[0].nd)
+	E := p.sentChannels(nodes[0].nd)
 	n := p.part.N
 	// The label encodings are identical for every node of the level.
-	betas := make([][]*big.Int, C)
-	for k := 0; k < C; k++ {
+	betas := make([][]*big.Int, E)
+	for k := 0; k < E; k++ {
 		beta := make([]*big.Int, n)
 		for t := 0; t < n; t++ {
 			if p.part.Classes > 0 {
@@ -598,10 +561,10 @@ func (p *Party) gammaMaskedSuper(nodes []frontierNode) ([]*paillier.Ciphertext, 
 		}
 		betas[k] = beta
 	}
-	flatCts := make([]*paillier.Ciphertext, 0, len(nodes)*C*n)
-	flatBetas := make([]*big.Int, 0, len(nodes)*C*n)
+	flatCts := make([]*paillier.Ciphertext, 0, len(nodes)*E*n)
+	flatBetas := make([]*big.Int, 0, len(nodes)*E*n)
 	for i := range nodes {
-		for k := 0; k < C; k++ {
+		for k := 0; k < E; k++ {
 			flatCts = append(flatCts, nodes[i].nd.alpha...)
 			flatBetas = append(flatBetas, betas[k]...)
 		}
@@ -612,14 +575,14 @@ func (p *Party) gammaMaskedSuper(nodes []frontierNode) ([]*paillier.Ciphertext, 
 
 // computeSplitStatsLevel is the second half of the local computation step:
 // every client computes, for each of its candidate splits, the encrypted left
-// and right statistics over every channel plus the counts (Eqn 7) — all its
-// (node, feature, channel) bucket passes in one parallel batch — and ships
-// them to the super client in a single message for conversion.
+// count and left statistic of every sent channel (Eqn 7's left half; the rest
+// is derived by expandStats) — all its (node, feature, channel) bucket passes
+// in one parallel batch — and ships them to the super client in one message.
 // The returned per-splitter slices (canonical split order, as the
 // conversion expects) are non-nil only at the super client.
 func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillier.Ciphertext) ([][]*paillier.Ciphertext, error) {
 	K := len(nodes)
-	statsPerSplit := 2 * (1 + len(gchs[0]))
+	statsPerSplit := 1 + len(gchs[0])
 	channels := make([][][]*paillier.Ciphertext, K)
 	for i := range nodes {
 		channels[i] = append([][]*paillier.Ciphertext{nodes[i].nd.alpha}, gchs[i]...)
@@ -675,27 +638,54 @@ func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillie
 	return out, nil
 }
 
+// convertSplitStats runs the one Algorithm-2 conversion for the statistics of
+// the whole frontier — per splitter, the E sent channel totals followed by the
+// S·(1+E) left statistics (only the super client's ciphertexts matter; the
+// others contribute masks) — and expands the shares for computeGains.
+func (p *Party) convertSplitStats(nShares []mpc.Share, gchs [][][]*paillier.Ciphertext, statCts [][]*paillier.Ciphertext, C int) (totals, stats []mpc.Share, err error) {
+	E := len(gchs[0])
+	per := E + p.totalSplits()*(1+E)
+	all := make([]*paillier.Ciphertext, 0, len(gchs)*per)
+	for i, chs := range gchs {
+		for _, ch := range chs {
+			all = append(all, p.foldAdd(ch))
+		}
+		if p.ID == p.Super {
+			all = append(all, statCts[i]...)
+		} else {
+			all = append(all, make([]*paillier.Ciphertext, per-E)...)
+		}
+	}
+	var shares []mpc.Share
+	err = p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
+		var err error
+		shares, err = p.encToShares(all, len(all), p.w.stat)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	totals, stats = p.expandStats(shares, nShares, C, E)
+	return totals, stats, nil
+}
+
 // provenSplitStats is the malicious-mode (§9.1.2) computeSplitStatsLevel:
 // every left statistic is a homomorphic dot product carrying a POHDP against
 // its owner's committed split indicator, sent to the super client one message
-// per (node, split, channel) and verified there; right = total − left is
-// publicly derivable, so it carries no proof.  channels[i] lists node i's
-// encrypted channels, mask vector first.
+// per (node, split, channel) and verified there.  Right sides and the last
+// class are derived from these on authenticated shares and carry no proof of
+// their own.  channels[i] lists node i's encrypted channels, mask vector first.
 func (p *Party) provenSplitStats(channels [][][]*paillier.Ciphertext) ([][]*paillier.Ciphertext, error) {
 	out := make([][]*paillier.Ciphertext, len(channels))
 	for i, chs := range channels {
-		totals := make([]*paillier.Ciphertext, len(chs))
-		for c, ch := range chs {
-			totals[c] = p.foldAdd(ch)
-		}
 		var mine []*paillier.Ciphertext
 		for flat, vl := range p.flatSplits() {
-			for c, ch := range chs {
+			for _, ch := range chs {
 				dl, err := p.audit.statWithProof(flat, ch, vl)
 				if err != nil {
 					return nil, err
 				}
-				mine = append(mine, dl, p.pk.Sub(totals[c], dl))
+				mine = append(mine, dl)
 			}
 		}
 		if p.ID != p.Super {
@@ -708,12 +698,12 @@ func (p *Party) provenSplitStats(channels [][][]*paillier.Ciphertext) ([][]*pail
 				continue
 			}
 			for s := 0; s < p.clientSplits(c); s++ {
-				for k, ch := range chs {
+				for _, ch := range chs {
 					dl, err := p.audit.verifyStat(c, s, ch)
 					if err != nil {
 						return nil, err
 					}
-					out[i] = append(out[i], dl, p.pk.Sub(totals[k], dl))
+					out[i] = append(out[i], dl)
 				}
 			}
 		}

@@ -940,5 +940,5 @@ func (p *Party) gatherStats() {
 }
 
 func (p *Party) errf(format string, args ...any) error {
-	return fmt.Errorf("client %d: %s", p.ID, fmt.Sprintf(format, args...))
+	return fmt.Errorf("client %d: %w", p.ID, fmt.Errorf(format, args...))
 }

@@ -26,6 +26,15 @@ import (
 // predictions, update rounds, encryptions and decryption shares are still
 // the recursion's.  The dp entry was re-recorded whole — its noise comes
 // from the dealer's stream, whose cursor the new mask request moves.
+//
+// PR 23 (left-only split statistics of the sent channels, the rest derived on
+// shares) re-recorded three columns of all thirteen entries — encryptions,
+// decryption shares and bytes, each lower: the right-side and last-class
+// ciphertexts are no longer made, rerandomised, shipped or jointly decrypted
+// — and the malicious entry's messages (1228 → 1211: one γ broadcast and one
+// proven statistic per split fewer per node).  A script checked, entry by
+// entry, that trees, node order, predictions, MPC rounds and update rounds
+// equal the recorded ones before it rewrote those columns and nothing else.
 
 // goldenVariant is one recorded configuration: 2 clients, 256-bit keys,
 // seed 1, trained on ds and evaluated on its own rows.

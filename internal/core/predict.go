@@ -89,7 +89,7 @@ func (p *Party) predictBasicEnc(model *Model, x []float64) (*paillier.Ciphertext
 		}
 	} else {
 		var err error
-		eta, err = p.recvCts(p.ID + 1)
+		eta, err = p.recvCtsChunked(p.ID+1, leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -119,11 +119,11 @@ func (p *Party) predictBasicEnc(model *Model, x []float64) (*paillier.Ciphertext
 	}
 
 	if p.ID > 0 {
-		if err := p.sendCts(p.ID-1, eta); err != nil {
+		if err := p.sendCtsChunked(p.ID-1, eta); err != nil {
 			return nil, err
 		}
 		// Receive the final aggregated prediction from the super client.
-		cts, err := p.recvCts(p.Super)
+		cts, err := p.recvCtsChunked(p.Super, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +233,7 @@ func (p *Party) obliviousFeatureValue(n *Node, x []float64) (*paillier.Ciphertex
 			}
 			return part, nil
 		}
-		cts, err := p.recvCts(n.Owner)
+		cts, err := p.recvCtsChunked(n.Owner, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func (p *Party) obliviousFeatureValue(n *Node, x []float64) (*paillier.Ciphertex
 		if c == p.ID {
 			continue
 		}
-		cts, err := p.recvCts(c)
+		cts, err := p.recvCtsChunked(c, 1)
 		if err != nil {
 			return nil, err
 		}

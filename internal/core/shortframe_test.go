@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mpc"
+	"repro/internal/paillier"
 	"repro/internal/transport"
 )
 
@@ -96,10 +97,12 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 }
 
 // shortFrameEndpoint is a client whose nth HE-layer message to one peer
-// arrives one value short; everything else it sends is honest.
+// arrives one value short — or, with grow set, as that many copies of itself
+// back to back, the length an older layout of the step would have had;
+// everything else it sends is honest.
 type shortFrameEndpoint struct {
 	transport.Endpoint
-	to, nth, seen int
+	to, nth, seen, grow int
 }
 
 func (e *shortFrameEndpoint) Send(to int, b []byte) error {
@@ -109,33 +112,51 @@ func (e *shortFrameEndpoint) Send(to int, b []byte) error {
 			if err != nil || len(xs) == 0 {
 				return err
 			}
-			b = transport.MarshalInts(xs[:len(xs)-1])
+			wrong := xs[:len(xs)-1]
+			if e.grow > 0 {
+				wrong = nil
+				for i := 0; i < e.grow; i++ {
+					wrong = append(wrong, xs...)
+				}
+			}
+			b = transport.MarshalInts(wrong)
 		}
 		e.seen++
 	}
 	return e.Endpoint.Send(to, b)
 }
 
-// TestShortTrainingFrameRefused has the super client send client 1 one of the
-// vectors that open a training run — the encrypted root mask, the encrypted
-// GBDT labels, the GBDT base prediction — one value short.  Each used to be
-// taken at whatever length it arrived and indexed later (alpha[t], xs[0]): a
-// panic in the honest client.  They are counted receives now.
+// TestShortTrainingFrameRefused has one client send the other one of the
+// vectors of a training run at the wrong length: the super client the vectors
+// that open it — the encrypted root mask, the encrypted GBDT labels, the GBDT
+// base prediction — one value short, and either side a local-computation
+// message at the length it had while right sides and the last class were
+// still sent (C·n masked label ciphertexts, 2 + 2C statistics per split).
+// The first three used to be taken at whatever length they arrived and
+// indexed later (alpha[t], xs[0]): a panic in the honest client.  Every one
+// is a counted receive.
 func TestShortTrainingFrameRefused(t *testing.T) {
 	const n = 16
+	const s1 = 2 * 4 // client 1's candidate splits: two continuous features × testConfig's MaxSplits
 	cls := dataset.SyntheticClassification(n, 4, 2, 3.0, 3)
 	reg := dataset.SyntheticRegression(n, 4, 0.2, 9)
+	dt := func(p *Party) error { _, err := p.TrainDT(); return err }
+	gbdt := func(p *Party) error { _, err := p.TrainGBDT(); return err }
 	for _, tc := range []struct {
 		name      string
 		ds        *dataset.Dataset
-		nth       int // which of the super client's messages is cut
+		from      int // the client whose message is wrong; the other one is honest
+		nth, grow int // which of its messages to the honest client, and how (shortFrameEndpoint)
 		train     func(p *Party) error
 		got, want int
 	}{
-		{"root mask vector", cls, 0, func(p *Party) error { _, err := p.TrainDT(); return err }, n - 1, n},
-		{"gbdt regression labels", reg, 0, func(p *Party) error { _, err := p.TrainGBDT(); return err }, n - 1, n},
-		{"gbdt regression base prediction", reg, 1, func(p *Party) error { _, err := p.TrainGBDT(); return err }, 0, 1},
-		{"gbdt classification residuals", cls, 0, func(p *Party) error { _, err := p.TrainGBDT(); return err }, n - 1, n},
+		{"root mask vector", cls, 0, 0, 0, dt, n - 1, n},
+		{"gbdt regression labels", reg, 0, 0, 0, gbdt, n - 1, n},
+		{"gbdt regression base prediction", reg, 0, 1, 0, gbdt, 0, 1},
+		{"gbdt classification residuals", cls, 0, 0, 0, gbdt, n - 1, n},
+		// Binary labels: C = 2 channels, E = 1 of them sent.
+		{"masked labels of all C classes", cls, 0, 2, 2, dt, 2 * n, n},
+		{"two-sided statistics of all C classes", cls, 1, 2, 3, dt, s1 * (2 + 2*2), s1 * (1 + 1)},
 	} {
 		cfg := testConfig()
 		cfg.NumTrees = 1
@@ -148,11 +169,14 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		super := s.Party(0)
-		super.ep = &shortFrameEndpoint{Endpoint: super.ep, to: 1, nth: tc.nth}
-		var honest error // client 1's outcome; Each reports client 0's first
+		if got := s.Party(1).clientSplits(1); got != s1 {
+			t.Fatalf("client 1 has %d candidate splits, the table assumes %d", got, s1)
+		}
+		hostile, to := s.Party(tc.from), 1-tc.from
+		hostile.ep = &shortFrameEndpoint{Endpoint: hostile.ep, to: to, nth: tc.nth, grow: tc.grow}
+		var honest error // the honest client's outcome; Each reports the first client's
 		_ = s.Each(func(p *Party) (err error) {
-			if p.ID == 1 {
+			if p.ID == to {
 				defer func() {
 					if r := recover(); r != nil {
 						err = fmt.Errorf("panicked: %v", r)
@@ -165,11 +189,105 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 		s.Close()
 		var short *ErrMessageLength
 		if !errors.As(honest, &short) {
-			t.Errorf("%s: client 1 got %v, want an ErrMessageLength", tc.name, honest)
+			t.Errorf("%s: client %d got %v, want an ErrMessageLength", tc.name, to, honest)
 			continue
 		}
-		if short.Client != 1 || short.From != 0 || short.Got != tc.got || short.Want != tc.want {
-			t.Errorf("%s: got %+v, want client 1 refusing %d of %d values from client 0", tc.name, *short, tc.got, tc.want)
+		if short.Client != to || short.From != tc.from || short.Got != tc.got || short.Want != tc.want {
+			t.Errorf("%s: got %+v, want client %d refusing %d of %d values from client %d", tc.name, *short, to, tc.got, tc.want, tc.from)
+		}
+	}
+}
+
+// TestShortPredictFrameRefused covers the four receives of per-sample
+// prediction that took a peer's message at whatever length it arrived: the
+// Algorithm-4 [η] vector (one value short, it reached scalarMulRerandVec's
+// length-mismatch panic), and the final [k̄], the HideFeature owner's value
+// and a HideClient partial (empty, each was indexed as cts[0]).  Client 1
+// plays the peer on a raw endpoint; client 0 — client 1 for [k̄], which only
+// the super client sends — runs the real code and now refuses by count.
+func TestShortPredictFrameRefused(t *testing.T) {
+	// One split at client 0, two leaves; x is the honest client's sample.
+	tree := &Model{Leaves: 2, Nodes: []Node{
+		{Owner: 0, Feature: 0, Threshold: 0.5, Left: 1, Right: 2},
+		{Leaf: true, Label: 0, LeafPos: 0},
+		{Leaf: true, Label: 1, LeafPos: 1},
+	}}
+	x := []float64{0.25, 0.75}
+	for _, tc := range []struct {
+		name      string
+		honest    int
+		send      func(p *Party) ([]*paillier.Ciphertext, error) // what the peer sends the honest client
+		run       func(p *Party) error
+		got, want int
+	}{
+		{
+			name: "eta vector", honest: 0,
+			send: func(p *Party) ([]*paillier.Ciphertext, error) { return p.encryptVec([]*big.Int{big.NewInt(1)}) },
+			run:  func(p *Party) error { _, err := p.predictBasicEnc(tree, x); return err },
+			got:  1, want: 2,
+		},
+		{
+			name: "final prediction", honest: 1,
+			send: func(p *Party) ([]*paillier.Ciphertext, error) { return nil, nil },
+			run:  func(p *Party) error { _, err := p.predictBasicEnc(tree, x); return err },
+			got:  0, want: 1,
+		},
+		{
+			name: "hidden feature, owner's value", honest: 0,
+			send: func(p *Party) ([]*paillier.Ciphertext, error) { return nil, nil },
+			run: func(p *Party) error {
+				_, err := p.obliviousFeatureValue(&Node{Owner: 1, Feature: -1, EncFeatSel: make([][]*paillier.Ciphertext, 2)}, x)
+				return err
+			},
+			got: 0, want: 1,
+		},
+		{
+			name: "hidden client, a peer's partial", honest: 0,
+			send: func(p *Party) ([]*paillier.Ciphertext, error) { return nil, nil },
+			run: func(p *Party) error {
+				phi, err := p.encryptVec([]*big.Int{big.NewInt(1), big.NewInt(0)})
+				if err != nil {
+					return err
+				}
+				_, err = p.obliviousFeatureValue(&Node{Owner: -1, Feature: -1, EncFeatSel: [][]*paillier.Ciphertext{phi, nil}}, x)
+				return err
+			},
+			got: 0, want: 1,
+		},
+	} {
+		parts, err := dataset.VerticalPartition(smallClassification(8), 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(parts, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var honest error
+		_ = s.Each(func(p *Party) (err error) {
+			if p.ID != tc.honest {
+				cts, err := tc.send(p)
+				if err != nil {
+					return err
+				}
+				return p.sendCts(tc.honest, cts)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panicked: %v", r)
+				}
+				honest = err
+			}()
+			return tc.run(p)
+		})
+		s.Close()
+		var short *ErrMessageLength
+		if !errors.As(honest, &short) {
+			t.Errorf("%s: client %d got %v, want an ErrMessageLength", tc.name, tc.honest, honest)
+			continue
+		}
+		if short.Client != tc.honest || short.From != 1-tc.honest || short.Got != tc.got || short.Want != tc.want {
+			t.Errorf("%s: got %+v, want client %d refusing %d of %d values from client %d", tc.name, *short, tc.honest, tc.got, tc.want, 1-tc.honest)
 		}
 	}
 }

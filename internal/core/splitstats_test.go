@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	mrand "math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mpc"
 	"repro/internal/paillier"
 	"repro/internal/transport"
 )
@@ -28,28 +30,29 @@ func complement(v []*big.Int) []*big.Int {
 	return out
 }
 
-// dotStats is the formula bucketStats replaced: per (node, feature, split,
-// channel), v_l ⊙ [ch] and (1 − v_l) ⊙ [ch] — one pass over every sample per
-// candidate split.
-func dotStats(t *testing.T, p *Party, channels [][][]*paillier.Ciphertext) []*paillier.Ciphertext {
-	t.Helper()
-	var out []*paillier.Ciphertext
+// dotStats is Eqn 7 as the paper writes it, the formula bucketStats and
+// expandStats replaced: per (node, feature, split, channel), v_l ⊙ [ch] and
+// (1 − v_l) ⊙ [ch] — one pass over every sample per candidate split and
+// side.  indic is one client's indicator vectors, by feature then split.
+func dotStats(pk *paillier.PublicKey, indic [][][]*big.Int, channels [][][]*paillier.Ciphertext) (lefts, rights []*paillier.Ciphertext, err error) {
 	for _, chs := range channels {
-		for j := range p.indic {
-			for s := range p.indic[j] {
+		for j := range indic {
+			for _, vl := range indic[j] {
 				for _, ch := range chs {
-					for _, v := range [][]*big.Int{p.indic[j][s], complement(p.indic[j][s])} {
-						d, err := p.pk.Dot(v, ch)
-						if err != nil {
-							t.Fatal(err)
-						}
-						out = append(out, d)
+					l, err := pk.Dot(vl, ch)
+					if err != nil {
+						return nil, nil, err
 					}
+					r, err := pk.Dot(complement(vl), ch)
+					if err != nil {
+						return nil, nil, err
+					}
+					lefts, rights = append(lefts, l), append(rights, r)
 				}
 			}
 		}
 	}
-	return out
+	return lefts, rights, nil
 }
 
 // splitTestParty builds the local half of a (non-super) Party — key,
@@ -124,7 +127,7 @@ func assertSameCiphertexts(t *testing.T, got, want []*paillier.Ciphertext) {
 }
 
 // TestBucketStatsEqualDots: before rerandomization the bucket path's
-// statistics are, integer for integer and position for position, the
+// statistics are, integer for integer and position for position, the left
 // indicator dot products they replaced — over duplicate values, a constant
 // column, b ∈ {1, 3, 8}, 1–3 channels, 1–4 frontier nodes, and again after
 // rows are appended through the Update path's appendData.
@@ -146,8 +149,12 @@ func TestBucketStatsEqualDots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameCiphertexts(t, got, dotStats(t, p, channels))
-		if want := nodes * p.clientSplits(p.ID) * 2 * (1 + extra); len(got) != want {
+		lefts, _, err := dotStats(pk, p.indic, channels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameCiphertexts(t, got, lefts)
+		if want := nodes * p.clientSplits(p.ID) * (1 + extra); len(got) != want {
 			t.Fatalf("b=%d: %d statistics, want %d", maxSplits, len(got), want)
 		}
 
@@ -161,7 +168,173 @@ func TestBucketStatsEqualDots(t *testing.T) {
 		if got, err = p.bucketStats(channels); err != nil {
 			t.Fatal(err)
 		}
-		assertSameCiphertexts(t, got, dotStats(t, p, channels))
+		if lefts, _, err = dotStats(pk, p.indic, channels); err != nil {
+			t.Fatal(err)
+		}
+		assertSameCiphertexts(t, got, lefts)
+	}
+}
+
+// TestDerivedStatisticsEqualDots: the arrays expandStats hands computeGains —
+// C totals per node and [n_l, n_r, ch1_l, ch1_r, …] per split, of which only
+// the left sides of the sent channels were ever encrypted — hold, entry for
+// entry, what the Eqn-7 protocol would have converted: the jointly decrypted
+// v_l ⊙ [γ_k] and (1 − v_l) ⊙ [γ_k] of all C channels, every client's splits
+// in canonical order.  The C-channel γ and the right-side indicator exist only
+// here.  A bootstrapped root makes α hold counts above one; the malicious row
+// runs the proven kernels and authenticated shares.
+func TestDerivedStatisticsEqualDots(t *testing.T) {
+	const n = 24
+	cls2 := smallClassification(n)
+	cls4 := dataset.SyntheticClassification(n, 6, 4, 3.0, 5)
+	reg := dataset.SyntheticRegression(n, 6, 0.2, 9)
+	for _, tc := range []struct {
+		name      string
+		ds        *dataset.Dataset
+		encLabels bool // encrypted-label mode: the node carries [y], [y²]
+		bootstrap bool
+		set       func(*Config)
+	}{
+		{name: "binary", ds: cls2},
+		{name: "four classes", ds: cls4},
+		{name: "regression", ds: reg},
+		{name: "encrypted labels", ds: reg, encLabels: true},
+		{name: "bootstrapped root", ds: cls4, bootstrap: true},
+		{name: "authenticated shares", ds: dataset.SyntheticClassification(12, 3, 2, 3.0, 3),
+			set: func(c *Config) { c.Malicious, c.Tree.MaxSplits = true, 2 }},
+	} {
+		cfg := testConfig()
+		if tc.set != nil {
+			tc.set(&cfg)
+		}
+		parts, err := dataset.VerticalPartition(tc.ds, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts []int64
+		if tc.bootstrap {
+			counts = bootstrapCounts(tc.ds.N(), 1, 11)
+		}
+		err = s.Each(func(p *Party) error {
+			if p.audit != nil {
+				if err := p.audit.commitTraining(p.labelVectors()); err != nil {
+					return err
+				}
+			}
+			alpha, err := p.initialAlpha(counts)
+			if err != nil {
+				return err
+			}
+			// The label channels in the clear, C of them; the super client's
+			// labels are the dataset's.
+			super := s.Party(p.Super)
+			var betas [][]*big.Int
+			if C := tc.ds.Classes; C > 0 {
+				betas = make([][]*big.Int, C)
+				for k := range betas {
+					betas[k] = make([]*big.Int, len(alpha))
+					for r := range betas[k] {
+						betas[k][r] = big.NewInt(boolToInt(int(super.part.Y[r]) == k))
+					}
+				}
+			} else {
+				betas = [][]*big.Int{make([]*big.Int, len(alpha)), make([]*big.Int, len(alpha))}
+				for r := range alpha {
+					y := p.cod.Encode(super.part.Y[r])
+					betas[0][r], betas[1][r] = y, new(big.Int).Mul(y, y)
+				}
+			}
+			nd := nodeData{alpha: alpha}
+			if tc.encLabels {
+				nd.gch = make([][]*paillier.Ciphertext, 2)
+				for k := range nd.gch {
+					if p.ID == p.Super {
+						if nd.gch[k], err = p.encryptVec(betas[k]); err == nil {
+							err = p.broadcastCtsChunked(nd.gch[k])
+						}
+					} else {
+						nd.gch[k], err = p.recvCtsChunked(p.Super, len(alpha))
+					}
+					if err != nil {
+						return err
+					}
+				}
+			}
+
+			// What trainLevel does between the pruning rounds and the gains.
+			nShares, err := p.encToShares([]*paillier.Ciphertext{p.foldAdd(alpha)}, 1, p.w.count+2)
+			if err != nil {
+				return err
+			}
+			nodes := []frontierNode{{nd: nd, nShare: nShares[0]}}
+			gchs, err := p.computeGammasLevel(nodes)
+			if err != nil {
+				return err
+			}
+			if want := p.sentChannels(nd); len(gchs[0]) != want {
+				return fmt.Errorf("%d channels sent, want %d", len(gchs[0]), want)
+			}
+			statCts, err := p.computeSplitStatsLevel(nodes, gchs)
+			if err != nil {
+				return err
+			}
+			C := p.channels(nd)
+			totals, stats, err := p.convertSplitStats(nShares, gchs, statCts, C)
+			if err != nil {
+				return err
+			}
+			opened := p.eng.OpenVec(append(append([]mpc.Share(nil), totals...), stats...))
+			if p.cfg.Malicious {
+				if err := p.eng.CheckMACs(); err != nil {
+					return err
+				}
+			}
+
+			// The Eqn-7 way: all C channels [γ_k] = β_k ⊗ [α] (or the node's
+			// own encrypted channels), both sides of every client's splits.
+			chs := [][]*paillier.Ciphertext{alpha}
+			for k := 0; k < C; k++ {
+				if tc.encLabels {
+					chs = append(chs, nd.gch[k])
+				} else {
+					chs = append(chs, p.pk.ScalarMulVec(alpha, betas[k], 1))
+				}
+			}
+			var oracle []*paillier.Ciphertext
+			for _, ch := range chs[1:] {
+				oracle = append(oracle, p.foldAdd(ch))
+			}
+			for c := 0; c < p.M; c++ {
+				lefts, rights, err := dotStats(p.pk, s.Party(c).indic, [][][]*paillier.Ciphertext{chs})
+				if err != nil {
+					return err
+				}
+				for i := range lefts {
+					oracle = append(oracle, lefts[i], rights[i])
+				}
+			}
+			want, err := p.jointDecryptAll(oracle)
+			if err != nil {
+				return err
+			}
+			if len(opened) != len(want) || len(want) != C+p.totalSplits()*(2+2*C) {
+				return fmt.Errorf("%d derived values, %d Eqn-7 values, want %d", len(opened), len(want), C+p.totalSplits()*(2+2*C))
+			}
+			for i := range want {
+				if g, w := mpc.Signed(opened[i]), p.pk.DecodeSigned(want[i]); g.Cmp(w) != 0 {
+					return fmt.Errorf("entry %d: derived %v, Eqn 7 gives %v", i, g, w)
+				}
+			}
+			return nil
+		})
+		s.Close()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

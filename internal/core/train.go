@@ -197,6 +197,16 @@ func (p *Party) channels(nd nodeData) int {
 	return p.part.Classes
 }
 
+// sentChannels returns how many label channels E are masked, shipped and
+// converted: all but the last class for plaintext-label classification (the
+// indicator channels sum to the mask vector), otherwise both of y and y².
+func (p *Party) sentChannels(nd nodeData) int {
+	if nd.gch == nil && p.part.Classes > 0 {
+		return p.part.Classes - 1
+	}
+	return 2
+}
+
 // foldAdd homomorphically sums a ciphertext vector (local, deterministic, so
 // every client derives the identical ciphertext).
 func (p *Party) foldAdd(cts []*paillier.Ciphertext) *paillier.Ciphertext {
@@ -219,16 +229,16 @@ func (p *Party) dotRerand(v []*big.Int, ch []*paillier.Ciphertext) (*paillier.Ci
 	return out, nil
 }
 
-// bucketStats computes this client's split statistics, before
+// bucketStats computes this client's left split statistics, before
 // rerandomization, for a batch of nodes: channels[i] lists node i's encrypted
-// channels (mask vector first).  The thresholds of a feature ascend, so its
-// left indicator vectors are nested and every sample lies in exactly one
-// bucket (Party.bucket): one pass per (node, feature, channel) multiplies
-// each sample into its bucket, and split s's left statistic is the product of
-// buckets 0..s, its right statistic the product of buckets s+1..b — the same
-// integers as v_l ⊙ [ch] and (1 − v_l) ⊙ [ch], at n + 2(b − 1) ciphertext
-// products per feature and channel instead of 2nb.  The result is flat in
-// (node, feature, split, channel, [left, right]) order.
+// channels (mask vector first, then the sent label channels).  The thresholds
+// of a feature ascend, so its left indicator vectors are nested and every
+// sample lies in exactly one bucket (Party.bucket): one pass per (node,
+// feature, channel) multiplies each sample into its bucket, and split s's left
+// statistic is the product of buckets 0..s — the same integer as v_l ⊙ [ch],
+// at n + (b − 1) ciphertext products per feature and channel instead of nb.
+// Right sides are derived on shares (expandStats).  The result is flat in
+// (node, feature, split, channel) order.
 func (p *Party) bucketStats(channels [][][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
 	C := len(channels[0])
 	// One job per (node, feature, channel); feats names the feature of each
@@ -254,35 +264,62 @@ func (p *Party) bucketStats(channels [][][]*paillier.Ciphertext) ([]*paillier.Ci
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*paillier.Ciphertext, 0, len(channels)*p.clientSplits(p.ID)*2*C)
+	out := make([]*paillier.Ciphertext, 0, len(channels)*p.clientSplits(p.ID)*C)
 	for g, j := range feats {
 		b := len(p.cands[j])
-		sides := make([]*paillier.Ciphertext, 2*b*C) // [split][channel][left, right]
+		lefts := make([]*paillier.Ciphertext, b*C) // [split][channel]
 		for c := 0; c < C; c++ {
 			bk := prods[g*C+c]
-			at := func(s, side int) int { return (s*C+c)*2 + side }
-			sides[at(0, 0)] = bk[0]
+			lefts[c] = bk[0]
 			for s := 1; s < b; s++ {
-				sides[at(s, 0)] = p.pk.Add(sides[at(s-1, 0)], bk[s])
+				lefts[s*C+c] = p.pk.Add(lefts[(s-1)*C+c], bk[s])
 			}
-			sides[at(b-1, 1)] = bk[b]
-			for s := b - 2; s >= 0; s-- {
-				sides[at(s, 1)] = p.pk.Add(sides[at(s+1, 1)], bk[s+1])
-			}
-			p.Stats.HEOps += int64(len(css[g*C+c]) + 2*(b-1))
+			p.Stats.HEOps += int64(len(css[g*C+c]) + b - 1)
 		}
-		out = append(out, sides...)
+		out = append(out, lefts...)
 	}
 	return out, nil
+}
+
+// expandStats rebuilds, from the converted block of each splitter — E sent
+// channel totals, then [n_l, ch_1,l … ch_E,l] per split — the C totals per
+// node and [n_l, n_r, ch1_l, ch1_r, …] per split that computeGains takes.
+// The rest is linear on shares and exact on integers: n_r = n − n_l, ch_r =
+// total − ch_l, and for classification's unsent last class total = n − Σ
+// totals and left = n_l − Σ lefts.
+func (p *Party) expandStats(shares, nShares []mpc.Share, C, E int) (totals, stats []mpc.Share) {
+	S, eng := p.totalSplits(), p.eng
+	per := E + S*(1+E)
+	for i, n := range nShares {
+		blk := shares[i*per : (i+1)*per]
+		tot := blk[:E:E]
+		if E < C {
+			tot = append(tot, eng.Sub(n, eng.Sum(tot)))
+		}
+		totals = append(totals, tot...)
+		for s := 0; s < S; s++ {
+			ls := blk[E+s*(1+E) : E+(s+1)*(1+E)]
+			lefts := ls[1:]
+			if E < C {
+				lefts = append(lefts[:E:E], eng.Sub(ls[0], eng.Sum(lefts)))
+			}
+			stats = append(stats, ls[0], eng.Sub(n, ls[0]))
+			for k, l := range lefts {
+				stats = append(stats, l, eng.Sub(tot[k], l))
+			}
+		}
+	}
+	return totals, stats
 }
 
 // computeGains turns the converted statistics into one secretly shared gain
 // per candidate split (Eqns 5, 6 and 8), entirely inside the MPC engine.
 // It is grouped over nodes: nNodes holds one node-count share per node
 // (group), totals holds C channel totals per node, and stats holds
-// statsPerSplit values per split laid out as [n_l, n_r, ch1_l, ch1_r, ...],
-// S splits per node, node-major, so every reciprocal, multiplication and
-// truncation round is shared across the nodes of the frontier.
+// statsPerSplit = 2 + 2C values per split laid out as [n_l, n_r, ch1_l,
+// ch1_r, ...] (expandStats derives them from the 1 + E converted), S splits
+// per node, node-major, so every reciprocal, multiplication and truncation
+// round is shared across the nodes of the frontier.
 // The returned gains are node-major, S per node.
 func (p *Party) computeGains(totals, stats []mpc.Share, nNodes []mpc.Share, C, statsPerSplit int, classification bool) ([]mpc.Share, error) {
 	S := p.totalSplits()

@@ -98,14 +98,46 @@ func (pk *PublicKey) AddVec(as, bs []*Ciphertext, workers int) []*Ciphertext {
 	return out
 }
 
-// SubVec returns the elementwise homomorphic difference [a_i - b_i].
+// subBlock is how many inverses SubVec takes from one ModInverse.
+const subBlock = 64
+
+// SubVec returns the elementwise homomorphic difference [a_i - b_i] =
+// a_i·b_i⁻¹ mod N².  An inversion costs about ten modular products at the
+// paper's key size, so a block of subBlock elements inverts once (Montgomery's
+// trick): prefix products of the b_i, one ModInverse of the last, and a walk
+// back that peels one b_i⁻¹ per step.  A block whose product has no inverse is
+// redone with Sub, which panics on the offending element as Neg always has.
 func (pk *PublicKey) SubVec(as, bs []*Ciphertext, workers int) []*Ciphertext {
 	if len(as) != len(bs) {
 		panic("paillier: SubVec length mismatch")
 	}
 	out := make([]*Ciphertext, len(as))
-	parallelFor(len(as), workers, func(i int) {
-		out[i] = pk.Sub(as[i], bs[i])
+	r := pk.n2()
+	parallelFor((len(as)+subBlock-1)/subBlock, workers, func(blk int) {
+		lo, hi := blk*subBlock, (blk+1)*subBlock
+		if hi > len(as) {
+			hi = len(as)
+		}
+		s := r.pool.Get().(*scratch)
+		defer r.pool.Put(s)
+		prefix := make([]big.Int, hi-lo) // prefix[i] = b_lo ⋯ b_(lo+i)
+		prefix[0].Set(bs[lo].C)
+		for i := lo + 1; i < hi; i++ {
+			r.mulMod(&prefix[i-lo], &prefix[i-lo-1], bs[i].C, s)
+		}
+		inv := new(big.Int).ModInverse(&prefix[hi-lo-1], pk.N2) // (b_lo ⋯ b_i)⁻¹, i walking down
+		if inv == nil {
+			for i := lo; i < hi; i++ {
+				out[i] = pk.Sub(as[i], bs[i])
+			}
+			return
+		}
+		for i := hi - 1; i > lo; i-- {
+			d := r.mulMod(new(big.Int), inv, &prefix[i-lo-1], s) // b_i⁻¹
+			out[i] = &Ciphertext{C: r.mulMod(d, d, as[i].C, s)}
+			r.mulMod(inv, inv, bs[i].C, s)
+		}
+		out[lo] = &Ciphertext{C: r.mulMod(inv, inv, as[lo].C, s)}
 	})
 	return out
 }

@@ -214,8 +214,9 @@ func BenchmarkObfuscator(b *testing.B) {
 
 // BenchmarkSplitStats times one (node, feature, channel) unit of the split
 // statistics at train-he's shape (n = 2400, 1024-bit key): bucket is the
-// single pass plus prefix/suffix sums, dots the 2b indicator dot products it
-// replaced.
+// single pass plus the prefix sums of the left sides, which is all
+// core.bucketStats computes (rights are derived on shares); dots the 2b
+// indicator dot products of Eqn 7 that it replaced.
 func BenchmarkSplitStats(b *testing.B) {
 	const n = 2400
 	pk := benchKeyBits(b, 1024)
@@ -247,10 +248,9 @@ func BenchmarkSplitStats(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				left, right := bk[0], bk[splits]
+				left := bk[0]
 				for s := 1; s < splits; s++ {
 					left = pk.Add(left, bk[s])
-					right = pk.Add(right, bk[splits-s])
 				}
 			}
 		})
@@ -268,4 +268,26 @@ func BenchmarkSplitStats(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSubVec times the homomorphic difference of two n = 2400 vectors
+// under a 1024-bit key — a node's right child mask, α − α_l — per element:
+// one ModInverse per block of subBlock against one per element.
+func BenchmarkSubVec(b *testing.B) {
+	const n = 2400
+	pk := benchKeyBits(b, 1024)
+	vec := func() []*Ciphertext {
+		out := make([]*Ciphertext, n)
+		for t, c := range benchResidues(b, pk.N2, n) {
+			out[t] = &Ciphertext{C: c}
+		}
+		return out
+	}
+	as, bs := vec(), vec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pk.SubVec(as, bs, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 }

@@ -312,3 +312,72 @@ func TestCheckCiphertexts(t *testing.T) {
 		t.Error("N³ accepted at level 2")
 	}
 }
+
+// TestSubVecMatchesSub: SubVec inverts once per block, and every output is
+// still the integer pk.Sub produces — across the block boundaries (63, 64,
+// 65), the empty and one-element vectors, and 1–3 workers.  A multiple of p
+// is invertible modulo neither N nor N², so a vector holding one panics with
+// Neg's message as it always has — wherever in its block it sits — while the
+// blocks before and after it, subtracted on their own, are untouched by it.
+func TestSubVecMatchesSub(t *testing.T) {
+	p, err := rand.Prime(rand.Reader, testBits/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := rand.Prime(rand.Reader, testBits/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := new(big.Int).Mul(p, q)
+	pk := &PublicKey{N: n, N2: new(big.Int).Mul(n, n)}
+	residues := func(count int) []*Ciphertext {
+		out := make([]*Ciphertext, count)
+		for i := range out {
+			for {
+				c, err := rand.Int(rand.Reader, pk.N2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if new(big.Int).GCD(nil, nil, c, n).Cmp(one) == 0 {
+					out[i] = &Ciphertext{C: c}
+					break
+				}
+			}
+		}
+		return out
+	}
+	check := func(as, bs []*Ciphertext, workers int) {
+		t.Helper()
+		got := pk.SubVec(as, bs, workers)
+		if len(got) != len(as) {
+			t.Fatalf("SubVec returned %d of %d elements", len(got), len(as))
+		}
+		for i := range got {
+			if want := pk.Sub(as[i], bs[i]); got[i].C.Cmp(want.C) != 0 {
+				t.Fatalf("n=%d workers=%d: element %d differs from Sub", len(as), workers, i)
+			}
+		}
+	}
+	for _, count := range []int{0, 1, 63, 64, 65, 200} {
+		as, bs := residues(count), residues(count)
+		for workers := 1; workers <= 3; workers++ {
+			check(as, bs, workers)
+		}
+	}
+
+	as, bs := residues(200), residues(200)
+	for _, at := range []int{64, 100, 127} { // first, inside, last of block 1
+		poisoned := append([]*Ciphertext(nil), bs...)
+		poisoned[at] = &Ciphertext{C: new(big.Int).Mul(p, big.NewInt(3))}
+		func() {
+			defer func() {
+				if r := recover(); r != "paillier: ciphertext not invertible" {
+					t.Fatalf("multiple of p at %d: recovered %v, want Neg's panic", at, r)
+				}
+			}()
+			pk.SubVec(as, poisoned, 1)
+		}()
+		check(as[:64], poisoned[:64], 1)
+		check(as[128:], poisoned[128:], 2)
+	}
+}
