@@ -30,16 +30,19 @@ func (p *Party) PredictRFBatch(fm *ForestModel, X [][]float64) ([]float64, error
 	W := len(fm.Trees)
 	if fm.Classes == 0 {
 		inv := p.cod.Encode(1.0 / float64(W))
-		cts := make([]*paillier.Ciphertext, B)
-		col := make([]*paillier.Ciphertext, W)
-		for t := 0; t < B; t++ {
-			for w := 0; w < W; w++ {
-				col[w] = byTree[w][t]
+		var cts []*paillier.Ciphertext
+		if p.ID == p.Super {
+			cts = make([]*paillier.Ciphertext, B)
+			col := make([]*paillier.Ciphertext, W)
+			for t := 0; t < B; t++ {
+				for w := 0; w < W; w++ {
+					col[w] = byTree[w][t]
+				}
+				cts[t] = p.pk.MulConst(p.foldAdd(col), inv)
 			}
-			cts[t] = p.pk.MulConst(p.foldAdd(col), inv)
+			p.Stats.HEOps += int64(B)
 		}
-		p.Stats.HEOps += int64(B)
-		vals, err := p.jointDecryptAll(cts)
+		vals, err := p.releasePacked(cts, B, p.releaseWidth(inv, W))
 		if err != nil {
 			return nil, err
 		}
@@ -51,15 +54,19 @@ func (p *Party) PredictRFBatch(fm *ForestModel, X [][]float64) ([]float64, error
 	}
 
 	// Classification: convert every (sample, tree) encrypted label in one
-	// pass, count the class votes with one batched equality ladder, and
-	// resolve every sample's argmax in one grouped round chain.
-	flat := make([]*paillier.Ciphertext, 0, B*W) // sample-major
-	for t := 0; t < B; t++ {
-		for w := 0; w < W; w++ {
-			flat = append(flat, byTree[w][t])
+	// pass — the conversion reads them at the super client only — count the
+	// class votes with one batched equality ladder, and resolve every
+	// sample's argmax in one grouped round chain.
+	var flat []*paillier.Ciphertext // sample-major
+	if p.ID == p.Super {
+		flat = make([]*paillier.Ciphertext, 0, B*W)
+		for t := 0; t < B; t++ {
+			for w := 0; w < W; w++ {
+				flat = append(flat, byTree[w][t])
+			}
 		}
 	}
-	shares, err := p.encToShares(flat, len(flat), p.w.value+2)
+	shares, err := p.encToShares(flat, B*W, p.w.value+2)
 	if err != nil {
 		return nil, err
 	}
@@ -106,20 +113,23 @@ func (p *Party) PredictGBDTBatch(bm *BoostModel, X [][]float64) ([]float64, erro
 			return nil, err
 		}
 		nu := p.cod.Encode(bm.LearningRate)
-		cts := make([]*paillier.Ciphertext, B)
-		for t := 0; t < B; t++ {
-			var acc *paillier.Ciphertext
-			for w := range byTree {
-				scaled := p.pk.MulConst(byTree[w][t], nu)
-				if acc == nil {
-					acc = scaled
-				} else {
-					acc = p.pk.Add(acc, scaled)
+		var cts []*paillier.Ciphertext
+		if p.ID == p.Super {
+			cts = make([]*paillier.Ciphertext, B)
+			for t := 0; t < B; t++ {
+				var acc *paillier.Ciphertext
+				for w := range byTree {
+					scaled := p.pk.MulConst(byTree[w][t], nu)
+					if acc == nil {
+						acc = scaled
+					} else {
+						acc = p.pk.Add(acc, scaled)
+					}
 				}
+				cts[t] = acc
 			}
-			cts[t] = acc
 		}
-		vals, err := p.jointDecryptAll(cts)
+		vals, err := p.releasePacked(cts, B, p.releaseWidth(nu, len(bm.Forests[0])))
 		if err != nil {
 			return nil, err
 		}
@@ -142,25 +152,28 @@ func (p *Party) PredictGBDTBatch(bm *BoostModel, X [][]float64) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	encScores := make([]*paillier.Ciphertext, 0, B*bm.Classes) // sample-major
-	for t := 0; t < B; t++ {
-		base := 0
-		for k := 0; k < bm.Classes; k++ {
-			var acc *paillier.Ciphertext
-			for w := range bm.Forests[k] {
-				ct := byTree[base+w][t]
-				if acc == nil {
-					acc = ct
-				} else {
-					acc = p.pk.Add(acc, ct)
+	var encScores []*paillier.Ciphertext // sample-major, at the super client
+	if p.ID == p.Super {
+		encScores = make([]*paillier.Ciphertext, 0, B*bm.Classes)
+		for t := 0; t < B; t++ {
+			base := 0
+			for k := 0; k < bm.Classes; k++ {
+				var acc *paillier.Ciphertext
+				for w := range bm.Forests[k] {
+					ct := byTree[base+w][t]
+					if acc == nil {
+						acc = ct
+					} else {
+						acc = p.pk.Add(acc, ct)
+					}
 				}
+				base += len(bm.Forests[k])
+				encScores = append(encScores, acc)
 			}
-			base += len(bm.Forests[k])
-			encScores = append(encScores, acc)
 		}
+		p.Stats.HEOps += int64(B * (len(all) - bm.Classes))
 	}
-	p.Stats.HEOps += int64(B * (len(all) - bm.Classes))
-	shares, err := p.encToShares(encScores, len(encScores), p.w.stat)
+	shares, err := p.encToShares(encScores, B*bm.Classes, p.w.stat)
 	if err != nil {
 		return nil, err
 	}

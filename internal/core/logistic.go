@@ -120,7 +120,7 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 					if c == p.Super {
 						continue
 					}
-					theirs, err := p.recvCts(c)
+					theirs, err := p.recvCtsChunked(c, len(batch))
 					if err != nil {
 						return nil, err
 					}
@@ -129,7 +129,7 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 					}
 				}
 			} else {
-				if err := p.sendCts(p.Super, partials); err != nil {
+				if err := p.sendCtsChunked(p.Super, partials); err != nil {
 					return nil, err
 				}
 			}
@@ -191,12 +191,13 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 		var cts []*paillier.Ciphertext
 		if c == p.ID {
 			cts = theta
-			if err := p.broadcastCts(cts); err != nil {
+			if err := p.broadcastCtsChunked(cts); err != nil {
 				return nil, err
 			}
 		} else {
+			// One weight per feature client c announced split counts for.
 			var err error
-			cts, err = p.recvCts(c)
+			cts, err = p.recvCtsChunked(c, len(p.splitCounts[c]))
 			if err != nil {
 				return nil, err
 			}
@@ -212,17 +213,11 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 		model.Weights[c] = ws
 	}
 	if p.ID != p.Super {
-		var err error
-		bias, err = func() (*paillier.Ciphertext, error) {
-			cts, err := p.recvCts(p.Super)
-			if err != nil {
-				return nil, err
-			}
-			return cts[0], nil
-		}()
+		cts, err := p.recvCtsChunked(p.Super, 1)
 		if err != nil {
 			return nil, err
 		}
+		bias = cts[0]
 	} else {
 		if err := p.broadcastCts([]*paillier.Ciphertext{bias}); err != nil {
 			return nil, err

@@ -87,7 +87,7 @@ func (a *auditor) commitTraining(labelVectors [][]*big.Int) error {
 		}
 		a.indicComms[c] = make([][]*paillier.Ciphertext, nSplits)
 		for s := 0; s < nSplits; s++ {
-			cts, err := a.recvWithPOPK(c)
+			cts, err := a.recvWithPOPK(c, p.part.N)
 			if err != nil {
 				return fmt.Errorf("client %d split commitment %d: %w", c, s, err)
 			}
@@ -121,7 +121,7 @@ func (a *auditor) commitTraining(labelVectors [][]*big.Int) error {
 	}
 	a.labelComms = make([][]*paillier.Ciphertext, nVec)
 	for k := 0; k < nVec; k++ {
-		cts, err := a.recvWithPOPK(p.Super)
+		cts, err := a.recvWithPOPK(p.Super, p.part.N)
 		if err != nil {
 			return fmt.Errorf("label commitment %d: %w", k, err)
 		}
@@ -160,16 +160,14 @@ func (a *auditor) broadcastWithPOPK(cts []*paillier.Ciphertext, plain, nonces []
 	return p.broadcastInts(payload)
 }
 
-func (a *auditor) recvWithPOPK(from int) ([]*paillier.Ciphertext, error) {
+// recvWithPOPK receives a committed vector of n elements: n ciphertexts and
+// the three values of each one's POPK.
+func (a *auditor) recvWithPOPK(from, n int) ([]*paillier.Ciphertext, error) {
 	p := a.p
-	xs, err := transport.RecvInts(p.ep, from)
+	xs, err := p.recvIntsN(from, 4*n)
 	if err != nil {
 		return nil, err
 	}
-	if len(xs)%4 != 0 {
-		return nil, fmt.Errorf("core: malformed committed vector")
-	}
-	n := len(xs) / 4
 	cts, err := p.checkedCts(from, 1, xs[:n])
 	if err != nil {
 		return nil, err

@@ -300,14 +300,6 @@ func (p *Party) recvIntsN(from, want int) ([]*big.Int, error) {
 	return xs, nil
 }
 
-func (p *Party) recvCts(from int) ([]*paillier.Ciphertext, error) {
-	xs, err := transport.RecvInts(p.ep, from)
-	if err != nil {
-		return nil, err
-	}
-	return p.checkedCts(from, 1, xs)
-}
-
 // checkedCts wraps integers received from a peer as level-s ciphertexts
 // after validating them: nothing a peer sends reaches Neg (which panics on a
 // non-invertible value) or the mod-N² kernel unchecked.
@@ -533,6 +525,70 @@ func (p *Party) combineWithPeers(shares []*paillier.DecryptionShare) ([]*big.Int
 	return p.pk.CombineSharesVec(byParty, p.cfg.Workers)
 }
 
+// releaseWidth is the signed slot width of a released prediction that sums
+// `terms` leaf labels, each multiplied by the public fixed-point constant
+// `scale` (nil for none).  Every leaf label z is kept at the value width —
+// |z| < 2^(value+1), the bound encToShares converts labels under — so
+// |Σ z·scale| ≤ terms·scale·(2^(value+1) − 1) < 2^(value+1+k) for any k with
+// terms·scale ≤ 2^k, and the smallest such k is BitLen(terms·scale − 1):
+// 0 for one tree (value+2 in all), F for the forest mean (scale = Encode(1/W)
+// and W·scale = 2^F, one more when the encoding of 1/W rounds up), at most
+// F + bits.Len(W) for a GBDT sum with learning rate ≤ 1.
+func (p *Party) releaseWidth(scale *big.Int, terms int) uint {
+	k := big.NewInt(int64(terms))
+	if scale != nil {
+		k.Mul(k, scale)
+	}
+	return p.w.value + 2 + uint(k.Sub(k, big.NewInt(1)).BitLen())
+}
+
+// releasePacked is the release step of batched prediction: `count` encrypted
+// values with |x| < 2^(w-1), held by the super client only (cts is nil
+// elsewhere), are decrypted to every client.  The super client adds the
+// offset 2^(w-1), packs the now non-negative values min(count,
+// PackCapacity(w)) to a ciphertext by shift-and-add, rerandomises the packed
+// ciphertexts — its inputs never leave it, so they need no randomness of
+// their own — and broadcasts them; one threshold decryption per packed
+// ciphertext then releases what a decryption per value released before.
+// NoPack, or a width that fits a single slot, leaves one value per
+// ciphertext through the same steps.
+func (p *Party) releasePacked(cts []*paillier.Ciphertext, count int, w uint) ([]*big.Int, error) {
+	plan := p.packPlan(count, w)
+	groups := plan.Groups(count)
+	offset := new(big.Int).Lsh(big.NewInt(1), w-1)
+
+	var packed []*paillier.Ciphertext
+	var err error
+	if p.ID == p.Super {
+		if len(cts) != count {
+			return nil, p.errf("release of %d values holds %d ciphertexts", count, len(cts))
+		}
+		p.poolReserve(groups)
+		if packed, err = p.rerandVec(p.packShifted(cts, offset, plan)); err != nil {
+			return nil, err
+		}
+		p.Stats.HEOps += int64(2*count - groups)
+		if err := p.broadcastCtsChunked(packed); err != nil {
+			return nil, err
+		}
+	} else if packed, err = p.recvCtsChunked(p.Super, groups); err != nil {
+		return nil, err
+	}
+
+	totals, err := p.jointDecryptAll(packed)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := paillier.UnpackVec(totals, plan, count)
+	if err != nil {
+		return nil, fmt.Errorf("client %d: released prediction totals: %w", p.ID, err)
+	}
+	for _, v := range vals {
+		v.Sub(v, offset)
+	}
+	return vals, nil
+}
+
 // ---------------------------------------------------------------------------
 // TPHE <-> MPC bridges
 
@@ -543,10 +599,30 @@ func (p *Party) combineWithPeers(shares []*paillier.DecryptionShare) ([]*big.Int
 // Damgård–Jurik level (see paillier/dj.go), so conversions pack within Z_N;
 // the DJ levels serve fresh packed encryptions.
 func (p *Party) convPlan(count int, kStat uint) paillier.PackPlan {
-	slotW := kStat + p.cfg.Kappa + uint(bits.Len(uint(p.M))) + 1
-	slots := p.pk.PackCapacity(slotW)
-	if slots > count {
-		slots = count
+	return p.packPlan(count, kStat+p.cfg.Kappa+uint(bits.Len(uint(p.M)))+1)
+}
+
+// packShifted adds the sign offset to every ciphertext and packs them
+// plan.Slots to a ciphertext by shift-and-add (the last one holds the rest).
+func (p *Party) packShifted(cts []*paillier.Ciphertext, offset *big.Int, plan paillier.PackPlan) []*paillier.Ciphertext {
+	shifted := make([]*paillier.Ciphertext, len(cts))
+	for j, ct := range cts {
+		shifted[j] = p.pk.AddPlain(ct, offset)
+	}
+	packed := make([]*paillier.Ciphertext, plan.Groups(len(cts)))
+	for g := range packed {
+		packed[g] = p.pk.PackCiphertexts(shifted[g*plan.Slots:min((g+1)*plan.Slots, len(cts))], plan.SlotW)
+	}
+	return packed
+}
+
+// packPlan is the level-1 layout for `count` values of slotW bits: as many
+// slots to a ciphertext as Z_N holds, at most count, and a single one — the
+// unpacked oracle — under NoPack or when two do not fit.
+func (p *Party) packPlan(count int, slotW uint) paillier.PackPlan {
+	slots := min(count, p.pk.PackCapacity(slotW))
+	if slots < 2 || p.cfg.NoPack {
+		slots = 1
 	}
 	return paillier.PackPlan{SlotW: slotW, Slots: slots, Level: 1}
 }
@@ -579,7 +655,7 @@ func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint,
 	}
 
 	plan := p.convPlan(count, kStat)
-	if p.cfg.NoPack || p.audit != nil || plan.Slots < 2 {
+	if p.audit != nil || plan.Slots < 2 {
 		es, err := p.convertMaskedUnpacked(cts, count, offset, masks, audited)
 		return es, masks, offset, err
 	}
@@ -600,19 +676,7 @@ func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint,
 
 	var encE []*paillier.Ciphertext
 	if p.ID == p.Super {
-		offCts := make([]*paillier.Ciphertext, count)
-		for j := range offCts {
-			offCts[j] = p.pk.AddPlain(cts[j], offset)
-		}
-		encE = make([]*paillier.Ciphertext, groups)
-		for g := range encE {
-			lo, hi := g*plan.Slots, (g+1)*plan.Slots
-			if hi > count {
-				hi = count
-			}
-			encE[g] = p.pk.PackCiphertexts(offCts[lo:hi], plan.SlotW)
-		}
-		encE = p.pk.AddVec(encE, encPacked, p.cfg.Workers)
+		encE = p.pk.AddVec(p.packShifted(cts[:count], offset, plan), encPacked, p.cfg.Workers)
 		for c := 0; c < p.M; c++ {
 			if c == p.Super {
 				continue
@@ -643,7 +707,10 @@ func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint,
 	}
 	var es []*big.Int
 	if p.ID == p.Super {
-		es = paillier.UnpackVec(esPacked, plan, count)
+		es, err = paillier.UnpackVec(esPacked, plan, count)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("client %d: masked conversion totals: %w", p.ID, err)
+		}
 	}
 	return es, masks, offset, nil
 }

@@ -33,7 +33,11 @@ func (p *Party) PredictBatch(model *Model, X [][]float64) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals, err := p.jointDecryptAll(byTree[0])
+		var cts []*paillier.Ciphertext
+		if p.ID == p.Super {
+			cts = byTree[0]
+		}
+		vals, err := p.releasePacked(cts, len(X), p.releaseWidth(nil, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -52,12 +56,14 @@ func (p *Party) PredictBatch(model *Model, X [][]float64) ([]float64, error) {
 
 // predictBasicEncBatchTrees runs the Algorithm-4 round robin once for an
 // entire ensemble × batch: the concatenated trees×samples×leaves [η]
-// matrix makes one chunked hop per client (one scalarMulRerandVec over the
-// whole matrix), the super client's leaf dot products run as one batch,
-// and leafPaths is computed once per tree rather than once per (tree,
-// sample) call.  Returns the encrypted predictions [k̄] indexed
-// [tree][sample], identical at every client (as in the per-sample
-// protocol, the super client broadcasts them).
+// matrix makes one chunked hop per client (client m-1 encrypts its marks,
+// the clients between it and the super client apply theirs with one
+// scalarMulRerandVec over the whole matrix), the super client's leaf dot
+// products run as one batch, and leafPaths is computed once per tree rather
+// than once per (tree, sample) call.  Returns the encrypted predictions [k̄]
+// indexed [tree][sample] at the super client and nil at every other: Algorithm
+// 4 ends where the labels are, and both things done with [k̄] afterwards —
+// releasePacked and encToShares — start from the super client's copy.
 func (p *Party) predictBasicEncBatchTrees(trees []*Model, X [][]float64) ([][]*paillier.Ciphertext, error) {
 	B := len(X)
 	offs := make([]int, len(trees)+1)
@@ -66,29 +72,14 @@ func (p *Party) predictBasicEncBatchTrees(trees []*Model, X [][]float64) ([][]*p
 	}
 	total := offs[len(trees)]
 
-	// Round-robin from client m-1 down to 0, one chunked pass each.
-	var eta []*paillier.Ciphertext
-	if p.ID == p.M-1 {
-		ones := make([]*big.Int, total)
-		for i := range ones {
-			ones[i] = big.NewInt(1)
-		}
+	// The obfuscators of my hop generate while the clients above me compute
+	// theirs.  The super client's [η] goes nowhere and takes none.
+	if p.ID > 0 {
 		p.poolReserve(total)
-		var err error
-		eta, err = p.encryptVec(ones)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		eta, err = p.recvCtsChunked(p.ID+1, total)
-		if err != nil {
-			return nil, err
-		}
 	}
 
-	// Eliminate the prediction paths my local features contradict, for
-	// every (tree, sample) at once.
+	// The prediction paths my local features do not contradict, for every
+	// (tree, sample) at once.
 	marks := make([]*big.Int, total)
 	for w, tr := range trees {
 		paths := leafPaths(tr)
@@ -111,26 +102,35 @@ func (p *Party) predictBasicEncBatchTrees(trees []*Model, X [][]float64) ([][]*p
 			}
 		}
 	}
-	p.poolReserve(total)
-	eta, err := p.scalarMulRerandVec(eta, marks)
+
+	// Round-robin from client m-1 down to 0, one chunked pass each.  Client
+	// m-1 starts it with a fresh encryption of its marks: what multiplying
+	// encrypted ones by them and rerandomising would also yield.
+	var eta []*paillier.Ciphertext
+	var err error
+	if p.ID == p.M-1 {
+		eta, err = p.encryptVec(marks)
+	} else {
+		eta, err = p.recvCtsChunked(p.ID+1, total)
+	}
 	if err != nil {
 		return nil, err
 	}
-
 	if p.ID > 0 {
-		if err := p.sendCtsChunked(p.ID-1, eta); err != nil {
-			return nil, err
+		if p.ID < p.M-1 {
+			if eta, err = p.scalarMulRerandVec(eta, marks); err != nil {
+				return nil, err
+			}
 		}
-		flat, err := p.recvCtsChunked(p.Super, len(trees)*B)
-		if err != nil {
-			return nil, err
-		}
-		return splitByTree(flat, len(trees), B), nil
+		return nil, p.sendCtsChunked(p.ID-1, eta)
 	}
 
-	// Super client: [k̄] = z ⊙ [η] for every (tree, sample).
+	// Super client: [k̄] = (z ∘ marks) ⊙ [η] for every (tree, sample) — its
+	// own marks go into the plaintext side of the dot product, so the [η] it
+	// received is used as it came.
 	xss := make([][]*big.Int, 0, len(trees)*B)
 	chs := make([][]*paillier.Ciphertext, 0, len(trees)*B)
+	zero := new(big.Int)
 	for w, tr := range trees {
 		z := make([]*big.Int, tr.Leaves)
 		for _, n := range tr.Nodes {
@@ -140,18 +140,22 @@ func (p *Party) predictBasicEncBatchTrees(trees []*Model, X [][]float64) ([][]*p
 		}
 		for t := 0; t < B; t++ {
 			base := offs[w] + t*tr.Leaves
-			xss = append(xss, z)
+			zt := make([]*big.Int, tr.Leaves)
+			for pos := range zt {
+				zt[pos] = zero
+				if marks[base+pos].Sign() != 0 {
+					zt[pos] = z[pos]
+				}
+			}
+			xss = append(xss, zt)
 			chs = append(chs, eta[base:base+tr.Leaves])
 		}
 	}
-	p.poolReserve(len(xss))
-	preds, err := p.dotRerandVec(xss, chs)
+	preds, err := p.pk.DotVec(xss, chs, p.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.broadcastCtsChunked(preds); err != nil {
-		return nil, err
-	}
+	p.Stats.HEOps += int64(total)
 	return splitByTree(preds, len(trees), B), nil
 }
 

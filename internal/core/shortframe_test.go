@@ -133,8 +133,9 @@ func (e *shortFrameEndpoint) Send(to int, b []byte) error {
 // message at the length it had while right sides and the last class were
 // still sent (C·n masked label ciphertexts, 2 + 2C statistics per split).
 // The first three used to be taken at whatever length they arrived and
-// indexed later (alpha[t], xs[0]): a panic in the honest client.  Every one
-// is a counted receive.
+// indexed later (alpha[t], xs[0]): a panic in the honest client; so were a
+// malicious-mode commitment and the partial sums of a logistic-regression
+// mini-batch (theirs[bi]).  Every one is a counted receive.
 func TestShortTrainingFrameRefused(t *testing.T) {
 	const n = 16
 	const s1 = 2 * 4 // client 1's candidate splits: two continuous features × testConfig's MaxSplits
@@ -142,25 +143,35 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 	reg := dataset.SyntheticRegression(n, 4, 0.2, 9)
 	dt := func(p *Party) error { _, err := p.TrainDT(); return err }
 	gbdt := func(p *Party) error { _, err := p.TrainGBDT(); return err }
+	lr := func(p *Party) error {
+		_, err := p.TrainLR(LRConfig{Epochs: 1, BatchSize: n / 2, LearningRate: 1})
+		return err
+	}
 	for _, tc := range []struct {
 		name      string
 		ds        *dataset.Dataset
+		malicious bool
 		from      int // the client whose message is wrong; the other one is honest
 		nth, grow int // which of its messages to the honest client, and how (shortFrameEndpoint)
 		train     func(p *Party) error
 		got, want int
 	}{
-		{"root mask vector", cls, 0, 0, 0, dt, n - 1, n},
-		{"gbdt regression labels", reg, 0, 0, 0, gbdt, n - 1, n},
-		{"gbdt regression base prediction", reg, 0, 1, 0, gbdt, 0, 1},
-		{"gbdt classification residuals", cls, 0, 0, 0, gbdt, n - 1, n},
+		{"root mask vector", cls, false, 0, 0, 0, dt, n - 1, n},
+		{"gbdt regression labels", reg, false, 0, 0, 0, gbdt, n - 1, n},
+		{"gbdt regression base prediction", reg, false, 0, 1, 0, gbdt, 0, 1},
+		{"gbdt classification residuals", cls, false, 0, 0, 0, gbdt, n - 1, n},
 		// Binary labels: C = 2 channels, E = 1 of them sent.
-		{"masked labels of all C classes", cls, 0, 2, 2, dt, 2 * n, n},
-		{"two-sided statistics of all C classes", cls, 1, 2, 3, dt, s1 * (2 + 2*2), s1 * (1 + 1)},
+		{"masked labels of all C classes", cls, false, 0, 2, 2, dt, 2 * n, n},
+		{"two-sided statistics of all C classes", cls, false, 1, 2, 3, dt, s1 * (2 + 2*2), s1 * (1 + 1)},
+		// A committed vector is n ciphertexts and three POPK values for each;
+		// any multiple of 4 used to pass for one.
+		{"malicious commit phase, a split indicator", cls, true, 1, 0, 0, dt, 4*n - 1, 4 * n},
+		{"logistic regression, a mini-batch of partial sums", cls, false, 1, 0, 0, lr, n/2 - 1, n / 2},
 	} {
 		cfg := testConfig()
 		cfg.NumTrees = 1
 		cfg.Tree.MaxDepth = 1
+		cfg.Malicious = tc.malicious
 		parts, err := dataset.VerticalPartition(tc.ds, 2, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -333,6 +344,98 @@ func TestHostileSplitCountsRefused(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadSplitCounts) || !strings.Contains(err.Error(), "from client 1") {
 			t.Errorf("%s: got %v, want ErrBadSplitCounts naming client 1", name, err)
+		}
+	}
+}
+
+// wrongValueEndpoint is a client whose nth[to]-th HE-layer message to peer
+// `to` carries one wrong value: the last, plus one.  As a decryption share it
+// is in range, so CheckShares passes it, and it combines to a total that has
+// nothing to do with the plaintext (the last total of a batch fills the
+// fewest slots, so chance puts it in range least often: below 2^-34 here).
+type wrongValueEndpoint struct {
+	transport.Endpoint
+	nth, seen map[int]int
+}
+
+func (e *wrongValueEndpoint) Send(to int, b []byte) error {
+	if nth, ok := e.nth[to]; ok {
+		if e.seen[to] == nth {
+			xs, _, err := transport.UnmarshalInts(b)
+			if err != nil || len(xs) == 0 {
+				return err
+			}
+			xs[len(xs)-1] = new(big.Int).Add(xs[len(xs)-1], big.NewInt(1))
+			b = transport.MarshalInts(xs)
+		}
+		e.seen[to]++
+	}
+	return e.Endpoint.Send(to, b)
+}
+
+// TestWrongDecryptionShareRefused: client 2 sends one wrong decryption share
+// of a packed ciphertext.  UnpackInts used to mask the combined total into
+// slot values that look honest — wrong predictions out of the release step,
+// wrong shares out of the Algorithm-2 conversion; both consumers now refuse
+// the total with an ErrPackedRange that names the client holding it: every
+// honest client of a release, the super client of a conversion.
+func TestWrongDecryptionShareRefused(t *testing.T) {
+	const B = 9
+	tree := handTree(0, [3]float64{0, 0.5, -0.5}, [4]float64{1.5, -2, 3, -4.25})
+	for _, tc := range []struct {
+		name    string
+		nth     map[int]int // which of client 2's messages to each peer holds its shares
+		run     func(p *Party, X [][]float64) error
+		refused []int
+	}{
+		{
+			name:    "released predictions",
+			nth:     map[int]int{0: 0, 1: 1}, // client 1 is sent [η] first
+			run:     func(p *Party, X [][]float64) error { _, err := p.PredictBatch(tree, X); return err },
+			refused: []int{0, 1},
+		},
+		{
+			name: "masked conversion",
+			nth:  map[int]int{0: 1}, // after the packed masks
+			run: func(p *Party, X [][]float64) error {
+				var cts []*paillier.Ciphertext
+				if p.ID == p.Super {
+					vals := make([]*big.Int, B)
+					for j := range vals {
+						vals[j] = big.NewInt(int64(j - 4))
+					}
+					var err error
+					if cts, err = p.encryptVec(vals); err != nil {
+						return err
+					}
+				}
+				_, err := p.encToShares(cts, B, p.w.value+2)
+				return err
+			},
+			refused: []int{0},
+		},
+	} {
+		parts, err := dataset.VerticalPartition(smallClassification(B), 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(parts, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostile := s.Party(2)
+		hostile.ep = &wrongValueEndpoint{Endpoint: hostile.ep, nth: tc.nth, seen: map[int]int{}}
+		errs := make([]error, 3)
+		_ = s.Each(func(p *Party) error {
+			errs[p.ID] = tc.run(p, parts[p.ID].X)
+			return errs[p.ID]
+		})
+		s.Close()
+		for _, c := range tc.refused {
+			var bad *paillier.ErrPackedRange
+			if !errors.As(errs[c], &bad) || !strings.Contains(errs[c].Error(), fmt.Sprintf("client %d:", c)) {
+				t.Errorf("%s: client %d got %v, want an ErrPackedRange naming it", tc.name, c, errs[c])
+			}
 		}
 	}
 }

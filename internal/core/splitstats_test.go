@@ -374,7 +374,6 @@ func TestHostileCiphertextsRefused(t *testing.T) {
 		"2^4096": new(big.Int).Lsh(big.NewInt(1), 4096),
 	}
 	receivers := map[string]func() error{
-		"recvCts":             func() error { _, err := p.recvCts(1); return err },
 		"recvCtsChunked":      func() error { _, err := p.recvCtsChunked(1, 2); return err },
 		"recvCtsChunkedLevel": func() error { _, err := p.recvCtsChunkedLevel(1, 2, 1); return err },
 		"decryption shares": func() error {

@@ -37,7 +37,7 @@ func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext
 	}()
 	if p.audit != nil {
 		if err := p.audit.commitTraining(p.labelVectors()); err != nil {
-			return nil, p.errf("commitment phase: %v", err)
+			return nil, p.errf("commitment phase: %w", err)
 		}
 	}
 	var alpha []*paillier.Ciphertext

@@ -291,3 +291,22 @@ func BenchmarkSubVec(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 }
+
+// BenchmarkPackCiphertexts times the shift-and-add that puts one batch of
+// released predictions into a ciphertext: 34 slots of 30 bits, what a
+// 1024-bit key holds of a decision tree's (core.releasePacked).
+func BenchmarkPackCiphertexts(b *testing.B) {
+	const slots, slotW = 34, 30
+	pk := benchKeyBits(b, 1024)
+	cts := make([]*Ciphertext, slots)
+	for j, c := range benchResidues(b, pk.N2, slots) {
+		cts[j] = &Ciphertext{C: c}
+	}
+	b.Run(fmt.Sprint(slots), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pk.PackCiphertexts(cts, slotW)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
+	})
+}

@@ -132,15 +132,37 @@ func (pk *PublicKey) EncryptPackedVec(random io.Reader, xs []*big.Int, plan Pack
 	return pk.DJ(plan.Level).EncryptVec(random, packed, workers)
 }
 
-// UnpackVec splits `count` slot values back out of decrypted packed totals.
-func UnpackVec(totals []*big.Int, plan PackPlan, count int) []*big.Int {
+// ErrPackedRange is returned by UnpackVec for a decrypted total that no
+// honest packing produces: negative, or longer than the bits its slots cover.
+// UnpackInts masks each slot and drops what lies above them, so without the
+// check one wrong decryption share decodes to plausible slot values.
+type ErrPackedRange struct {
+	Group int // index of the total
+	Bits  int // its bit length, negated for a negative total
+	Want  int // the most it may have: slots · slot width
+}
+
+func (e *ErrPackedRange) Error() string {
+	if e.Bits < 0 {
+		return fmt.Sprintf("paillier: packed total %d is negative", e.Group)
+	}
+	return fmt.Sprintf("paillier: packed total %d is %d bits long, its slots hold %d", e.Group, e.Bits, e.Want)
+}
+
+// UnpackVec splits `count` slot values back out of decrypted packed totals,
+// refusing a total outside [0, 2^(slots·SlotW)) with an ErrPackedRange.
+func UnpackVec(totals []*big.Int, plan PackPlan, count int) ([]*big.Int, error) {
 	out := make([]*big.Int, 0, count)
 	for g, tot := range totals {
 		n := plan.Slots
 		if rem := count - g*plan.Slots; rem < n {
 			n = rem
 		}
+		bits, want := tot.BitLen()*tot.Sign(), n*int(plan.SlotW)
+		if bits < 0 || bits > want {
+			return nil, &ErrPackedRange{Group: g, Bits: bits, Want: want}
+		}
 		out = append(out, UnpackInts(tot, plan.SlotW, n)...)
 	}
-	return out
+	return out, nil
 }

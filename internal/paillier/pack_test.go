@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -128,7 +129,10 @@ func TestEncryptPackedRoundtrip(t *testing.T) {
 		for i, ct := range cts {
 			totals[i] = dj.Decrypt(sk, ct)
 		}
-		got := UnpackVec(totals, plan, tc.count)
+		got, err := UnpackVec(totals, plan, tc.count)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range vals {
 			if got[j].Cmp(vals[j]) != 0 {
 				t.Fatalf("slotW=%d level=%d slot %d: got %v want %v", tc.slotW, plan.Level, j, got[j], vals[j])
@@ -147,7 +151,10 @@ func TestEncryptPackedRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got2 := UnpackVec(totals2, plan, tc.count)
+		got2, err := UnpackVec(totals2, plan, tc.count)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range vals {
 			if got2[j].Cmp(vals[j]) != 0 {
 				t.Fatalf("threshold slotW=%d level=%d slot %d: got %v want %v", tc.slotW, plan.Level, j, got2[j], vals[j])
@@ -224,7 +231,11 @@ func TestPackedHomomorphicEquivalence(t *testing.T) {
 			for i, ct := range cts {
 				totals[i] = dj.Decrypt(sk, ct)
 			}
-			return UnpackVec(totals, plan, count)
+			vals, err := UnpackVec(totals, plan, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vals
 		}
 		gotSum, gotScaled := decode(sums), decode(scaled)
 		for j := 0; j < count; j++ {
@@ -282,4 +293,73 @@ func TestDJHomomorphic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnpackVecRefusesOutOfRange: a total that is negative or reaches past
+// its slots — what a wrong decryption share combines to — is an
+// ErrPackedRange naming the group, where UnpackInts alone masks it into
+// slot values that look honest.  The last group is held to its own, shorter
+// length.
+func TestUnpackVecRefusesOutOfRange(t *testing.T) {
+	plan := PackPlan{SlotW: 8, Slots: 3, Level: 1}
+	fit := new(big.Int).Sub(new(big.Int).Lsh(one, 24), one) // fills three slots exactly
+	for _, tc := range []struct {
+		name   string
+		totals []*big.Int
+		count  int
+		want   *ErrPackedRange // nil: accepted
+	}{
+		{"exact fit", []*big.Int{fit, big.NewInt(0xffff)}, 5, nil},
+		{"one bit over", []*big.Int{new(big.Int).Lsh(one, 24)}, 3, &ErrPackedRange{Group: 0, Bits: 25, Want: 24}},
+		{"negative", []*big.Int{fit, big.NewInt(-5)}, 6, &ErrPackedRange{Group: 1, Bits: -3, Want: 24}},
+		{"short last group", []*big.Int{fit, new(big.Int).Lsh(one, 16)}, 5, &ErrPackedRange{Group: 1, Bits: 17, Want: 16}},
+	} {
+		vals, err := UnpackVec(tc.totals, plan, tc.count)
+		if tc.want == nil {
+			if err != nil || len(vals) != tc.count {
+				t.Errorf("%s: got %d values, %v", tc.name, len(vals), err)
+			}
+			continue
+		}
+		var got *ErrPackedRange
+		if !errors.As(err, &got) || *got != *tc.want {
+			t.Errorf("%s: got %v, want %+v", tc.name, err, *tc.want)
+		}
+	}
+	// What the check replaces: the same total, masked.
+	if v := UnpackInts(big.NewInt(-5), 8, 1)[0]; v.Int64() != 0xfb {
+		t.Fatalf("UnpackInts(-5) = %v; the masking this test documents has changed", v)
+	}
+}
+
+// FuzzUnpackVec: bytes → (slot width, slot count, signed total).  Inside
+// [0, 2^(slots·width)) UnpackVec must invert PackInts; outside it must answer
+// ErrPackedRange.  The committed corpus holds zero, an exact fit, one bit over
+// and a negative total.
+func FuzzUnpackVec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		plan := PackPlan{SlotW: uint(data[0]&0x3f) + 1, Slots: int(data[1]&0x0f) + 1, Level: 1}
+		total := new(big.Int).SetBytes(data[2:])
+		if data[1]&0x80 != 0 {
+			total.Neg(total)
+		}
+		vals, err := UnpackVec([]*big.Int{total}, plan, plan.Slots)
+		inRange := total.Sign() >= 0 && total.BitLen() <= plan.Slots*int(plan.SlotW)
+		if !inRange {
+			var bad *ErrPackedRange
+			if !errors.As(err, &bad) || bad.Group != 0 || bad.Want != plan.Slots*int(plan.SlotW) {
+				t.Fatalf("total %v over %d slots of %d bits: got %v, want ErrPackedRange", total, plan.Slots, plan.SlotW, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("total %v over %d slots of %d bits refused: %v", total, plan.Slots, plan.SlotW, err)
+		}
+		if back := PackInts(vals, plan.SlotW); back.Cmp(total) != 0 {
+			t.Fatalf("round trip of %v over %d slots of %d bits gave %v", total, plan.Slots, plan.SlotW, back)
+		}
+	})
 }
