@@ -248,10 +248,9 @@ type Config struct {
 	// PipelineOn too), which stays the equivalence oracle.
 	Pipeline PipelineMode
 
-	// PredictBatch caps how many samples the batched prediction pipeline
-	// amortizes one MPC round chain over (0 = the whole dataset in one
-	// batch).  The per-sample protocol stays in use for malicious mode and
-	// as the equivalence oracle (PredictDatasetPerSample).
+	// PredictBatch caps how many samples PredictAll amortizes one MPC round
+	// chain over: 0 = the whole dataset in one batch, 1 = the paper's
+	// per-sample schedule.  Every window runs the same prediction body.
 	PredictBatch int
 
 	// NetDelay / NetJitter enable the WAN latency simulation: every

@@ -59,7 +59,7 @@ func TestEntropyTrainingAccuracy(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tree.Criterion = Entropy
 	s, parts, model := trainSession(t, ds, 3, cfg)
-	preds, err := PredictDataset(s, model, parts)
+	preds, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEntropyWithEnhancedProtocol(t *testing.T) {
 	if model.InternalNodes() == 0 {
 		t.Fatal("no splits under entropy + enhanced")
 	}
-	preds, err := PredictDataset(s, model, parts)
+	preds, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,11 @@ func TestEnhancedPredictionMatchesBasic(t *testing.T) {
 	cfgE.Protocol = Enhanced
 	sE, partsE, modelE := trainSession(t, ds, 2, cfgE)
 
-	predsB, err := PredictDataset(sB, modelB, partsB)
+	predsB, err := PredictAll(sB, modelB, partsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predsE, err := PredictDataset(sE, modelE, partsE)
+	predsE, err := PredictAll(sE, modelE, partsE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEnhancedRegression(t *testing.T) {
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
 
-	preds, err := PredictDataset(s, model, parts)
+	preds, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,54 +78,6 @@ func bootstrapCounts(n int, frac float64, seed uint64) []int64 {
 	return counts
 }
 
-// PredictRF predicts one sample with the forest: majority vote over the
-// encrypted per-tree predictions via secure maximum (classification) or a
-// homomorphic mean (regression) — §7.1.
-func (p *Party) PredictRF(fm *ForestModel, x []float64) (float64, error) {
-	defer p.gatherStats()
-	encPreds := make([]*paillier.Ciphertext, len(fm.Trees))
-	for w, tree := range fm.Trees {
-		ct, err := p.predictBasicEnc(tree, x)
-		if err != nil {
-			return 0, err
-		}
-		encPreds[w] = ct
-	}
-	if fm.Classes == 0 {
-		sum := p.foldAdd(encPreds)
-		mean := p.pk.MulConst(sum, p.cod.Encode(1.0/float64(len(fm.Trees))))
-		vals, err := p.jointDecryptAll([]*paillier.Ciphertext{mean})
-		if err != nil {
-			return 0, err
-		}
-		return p.cod.DecodeScaled(vals[0], 2), nil
-	}
-	// Classification: convert the encrypted labels to shares and vote.
-	shares, err := p.encToShares(encPreds, len(encPreds), p.w.value+2)
-	if err != nil {
-		return 0, err
-	}
-	votes := make([]mpc.Share, fm.Classes)
-	ids := make([][]int64, fm.Classes)
-	scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
-	for k := 0; k < fm.Classes; k++ {
-		ids[k] = []int64{int64(k)}
-		votes[k] = p.eng.ConstInt64(0)
-		target := new(big.Int).Mul(big.NewInt(int64(k)), scale)
-		diffs := make([]mpc.Share, len(shares))
-		for w := range shares {
-			diffs[w] = p.eng.AddConst(shares[w], new(big.Int).Neg(target))
-		}
-		eqs := p.eng.EQZVec(diffs, p.w.value+2)
-		for _, eq := range eqs {
-			votes[k] = p.eng.Add(votes[k], eq)
-		}
-	}
-	best := p.eng.ArgmaxTournament(votes, ids, 16)
-	label := p.eng.OpenSigned(best.IDs[0])
-	return float64(label.Int64()), nil
-}
-
 // TrainGBDT trains a gradient-boosted ensemble (§7.2).  Regression keeps
 // the residual labels encrypted between rounds; classification runs
 // one-vs-the-rest with a secure softmax between rounds.
@@ -416,7 +368,7 @@ func (p *Party) gbdtClsRounds(bm *BoostModel, onehot [][]mpc.Share,
 		if err != nil {
 			return err
 		}
-		probs := p.softmaxPerSample(scoreShares, c, n)
+		probs := p.softmaxSamples(scoreShares, c, n)
 		for k := 0; k < c; k++ {
 			resid := make([]mpc.Share, n)
 			for t := 0; t < n; t++ {
@@ -470,9 +422,9 @@ func (p *Party) accumulateScores(scores []*paillier.Ciphertext, tree *Model,
 	return out
 }
 
-// softmaxPerSample computes softmax across classes for every sample, fully
+// softmaxSamples computes softmax across classes for every sample, fully
 // batched: scoreShares is laid out class-major ([k*n + t]).
-func (p *Party) softmaxPerSample(scoreShares []mpc.Share, c, n int) []mpc.Share {
+func (p *Party) softmaxSamples(scoreShares []mpc.Share, c, n int) []mpc.Share {
 	kIn := p.cfg.F + 10
 	exps := p.eng.ExpVec(scoreShares, kIn)
 	sums := make([]mpc.Share, n)
@@ -489,57 +441,4 @@ func (p *Party) softmaxPerSample(scoreShares []mpc.Share, c, n int) []mpc.Share 
 		}
 	}
 	return p.eng.FPDivVec(exps, denoms, 52)
-}
-
-// PredictGBDT predicts one sample (§7.2 model prediction).
-func (p *Party) PredictGBDT(bm *BoostModel, x []float64) (float64, error) {
-	defer p.gatherStats()
-	if bm.Classes == 0 {
-		var acc *paillier.Ciphertext
-		for _, tree := range bm.Forests[0] {
-			ct, err := p.predictBasicEnc(tree, x)
-			if err != nil {
-				return 0, err
-			}
-			scaled := p.pk.MulConst(ct, p.cod.Encode(bm.LearningRate))
-			if acc == nil {
-				acc = scaled
-			} else {
-				acc = p.pk.Add(acc, scaled)
-			}
-		}
-		vals, err := p.jointDecryptAll([]*paillier.Ciphertext{acc})
-		if err != nil {
-			return 0, err
-		}
-		return bm.Base + p.cod.DecodeScaled(vals[0], 2), nil
-	}
-	// Classification: encrypted per-class scores, then a secure argmax.
-	encScores := make([]*paillier.Ciphertext, bm.Classes)
-	for k := 0; k < bm.Classes; k++ {
-		var acc *paillier.Ciphertext
-		for _, tree := range bm.Forests[k] {
-			ct, err := p.predictBasicEnc(tree, x)
-			if err != nil {
-				return 0, err
-			}
-			if acc == nil {
-				acc = ct
-			} else {
-				acc = p.pk.Add(acc, ct)
-			}
-		}
-		encScores[k] = acc
-	}
-	shares, err := p.encToShares(encScores, bm.Classes, p.w.stat)
-	if err != nil {
-		return 0, err
-	}
-	ids := make([][]int64, bm.Classes)
-	for k := range ids {
-		ids[k] = []int64{int64(k)}
-	}
-	best := p.eng.ArgmaxTournament(shares, ids, p.w.stat+2)
-	label := p.eng.OpenSigned(best.IDs[0])
-	return float64(label.Int64()), nil
 }

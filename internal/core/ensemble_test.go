@@ -37,19 +37,13 @@ func TestRFClassification(t *testing.T) {
 	// Voting prediction on a handful of training samples.
 	correct := 0
 	const nCheck = 10
+	X := partsX(parts)
 	for i := 0; i < nCheck; i++ {
-		preds := make([]float64, 2)
-		err = s.Each(func(p *Party) error {
-			v, err := p.PredictRF(fm, parts[p.ID].X[i])
-			if p.ID == 0 {
-				preds[0] = v
-			}
-			return err
-		})
+		got, err := PredictOne(s, fm, sampleAt(X, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if preds[0] == ds.Y[i] {
+		if got == ds.Y[i] {
 			correct++
 		}
 	}
@@ -85,22 +79,15 @@ func TestRFRegressionMean(t *testing.T) {
 	}
 	// The homomorphic mean of tree predictions must match the plaintext
 	// mean of the public trees' predictions.
+	X := partsX(parts)
 	for i := 0; i < 5; i++ {
-		var got float64
-		err = s.Each(func(p *Party) error {
-			v, err := p.PredictRF(fm, parts[p.ID].X[i])
-			if p.ID == 0 {
-				got = v
-			}
-			return err
-		})
+		got, err := PredictOne(s, fm, sampleAt(X, i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want float64
 		for _, tr := range fm.Trees {
-			feat := [][]float64{parts[0].X[i], parts[1].X[i]}
-			pp, err := tr.PredictPlain(feat)
+			pp, err := tr.PredictPlain(sampleAt(X, i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,15 +134,9 @@ func TestGBDTRegressionReducesError(t *testing.T) {
 		mean += y
 	}
 	mean /= float64(ds.N())
+	X := partsX(parts)
 	for i := 0; i < ds.N(); i++ {
-		var got float64
-		err = s.Each(func(p *Party) error {
-			v, err := p.PredictGBDT(bm, parts[p.ID].X[i])
-			if p.ID == 0 {
-				got = v
-			}
-			return err
-		})
+		got, err := PredictOne(s, bm, sampleAt(X, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,15 +179,9 @@ func TestGBDTClassification(t *testing.T) {
 	}
 	correct := 0
 	const nCheck = 12
+	X := partsX(parts)
 	for i := 0; i < nCheck; i++ {
-		var got float64
-		err = s.Each(func(p *Party) error {
-			v, err := p.PredictGBDT(bm, parts[p.ID].X[i])
-			if p.ID == 0 {
-				got = v
-			}
-			return err
-		})
+		got, err := PredictOne(s, bm, sampleAt(X, i))
 		if err != nil {
 			t.Fatal(err)
 		}

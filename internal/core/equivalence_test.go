@@ -41,7 +41,7 @@ func TestFourClientsClassification(t *testing.T) {
 	ds := dataset.SyntheticClassification(40, 8, 2, 3.0, 31)
 	cfg := testConfig()
 	s, parts, model := trainSession(t, ds, 4, cfg)
-	preds, err := PredictDataset(s, model, parts)
+	preds, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,13 +103,13 @@ func TestHideLevelsPredictLikeBasic(t *testing.T) {
 	}
 	ds := smallClassification(36)
 	sB, partsB, modelB := trainSession(t, ds, 2, testConfig())
-	predsB, err := PredictDataset(sB, modelB, partsB)
+	predsB, err := PredictAll(sB, modelB, partsB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, level := range []HideLevel{HideFeature, HideClient} {
 		s, parts, model := trainSession(t, ds, 2, hideConfig(level))
-		preds, err := PredictDataset(s, model, parts)
+		preds, err := PredictAll(s, model, parts)
 		if err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}
@@ -130,7 +130,7 @@ func TestHideClientRegression(t *testing.T) {
 	cfg := hideConfig(HideClient)
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
-	preds, err := PredictDataset(s, model, parts)
+	preds, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestHiddenModelRoundTripsThroughJSON(t *testing.T) {
 
 	// The reloaded model must still predict correctly through the live
 	// session (ciphertexts intact).
-	predsOrig, err := PredictDataset(s, model, parts)
+	predsOrig, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predsLoaded, err := PredictDataset(s, loaded, parts)
+	predsLoaded, err := PredictAll(s, loaded, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,25 @@
 package core
 
 import (
+	"math"
 	"math/big"
 
 	"repro/internal/mpc"
 	"repro/internal/paillier"
 )
 
-// Batched prediction (the §5.2 protocols restructured around sample
-// batches).  The per-sample paths in predict.go pay a full interactive
-// round chain per sample; the batch paths below make the *batch* the unit
-// of every MPC step, exactly like the level-wise training pipeline did for
-// tree nodes: each round — feature input, secure comparison, marker
-// multiplication, opening, round-robin hop, threshold decryption — is
-// shared across all (node × sample) or (tree × sample) pairs, so the
-// synchronous round cost of a batch equals that of a single sample.  Every
-// MPC primitive is a deterministic function of its inputs (masks and
-// Beaver triples cancel exactly), so batching changes round structure,
-// never values: batched predictions are bit-identical to the per-sample
-// protocol's (asserted by TestPredictBatch*).
+// Prediction (§4 Algorithm 4, §5.2).  Under the basic protocol the clients
+// update an encrypted prediction vector [η] in a round-robin manner; under
+// the enhanced protocol the model is first converted to secret shares and the
+// whole evaluation runs inside MPC.  There is one body per protocol and it
+// takes a sample batch: every round — feature input, secure comparison,
+// marker multiplication, opening, round-robin hop, threshold decryption — is
+// shared across all (node × sample) or (tree × sample) pairs, so a batch
+// costs the synchronous rounds of a single sample.  The paper's per-sample
+// protocol is this body at a batch of one (Config.PredictBatch = 1).  Every
+// MPC primitive is a deterministic function of its inputs (masks and Beaver
+// triples cancel exactly), so the batch size changes round structure, never
+// values (TestPredictScheduleGolden).
 
 // PredictBatch produces predictions for a slice of samples in one round
 // chain.  X[t] is this client's local feature row for sample t; all
@@ -52,6 +53,46 @@ func (p *Party) PredictBatch(model *Model, X [][]float64) ([]float64, error) {
 		return nil, err
 	}
 	return p.predictEnhancedBatch(sm, X)
+}
+
+// decodePrediction rounds classification outputs to a class index.
+func (p *Party) decodePrediction(model *Model, v float64) float64 {
+	if model.Classes > 0 {
+		return math.Round(v)
+	}
+	return v
+}
+
+// leafPaths enumerates, for every leaf, the (node, goLeft) decisions on its
+// root-to-leaf path, in LeafPos order.
+type pathStep struct {
+	node   int
+	goLeft bool
+}
+
+func leafPaths(model *Model) [][]pathStep {
+	paths := make([][]pathStep, model.Leaves)
+	var walk func(i int, acc []pathStep)
+	walk = func(i int, acc []pathStep) {
+		n := model.Nodes[i]
+		if n.Leaf {
+			paths[n.LeafPos] = append([]pathStep(nil), acc...)
+			return
+		}
+		walk(n.Left, append(acc, pathStep{i, true}))
+		walk(n.Right, append(acc, pathStep{i, false}))
+	}
+	if len(model.Nodes) > 0 {
+		walk(0, nil)
+	}
+	return paths
+}
+
+func boolToInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // predictBasicEncBatchTrees runs the Algorithm-4 round robin once for an
@@ -168,13 +209,58 @@ func splitByTree(flat []*paillier.Ciphertext, W, B int) [][]*paillier.Ciphertext
 	return out
 }
 
-// predictEnhancedBatch evaluates the shared model on a whole batch: owners
-// input every (node, sample) feature value in one round per owner,
-// hidden-feature nodes convert all their oblivious ciphertexts in one
-// chunked Algorithm-2 pass, and the marker walk of predictEnhanced runs
-// level-wise so each tree depth costs one grouped comparison (LEVec) and
-// one marker multiplication round; the final label dot product and opening
-// happen once for the batch.
+// SharedModel is the secret-shared form of an enhanced-protocol model: one
+// threshold share per internal node and one label share per leaf (§5.2).
+type SharedModel struct {
+	model  *Model
+	thr    map[int]mpc.Share // by node index
+	labels []mpc.Share       // by LeafPos
+}
+
+// sharedModel converts (and caches) the encrypted model parts into shares.
+func (p *Party) sharedModel(model *Model) (*SharedModel, error) {
+	if sm, ok := p.shared[model]; ok {
+		return sm, nil
+	}
+	var cts []*paillier.Ciphertext
+	var internals []int
+	for i, n := range model.Nodes {
+		if !n.Leaf {
+			cts = append(cts, n.EncThreshold)
+			internals = append(internals, i)
+		}
+	}
+	leafCts := make([]*paillier.Ciphertext, model.Leaves)
+	for _, n := range model.Nodes {
+		if n.Leaf {
+			leafCts[n.LeafPos] = n.EncLabel
+		}
+	}
+	cts = append(cts, leafCts...)
+	shares, err := p.encToShares(cts, len(cts), p.w.value+2)
+	if err != nil {
+		return nil, err
+	}
+	sm := &SharedModel{model: model, thr: make(map[int]mpc.Share)}
+	for k, i := range internals {
+		sm.thr[i] = shares[k]
+	}
+	sm.labels = shares[len(internals):]
+	if p.shared == nil {
+		p.shared = make(map[*Model]*SharedModel)
+	}
+	p.shared[model] = sm
+	return sm, nil
+}
+
+// predictEnhancedBatch evaluates the shared model on a whole batch (§5.2
+// "secret sharing based model prediction"): owners input every (node,
+// sample) feature value in one round per owner, hidden-feature nodes convert
+// all their oblivious ciphertexts in one chunked Algorithm-2 pass, and the
+// oblivious path markers are walked level-wise — the root's marker is ⟨1⟩,
+// each child's is its parent's times the comparison bit x ≤ τ — so each tree
+// depth costs one grouped comparison (LEVec) and one marker multiplication
+// round; the final label dot product and opening happen once for the batch.
 func (p *Party) predictEnhancedBatch(sm *SharedModel, X [][]float64) ([]float64, error) {
 	model := sm.model
 	eng := p.eng
@@ -320,10 +406,13 @@ func (p *Party) predictEnhancedBatch(sm *SharedModel, X [][]float64) ([]float64,
 	return out, nil
 }
 
-// obliviousFeatureValueBatch is obliviousFeatureValue across a sample
-// batch: one rerandomized dot-product batch per contributing client and
-// one chunked broadcast, instead of one dot product and one message per
-// sample.
+// obliviousFeatureValueBatch computes, for a hidden-feature node, the
+// encryption of the winning feature's value on every sample of the batch:
+// each contributing client dots its encoded local features with its encrypted
+// feature selector [φ^c] — one rerandomized dot-product batch — and the
+// partials, sent in one chunked broadcast, are summed homomorphically (one
+// contributor — the owner — under HideFeature; all clients under
+// HideClient).  Every client ends up holding the identical ciphertexts.
 func (p *Party) obliviousFeatureValueBatch(n *Node, X [][]float64) ([]*paillier.Ciphertext, error) {
 	if n.EncFeatSel == nil {
 		return nil, p.errf("hidden node has no feature selector")

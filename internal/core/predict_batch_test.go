@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/paillier"
 )
 
-// Equivalence tests for the batched prediction pipeline: batching shares
-// rounds, never changes values, so batched predictions must be
-// bit-identical to the per-sample protocol's on the same fixed-seed model.
+// Tests of the prediction body.  A window of one sample (the paper's
+// per-sample schedule), one whole batch and every window between share
+// rounds, never values, so each must equal the others and the plaintext walk
+// of the model bit for bit.
 
 func assertSamePreds(t *testing.T, name string, batched, perSample []float64) {
 	t.Helper()
@@ -24,21 +26,160 @@ func assertSamePreds(t *testing.T, name string, batched, perSample []float64) {
 	}
 }
 
+// sampleAt is sample t of X (X[c] is client c's rows) as the per-client
+// slices PredictOne and PredictPlain take.
+func sampleAt(X [][][]float64, t int) [][]float64 {
+	by := make([][]float64, len(X))
+	for c := range X {
+		by[c] = X[c][t]
+	}
+	return by
+}
+
+// revealModel is the oracle's view of a concealed tree: the clients jointly
+// decrypt its thresholds, leaf labels and feature selectors into a
+// basic-protocol copy.  The secure comparison sends x left when
+// round(x·2^F) ≤ τ, so the copy's threshold is (τ + ½)·2^−F.
+func revealModel(t *testing.T, s *Session, m *Model) *Model {
+	t.Helper()
+	var cts []*paillier.Ciphertext
+	for _, n := range m.Nodes {
+		if n.Leaf {
+			cts = append(cts, n.EncLabel)
+			continue
+		}
+		cts = append(cts, n.EncThreshold)
+		for _, phi := range n.EncFeatSel {
+			cts = append(cts, phi...)
+		}
+	}
+	var vals []*big.Int
+	err := s.Each(func(p *Party) error {
+		v, err := p.jointDecryptAll(cts)
+		if p.ID == 0 {
+			vals = v
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := s.Party(0)
+	next := func() *big.Int {
+		v := p0.pk.DecodeSigned(vals[0])
+		vals = vals[1:]
+		return v
+	}
+	out := &Model{Classes: m.Classes, Protocol: Basic, Leaves: m.Leaves}
+	for _, n := range m.Nodes {
+		r := Node{Leaf: n.Leaf, LeafPos: n.LeafPos, Owner: n.Owner, Feature: n.Feature, Left: n.Left, Right: n.Right}
+		if n.Leaf {
+			r.Label = p0.cod.Decode(next())
+		} else {
+			r.Threshold = p0.cod.Decode(next()) + 0.5/float64(p0.cod.One().Int64())
+			for c, phi := range n.EncFeatSel {
+				for j := range phi {
+					if next().Sign() != 0 {
+						r.Owner, r.Feature = c, j
+					}
+				}
+			}
+		}
+		out.Nodes = append(out.Nodes, r)
+	}
+	return out
+}
+
+// plainPredict is the plaintext walk of a public model on one sample (x[c]
+// is client c's columns), aggregated in the codec's arithmetic the way the
+// protocols aggregate: a tree's leaf label, a forest's vote (first maximum)
+// or mean, a boosted ensemble's class score (first maximum) or Base + ν·Σ.
+func plainPredict(t *testing.T, p *Party, mdl Predictor, x [][]float64) float64 {
+	t.Helper()
+	cod := p.cod
+	leaf := func(tr *Model) *big.Int {
+		l, err := tr.PredictPlain(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cod.Encode(l)
+	}
+	sum := func(trees []*Model, scale *big.Int) *big.Int {
+		acc := new(big.Int)
+		for _, tr := range trees {
+			acc.Add(acc, new(big.Int).Mul(leaf(tr), scale))
+		}
+		return acc
+	}
+	firstMax := func(classes int, score func(k int) *big.Int) float64 {
+		best := 0
+		for k := 1; k < classes; k++ {
+			if score(k).Cmp(score(best)) > 0 {
+				best = k
+			}
+		}
+		return float64(best)
+	}
+	switch m := mdl.(type) {
+	case *Model:
+		return p.decodePrediction(m, cod.Decode(leaf(m)))
+	case *ForestModel:
+		if m.Classes == 0 {
+			return cod.DecodeScaled(sum(m.Trees, cod.Encode(1/float64(len(m.Trees)))), 2)
+		}
+		return firstMax(m.Classes, func(k int) *big.Int {
+			votes := new(big.Int)
+			for _, tr := range m.Trees {
+				if leaf(tr).Cmp(cod.Encode(float64(k))) == 0 {
+					votes.Add(votes, big.NewInt(1))
+				}
+			}
+			return votes
+		})
+	case *BoostModel:
+		if m.Classes == 0 {
+			return m.Base + cod.DecodeScaled(sum(m.Forests[0], cod.Encode(m.LearningRate)), 2)
+		}
+		return firstMax(m.Classes, func(k int) *big.Int { return sum(m.Forests[k], big.NewInt(1)) })
+	}
+	t.Fatalf("no plaintext walk for %T", mdl)
+	return 0
+}
+
+// assertSchedules predicts every row of parts at a window of one and in one
+// batch; both must equal the plaintext walk of the model — of its revealed
+// copy for a concealed tree.
+func assertSchedules(t *testing.T, name string, s *Session, mdl Predictor, parts []*dataset.Partition) {
+	t.Helper()
+	plain := mdl
+	if m, ok := mdl.(*Model); ok && m.Protocol != Basic {
+		plain = revealModel(t, s, m)
+	}
+	s.Cfg.PredictBatch = 1
+	perSample, err := PredictAll(s, mdl, parts)
+	if err != nil {
+		t.Fatalf("%s, window 1: %v", name, err)
+	}
+	s.Cfg.PredictBatch = 0
+	batched, err := PredictAll(s, mdl, parts)
+	if err != nil {
+		t.Fatalf("%s, one batch: %v", name, err)
+	}
+	assertSamePreds(t, name, batched, perSample)
+	X := partsX(parts)
+	for i, v := range perSample {
+		if want := plainPredict(t, s.Party(0), plain, sampleAt(X, i)); v != want {
+			t.Fatalf("%s: sample %d: window 1 predicts %v, the plaintext walk %v", name, i, v, want)
+		}
+	}
+}
+
 func TestPredictBatchMatchesPerSampleBasic(t *testing.T) {
 	ds := smallClassification(24)
 	cfg := testConfig()
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
-
-	perSample, err := PredictDatasetPerSample(s, model, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := PredictDataset(s, model, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePreds(t, "basic", batched, perSample)
+	assertSchedules(t, "basic", s, model, parts)
 }
 
 func TestPredictBatchMatchesPerSampleEnhanced(t *testing.T) {
@@ -47,16 +188,7 @@ func TestPredictBatchMatchesPerSampleEnhanced(t *testing.T) {
 	cfg.Protocol = Enhanced
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
-
-	perSample, err := PredictDatasetPerSample(s, model, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := PredictDataset(s, model, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePreds(t, "enhanced", batched, perSample)
+	assertSchedules(t, "enhanced", s, model, parts)
 }
 
 func TestPredictBatchMatchesPerSampleEnhancedRegression(t *testing.T) {
@@ -68,16 +200,7 @@ func TestPredictBatchMatchesPerSampleEnhancedRegression(t *testing.T) {
 	cfg.Protocol = Enhanced
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
-
-	perSample, err := PredictDatasetPerSample(s, model, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := PredictDataset(s, model, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePreds(t, "enhanced-regression", batched, perSample)
+	assertSchedules(t, "enhanced-regression", s, model, parts)
 }
 
 func TestPredictBatchMatchesPerSampleHidden(t *testing.T) {
@@ -91,16 +214,7 @@ func TestPredictBatchMatchesPerSampleHidden(t *testing.T) {
 		cfg.Hide = level
 		cfg.Tree.MaxDepth = 2
 		s, parts, model := trainSession(t, ds, 3, cfg)
-
-		perSample, err := PredictDatasetPerSample(s, model, parts)
-		if err != nil {
-			t.Fatalf("%s: %v", level, err)
-		}
-		batched, err := PredictDataset(s, model, parts)
-		if err != nil {
-			t.Fatalf("%s: %v", level, err)
-		}
-		assertSamePreds(t, level.String(), batched, perSample)
+		assertSchedules(t, level.String(), s, model, parts)
 	}
 }
 
@@ -113,16 +227,40 @@ func TestPredictBatchChunking(t *testing.T) {
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
 
-	whole, err := PredictDataset(s, model, parts)
+	whole, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Cfg.PredictBatch = 5
-	chunked, err := PredictDataset(s, model, parts)
+	chunked, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSamePreds(t, "chunked", chunked, whole)
+}
+
+// trainEnsemble trains a 2-tree forest or boosted ensemble of depth 2 on ds
+// split across 2 clients.
+func trainEnsemble(t *testing.T, ds *dataset.Dataset, kind ModelKind) (*Session, []*dataset.Partition, Predictor) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.NumTrees = 2
+	cfg.LearningRate = 0.5
+	cfg.Tree.MaxDepth = 2
+	parts, err := dataset.VerticalPartition(ds, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(parts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	mdl, err := Train(s, TrainSpec{Model: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, parts, mdl
 }
 
 func TestPredictRFBatchMatchesPerSample(t *testing.T) {
@@ -136,38 +274,8 @@ func TestPredictRFBatchMatchesPerSample(t *testing.T) {
 		{"classification", smallClassification(14)},
 		{"regression", dataset.SyntheticRegression(14, 4, 0.2, 23)},
 	} {
-		cfg := testConfig()
-		cfg.NumTrees = 2
-		cfg.Tree.MaxDepth = 2
-		parts, _ := dataset.VerticalPartition(tc.ds, 2, 0)
-		s, err := NewSession(parts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fm *ForestModel
-		err = s.Each(func(p *Party) error {
-			m, err := p.TrainRF()
-			if p.ID == 0 && err == nil {
-				fm = m
-			}
-			return err
-		})
-		if err != nil {
-			s.Close()
-			t.Fatal(err)
-		}
-		perSample, err := PredictDatasetForestPerSample(s, fm, parts)
-		if err != nil {
-			s.Close()
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		batched, err := PredictDatasetForest(s, fm, parts)
-		if err != nil {
-			s.Close()
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		assertSamePreds(t, "rf-"+tc.name, batched, perSample)
-		s.Close()
+		s, parts, fm := trainEnsemble(t, tc.ds, KindRF)
+		assertSchedules(t, "rf-"+tc.name, s, fm, parts)
 	}
 }
 
@@ -186,45 +294,14 @@ func TestPredictGBDTBatchMatchesPerSample(t *testing.T) {
 		{"regression", dataset.SyntheticRegression(14, 4, 0.1, 33)},
 		{"classification", smallClassification(14)},
 	} {
-		cfg := testConfig()
-		cfg.NumTrees = 2
-		cfg.LearningRate = 0.5
-		cfg.Tree.MaxDepth = 2
-		parts, _ := dataset.VerticalPartition(tc.ds, 2, 0)
-		s, err := NewSession(parts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bm *BoostModel
-		err = s.Each(func(p *Party) error {
-			m, err := p.TrainGBDT()
-			if p.ID == 0 && err == nil {
-				bm = m
-			}
-			return err
-		})
-		if err != nil {
-			s.Close()
-			t.Fatal(err)
-		}
-		perSample, err := PredictDatasetBoostPerSample(s, bm, parts)
-		if err != nil {
-			s.Close()
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		batched, err := PredictDatasetBoost(s, bm, parts)
-		if err != nil {
-			s.Close()
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		assertSamePreds(t, "gbdt-"+tc.name, batched, perSample)
-		s.Close()
+		s, parts, bm := trainEnsemble(t, tc.ds, KindGBDT)
+		assertSchedules(t, "gbdt-"+tc.name, s, bm, parts)
 	}
 }
 
-// TestPredictBatchFewerRounds asserts the point of the pipeline: an
-// enhanced-protocol batch must cost far fewer MPC rounds than the
-// per-sample loop over the same samples.
+// TestPredictBatchFewerRounds asserts the point of batching: an
+// enhanced-protocol batch must cost far fewer MPC rounds than the same
+// samples at a window of one.
 func TestPredictBatchFewerRounds(t *testing.T) {
 	ds := smallClassification(16)
 	cfg := testConfig()
@@ -232,23 +309,85 @@ func TestPredictBatchFewerRounds(t *testing.T) {
 	cfg.Tree.MaxDepth = 2
 	s, parts, model := trainSession(t, ds, 2, cfg)
 
-	base := s.Stats().MPC.Rounds
-	if _, err := PredictDatasetPerSample(s, model, parts); err != nil {
-		t.Fatal(err)
+	rounds := func(window int) int64 {
+		s.Cfg.PredictBatch = window
+		base := s.Stats().MPC.Rounds
+		if _, err := PredictAll(s, model, parts); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats().MPC.Rounds - base
 	}
-	perSample := s.Stats().MPC.Rounds - base
-
-	base = s.Stats().MPC.Rounds
-	if _, err := PredictDataset(s, model, parts); err != nil {
-		t.Fatal(err)
-	}
-	batched := s.Stats().MPC.Rounds - base
-
+	perSample, batched := rounds(1), rounds(0)
 	if batched <= 0 || perSample <= 0 {
 		t.Fatalf("round counters not moving: per-sample %d, batched %d", perSample, batched)
 	}
 	if perSample < 3*batched {
 		t.Fatalf("batched prediction saved too little: per-sample %d rounds vs batched %d", perSample, batched)
+	}
+}
+
+// TestBadPredictInputRefused: an input the clients cannot predict on used to
+// reach them — an empty row panicked client 0 (index out of range), a short
+// partition beside a full one was sliced past its end — and a failed phase
+// tears the session down, so the next valid request got "endpoint closed".
+// Every driver now refuses such an input before any client starts.
+func TestBadPredictInputRefused(t *testing.T) {
+	ds := smallClassification(16)
+	cfg := testConfig()
+	cfg.Tree.MaxDepth = 2
+	s, parts, model := trainSession(t, ds, 2, cfg)
+	X := partsX(parts)
+	half := func(p *dataset.Partition) *dataset.Partition {
+		h := *p
+		h.X, h.N = p.X[:8], 8
+		return &h
+	}
+	// An N below the rows held: the slice has spare capacity past N.
+	short := *parts[0]
+	short.N = 8
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"PredictOne, empty rows", func() error { _, err := PredictOne(s, model, [][]float64{{}, {}}); return err }},
+		{"PredictOne, one client slice", func() error { _, err := PredictOne(s, model, sampleAt(X, 0)[:1]); return err }},
+		{"PredictOne, a row too wide", func() error {
+			_, err := PredictOne(s, model, [][]float64{X[0][0], append(append([]float64(nil), X[1][0]...), 1)})
+			return err
+		}},
+		{"PredictAll, an 8-row partition beside a 16-row one", func() error {
+			_, err := PredictAll(s, model, []*dataset.Partition{parts[0], half(parts[1])})
+			return err
+		}},
+		{"PredictAll, N below the rows held", func() error {
+			_, err := PredictAll(s, model, []*dataset.Partition{&short, half(parts[1])})
+			return err
+		}},
+		{"PredictAll, three partitions", func() error {
+			_, err := PredictAll(s, model, []*dataset.Partition{parts[0], parts[1], parts[1]})
+			return err
+		}},
+		{"PredictSamples, unequal counts", func() error {
+			_, _, err := PredictSamples(s, model, [][][]float64{X[0], X[1][:3]})
+			return err
+		}},
+		{"PredictSamples, a short row past the first", func() error {
+			rows := append([][]float64(nil), X[1]...)
+			rows[5] = rows[5][:1]
+			_, _, err := PredictSamples(s, model, [][][]float64{X[0], rows})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	got, err := PredictOne(s, model, sampleAt(X, 3))
+	if err != nil {
+		t.Fatalf("valid prediction after the refusals: %v", err)
+	}
+	if want := plainPredict(t, s.Party(0), model, sampleAt(X, 3)); got != want {
+		t.Fatalf("valid prediction after the refusals: %v, the plaintext walk %v", got, want)
 	}
 }
 

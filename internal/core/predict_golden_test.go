@@ -15,8 +15,10 @@ import (
 // they were deleted: each variant's predictions on its training rows, and
 // what predicting them one sample at a time cost — MPC rounds, messages,
 // encryptions and decryption shares, the model's Algorithm-2 conversion
-// included for the enhanced ones.  Every driver has to reproduce the
-// predictions bit for bit.
+// included for the enhanced ones.  Every driver of the one prediction body
+// that replaced them — PredictAll at a window of one, PredictAll over one
+// batch, a PredictOne loop — has to reproduce the predictions bit for bit,
+// and the window-one schedule, the paper's, may cost no more on any counter.
 
 func goldenPredictCls() *dataset.Dataset { return smallClassification(16) }
 func goldenPredictReg() *dataset.Dataset { return dataset.SyntheticRegression(16, 4, 0.2, 9) }
@@ -61,6 +63,14 @@ type predictDriver struct {
 }
 
 var predictDrivers = []predictDriver{
+	{"PredictAll, window 1", func(s *Session, mdl Predictor, parts []*dataset.Partition) ([]float64, error) {
+		s.Cfg.PredictBatch = 1
+		defer func() { s.Cfg.PredictBatch = 0 }()
+		return PredictAll(s, mdl, parts)
+	}},
+	{"PredictAll, one batch", func(s *Session, mdl Predictor, parts []*dataset.Partition) ([]float64, error) {
+		return PredictAll(s, mdl, parts)
+	}},
 	{"PredictOne loop", func(s *Session, mdl Predictor, parts []*dataset.Partition) ([]float64, error) {
 		X := partsX(parts)
 		out := make([]float64, parts[0].N)
@@ -72,14 +82,6 @@ var predictDrivers = []predictDriver{
 			out[i] = v
 		}
 		return out, nil
-	}},
-	{"PredictAll, window 1", func(s *Session, mdl Predictor, parts []*dataset.Partition) ([]float64, error) {
-		s.Cfg.PredictBatch = 1
-		defer func() { s.Cfg.PredictBatch = 0 }()
-		return PredictAll(s, mdl, parts)
-	}},
-	{"PredictAll, one batch", func(s *Session, mdl Predictor, parts []*dataset.Partition) ([]float64, error) {
-		return PredictAll(s, mdl, parts)
 	}},
 }
 
@@ -165,7 +167,7 @@ func TestPredictScheduleGolden(t *testing.T) {
 			{"encryptions", g.Encryptions, w.Encryptions},
 			{"decryption shares", g.DecShares, w.DecShares},
 		} {
-			if c.got != c.want {
+			if c.got > c.want {
 				t.Errorf("%s: %s %d, recorded %d", v.name, c.what, c.got, c.want)
 			}
 		}

@@ -28,7 +28,7 @@ const (
 
 // Predictor is a trained model the federation can evaluate through the
 // privacy-preserving prediction protocols.  *Model, *ForestModel and
-// *BoostModel satisfy it; the protocol entry points stay unexported so
+// *BoostModel satisfy it; the protocol entry point stays unexported so
 // every evaluation goes through the Session drivers below, which keep
 // the SPMD discipline (all clients run the same call sequence).
 type Predictor interface {
@@ -37,11 +37,9 @@ type Predictor interface {
 	// NumClasses returns the number of classes (0 for regression).
 	NumClasses() int
 
-	// predictOne runs the per-sample protocol SPMD at party p
-	// (x is p's local columns of the sample).
-	predictOne(p *Party, x []float64) (float64, error)
-	// predictBatch runs the batched pipeline SPMD at party p
-	// (X[t] is p's local columns of sample t).
+	// predictBatch runs the prediction protocol SPMD at party p on a
+	// sample batch (X[t] is p's local columns of sample t); a batch of one
+	// is the paper's per-sample protocol.
 	predictBatch(p *Party, X [][]float64) ([]float64, error)
 }
 
@@ -106,10 +104,6 @@ func (m *Model) Kind() ModelKind { return KindDT }
 // NumClasses implements Predictor (0 for regression).
 func (m *Model) NumClasses() int { return m.Classes }
 
-func (m *Model) predictOne(p *Party, x []float64) (float64, error) {
-	return p.Predict(m, x)
-}
-
 func (m *Model) predictBatch(p *Party, X [][]float64) ([]float64, error) {
 	return p.PredictBatch(m, X)
 }
@@ -120,10 +114,6 @@ func (fm *ForestModel) Kind() ModelKind { return KindRF }
 // NumClasses implements Predictor (0 for regression).
 func (fm *ForestModel) NumClasses() int { return fm.Classes }
 
-func (fm *ForestModel) predictOne(p *Party, x []float64) (float64, error) {
-	return p.PredictRF(fm, x)
-}
-
 func (fm *ForestModel) predictBatch(p *Party, X [][]float64) ([]float64, error) {
 	return p.PredictRFBatch(fm, X)
 }
@@ -133,10 +123,6 @@ func (bm *BoostModel) Kind() ModelKind { return KindGBDT }
 
 // NumClasses implements Predictor (0 for regression).
 func (bm *BoostModel) NumClasses() int { return bm.Classes }
-
-func (bm *BoostModel) predictOne(p *Party, x []float64) (float64, error) {
-	return p.PredictGBDT(bm, x)
-}
 
 func (bm *BoostModel) predictBatch(p *Party, X [][]float64) ([]float64, error) {
 	return p.PredictGBDTBatch(bm, X)
@@ -161,91 +147,104 @@ func Train(s *Session, t Trainer) (Predictor, error) {
 	return out[0], nil
 }
 
-// PredictOne evaluates one out-of-training sample through the per-sample
-// protocol; featuresByClient[c] holds client c's columns of the sample.
+// PredictOne evaluates one out-of-training sample — the prediction body
+// on a batch of one; featuresByClient[c] holds client c's columns of the
+// sample.
 func PredictOne(s *Session, mdl Predictor, featuresByClient [][]float64) (float64, error) {
-	if len(featuresByClient) != s.M {
-		return 0, fmt.Errorf("core: sample has %d client slices, session has %d clients", len(featuresByClient), s.M)
+	X := make([][][]float64, len(featuresByClient))
+	for c, x := range featuresByClient {
+		X[c] = [][]float64{x}
 	}
-	var out float64
-	err := s.Each(func(p *Party) error {
-		v, err := mdl.predictOne(p, featuresByClient[p.ID])
-		if p.ID == 0 && err == nil {
-			out = v
-		}
-		return err
-	})
-	return out, err
+	preds, _, err := PredictSamples(s, mdl, X)
+	if err != nil {
+		return 0, err
+	}
+	return preds[0], nil
 }
 
-// PredictAll evaluates mdl on every sample of the vertical partitions
-// through the batched pipeline: one MPC round chain per Cfg.PredictBatch
-// samples (0 = the whole dataset in one batch).  Malicious mode keeps the
-// audited per-sample protocol (§9.1's proofs are per prediction).
+// PredictAll evaluates mdl on every sample of the vertical partitions, one
+// round chain per Cfg.PredictBatch samples: 0 is the whole dataset in one
+// batch, 1 the paper's per-sample schedule.
 func PredictAll(s *Session, mdl Predictor, parts []*dataset.Partition) ([]float64, error) {
-	if s.Cfg.Malicious {
-		return predictPerSample(s, parts, mdl.predictOne)
+	X := make([][][]float64, len(parts))
+	for c, part := range parts {
+		if part.N != len(part.X) {
+			return nil, fmt.Errorf("core: client %d's partition counts %d samples and holds %d rows", c, part.N, len(part.X))
+		}
+		X[c] = part.X
 	}
-	return predictBatches(s, parts, mdl.predictBatch)
+	n, err := s.checkSamples(X)
+	if err != nil {
+		return nil, err
+	}
+	batch := s.Cfg.PredictBatch
+	if batch <= 0 || batch > n {
+		batch = n
+	}
+	out := make([]float64, 0, n)
+	window := make([][][]float64, len(X))
+	for lo := 0; lo < n; lo += batch {
+		hi := min(lo+batch, n)
+		for c := range X {
+			window[c] = X[c][lo:hi]
+		}
+		preds, _, err := predictPhase(s, mdl, window)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, preds...)
+	}
+	return out, nil
 }
 
 // PredictSamples evaluates a batch of out-of-training samples in one
 // batched round chain (the serving layer's entry point): X[c][t] is client
-// c's columns of sample t.  Malicious mode runs the per-sample protocol.
-// The second return value is the number of MPC rounds the batch consumed,
-// measured at the super client inside the phase itself, so concurrent
-// session users' phases are never miscounted into it.
+// c's columns of sample t.  The second return value is the number of MPC
+// rounds the batch consumed.
 func PredictSamples(s *Session, mdl Predictor, X [][][]float64) ([]float64, int64, error) {
+	n, err := s.checkSamples(X)
+	if err != nil || n == 0 {
+		return nil, 0, err
+	}
+	return predictPhase(s, mdl, X)
+}
+
+// checkSamples refuses, before any client starts, an input the clients
+// could not predict on — a failed phase tears the session down — and returns
+// its sample count: X needs one slice per client, the same number of samples
+// in each, and every row of client c as wide as c's partition.
+func (s *Session) checkSamples(X [][][]float64) (int, error) {
 	if len(X) != s.M {
-		return nil, 0, fmt.Errorf("core: batch has %d client slices, session has %d clients", len(X), s.M)
+		return 0, fmt.Errorf("core: input has %d client slices, session has %d clients", len(X), s.M)
 	}
 	n := len(X[0])
-	for c := range X {
-		if len(X[c]) != n {
-			return nil, 0, fmt.Errorf("core: client %d holds %d samples, client 0 holds %d", c, len(X[c]), n)
+	for c, rows := range X {
+		if len(rows) != n {
+			return 0, fmt.Errorf("core: client %d holds %d samples, client 0 holds %d", c, len(rows), n)
+		}
+		for t, row := range rows {
+			if len(row) != s.widths[c] {
+				return 0, fmt.Errorf("core: client %d's sample %d has %d features, the client holds %d", c, t, len(row), s.widths[c])
+			}
 		}
 	}
-	if n == 0 {
-		return nil, 0, nil
-	}
+	return n, nil
+}
+
+// predictPhase runs one batch through mdl's prediction body at every client
+// and returns the super client's predictions and the MPC rounds the batch
+// consumed, measured at the super client inside the phase itself, so
+// concurrent session users' phases are never miscounted into it.
+func predictPhase(s *Session, mdl Predictor, X [][][]float64) ([]float64, int64, error) {
+	var preds []float64
 	var rounds int64
-	countRounds := func(p *Party, fn func() error) error {
-		if p.ID != 0 {
-			return fn()
-		}
-		r0 := p.Stats.MPC.Rounds
-		err := fn()
-		rounds += p.Stats.MPC.Rounds - r0
-		return err
-	}
-	if s.Cfg.Malicious {
-		out := make([]float64, n)
-		for t := 0; t < n; t++ {
-			by := sampleAt(X, t)
-			err := s.Each(func(p *Party) error {
-				return countRounds(p, func() error {
-					v, err := mdl.predictOne(p, by[p.ID])
-					if p.ID == 0 && err == nil {
-						out[t] = v
-					}
-					return err
-				})
-			})
-			if err != nil {
-				return nil, rounds, err
-			}
-		}
-		return out, rounds, nil
-	}
-	preds := make([]float64, n)
 	err := s.Each(func(p *Party) error {
-		return countRounds(p, func() error {
-			ps, err := mdl.predictBatch(p, X[p.ID])
-			if p.ID == 0 && err == nil {
-				copy(preds, ps)
-			}
-			return err
-		})
+		r0 := p.Stats.MPC.Rounds
+		ps, err := mdl.predictBatch(p, X[p.ID])
+		if p.ID == 0 {
+			preds, rounds = ps, p.Stats.MPC.Rounds-r0
+		}
+		return err
 	})
 	if err != nil {
 		return nil, rounds, err
@@ -280,12 +279,4 @@ func (s *Session) EvictShared(mdl Predictor) {
 			delete(p.shared, t)
 		}
 	}
-}
-
-func sampleAt(X [][][]float64, t int) [][]float64 {
-	by := make([][]float64, len(X))
-	for c := range X {
-		by[c] = X[c][t]
-	}
-	return by
 }

@@ -29,6 +29,7 @@ type Session struct {
 	wg      sync.WaitGroup
 	abort   sync.Once
 	dead    atomic.Bool // set by abortNetwork and Close; read by Healthy
+	widths  []int       // each client's local feature count (checkSamples)
 
 	// phaseMu serializes protocol phases: Each holds it for the whole
 	// phase, so concurrent callers (e.g. the serving layer's queue
@@ -119,7 +120,10 @@ func newSession(parts []*dataset.Partition, cfg Config, resume *Checkpoint) (*Se
 	if m < 1 {
 		return nil, fmt.Errorf("core: need at least one client")
 	}
-	s := &Session{M: m, Cfg: cfg}
+	s := &Session{M: m, Cfg: cfg, widths: make([]int, m)}
+	for i, part := range parts {
+		s.widths[i] = len(part.Features)
+	}
 	if cfg.TCPLoopback {
 		eps, err := transport.NewLoopbackTCPNetwork(m+1, transport.TCPConfig{})
 		if err != nil {
@@ -429,101 +433,4 @@ func TrainDecisionTree(ds *dataset.Dataset, m int, cfg Config) (*Model, RunStats
 		return nil, RunStats{}, err
 	}
 	return models[0], s.Stats(), nil
-}
-
-// PredictDataset evaluates a trained model on every sample of the vertical
-// test partitions (parts[i].X holds client i's columns) through the
-// batched prediction pipeline: each slice of Cfg.PredictBatch samples
-// (0 = the whole dataset in one batch) pays a single MPC round chain
-// instead of one per sample.  Malicious mode keeps the audited per-sample
-// protocol (§9.1's proofs are per prediction).
-func PredictDataset(s *Session, model *Model, parts []*dataset.Partition) ([]float64, error) {
-	return PredictAll(s, model, parts)
-}
-
-// PredictDatasetPerSample runs the paper's per-sample prediction protocol
-// for every sample — the driver for malicious mode and the equivalence
-// oracle the batched pipeline is tested against.
-func PredictDatasetPerSample(s *Session, model *Model, parts []*dataset.Partition) ([]float64, error) {
-	return predictPerSample(s, parts, func(p *Party, x []float64) (float64, error) {
-		return p.Predict(model, x)
-	})
-}
-
-// PredictDatasetForest evaluates a trained forest on every sample, batching
-// across both samples and trees (per-sample under malicious mode).
-func PredictDatasetForest(s *Session, fm *ForestModel, parts []*dataset.Partition) ([]float64, error) {
-	return PredictAll(s, fm, parts)
-}
-
-// PredictDatasetForestPerSample is the per-sample forest oracle.
-func PredictDatasetForestPerSample(s *Session, fm *ForestModel, parts []*dataset.Partition) ([]float64, error) {
-	return predictPerSample(s, parts, func(p *Party, x []float64) (float64, error) {
-		return p.PredictRF(fm, x)
-	})
-}
-
-// PredictDatasetBoost evaluates a trained GBDT on every sample, batching
-// across samples and all class forests' trees (per-sample under malicious
-// mode).
-func PredictDatasetBoost(s *Session, bm *BoostModel, parts []*dataset.Partition) ([]float64, error) {
-	return PredictAll(s, bm, parts)
-}
-
-// PredictDatasetBoostPerSample is the per-sample GBDT oracle.
-func PredictDatasetBoostPerSample(s *Session, bm *BoostModel, parts []*dataset.Partition) ([]float64, error) {
-	return predictPerSample(s, parts, func(p *Party, x []float64) (float64, error) {
-		return p.PredictGBDT(bm, x)
-	})
-}
-
-// predictBatches drives fn over Cfg.PredictBatch-sized sample windows.
-func predictBatches(s *Session, parts []*dataset.Partition, fn func(*Party, [][]float64) ([]float64, error)) ([]float64, error) {
-	n := parts[0].N
-	if n == 0 {
-		return nil, nil
-	}
-	batch := s.Cfg.PredictBatch
-	if batch <= 0 || batch > n {
-		batch = n
-	}
-	out := make([]float64, 0, n)
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		preds := make([]float64, hi-lo)
-		err := s.Each(func(p *Party) error {
-			ps, err := fn(p, parts[p.ID].X[lo:hi])
-			if p.ID == 0 && err == nil {
-				copy(preds, ps)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, preds...)
-	}
-	return out, nil
-}
-
-// predictPerSample drives fn one sample at a time (the paper's protocol).
-func predictPerSample(s *Session, parts []*dataset.Partition, fn func(*Party, []float64) (float64, error)) ([]float64, error) {
-	n := parts[0].N
-	out := make([]float64, n)
-	for t := 0; t < n; t++ {
-		err := s.Each(func(p *Party) error {
-			pred, err := fn(p, parts[p.ID].X[t])
-			if p.ID == 0 && err == nil {
-				out[t] = pred
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

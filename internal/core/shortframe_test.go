@@ -209,21 +209,22 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 	}
 }
 
-// TestShortPredictFrameRefused covers the four receives of per-sample
-// prediction that took a peer's message at whatever length it arrived: the
-// Algorithm-4 [η] vector (one value short, it reached scalarMulRerandVec's
-// length-mismatch panic), and the final [k̄], the HideFeature owner's value
+// TestShortPredictFrameRefused covers the receives of prediction that
+// took a peer's message at whatever length it arrived: the Algorithm-4 [η]
+// matrix (one value short, it reached scalarMulRerandVec's length-mismatch
+// panic), the super client's packed release, the HideFeature owner's values
 // and a HideClient partial (empty, each was indexed as cts[0]).  Client 1
-// plays the peer on a raw endpoint; client 0 — client 1 for [k̄], which only
-// the super client sends — runs the real code and now refuses by count.
+// plays the peer on a raw endpoint; client 0 — client 1 for the release,
+// which only the super client sends — runs the real code and refuses by
+// count.
 func TestShortPredictFrameRefused(t *testing.T) {
-	// One split at client 0, two leaves; x is the honest client's sample.
+	// One split at client 0, two leaves; X is the honest client's batch of one.
 	tree := &Model{Leaves: 2, Nodes: []Node{
 		{Owner: 0, Feature: 0, Threshold: 0.5, Left: 1, Right: 2},
 		{Leaf: true, Label: 0, LeafPos: 0},
 		{Leaf: true, Label: 1, LeafPos: 1},
 	}}
-	x := []float64{0.25, 0.75}
+	X := [][]float64{{0.25, 0.75}}
 	for _, tc := range []struct {
 		name      string
 		honest    int
@@ -234,20 +235,20 @@ func TestShortPredictFrameRefused(t *testing.T) {
 		{
 			name: "eta vector", honest: 0,
 			send: func(p *Party) ([]*paillier.Ciphertext, error) { return p.encryptVec([]*big.Int{big.NewInt(1)}) },
-			run:  func(p *Party) error { _, err := p.predictBasicEnc(tree, x); return err },
+			run:  func(p *Party) error { _, err := p.predictBasicEncBatchTrees([]*Model{tree}, X); return err },
 			got:  1, want: 2,
 		},
 		{
-			name: "final prediction", honest: 1,
+			name: "released predictions", honest: 1,
 			send: func(p *Party) ([]*paillier.Ciphertext, error) { return nil, nil },
-			run:  func(p *Party) error { _, err := p.predictBasicEnc(tree, x); return err },
+			run:  func(p *Party) error { _, err := p.PredictBatch(tree, X); return err },
 			got:  0, want: 1,
 		},
 		{
 			name: "hidden feature, owner's value", honest: 0,
 			send: func(p *Party) ([]*paillier.Ciphertext, error) { return nil, nil },
 			run: func(p *Party) error {
-				_, err := p.obliviousFeatureValue(&Node{Owner: 1, Feature: -1, EncFeatSel: make([][]*paillier.Ciphertext, 2)}, x)
+				_, err := p.obliviousFeatureValueBatch(&Node{Owner: 1, Feature: -1, EncFeatSel: make([][]*paillier.Ciphertext, 2)}, X)
 				return err
 			},
 			got: 0, want: 1,
@@ -260,7 +261,7 @@ func TestShortPredictFrameRefused(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				_, err = p.obliviousFeatureValue(&Node{Owner: -1, Feature: -1, EncFeatSel: [][]*paillier.Ciphertext{phi, nil}}, x)
+				_, err = p.obliviousFeatureValueBatch(&Node{Owner: -1, Feature: -1, EncFeatSel: [][]*paillier.Ciphertext{phi, nil}}, X)
 				return err
 			},
 			got: 0, want: 1,
@@ -378,21 +379,30 @@ func (e *wrongValueEndpoint) Send(to int, b []byte) error {
 // slot values that look honest — wrong predictions out of the release step,
 // wrong shares out of the Algorithm-2 conversion; both consumers now refuse
 // the total with an ErrPackedRange that names the client holding it: every
-// honest client of a release, the super client of a conversion.
+// honest client of a release, the super client of a conversion.  A malicious
+// session's PredictAll releases through the same packed step (and returns
+// client 0's error).
 func TestWrongDecryptionShareRefused(t *testing.T) {
 	const B = 9
 	tree := handTree(0, [3]float64{0, 0.5, -0.5}, [4]float64{1.5, -2, 3, -4.25})
 	for _, tc := range []struct {
-		name    string
-		nth     map[int]int // which of client 2's messages to each peer holds its shares
-		run     func(p *Party, X [][]float64) error
-		refused []int
+		name      string
+		malicious bool
+		nth       map[int]int                         // which of client 2's messages to each peer holds its shares
+		run       func(p *Party, X [][]float64) error // nil: PredictAll
+		refused   []int
 	}{
 		{
 			name:    "released predictions",
 			nth:     map[int]int{0: 0, 1: 1}, // client 1 is sent [η] first
 			run:     func(p *Party, X [][]float64) error { _, err := p.PredictBatch(tree, X); return err },
 			refused: []int{0, 1},
+		},
+		{
+			name:      "released predictions, malicious PredictAll",
+			malicious: true,
+			nth:       map[int]int{0: 0, 1: 1},
+			refused:   []int{0},
 		},
 		{
 			name: "masked conversion",
@@ -419,17 +429,23 @@ func TestWrongDecryptionShareRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSession(parts, testConfig())
+		cfg := testConfig()
+		cfg.Malicious = tc.malicious
+		s, err := NewSession(parts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hostile := s.Party(2)
 		hostile.ep = &wrongValueEndpoint{Endpoint: hostile.ep, nth: tc.nth, seen: map[int]int{}}
 		errs := make([]error, 3)
-		_ = s.Each(func(p *Party) error {
-			errs[p.ID] = tc.run(p, parts[p.ID].X)
-			return errs[p.ID]
-		})
+		if tc.run == nil {
+			_, errs[0] = PredictAll(s, tree, parts)
+		} else {
+			_ = s.Each(func(p *Party) error {
+				errs[p.ID] = tc.run(p, parts[p.ID].X)
+				return errs[p.ID]
+			})
+		}
 		s.Close()
 		for _, c := range tc.refused {
 			var bad *paillier.ErrPackedRange

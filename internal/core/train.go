@@ -214,21 +214,6 @@ func (p *Party) foldAdd(cts []*paillier.Ciphertext) *paillier.Ciphertext {
 	return p.pk.FoldAdd(cts)
 }
 
-// dotRerand is a rerandomized homomorphic dot product.
-func (p *Party) dotRerand(v []*big.Int, ch []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	d, err := p.pk.Dot(v, ch)
-	if err != nil {
-		return nil, err
-	}
-	p.Stats.HEOps += int64(len(v))
-	out, err := p.pk.Rerandomize(cryptoRand(), d)
-	if err != nil {
-		return nil, err
-	}
-	p.Stats.Encryptions++
-	return out, nil
-}
-
 // bucketStats computes this client's left split statistics, before
 // rerandomization, for a batch of nodes: channels[i] lists node i's encrypted
 // channels (mask vector first, then the sent label channels).  The thresholds

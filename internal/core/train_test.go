@@ -138,7 +138,7 @@ func TestBasicDistributedPrediction(t *testing.T) {
 
 	// The privacy-preserving round-robin prediction must agree with the
 	// plaintext evaluation of the public model.
-	preds, err := PredictDataset(s, model, parts)
+	preds, err := PredictAll(s, model, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,11 +353,12 @@ func predictionPoint(ds *dataset.Dataset, m int, cfg core.Config, samples int) (
 		return 0, err
 	}
 	start := time.Now()
+	by := make([][]float64, m)
 	for t := 0; t < samples; t++ {
-		if err := s.Each(func(p *core.Party) error {
-			_, err := p.Predict(models[p.ID], parts[p.ID].X[t%parts[p.ID].N])
-			return err
-		}); err != nil {
+		for c, part := range parts {
+			by[c] = part.X[t%part.N]
+		}
+		if _, err := core.PredictOne(s, models[0], by); err != nil {
 			return 0, err
 		}
 	}

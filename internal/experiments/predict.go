@@ -41,7 +41,7 @@ func predictSession(p Preset, cfg core.Config, n int) (*core.Session, []*dataset
 	// without the one-off Algorithm-2 model conversion.
 	warm, err := warmupParts(parts)
 	if err == nil {
-		_, err = core.PredictDataset(s, model, warm)
+		_, err = core.PredictAll(s, model, warm)
 	}
 	if err != nil {
 		s.Close()
@@ -65,10 +65,10 @@ func warmupParts(parts []*dataset.Partition) ([]*dataset.Partition, error) {
 
 // predictBaseline is the baseline for the batched prediction pipeline
 // (BENCH_predict.json): MPC rounds, messages and wall time for predicting a
-// fixed-seed sample batch under the enhanced protocol, per-sample vs
-// batched, plus the same comparison under simulated WAN latency
-// (transport.WithLatency) where the round reduction becomes a wall-clock
-// speedup.
+// fixed-seed sample batch under the enhanced protocol, per sample
+// (PredictAll at a window of one) vs in one batch, plus the same comparison
+// under simulated WAN latency (transport.WithLatency) where the round
+// reduction becomes a wall-clock speedup.
 func predictBaseline(p Preset) (*Baseline, error) {
 	cfg := cfgFor(p, core.Enhanced, 1)
 	s, parts, model, err := predictSession(p, cfg, predictBenchSamples)
@@ -79,7 +79,7 @@ func predictBaseline(p Preset) (*Baseline, error) {
 
 	before := s.Stats()
 	start := time.Now()
-	perSample, err := core.PredictDatasetPerSample(s, model, parts)
+	perSample, err := predictWindow(s, model, parts, 1)
 	if err != nil {
 		return nil, fmt.Errorf("per-sample prediction: %w", err)
 	}
@@ -87,7 +87,7 @@ func predictBaseline(p Preset) (*Baseline, error) {
 	mid := s.Stats()
 
 	start = time.Now()
-	batched, err := core.PredictDataset(s, model, parts)
+	batched, err := predictWindow(s, model, parts, 0)
 	if err != nil {
 		return nil, fmt.Errorf("batched prediction: %w", err)
 	}
@@ -118,12 +118,12 @@ func predictBaseline(p Preset) (*Baseline, error) {
 	defer ws.Close()
 
 	start = time.Now()
-	if _, err := core.PredictDatasetPerSample(ws, wmodel, wparts); err != nil {
+	if _, err := predictWindow(ws, wmodel, wparts, 1); err != nil {
 		return nil, fmt.Errorf("per-sample WAN prediction: %w", err)
 	}
 	perSampleWANSecs := time.Since(start).Seconds()
 	start = time.Now()
-	if _, err := core.PredictDataset(ws, wmodel, wparts); err != nil {
+	if _, err := predictWindow(ws, wmodel, wparts, 0); err != nil {
 		return nil, fmt.Errorf("batched WAN prediction: %w", err)
 	}
 	batchWANSecs := time.Since(start).Seconds()
@@ -153,4 +153,11 @@ func predictBaseline(p Preset) (*Baseline, error) {
 	b.Set("wan_speedup", ratio(perSampleWANSecs, batchWANSecs))
 	b.Set("predictions_identical", true) // checked above: a mismatch is an error, not a record
 	return b, nil
+}
+
+// predictWindow runs PredictAll one round chain per `window` samples (0 = all
+// of them in one).
+func predictWindow(s *core.Session, model *core.Model, parts []*dataset.Partition, window int) ([]float64, error) {
+	s.Cfg.PredictBatch = window
+	return core.PredictAll(s, model, parts)
 }

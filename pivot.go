@@ -258,9 +258,8 @@ func (f *Federation) PredictAt(mdl Predictor, i int) (float64, error) {
 
 // PredictAll evaluates any model on every sample of the federation's
 // partitions through the batched prediction pipeline: one MPC round chain
-// per Config.PredictBatch samples (0 = the whole dataset in one batch)
-// instead of one per sample.  Malicious mode falls back to the audited
-// per-sample protocol.
+// per Config.PredictBatch samples (0 = the whole dataset in one batch, 1 =
+// the paper's per-sample schedule).
 func (f *Federation) PredictAll(mdl Predictor) ([]float64, error) {
 	return core.PredictAll(f.session, mdl, f.parts)
 }
