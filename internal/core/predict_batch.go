@@ -100,11 +100,11 @@ func boolToInt(b bool) int64 {
 // matrix makes one chunked hop per client (client m-1 encrypts its marks,
 // the clients between it and the super client apply theirs with one
 // scalarMulRerandVec over the whole matrix), the super client's leaf dot
-// products run as one batch, and leafPaths is computed once per tree rather
-// than once per (tree, sample) call.  Returns the encrypted predictions [k̄]
-// indexed [tree][sample] at the super client and nil at every other: Algorithm
-// 4 ends where the labels are, and both things done with [k̄] afterwards —
-// releasePacked and encToShares — start from the super client's copy.
+// products run as one batch, and leafPaths is computed once per tree.
+// Returns the encrypted predictions [k̄] indexed [tree][sample] at the super
+// client and nil at every other: Algorithm 4 ends where the labels are, and
+// both things done with [k̄] afterwards — releasePacked and encToShares —
+// start from the super client's copy.
 func (p *Party) predictBasicEncBatchTrees(trees []*Model, X [][]float64) ([][]*paillier.Ciphertext, error) {
 	B := len(X)
 	offs := make([]int, len(trees)+1)
@@ -267,7 +267,7 @@ func (p *Party) predictEnhancedBatch(sm *SharedModel, X [][]float64) ([]float64,
 	B := len(X)
 
 	// Feature inputs grouped by owner: one InputVec round for all of an
-	// owner's nodes × samples (vs Input per node per sample).
+	// owner's nodes × samples.
 	feat := make(map[int][]mpc.Share) // node index -> per-sample shares
 	nodesByOwner := make([][]int, p.M)
 	var hiddenIdx []int
