@@ -112,40 +112,13 @@ func (h HideLevel) String() string {
 	}
 }
 
-// TrainMode selects the schedule on which the one set of training kernels
-// (trainLevel and the functions it calls) visits a tree's nodes.
-type TrainMode int
-
-const (
-	// LevelWise (the default) trains breadth-first: all frontier nodes at a
-	// tree depth share one batched Paillier pass, one Algorithm-2 MPC
-	// conversion, one gain batch and one grouped oblivious argmax, so the
-	// synchronous MPC round cost scales with tree depth instead of node
-	// count.  It produces exactly the same tree as PerNode (same splits,
-	// same leaves) under fixed seeds.
-	LevelWise TrainMode = iota
-	// PerNode is the paper's Algorithm-3 schedule: depth-first, every node a
-	// frontier of one, so each pays its own conversion → gains → comparison
-	// → argmax round chain.  It is the equivalence-test reference, and the
-	// malicious (§9.1) and DP (§9.2) extensions always run on it because
-	// their proof and noise sub-protocols are specified per node.
-	PerNode
-)
-
-func (m TrainMode) String() string {
-	if m == PerNode {
-		return "per-node"
-	}
-	return "level-wise"
-}
-
 // PipelineMode gates the overlapped (pipelined) level-wise execution.
 type PipelineMode int
 
 const (
 	// PipelineAuto (the default) enables pipelining whenever the
-	// configuration supports it — packing enabled, the level-wise schedule
-	// (so neither malicious nor DP), no Checkpoint store — AND the transport
+	// configuration supports it — packing enabled, neither malicious nor
+	// DP, no Checkpoint store — AND the transport
 	// has real per-round cost (loopback TCP or simulated WAN latency).  On the
 	// ideal in-memory network a round costs one channel send, so the
 	// overlap's fixed overhead (per-lane dealer top-ups) would dominate;
@@ -227,25 +200,21 @@ type Config struct {
 	// NoPack disables ciphertext and opened-value packing: conversions fall
 	// back to one value per ciphertext (the per-value Algorithm-2 oracle)
 	// and the MPC engine opens one value per field element.  Malicious runs
-	// are always unpacked — the per-value proofs and MACs need per-value
-	// objects.  The packed and unpacked paths produce identical models
+	// pack their prediction releases too; only their engine openings and
+	// Algorithm-2 conversions stay per value, because the MACs and proofs
+	// are per value.  The packed and unpacked paths produce identical models
 	// (equivalence-tested); the knob exists for oracle comparisons and
 	// byte-accounting experiments.
 	NoPack bool
-
-	// TrainMode selects the level-wise schedule (default) or the paper's
-	// per-node one.  Malicious and DP runs always train per-node regardless
-	// of this setting (Config.perNode).
-	TrainMode TrainMode
 
 	// Pipeline gates the overlapped level-wise execution: local Paillier
 	// passes for the next phase start while the current phase's openings
 	// are on the wire, independent chains (leaf construction vs model
 	// update, random-forest trees) run concurrently on tag-multiplexed
 	// transport lanes, and the winner opening is issued early.  Default
-	// auto/on; NoPack, the per-node schedule (so malicious and DP too) and
-	// a non-nil Checkpoint fall back to the barrier path (under
-	// PipelineOn too), which stays the equivalence oracle.
+	// auto/on; NoPack, malicious, DP and a non-nil Checkpoint fall back to
+	// the barrier path (under PipelineOn too), which stays the equivalence
+	// oracle (Config.pipelineActive).
 	Pipeline PipelineMode
 
 	// PredictBatch caps how many samples PredictAll amortizes one MPC round
@@ -283,8 +252,9 @@ type Config struct {
 	// into the store, and ResumeSession rebuilds a crashed federation from
 	// the last checkpoint all parties committed (recovery.go).  Only the
 	// barrier-synchronous path checkpoints, so a non-nil store selects it
-	// on every transport and under every Pipeline setting; malicious and
-	// DP runs leave the store untouched.
+	// on every transport and under every Pipeline setting.  DP runs resume
+	// bit-identical (their noise is dealer material, which the snapshots
+	// capture); malicious sessions are refused with ErrNotRecoverable.
 	Checkpoint *CheckpointStore
 
 	// Chaos, when non-nil, wraps party ChaosParty's endpoint with the
@@ -342,22 +312,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// perNode reports whether trees are trained on Algorithm 3's schedule — one
-// node per round chain, depth-first — instead of one chain per level.  The
-// malicious (§9.1) and DP (§9.2) sub-protocols are specified per node, so
-// they always are.
-func (c Config) perNode() bool {
-	return c.TrainMode == PerNode || c.Malicious || c.DP != nil
-}
-
 // pipelineActive reports whether this configuration runs the overlapped
-// level-wise driver.  The variants without an overlapped implementation —
-// NoPack (the per-value Algorithm-2 oracle), the per-node schedule (a
-// frontier of one leaves nothing to overlap; malicious and DP with it) and
-// level checkpointing (a Checkpoint store: pipelined lanes have no level
-// barrier to snapshot at) — use the barrier path.  In Auto mode, so does the
-// zero-latency in-memory network, where rounds are nearly free and the
-// overlap's fixed overhead would cost more than it hides.
+// level-wise driver.  The variants without an overlapped implementation use
+// the barrier path:
+//   - NoPack, the per-value Algorithm-2 oracle;
+//   - level checkpointing (a Checkpoint store): pipelined lanes have no level
+//     barrier to snapshot at;
+//   - malicious (§9.1): the speculative-gamma pass broadcasts γ without its
+//     POPCM proofs, and a lane fork's openings never reach the main engine's
+//     CheckMACs;
+//   - DP (§9.2): the dealer serves lane material in arrival order, so noise
+//     drawn under overlap would not be a function of the seed.
+//
+// In Auto mode, so does the zero-latency in-memory network, where rounds are
+// nearly free and the overlap's fixed overhead would cost more than it hides.
 func (c Config) pipelineActive() bool {
 	if c.Pipeline == PipelineOff {
 		return false
@@ -365,7 +333,7 @@ func (c Config) pipelineActive() bool {
 	if c.Pipeline == PipelineAuto && !c.TCPLoopback && c.NetDelay == 0 && c.NetJitter == 0 {
 		return false
 	}
-	return !c.NoPack && c.Checkpoint == nil && !c.perNode()
+	return !c.NoPack && c.Checkpoint == nil && !c.Malicious && c.DP == nil
 }
 
 // mpcConfig derives the engine configuration.

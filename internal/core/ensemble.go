@@ -218,7 +218,7 @@ func (p *Party) squareChannels(encYs [][]*paillier.Ciphertext) ([][]*paillier.Ci
 // per-class loop.
 func (p *Party) trainBoostRound(encY [][]*paillier.Ciphertext) ([]*Model, [][][]*paillier.Ciphertext, error) {
 	c := len(encY)
-	if p.cfg.perNode() {
+	if p.perNode {
 		trees := make([]*Model, c)
 		las := make([][][]*paillier.Ciphertext, c)
 		for k := 0; k < c; k++ {

@@ -75,12 +75,8 @@ func TestMaliciousMatchesSemiHonestShape(t *testing.T) {
 	base := testConfig()
 	base.Tree.MaxDepth = 2
 	base.Tree.MaxSplits = 2
-	// Malicious mode always trains per-node (its proofs are per-node), so
-	// pin the semi-honest reference to the same driver: the node-by-node
-	// comparison below assumes matching model array order (level-wise
-	// appends breadth-first; the trees themselves are identical either way,
-	// see TestLevelwiseEquivalence*).
-	base.TrainMode = PerNode
+	// Both runs train on the level-wise schedule, so the node-by-node
+	// comparison below sees the same model array order.
 
 	_, _, semiModel := trainSession(t, ds, 2, base)
 

@@ -17,12 +17,12 @@ import (
 // comparison rounds are shared across nodes, and one model-update chain.
 //
 // The level-wise schedule (runLevels) hands it the whole frontier of a depth,
-// so a tree costs O(depth) round chains.  The paper's Algorithm 3 pays a full
-// conversion → gains → comparison → argmax chain per node; that is the same
-// kernels on a frontier of one, walked depth-first (walkDepthFirst), and it
-// is the schedule the malicious (§9.1) and DP (§9.2) extensions run on: their
-// proof and noise hooks sit inside the kernels as loops over whatever
-// frontier they are handed.
+// so a tree costs O(depth) round chains; every session, malicious (§9.1) and
+// DP (§9.2) included, trains on it — their proof and noise hooks sit inside
+// the kernels as loops over whatever frontier they are handed.  The paper's
+// Algorithm 3 pays a full conversion → gains → comparison → argmax chain per
+// node; that is the same kernels on a frontier of one, walked depth-first
+// (walkDepthFirst), kept as the TrainSpec{PerNode: true} oracle.
 //
 // The two schedules grow the same tree (same splits, same leaves under fixed
 // seeds): every MPC primitive used here is a deterministic function of its

@@ -16,12 +16,8 @@ import (
 
 func trainBothModes(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (perNode, levelWise *Model, perNodeStats, levelWiseStats RunStats) {
 	t.Helper()
-	cfgPN := cfg
-	cfgPN.TrainMode = PerNode
-	sPN, _, mPN := trainSession(t, ds, m, cfgPN)
-	cfgLW := cfg
-	cfgLW.TrainMode = LevelWise
-	sLW, _, mLW := trainSession(t, ds, m, cfgLW)
+	sPN, _, mPN := trainSessionSpec(t, ds, m, cfg, TrainSpec{PerNode: true})
+	sLW, _, mLW := trainSession(t, ds, m, cfg)
 	return mPN, mLW, sPN.Stats(), sLW.Stats()
 }
 
@@ -96,33 +92,25 @@ func TestLevelwiseGBDTEquivalence(t *testing.T) {
 	cfg.Tree.MaxDepth = 2
 	cfg.NumTrees = 2
 
-	trainGBDT := func(mode TrainMode) *BoostModel {
-		c := cfg
-		c.TrainMode = mode
+	trainGBDT := func(perNode bool) *BoostModel {
 		parts, err := dataset.VerticalPartition(ds, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSession(parts, c)
+		s, err := NewSession(parts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
-		var bm *BoostModel
-		if err := s.Each(func(p *Party) error {
-			m, err := p.TrainGBDT()
-			if p.ID == 0 && err == nil {
-				bm = m
-			}
-			return err
-		}); err != nil {
+		mdl, err := Train(s, TrainSpec{Model: KindGBDT, PerNode: perNode})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return bm
+		return mdl.(*BoostModel)
 	}
 
-	pn := trainGBDT(PerNode)
-	lw := trainGBDT(LevelWise)
+	pn := trainGBDT(true)
+	lw := trainGBDT(false)
 	if len(pn.Forests[0]) != len(lw.Forests[0]) {
 		t.Fatalf("tree count differs: %d vs %d", len(pn.Forests[0]), len(lw.Forests[0]))
 	}

@@ -42,7 +42,6 @@ func TestPackingEquivalenceGBDT(t *testing.T) {
 	cfg.NumTrees = 2
 	cfg.LearningRate = 0.5
 	cfg.Tree.MaxDepth = 2
-	cfg.TrainMode = LevelWise
 
 	train := func(noPack bool) *BoostModel {
 		c := cfg

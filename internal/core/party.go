@@ -72,6 +72,11 @@ type Party struct {
 	captureLeaves bool
 	leafAlphas    [][]*paillier.Ciphertext
 
+	// Set for the duration of a TrainSpec{PerNode: true} call: train on
+	// Algorithm 3's schedule — depth-first, one node per round chain — the
+	// equivalence oracle of the level-wise schedule.
+	perNode bool
+
 	// testCtChunk overrides ctChunk in tests (0 = derive from KeyBits), so
 	// the multi-frame chunked messaging paths can be exercised without
 	// gigabyte-scale vectors.

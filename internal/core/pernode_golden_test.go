@@ -35,6 +35,13 @@ import (
 // proven statistic per split fewer per node).  A script checked, entry by
 // entry, that trees, node order, predictions, MPC rounds and update rounds
 // equal the recorded ones before it rewrote those columns and nothing else.
+//
+// The recursion is reached through TrainSpec{PerNode: true}.  A second leg
+// trains every variant on the default level-wise schedule — malicious
+// included — and holds it to the recorded trees and predictions at fewer MPC
+// rounds; its node order is breadth-first, so Nodes is not compared.  DP
+// noise is drawn in a different order there, so the dp variant only has to
+// grow the same tree twice.
 
 // goldenVariant is one recorded configuration: 2 clients, 256-bit keys,
 // seed 1, trained on ds and evaluated on its own rows.
@@ -124,13 +131,13 @@ func predictorTrees(mdl Predictor) []*Model {
 
 func (v goldenVariant) config() Config {
 	cfg := testConfig()
-	cfg.TrainMode = PerNode
 	v.set(&cfg)
 	return cfg
 }
 
-// runGolden trains v on the per-node schedule and predicts its training rows.
-func runGolden(t *testing.T, v goldenVariant) goldenEntry {
+// runGolden trains v on the per-node oracle (or the default schedule) and
+// predicts its training rows.
+func runGolden(t *testing.T, v goldenVariant, perNode bool) goldenEntry {
 	t.Helper()
 	parts, err := dataset.VerticalPartition(v.ds(), 2, 0)
 	if err != nil {
@@ -141,7 +148,7 @@ func runGolden(t *testing.T, v goldenVariant) goldenEntry {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	mdl, err := Train(s, TrainSpec{Model: v.kind})
+	mdl, err := Train(s, TrainSpec{Model: v.kind, PerNode: perNode})
 	if err != nil {
 		t.Fatalf("%s: train: %v", v.name, err)
 	}
@@ -190,7 +197,7 @@ func TestPerNodeScheduleGolden(t *testing.T) {
 	}
 	var got []goldenEntry
 	for _, v := range goldenVariants {
-		g := runGolden(t, v)
+		g := runGolden(t, v, true)
 		got = append(got, g)
 		w, ok := want[v.name]
 		if !ok {
@@ -240,20 +247,43 @@ func TestPerNodeScheduleGolden(t *testing.T) {
 		out, _ := json.MarshalIndent(got, "", "  ")
 		t.Logf("this tree produces:\n%s", out)
 	}
+
+	for _, v := range goldenVariants {
+		g, w := runGolden(t, v, false), want[v.name]
+		t.Logf("%-24s level-wise rounds %d -> %d", v.name, w.MPCRounds, g.MPCRounds)
+		if v.config().DP != nil {
+			if again := runGolden(t, v, false); !reflect.DeepEqual(g.Outlines, again.Outlines) {
+				t.Errorf("%s level-wise: two runs grew different trees:\n%s\n%s", v.name, g.Outlines[0], again.Outlines[0])
+			}
+			continue
+		}
+		if !reflect.DeepEqual(g.Outlines, w.Outlines) {
+			t.Errorf("%s level-wise: trees differ from the recorded ones:\nrecorded:\n%s\ngot:\n%s",
+				v.name, strings.Join(w.Outlines, "\n"), strings.Join(g.Outlines, "\n"))
+		}
+		if !reflect.DeepEqual(g.Predictions, w.Predictions) {
+			t.Errorf("%s level-wise: predictions %v, recorded %v", v.name, g.Predictions, w.Predictions)
+		}
+		if g.MPCRounds >= w.MPCRounds {
+			t.Errorf("%s level-wise: %d MPC rounds, not below the recorded %d", v.name, g.MPCRounds, w.MPCRounds)
+		}
+	}
 }
 
 // TestDPDeterministic pins what lets a recorded DP entry exist at all, and
-// what the width-one schedule relies on: the §9.2 noise is a function of the
-// seed and the order the program draws it in, so two runs of one
-// configuration grow the same tree.
+// what both schedules rely on: the §9.2 noise is a function of the seed and
+// the order the program draws it in, so two runs of one configuration on one
+// schedule grow the same tree.
 func TestDPDeterministic(t *testing.T) {
 	for _, v := range goldenVariants {
 		if v.config().DP == nil {
 			continue
 		}
-		a, b := runGolden(t, v), runGolden(t, v)
-		if !reflect.DeepEqual(a.Outlines, b.Outlines) {
-			t.Errorf("%s: two runs grew different trees:\n%s\n%s", v.name, a.Outlines[0], b.Outlines[0])
+		for _, perNode := range []bool{true, false} {
+			a, b := runGolden(t, v, perNode), runGolden(t, v, perNode)
+			if !reflect.DeepEqual(a.Outlines, b.Outlines) {
+				t.Errorf("%s (per-node %v): two runs grew different trees:\n%s\n%s", v.name, perNode, a.Outlines[0], b.Outlines[0])
+			}
 		}
 	}
 }

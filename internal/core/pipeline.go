@@ -42,9 +42,10 @@ const maxRFLanes = 8
 // pipelined reports whether this party runs the overlapped driver: the
 // config must allow it AND the session must have wired tag-multiplexed
 // endpoints (a Party constructed over a bare endpoint — pivot-party's
-// distributed mesh, say — falls back to the barrier path gracefully).
+// distributed mesh, say — falls back to the barrier path gracefully).  The
+// per-node oracle stays barrier-ordered on every transport.
 func (p *Party) pipelined() bool {
-	return p.mux != nil && p.cfg.pipelineActive()
+	return p.mux != nil && !p.perNode && p.cfg.pipelineActive()
 }
 
 // lane forks this party onto lane slot (1..63): same identity, data and

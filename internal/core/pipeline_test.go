@@ -33,10 +33,9 @@ func TestPipelineActive(t *testing.T) {
 		{"tcp/checkpoint", func(c *Config) { c.TCPLoopback, c.Checkpoint = true, &CheckpointStore{} }, false},
 		{"delay/checkpoint", func(c *Config) { c.NetDelay, c.Checkpoint = time.Millisecond, &CheckpointStore{} }, false},
 		{"on/checkpoint", func(c *Config) { c.Pipeline, c.Checkpoint = PipelineOn, &CheckpointStore{} }, false},
-		{"on/malicious", func(c *Config) { c.Pipeline, c.Malicious = PipelineOn, true }, false},
-		{"on/dp", func(c *Config) { c.Pipeline, c.DP = PipelineOn, &DPConfig{Epsilon: 1} }, false},
+		{"tcp/malicious", func(c *Config) { c.TCPLoopback, c.Malicious = true, true }, false},
+		{"tcp/dp", func(c *Config) { c.TCPLoopback, c.DP = true, &DPConfig{Epsilon: 1} }, false},
 		{"on/nopack", func(c *Config) { c.Pipeline, c.NoPack = PipelineOn, true }, false},
-		{"on/per-node", func(c *Config) { c.Pipeline, c.TrainMode = PipelineOn, PerNode }, false},
 	} {
 		cfg := DefaultConfig()
 		tc.set(&cfg)
@@ -48,7 +47,6 @@ func TestPipelineActive(t *testing.T) {
 
 func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (on, off *Model) {
 	t.Helper()
-	cfg.TrainMode = LevelWise
 	cfgOn := cfg
 	cfgOn.Pipeline = PipelineOn
 	_, _, on = trainSession(t, ds, m, cfgOn)
@@ -137,7 +135,6 @@ func TestPipelineEquivalenceRF(t *testing.T) {
 	}
 	ds := smallClassification(40)
 	cfg := testConfig()
-	cfg.TrainMode = LevelWise
 	cfg.NumTrees = 3
 	cfgOn := cfg
 	cfgOn.Pipeline = PipelineOn
@@ -156,7 +153,6 @@ func TestPipelineEquivalenceGBDT(t *testing.T) {
 	}
 	ds := smallClassification(40)
 	cfg := testConfig()
-	cfg.TrainMode = LevelWise
 	cfg.NumTrees = 2
 
 	trainGBDT := func(mode PipelineMode) *BoostModel {
@@ -207,7 +203,6 @@ func TestPipelineOverlapFloor(t *testing.T) {
 	}
 	ds := smallClassification(40)
 	cfg := testConfig()
-	cfg.TrainMode = LevelWise
 	cfg.NumTrees = 2
 	cfg.NetDelay = 2 * time.Millisecond
 	parts, err := dataset.VerticalPartition(ds, 2, 0)

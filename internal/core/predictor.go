@@ -55,12 +55,18 @@ type Trainer interface {
 	train(p *Party) (Predictor, error)
 }
 
-// TrainSpec selects a model family to train; every protocol knob
+// TrainSpec selects a model family to train and, for oracle runs, the
+// schedule; every protocol knob
 // (hyper-parameters, ensemble size, protocol, hide level, …) comes from
 // the session's Config, exactly as with the typed Train* methods.
 type TrainSpec struct {
 	// Model picks the family; empty defaults to KindDT.
 	Model ModelKind
+	// PerNode trains on the paper's Algorithm-3 schedule — depth-first,
+	// one round chain per node, GBDT class trees one after another — on
+	// the barrier driver.  It grows the same trees as the default
+	// level-wise schedule at far more rounds: the equivalence oracle.
+	PerNode bool
 }
 
 // Kind implements Trainer.
@@ -72,6 +78,8 @@ func (t TrainSpec) Kind() ModelKind {
 }
 
 func (t TrainSpec) train(p *Party) (Predictor, error) {
+	p.perNode = t.PerNode
+	defer func() { p.perNode = false }()
 	switch t.Kind() {
 	case KindDT:
 		m, err := p.TrainDT()

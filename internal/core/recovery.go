@@ -29,13 +29,16 @@ import (
 // session MUST reuse it, or every checkpointed ciphertext becomes
 // undecryptable.
 //
-// What is NOT recoverable: malicious-mode sessions (the SPDZ MAC
-// transcript cannot be replayed — see mpc.EngineState), DP runs (their
-// noise draws are not checkpointed) — both train on the per-node schedule,
-// which has no level barrier to checkpoint at — and pipelined sessions
-// (lanes hold in-flight opens at level boundaries; the barrier driver is
-// the recoverable path and the checkpoint hooks no-op when pipelining is
-// active).
+// DP runs recover like any other: their Laplace and exponential-mechanism
+// noise is dealer material, so DealerCheckpoint + Snapshot capture it, and a
+// resumed run replays the same draws — the privacy-safe choice, since fresh
+// draws after a crash would answer the same queries a second time.
+//
+// What is NOT recoverable: malicious-mode sessions (the SPDZ MAC transcript
+// cannot be replayed — see mpc.EngineState; newSession refuses a store with
+// ErrNotRecoverable), the per-node oracle (it never reaches a level
+// barrier), and pipelined sessions (lanes hold in-flight opens at level
+// boundaries; a store selects the barrier driver instead).
 
 // trainKind tags which training driver produced a checkpoint.
 type trainKind int
@@ -244,8 +247,7 @@ func restoreTasks(snaps []*taskSnap) []*treeTask {
 // checkpointing reports whether this party takes level checkpoints: a
 // store must be wired (which already selects the barrier driver, see
 // Config.pipelineActive) and a driver must have armed its unit context.
-// Only runLevels asks, so the per-node schedule — and with it the
-// unrecoverable malicious and DP runs — never checkpoints.
+// Only runLevels asks, so the per-node oracle never checkpoints.
 func (p *Party) checkpointing() bool {
 	return p.ck != nil && p.rctx != nil
 }

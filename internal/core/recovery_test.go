@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -65,27 +66,31 @@ func crashAndResume(t *testing.T, parts []*dataset.Partition, cfg Config,
 
 // TestRecoveryEquivalenceDT pins the tentpole guarantee: a party crashed
 // mid-level and resumed from the last checkpoint produces a decision tree
-// bit-identical to the fault-free run.
+// bit-identical to the fault-free run.  A DP run replays the same noise
+// draws: they are dealer material, which the snapshots capture.
 func TestRecoveryEquivalenceDT(t *testing.T) {
-	cfg := recoveryCfg()
 	ds := dataset.SyntheticClassification(24, 4, 2, 2.0, 5)
 	parts, err := dataset.VerticalPartition(ds, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _, err := TrainDecisionTree(ds, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := crashAndResume(t, parts, cfg, 1, func(p *Party) error {
-		_, err := p.TrainDT()
-		return err
-	})
-	if res.Kind != "dt" || res.DT == nil {
-		t.Fatalf("recovered kind = %q", res.Kind)
-	}
-	if !reflect.DeepEqual(res.DT, oracle) {
-		t.Fatalf("recovered tree differs from fault-free oracle:\nrecovered: %+v\noracle:    %+v", res.DT, oracle)
+	for _, dp := range []*DPConfig{nil, {Epsilon: 4}} {
+		cfg := recoveryCfg()
+		cfg.DP = dp
+		oracle, _, err := TrainDecisionTree(ds, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := crashAndResume(t, parts, cfg, 1, func(p *Party) error {
+			_, err := p.TrainDT()
+			return err
+		})
+		if res.Kind != "dt" || res.DT == nil {
+			t.Fatalf("dp %v: recovered kind = %q", dp, res.Kind)
+		}
+		if !reflect.DeepEqual(res.DT, oracle) {
+			t.Fatalf("dp %v: recovered tree differs from fault-free oracle:\nrecovered: %+v\noracle:    %+v", dp, res.DT, oracle)
+		}
 	}
 }
 
@@ -271,5 +276,19 @@ func TestResumeSessionErrors(t *testing.T) {
 	cfg.Checkpoint = &CheckpointStore{}
 	if _, err := ResumeSession(parts, cfg); err == nil {
 		t.Fatal("ResumeSession without a committed checkpoint must fail")
+	}
+
+	// A malicious session cannot snapshot its MAC transcript, so a store is
+	// refused up front — before key generation, which would fill the store.
+	cfg.Malicious = true
+	if _, err := NewSession(parts, cfg); !errors.Is(err, ErrNotRecoverable) {
+		t.Fatalf("malicious NewSession with a store: %v, want ErrNotRecoverable", err)
+	}
+	if pk, _ := cfg.Checkpoint.keys(); pk != nil {
+		t.Fatal("the refused malicious session generated keys into the store")
+	}
+	cfg.Checkpoint.latest = &Checkpoint{parties: make([]*partySnap, 2)}
+	if _, err := ResumeSession(parts, cfg); !errors.Is(err, ErrNotRecoverable) {
+		t.Fatalf("malicious ResumeSession: %v, want ErrNotRecoverable", err)
 	}
 }

@@ -49,6 +49,11 @@ type Session struct {
 // Close has begun.
 var ErrSessionClosed = fmt.Errorf("core: session closed")
 
+// ErrNotRecoverable refuses, before any key generation, a Checkpoint store
+// on a malicious session: the SPDZ MAC transcript cannot be snapshotted
+// (mpc.EngineState), so the store could never be written.
+var ErrNotRecoverable = fmt.Errorf("core: malicious sessions cannot checkpoint")
+
 // NewSession builds the federation over vertical partitions (one per
 // client; partition i must have Client == i, labels only at client 0).
 func NewSession(parts []*dataset.Partition, cfg Config) (*Session, error) {
@@ -119,6 +124,9 @@ func newSession(parts []*dataset.Partition, cfg Config, resume *Checkpoint) (*Se
 	m := len(parts)
 	if m < 1 {
 		return nil, fmt.Errorf("core: need at least one client")
+	}
+	if cfg.Malicious && cfg.Checkpoint != nil {
+		return nil, ErrNotRecoverable
 	}
 	s := &Session{M: m, Cfg: cfg, widths: make([]int, m)}
 	for i, part := range parts {
@@ -241,9 +249,9 @@ func newSession(parts []*dataset.Partition, cfg Config, resume *Checkpoint) (*Se
 		}
 	}
 
-	// Fault-tolerance hooks: the checkpoint store (the per-party
-	// checkpointing() gate keeps pipelined/malicious/DP runs out) and the
-	// chaos injector's level marker on the faulty party.
+	// Fault-tolerance hooks: the checkpoint store (a store selects the
+	// barrier driver, and only runLevels checkpoints) and the chaos
+	// injector's level marker on the faulty party.
 	if cfg.Checkpoint != nil {
 		cfg.Checkpoint.beginAttempt()
 		for _, p := range s.parties {

@@ -38,7 +38,7 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 		},
 		{
 			name:   "enhanced per-node: [v] without [τ]",
-			set:    func(c *Config) { c.Protocol, c.TrainMode = Enhanced, PerNode },
+			set:    func(c *Config) { c.Protocol = Enhanced },
 			opened: []int64{1, 0},
 			hostile: func(p *Party, nd nodeData) error {
 				// Honest up to the private split selection ...

@@ -59,15 +59,13 @@ func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext
 	if encY != nil {
 		model.Classes = 0 // boosting rounds fit regression trees
 	}
-	// One set of kernels (trainLevel), two schedules: Algorithm 3's
-	// depth-first walk, one node per round chain, where the configuration
-	// asks for it or the malicious and DP extensions' per-node proof and
-	// noise sub-protocols require it; otherwise breadth-first, the whole
-	// frontier of a depth per chain (identical trees, far fewer synchronous
-	// MPC rounds).
+	// One set of kernels (trainLevel), two schedules: breadth-first, the
+	// whole frontier of a depth per chain, and the per-node oracle's
+	// Algorithm-3 walk, one node per chain (identical trees, far more
+	// synchronous MPC rounds).
 	task := &treeTask{model: model, capture: p.captureLeaves}
 	tasks, root := []*treeTask{task}, []frontierNode{{nd: nd, parent: -1}}
-	if p.cfg.perNode() {
+	if p.perNode {
 		err = p.walkDepthFirst(tasks, root, 0)
 	} else {
 		err = p.runLevels(tasks, root, 0)

@@ -24,6 +24,13 @@ func smallClassification(n int) *dataset.Dataset {
 
 func trainSession(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (*Session, []*dataset.Partition, *Model) {
 	t.Helper()
+	return trainSessionSpec(t, ds, m, cfg, TrainSpec{})
+}
+
+// trainSessionSpec is trainSession for a decision-tree TrainSpec (the
+// per-node oracle sets PerNode).
+func trainSessionSpec(t *testing.T, ds *dataset.Dataset, m int, cfg Config, spec TrainSpec) (*Session, []*dataset.Partition, *Model) {
+	t.Helper()
 	parts, err := dataset.VerticalPartition(ds, m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -33,18 +40,11 @@ func trainSession(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (*Sessio
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	models := make([]*Model, m)
-	err = s.Each(func(p *Party) error {
-		mod, err := p.TrainDT()
-		if err == nil {
-			models[p.ID] = mod
-		}
-		return err
-	})
+	mdl, err := Train(s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, parts, models[0]
+	return s, parts, mdl.(*Model)
 }
 
 func TestBasicClassificationMatchesPlainCART(t *testing.T) {

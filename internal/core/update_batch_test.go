@@ -10,7 +10,7 @@ import (
 // the EQZ ladders, share→ciphertext conversions and Eqn-10 products across
 // a whole level (and, for GBDT, across the class trees of a boosting round)
 // shares rounds but never changes values, so the rendered trees must be
-// bit-identical to the PerNode oracle's.
+// bit-identical to the per-node oracle's.
 
 func assertSameTree(t *testing.T, name string, got, want *Model) {
 	t.Helper()
@@ -86,25 +86,24 @@ func TestUpdateBatchEquivalenceHidden(t *testing.T) {
 	}
 }
 
-// trainEnsembleBothModes trains fn under PerNode and the (batched-update)
-// LevelWise pipeline and returns both results.
+// trainEnsembleBothModes trains fn on the per-node oracle and the
+// (batched-update) level-wise schedule and returns both results.
 func trainEnsembleBothModes[M any](t *testing.T, ds *dataset.Dataset, m int, cfg Config,
 	fn func(*Party) (M, error)) (perNode, levelWise M) {
 	t.Helper()
-	run := func(mode TrainMode) M {
-		c := cfg
-		c.TrainMode = mode
+	run := func(perNode bool) M {
 		parts, err := dataset.VerticalPartition(ds, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSession(parts, c)
+		s, err := NewSession(parts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
 		var out M
 		if err := s.Each(func(p *Party) error {
+			p.perNode = perNode
 			v, err := fn(p)
 			if p.ID == 0 && err == nil {
 				out = v
@@ -115,7 +114,7 @@ func trainEnsembleBothModes[M any](t *testing.T, ds *dataset.Dataset, m int, cfg
 		}
 		return out
 	}
-	return run(PerNode), run(LevelWise)
+	return run(true), run(false)
 }
 
 func TestUpdateBatchEquivalenceRF(t *testing.T) {
@@ -192,14 +191,12 @@ func TestUpdateBatchRoundFloor(t *testing.T) {
 	// under test is width-independence, not pruning.
 	cfg.Tree.LeafOnZeroGain = false
 
-	run := func(mode TrainMode) (*Model, RunStats) {
-		c := cfg
-		c.TrainMode = mode
-		s, _, m := trainSession(t, ds, 2, c)
+	run := func(perNode bool) (*Model, RunStats) {
+		s, _, m := trainSessionSpec(t, ds, 2, cfg, TrainSpec{PerNode: perNode})
 		return m, s.Stats()
 	}
-	mSeq, stSeq := run(PerNode)
-	mBat, stBat := run(LevelWise)
+	mSeq, stSeq := run(true)
+	mBat, stBat := run(false)
 	assertSameTree(t, "round-floor", mBat, mSeq)
 
 	internal := mBat.InternalNodes()

@@ -162,6 +162,11 @@ func synth(p Preset, m int) *dataset.Dataset {
 // ds and reports the model, the session's aggregate stats (bring-up
 // handshakes included) and the wall time of the training phase alone.
 func trainKind(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind) (core.Predictor, core.RunStats, float64, error) {
+	return trainSpec(ds, m, cfg, core.TrainSpec{Model: kind})
+}
+
+// trainSpec is trainKind for a full TrainSpec (the per-node oracle legs).
+func trainSpec(ds *dataset.Dataset, m int, cfg core.Config, spec core.TrainSpec) (core.Predictor, core.RunStats, float64, error) {
 	parts, err := dataset.VerticalPartition(ds, m, 0)
 	if err != nil {
 		return nil, core.RunStats{}, 0, err
@@ -172,7 +177,7 @@ func trainKind(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind)
 	}
 	defer s.Close()
 	start := time.Now()
-	mdl, err := core.Train(s, core.TrainSpec{Model: kind})
+	mdl, err := core.Train(s, spec)
 	secs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, core.RunStats{}, 0, err
@@ -180,15 +185,15 @@ func trainKind(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind)
 	return mdl, s.Stats(), secs, nil
 }
 
-// trainBestOfTwo is trainKind run twice, reporting the faster wall time to
+// trainBestOfTwo is trainSpec run twice, reporting the faster wall time to
 // damp scheduler noise; the model and the counters are deterministic under
 // the fixed seed, so the second run's serve.
-func trainBestOfTwo(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind) (core.Predictor, core.RunStats, float64, error) {
-	_, _, first, err := trainKind(ds, m, cfg, kind)
+func trainBestOfTwo(ds *dataset.Dataset, m int, cfg core.Config, spec core.TrainSpec) (core.Predictor, core.RunStats, float64, error) {
+	_, _, first, err := trainSpec(ds, m, cfg, spec)
 	if err != nil {
 		return nil, core.RunStats{}, 0, err
 	}
-	mdl, stats, second, err := trainKind(ds, m, cfg, kind)
+	mdl, stats, second, err := trainSpec(ds, m, cfg, spec)
 	return mdl, stats, min(first, second), err
 }
 

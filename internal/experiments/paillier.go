@@ -110,11 +110,11 @@ func paillierBaseline(p Preset) (*Baseline, error) {
 	ds := synth(pp, pp.M)
 	seedCfg := cfgFor(pp, core.Basic, 1) // one worker, and ...
 	seedCfg.PoolCapacity = -1            // ... no randomness pool
-	_, _, seedSecs, err := trainBestOfTwo(ds, pp.M, seedCfg, core.KindDT)
+	_, _, seedSecs, err := trainBestOfTwo(ds, pp.M, seedCfg, core.TrainSpec{Model: core.KindDT})
 	if err != nil {
 		return nil, err
 	}
-	_, _, accSecs, err := trainBestOfTwo(ds, pp.M, cfgFor(pp, core.Basic, cpus), core.KindDT) // all cores, pool enabled
+	_, _, accSecs, err := trainBestOfTwo(ds, pp.M, cfgFor(pp, core.Basic, cpus), core.TrainSpec{Model: core.KindDT}) // all cores, pool enabled
 	if err != nil {
 		return nil, err
 	}

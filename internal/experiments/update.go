@@ -10,12 +10,11 @@ import (
 // updateBenchCfg is the GBDT benchmark point: the paper's depth-4 trees
 // over four classes, fixed seed, basic protocol (ensembles release plain
 // trees, §7).
-func updateBenchCfg(p Preset, mode core.TrainMode) core.Config {
+func updateBenchCfg(p Preset) core.Config {
 	cfg := cfgFor(p, core.Basic, 0)
 	cfg.Tree.MaxDepth = 4
 	cfg.NumTrees = 2
 	cfg.LearningRate = 0.3
-	cfg.TrainMode = mode
 	// The timed legs run over the kernel loopback (real frames, real socket
 	// scheduling) so the batched pipeline's message reduction (msg_reduction)
 	// shows up as wall-clock, not just counters; the in-memory network
@@ -34,13 +33,13 @@ func updateBenchCfg(p Preset, mode core.TrainMode) core.Config {
 func updateBaseline(p Preset) (*Baseline, error) {
 	const classes = 4
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, classes, 2.0, 99)
-	benchCfg := updateBenchCfg(p, core.LevelWise)
+	benchCfg := updateBenchCfg(p)
 	kappa := benchCfg.Kappa
 	if kappa == 0 {
 		kappa = 40 // DefaultConfig's value, applied by withDefaults
 	}
 
-	pnModel, pn, pnSecs, err := trainKind(ds, p.M, updateBenchCfg(p, core.PerNode), core.KindGBDT)
+	pnModel, pn, pnSecs, err := trainSpec(ds, p.M, benchCfg, core.TrainSpec{Model: core.KindGBDT, PerNode: true})
 	if err != nil {
 		return nil, fmt.Errorf("per-node run: %w", err)
 	}
@@ -53,21 +52,20 @@ func updateBaseline(p Preset) (*Baseline, error) {
 	// conversions, Eqn-10), where the frontier-wide batching shows up
 	// undiluted by the shared gain/argmax chains.
 	enhDS := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
-	enh := func(mode core.TrainMode) (core.Predictor, core.RunStats, error) {
+	enh := func(perNode bool) (core.Predictor, core.RunStats, error) {
 		cfg := cfgFor(p, core.Enhanced, 0)
 		cfg.Tree.MaxDepth = 3
 		// A full-width frontier (no zero-gain pruning) exposes the
 		// per-level vs per-node round structure undamped.
 		cfg.Tree.LeafOnZeroGain = false
-		cfg.TrainMode = mode
-		model, stats, _, err := trainKind(enhDS, p.M, cfg, core.KindDT)
+		model, stats, _, err := trainSpec(enhDS, p.M, cfg, core.TrainSpec{PerNode: perNode})
 		return model, stats, err
 	}
-	enhPNModel, enhPN, err := enh(core.PerNode)
+	enhPNModel, enhPN, err := enh(true)
 	if err != nil {
 		return nil, fmt.Errorf("enhanced per-node run: %w", err)
 	}
-	enhBatModel, enhBat, err := enh(core.LevelWise)
+	enhBatModel, enhBat, err := enh(false)
 	if err != nil {
 		return nil, fmt.Errorf("enhanced level-wise run: %w", err)
 	}

@@ -59,9 +59,6 @@ type (
 	HideLevel = core.HideLevel
 	// SplitCriterion selects gini or entropy classification gains.
 	SplitCriterion = core.SplitCriterion
-	// TrainMode selects the level-wise training schedule or the paper's
-	// per-node one.
-	TrainMode = core.TrainMode
 	// Predictor is any trained model a federation can evaluate: *Model,
 	// *ForestModel and *BoostModel all satisfy it.
 	Predictor = core.Predictor
@@ -100,12 +97,6 @@ const (
 	Gini      = core.Gini
 	Entropy   = core.Entropy
 	GainRatio = core.GainRatio
-)
-
-// Training pipelines.
-const (
-	LevelWise = core.LevelWise
-	PerNode   = core.PerNode
 )
 
 // DefaultConfig returns the paper's protocol parameters at laptop scale.
