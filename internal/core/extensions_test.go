@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,6 +96,29 @@ func TestMaliciousMatchesSemiHonestShape(t *testing.T) {
 		if a.Leaf != b.Leaf || (!a.Leaf && (a.Owner != b.Owner || a.Feature != b.Feature)) {
 			t.Fatalf("node %d structure differs: %+v vs %+v", i, a, b)
 		}
+	}
+}
+
+// TestMaliciousGBDTClassification trains GBDT classification with the §9.1
+// extension on.  A boosting round's class trees share one level-wise
+// frontier, so the commitment phase and the final MAC check have to wrap
+// that call as they wrap a single tree's; the proofs change no value, so
+// the trees and predictions are the semi-honest run's.
+func TestMaliciousGBDTClassification(t *testing.T) {
+	ds := func() *dataset.Dataset { return dataset.SyntheticClassification(16, 4, 2, 3.0, 3) }
+	semi := goldenVariant{"gbdt-classification", KindGBDT, ds, goldenEnsemble}
+	mal := semi
+	mal.name, mal.set = "malicious gbdt-classification", func(c *Config) {
+		goldenEnsemble(c)
+		c.Malicious = true
+	}
+	want, got := runGolden(t, semi, false), runGolden(t, mal, false)
+	if !reflect.DeepEqual(got.Outlines, want.Outlines) {
+		t.Errorf("malicious trees differ from the semi-honest ones:\n%s\n---\n%s",
+			strings.Join(got.Outlines, "\n"), strings.Join(want.Outlines, "\n"))
+	}
+	if !reflect.DeepEqual(got.Predictions, want.Predictions) {
+		t.Errorf("malicious predictions %v, semi-honest %v", got.Predictions, want.Predictions)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,33 @@ func TestPipelineActive(t *testing.T) {
 		if got := cfg.pipelineActive(); got != tc.want {
 			t.Errorf("%s: pipelineActive() = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+
+	// The per-node oracle is chosen per call, not by Config: a session that
+	// overlaps by default still runs TrainSpec{PerNode: true} on the barrier
+	// driver.
+	parts, err := dataset.VerticalPartition(smallClassification(8), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.TCPLoopback, cfg.Pipeline = true, PipelineOn
+	s, err := NewSession(parts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Each(func(p *Party) error {
+		defer func() { p.perNode = false }()
+		for _, perNode := range []bool{false, true} {
+			p.perNode = perNode
+			if got := p.pipelined(); got == perNode {
+				return fmt.Errorf("tcp/on, per-node %v: pipelined() = %v", perNode, got)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Error(err)
 	}
 }
 

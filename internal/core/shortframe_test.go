@@ -37,7 +37,7 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 			got: 0, want: 1,
 		},
 		{
-			name:   "enhanced per-node: [v] without [τ]",
+			name:   "enhanced: [v] without [τ]",
 			set:    func(c *Config) { c.Protocol = Enhanced },
 			opened: []int64{1, 0},
 			hostile: func(p *Party, nd nodeData) error {

@@ -30,56 +30,19 @@ func (p *Party) TrainDT() (*Model, error) {
 // bootstrap multiplicities for RF; encY/encY2 (optional) switch on
 // encrypted-label mode for GBDT boosting rounds.
 func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext) (*Model, error) {
-	start := time.Now()
-	defer func() {
-		p.Stats.Wall += time.Since(start)
-		p.gatherStats()
-	}()
-	if p.audit != nil {
-		if err := p.audit.commitTraining(p.labelVectors()); err != nil {
-			return nil, p.errf("commitment phase: %w", err)
-		}
-	}
-	var alpha []*paillier.Ciphertext
-	err := timed(&p.Stats.Phases.LocalComputation, func() error {
-		var err error
-		alpha, err = p.initialAlpha(rootCounts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	nd := nodeData{alpha: alpha}
-	if encY != nil {
-		// Encrypted-label mode: γ channels start as the (already masked by
-		// all-ones α) encrypted label and squared-label vectors.
-		nd.gch = [][]*paillier.Ciphertext{encY, encY2}
-	}
 	model := &Model{Classes: p.part.Classes, Protocol: p.cfg.Protocol, Hide: p.cfg.Hide}
+	root := frontierNode{parent: -1}
 	if encY != nil {
 		model.Classes = 0 // boosting rounds fit regression trees
+		// Encrypted-label mode: γ channels start as the (already masked by
+		// all-ones α) encrypted label and squared-label vectors.
+		root.nd.gch = [][]*paillier.Ciphertext{encY, encY2}
 	}
-	// One set of kernels (trainLevel), two schedules: breadth-first, the
-	// whole frontier of a depth per chain, and the per-node oracle's
-	// Algorithm-3 walk, one node per chain (identical trees, far more
-	// synchronous MPC rounds).
 	task := &treeTask{model: model, capture: p.captureLeaves}
-	tasks, root := []*treeTask{task}, []frontierNode{{nd: nd, parent: -1}}
-	if p.perNode {
-		err = p.walkDepthFirst(tasks, root, 0)
-	} else {
-		err = p.runLevels(tasks, root, 0)
-	}
-	if err != nil {
+	if err := p.growTrees([]*treeTask{task}, []frontierNode{root}, rootCounts); err != nil {
 		return nil, err
 	}
 	p.leafAlphas = append(p.leafAlphas, task.leafAlphas...)
-	if p.cfg.Malicious {
-		if err := p.eng.CheckMACs(); err != nil {
-			return nil, p.errf("MAC check: %v", err)
-		}
-	}
-	p.Stats.TreesTrained++
 	return model, nil
 }
 
@@ -90,20 +53,6 @@ func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext
 // set of class trees.  It returns the models and each tree's captured leaf
 // mask vectors, exactly as sequential trainTree calls would.
 func (p *Party) trainTreesShared(encYs, encY2s [][]*paillier.Ciphertext) ([]*Model, [][][]*paillier.Ciphertext, error) {
-	start := time.Now()
-	defer func() {
-		p.Stats.Wall += time.Since(start)
-		p.gatherStats()
-	}()
-	var alpha []*paillier.Ciphertext
-	err := timed(&p.Stats.Phases.LocalComputation, func() error {
-		var err error
-		alpha, err = p.initialAlpha(nil)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
 	tasks := make([]*treeTask, len(encYs))
 	roots := make([]frontierNode, len(encYs))
 	for k := range encYs {
@@ -112,11 +61,11 @@ func (p *Party) trainTreesShared(encYs, encY2s [][]*paillier.Ciphertext) ([]*Mod
 			capture: true,
 		}
 		roots[k] = frontierNode{
-			nd:   nodeData{alpha: alpha, gch: [][]*paillier.Ciphertext{encYs[k], encY2s[k]}},
+			nd:   nodeData{gch: [][]*paillier.Ciphertext{encYs[k], encY2s[k]}},
 			tree: k, parent: -1,
 		}
 	}
-	if err := p.runLevels(tasks, roots, 0); err != nil {
+	if err := p.growTrees(tasks, roots, nil); err != nil {
 		return nil, nil, err
 	}
 	models := make([]*Model, len(tasks))
@@ -125,8 +74,53 @@ func (p *Party) trainTreesShared(encYs, encY2s [][]*paillier.Ciphertext) ([]*Mod
 		models[k] = task.model
 		las[k] = task.leafAlphas
 	}
-	p.Stats.TreesTrained += len(tasks)
 	return models, las, nil
+}
+
+// growTrees is the body every training call shares: the §9.1 commitment
+// phase, the root mask vector (copied into every root), the chosen schedule
+// over the roots, and the final MAC check.  One set of kernels (trainLevel),
+// two schedules: breadth-first, the whole frontier of a depth per chain, and
+// the per-node oracle's Algorithm-3 walk, one node per chain (identical
+// trees, far more synchronous MPC rounds).
+func (p *Party) growTrees(tasks []*treeTask, roots []frontierNode, rootCounts []int64) error {
+	start := time.Now()
+	defer func() {
+		p.Stats.Wall += time.Since(start)
+		p.gatherStats()
+	}()
+	if p.audit != nil {
+		if err := p.audit.commitTraining(p.labelVectors()); err != nil {
+			return p.errf("commitment phase: %w", err)
+		}
+	}
+	var alpha []*paillier.Ciphertext
+	err := timed(&p.Stats.Phases.LocalComputation, func() error {
+		var err error
+		alpha, err = p.initialAlpha(rootCounts)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for i := range roots {
+		roots[i].nd.alpha = alpha
+	}
+	if p.perNode {
+		err = p.walkDepthFirst(tasks, roots, 0)
+	} else {
+		err = p.runLevels(tasks, roots, 0)
+	}
+	if err != nil {
+		return err
+	}
+	if p.cfg.Malicious {
+		if err := p.eng.CheckMACs(); err != nil {
+			return p.errf("MAC check: %v", err)
+		}
+	}
+	p.Stats.TreesTrained += len(tasks)
+	return nil
 }
 
 // labelVectors builds the vectors the super client commits to in malicious
