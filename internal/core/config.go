@@ -112,39 +112,6 @@ func (h HideLevel) String() string {
 	}
 }
 
-// PipelineMode gates the overlapped (pipelined) level-wise execution.
-type PipelineMode int
-
-const (
-	// PipelineAuto (the default) enables pipelining whenever the
-	// configuration supports it — packing enabled, neither malicious nor
-	// DP, no Checkpoint store — AND the transport
-	// has real per-round cost (loopback TCP or simulated WAN latency).  On the
-	// ideal in-memory network a round costs one channel send, so the
-	// overlap's fixed overhead (per-lane dealer top-ups) would dominate;
-	// Auto keeps the barrier driver there.  Anything unsupported falls
-	// back to the barrier-synchronous driver, which stays the equivalence
-	// oracle.
-	PipelineAuto PipelineMode = iota
-	// PipelineOff forces the barrier-synchronous path.
-	PipelineOff
-	// PipelineOn requests the overlapped driver on any transport,
-	// including the in-memory network; it still falls back when the
-	// protocol variant has no overlapped implementation.
-	PipelineOn
-)
-
-func (p PipelineMode) String() string {
-	switch p {
-	case PipelineOff:
-		return "off"
-	case PipelineOn:
-		return "on"
-	default:
-		return "auto"
-	}
-}
-
 // DPConfig enables differentially private training (§9.2).
 type DPConfig struct {
 	// Epsilon is the per-query budget ε; the whole run satisfies
@@ -207,16 +174,6 @@ type Config struct {
 	// byte-accounting experiments.
 	NoPack bool
 
-	// Pipeline gates the overlapped level-wise execution: local Paillier
-	// passes for the next phase start while the current phase's openings
-	// are on the wire, independent chains (leaf construction vs model
-	// update, random-forest trees) run concurrently on tag-multiplexed
-	// transport lanes, and the winner opening is issued early.  Default
-	// auto/on; NoPack, malicious, DP and a non-nil Checkpoint fall back to
-	// the barrier path (under PipelineOn too), which stays the equivalence
-	// oracle (Config.pipelineActive).
-	Pipeline PipelineMode
-
 	// PredictBatch caps how many samples PredictAll amortizes one MPC round
 	// chain over: 0 = the whole dataset in one batch, 1 = the paper's
 	// per-sample schedule.  Every window runs the same prediction body.
@@ -234,9 +191,9 @@ type Config struct {
 	// 127.0.0.1 (transport.NewLoopbackTCPNetwork) instead of the in-memory
 	// channel network.  Messages then pay genuine framing, serialization
 	// and kernel socket costs, so per-message overhead is represented in
-	// wall-clock measurements — the update benchmark enables this for its
-	// timed legs.  Mutually composable with NetDelay (the latency wrapper
-	// stacks on top).
+	// wall-clock measurements.  Composable with NetDelay (the latency
+	// wrapper stacks on top).  Either one gives rounds a real cost, which
+	// selects the pipelined driver (Config.pipelineActive).
 	TCPLoopback bool
 
 	// Ensemble parameters (§7).
@@ -250,9 +207,9 @@ type Config struct {
 	// Checkpoint, when non-nil, enables phase-boundary crash recovery: at
 	// every completed tree level each party snapshots its recoverable state
 	// into the store, and ResumeSession rebuilds a crashed federation from
-	// the last checkpoint all parties committed (recovery.go).  Only the
-	// barrier-synchronous path checkpoints, so a non-nil store selects it
-	// on every transport and under every Pipeline setting.  DP runs resume
+	// the last checkpoint all parties committed (recovery.go).  Both drivers
+	// checkpoint at the level join; under a store, random-forest trees train
+	// one after another instead of on concurrent lanes.  DP runs resume
 	// bit-identical (their noise is dealer material, which the snapshots
 	// capture); malicious sessions are refused with ErrNotRecoverable.
 	Checkpoint *CheckpointStore
@@ -313,27 +270,20 @@ func (c Config) withDefaults() Config {
 }
 
 // pipelineActive reports whether this configuration runs the overlapped
-// level-wise driver.  The variants without an overlapped implementation use
-// the barrier path:
+// level-wise driver (pipeline.go): only when rounds cost real time (loopback
+// TCP or a simulated WAN delay).  On the in-memory network a round is one
+// channel send and the per-lane dealer top-ups would exceed what the overlap
+// hides, so the same Config there is the barrier oracle.  The variants
+// without an overlapped implementation stay barrier on every transport:
 //   - NoPack, the per-value Algorithm-2 oracle;
-//   - level checkpointing (a Checkpoint store): pipelined lanes have no level
-//     barrier to snapshot at;
 //   - malicious (§9.1): the speculative-gamma pass broadcasts γ without its
 //     POPCM proofs, and a lane fork's openings never reach the main engine's
 //     CheckMACs;
 //   - DP (§9.2): the dealer serves lane material in arrival order, so noise
 //     drawn under overlap would not be a function of the seed.
-//
-// In Auto mode, so does the zero-latency in-memory network, where rounds are
-// nearly free and the overlap's fixed overhead would cost more than it hides.
 func (c Config) pipelineActive() bool {
-	if c.Pipeline == PipelineOff {
-		return false
-	}
-	if c.Pipeline == PipelineAuto && !c.TCPLoopback && c.NetDelay == 0 && c.NetJitter == 0 {
-		return false
-	}
-	return !c.NoPack && c.Checkpoint == nil && !c.Malicious && c.DP == nil
+	realRounds := c.TCPLoopback || c.NetDelay > 0 || c.NetJitter > 0
+	return realRounds && !c.NoPack && !c.Malicious && c.DP == nil
 }
 
 // mpcConfig derives the engine configuration.

@@ -30,14 +30,16 @@ type BoostModel struct {
 // TrainRF trains cfg.NumTrees independent trees on public bootstrap
 // resamples (§7.1: "each tree can be built ... and released separately").
 // The bootstrap multiplicities are drawn from a PRG seeded by the shared
-// session seed, so every client derives the same public counts.
+// session seed, so every client derives the same public counts.  Under a
+// checkpoint store the trees train in turn, not on concurrent lanes: those
+// share no level join to snapshot at.
 func (p *Party) TrainRF() (*ForestModel, error) {
 	if p.cfg.Protocol != Basic {
 		// §7: "we assume that all the trees can be released in plaintext";
 		// the round-robin ensemble prediction needs the public model.
 		return nil, p.errf("ensemble training requires the basic protocol (paper §7)")
 	}
-	if p.pipelined() && p.cfg.NumTrees > 1 {
+	if p.pipelined() && p.ck == nil && p.cfg.NumTrees > 1 {
 		return p.trainRFPipelined()
 	}
 	fm := &ForestModel{Classes: p.part.Classes}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"repro/internal/paillier"
 )
@@ -232,5 +234,48 @@ func decodeModel(in modelJSON) (*Model, error) {
 		}
 		m.Nodes = append(m.Nodes, n)
 	}
+	if err := m.checkShape(); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+// ErrBadModel is returned (wrapped, with the reason) for a model file whose
+// node graph is not a tree this package writes.
+var ErrBadModel = errors.New("core: bad model")
+
+// checkShape refuses a node graph no trainer writes.  Every writer appends a
+// node before its children (breadth-first training, the preorder oracle; the
+// incremental update clones a trained structure), so a child's index exceeds
+// its parent's, and with one parent per non-root node every walk from the
+// root terminates.  Each leaf owns a distinct LeafPos below Leaves, which
+// counts the leaves; an Owner or Feature of −1 is concealed.
+func (m *Model) checkShape() error {
+	n := len(m.Nodes)
+	parented := make([]bool, n)
+	posTaken := make([]bool, n)
+	leaves := 0
+	for i, nd := range m.Nodes {
+		switch {
+		case nd.Owner < -1 || nd.Feature < -1:
+			return fmt.Errorf("%w: node %d: owner %d, feature %d", ErrBadModel, i, nd.Owner, nd.Feature)
+		case nd.Leaf:
+			if nd.LeafPos < 0 || nd.LeafPos >= min(m.Leaves, n) || posTaken[nd.LeafPos] {
+				return fmt.Errorf("%w: node %d: leaf_pos %d out of range or repeated", ErrBadModel, i, nd.LeafPos)
+			}
+			posTaken[nd.LeafPos] = true
+			leaves++
+		default:
+			for _, c := range []int{nd.Left, nd.Right} {
+				if c <= i || c >= n || parented[c] {
+					return fmt.Errorf("%w: node %d: child %d not after it, out of range or shared", ErrBadModel, i, c)
+				}
+				parented[c] = true
+			}
+		}
+	}
+	if n == 0 || leaves != m.Leaves || slices.Contains(parented[1:], false) {
+		return fmt.Errorf("%w: %d nodes, %d of them leaves (leaves = %d), or a node without a parent", ErrBadModel, n, leaves, m.Leaves)
+	}
+	return nil
 }

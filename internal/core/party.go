@@ -29,12 +29,12 @@ type Party struct {
 	pk  *paillier.PublicKey
 	key *paillier.PartialKey
 
-	// mux is the tag-multiplexed view of the endpoint when the session
-	// wired one up (pipelined mode); nil otherwise.  laneTag is this
-	// party-context's own lane (0 for the root context); child lanes get
-	// tags from the deterministic laneTag*64+slot scheme, so every party
-	// derives the same tag for the same SPMD fork point.
-	mux     *transport.TagMux
+	// mux is the lane-routing view of the endpoint when the session wired a
+	// tag mux (pipelined mode, possibly under a chaos wrapper); nil
+	// otherwise.  laneTag is this party-context's own lane (0 for the root
+	// context); child lanes get tags from the deterministic laneTag*64+slot
+	// scheme, so every party derives the same tag for the same SPMD fork.
+	mux     transport.TaggedEndpoint
 	laneTag uint32
 
 	part *dataset.Partition
@@ -107,7 +107,7 @@ func NewParty(ep transport.Endpoint, part *dataset.Partition, pk *paillier.Publi
 		cod: fixed.New(cfg.F),
 		w:   cfg.widths(part.N),
 	}
-	if mux, ok := ep.(*transport.TagMux); ok {
+	if mux, ok := ep.(transport.TaggedEndpoint); ok {
 		p.mux = mux
 	}
 	if cfg.Malicious {

@@ -12,9 +12,10 @@ import (
 // independent round chains with in-flight MPC rounds, instead of letting
 // every party idle while level d's openings are on the wire.
 //
-// Three overlaps are implemented, all gated by Config.Pipeline and all
-// bit-identical to the barrier driver (masks and Beaver triples cancel, so
-// reordering independent work never changes a decrypted or opened value):
+// Three overlaps are implemented, all run wherever Config.pipelineActive
+// holds and all bit-identical to the barrier driver (masks and Beaver
+// triples cancel, so reordering independent work never changes a decrypted
+// or opened value):
 //
 //  1. Speculative gammas: at the super client, the next phase's masked
 //     label channels for the WHOLE frontier are computed in a background
@@ -28,7 +29,7 @@ import (
 //     itself issued before the leaf fork and awaited after (issue/await).
 //  3. Random-forest tree lanes: independent bootstrap trees train
 //     concurrently, one round chain per lane, instead of strictly
-//     sequentially (TrainRF's loop).
+//     sequentially (TrainRF's loop), except under a checkpoint store.
 //
 // Lanes are SPMD like everything else: every party derives the same lane
 // tag at the same fork point (parent*64+slot), so the tag-multiplexed
@@ -53,16 +54,16 @@ func (p *Party) pipelined() bool {
 // with fresh counters.  The caller must join() the lane after its
 // goroutine retires.  Party protocol methods route all messaging through
 // p.ep/p.eng, so the fork can run any whole chain — up to a full tree —
-// concurrently with the parent.
+// concurrently with the parent.  Only the parent checkpoints and ticks the
+// chaos level marker.
 func (p *Party) lane(slot uint32) *Party {
 	tag := p.laneTag*64 + slot
-	lp := *p
+	lp := p.forkLocal()
 	lp.ep = p.mux.Lane(tag)
 	lp.eng = p.eng.Fork(lp.ep, tag)
 	lp.laneTag = tag
-	lp.Stats = RunStats{}
-	lp.leafAlphas = nil
-	return &lp
+	lp.ck, lp.rctx, lp.onLevel = nil, nil, nil
+	return lp
 }
 
 // forkLocal clones the party for communication-free background work (the

@@ -11,49 +11,55 @@ import (
 
 // The pipelined driver must be bit-identical to the barrier driver: masks
 // and triples cancel, so overlapping independent round chains can change
-// scheduling and ciphertext randomness but never a decrypted value.  Each
-// equivalence test trains the same fixed-seed workload with Pipeline on
-// and off and compares the rendered models.
+// scheduling and ciphertext randomness but never a decrypted value.  The
+// transport picks the driver, so each equivalence test trains the same
+// fixed-seed workload on the memory network (barrier) and over loopback TCP
+// (overlapped) and compares the rendered models.
 
 // TestPipelineActive pins which configurations select the overlapped
-// driver: Auto needs a transport with real per-round cost, and every
-// variant without an overlapped implementation — a checkpoint store among
-// them — gets the barrier driver even under PipelineOn.
+// driver: a transport with real per-round cost, and a protocol variant with
+// an overlapped implementation.  A checkpoint store does not change it.
 func TestPipelineActive(t *testing.T) {
-	for _, tc := range []struct {
+	transports := []struct {
 		name string
 		set  func(*Config)
-		want bool
 	}{
-		{"memory", func(c *Config) {}, false},
-		{"tcp", func(c *Config) { c.TCPLoopback = true }, true},
-		{"delay", func(c *Config) { c.NetDelay = time.Millisecond }, true},
-		{"jitter", func(c *Config) { c.NetJitter = time.Millisecond }, true},
-		{"memory/on", func(c *Config) { c.Pipeline = PipelineOn }, true},
-		{"tcp/off", func(c *Config) { c.TCPLoopback, c.Pipeline = true, PipelineOff }, false},
-		{"tcp/checkpoint", func(c *Config) { c.TCPLoopback, c.Checkpoint = true, &CheckpointStore{} }, false},
-		{"delay/checkpoint", func(c *Config) { c.NetDelay, c.Checkpoint = time.Millisecond, &CheckpointStore{} }, false},
-		{"on/checkpoint", func(c *Config) { c.Pipeline, c.Checkpoint = PipelineOn, &CheckpointStore{} }, false},
-		{"tcp/malicious", func(c *Config) { c.TCPLoopback, c.Malicious = true, true }, false},
-		{"tcp/dp", func(c *Config) { c.TCPLoopback, c.DP = true, &DPConfig{Epsilon: 1} }, false},
-		{"on/nopack", func(c *Config) { c.Pipeline, c.NoPack = PipelineOn, true }, false},
-	} {
-		cfg := DefaultConfig()
-		tc.set(&cfg)
-		if got := cfg.pipelineActive(); got != tc.want {
-			t.Errorf("%s: pipelineActive() = %v, want %v", tc.name, got, tc.want)
+		{"memory", func(c *Config) {}},
+		{"tcp", func(c *Config) { c.TCPLoopback = true }},
+		{"delay", func(c *Config) { c.NetDelay = time.Millisecond }},
+		{"jitter", func(c *Config) { c.NetJitter = time.Millisecond }},
+	}
+	variants := []struct {
+		name     string
+		set      func(*Config)
+		overlaps bool
+	}{
+		{"plain", func(c *Config) {}, true},
+		{"malicious", func(c *Config) { c.Malicious = true }, false},
+		{"dp", func(c *Config) { c.DP = &DPConfig{Epsilon: 1} }, false},
+		{"nopack", func(c *Config) { c.NoPack = true }, false},
+		{"store", func(c *Config) { c.Checkpoint = &CheckpointStore{} }, true},
+	}
+	for i, tr := range transports {
+		for _, v := range variants {
+			cfg := DefaultConfig()
+			tr.set(&cfg)
+			v.set(&cfg)
+			want := i > 0 && v.overlaps
+			if got := cfg.pipelineActive(); got != want {
+				t.Errorf("%s/%s: pipelineActive() = %v, want %v", tr.name, v.name, got, want)
+			}
 		}
 	}
 
 	// The per-node oracle is chosen per call, not by Config: a session that
-	// overlaps by default still runs TrainSpec{PerNode: true} on the barrier
-	// driver.
+	// overlaps still runs TrainSpec{PerNode: true} on the barrier driver.
 	parts, err := dataset.VerticalPartition(smallClassification(8), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.TCPLoopback, cfg.Pipeline = true, PipelineOn
+	cfg.TCPLoopback = true
 	s, err := NewSession(parts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,63 +70,12 @@ func TestPipelineActive(t *testing.T) {
 		for _, perNode := range []bool{false, true} {
 			p.perNode = perNode
 			if got := p.pipelined(); got == perNode {
-				return fmt.Errorf("tcp/on, per-node %v: pipelined() = %v", perNode, got)
+				return fmt.Errorf("tcp, per-node %v: pipelined() = %v", perNode, got)
 			}
 		}
 		return nil
 	}); err != nil {
 		t.Error(err)
-	}
-}
-
-func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (on, off *Model) {
-	t.Helper()
-	cfgOn := cfg
-	cfgOn.Pipeline = PipelineOn
-	_, _, on = trainSession(t, ds, m, cfgOn)
-	cfgOff := cfg
-	cfgOff.Pipeline = PipelineOff
-	_, _, off = trainSession(t, ds, m, cfgOff)
-	return on, off
-}
-
-func TestPipelineEquivalenceDT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow protocol run")
-	}
-	on, off := trainPipelineBoth(t, smallClassification(40), 2, testConfig())
-	if on.String() != off.String() {
-		t.Fatalf("pipelined tree differs from barrier tree:\nbarrier:\n%s\npipelined:\n%s", off, on)
-	}
-	if off.InternalNodes() == 0 {
-		t.Fatal("degenerate comparison: barrier tree did not split")
-	}
-}
-
-func TestPipelineEquivalenceEnhanced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow protocol run")
-	}
-	cfg := testConfig()
-	cfg.Protocol = Enhanced
-	on, off := trainPipelineBoth(t, smallClassification(40), 2, cfg)
-	if on.String() != off.String() {
-		t.Fatalf("pipelined enhanced tree differs from barrier tree:\nbarrier:\n%s\npipelined:\n%s", off, on)
-	}
-}
-
-func TestPipelineEquivalenceHidden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow protocol run")
-	}
-	// HideClient opens no winner identifiers at all, so the pipelined tail
-	// overlaps the leaf lane purely with the update chain.
-	cfg := testConfig()
-	cfg.Protocol = Enhanced
-	cfg.Hide = HideClient
-	on, off := trainPipelineBoth(t, smallClassification(40), 2, cfg)
-	if on.String() != off.String() {
-		t.Fatalf("pipelined hidden tree differs from barrier tree:\nbarrier:\n%s\npipelined:\n%s", off, on)
 	}
 }
 
@@ -133,93 +88,82 @@ func renderForest(fm *ForestModel) string {
 	return b.String()
 }
 
-func trainRFWith(t *testing.T, ds *dataset.Dataset, m int, cfg Config) *ForestModel {
+// trainPipelineBoth trains kind with cfg on the memory network and over
+// loopback TCP, checks that only the TCP session overlaps, and fails the
+// test unless both render the same model.  It returns the barrier model.
+func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config, kind ModelKind) Predictor {
 	t.Helper()
 	parts, err := dataset.VerticalPartition(ds, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	var fm *ForestModel
-	if err := s.Each(func(p *Party) error {
-		m, err := p.TrainRF()
-		if p.ID == 0 && err == nil {
-			fm = m
+	var out [2]Predictor
+	for i, tcp := range []bool{false, true} {
+		c := cfg
+		c.TCPLoopback = tcp
+		s, err := NewSession(parts, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return err
-	}); err != nil {
-		t.Fatal(err)
+		t.Cleanup(s.Close)
+		if got := s.parties[0].pipelined(); got != tcp {
+			t.Fatalf("tcp %v: pipelined() = %v", tcp, got)
+		}
+		if out[i], err = Train(s, TrainSpec{Model: kind}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return fm
+	bar := renderForest(&ForestModel{Trees: predictorTrees(out[0])})
+	if pip := renderForest(&ForestModel{Trees: predictorTrees(out[1])}); bar != pip {
+		t.Fatalf("pipelined %s differs from barrier %s:\nbarrier:\n%s\npipelined:\n%s", kind, kind, bar, pip)
+	}
+	return out[0]
+}
+
+func TestPipelineEquivalenceDT(t *testing.T) {
+	bar := trainPipelineBoth(t, smallClassification(40), 2, testConfig(), KindDT)
+	if bar.(*Model).InternalNodes() == 0 {
+		t.Fatal("degenerate comparison: barrier tree did not split")
+	}
+}
+
+func TestPipelineEquivalenceEnhanced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow protocol run")
+	}
+	cfg := testConfig()
+	cfg.Protocol = Enhanced
+	trainPipelineBoth(t, smallClassification(40), 2, cfg, KindDT)
+}
+
+func TestPipelineEquivalenceHidden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow protocol run")
+	}
+	// HideClient opens no winner identifiers at all, so the pipelined tail
+	// overlaps the leaf lane purely with the update chain.
+	cfg := testConfig()
+	cfg.Protocol = Enhanced
+	cfg.Hide = HideClient
+	trainPipelineBoth(t, smallClassification(40), 2, cfg, KindDT)
 }
 
 func TestPipelineEquivalenceRF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow protocol run")
 	}
-	ds := smallClassification(40)
 	cfg := testConfig()
 	cfg.NumTrees = 3
-	cfgOn := cfg
-	cfgOn.Pipeline = PipelineOn
-	cfgOff := cfg
-	cfgOff.Pipeline = PipelineOff
-	on := trainRFWith(t, ds, 2, cfgOn)
-	off := trainRFWith(t, ds, 2, cfgOff)
-	if got, want := renderForest(on), renderForest(off); got != want {
-		t.Fatalf("pipelined forest differs from barrier forest:\nbarrier:\n%s\npipelined:\n%s", want, got)
-	}
+	trainPipelineBoth(t, smallClassification(40), 2, cfg, KindRF)
 }
 
 func TestPipelineEquivalenceGBDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow protocol run")
 	}
-	ds := smallClassification(40)
 	cfg := testConfig()
 	cfg.NumTrees = 2
-
-	trainGBDT := func(mode PipelineMode) *BoostModel {
-		c := cfg
-		c.Pipeline = mode
-		parts, err := dataset.VerticalPartition(ds, 2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSession(parts, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		var bm *BoostModel
-		if err := s.Each(func(p *Party) error {
-			m, err := p.TrainGBDT()
-			if p.ID == 0 && err == nil {
-				bm = m
-			}
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return bm
-	}
-
-	on := trainGBDT(PipelineOn)
-	off := trainGBDT(PipelineOff)
-	var gotB, wantB strings.Builder
-	for f := range on.Forests {
-		gotB.WriteString(renderForest(&ForestModel{Trees: on.Forests[f]}))
-	}
-	for f := range off.Forests {
-		wantB.WriteString(renderForest(&ForestModel{Trees: off.Forests[f]}))
-	}
-	if gotB.String() != wantB.String() {
-		t.Fatalf("pipelined GBDT differs from barrier GBDT:\nbarrier:\n%s\npipelined:\n%s", wantB.String(), gotB.String())
-	}
+	trainPipelineBoth(t, smallClassification(40), 2, cfg, KindGBDT)
 }
 
 // TestPipelineOverlapFloor pins the tentpole's mechanism, not just its

@@ -34,11 +34,13 @@ import (
 // resumed run replays the same draws — the privacy-safe choice, since fresh
 // draws after a crash would answer the same queries a second time.
 //
+// Pipelined sessions checkpoint too: trainLevel joins its leaf lane and
+// awaits the speculative-gamma pass before it returns, and lanes never
+// checkpoint (TrainRF trains its trees in turn under a store).
+//
 // What is NOT recoverable: malicious-mode sessions (the SPDZ MAC transcript
 // cannot be replayed — see mpc.EngineState; newSession refuses a store with
-// ErrNotRecoverable), the per-node oracle (it never reaches a level
-// barrier), and pipelined sessions (lanes hold in-flight opens at level
-// boundaries; a store selects the barrier driver instead).
+// ErrNotRecoverable) and the per-node oracle (it has no level join).
 
 // trainKind tags which training driver produced a checkpoint.
 type trainKind int
@@ -244,10 +246,9 @@ func restoreTasks(snaps []*taskSnap) []*treeTask {
 // ---------------------------------------------------------------------------
 // Checkpoint hook (runs SPMD at every completed level barrier)
 
-// checkpointing reports whether this party takes level checkpoints: a
-// store must be wired (which already selects the barrier driver, see
-// Config.pipelineActive) and a driver must have armed its unit context.
-// Only runLevels asks, so the per-node oracle never checkpoints.
+// checkpointing reports whether this party takes level checkpoints: a store
+// must be wired and a driver must have armed its unit context (a lane has
+// neither).  Only runLevels asks, so the per-node oracle never checkpoints.
 func (p *Party) checkpointing() bool {
 	return p.ck != nil && p.rctx != nil
 }

@@ -66,8 +66,9 @@ func crashAndResume(t *testing.T, parts []*dataset.Partition, cfg Config,
 
 // TestRecoveryEquivalenceDT pins the tentpole guarantee: a party crashed
 // mid-level and resumed from the last checkpoint produces a decision tree
-// bit-identical to the fault-free run.  A DP run replays the same noise
-// draws: they are dealer material, which the snapshots capture.
+// bit-identical to the fault-free run, on the memory network and over
+// loopback TCP (where the session overlaps).  A DP run replays the same
+// noise draws: they are dealer material, which the snapshots capture.
 func TestRecoveryEquivalenceDT(t *testing.T) {
 	ds := dataset.SyntheticClassification(24, 4, 2, 2.0, 5)
 	parts, err := dataset.VerticalPartition(ds, 2, 0)
@@ -81,15 +82,18 @@ func TestRecoveryEquivalenceDT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := crashAndResume(t, parts, cfg, 1, func(p *Party) error {
-			_, err := p.TrainDT()
-			return err
-		})
-		if res.Kind != "dt" || res.DT == nil {
-			t.Fatalf("dp %v: recovered kind = %q", dp, res.Kind)
-		}
-		if !reflect.DeepEqual(res.DT, oracle) {
-			t.Fatalf("dp %v: recovered tree differs from fault-free oracle:\nrecovered: %+v\noracle:    %+v", dp, res.DT, oracle)
+		for _, tcp := range []bool{false, true} {
+			cfg.TCPLoopback = tcp
+			res := crashAndResume(t, parts, cfg, 1, func(p *Party) error {
+				_, err := p.TrainDT()
+				return err
+			})
+			if res.Kind != "dt" || res.DT == nil {
+				t.Fatalf("dp %v, tcp %v: recovered kind = %q", dp, tcp, res.Kind)
+			}
+			if !reflect.DeepEqual(res.DT, oracle) {
+				t.Fatalf("dp %v, tcp %v: recovered tree differs from fault-free oracle:\nrecovered: %+v\noracle:    %+v", dp, tcp, res.DT, oracle)
+			}
 		}
 	}
 }
@@ -130,15 +134,18 @@ func TestRecoveryEquivalenceRF(t *testing.T) {
 
 	// Tree 0 at depth 2 emits at most 3 level marks; mark 4 lands inside
 	// tree 1, so the checkpoint must restore the RF unit context.
-	res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
-		_, err := p.TrainRF()
-		return err
-	})
-	if res.Kind != "rf" || res.Forest == nil {
-		t.Fatalf("recovered kind = %q", res.Kind)
-	}
-	if !reflect.DeepEqual(res.Forest, oracle) {
-		t.Fatalf("recovered forest differs from fault-free oracle")
+	for _, tcp := range []bool{false, true} {
+		cfg.TCPLoopback = tcp
+		res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+			_, err := p.TrainRF()
+			return err
+		})
+		if res.Kind != "rf" || res.Forest == nil {
+			t.Fatalf("tcp %v: recovered kind = %q", tcp, res.Kind)
+		}
+		if !reflect.DeepEqual(res.Forest, oracle) {
+			t.Fatalf("tcp %v: recovered forest differs from fault-free oracle", tcp)
+		}
 	}
 }
 
@@ -175,15 +182,18 @@ func TestRecoveryEquivalenceGBDT(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
-		_, err := p.TrainGBDT()
-		return err
-	})
-	if res.Kind != "gbdt" || res.Boost == nil {
-		t.Fatalf("recovered kind = %q", res.Kind)
-	}
-	if !reflect.DeepEqual(res.Boost, oracle) {
-		t.Fatalf("recovered GBDT differs from fault-free oracle")
+	for _, tcp := range []bool{false, true} {
+		cfg.TCPLoopback = tcp
+		res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+			_, err := p.TrainGBDT()
+			return err
+		})
+		if res.Kind != "gbdt" || res.Boost == nil {
+			t.Fatalf("tcp %v: recovered kind = %q", tcp, res.Kind)
+		}
+		if !reflect.DeepEqual(res.Boost, oracle) {
+			t.Fatalf("tcp %v: recovered GBDT differs from fault-free oracle", tcp)
+		}
 	}
 }
 
@@ -220,23 +230,25 @@ func TestRecoveryEquivalenceGBDTRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
-		_, err := p.TrainGBDT()
-		return err
-	})
-	if res.Boost == nil {
-		t.Fatalf("recovered kind = %q", res.Kind)
-	}
-	if !reflect.DeepEqual(res.Boost, oracle) {
-		t.Fatalf("recovered GBDT regression ensemble differs from fault-free oracle")
+	for _, tcp := range []bool{false, true} {
+		cfg.TCPLoopback = tcp
+		res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+			_, err := p.TrainGBDT()
+			return err
+		})
+		if res.Boost == nil {
+			t.Fatalf("tcp %v: recovered kind = %q", tcp, res.Kind)
+		}
+		if !reflect.DeepEqual(res.Boost, oracle) {
+			t.Fatalf("tcp %v: recovered GBDT regression ensemble differs from fault-free oracle", tcp)
+		}
 	}
 }
 
 // TestRecoveryChaosTCPLoopback is the CI chaos smoke: one crash-at-level
-// run over the real TCP loopback mesh (where PipelineAuto would overlap
-// levels, were it not for the checkpoint store selecting the barrier
-// driver), resumed and checked bit-identical against the fault-free
-// memory-network oracle.
+// run over the real TCP loopback mesh, where the session overlaps levels on
+// the pipelined driver with the checkpoint store wired, resumed and checked
+// bit-identical against the fault-free memory-network oracle.
 func TestRecoveryChaosTCPLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP chaos smoke runs in the CI chaos step and the nightly suite")
@@ -254,6 +266,9 @@ func TestRecoveryChaosTCPLoopback(t *testing.T) {
 	tcfg := cfg
 	tcfg.TCPLoopback = true
 	res := crashAndResume(t, parts, tcfg, 1, func(p *Party) error {
+		if !p.pipelined() || p.ck == nil {
+			t.Errorf("party %d: pipelined() = %v, store wired %v; want both", p.ID, p.pipelined(), p.ck != nil)
+		}
 		_, err := p.TrainDT()
 		return err
 	})

@@ -249,9 +249,9 @@ func newSession(parts []*dataset.Partition, cfg Config, resume *Checkpoint) (*Se
 		}
 	}
 
-	// Fault-tolerance hooks: the checkpoint store (a store selects the
-	// barrier driver, and only runLevels checkpoints) and the chaos
-	// injector's level marker on the faulty party.
+	// Fault-tolerance hooks: the checkpoint store (only runLevels
+	// checkpoints, at level joins) and the chaos injector's level marker on
+	// the faulty party.
 	if cfg.Checkpoint != nil {
 		cfg.Checkpoint.beginAttempt()
 		for _, p := range s.parties {

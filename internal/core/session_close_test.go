@@ -75,7 +75,7 @@ func TestSessionCloseUnderPipelinedTraining(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.KeyBits = 256
 	cfg.Tree.MaxDepth = 3
-	cfg.Pipeline = PipelineOn // pipelined lanes even on the memory network
+	cfg.TCPLoopback = true // the transport that selects the pipelined driver
 	cfg.Seed = 7
 	for _, delay := range []time.Duration{0, 2 * time.Millisecond, 20 * time.Millisecond, 80 * time.Millisecond} {
 		s, err := NewSession(parts, cfg)

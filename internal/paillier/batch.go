@@ -32,58 +32,33 @@ func (pk *PublicKey) CombineSharesVec(sharesByParty [][]*DecryptionShare, worker
 	}
 	n := len(sharesByParty[0])
 	out := make([]*big.Int, n)
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(n, workers, func(i int) {
+	err := parallelForErr(n, workers, func(i int) (err error) {
 		shares := make([]*DecryptionShare, len(sharesByParty))
 		for p := range sharesByParty {
 			shares[p] = sharesByParty[p][i]
 		}
-		v, err := pk.CombineShares(shares)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = v
+		out[i], err = pk.CombineShares(shares)
+		return err
 	})
-	return out, firstErr
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// EncryptVec encrypts a vector of signed plaintexts.
+// EncryptVec encrypts a vector of signed plaintexts.  With workers > 1 the
+// randomness source must be safe for concurrent use: crypto/rand.Reader is,
+// and the pooled path (which bypasses random — see Obfuscator) always is.
 func (pk *PublicKey) EncryptVec(random io.Reader, xs []*big.Int, workers int) ([]*Ciphertext, error) {
 	out := make([]*Ciphertext, len(xs))
-	if workers <= 1 {
-		for i, x := range xs {
-			ct, err := pk.Encrypt(random, x)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ct
-		}
-		return out, nil
-	}
-	// Parallel path requires a concurrency-safe randomness source:
-	// crypto/rand.Reader is, and the pooled path (which bypasses random —
-	// see Obfuscator) always is.
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(xs), workers, func(i int) {
-		ct, err := pk.Encrypt(random, xs[i])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = ct
+	err := parallelForErr(len(xs), workers, func(i int) (err error) {
+		out[i], err = pk.Encrypt(random, xs[i])
+		return err
 	})
-	return out, firstErr
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // AddVec returns the elementwise homomorphic sum [a_i + b_i].
@@ -171,21 +146,14 @@ func (pk *PublicKey) DotVec(xss [][]*big.Int, vss [][]*Ciphertext, workers int) 
 		return nil, fmt.Errorf("paillier: DotVec length mismatch %d vs %d", len(xss), len(vss))
 	}
 	out := make([]*Ciphertext, len(xss))
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(xss), workers, func(i int) {
-		d, err := pk.Dot(xss[i], vss[i])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = d
+	err := parallelForErr(len(xss), workers, func(i int) (err error) {
+		out[i], err = pk.Dot(xss[i], vss[i])
+		return err
 	})
-	return out, firstErr
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // BucketProductsVec computes one BucketProducts pass per (cs, bucket, nb)
@@ -195,42 +163,28 @@ func (pk *PublicKey) BucketProductsVec(css [][]*Ciphertext, buckets [][]int, nbs
 		return nil, fmt.Errorf("paillier: BucketProductsVec length mismatch %d/%d/%d", len(css), len(buckets), len(nbs))
 	}
 	out := make([][]*Ciphertext, len(css))
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(css), workers, func(i int) {
-		prods, err := pk.BucketProducts(css[i], buckets[i], nbs[i])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = prods
+	err := parallelForErr(len(css), workers, func(i int) (err error) {
+		out[i], err = pk.BucketProducts(css[i], buckets[i], nbs[i])
+		return err
 	})
-	return out, firstErr
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // RerandomizeVec rerandomizes every ciphertext (fresh obfuscators, pooled
 // when a pool is attached).
 func (pk *PublicKey) RerandomizeVec(random io.Reader, cs []*Ciphertext, workers int) ([]*Ciphertext, error) {
 	out := make([]*Ciphertext, len(cs))
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(cs), workers, func(i int) {
-		ct, err := pk.Rerandomize(random, cs[i])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = ct
+	err := parallelForErr(len(cs), workers, func(i int) (err error) {
+		out[i], err = pk.Rerandomize(random, cs[i])
+		return err
 	})
-	return out, firstErr
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // FoldAdd homomorphically sums a ciphertext vector.  Deterministic and
@@ -374,4 +328,21 @@ func parallelFor(n, workers int, body func(i int)) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// parallelForErr is parallelFor for a body that can fail: every index runs,
+// and the first error reported is returned.
+func parallelForErr(n, workers int, body func(i int) error) error {
+	var mu sync.Mutex
+	var first error
+	parallelFor(n, workers, func(i int) {
+		if err := body(i); err != nil {
+			mu.Lock()
+			if first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}
+	})
+	return first
 }

@@ -202,17 +202,12 @@ func (d *DJ) AddPlain(c *Ciphertext, k *big.Int) *Ciphertext {
 // EncryptVec encrypts a vector at level s in parallel.
 func (d *DJ) EncryptVec(random io.Reader, xs []*big.Int, workers int) ([]*Ciphertext, error) {
 	out := make([]*Ciphertext, len(xs))
-	var firstErr error
-	parallelFor(len(xs), workers, func(i int) {
-		ct, err := d.Encrypt(random, xs[i])
-		if err != nil {
-			firstErr = err
-			return
-		}
-		out[i] = ct
+	err := parallelForErr(len(xs), workers, func(i int) (err error) {
+		out[i], err = d.Encrypt(random, xs[i])
+		return err
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -244,21 +239,16 @@ func (d *DJ) CombineSharesVec(shares [][]*DecryptionShare, workers int) ([]*big.
 		}
 	}
 	out := make([]*big.Int, count)
-	var firstErr error
-	parallelFor(count, workers, func(i int) {
+	err := parallelForErr(count, workers, func(i int) (err error) {
 		col := make([]*DecryptionShare, len(shares))
 		for p := range shares {
 			col[p] = shares[p][i]
 		}
-		v, err := d.CombineShares(col)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		out[i] = v
+		out[i], err = d.CombineShares(col)
+		return err
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

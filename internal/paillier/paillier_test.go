@@ -381,3 +381,26 @@ func TestSubVecMatchesSub(t *testing.T) {
 		check(as[128:], poisoned[128:], 2)
 	}
 }
+
+// failingReader is a randomness source that is always exhausted.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("no randomness") }
+
+// TestEncryptVecFailsWhole: when encryptions fail on several workers at once,
+// both encryptors report the error and return no partial vector.
+func TestEncryptVecFailsWhole(t *testing.T) {
+	pk, _, _ := testKeys(t, 2)
+	xs := make([]*big.Int, 32)
+	for i := range xs {
+		xs[i] = big.NewInt(int64(i))
+	}
+	for _, workers := range []int{1, 4} {
+		if out, err := pk.EncryptVec(failingReader{}, xs, workers); err == nil || out != nil {
+			t.Errorf("workers %d: EncryptVec = %d ciphertexts, %v; want nil and the reader's error", workers, len(out), err)
+		}
+		if out, err := pk.DJ(2).EncryptVec(failingReader{}, xs, workers); err == nil || out != nil {
+			t.Errorf("workers %d: DJ.EncryptVec = %d ciphertexts, %v; want nil and the reader's error", workers, len(out), err)
+		}
+	}
+}
