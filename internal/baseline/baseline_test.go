@@ -1,9 +1,14 @@
 package baseline
 
 import (
+	"errors"
+	"math/big"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/transport"
 	"repro/internal/tree"
 )
 
@@ -123,6 +128,45 @@ func TestSPDZDTRegression(t *testing.T) {
 	}
 	if mseTree >= mseMean {
 		t.Fatalf("SPDZ-DT regression no better than mean: %v vs %v", mseTree, mseMean)
+	}
+}
+
+// TestSPDZDTHostileSplitCountsRefused: a peer's split-count announcement sizes
+// the split enumeration every SPDZ-DT party builds, so it is read under core's
+// bounds and refused with core's typed error.  Unchecked, a count of 2^40 was
+// an allocation of the sender's choosing, and the others were taken as valid.
+func TestSPDZDTHostileSplitCountsRefused(t *testing.T) {
+	parts, err := dataset.VerticalPartition(dataset.SyntheticClassification(16, 4, 2, 3.0, 3), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Tree.MaxSplits = 2
+	for _, tc := range []struct {
+		name   string
+		counts []*big.Int
+	}{
+		{"count above MaxSplits", []*big.Int{big.NewInt(1), big.NewInt(3)}},
+		{"count of 2^40", []*big.Int{big.NewInt(1 << 40)}},
+		{"count beyond int64", []*big.Int{new(big.Int).Lsh(big.NewInt(1), 70)}},
+		{"no features", nil},
+		{"honest", []*big.Int{big.NewInt(0), big.NewInt(2)}},
+	} {
+		eps := transport.NewMemoryNetwork(2, 8)
+		if err := transport.SendInts(eps[1], 0, tc.counts); err != nil {
+			t.Fatal(err)
+		}
+		p := &sparty{id: 0, m: 2, ep: eps[0], part: parts[0], cfg: cfg}
+		err := p.exchangeSplitCounts()
+		if tc.name == "honest" {
+			if err != nil || len(p.splitIDs) != len(p.cands[0])+len(p.cands[1])+2 {
+				t.Errorf("honest announcement: %v, %d split ids", err, len(p.splitIDs))
+			}
+			continue
+		}
+		if !errors.Is(err, core.ErrBadSplitCounts) || !strings.Contains(err.Error(), "from party 1") {
+			t.Errorf("%s: got %v, want core.ErrBadSplitCounts naming party 1", tc.name, err)
+		}
 	}
 }
 

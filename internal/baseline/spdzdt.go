@@ -160,19 +160,16 @@ func (p *sparty) exchangeSplitCounts() error {
 	}
 	p.splitCounts = make([][]int, p.m)
 	for c := 0; c < p.m; c++ {
-		var counts []*big.Int
-		if c == p.id {
-			counts = mine
-		} else {
-			var err error
+		counts, err := mine, error(nil)
+		if c != p.id {
 			counts, err = transport.RecvInts(p.ep, c)
-			if err != nil {
-				return err
-			}
 		}
-		p.splitCounts[c] = make([]int, len(counts))
-		for j, v := range counts {
-			p.splitCounts[c][j] = int(v.Int64())
+		// The counts size the split enumeration below: core's bounds.
+		if err == nil {
+			p.splitCounts[c], err = core.SplitCounts(counts, p.cfg.Tree.MaxSplits)
+		}
+		if err != nil {
+			return fmt.Errorf("spdz-dt party %d: split counts from party %d: %w", p.id, c, err)
 		}
 	}
 	for c := 0; c < p.m; c++ {

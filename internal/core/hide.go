@@ -44,10 +44,11 @@ func (p *Party) localFlatSplits() []flatSplit {
 // one grouped conversion with each [λ] combined at its node's combiner (the
 // owner, or the super client when the owner is concealed — [λ] must reach
 // every contributing client, and the conversion broadcasts it), one batched
-// hidden selection and one Eqn-10 chain for all nodes' mask updates.
-func (p *Party) splitEnhancedHiddenLevel(nds []nodeData, iStars []int, flats []mpc.Share) ([]splitOutcome, error) {
+// hidden selection and one Eqn-10 chain for all nodes' mask updates (none
+// without vecs).
+func (p *Party) splitEnhancedHiddenLevel(nds []nodeData, iStars []int, flats []mpc.Share, vecs bool) ([]splitOutcome, error) {
 	K := len(nds)
-	n := len(nds[0].alpha)
+	n := maskLen(nds, vecs)
 	out := make([]splitOutcome, K)
 
 	segLens := make([]int, K)
@@ -77,6 +78,10 @@ func (p *Party) splitEnhancedHiddenLevel(nds []nodeData, iStars []int, flats []m
 	off := 0
 	for i := range segLens {
 		segs[i] = encLam[off : off+segLens[i]]
+		if iStars[i] >= 0 {
+			out[i].win = p.clientBase(iStars[i])
+		}
+		out[i].lam = lamShares[off : off+segLens[i]]
 		off += segLens[i]
 	}
 
@@ -84,23 +89,11 @@ func (p *Party) splitEnhancedHiddenLevel(nds []nodeData, iStars []int, flats []m
 	if err != nil {
 		return nil, err
 	}
-
-	alphas := make([][]*paillier.Ciphertext, K)
-	for i := range nds {
-		alphas[i] = nds[i].alpha
-	}
-	lefts, err := p.encMaskedProductLevel(alphas, encVs, combiners)
-	if err != nil {
-		return nil, err
-	}
 	for i := range nds {
 		out[i].node = Node{Owner: iStars[i], Feature: -1, EncThreshold: encTaus[i],
 			EncFeatSel: p.featureSelectors(iStars[i], segs[i])}
-		out[i].left = nodeData{alpha: lefts[i]}
-		out[i].right = nodeData{alpha: p.pk.SubVec(nds[i].alpha, lefts[i], p.cfg.Workers)}
-		p.Stats.HEOps += int64(n)
 	}
-	return out, nil
+	return out, p.maskChildren(out, nds, encVs, combiners, vecs)
 }
 
 // selectHiddenLevel computes every frontier node's [v] = V ⊗ [λ] and [τ]

@@ -354,8 +354,9 @@ func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64) ([][][]*p
 }
 
 // refreshLeaves re-resolves cloned trees' leaf labels over the current
-// samples, structure fixed: every tree's leaves ride one shared batched
-// leaf chain (the same makeLeavesLevel the level-wise trainer uses).
+// samples, structure fixed: every tree's leaves get their totals in one
+// conversion and ride one shared batched leaf chain (the same nodeTotals and
+// makeLeavesLevel the level-wise trainer uses).
 func (p *Party) refreshLeaves(trees []*Model, las [][][]*paillier.Ciphertext) ([]*Model, error) {
 	clones := make([]*Model, len(trees))
 	tasks := make([]*treeTask, len(trees))
@@ -378,20 +379,9 @@ func (p *Party) refreshLeaves(trees []*Model, las [][][]*paillier.Ciphertext) ([
 	if len(entries) == 0 {
 		return clones, nil
 	}
-	if clones[0].Classes == 0 {
-		// Regression leaves divide by the leaf count, which arrives via
-		// the entry's nShare — one batched conversion fills them all.
-		cts := make([]*paillier.Ciphertext, len(entries))
-		for i := range entries {
-			cts[i] = p.foldAdd(entries[i].nd.alpha)
-		}
-		shares, err := p.encToShares(cts, len(entries), p.w.count+2)
-		if err != nil {
-			return nil, err
-		}
-		for i := range entries {
-			entries[i].nShare = shares[i]
-		}
+	// The replayed leaves have no parent statistics to inherit totals from.
+	if err := p.nodeTotals(entries); err != nil {
+		return nil, err
 	}
 	nodes, err := p.makeLeavesLevel(tasks, entries)
 	if err != nil {

@@ -33,10 +33,9 @@ import (
 // frontierNode is one active node awaiting training at the current depth.
 type frontierNode struct {
 	nd     nodeData
-	nShare mpc.Share // ⟨n⟩, filled by trainLevel's batched conversion
-	tree   int       // index into the level driver's task list
-	parent int       // model index of the parent (within its tree); -1 at a root
-	left   bool      // whether this node is the parent's left child
+	tree   int  // index into the level driver's task list
+	parent int  // model index of the parent (within its tree); -1 at a root
+	left   bool // whether this node is the parent's left child
 }
 
 // treeTask is one tree being grown by the level driver.  The GBDT
@@ -48,10 +47,15 @@ type treeTask struct {
 	leafAlphas [][]*paillier.Ciphertext
 }
 
-// splitOutcome is one frontier node's model-update result.
+// splitOutcome is one frontier node's model-update result.  win and lam name
+// the node's winning split for childTotals: the flat index of a public
+// winner (lam nil), or the first flat index of the segment a secret winner's
+// one-hot ⟨λ⟩ ranges over.
 type splitOutcome struct {
 	node        Node
 	left, right nodeData
+	win         int
+	lam         []mpc.Share
 }
 
 // walkDepthFirst is Algorithm 3's schedule: every node is trained as a
@@ -90,24 +94,14 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 	}
 
 	// ----- pruning conditions (Algorithm 3, lines 1-3), batched -----
-	nodeCts := make([]*paillier.Ciphertext, G)
-	for g := range frontier {
-		nodeCts[g] = p.foldAdd(frontier[g].nd.alpha)
-	}
-	err := p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
-		shares, err := p.encToShares(nodeCts, G, p.w.count+2)
-		if err != nil {
-			return err
+	// Only a training call's roots arrive without totals; every other node
+	// inherited them from its parent's split statistics.
+	if frontier[0].nd.tot == nil {
+		if err := p.nodeTotals(frontier); err != nil {
+			return nil, p.errf("level %d root totals: %v", depth, err)
 		}
-		for g := range frontier {
-			frontier[g].nShare = shares[g]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, p.errf("level %d count conversion: %v", depth, err)
 	}
-
+	var err error
 	leaf := make([]bool, G)
 	if depth >= p.cfg.Tree.MaxDepth || p.totalSplits() == 0 {
 		for g := range leaf {
@@ -120,7 +114,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			xs := make([]mpc.Share, G)
 			ys := make([]mpc.Share, G)
 			for g := range frontier {
-				xs[g] = frontier[g].nShare
+				xs[g] = frontier[g].nd.tot[0]
 			}
 			if p.cfg.DP != nil {
 				// §9.2: noisy pruning-condition query (sensitivity 1).  The
@@ -155,6 +149,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 
 	// ----- local computation + conversion + gains + grouped argmax -----
 	bests := make([]mpc.ArgmaxResult, G)
+	stats := make([][]mpc.Share, G) // each splitter's expanded statistics
 	if len(splitters) > 0 {
 		splitNodes := make([]frontierNode, len(splitters))
 		for i, g := range splitters {
@@ -206,12 +201,16 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 
 		nShares := make([]mpc.Share, len(splitNodes))
 		for i := range splitNodes {
-			nShares[i] = splitNodes[i].nShare
+			nShares[i] = splitNodes[i].nd.tot[0]
 		}
 		var totalsAll, statsAll []mpc.Share
 		totalsAll, statsAll, err = p.convertSplitStats(nShares, gchs, statCts, C)
 		if err != nil {
 			return nil, p.errf("level %d statistics conversion: %w", depth, err)
+		}
+		per := S * (2 + 2*C)
+		for i, g := range splitters {
+			stats[g] = statsAll[i*per : (i+1)*per]
 		}
 
 		err = p.timedWire(&p.Stats.Phases.MPCComputation, &p.Stats.Phases.MPCComputationWire, func() error {
@@ -314,22 +313,36 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		}
 		return openIn
 	}
+	// The children get every vector while a later split needs them, only [α]
+	// when they are leaves whose masks are captured, and none otherwise: a
+	// leaf counts from the totals it inherits.
+	kids := 0
+	if depth+1 < p.cfg.Tree.MaxDepth {
+		kids = 1 + len(frontier[0].nd.gch)
+	} else if tasks[0].capture {
+		kids = 1
+	}
 	var opened []*big.Int
 	var outcomes []splitOutcome
 	runUpdate := func() error {
 		nds := make([]nodeData, len(splitGs))
 		bestsK := make([]mpc.ArgmaxResult, len(splitGs))
 		idsK := make([][]*big.Int, len(splitGs))
+		statsK := make([][]mpc.Share, len(splitGs)) // the statistics the children's totals come from
 		for i, g := range splitGs {
 			nds[i] = frontier[g].nd
 			bestsK[i] = bests[g]
 			idsK[i] = opened[i*openCols : (i+1)*openCols]
+			statsK[i] = stats[g]
 		}
 		return p.timedWire(&p.Stats.Phases.ModelUpdate, &p.Stats.Phases.ModelUpdateWire, func() error {
 			r0 := p.eng.Stats.Rounds
-			defer func() { p.Stats.UpdateRounds += p.eng.Stats.Rounds - r0 }()
 			var err error
-			outcomes, err = p.updateLevelBatched(nds, bestsK, idsK)
+			outcomes, err = p.updateLevelBatched(nds, bestsK, idsK, kids)
+			p.Stats.UpdateRounds += p.eng.Stats.Rounds - r0
+			if err == nil {
+				p.childTotals(outcomes, statsK)
+			}
 			return err
 		})
 	}
@@ -428,8 +441,9 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 
 // updateLevelBatched dispatches the frontier-wide batched model update on
 // the session's protocol and hide level.  opened holds each splitter's
-// publicly opened identifier columns (layout as decided by the caller).
-func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, opened [][]*big.Int) ([]splitOutcome, error) {
+// publicly opened identifier columns (layout as decided by the caller);
+// kids is how many of a node's vectors its children receive ([α] first).
+func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, opened [][]*big.Int, kids int) ([]splitOutcome, error) {
 	K := len(nds)
 	switch {
 	case p.cfg.Protocol == Basic:
@@ -441,7 +455,7 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 			js[i] = int(opened[i][1].Int64())
 			ss[i] = int(opened[i][2].Int64())
 		}
-		return p.splitBasicLevel(nds, is, js, ss)
+		return p.splitBasicLevel(nds, is, js, ss, kids)
 	case p.cfg.Hide == HideFeature:
 		// §5.2 discussion: only i* is revealed; the owner-local flat index
 		// is the shared global index minus the owner's public base offset.
@@ -451,7 +465,7 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 			iStars[i] = int(opened[i][0].Int64())
 			flats[i] = p.eng.AddConst(bests[i].IDs[3], big.NewInt(-int64(p.clientBase(iStars[i]))))
 		}
-		return p.splitEnhancedHiddenLevel(nds, iStars, flats)
+		return p.splitEnhancedHiddenLevel(nds, iStars, flats, kids > 0)
 	case p.cfg.Hide == HideClient:
 		iStars := make([]int, K)
 		flats := make([]mpc.Share, K)
@@ -459,7 +473,7 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 			iStars[i] = -1
 			flats[i] = bests[i].IDs[3]
 		}
-		return p.splitEnhancedHiddenLevel(nds, iStars, flats)
+		return p.splitEnhancedHiddenLevel(nds, iStars, flats, kids > 0)
 	default:
 		iStars := make([]int, K)
 		jStars := make([]int, K)
@@ -469,7 +483,110 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 			jStars[i] = int(opened[i][1].Int64())
 			sStars[i] = bests[i].IDs[2]
 		}
-		return p.splitEnhancedLevel(nds, iStars, jStars, sStars)
+		return p.splitEnhancedLevel(nds, iStars, jStars, sStars, kids > 0)
+	}
+}
+
+// nodeTotals makes the totals of nodes that arrive without them — the roots
+// of a training call, the leaves refreshLeaves replays — from their mask
+// vectors, in one Algorithm-2 conversion of ⟨n⟩ = foldAdd([α]) and the C
+// channel totals, the super client's β_k·[α] (foldAdd([γ_k]) in
+// encrypted-label mode).  Plaintext-label classes partition the samples, so
+// there the C dot products touch each sample once between them and ⟨n⟩ is
+// their sum on shares.
+func (p *Party) nodeTotals(nodes []frontierNode) error {
+	nd := nodes[0].nd
+	C := p.channels(nd)
+	sumN := nd.gch == nil && p.part.Classes > 0
+	per, width := C+1, p.w.stat
+	if sumN {
+		per, width = C, p.w.count+2 // counts only
+	}
+	var cts []*paillier.Ciphertext // only the super client's are converted
+	if p.ID == p.Super {
+		var dots []*paillier.Ciphertext
+		if nd.gch == nil {
+			var xss [][]*big.Int
+			var chs [][]*paillier.Ciphertext
+			betas := p.labelVectors()
+			for i := range nodes {
+				for _, beta := range betas {
+					xss, chs = append(xss, beta), append(chs, nodes[i].nd.alpha)
+				}
+			}
+			p.poolReserve(len(xss))
+			var err error
+			if dots, err = p.dotRerandVec(xss, chs); err != nil {
+				return err
+			}
+		}
+		for i := range nodes {
+			if !sumN {
+				cts = append(cts, p.foldAdd(nodes[i].nd.alpha))
+			}
+			for k := 0; k < C; k++ {
+				if nd.gch == nil {
+					cts = append(cts, dots[i*C+k])
+				} else {
+					cts = append(cts, p.foldAdd(nodes[i].nd.gch[k]))
+				}
+			}
+		}
+	}
+	var shares []mpc.Share
+	err := p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
+		var err error
+		shares, err = p.encToShares(cts, len(nodes)*per, width)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for i := range nodes {
+		tot := shares[i*per : (i+1)*per]
+		if sumN {
+			tot = append([]mpc.Share{p.eng.Sum(tot)}, tot...)
+		}
+		nodes[i].nd.tot = tot
+	}
+	return nil
+}
+
+// childTotals gives every split node's children their totals, taken from the
+// node's expanded statistics (stats[i]: S blocks [n_l, n_r, ch1_l, ch1_r, …])
+// at its winning split: the left child takes the block's even entries, the
+// right child its odd ones — what the child's own mask vector would convert
+// to, with nothing opened or sent.  A public winner's block is out[i].win; a
+// secret one's even entries are Σ_t λ_t · block(win + t), one MulVec round
+// for the whole frontier, and its odd ones the node's totals minus those.
+func (p *Party) childTotals(out []splitOutcome, stats [][]mpc.Share) {
+	w := len(stats[0]) / p.totalSplits()
+	var lams, lefts []mpc.Share
+	for i, o := range out {
+		for t := range o.lam {
+			for e := 0; e < w; e += 2 {
+				lams, lefts = append(lams, o.lam[t]), append(lefts, stats[i][(o.win+t)*w+e])
+			}
+		}
+	}
+	prods := p.eng.MulVec(lams, lefts)
+	for i, o := range out {
+		blk := stats[i][o.win*w:]
+		for e := 0; e < w; e += 2 {
+			l, r := blk[e], blk[e+1]
+			if o.lam != nil {
+				l = mpc.Share{}
+				for t := range o.lam {
+					l = p.eng.Add(l, prods[t*w/2+e/2])
+				}
+				// The λ_t sum to one, and any split's two sides add up to
+				// the node's total: Σ_t λ_t·r_t = (l_0 + r_0) − Σ_t λ_t·l_t.
+				r = p.eng.Sub(p.eng.Add(stats[i][e], stats[i][e+1]), l)
+			}
+			out[i].left.tot = append(out[i].left.tot, l)
+			out[i].right.tot = append(out[i].right.tot, r)
+		}
+		prods = prods[len(o.lam)*w/2:]
 	}
 }
 
@@ -711,12 +828,12 @@ func (p *Party) provenSplitStats(channels [][][]*paillier.Ciphertext) ([][]*pail
 	return out, nil
 }
 
-// makeLeavesLevel resolves all of a level's leaves in shared batches: one
-// conversion, one reciprocal/truncation chain (regression) or one grouped
-// argmax over the per-class counts (classification), and one batched
-// opening (basic) or share-to-ciphertext conversion (enhanced).  Leaf
-// positions are assigned in entry order per tree — visit order, on either
-// schedule.
+// makeLeavesLevel resolves all of a level's leaves from their totals in
+// shared batches: one reciprocal/truncation chain (regression) or one
+// grouped argmax over the per-class counts (classification), and one
+// batched opening (basic) or share-to-ciphertext conversion (enhanced).
+// Leaf positions are assigned in entry order per tree — visit order, on
+// either schedule.
 func (p *Party) makeLeavesLevel(tasks []*treeTask, entries []frontierNode) ([]Node, error) {
 	L := len(entries)
 	nodes := make([]Node, L)
@@ -745,41 +862,9 @@ func (p *Party) makeLeavesLevel(tasks []*treeTask, entries []frontierNode) ([]No
 // the per-leaf argmaxes grouped so their comparison rounds are shared.
 func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode) error {
 	L := len(entries)
-	// Super computes the encrypted per-class counts [g_k] = β_k ⊙ [α] for
-	// every leaf, one parallel batch over (leaf, class).
-	counts := make([]*paillier.Ciphertext, L*C)
-	if p.ID == p.Super {
-		betas := make([][]*big.Int, L*C)
-		alphas := make([][]*paillier.Ciphertext, L*C)
-		for i := range entries {
-			for k := 0; k < C; k++ {
-				beta := make([]*big.Int, p.part.N)
-				for t := range beta {
-					if int(p.part.Y[t]) == k {
-						beta[t] = big.NewInt(1)
-					} else {
-						beta[t] = big.NewInt(0)
-					}
-				}
-				betas[i*C+k] = beta
-				alphas[i*C+k] = entries[i].nd.alpha
-			}
-		}
-		p.poolReserve(L * C)
-		var err error
-		counts, err = p.dotRerandVec(betas, alphas)
-		if err != nil {
-			return err
-		}
-	}
-	var shares []mpc.Share
-	err := p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
-		var err error
-		shares, err = p.encToShares(counts, L*C, p.w.count+2)
-		return err
-	})
-	if err != nil {
-		return err
+	shares := make([]mpc.Share, 0, L*C) // the per-class counts
+	for i := range entries {
+		shares = append(shares, entries[i].nd.tot[1:1+C]...)
 	}
 	if p.cfg.DP != nil {
 		// §9.2: Laplace noise on each class count (parallel composition).
@@ -831,43 +916,10 @@ func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode
 // one reciprocal/truncation chain.
 func (p *Party) leavesRegression(nodes []Node, entries []frontierNode) error {
 	L := len(entries)
-	// Encrypted label sums: fold the maintained γ1 channels (encrypted-label
-	// mode) or let the super compute y ⊙ [α] for every leaf in one batch.
-	sumCts := make([]*paillier.Ciphertext, L)
-	if entries[0].nd.gch != nil {
-		for i := range entries {
-			sumCts[i] = p.foldAdd(entries[i].nd.gch[0])
-		}
-	} else if p.ID == p.Super {
-		y := make([]*big.Int, p.part.N)
-		for t := range y {
-			y[t] = p.cod.Encode(p.part.Y[t])
-		}
-		ys := make([][]*big.Int, L)
-		alphas := make([][]*paillier.Ciphertext, L)
-		for i := range entries {
-			ys[i] = y
-			alphas[i] = entries[i].nd.alpha
-		}
-		p.poolReserve(L)
-		var err error
-		sumCts, err = p.dotRerandVec(ys, alphas)
-		if err != nil {
-			return err
-		}
-	}
-	var sumShares []mpc.Share
-	err := p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
-		var err error
-		sumShares, err = p.encToShares(sumCts, L, p.w.stat)
-		return err
-	})
-	if err != nil {
-		return err
-	}
 	nShares := make([]mpc.Share, L)
+	sumShares := make([]mpc.Share, L) // Σy
 	for i := range entries {
-		nShares[i] = entries[i].nShare
+		nShares[i], sumShares[i] = entries[i].nd.tot[0], entries[i].nd.tot[1]
 	}
 	recips := p.eng.RecipVec(nShares, p.w.count+2)
 	// 2f-scaled means: |Σy| < 2^stat, 0 < 1/n ≤ 1 at f scale.

@@ -188,6 +188,24 @@ var ErrBadSplitCounts = errors.New("bad split-count announcement")
 // growing to a size of the sender's choosing.
 const maxClientFeatures = 1 << 16
 
+// SplitCounts reads a peer's split-count announcement under the bounds every
+// receiver applies — 1 to maxClientFeatures features, each with 0 to
+// maxSplits candidate splits — and returns the counts, or an error wrapping
+// ErrBadSplitCounts.
+func SplitCounts(counts []*big.Int, maxSplits int) ([]int, error) {
+	if len(counts) < 1 || len(counts) > maxClientFeatures {
+		return nil, fmt.Errorf("%w: %d features, want 1 to %d", ErrBadSplitCounts, len(counts), maxClientFeatures)
+	}
+	out := make([]int, len(counts))
+	for j, v := range counts {
+		if !v.IsInt64() || v.Int64() > int64(maxSplits) {
+			return nil, fmt.Errorf("%w: feature %d has %v splits, want 0 to %d", ErrBadSplitCounts, j, v, maxSplits)
+		}
+		out[j] = int(v.Int64())
+	}
+	return out, nil
+}
+
 // exchangeSplitCounts publishes per-feature candidate-split counts so every
 // client can enumerate the db total splits (their values stay private).
 func (p *Party) exchangeSplitCounts() error {
@@ -200,25 +218,15 @@ func (p *Party) exchangeSplitCounts() error {
 	}
 	p.splitCounts = make([][]int, p.M)
 	for c := 0; c < p.M; c++ {
-		var counts []*big.Int
-		if c == p.ID {
-			counts = mine
-		} else {
-			var err error
+		counts, err := mine, error(nil)
+		if c != p.ID {
 			counts, err = transport.RecvInts(p.ep, c)
-			if err != nil {
-				return err
-			}
-			if len(counts) < 1 || len(counts) > maxClientFeatures {
-				return fmt.Errorf("client %d: %w from client %d: %d features, want 1 to %d", p.ID, ErrBadSplitCounts, c, len(counts), maxClientFeatures)
-			}
 		}
-		p.splitCounts[c] = make([]int, len(counts))
-		for j, v := range counts {
-			if !v.IsInt64() || v.Int64() > int64(p.cfg.Tree.MaxSplits) {
-				return fmt.Errorf("client %d: %w from client %d: feature %d has %v splits, want 0 to %d", p.ID, ErrBadSplitCounts, c, j, v, p.cfg.Tree.MaxSplits)
-			}
-			p.splitCounts[c][j] = int(v.Int64())
+		if err == nil {
+			p.splitCounts[c], err = SplitCounts(counts, p.cfg.Tree.MaxSplits)
+		}
+		if err != nil {
+			return fmt.Errorf("client %d: split counts from client %d: %w", p.ID, c, err)
 		}
 	}
 	p.splitIDs = nil

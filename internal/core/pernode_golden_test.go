@@ -36,6 +36,31 @@ import (
 // entry, that trees, node order, predictions, MPC rounds and update rounds
 // equal the recorded ones before it rewrote those columns and nothing else.
 //
+// Carried node totals (every non-root node takes ⟨n⟩ and its channel totals
+// from its parent's converted statistics, so no count conversion or leaf dot
+// product remains, and the last split level builds no child mask vectors
+// unless leaf masks are captured) re-recorded encryptions, decryption shares,
+// messages and bytes of all thirteen entries, and the MPC rounds of the four
+// enhanced ones (one λ-selection round per internal node) and of malicious
+// (fewer authenticated conversions).  The same script check came first: trees,
+// node order, predictions and update rounds — and every other entry's MPC
+// rounds — are unchanged, the dp entry included.  Old → new:
+//
+//	entry                    rounds       enc          dec        msgs         bytes
+//	basic-classification     =            648 → 590    192 → 172  1967 → 1936  1344609 → 1338467
+//	basic-regression         =            1444 → 1268  396 → 354  4512 → 4442  2211704 → 2190895
+//	basic-entropy            =            412 → 362    118 → 104  2416 → 2394  2610966 → 2605423
+//	enhanced-hide-threshold  865 → 868    843 → 737    240 → 204  2025 → 1996  1359602 → 1354583
+//	enhanced-hide-feature    525 → 527    567 → 469    150 → 120  1240 → 1218  821988 → 819136
+//	enhanced-hide-client     523 → 525    681 → 551    150 → 120  1239 → 1217  831644 → 833044
+//	enhanced-regression      2070 → 2077  1895 → 1527  508 → 402  4643 → 4571  2246429 → 2222172
+//	malicious                532 → 512    316 → 284    132 → 106  1211 → 1145  2412224 → 2391914
+//	dp                       =            452 → 362    124 → 104  5451 → 5419  1827423 → 1817122
+//	rf-classification        =            672 → 532    146 → 112  2213 → 2159  875524 → 859679
+//	rf-regression            =            992 → 824    200 → 164  3892 → 3828  1065095 → 1044882
+//	gbdt-classification      =            2800 → 2216  592 → 520  8452 → 8332  3293433 → 3219708
+//	gbdt-regression          =            1272 → 980   264 → 228  3907 → 3847  1111782 → 1074949
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC

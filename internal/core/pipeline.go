@@ -22,8 +22,8 @@ import (
 //     goroutine while the pruning conversion and comparison rounds are in
 //     flight; once the surviving splitters are known, only their slices
 //     are broadcast — the same bytes the barrier path sends.
-//  2. Leaf/update overlap: the frontier's leaf chain (conversion + grouped
-//     argmax + opening) runs on a forked engine over its own transport
+//  2. Leaf/update overlap: the frontier's leaf chain (grouped argmax or
+//     reciprocal chain + opening) runs on a forked engine over its own transport
 //     lane, concurrently with the winner-identifier opening and the
 //     batched model-update chain on the main lane.  The winner opening is
 //     itself issued before the leaf fork and awaited after (issue/await).

@@ -211,10 +211,10 @@ func cloneModel(m *Model) *Model {
 	return &cp
 }
 
-// cloneFrontier copies the frontier structs: trainLevel writes nShare into
-// the slice elements in place, so the elements must be copied (shares are
-// values, so copying the struct copies the share); the nodeData ciphertext
-// slices are never mutated in place and stay shared.
+// cloneFrontier copies the frontier structs: nodeTotals writes a root's
+// totals into the slice elements in place, so the elements must be copied;
+// the totals and ciphertext slices are never mutated in place and stay
+// shared.  A frontier at MaxDepth may hold nil [α] — only its totals count.
 func cloneFrontier(frontier []frontierNode) []frontierNode {
 	return append([]frontierNode(nil), frontier...)
 }

@@ -82,7 +82,7 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 			}
 			zero := p.eng.ConstInt64(0) // the secret s* of the enhanced update
 			best := mpc.ArgmaxResult{IDs: []mpc.Share{zero, zero, zero, zero}}
-			_, err = p.updateLevelBatched([]nodeData{nd}, []mpc.ArgmaxResult{best}, [][]*big.Int{opened})
+			_, err = p.updateLevelBatched([]nodeData{nd}, []mpc.ArgmaxResult{best}, [][]*big.Int{opened}, 1)
 			return err
 		})
 		s.Close()

@@ -181,8 +181,13 @@ func TestBucketStatsEqualDots(t *testing.T) {
 // entry, what the Eqn-7 protocol would have converted: the jointly decrypted
 // v_l ⊙ [γ_k] and (1 − v_l) ⊙ [γ_k] of all C channels, every client's splits
 // in canonical order.  The C-channel γ and the right-side indicator exist only
-// here.  A bootstrapped root makes α hold counts above one; the malicious row
-// runs the proven kernels and authenticated shares.
+// here.  The selection step is held to the same standard: a chosen winner's
+// children, given their totals by childTotals from those arrays — by public
+// index and by a one-hot ⟨λ⟩ over the winner's feature — open to the jointly
+// decrypted foldAdd([α_child]) and β_k·[α_child] (foldAdd([γ_k,child]) in
+// encrypted-label mode) of the mask vectors the children no longer need.  A
+// bootstrapped root makes α hold counts above one; the malicious row runs the
+// proven kernels and authenticated shares.
 func TestDerivedStatisticsEqualDots(t *testing.T) {
 	const n = 24
 	cls2 := smallClassification(n)
@@ -266,11 +271,11 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			}
 
 			// What trainLevel does between the pruning rounds and the gains.
-			nShares, err := p.encToShares([]*paillier.Ciphertext{p.foldAdd(alpha)}, 1, p.w.count+2)
-			if err != nil {
+			nodes := []frontierNode{{nd: nd}}
+			if err := p.nodeTotals(nodes); err != nil {
 				return err
 			}
-			nodes := []frontierNode{{nd: nd, nShare: nShares[0]}}
+			nShares := nodes[0].nd.tot[:1]
 			gchs, err := p.computeGammasLevel(nodes)
 			if err != nil {
 				return err
@@ -287,10 +292,56 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			opened := p.eng.OpenVec(append(append([]mpc.Share(nil), totals...), stats...))
+
+			// The winner: split sw of the last client's first feature with two
+			// or more, as a public index and as ⟨λ⟩ over the feature.
+			c, j := p.M-1, 0
+			for p.splitCounts[c][j] < 2 {
+				j++
+			}
+			const sw = 0
+			seg0 := p.clientBase(c) + p.flatIndexFor(c, j, 0)
+			diffs := make([]mpc.Share, p.splitCounts[c][j])
+			for t := range diffs {
+				diffs[t] = p.eng.ConstInt64(int64(sw - t))
+			}
+			lam := p.eng.EQZVec(diffs, uint(bitsFor(len(diffs)))+3)
+			outs := []splitOutcome{{win: seg0 + sw}, {win: seg0, lam: lam}}
+			p.childTotals(outs, [][]mpc.Share{stats, stats})
+			selected := append(append([]mpc.Share(nil), totals...), stats...)
+			for _, o := range outs {
+				selected = append(append(selected, o.left.tot...), o.right.tot...)
+			}
+			opened := p.eng.OpenVec(selected)
 			if p.cfg.Malicious {
 				if err := p.eng.CheckMACs(); err != nil {
 					return err
+				}
+			}
+			// The α path: each child's own vectors, and the totals Algorithm 3
+			// converted from them.
+			vl := s.Party(c).indic[j][sw]
+			child := func(vec []*paillier.Ciphertext, right bool) []*paillier.Ciphertext {
+				left := p.pk.ScalarMulVec(vec, vl, 1)
+				if right {
+					return p.pk.SubVec(vec, left, 1)
+				}
+				return left
+			}
+			var childOracle []*paillier.Ciphertext
+			for _, right := range []bool{false, true} {
+				a := child(alpha, right)
+				childOracle = append(childOracle, p.foldAdd(a))
+				for k := 0; k < C; k++ {
+					if tc.encLabels {
+						childOracle = append(childOracle, p.foldAdd(child(nd.gch[k], right)))
+						continue
+					}
+					dot, err := p.pk.Dot(betas[k], a)
+					if err != nil {
+						return err
+					}
+					childOracle = append(childOracle, dot)
 				}
 			}
 
@@ -317,16 +368,23 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 					oracle = append(oracle, lefts[i], rights[i])
 				}
 			}
-			want, err := p.jointDecryptAll(oracle)
+			want, err := p.jointDecryptAll(append(oracle, childOracle...))
 			if err != nil {
 				return err
 			}
-			if len(opened) != len(want) || len(want) != C+p.totalSplits()*(2+2*C) {
-				return fmt.Errorf("%d derived values, %d Eqn-7 values, want %d", len(opened), len(want), C+p.totalSplits()*(2+2*C))
+			derived := C + p.totalSplits()*(2+2*C)
+			if len(opened) != derived+4*(1+C) || len(want) != derived+2*(1+C) {
+				return fmt.Errorf("%d derived values, %d Eqn-7 values, want %d", len(opened), len(want), derived)
 			}
-			for i := range want {
+			for i := range want[:derived] {
 				if g, w := mpc.Signed(opened[i]), p.pk.DecodeSigned(want[i]); g.Cmp(w) != 0 {
 					return fmt.Errorf("entry %d: derived %v, Eqn 7 gives %v", i, g, w)
+				}
+			}
+			for i, v := range opened[derived:] {
+				if g, w := mpc.Signed(v), p.pk.DecodeSigned(want[derived+i%(2+2*C)]); g.Cmp(w) != 0 {
+					return fmt.Errorf("child total %d (selected by %s): %v, the α path gives %v",
+						i%(2+2*C), []string{"public index", "λ"}[i/(2+2*C)], g, w)
 				}
 			}
 			return nil

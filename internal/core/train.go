@@ -8,12 +8,16 @@ import (
 	"repro/internal/paillier"
 )
 
-// nodeData carries a node's encrypted state down the tree: the encrypted
-// mask vector [α] (§4.1) and, in encrypted-label mode (GBDT trees
-// after the first round, §7.2), the masked label channels [γ].
+// nodeData carries a node's state down the tree: the encrypted mask vector
+// [α] (§4.1), in encrypted-label mode (GBDT trees after the first round,
+// §7.2) the masked label channels [γ], and the node's totals as shares — ⟨n⟩,
+// then the C channel totals (class counts, or Σy and Σy²).  A child's totals
+// are selected from its parent's split statistics (childTotals); its vectors
+// are nil when no later split needs them and no leaf mask is captured.
 type nodeData struct {
 	alpha []*paillier.Ciphertext
 	gch   [][]*paillier.Ciphertext // nil in plain-label mode
+	tot   []mpc.Share              // nil until nodeTotals or childTotals
 }
 
 // TrainDT trains one decision tree (Algorithm 3 with the §5 extensions when

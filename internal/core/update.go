@@ -13,12 +13,12 @@ func cryptoRand() io.Reader { return rand.Reader }
 
 // splitBasicLevel is the basic protocol's model update step (§4.1) for a
 // frontier of nodes whose best split identifiers are public: every owner
-// announces its nodes' plaintext thresholds in one message, computes all of
-// their child mask vectors [α_l], [α_r] (and, in encrypted-label mode, the
-// masked label channels) in one parallel Paillier batch and ships them as one
-// chunked broadcast.  In malicious mode the children go node by node inside
-// their proofs instead (auditedChildren).
-func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcome, error) {
+// announces its nodes' plaintext thresholds in one message, computes the
+// first kids of their child vectors — the mask vectors [α_l], [α_r], then in
+// encrypted-label mode the masked label channels — in one parallel Paillier
+// batch and ships them as one chunked broadcast.  In malicious mode the
+// children go node by node inside their proofs instead (auditedChildren).
+func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int, kids int) ([]splitOutcome, error) {
 	K := len(nds)
 	out := make([]splitOutcome, K)
 	byOwner := make([][]int, p.M)
@@ -27,6 +27,7 @@ func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcom
 	}
 	for i := range nds {
 		out[i].node = Node{Owner: is[i], Feature: js[i], SplitIndex: ss[i]}
+		out[i].win = p.clientBase(is[i]) + p.flatIndexFor(is[i], js[i], ss[i])
 	}
 
 	// Threshold announcements (public model content), one message per owner.
@@ -56,6 +57,13 @@ func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcom
 		}
 	}
 
+	if kids == 0 {
+		return out, nil
+	}
+	// Child mask vectors (and label channels in encrypted-label mode).
+	vecsOf := func(i int) [][]*paillier.Ciphertext {
+		return append([][]*paillier.Ciphertext{nds[i].alpha}, nds[i].gch...)[:kids]
+	}
 	if p.audit != nil {
 		// Proven child vectors, node by node: my own nodes first (d = 0),
 		// then each other owner's, so the sends never wait on a receive, as
@@ -64,16 +72,12 @@ func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcom
 			o := (p.ID + d) % p.M
 			for _, i := range byOwner[o] {
 				var err error
-				if out[i].left, out[i].right, err = p.auditedChildren(o, nds[i], js[i], ss[i]); err != nil {
+				if out[i].left, out[i].right, err = p.auditedChildren(o, vecsOf(i), js[i], ss[i]); err != nil {
 					return nil, err
 				}
 			}
 		}
 		return out, nil
-	}
-	// Child mask vectors (and label channels in encrypted-label mode).
-	vecsOf := func(i int) [][]*paillier.Ciphertext {
-		return append([][]*paillier.Ciphertext{nds[i].alpha}, nds[i].gch...)
 	}
 	if mine := byOwner[p.ID]; len(mine) > 0 {
 		var cts []*paillier.Ciphertext
@@ -97,7 +101,7 @@ func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcom
 		}
 		pos := 0
 		for _, i := range mine {
-			out[i].left, out[i].right = sliceChildren(nds[i], lefts, rights, &pos)
+			out[i].left, out[i].right = sliceChildren(kids, len(nds[i].alpha), lefts, rights, &pos)
 		}
 	}
 	for o := 0; o < p.M; o++ {
@@ -115,36 +119,41 @@ func (p *Party) splitBasicLevel(nds []nodeData, is, js, ss []int) ([]splitOutcom
 		lefts, rights := all[:want], all[want:]
 		pos := 0
 		for _, i := range byOwner[o] {
-			out[i].left, out[i].right = sliceChildren(nds[i], lefts, rights, &pos)
+			out[i].left, out[i].right = sliceChildren(kids, len(nds[i].alpha), lefts, rights, &pos)
 		}
 	}
 	return out, nil
 }
 
-// sliceChildren carves one node's child nodeData out of the flattened
-// left/right vector batches.
-func sliceChildren(nd nodeData, lefts, rights []*paillier.Ciphertext, pos *int) (nodeData, nodeData) {
-	n := len(nd.alpha)
-	left := nodeData{alpha: lefts[*pos : *pos+n]}
-	right := nodeData{alpha: rights[*pos : *pos+n]}
-	*pos += n
-	for range nd.gch {
-		left.gch = append(left.gch, lefts[*pos:*pos+n])
-		right.gch = append(right.gch, rights[*pos:*pos+n])
+// sliceChildren carves one node's kids child vectors of n ciphertexts each
+// out of the flattened left/right vector batches.
+func sliceChildren(kids, n int, lefts, rights []*paillier.Ciphertext, pos *int) (nodeData, nodeData) {
+	var ls, rs [][]*paillier.Ciphertext
+	for v := 0; v < kids; v++ {
+		ls, rs = append(ls, lefts[*pos:*pos+n]), append(rs, rights[*pos:*pos+n])
 		*pos += n
 	}
-	return left, right
+	return childData(ls), childData(rs)
+}
+
+// childData is a child's nodeData made of its vectors, [α] first.
+func childData(vecs [][]*paillier.Ciphertext) nodeData {
+	nd := nodeData{alpha: vecs[0]}
+	if len(vecs) > 1 {
+		nd.gch = vecs[1:]
+	}
+	return nd
 }
 
 // auditedChildren is the malicious-mode (§9.1.2) model update of one node
-// split on owner's (feature j, split s): each left vector v ⊗ [x] travels
-// inside POPCM proofs against the owner's committed indicator vector, each
-// right vector [x] ⊖ left follows as plain ciphertexts.  The owner proves and
-// broadcasts; everyone else verifies.
-func (p *Party) auditedChildren(owner int, nd nodeData, j, s int) (left, right nodeData, err error) {
+// split on owner's (feature j, split s): each left vector v ⊗ [x] of the
+// node's vecs travels inside POPCM proofs against the owner's committed
+// indicator vector, each right vector [x] ⊖ left follows as plain
+// ciphertexts.  The owner proves and broadcasts; everyone else verifies.
+func (p *Party) auditedChildren(owner int, vecs [][]*paillier.Ciphertext, j, s int) (left, right nodeData, err error) {
 	flat := p.flatIndexFor(owner, j, s)
 	var lefts, rights [][]*paillier.Ciphertext
-	for _, vec := range append([][]*paillier.Ciphertext{nd.alpha}, nd.gch...) {
+	for _, vec := range vecs {
 		var l, r []*paillier.Ciphertext
 		if owner == p.ID {
 			if l, err = p.audit.provenScalarMulVec(p.ID, flat, vec, p.indic[j][s]); err != nil {
@@ -165,11 +174,7 @@ func (p *Party) auditedChildren(owner int, nd nodeData, j, s int) (left, right n
 		lefts = append(lefts, l)
 		rights = append(rights, r)
 	}
-	left, right = nodeData{alpha: lefts[0]}, nodeData{alpha: rights[0]}
-	if nd.gch != nil {
-		left.gch, right.gch = lefts[1:], rights[1:]
-	}
-	return left, right, nil
+	return childData(lefts), childData(rights), nil
 }
 
 // flatIndexFor maps another client's (feature, split) pair to its flat split
@@ -190,9 +195,10 @@ func (p *Party) flatIndexFor(client, j, s int) int {
 // [v] = V ⊗ [λ] and encrypted thresholds in one batch; and a single Eqn-10
 // chain on integer conversion shares updates all nodes' encrypted mask
 // vectors — O(1) round chains per call, whatever the frontier's width.
-func (p *Party) splitEnhancedLevel(nds []nodeData, iStars, jStars []int, sStars []mpc.Share) ([]splitOutcome, error) {
+// Without vecs the children get no mask vectors: no [v] rows, no Eqn 10.
+func (p *Party) splitEnhancedLevel(nds []nodeData, iStars, jStars []int, sStars []mpc.Share, vecs bool) ([]splitOutcome, error) {
 	K := len(nds)
-	n := len(nds[0].alpha)
+	n := maskLen(nds, vecs)
 	out := make([]splitOutcome, K)
 
 	// ⟨λ⟩ ladders for every node, one shared round chain.
@@ -223,6 +229,8 @@ func (p *Party) splitEnhancedLevel(nds []nodeData, iStars, jStars []int, sStars 
 	for i := range segLens {
 		segOff[i] = off
 		off += segLens[i]
+		out[i].win = p.clientBase(iStars[i]) + p.flatIndexFor(iStars[i], jStars[i], 0)
+		out[i].lam = lamShares[segOff[i]:off]
 	}
 
 	// Owners select [v] = V ⊗ [λ] and the encrypted thresholds for all of
@@ -254,22 +262,42 @@ func (p *Party) splitEnhancedLevel(nds []nodeData, iStars, jStars []int, sStars 
 		return nil, err
 	}
 
-	// Encrypted mask vector updates, Eqn (10), one chain for the frontier.
-	alphas := make([][]*paillier.Ciphertext, K)
+	for i := range nds {
+		out[i].node = Node{Owner: iStars[i], Feature: jStars[i], EncThreshold: encTaus[i]}
+	}
+	return out, p.maskChildren(out, nds, encVs, iStars, vecs)
+}
+
+// maskLen is the length of the split nodes' mask vectors, or 0 when their
+// children get none.
+func maskLen(nds []nodeData, vecs bool) int {
+	if !vecs {
+		return 0
+	}
+	return len(nds[0].alpha)
+}
+
+// maskChildren gives every split node's children their mask vectors — the
+// left by Eqn (10), one chain for the frontier, the right as the parent's
+// minus the left — unless vecs is off.
+func (p *Party) maskChildren(out []splitOutcome, nds []nodeData, encVs [][]*paillier.Ciphertext, combiners []int, vecs bool) error {
+	if !vecs {
+		return nil
+	}
+	alphas := make([][]*paillier.Ciphertext, len(nds))
 	for i := range nds {
 		alphas[i] = nds[i].alpha
 	}
-	lefts, err := p.encMaskedProductLevel(alphas, encVs, iStars)
+	lefts, err := p.encMaskedProductLevel(alphas, encVs, combiners)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := range nds {
-		out[i].node = Node{Owner: iStars[i], Feature: jStars[i], EncThreshold: encTaus[i]}
 		out[i].left = nodeData{alpha: lefts[i]}
 		out[i].right = nodeData{alpha: p.pk.SubVec(nds[i].alpha, lefts[i], p.cfg.Workers)}
-		p.Stats.HEOps += int64(n)
+		p.Stats.HEOps += int64(len(lefts[i]))
 	}
-	return out, nil
+	return nil
 }
 
 // ownerSelectLevel is the shared owner-side selection batch: for each node

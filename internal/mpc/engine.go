@@ -682,7 +682,7 @@ func (e *Engine) EncMasks(count int, width uint) []EncMask {
 		batch := max(count-len(q), 64)
 		e.request(reqEncMasks, int64(batch), int64(width))
 		stride := e.stride()
-		payload, _, err := transport.UnmarshalInts(e.recvDealer())
+		payload, err := transport.DecodeInts(e.recvDealer())
 		if err == nil && len(payload) != batch*stride {
 			err = fmt.Errorf("%d integers, want %d", len(payload), batch*stride)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
 	"sync"
@@ -323,6 +324,59 @@ func TestWireHostileElementCount(t *testing.T) {
 	if xs, _, err := UnmarshalInts(MarshalInts(nil)); err != nil || len(xs) != 0 {
 		t.Fatalf("empty vector: %v, %v", xs, err)
 	}
+}
+
+// TestRecvIntsRefusesTrailingBytes: every sender writes exactly one vector per
+// frame, so a frame holding bytes after its vector — here a second vector — is
+// refused with ErrTrailingBytes instead of read as its first vector.
+func TestRecvIntsRefusesTrailingBytes(t *testing.T) {
+	eps := NewMemoryNetwork(2, 4)
+	one := MarshalInts([]*big.Int{big.NewInt(7)})
+	if err := eps[1].Send(0, append(append([]byte(nil), one...), one...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecvInts(eps[0], 1); !errors.Is(err, ErrTrailingBytes) {
+		t.Errorf("two vectors in one frame: %v, want ErrTrailingBytes", err)
+	}
+	if err := eps[1].Send(0, one); err != nil {
+		t.Fatal(err)
+	}
+	if xs, err := RecvInts(eps[0], 1); err != nil || len(xs) != 1 {
+		t.Errorf("one vector: %v, %v", xs, err)
+	}
+}
+
+// FuzzUnmarshalInts: the decoder never panics and reads no more elements than
+// the payload has bytes; what it accepts re-encodes to a vector it reads back
+// the same, and DecodeInts accepts exactly the frames it reads with nothing
+// left over.
+func FuzzUnmarshalInts(f *testing.F) {
+	f.Add(MarshalInts([]*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(12345), 200)}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		xs, rest, err := UnmarshalInts(b)
+		dec, derr := DecodeInts(b)
+		if err != nil {
+			if derr == nil {
+				t.Fatalf("DecodeInts accepted what UnmarshalInts refused (%v)", err)
+			}
+			return
+		}
+		if len(xs) > len(b) {
+			t.Fatalf("%d elements out of %d bytes", len(xs), len(b))
+		}
+		if (len(rest) > 0) != errors.Is(derr, ErrTrailingBytes) || derr == nil && len(dec) != len(xs) {
+			t.Fatalf("%d trailing bytes, DecodeInts: %d values, %v", len(rest), len(dec), derr)
+		}
+		again, arest, err := UnmarshalInts(MarshalInts(xs))
+		if err != nil || len(arest) != 0 || len(again) != len(xs) {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		for i := range xs {
+			if again[i].Cmp(xs[i]) != 0 {
+				t.Fatalf("element %d changed across a round trip", i)
+			}
+		}
+	})
 }
 
 func TestMemoryPerPeerStats(t *testing.T) {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
 )
@@ -71,19 +72,33 @@ func UnmarshalInts(b []byte) ([]*big.Int, []byte, error) {
 	return out, b, nil
 }
 
+// ErrTrailingBytes is wrapped by DecodeInts when a frame holds bytes after its
+// vector.  Every sender writes exactly one vector per frame, so the rest is a
+// corrupt or hostile frame, not data to skip.
+var ErrTrailingBytes = errors.New("transport: bytes after the vector")
+
+// DecodeInts decodes a frame that holds exactly one vector encoded by
+// MarshalInts.
+func DecodeInts(b []byte) ([]*big.Int, error) {
+	xs, rest, err := UnmarshalInts(b)
+	if err == nil && len(rest) > 0 {
+		return nil, fmt.Errorf("%w: %d of %d bytes", ErrTrailingBytes, len(rest), len(b))
+	}
+	return xs, err
+}
+
 // SendInts marshals and sends a vector of non-negative big integers.
 func SendInts(ep Endpoint, to int, xs []*big.Int) error {
 	return ep.Send(to, MarshalInts(xs))
 }
 
-// RecvInts receives and unmarshals a vector of big integers.
+// RecvInts receives one frame and decodes it as one vector of big integers.
 func RecvInts(ep Endpoint, from int) ([]*big.Int, error) {
 	b, err := ep.Recv(from)
 	if err != nil {
 		return nil, err
 	}
-	xs, _, err := UnmarshalInts(b)
-	return xs, err
+	return DecodeInts(b)
 }
 
 // BroadcastInts sends the same vector to every other party.
