@@ -2,7 +2,10 @@ package core
 
 import (
 	"crypto/rand"
+	"encoding/json"
 	"math/big"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -13,7 +16,29 @@ import (
 // The packed conversion and packed-open paths must be drop-in: NoPack
 // toggles them off, and the trees that come out must be bit-identical —
 // packing rearranges how masked values ride ciphertexts and field elements,
-// never what those values are.
+// never what those values are.  testdata/packing_golden.json holds the
+// per-value path's rendered trees; both paths must reproduce them.
+
+// assertPackingGolden holds trees to the recorded outlines under name.
+func assertPackingGolden(t *testing.T, name string, trees []*Model) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/packing_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded map[string][]string
+	if err := json.Unmarshal(raw, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tr := range trees {
+		got = append(got, tr.String())
+	}
+	if !reflect.DeepEqual(got, recorded[name]) {
+		out, _ := json.MarshalIndent(got, "", "  ")
+		t.Fatalf("%s: trees differ from the recorded ones; this tree produces:\n%s", name, out)
+	}
+}
 
 func TestPackingEquivalenceDT(t *testing.T) {
 	// Ungated: the cheap case keeps the packed/unpacked oracle comparison
@@ -23,6 +48,7 @@ func TestPackingEquivalenceDT(t *testing.T) {
 	cfg.Tree.MaxDepth = 2
 	cfg.NoPack = true
 	_, _, oracle := trainSession(t, ds, 2, cfg)
+	assertPackingGolden(t, "dt", []*Model{oracle})
 	cfg.NoPack = false
 	_, _, packed := trainSession(t, ds, 2, cfg)
 	assertSameTree(t, "nopack-vs-packed", packed, oracle)
@@ -67,7 +93,13 @@ func TestPackingEquivalenceGBDT(t *testing.T) {
 		}
 		return out
 	}
-	oracle, packed := train(true), train(false)
+	oracle := train(true)
+	var trees []*Model
+	for _, f := range oracle.Forests {
+		trees = append(trees, f...)
+	}
+	assertPackingGolden(t, "gbdt", trees)
+	packed := train(false)
 	if len(oracle.Forests) != len(packed.Forests) {
 		t.Fatalf("class count differs: %d vs %d", len(oracle.Forests), len(packed.Forests))
 	}
