@@ -132,7 +132,8 @@ type Config struct {
 	// Kappa is the statistical masking parameter.
 	Kappa uint
 	// LabelBits bounds |label| < 2^LabelBits (public hyper-parameter needed
-	// to size the statistical masks for regression label sums).
+	// to size the statistical masks for regression label sums); the super
+	// client refuses a label outside it with an ErrLabelRange.
 	LabelBits uint
 
 	// Workers > 1 parallelizes threshold decryption, encryption and the
@@ -158,21 +159,13 @@ type Config struct {
 	Hide HideLevel
 
 	// Malicious enables the §9.1 extension: authenticated MPC shares plus
-	// zero-knowledge proofs on the HE-side messages.
+	// zero-knowledge proofs on the HE-side messages.  It packs exactly like
+	// a semi-honest run: packed openings carry their MACs, and the mask
+	// proofs of a conversion cover its packed ciphertexts.
 	Malicious bool
 
 	// DP, if non-nil, enables the §9.2 differential privacy extension.
 	DP *DPConfig
-
-	// NoPack disables ciphertext and opened-value packing: conversions fall
-	// back to one value per ciphertext (the per-value Algorithm-2 oracle)
-	// and the MPC engine opens one value per field element.  Malicious runs
-	// pack their prediction releases too; only their engine openings and
-	// Algorithm-2 conversions stay per value, because the MACs and proofs
-	// are per value.  The packed and unpacked paths produce identical models
-	// (equivalence-tested); the knob exists for oracle comparisons and
-	// byte-accounting experiments.
-	NoPack bool
 
 	// PredictBatch caps how many samples PredictAll amortizes one MPC round
 	// chain over: 0 = the whole dataset in one batch, 1 = the paper's
@@ -275,7 +268,6 @@ func (c Config) withDefaults() Config {
 // channel send and the per-lane dealer top-ups would exceed what the overlap
 // hides, so the same Config there is the barrier oracle.  The variants
 // without an overlapped implementation stay barrier on every transport:
-//   - NoPack, the per-value Algorithm-2 oracle;
 //   - malicious (§9.1): the speculative-gamma pass broadcasts γ without its
 //     POPCM proofs, and a lane fork's openings never reach the main engine's
 //     CheckMACs;
@@ -283,7 +275,7 @@ func (c Config) withDefaults() Config {
 //     drawn under overlap would not be a function of the seed.
 func (c Config) pipelineActive() bool {
 	realRounds := c.TCPLoopback || c.NetDelay > 0 || c.NetJitter > 0
-	return realRounds && !c.NoPack && !c.Malicious && c.DP == nil
+	return realRounds && !c.Malicious && c.DP == nil
 }
 
 // mpcConfig derives the engine configuration.
@@ -295,7 +287,6 @@ func (c Config) mpcConfig() mpc.Config {
 		Seed:          c.Seed,
 		BatchSize:     512,
 		Workers:       c.Workers,
-		NoPack:        c.NoPack,
 	}
 }
 

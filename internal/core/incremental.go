@@ -188,12 +188,8 @@ func (p *Party) appendData(np *dataset.Partition) error {
 		if len(np.Y) != np.N {
 			return p.errf("update: super client needs a label for each of the %d appended samples, got %d", np.N, len(np.Y))
 		}
-		if c := p.part.Classes; c > 0 {
-			for t, y := range np.Y {
-				if y != float64(int(y)) || int(y) < 0 || int(y) >= c {
-					return p.errf("update: appended label %v at row %d outside [0,%d)", y, t, c)
-				}
-			}
+		if err := p.checkLabels(np.Y); err != nil {
+			return err
 		}
 	}
 

@@ -13,11 +13,12 @@ import (
 	"repro/internal/transport"
 )
 
-// The packed conversion and packed-open paths must be drop-in: NoPack
-// toggles them off, and the trees that come out must be bit-identical —
-// packing rearranges how masked values ride ciphertexts and field elements,
-// never what those values are.  testdata/packing_golden.json holds the
-// per-value path's rendered trees; both paths must reproduce them.
+// The packed conversion and packed-open paths are the only ones; the
+// per-value path they replaced is kept as a recording.
+// testdata/packing_golden.json holds the rendered trees the per-value
+// conversions and openings trained on these configurations, and the packed
+// paths must reproduce them — packing rearranges how masked values ride
+// ciphertexts and field elements, never what those values are.
 
 // assertPackingGolden holds trees to the recorded outlines under name.
 func assertPackingGolden(t *testing.T, name string, trees []*Model) {
@@ -41,18 +42,13 @@ func assertPackingGolden(t *testing.T, name string, trees []*Model) {
 }
 
 func TestPackingEquivalenceDT(t *testing.T) {
-	// Ungated: the cheap case keeps the packed/unpacked oracle comparison
-	// on the short suite's radar.
-	ds := smallClassification(24)
+	// Ungated: the cheap case keeps the packed conversions on the short
+	// suite's radar.
 	cfg := testConfig()
 	cfg.Tree.MaxDepth = 2
-	cfg.NoPack = true
-	_, _, oracle := trainSession(t, ds, 2, cfg)
-	assertPackingGolden(t, "dt", []*Model{oracle})
-	cfg.NoPack = false
-	_, _, packed := trainSession(t, ds, 2, cfg)
-	assertSameTree(t, "nopack-vs-packed", packed, oracle)
-	if oracle.InternalNodes() == 0 {
+	_, _, packed := trainSession(t, smallClassification(24), 2, cfg)
+	assertPackingGolden(t, "dt", []*Model{packed})
+	if packed.InternalNodes() == 0 {
 		t.Fatal("degenerate comparison: tree did not split")
 	}
 }
@@ -63,51 +59,8 @@ func TestPackingEquivalenceGBDT(t *testing.T) {
 	}
 	// Multi-class GBDT under the batched level-wise update: the heaviest
 	// consumer of both the packed conversions and the packed opens.
-	ds := dataset.SyntheticClassification(24, 4, 3, 3.0, 11)
-	cfg := testConfig()
-	cfg.NumTrees = 2
-	cfg.LearningRate = 0.5
-	cfg.Tree.MaxDepth = 2
-
-	train := func(noPack bool) *BoostModel {
-		c := cfg
-		c.NoPack = noPack
-		parts, err := dataset.VerticalPartition(ds, 2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSession(parts, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		var out *BoostModel
-		if err := s.Each(func(p *Party) error {
-			m, err := p.TrainGBDT()
-			if p.ID == 0 && err == nil {
-				out = m
-			}
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	oracle := train(true)
-	var trees []*Model
-	for _, f := range oracle.Forests {
-		trees = append(trees, f...)
-	}
-	assertPackingGolden(t, "gbdt", trees)
-	packed := train(false)
-	if len(oracle.Forests) != len(packed.Forests) {
-		t.Fatalf("class count differs: %d vs %d", len(oracle.Forests), len(packed.Forests))
-	}
-	for k := range oracle.Forests {
-		for w := range oracle.Forests[k] {
-			assertSameTree(t, "gbdt-nopack-vs-packed", packed.Forests[k][w], oracle.Forests[k][w])
-		}
-	}
+	_, _, bm := trainEnsemble(t, dataset.SyntheticClassification(24, 4, 3, 3.0, 11), KindGBDT)
+	assertPackingGolden(t, "gbdt", predictorTrees(bm))
 }
 
 // TestCtChunkLevelBudget is the regression test for the hard-coded

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 	"sort"
@@ -113,6 +114,11 @@ func NewParty(ep transport.Endpoint, part *dataset.Partition, pk *paillier.Publi
 	if cfg.Malicious {
 		p.audit = newAuditor(p)
 	}
+	if p.ID == p.Super {
+		if err := p.checkLabels(part.Y); err != nil {
+			return nil, err
+		}
+	}
 	if err := p.prepareSplits(); err != nil {
 		return nil, err
 	}
@@ -128,20 +134,55 @@ func (p *Party) Close() { p.eng.Shutdown() }
 // Engine exposes the MPC engine (used by the baselines and tests).
 func (p *Party) Engine() *mpc.Engine { return p.eng }
 
+// ErrLabelRange is returned when one of the super client's labels breaks the
+// bounds the protocol's widths are sized for: a classification label must be
+// an integer class in [0, Classes), a regression label finite with
+// |y| < 2^LabelBits (Config.LabelBits).
+type ErrLabelRange struct {
+	Row       int
+	Label     float64
+	Classes   int // 0 for regression
+	LabelBits uint
+}
+
+func (e *ErrLabelRange) Error() string {
+	if e.Classes > 0 {
+		return fmt.Sprintf("core: label %v at row %d is not a class in [0,%d)", e.Label, e.Row, e.Classes)
+	}
+	return fmt.Sprintf("core: regression label %v at row %d is not below 2^%d in magnitude (Config.LabelBits)", e.Label, e.Row, e.LabelBits)
+}
+
+// checkLabels holds the super client's labels ys to ErrLabelRange's bounds.
+func (p *Party) checkLabels(ys []float64) error {
+	c, lim := p.part.Classes, math.Ldexp(1, int(p.cfg.LabelBits))
+	for t, y := range ys {
+		if c > 0 && (y != math.Trunc(y) || y < 0 || y >= float64(c)) || c == 0 && !(math.Abs(y) < lim) {
+			return &ErrLabelRange{Row: t, Label: y, Classes: c, LabelBits: p.cfg.LabelBits}
+		}
+	}
+	return nil
+}
+
 // prepareSplits computes the local candidate thresholds, the left-branch
 // indicator vector v_l for every (feature, split) pair (§4.1) and every
 // sample's bucket per feature.  The thresholds of one feature must ascend:
 // that is what nests the v_l and lets bucketStats derive every split's
-// statistics from one pass over the buckets.
+// statistics from one pass over the buckets.  Under the enhanced protocol
+// every value must encode inside ±2^value, the range its secure comparisons
+// are sized for (encodeFeature).
 func (p *Party) prepareSplits() error {
 	d := len(p.part.Features)
 	p.cands = make([][]float64, d)
 	p.indic = make([][][]*big.Int, d)
 	p.bucket = make([][]int, d)
+	lim := math.Ldexp(1, int(p.w.value))
 	for j := 0; j < d; j++ {
 		col := make([]float64, p.part.N)
 		for t := range col {
 			col[t] = p.part.X[t][j]
+			if p.cfg.Protocol == Enhanced && !(math.Abs(math.Round(math.Ldexp(col[t], int(p.cfg.F)))) < lim) {
+				return p.errf("feature %d row %d: %v encodes outside ±2^%d, the enhanced protocol's comparison range", j, t, col[t], p.w.value)
+			}
 		}
 		p.cands[j] = dataset.SplitCandidates(col, p.cfg.Tree.MaxSplits)
 		for s := 1; s < len(p.cands[j]); s++ {
@@ -563,8 +604,8 @@ func (p *Party) releaseWidth(scale *big.Int, terms int) uint {
 // ciphertexts — its inputs never leave it, so they need no randomness of
 // their own — and broadcasts them; one threshold decryption per packed
 // ciphertext then releases what a decryption per value released before.
-// NoPack, or a width that fits a single slot, leaves one value per
-// ciphertext through the same steps.
+// A width that fits a single slot leaves one value per ciphertext through
+// the same steps.
 func (p *Party) releasePacked(cts []*paillier.Ciphertext, count int, w uint) ([]*big.Int, error) {
 	plan := p.packPlan(count, w)
 	groups := plan.Groups(count)
@@ -605,16 +646,6 @@ func (p *Party) releasePacked(cts []*paillier.Ciphertext, count int, w uint) ([]
 // ---------------------------------------------------------------------------
 // TPHE <-> MPC bridges
 
-// convPlan chooses the slot layout for a packed Algorithm-2 conversion of
-// `count` values of signed width kStat: each slot must hold the masked sum
-// x + offset + Σ_i r_i < 2^kStat + M·2^(kStat+κ).  The input ciphertexts
-// already exist at level 1, and a level-1 ciphertext cannot be lifted into a
-// Damgård–Jurik level (see paillier/dj.go), so conversions pack within Z_N;
-// the DJ levels serve fresh packed encryptions.
-func (p *Party) convPlan(count int, kStat uint) paillier.PackPlan {
-	return p.packPlan(count, kStat+p.cfg.Kappa+uint(bits.Len(uint(p.M)))+1)
-}
-
 // packShifted adds the sign offset to every ciphertext and packs them
 // plan.Slots to a ciphertext by shift-and-add (the last one holds the rest).
 func (p *Party) packShifted(cts []*paillier.Ciphertext, offset *big.Int, plan paillier.PackPlan) []*paillier.Ciphertext {
@@ -630,31 +661,31 @@ func (p *Party) packShifted(cts []*paillier.Ciphertext, offset *big.Int, plan pa
 }
 
 // packPlan is the level-1 layout for `count` values of slotW bits: as many
-// slots to a ciphertext as Z_N holds, at most count, and a single one — the
-// unpacked oracle — under NoPack or when two do not fit.
+// slots to a ciphertext as Z_N holds, at most count, and a single one when
+// two do not fit.
 func (p *Party) packPlan(count int, slotW uint) paillier.PackPlan {
-	slots := min(count, p.pk.PackCapacity(slotW))
-	if slots < 2 || p.cfg.NoPack {
-		slots = 1
-	}
+	slots := max(1, min(count, p.pk.PackCapacity(slotW)))
 	return paillier.PackPlan{SlotW: slotW, Slots: slots, Level: 1}
 }
 
 // convertMasked is the masked-aggregate-and-decrypt core of Algorithm 2:
 // every client contributes a statistical mask per value, the super client
 // aggregates [e_j] = [x_j + offset + Σ_i r_ij], and a threshold decryption
-// reveals the e_j to the super client only.  It returns (es, masks, offset)
-// with es nil at non-super clients.
+// reveals the e_j to the super client only.  It returns plain *integer*
+// additive shares of x_j + offset — e_j − r_j at the super client, −r_ij at
+// the others, exact over ℤ, not mod Q — and the offset 2^(kStat-1).  These
+// integers can be used as exponents on ciphertexts, the trick behind the
+// enhanced protocol's encrypted mask update, Eqn (10).
 //
-// When packing applies (semi-honest, NoPack off, at least two slots), the
-// masked values ride `slots` to a ciphertext: clients pack their mask
-// vectors plaintext-side before encrypting, and the super client packs the
-// offset ciphertexts homomorphically (shift-and-add), so encryptions,
-// decryption-share exponentiations and every ciphertext frame shrink by the
-// slot factor.  The decrypted slot values — and hence the shares derived
-// from them — are identical to the unpacked path's.  The audited malicious
-// path stays unpacked: its per-value mask proofs need per-value ciphertexts.
-func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint, audited bool) ([]*big.Int, []*big.Int, *big.Int, error) {
+// The masked values ride plan.Slots to a ciphertext (one when two do not
+// fit): clients pack their mask vectors plaintext-side before encrypting,
+// and the super client packs the offset ciphertexts homomorphically
+// (shift-and-add), so encryptions, decryption-share exponentiations and
+// every ciphertext frame shrink by the slot factor.  The decrypted slot
+// values, and the shares derived from them, do not depend on the slot count.
+// An audited conversion (malicious mode) proves each packed mask ciphertext:
+// a POPK of a packed plaintext is knowledge of every slot in it.
+func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint, audited bool) ([]*big.Int, *big.Int, error) {
 	maskW := kStat + p.cfg.Kappa
 	offset := new(big.Int).Lsh(big.NewInt(1), kStat-1)
 	masks := make([]*big.Int, count)
@@ -662,29 +693,30 @@ func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint,
 	for j := range masks {
 		r, err := rand.Int(rand.Reader, bound)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		masks[j] = r
 	}
 
-	plan := p.convPlan(count, kStat)
-	if p.audit != nil || plan.Slots < 2 {
-		es, err := p.convertMaskedUnpacked(cts, count, offset, masks, audited)
-		return es, masks, offset, err
-	}
-
+	// A slot holds the masked sum x + offset + Σ_i r_i < 2^kStat + M·2^maskW.
+	// The inputs are existing level-1 ciphertexts, which cannot be lifted into
+	// a Damgård–Jurik level (paillier/dj.go), so conversions pack within Z_N.
+	plan := p.packPlan(count, maskW+uint(bits.Len(uint(p.M)))+1)
 	groups := plan.Groups(count)
 	packedMasks := make([]*big.Int, groups)
 	for g := range packedMasks {
-		lo, hi := g*plan.Slots, (g+1)*plan.Slots
-		if hi > count {
-			hi = count
-		}
-		packedMasks[g] = paillier.PackInts(masks[lo:hi], plan.SlotW)
+		packedMasks[g] = paillier.PackInts(masks[g*plan.Slots:min((g+1)*plan.Slots, count)], plan.SlotW)
 	}
 	encPacked, err := p.encryptVec(packedMasks)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
+	}
+	audited = audited && p.audit != nil
+	var maskProofs []*big.Int
+	if audited && p.ID != p.Super {
+		if maskProofs, err = p.audit.proveMasks(encPacked, packedMasks); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	var encE []*paillier.Ciphertext
@@ -695,98 +727,49 @@ func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint,
 				continue
 			}
 			theirs, err := p.recvCtsChunked(c, groups)
+			if err == nil && audited {
+				err = p.audit.verifyMasks(c, theirs)
+			}
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			encE = p.pk.AddVec(encE, theirs, p.cfg.Workers)
 		}
 		p.Stats.HEOps += int64(count + groups*p.M)
 		if err := p.broadcastCtsChunked(encE); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	} else {
 		if err := p.sendCtsChunked(p.Super, encPacked); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		encE, err = p.recvCtsChunked(p.Super, groups)
-		if err != nil {
-			return nil, nil, nil, err
+		if audited {
+			if err := transport.SendInts(p.ep, p.Super, maskProofs); err != nil {
+				return nil, nil, err
+			}
+		}
+		if encE, err = p.recvCtsChunked(p.Super, groups); err != nil {
+			return nil, nil, err
 		}
 	}
 
 	esPacked, err := p.jointDecryptTo(p.Super, encE)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var es []*big.Int
 	if p.ID == p.Super {
-		es, err = paillier.UnpackVec(esPacked, plan, count)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("client %d: masked conversion totals: %w", p.ID, err)
+		if es, err = paillier.UnpackVec(esPacked, plan, count); err != nil {
+			return nil, nil, fmt.Errorf("client %d: masked conversion totals: %w", p.ID, err)
 		}
 	}
-	return es, masks, offset, nil
-}
-
-// convertMaskedUnpacked is the per-value oracle path (also the malicious
-// path: the mask proofs are per ciphertext).
-func (p *Party) convertMaskedUnpacked(cts []*paillier.Ciphertext, count int, offset *big.Int, masks []*big.Int, audited bool) ([]*big.Int, error) {
-	encMasks, err := p.encryptVec(masks)
-	if err != nil {
-		return nil, err
-	}
-	var maskProofs []*big.Int
-	if audited && p.audit != nil && p.ID != p.Super {
-		maskProofs, err = p.audit.proveMasks(encMasks, masks)
-		if err != nil {
-			return nil, err
+	for j, r := range masks {
+		r.Neg(r)
+		if es != nil {
+			r.Add(r, es[j])
 		}
 	}
-
-	// Super aggregates [e] = [x + offset + Σ r_i] and broadcasts it for
-	// threshold decryption.
-	var encE []*paillier.Ciphertext
-	if p.ID == p.Super {
-		encE = make([]*paillier.Ciphertext, count)
-		for j := range encE {
-			acc := p.pk.AddPlain(cts[j], offset)
-			acc = p.pk.Add(acc, encMasks[j])
-			encE[j] = acc
-		}
-		for c := 0; c < p.M; c++ {
-			if c == p.Super {
-				continue
-			}
-			theirs, err := p.recvCtsChunked(c, count)
-			if err != nil {
-				return nil, err
-			}
-			if audited && p.audit != nil {
-				if err := p.audit.verifyMasks(c, theirs); err != nil {
-					return nil, err
-				}
-			}
-			encE = p.pk.AddVec(encE, theirs, p.cfg.Workers)
-		}
-		p.Stats.HEOps += int64(count * p.M)
-		if err := p.broadcastCtsChunked(encE); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := p.sendCtsChunked(p.Super, encMasks); err != nil {
-			return nil, err
-		}
-		if audited && p.audit != nil {
-			if err := transport.SendInts(p.ep, p.Super, maskProofs); err != nil {
-				return nil, err
-			}
-		}
-		encE, err = p.recvCtsChunked(p.Super, count)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p.jointDecryptTo(p.Super, encE)
+	return masks, offset, nil
 }
 
 // encToShares is Algorithm 2, batched and made sign-safe: each ciphertext
@@ -798,25 +781,15 @@ func (p *Party) encToShares(cts []*paillier.Ciphertext, count int, kStat uint) (
 	if count == 0 {
 		return nil, nil
 	}
-	es, masks, offset, err := p.convertMasked(cts, count, kStat, true)
+	ints, offset, err := p.convertMasked(cts, count, kStat, true)
 	if err != nil {
 		return nil, err
 	}
-
-	shares := make([]mpc.Share, count)
-	for j := range shares {
-		var v *big.Int
-		if p.ID == p.Super {
-			v = new(big.Int).Sub(es[j], masks[j])
-		} else {
-			v = new(big.Int).Neg(masks[j])
-		}
-		shares[j] = mpc.Share{V: mpc.ElemFromBig(v)}
-	}
 	// Remove the sign offset inside the field.
 	negOff := new(big.Int).Neg(offset)
-	for j := range shares {
-		shares[j] = p.eng.AddConst(shares[j], negOff)
+	shares := make([]mpc.Share, count)
+	for j, v := range ints {
+		shares[j] = p.eng.AddConst(mpc.Share{V: mpc.ElemFromBig(v)}, negOff)
 	}
 	if p.cfg.Malicious {
 		return p.authenticateShares(shares)
@@ -843,27 +816,6 @@ func (p *Party) authenticateShares(raw []mpc.Share) ([]mpc.Share, error) {
 		}
 	}
 	return sum, nil
-}
-
-// encToIntShares runs the conversion but returns plain *integer* additive
-// shares of x + 2^(kStat-1) (exact over ℤ, not mod Q).  These integers can
-// be used as exponents on ciphertexts — the trick behind the enhanced
-// protocol's encrypted mask update, Eqn (10).
-func (p *Party) encToIntShares(cts []*paillier.Ciphertext, kStat uint) ([]*big.Int, *big.Int, error) {
-	count := len(cts)
-	es, masks, offset, err := p.convertMasked(cts, count, kStat, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]*big.Int, count)
-	for j := range out {
-		if p.ID == p.Super {
-			out[j] = new(big.Int).Sub(es[j], masks[j])
-		} else {
-			out[j] = new(big.Int).Neg(masks[j])
-		}
-	}
-	return out, offset, nil
 }
 
 // shareToEnc converts secretly shared values (|x| < 2^(kStat-1)) into

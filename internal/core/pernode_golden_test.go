@@ -61,6 +61,12 @@ import (
 //	gbdt-classification      =            2800 → 2216  592 → 520  8452 → 8332  3293433 → 3219708
 //	gbdt-regression          =            1272 → 980   264 → 228  3907 → 3847  1111782 → 1074949
 //
+// Packing malicious sessions (authenticated openings packed with their MACs,
+// proven conversions packed with one mask proof per packed ciphertext)
+// re-recorded the malicious entry's encryptions 284 → 234, decryption shares
+// 106 → 56, messages 1145 → 1152 (dealer requests for bounded triples) and
+// bytes 2391914 → 642095, after the same script check of every other column.
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC

@@ -37,7 +37,6 @@ func TestPipelineActive(t *testing.T) {
 		{"plain", func(c *Config) {}, true},
 		{"malicious", func(c *Config) { c.Malicious = true }, false},
 		{"dp", func(c *Config) { c.DP = &DPConfig{Epsilon: 1} }, false},
-		{"nopack", func(c *Config) { c.NoPack = true }, false},
 		{"store", func(c *Config) { c.Checkpoint = &CheckpointStore{} }, true},
 	}
 	for i, tr := range transports {

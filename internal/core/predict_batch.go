@@ -291,7 +291,7 @@ func (p *Party) predictEnhancedBatch(sm *SharedModel, X [][]float64) ([]float64,
 			for k, i := range nodes {
 				f := model.Nodes[i].Feature
 				for t := 0; t < B; t++ {
-					vals[k*B+t] = p.cod.Encode(X[t][f])
+					vals[k*B+t] = p.encodeFeature(X[t][f])
 				}
 			}
 		}
@@ -406,6 +406,19 @@ func (p *Party) predictEnhancedBatch(sm *SharedModel, X [][]float64) ([]float64,
 	return out, nil
 }
 
+// encodeFeature encodes a prediction input of the enhanced protocol clamped
+// to ±2^value: its comparisons run at value+2 bits, so an input outside
+// would wrap, and every threshold lies inside the bound (prepareSplits
+// refuses training values outside it), so the clamp changes no comparison.
+// NaN clamps to the top and goes right, as in the plaintext walk.
+func (p *Party) encodeFeature(x float64) *big.Int {
+	lim := math.Ldexp(1, int(p.w.value-p.cfg.F))
+	if !(x < lim) {
+		x = lim
+	}
+	return p.cod.Encode(max(x, -lim))
+}
+
 // obliviousFeatureValueBatch computes, for a hidden-feature node, the
 // encryption of the winning feature's value on every sample of the batch:
 // each contributing client dots its encoded local features with its encrypted
@@ -430,7 +443,7 @@ func (p *Party) obliviousFeatureValueBatch(n *Node, X [][]float64) ([]*paillier.
 			}
 			xe := make([]*big.Int, len(X[t]))
 			for j, v := range X[t] {
-				xe[j] = p.cod.Encode(v)
+				xe[j] = p.encodeFeature(v)
 			}
 			xss[t] = xe
 			chs[t] = phi

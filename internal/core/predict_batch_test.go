@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"testing"
 
@@ -146,14 +147,42 @@ func plainPredict(t *testing.T, p *Party, mdl Predictor, x [][]float64) float64 
 	return 0
 }
 
+// withExtremeRows appends to every client's rows values outside the range a
+// concealed tree's comparisons represent: ±10⁵, ±Inf and NaN (a different
+// one at each client), then the rows themselves scaled by 10⁶.
+func withExtremeRows(parts []*dataset.Partition) []*dataset.Partition {
+	extremes := []float64{1e5, -1e5, math.Inf(1), math.Inf(-1), math.NaN()}
+	out := make([]*dataset.Partition, len(parts))
+	for c, part := range parts {
+		x := append([][]float64(nil), part.X...)
+		for k := range extremes {
+			row := make([]float64, len(part.Features))
+			for j := range row {
+				row[j] = extremes[(k+c+j)%len(extremes)]
+			}
+			x = append(x, row)
+		}
+		for _, r := range part.X {
+			row := make([]float64, len(r))
+			for j, v := range r {
+				row[j] = v * 1e6
+			}
+			x = append(x, row)
+		}
+		out[c] = &dataset.Partition{Client: part.Client, Features: part.Features, Classes: part.Classes, X: x, N: len(x)}
+	}
+	return out
+}
+
 // assertSchedules predicts every row of parts at a window of one and in one
 // batch; both must equal the plaintext walk of the model — of its revealed
-// copy for a concealed tree.
+// copy for a concealed tree, which also predicts withExtremeRows.
 func assertSchedules(t *testing.T, name string, s *Session, mdl Predictor, parts []*dataset.Partition) {
 	t.Helper()
 	plain := mdl
 	if m, ok := mdl.(*Model); ok && m.Protocol != Basic {
 		plain = revealModel(t, s, m)
+		parts = withExtremeRows(parts)
 	}
 	s.Cfg.PredictBatch = 1
 	perSample, err := PredictAll(s, mdl, parts)
@@ -552,29 +581,6 @@ func TestReleasePackedEquivalence(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// NoPack: one value per ciphertext through the same steps.
-	cfg.NoPack = true
-	plain, err := NewSession(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	const B = 9
-	preds, decs, err := predict(plain, rows[3].mdl, B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < m; c++ {
-		for i, v := range preds[c] {
-			if want := rows[3].plain(sampleAt(X, i)); v != want {
-				t.Fatalf("NoPack: client %d sample %d: %v != plaintext walk %v", c, i, v, want)
-			}
-		}
-		if decs[c] != B {
-			t.Errorf("NoPack: client %d performed %d partial decryptions, want %d", c, decs[c], B)
-		}
 	}
 }
 

@@ -228,9 +228,12 @@ func newSession(parts []*dataset.Partition, cfg Config, resume *Checkpoint) (*Se
 		}
 	}
 
-	// Bring up the clients concurrently (their constructors handshake).
+	// Bring up the clients concurrently (their constructors handshake).  A
+	// client that refuses its partition closes the network, so the others
+	// stop waiting for its split counts; its error is the one returned.
 	s.parties = make([]*Party, m)
-	errs := make([]error, m)
+	var first error
+	var once sync.Once
 	var wg sync.WaitGroup
 	for i := 0; i < m; i++ {
 		wg.Add(1)
@@ -238,15 +241,16 @@ func newSession(parts []*dataset.Partition, cfg Config, resume *Checkpoint) (*Se
 			defer wg.Done()
 			p, err := NewParty(s.eps[i], parts[i], pk, pkeys[i], m, cfg)
 			s.parties[i] = p
-			errs[i] = err
+			if err != nil {
+				once.Do(func() { first = err })
+				s.abortNetwork()
+			}
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.shutdown()
-			return nil, err
-		}
+	if first != nil {
+		s.shutdown()
+		return nil, first
 	}
 
 	// Fault-tolerance hooks: the checkpoint store (only runLevels

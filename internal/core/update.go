@@ -379,7 +379,7 @@ func (p *Party) encMaskedProductLevel(alphas, encVs [][]*paillier.Ciphertext, ow
 		flatV = append(flatV, encVs[i]...)
 	}
 
-	ints, off, err := p.encToIntShares(flatA, p.w.count+2)
+	ints, off, err := p.convertMasked(flatA, len(flatA), p.w.count+2, false)
 	if err != nil {
 		return nil, err
 	}

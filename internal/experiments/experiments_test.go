@@ -74,28 +74,28 @@ func TestEnhancedGrowsFasterInN(t *testing.T) {
 	// mask update needs O(n) threshold decryptions per internal node) while
 	// basic grows slowly (its decryptions are O(cdb), independent of n).
 	// Wall-clock at test scale is noise-dominated, so assert the claim on
-	// the deterministic operation counts instead — on the NoPack oracle
-	// path: this is a claim about the protocol structure, and ciphertext
-	// packing deliberately divides DecShares by the slot count (with
-	// n-dependent tail rounding that scrambles a 16-vs-96 ratio at this
-	// scale).
+	// the deterministic operation counts instead.  Packing divides DecShares
+	// by the slot count, so both n fill whole packed ciphertexts (a depth-2
+	// tree's update converts the root's n values, four to a ciphertext at
+	// 256-bit keys), and every tree is grown to full depth, so the per-node
+	// count is taken over the same seven nodes at both n.
 	p := tiny()
 	decPerNode := func(proto core.Protocol, n int) float64 {
 		pp := p
 		pp.N = n
 		ds := synth(pp, pp.M)
 		cfg := cfgFor(pp, proto, 1)
-		cfg.NoPack = true
+		cfg.Tree.LeafOnZeroGain = false
 		_, stats, _, err := trainKind(ds, pp.M, cfg, core.KindDT)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.NodesTrained == 0 {
-			t.Fatal("no nodes trained")
+		if stats.NodesTrained != 7 {
+			t.Fatalf("%v, n = %d: %d nodes trained, want a full depth-2 tree", proto, n, stats.NodesTrained)
 		}
 		return float64(stats.DecShares) / float64(stats.NodesTrained)
 	}
-	const loN, hiN = 16, 96
+	const loN, hiN = 32, 192
 	growthEnh := decPerNode(core.Enhanced, hiN) / decPerNode(core.Enhanced, loN)
 	growthBas := decPerNode(core.Basic, hiN) / decPerNode(core.Basic, loN)
 	if growthEnh <= growthBas*1.5 {

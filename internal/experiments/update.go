@@ -83,12 +83,9 @@ func updateBaseline(p Preset) (*Baseline, error) {
 	b.Set("boost_rounds", 2)
 	b.Set("seed", 7)       // protocol seed (cfg.Seed)
 	b.Set("data_seed", 99) // synthetic-dataset generator seed
-	// Packing configuration in effect for these numbers: ciphertext packing
-	// in the Algorithm-2 conversions plus bounded packed opens in the MPC
-	// engine (DESIGN.md, "Ciphertext packing").  False is the NoPack oracle
-	// path; pack_kappa is the statistical masking parameter that sets the
-	// packed slot widths.
-	b.Set("packing", !benchCfg.NoPack)
+	// The statistical masking parameter that sets the packed slot widths of
+	// the conversions and the engine's bounded opens (DESIGN.md, "Ciphertext
+	// packing").
 	b.Set("pack_kappa", int(kappa))
 	// The substrate the timed GBDT legs ran on: "tcp-loopback" (kernel
 	// loopback sockets, per-message cost included) vs "memory".

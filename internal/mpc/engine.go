@@ -19,6 +19,8 @@ type Config struct {
 	// Kappa is the statistical security parameter for masked openings.
 	Kappa uint
 	// Authenticated enables SPDZ MAC checking (malicious model, §9.1).
+	// Packed bounded openings stay packed: the MACs follow the linear
+	// packing (pack.go).
 	Authenticated bool
 	// Seed feeds this party's local randomness (commit-reveal nonces etc.).
 	Seed int64
@@ -27,10 +29,6 @@ type Config struct {
 	// Workers > 1 parallelizes the local (communication-free) arithmetic of
 	// the batched primitives across goroutines.
 	Workers int
-	// NoPack disables packed bounded openings (OpenVecBounded /
-	// MulVecBounded fall back to their unpacked forms).  Authenticated mode
-	// implies it: packed opens have no per-value MAC shares.
-	NoPack bool
 }
 
 // DefaultConfig returns the parameters used throughout the evaluation:

@@ -34,6 +34,8 @@ func runParties(t *testing.T, n int, cfg Config, body func(e *Engine) error) {
 				errs <- err
 				return
 			}
+			// A failing party still releases the dealer, so the run ends.
+			defer e.Shutdown()
 			defer func() {
 				if r := recover(); r != nil {
 					errs <- fmt.Errorf("party %d panic: %v", p, r)
@@ -41,9 +43,7 @@ func runParties(t *testing.T, n int, cfg Config, body func(e *Engine) error) {
 			}()
 			if err := body(e); err != nil {
 				errs <- fmt.Errorf("party %d: %w", p, err)
-				return
 			}
-			e.Shutdown()
 		}(p)
 	}
 	wg.Wait()
@@ -525,7 +525,69 @@ func TestAuthenticatedHonestRun(t *testing.T) {
 	})
 }
 
+// TestAuthenticatedDetectsTampering has party 2 shift its share of one
+// value before an opening — a plain one, a packed OpenVecBounded one (inside
+// a slot, and by 2^width so it carries into the next slot), and a
+// MulVecBounded Beaver difference, which rides a packed opening too.  The
+// MAC check must fail for each, and pass on the same script run honestly.
 func TestAuthenticatedDetectsTampering(t *testing.T) {
+	const width = 8
+	small := func(e *Engine) []Share {
+		vals := make([]*big.Int, 5)
+		for i := range vals {
+			vals[i] = big.NewInt(int64(3*i + 1))
+		}
+		return e.InputVec(0, vals)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine, tamper func(*Share, Elem))
+	}{
+		{"Open", func(e *Engine, tamper func(*Share, Elem)) {
+			x := e.Input(0, big.NewInt(5))
+			tamper(&x, Elem{1})
+			e.Open(x)
+		}},
+		{"OpenVecBounded", func(e *Engine, tamper func(*Share, Elem)) {
+			xs := small(e)
+			tamper(&xs[2], Elem{1})
+			e.OpenVecBounded(xs, width)
+		}},
+		{"OpenVecBounded slot carry", func(e *Engine, tamper func(*Share, Elem)) {
+			xs := small(e)
+			tamper(&xs[0], Elem{1}.Lsh(width))
+			e.OpenVecBounded(xs, width)
+		}},
+		{"MulVecBounded", func(e *Engine, tamper func(*Share, Elem)) {
+			bits := e.InputVec(1, []*big.Int{big.NewInt(1), big.NewInt(0), big.NewInt(1), big.NewInt(1)})
+			tamper(&bits[1], Elem{1})
+			e.MulVecBounded(bits, bits, 1, 1)
+		}},
+	} {
+		for _, malicious := range []bool{false, true} {
+			results := runAuthenticated(t, func(e *Engine) error {
+				tc.run(e, func(x *Share, d Elem) {
+					if malicious && e.PartyID() == 2 {
+						x.V = x.V.Add(d)
+					}
+				})
+				return e.CheckMACs()
+			})
+			detected := false
+			for _, err := range results {
+				detected = detected || err != nil
+			}
+			if detected != malicious {
+				t.Errorf("%s (tampered %v): MAC check failures %v", tc.name, malicious, results)
+			}
+		}
+	}
+}
+
+// runAuthenticated runs body as each of three authenticated parties and
+// returns what each returned.
+func runAuthenticated(t *testing.T, body func(e *Engine) error) []error {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Authenticated = true
 	const n = 3
@@ -546,26 +608,12 @@ func TestAuthenticatedDetectsTampering(t *testing.T) {
 				results[p] = err
 				return
 			}
-			x := e.Input(0, big.NewInt(5))
-			if p == 2 {
-				// Malicious party 2 shifts its share before the open.
-				x.V = x.V.Add(Elem{1})
-			}
-			e.Open(x)
-			results[p] = e.CheckMACs()
+			results[p] = body(e)
 			e.Shutdown()
 		}(p)
 	}
 	wg.Wait()
-	detected := false
-	for p := 0; p < n; p++ {
-		if results[p] != nil {
-			detected = true
-		}
-	}
-	if !detected {
-		t.Fatal("tampered share not detected by MAC check")
-	}
+	return results
 }
 
 func TestStatsAccounting(t *testing.T) {

@@ -30,9 +30,11 @@ func packCapacity(width uint) int {
 // packs several values per field element with a local linear combination of
 // the shares, opens the packed elements in one round, and splits the slots
 // back apart — same opened values, same round count, fewer field elements on
-// the wire.  It falls back to OpenVec when packing is disabled, when a slot
-// cannot fit at least twice in the field, or in authenticated mode (the MAC
-// check needs per-value MAC shares).
+// the wire.  The combination is linear, so in authenticated mode it carries
+// the MAC shares along: the packed element's MAC share is Σ 2^(jw)·M_j, a
+// valid MAC of the packed value, and CheckMACs checks the packed opening
+// that every slot is read from.  It opens one value per element when a slot
+// cannot fit at least twice in the field.
 func (e *Engine) OpenVecBounded(xs []Share, width uint) []*big.Int {
 	return elemsToBig(e.openBoundedElems(xs, width))
 }
@@ -40,7 +42,7 @@ func (e *Engine) OpenVecBounded(xs []Share, width uint) []*big.Int {
 // openBoundedElems is OpenVecBounded for callers inside the package.
 func (e *Engine) openBoundedElems(xs []Share, width uint) []Elem {
 	slots := packCapacity(width)
-	if e.cfg.NoPack || e.cfg.Authenticated || slots < 2 || len(xs) < 2 {
+	if slots < 2 || len(xs) < 2 {
 		return e.openElems(xs)
 	}
 	groups := (len(xs) + slots - 1) / slots
@@ -49,11 +51,11 @@ func (e *Engine) openBoundedElems(xs []Share, width uint) []Elem {
 		lo := g * slots
 		hi := min(lo+slots, len(xs))
 		// Horner from the top slot.
-		acc := xs[hi-1].V
+		acc := xs[hi-1]
 		for j := hi - 2; j >= lo; j-- {
-			acc = acc.Lsh(width).Add(xs[j].V)
+			acc = e.Add(e.lsh(acc, width), xs[j])
 		}
-		packed[g].V = acc
+		packed[g] = acc
 	}
 	totals := e.openElems(packed)
 	// The open counted the field elements; account for the logical values.
@@ -100,7 +102,7 @@ func (e *Engine) MulVecBounded(xs, ys []Share, wx, wy uint) []Share {
 	}
 	slotW++
 	// c = a·b must stay below Q, and a slot must fit at least twice.
-	if e.cfg.NoPack || e.cfg.Authenticated || wa+wb >= 254 || packCapacity(slotW) < 2 {
+	if wa+wb >= 254 || packCapacity(slotW) < 2 {
 		return e.MulVec(xs, ys)
 	}
 	e.Stats.Mults += int64(len(xs))
@@ -154,7 +156,7 @@ func (e *Engine) MulVecSigned(xs, ys []Share, wx, wy uint) []Share {
 		slotW = wb
 	}
 	slotW++
-	if e.cfg.NoPack || e.cfg.Authenticated || wa+wb >= 254 || packCapacity(slotW) < 2 {
+	if wa+wb >= 254 || packCapacity(slotW) < 2 {
 		return e.MulVec(xs, ys)
 	}
 	X, Y := Elem{1}.Lsh(wx), Elem{1}.Lsh(wy)

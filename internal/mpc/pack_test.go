@@ -43,12 +43,13 @@ func TestMulVecSigned(t *testing.T) {
 }
 
 // TestMulVecSignedMatchesUniform pins the packed signed path to the uniform
-// Beaver oracle on the same inputs (NoPack flips only the transport shape,
-// never the products).
+// Beaver product MulVec computes on the same inputs, with and without MACs:
+// packing changes what is opened, never the products, and an authenticated
+// run's packed openings pass the MAC check.
 func TestMulVecSignedMatchesUniform(t *testing.T) {
-	for _, nopack := range []bool{false, true} {
+	for _, auth := range []bool{false, true} {
 		cfg := DefaultConfig()
-		cfg.NoPack = nopack
+		cfg.Authenticated = auth
 		runParties(t, 3, cfg, func(e *Engine) error {
 			const n = 64
 			xs := make([]Share, n)
@@ -57,14 +58,14 @@ func TestMulVecSignedMatchesUniform(t *testing.T) {
 				xs[i] = e.ConstInt64(int64(i*37%1000 - 500))
 				ys[i] = e.ConstInt64(int64(i*91%2000 - 1000))
 			}
-			zs := e.MulVecSigned(xs, ys, 12, 12)
-			for i, z := range zs {
-				want := int64(i*37%1000-500) * int64(i*91%2000-1000)
-				if got := e.OpenSigned(z); got.Int64() != want {
-					return fmt.Errorf("nopack=%v idx %d: got %v want %d", nopack, i, got, want)
+			got := e.OpenVec(e.MulVecSigned(xs, ys, 12, 12))
+			want := e.OpenVec(e.MulVec(xs, ys))
+			for i := range got {
+				if got[i].Cmp(want[i]) != 0 {
+					return fmt.Errorf("authenticated=%v idx %d: MulVecSigned %v, MulVec %v", auth, i, Signed(got[i]), Signed(want[i]))
 				}
 			}
-			return nil
+			return e.CheckMACs()
 		})
 	}
 }

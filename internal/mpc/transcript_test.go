@@ -22,8 +22,12 @@ import (
 // meant to move them (the ladders multiply in a different order, masks are
 // dealt as values and draw the dealer's stream differently, the grouped
 // argmax is the tournament); before it they had stood since the engine's
-// shares were {V, M *big.Int}.  A failure prints the new transcript; paste it
-// in only when a wire or PRG change is intended.
+// shares were {V, M *big.Int}.  The authenticated row moved once more when
+// authenticated openings began to pack: its frames, and the opened values
+// drawn from the dealer's stream after the first bounded-triple request;
+// with the encmask lines left out of the log, its results digest is the
+// same before and after (8b2f4310…).  A failure prints the new transcript;
+// paste it in only when a wire or PRG change is intended.
 
 // recordingEndpoint hashes every frame it sends, one running SHA-256 per
 // destination.  Each endpoint is driven by one goroutine, so the hashers
@@ -289,7 +293,8 @@ func semiHonestScript(e *Engine, log func(tag string, xs ...*big.Int)) error {
 }
 
 // authenticatedScript covers the MAC-carrying paths: authenticated input
-// masks, triples and bits, the unpacked fallbacks, and the MAC check.
+// masks, triples, bounded triples and bits, packed openings, and the MAC
+// check.
 func authenticatedScript(e *Engine, log func(tag string, xs ...*big.Int)) error {
 	vals := scriptValues(12, 20, 29)
 	if e.PartyID() != 0 {
@@ -333,10 +338,10 @@ func TestTranscriptGolden(t *testing.T) {
 			bytes:   17699112,
 		}},
 		{"authenticated", auth, authenticatedScript, transcript{
-			party:   "19e77b682681041c6209e9e400d145dcfdaf87399d2b7eb7c5609864a5494028",
-			dealer:  "3482d1e74793f7f74cc5e8f82712a95f77c25e505290622f2eafe9bf2a42f92e",
-			results: "43c1e4754761375457a624e164181adc041c1c229510cc1c6e60533851c8118f",
-			bytes:   681790,
+			party:   "4a8a797ed76530c62076bef65dc751e649dc73a2d602b3aecf5b341b45717988",
+			dealer:  "41cbf6314210c149dd296d38c75486e61bdedd18e6f967a5a0252283b99ad0f1",
+			results: "3a64f2b0d4021b7598bffe3921e78af32442e955ea645a88823ea8dbe643fa13",
+			bytes:   1137081,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
