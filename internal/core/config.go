@@ -379,8 +379,8 @@ type RunStats struct {
 	// Traffic is the endpoint's full traffic breakdown (messages and bytes,
 	// sent and received, totals plus per-peer), surfaced next to the MPC op
 	// counters so round-reduction claims are measurable on both the memory
-	// and TCP transports.  BytesSent/MessagesSent above are kept as the
-	// legacy aggregate view of the same counters.
+	// and TCP transports.  BytesSent/MessagesSent above are the same
+	// counters without the dealer link's row.
 	Traffic transport.TrafficSnapshot
 
 	// Serve carries the serving-layer counters when the session is owned

@@ -371,6 +371,9 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 				}
 			}()
 			nodes, err := lp.makeLeavesLevel(tasks, entries)
+			if err == nil {
+				lp.eng.Retire()
+			}
 			ch <- leafRes{nodes: nodes, err: err}
 		}()
 		if pendingWin != nil {

@@ -239,8 +239,13 @@ func TestLevelwiseTrafficSurfaced(t *testing.T) {
 	if peerMsgs != st.Traffic.MsgsSent {
 		t.Fatalf("per-peer sent messages %d do not sum to total %d", peerMsgs, st.Traffic.MsgsSent)
 	}
-	if st.Traffic.MsgsSent != st.MessagesSent || st.Traffic.BytesSent != st.BytesSent {
-		t.Fatalf("legacy counters diverge from snapshot: %+v vs msgs=%d bytes=%d",
+	// The protocol counters are the snapshot without the dealer link.
+	dealer := st.Traffic.Peers[len(st.Traffic.Peers)-1]
+	if dealer.MsgsSent == 0 {
+		t.Fatal("no dealer requests in the per-peer breakdown")
+	}
+	if st.Traffic.MsgsSent-dealer.MsgsSent != st.MessagesSent || st.Traffic.BytesSent-dealer.BytesSent != st.BytesSent {
+		t.Fatalf("protocol counters are not the snapshot less the dealer row: %+v vs msgs=%d bytes=%d",
 			st.Traffic, st.MessagesSent, st.BytesSent)
 	}
 }

@@ -962,13 +962,20 @@ func (p *Party) timedWire(bucket, wire *time.Duration, fn func() error) error {
 	return err
 }
 
-// gatherStats folds the transport and engine counters into p.Stats.
+// gatherStats folds the transport and engine counters into p.Stats.  The
+// protocol counters leave out the dealer link (the endpoint's last peer):
+// how many requests party 0 sends depends on what its engines had buffered,
+// not on the protocol.  Traffic keeps the dealer's row.
 func (p *Party) gatherStats() {
 	p.Stats.MPC = p.eng.Stats
 	p.Stats.InFlightPeak = p.eng.InFlightPeak()
 	p.Stats.Traffic = p.ep.Stats().Snapshot()
 	p.Stats.BytesSent = p.Stats.Traffic.BytesSent
 	p.Stats.MessagesSent = p.Stats.Traffic.MsgsSent
+	if d := p.ep.N() - 1; d < len(p.Stats.Traffic.Peers) {
+		p.Stats.BytesSent -= p.Stats.Traffic.Peers[d].BytesSent
+		p.Stats.MessagesSent -= p.Stats.Traffic.Peers[d].MsgsSent
+	}
 }
 
 func (p *Party) errf(format string, args ...any) error {

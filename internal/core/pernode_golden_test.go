@@ -67,6 +67,28 @@ import (
 // 106 → 56, messages 1145 → 1152 (dealer requests for bounded triples) and
 // bytes 2391914 → 642095, after the same script check of every other column.
 //
+// When the engine began to prefetch dealer material, the messages and bytes
+// columns stopped counting the dealer link: how many requests party 0 sends
+// depends on what its queues hold, not on the protocol.  Each entry dropped
+// by its dealer requests and their bytes, re-recorded by the same script
+// check (trees, node order and predictions — dp's included — and every
+// other column unchanged).  Old → new:
+//
+//	entry                    msgs         bytes
+//	basic-classification     1936 → 1736  1338467 → 1336811
+//	basic-regression         4442 → 4121  2190895 → 2188231
+//	basic-entropy            2394 → 2038  2605423 → 2602412
+//	enhanced-hide-threshold  1996 → 1794  1354583 → 1352906
+//	enhanced-hide-feature    1218 → 1092  819136 → 818095
+//	enhanced-hide-client     1217 → 1090  833044 → 832008
+//	enhanced-regression      4571 → 4247  2222172 → 2219499
+//	malicious                1152 → 1077  642095 → 641511
+//	dp                       5419 → 5133  1817122 → 1814773
+//	rf-classification        2159 → 2029  859679 → 858614
+//	rf-regression            3828 → 3676  1044882 → 1043668
+//	gbdt-classification      8332 → 7909  3219708 → 3216133
+//	gbdt-regression          3847 → 3694  1074949 → 1073692
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC

@@ -36,8 +36,10 @@ import (
 // endpoints pair lanes up across parties deterministically.
 
 // maxRFLanes caps concurrent random-forest tree lanes: each lane forks an
-// engine with its own dealer-material buffers (one BatchSize top-up each),
-// so unbounded fan-out would waste dealer traffic for little extra overlap.
+// engine with its own dealer-material queues, every one of them topped up
+// toward its largest take (up to mpc's prefetch cap of two batches), so
+// unbounded fan-out would waste dealer traffic and memory for little extra
+// overlap.
 const maxRFLanes = 8
 
 // pipelined reports whether this party runs the overlapped driver: the
@@ -51,11 +53,12 @@ func (p *Party) pipelined() bool {
 
 // lane forks this party onto lane slot (1..63): same identity, data and
 // keys, but messaging through its own transport lane and a forked engine,
-// with fresh counters.  The caller must join() the lane after its
-// goroutine retires.  Party protocol methods route all messaging through
-// p.ep/p.eng, so the fork can run any whole chain — up to a full tree —
-// concurrently with the parent.  Only the parent checkpoints and ticks the
-// chaos level marker.
+// with fresh counters.  A lane whose chain succeeds retires its engine
+// (mpc.Engine.Retire) before its goroutine ends, and the caller must join()
+// the lane after that goroutine.  Party protocol methods route all
+// messaging through p.ep/p.eng, so the fork can run any whole chain — up to
+// a full tree — concurrently with the parent.  Only the parent checkpoints
+// and ticks the chaos level marker.
 func (p *Party) lane(slot uint32) *Party {
 	tag := p.laneTag*64 + slot
 	lp := p.forkLocal()
@@ -182,6 +185,7 @@ func (p *Party) trainRFPipelined() (*ForestModel, error) {
 				}
 				trees[w] = tree
 			}
+			lanes[s].eng.Retire()
 		}(s)
 	}
 	wg.Wait()

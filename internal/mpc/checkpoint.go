@@ -7,14 +7,18 @@ import (
 )
 
 // Phase-boundary checkpointing: at a level barrier every party snapshots
-// the consumable state of its Engine — the dealer-material buffers
-// (triples, bits, masks) and the local PRG cursor — while party 0 asks the
-// dealer to snapshot its own PRG cursor and MAC key material.  Because the
-// dealer serves material from one PRG in request-arrival order and every
-// request originates from party 0, a checkpoint taken after the dealer has
+// the consumable state of its Engine — the dealer-material queues, with
+// each queue's largest take, and the local PRG cursor — while party 0 asks
+// the dealer to snapshot its own PRG cursor and MAC key material.  Both
+// sides first read every prefetched response still in flight, so nothing
+// requested before the barrier is outside the snapshot.  Because the dealer
+// serves material from one PRG in request-arrival order and every request
+// originates from party 0, a checkpoint taken after the dealer has
 // acknowledged is globally consistent: restoring every engine and the
 // dealer from the same checkpoint replays the exact material stream the
-// fault-free run would have seen, so a resumed session is bit-identical.
+// fault-free run would have seen — the restored largest takes make the
+// resumed engines issue the same requests — so a resumed session is
+// bit-identical.
 //
 // Not recoverable: authenticated (malicious-mode) sessions.  The SPDZ MAC
 // check folds the entire transcript of opened values into one deferred
@@ -46,42 +50,19 @@ func prgFromState(st PRGState) *prg {
 }
 
 // EngineState is one party's snapshot of its engine's consumable state.
-// Shares are values, so copying the buffers copies the material; the plain
+// Shares are values, so copying the queues copies the material; the plain
 // integers of encryption masks are shared, which is safe because nothing
 // modifies them once dealt.  A snapshot is immutable once taken: Restore
 // copies out of it, so the same snapshot can seed several recovery attempts.
 type EngineState struct {
 	alphaShare Elem
 	local      PRGState
-	triples    []triple
-	bndTriples map[twidth][]triple
-	bits       []Share
-	masks      map[uint][]Share
-	inputMasks map[int][]inputMask
-	encMasks   map[uint][]EncMask
+	mat        material
 }
 
-// cloneQueues copies a map of material queues, slices included.
-func cloneQueues[K comparable, T any](m map[K][]T) map[K][]T {
-	out := make(map[K][]T, len(m))
-	for k, q := range m {
-		out[k] = slices.Clone(q)
-	}
-	return out
-}
-
-// clone copies the snapshot's buffers.
+// clone copies the snapshot's queues.
 func (st *EngineState) clone() *EngineState {
-	return &EngineState{
-		alphaShare: st.alphaShare,
-		local:      st.local.clone(),
-		triples:    slices.Clone(st.triples),
-		bndTriples: cloneQueues(st.bndTriples),
-		bits:       slices.Clone(st.bits),
-		masks:      cloneQueues(st.masks),
-		inputMasks: cloneQueues(st.inputMasks),
-		encMasks:   cloneQueues(st.encMasks),
-	}
+	return &EngineState{alphaShare: st.alphaShare, local: st.local.clone(), mat: st.mat.clone()}
 }
 
 // quiescent reports why the engine cannot be snapshotted or restored now.
@@ -95,53 +76,45 @@ func (e *Engine) quiescent(verb string) error {
 	return nil
 }
 
-// Snapshot copies the engine's consumable state.  The engine must be
-// quiescent (no pending opens) and semi-honest.
+// Snapshot copies the engine's consumable state, after reading every
+// prefetched response still in flight.  The engine must be quiescent (no
+// pending opens) and semi-honest.
 func (e *Engine) Snapshot() (*EngineState, error) {
 	if err := e.quiescent("snapshot"); err != nil {
 		return nil, err
 	}
-	live := EngineState{
-		alphaShare: e.alphaShare,
-		local:      e.local.state(),
-		triples:    e.triples,
-		bndTriples: e.bndTriples,
-		bits:       e.bits,
-		masks:      e.masks,
-		inputMasks: e.inputMasks,
-		encMasks:   e.encMasks,
-	}
+	e.drainFetches()
+	live := EngineState{alphaShare: e.alphaShare, local: e.local.state(), mat: e.material}
 	return live.clone(), nil
 }
 
 // Restore overwrites the engine's consumable state from a snapshot (by copy
 // — the snapshot stays reusable).  The engine keeps its endpoint and
-// identity; only material buffers, the local PRG cursor and the MAC key
-// share are rewound.
+// identity; only material queues, the local PRG cursor and the MAC key
+// share are rewound.  Responses still in flight are read first and
+// discarded with the queues they would have filled.
 func (e *Engine) Restore(st *EngineState) error {
 	if err := e.quiescent("restore"); err != nil {
 		return err
 	}
+	e.drainFetches()
 	c := st.clone()
 	e.alphaShare = c.alphaShare
 	e.local = prgFromState(c.local)
-	e.triples = c.triples
-	e.bndTriples = c.bndTriples
-	e.bits = c.bits
-	e.masks = c.masks
-	e.inputMasks = c.inputMasks
-	e.encMasks = c.encMasks
+	e.material = c.mat
 	return nil
 }
 
-// DealerCheckpoint triggers and synchronizes a dealer-side snapshot: party
-// 0 sends the checkpoint request (like all dealer traffic) and every party
-// waits for the dealer's acknowledgement, so material requested before the
-// barrier is guaranteed served — and therefore captured by the engines'
-// own snapshots — before the dealer's PRG cursor is recorded.
+// DealerCheckpoint triggers and synchronizes a dealer-side snapshot: every
+// party reads its prefetched responses, party 0 sends the checkpoint request
+// (like all dealer traffic) and every party waits for the dealer's
+// acknowledgement, so material requested before the barrier is guaranteed
+// served — and therefore captured by the engines' own snapshots — before the
+// dealer's PRG cursor is recorded.
 func (e *Engine) DealerCheckpoint() error {
+	e.drainFetches()
 	e.request(reqCheckpoint)
-	ack := e.dealerVector(1)
+	ack := dealerVector(e.recvDealer(), 1)
 	if nextElem(&ack).IsZero() {
 		return fmt.Errorf("mpc: dealer refused checkpoint (no store configured?)")
 	}

@@ -41,7 +41,7 @@ func (e *Engine) randBitwiseGrouped(widths []uint) ([][]Share, []Share) {
 	for _, w := range widths {
 		total += int(w)
 	}
-	flat := e.takeBits(total)
+	flat := take(e, e.bits, total)
 	bits := make([][]Share, len(widths))
 	vals := make([]Share, len(widths))
 	off := 0
@@ -61,17 +61,9 @@ func (e *Engine) randBitwiseGrouped(widths []uint) ([][]Share, []Share) {
 
 // randMask returns count shared random values uniform in [0, 2^width), each
 // dealt as one additive sharing (dealMasks): nothing consumes a statistical
-// mask bit by bit, so no bit sharings are spent on it.  Masks are queued per
-// width and topped up by a quarter of BatchSize: a ladder spends one mask per
-// instance where it spends a triple per bit, and the dozen widths a training
-// run uses each hold their own queue.
+// mask bit by bit, so no bit sharings are spent on it.
 func (e *Engine) randMask(count int, width uint) []Share {
-	q := e.masks[width]
-	if len(q) < count {
-		q = e.fetchShares(q, max(count-len(q), e.cfg.BatchSize/4), reqMasks, int64(width))
-	}
-	e.masks[width] = q[count:]
-	return q[:count:count]
+	return take(e, e.maskQueue(width), count)
 }
 
 // bitLTPub computes, per instance, a sharing of 1{c_t < r_t} where c_t is a

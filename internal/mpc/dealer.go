@@ -17,6 +17,8 @@ import (
 // Request flow: compute party 0 sends a request on behalf of everyone (the
 // protocols are SPMD, so all parties reach the request point together), and
 // the dealer answers every compute party with its slice of the material.
+// The engines ask ahead of need (material.go), so a response may wait unread
+// while the online rounds run; the dealer serves each request as it comes.
 
 // Request kinds.
 const (

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"slices"
 
 	"repro/internal/transport"
 )
@@ -24,7 +23,9 @@ type Config struct {
 	Authenticated bool
 	// Seed feeds this party's local randomness (commit-reveal nonces etc.).
 	Seed int64
-	// BatchSize is the minimum dealer request size (amortizes round trips).
+	// BatchSize is the minimum dealer request size of the triple, bounded-
+	// triple and bit streams (masks use a quarter); it amortizes round trips
+	// and caps how far ahead a stream prefetches (material.go).
 	BatchSize int
 	// Workers > 1 parallelizes the local (communication-free) arithmetic of
 	// the batched primitives across goroutines.
@@ -60,12 +61,8 @@ type Engine struct {
 	alphaShare Elem
 	local      *prg
 
-	triples    []triple
-	bndTriples map[twidth][]triple
-	bits       []Share
-	masks      map[uint][]Share // statistical masks, by bit width
-	inputMasks map[int][]inputMask
-	encMasks   map[uint][]EncMask
+	material                // dealt-material queues (material.go)
+	fetches  []pendingFetch // dealer requests whose responses are unread, FIFO
 
 	pendingA []Elem // opened values awaiting MAC check
 	pendingM []Elem // this party's MAC shares for them
@@ -92,17 +89,14 @@ func NewEngine(ep transport.Endpoint, cfg Config) (*Engine, error) {
 		cfg.BatchSize = 512
 	}
 	e := &Engine{
-		ep:         ep,
-		id:         ep.ID(),
-		n:          ep.N() - 1,
-		dealer:     ep.N() - 1,
-		cfg:        cfg,
-		local:      newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d", ep.ID(), cfg.Seed))),
-		bndTriples: make(map[twidth][]triple),
-		masks:      make(map[uint][]Share),
-		inputMasks: make(map[int][]inputMask),
-		encMasks:   make(map[uint][]EncMask),
-		gauge:      &RoundGauge{},
+		ep:       ep,
+		id:       ep.ID(),
+		n:        ep.N() - 1,
+		dealer:   ep.N() - 1,
+		cfg:      cfg,
+		local:    newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d", ep.ID(), cfg.Seed))),
+		material: newMaterial(cfg.BatchSize),
+		gauge:    &RoundGauge{},
 	}
 	frame, err := ep.Recv(e.dealer)
 	if err != nil {
@@ -117,7 +111,9 @@ func NewEngine(ep transport.Endpoint, cfg Config) (*Engine, error) {
 }
 
 // Shutdown tells the dealer to exit.  Only party 0's call sends the message;
-// all parties may call it.
+// all parties may call it.  Prefetched responses still in flight are left
+// unread: Shutdown never receives, so it is safe on a network a failure has
+// already closed.
 func (e *Engine) Shutdown() {
 	if e.id == 0 {
 		_ = e.ep.Send(e.dealer, appendRequest(nil, reqShutdown))
@@ -193,10 +189,10 @@ func shareStride(authenticated bool) int {
 
 func (e *Engine) stride() int { return shareStride(e.cfg.Authenticated) }
 
-// dealerVector receives one dealer response and opens it as a vector that
-// must hold exactly want elements.
-func (e *Engine) dealerVector(want int) elemReader {
-	r, err := readElemsN(e.recvDealer(), want)
+// dealerVector opens a dealer response as a vector that must hold exactly
+// want elements.
+func dealerVector(frame []byte, want int) elemReader {
+	r, err := readElemsN(frame, want)
 	if err != nil {
 		panic(fmt.Sprintf("mpc: dealer response: %v", err))
 	}
@@ -219,77 +215,6 @@ func (e *Engine) nextShare(r *elemReader) Share {
 		s.M = nextElem(r)
 	}
 	return s
-}
-
-// fetchTriples requests batch triples of the given request kind and appends
-// them, parsed straight out of the dealer's frame, to q.
-func (e *Engine) fetchTriples(q []triple, batch int, kind int, args ...int64) []triple {
-	e.request(kind, append([]int64{int64(batch)}, args...)...)
-	r := e.dealerVector(3 * batch * e.stride())
-	q = slices.Grow(q, batch)
-	for i := 0; i < batch; i++ {
-		var t triple
-		t.a = e.nextShare(&r)
-		t.b = e.nextShare(&r)
-		t.c = e.nextShare(&r)
-		q = append(q, t)
-	}
-	return q
-}
-
-func (e *Engine) takeTriples(count int) []triple {
-	if len(e.triples) < count {
-		e.triples = e.fetchTriples(e.triples, max(count-len(e.triples), e.cfg.BatchSize), reqTriples)
-	}
-	out := e.triples[:count]
-	e.triples = e.triples[count:]
-	return out
-}
-
-// fetchShares requests batch single-share items of the given request kind
-// and appends them, parsed out of the dealer's frame, to q.
-func (e *Engine) fetchShares(q []Share, batch int, kind int, args ...int64) []Share {
-	e.request(kind, append([]int64{int64(batch)}, args...)...)
-	r := e.dealerVector(batch * e.stride())
-	q = slices.Grow(q, batch)
-	for i := 0; i < batch; i++ {
-		q = append(q, e.nextShare(&r))
-	}
-	return q
-}
-
-func (e *Engine) takeBits(count int) []Share {
-	if len(e.bits) < count {
-		e.bits = e.fetchShares(e.bits, max(count-len(e.bits), e.cfg.BatchSize), reqBits)
-	}
-	out := e.bits[:count]
-	e.bits = e.bits[count:]
-	return out
-}
-
-func (e *Engine) takeInputMasks(owner, count int) []inputMask {
-	q := e.inputMasks[owner]
-	if len(q) < count {
-		batch := max(count-len(q), 64)
-		e.request(reqInputMasks, int64(batch), int64(owner))
-		want := batch * e.stride()
-		if e.id == owner {
-			want += batch // the owner also learns the plain masks
-		}
-		r := e.dealerVector(want)
-		first := len(q)
-		q = slices.Grow(q, batch)
-		for i := 0; i < batch; i++ {
-			q = append(q, inputMask{share: e.nextShare(&r)})
-		}
-		if e.id == owner {
-			for i := first; i < len(q); i++ {
-				q[i].plain = nextElem(&r)
-			}
-		}
-	}
-	e.inputMasks[owner] = q[count:]
-	return q[:count]
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +361,7 @@ func (e *Engine) OpenSigned(x Share) *big.Int {
 func (e *Engine) InputVec(owner int, xs []*big.Int) []Share {
 	e.drainPendingOpens() // the owner's delta recv must not race an issued open
 	count := len(xs)
-	masks := e.takeInputMasks(owner, count)
+	masks := take(e, e.inputMaskQueue(owner), count)
 	var deltas []Elem
 	if e.id == owner {
 		deltas = make([]Elem, count)
@@ -492,7 +417,7 @@ func (e *Engine) MulVec(xs, ys []Share) []Share {
 		return nil
 	}
 	e.Stats.Mults += int64(len(xs))
-	ts := e.takeTriples(len(xs))
+	ts := take(e, e.triples, len(xs))
 	opens := make([]Share, 2*len(xs))
 	for i := range xs {
 		opens[2*i] = e.Sub(xs[i], ts[i].a)
@@ -675,29 +600,5 @@ type EncMask struct {
 
 // EncMasks returns count encryption masks of the given bit width per piece.
 func (e *Engine) EncMasks(count int, width uint) []EncMask {
-	q := e.encMasks[width]
-	if len(q) < count {
-		batch := max(count-len(q), 64)
-		e.request(reqEncMasks, int64(batch), int64(width))
-		stride := e.stride()
-		payload, err := transport.DecodeInts(e.recvDealer())
-		if err == nil && len(payload) != batch*stride {
-			err = fmt.Errorf("%d integers, want %d", len(payload), batch*stride)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("mpc: dealer response: %v", err))
-		}
-		q = slices.Grow(q, batch)
-		for i := 0; i < batch; i++ {
-			// The field share of R is the piece itself, reduced.
-			m := EncMask{Plain: payload[i*stride]}
-			m.Share.V = ElemFromBig(m.Plain)
-			if e.cfg.Authenticated {
-				m.Share.M = ElemFromBig(payload[i*stride+1])
-			}
-			q = append(q, m)
-		}
-	}
-	e.encMasks[width] = q[count:]
-	return q[:count:count]
+	return take(e, e.encMaskQueue(width), count)
 }

@@ -3,6 +3,7 @@ package mpc
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -112,6 +113,71 @@ func TestDealerRejectsMalformedRequests(t *testing.T) {
 	if _, err := parseDealerRequest(req(reqMasks, largest, 254), n, 1); err != nil {
 		t.Fatalf("largest legal masks request: %v", err)
 	}
+}
+
+// FuzzDealerRequest: the dealer's request decoder never panics, refuses with
+// a typed error, and accepts only what the dealer can serve — a known kind
+// with its argument count, a count one response frame holds, an owner that
+// is a compute party, widths a field element carries — and what it accepts
+// re-encodes to a request it reads back the same.  The committed corpus holds
+// five fields, a zero count, a count over a frame, a 255-bit mask, an unknown
+// kind and an owner that is not a party.
+func FuzzDealerRequest(f *testing.F) {
+	const n = 3
+	for _, r := range [][]int64{
+		{reqShutdown}, {reqCheckpoint}, {reqTriples, 512}, {reqBits, 666},
+		{reqMasks, 128, 56}, {reqInputMasks, 64, 2}, {reqBoundedTriples, 512, 41, 41}, {reqEncMasks, 64, 1100},
+	} {
+		f.Add(appendRequest(nil, int(r[0]), r[1:]...))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, stride := range []int{1, 2} {
+			req, err := parseDealerRequest(raw, n, stride)
+			if err != nil {
+				if !errors.Is(err, ErrBadDealerRequest) {
+					t.Fatalf("untyped error %v", err)
+				}
+				continue
+			}
+			// The request's arguments, and the most bytes one item adds to
+			// the response frame.
+			var args []int64
+			var itemBytes int
+			switch req.kind {
+			case reqShutdown, reqCheckpoint:
+			case reqTriples:
+				args, itemBytes = []int64{int64(req.count)}, 3*stride*maxWireElem
+			case reqBits:
+				args, itemBytes = []int64{int64(req.count)}, stride*maxWireElem
+			case reqMasks:
+				if req.a < 1 || req.a > 254 {
+					t.Fatalf("accepted mask width %d", req.a)
+				}
+				args, itemBytes = []int64{int64(req.count), int64(req.a)}, stride*maxWireElem
+			case reqInputMasks:
+				if req.a >= n {
+					t.Fatalf("accepted owner %d of %d parties", req.a, n)
+				}
+				args, itemBytes = []int64{int64(req.count), int64(req.a)}, (stride+1)*maxWireElem
+			case reqBoundedTriples:
+				if req.a > 254 || req.b > 254 {
+					t.Fatalf("accepted mask widths %d, %d", req.a, req.b)
+				}
+				args, itemBytes = []int64{int64(req.count), int64(req.a), int64(req.b)}, 3*stride*maxWireElem
+			case reqEncMasks:
+				args, itemBytes = []int64{int64(req.count), int64(req.a)}, (req.a+7)/8+binary.MaxVarintLen32+(stride-1)*maxWireElem
+			default:
+				t.Fatalf("accepted unknown kind %d", req.kind)
+			}
+			if args != nil && (req.count < 1 || req.count*itemBytes > transport.MaxFrameSize) {
+				t.Fatalf("accepted %+v: its response may not fit one frame", req)
+			}
+			again, err := parseDealerRequest(appendRequest(nil, req.kind, args...), n, stride)
+			if err != nil || again != req {
+				t.Fatalf("re-encoded %+v reads back as %+v, %v", req, again, err)
+			}
+		}
+	})
 }
 
 // hostilePeer sets up an authenticated 2-party session in which party 0 is a

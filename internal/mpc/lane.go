@@ -53,8 +53,8 @@ func (e *Engine) InFlightPeak() int64 {
 // statistics, so it may run a round chain concurrently with the parent —
 // provided ep is a lane of a tag-multiplexed endpoint, so the two chains
 // cannot cross-deliver.  No dealer hello is performed: the MAC key share
-// is inherited.  Merge the child's counters back with MergeStats when the
-// lane retires.
+// is inherited.  When the lane's chain is done, Retire the child and merge
+// its counters back with MergeStats.
 func (e *Engine) Fork(ep transport.Endpoint, lane uint32) *Engine {
 	return &Engine{
 		ep:         ep,
@@ -64,10 +64,7 @@ func (e *Engine) Fork(ep transport.Endpoint, lane uint32) *Engine {
 		cfg:        e.cfg,
 		alphaShare: e.alphaShare,
 		local:      newPRG([]byte(fmt.Sprintf("pivot-party-%d-%d-lane-%d", e.id, e.cfg.Seed, lane))),
-		bndTriples: make(map[twidth][]triple),
-		masks:      make(map[uint][]Share),
-		inputMasks: make(map[int][]inputMask),
-		encMasks:   make(map[uint][]EncMask),
+		material:   newMaterial(e.cfg.BatchSize),
 		gauge:      e.gauge,
 	}
 }

@@ -67,20 +67,9 @@ func (e *Engine) openBoundedElems(xs []Share, width uint) []Elem {
 	return out
 }
 
-// twidth keys the bounded-triple cache by the two mask widths.
+// twidth keys the bounded-triple queues by the two mask widths: a is uniform
+// in [0, 2^wa), b in [0, 2^wb), c = a·b.
 type twidth struct{ wa, wb uint }
-
-// takeBoundedTriples is takeTriples for width-bounded Beaver masks: a is
-// uniform in [0, 2^wa), b in [0, 2^wb), c = a·b.
-func (e *Engine) takeBoundedTriples(count int, wa, wb uint) []triple {
-	key := twidth{wa, wb}
-	q := e.bndTriples[key]
-	if len(q) < count {
-		q = e.fetchTriples(q, max(count-len(q), e.cfg.BatchSize), reqBoundedTriples, int64(wa), int64(wb))
-	}
-	e.bndTriples[key] = q[count:]
-	return q[:count]
-}
 
 // MulVecBounded multiplies pairwise like MulVec, for operands the caller
 // promises are non-negative with x < 2^wx and y < 2^wy (bit-domain products
@@ -106,7 +95,7 @@ func (e *Engine) MulVecBounded(xs, ys []Share, wx, wy uint) []Share {
 		return e.MulVec(xs, ys)
 	}
 	e.Stats.Mults += int64(len(xs))
-	ts := e.takeBoundedTriples(len(xs), wa, wb)
+	ts := take(e, e.boundedQueue(wa, wb), len(xs))
 	offA, offB := Elem{1}.Lsh(wa), Elem{1}.Lsh(wb)
 	opens := make([]Share, 2*len(xs))
 	for i := range xs {

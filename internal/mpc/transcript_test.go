@@ -26,8 +26,20 @@ import (
 // authenticated openings began to pack: its frames, and the opened values
 // drawn from the dealer's stream after the first bounded-triple request;
 // with the encmask lines left out of the log, its results digest is the
-// same before and after (8b2f4310…).  A failure prints the new transcript;
-// paste it in only when a wire or PRG change is intended.
+// same before and after (8b2f4310…).  Both rows moved again when the engine
+// began to prefetch dealer material (material.go): every request draws
+// what it drew before, but the requests come in a different order and
+// size, so different draws land in each queue — which moves the dealt
+// shares, every opening masked by them, the mask values logged, and the
+// dealer bytes (material prefetched and never taken).  Old → new:
+//
+//	semi-honest    party be07dc1c… → c98d0ec9…  dealer 4c97ad8b… → 503af128…
+//	               results 5b0c717d… → 11845c53…  bytes 17699112 → 18071136
+//	authenticated  party 4a8a797e… → 0d2ad3f3…  dealer 41cbf631… → 1410798e…
+//	               results 3a64f2b0… → 440cdecb…  bytes 1137081 → 1423754
+//
+// A failure prints the new transcript; paste it in only when a wire or PRG
+// change is intended.
 
 // recordingEndpoint hashes every frame it sends, one running SHA-256 per
 // destination.  Each endpoint is driven by one goroutine, so the hashers
@@ -272,22 +284,32 @@ func semiHonestScript(e *Engine, log func(tag string, xs ...*big.Int)) error {
 		}
 	}
 
-	// Snapshot, consume material of every kind, rewind, consume it again:
-	// the replay must see the same shares.
+	// Snapshot while the top-up the last take asked for (encryption masks
+	// of width 300) is still on the wire, consume material of every kind —
+	// that queue's included — rewind, consume it again: the replay must see
+	// the same shares.
+	if len(e.fetches) == 0 {
+		return fmt.Errorf("no prefetch in flight at the snapshot")
+	}
 	st, err := e.Snapshot()
 	if err != nil {
 		return err
 	}
-	for round := 0; round < 2; round++ {
+	var masks [2]*big.Int
+	for round := range masks {
 		log("replay-mul", e.OpenVec(e.MulVec(xs[:9], ys[:9]))...)
 		log("replay-ltz", e.OpenVec(e.LTZVec(ys[:9], 24))...)
 		log("replay-input", e.OpenVec(input(0, scriptValues(3, 10, 21)))...)
-		log("replay-mask", e.Open(e.EncMasks(1, 60)[0].Share))
+		masks[round] = e.Open(e.EncMasks(1, 300)[0].Share)
+		log("replay-mask", masks[round])
 		if round == 0 {
 			if err := e.Restore(st); err != nil {
 				return err
 			}
 		}
+	}
+	if masks[0].Cmp(masks[1]) != 0 {
+		return fmt.Errorf("replayed mask %v, first run %v", masks[1], masks[0])
 	}
 	return nil
 }
@@ -332,16 +354,16 @@ func TestTranscriptGolden(t *testing.T) {
 		want   transcript
 	}{
 		{"semi-honest", semi, semiHonestScript, transcript{
-			party:   "be07dc1c513d07c8379b9314cd0ebd25f8da51e264f9cee79f7ff8729f5b45d4",
-			dealer:  "4c97ad8b2128199a5e9ee783cab8403f5371537985ce3672e5301f6571cd4576",
-			results: "5b0c717d31bbd50059596a70d63734418990ea6a832cfcc29cce4616d5c987b4",
-			bytes:   17699112,
+			party:   "c98d0ec9de58e2f1e1b96c0c64712a4bd366b4b3d11902a8aa02f2a04132a3d1",
+			dealer:  "503af1286a8104dc11f1e455d29d722e2e75319e82ad7362dbc56859cd12587d",
+			results: "11845c536dc71c07e46e00662e4fded23ef54338756cf7f6cb3d0d39306b0666",
+			bytes:   18071136,
 		}},
 		{"authenticated", auth, authenticatedScript, transcript{
-			party:   "4a8a797ed76530c62076bef65dc751e649dc73a2d602b3aecf5b341b45717988",
-			dealer:  "41cbf6314210c149dd296d38c75486e61bdedd18e6f967a5a0252283b99ad0f1",
-			results: "3a64f2b0d4021b7598bffe3921e78af32442e955ea645a88823ea8dbe643fa13",
-			bytes:   1137081,
+			party:   "0d2ad3f34c06391ab5115127beeaeb3d70ebe8ffa901ee9a58cc52c68f79e623",
+			dealer:  "1410798e2ccafa552bac94c549d175b5af12ad1c0fa9b01f7b1516f455d70c77",
+			results: "440cdecb7f3fff6cbcfb6e89a9bec3ab76ae4615e31409b87c12ed16fa8d388b",
+			bytes:   1423754,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
