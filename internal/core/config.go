@@ -363,6 +363,7 @@ type RunStats struct {
 	MessagesSent int64
 	TreesTrained int
 	NodesTrained int
+	NodesDerived int // split nodes whose statistics were their parent's minus their sibling's
 
 	// UpdateRounds counts the synchronous MPC open rounds spent inside the
 	// model-update phase alone (the EQZ ladders, conversions and Eqn-10

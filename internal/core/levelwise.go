@@ -31,11 +31,14 @@ import (
 // (breadth-first against preorder); the rendered tree is identical.
 
 // frontierNode is one active node awaiting training at the current depth.
+// A right child that may split carries its parent's expanded statistics: if
+// its left sibling also passes pruning, its own are parent − left on shares.
 type frontierNode struct {
 	nd     nodeData
-	tree   int  // index into the level driver's task list
-	parent int  // model index of the parent (within its tree); -1 at a root
-	left   bool // whether this node is the parent's left child
+	tree   int         // index into the level driver's task list
+	parent int         // model index of the parent (within its tree); -1 at a root
+	left   bool        // whether this node is the parent's left child
+	pstats []mpc.Share // right child: the parent's expanded statistics, else nil
 }
 
 // treeTask is one tree being grown by the level driver.  The GBDT
@@ -83,14 +86,25 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 
 	// Overlap 1 (pipelined only): while the pruning conversion and
 	// comparison rounds below are on the wire, the super client already
-	// computes the masked label channels for the WHOLE frontier in the
-	// background.  Pure local compute — nothing is sent until the
-	// splitters are known, so the wire traffic is exactly the barrier
-	// path's.
+	// computes in the background the masked label channels of every
+	// frontier node that may be trained directly — all but the right
+	// children a sibling may derive.  Pure local compute — nothing is sent
+	// until the splitters are known, so the wire traffic is exactly the
+	// barrier path's.
 	var spec *gammaSpec
+	var specAt []int // frontier index → node of the speculative pass, or -1
 	if p.pipelined() && p.ID == p.Super && depth < p.cfg.Tree.MaxDepth &&
 		p.totalSplits() > 0 && frontier[0].nd.gch == nil {
-		spec = p.startGammaSpec(frontier)
+		var nodes []frontierNode
+		specAt = make([]int, G)
+		for g := range frontier {
+			specAt[g] = -1
+			if !siblingOf(frontier, g) {
+				specAt[g] = len(nodes)
+				nodes = append(nodes, frontier[g])
+			}
+		}
+		spec = p.startGammaSpec(nodes)
 	}
 
 	// ----- pruning conditions (Algorithm 3, lines 1-3), batched -----
@@ -140,50 +154,74 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		}
 	}
 
-	var splitters []int // frontier indices that passed pruning
+	// A right child whose left sibling also splits derives its statistics
+	// (parent − left); every other splitter is trained directly.
+	var splitters, direct []int // frontier indices that passed pruning; those trained directly
 	for g := range leaf {
-		if !leaf[g] {
-			splitters = append(splitters, g)
+		if leaf[g] {
+			continue
+		}
+		splitters = append(splitters, g)
+		if !siblingOf(frontier, g) || leaf[g-1] {
+			direct = append(direct, g)
 		}
 	}
+	p.Stats.NodesDerived += len(splitters) - len(direct)
 
 	// ----- local computation + conversion + gains + grouped argmax -----
 	bests := make([]mpc.ArgmaxResult, G)
 	stats := make([][]mpc.Share, G) // each splitter's expanded statistics
 	if len(splitters) > 0 {
-		splitNodes := make([]frontierNode, len(splitters))
-		for i, g := range splitters {
-			splitNodes[i] = frontier[g]
+		directNodes := make([]frontierNode, len(direct))
+		for i, g := range direct {
+			directNodes[i] = frontier[g]
 		}
 		// C label channels enter the gains; E are sent (sentChannels).
-		C, E, S := p.channels(splitNodes[0].nd), p.sentChannels(splitNodes[0].nd), p.totalSplits()
+		C, E, S := p.channels(directNodes[0].nd), p.sentChannels(directNodes[0].nd), p.totalSplits()
 
 		var gchs [][][]*paillier.Ciphertext
 		err = p.timedWire(&p.Stats.Phases.LocalComputation, &p.Stats.Phases.LocalComputationWire, func() error {
 			if spec != nil {
-				// The whole-frontier masked channels were computed while
-				// the pruning rounds were in flight; broadcast just the
-				// surviving splitters' slices — the same plaintexts (and
-				// bytes) the barrier path would send.
+				// The masked channels were computed while the pruning rounds
+				// were in flight; broadcast just the direct splitters' slices
+				// — the same plaintexts (and bytes) the barrier path would
+				// send.  A right child whose left sibling was pruned was not
+				// speculated on, so its channels are computed now.
 				maskedAll, specErr := spec.wait(p)
 				spec = nil
 				if specErr != nil {
 					return specErr
 				}
+				var late []frontierNode
+				for _, g := range direct {
+					if specAt[g] < 0 {
+						late = append(late, frontier[g])
+					}
+				}
+				var lateMasked []*paillier.Ciphertext
+				if len(late) > 0 {
+					var err error
+					if lateMasked, err = p.gammaMaskedSuper(late); err != nil {
+						return err
+					}
+				}
 				n := p.part.N
-				sel := make([]*paillier.Ciphertext, 0, len(splitters)*E*n)
-				for _, g := range splitters {
-					off := g * E * n
-					sel = append(sel, maskedAll[off:off+E*n]...)
+				sel := make([]*paillier.Ciphertext, 0, len(direct)*E*n)
+				for _, g := range direct {
+					if i := specAt[g]; i >= 0 {
+						sel = append(sel, maskedAll[i*E*n:(i+1)*E*n]...)
+					} else {
+						sel, lateMasked = append(sel, lateMasked[:E*n]...), lateMasked[E*n:]
+					}
 				}
 				if err := p.broadcastCtsChunked(sel); err != nil {
 					return err
 				}
-				gchs = splitChannels(sel, len(splitNodes), E, n)
+				gchs = splitChannels(sel, len(direct), E, n)
 				return nil
 			}
 			var err error
-			gchs, err = p.computeGammasLevel(splitNodes)
+			gchs, err = p.computeGammasLevel(directNodes)
 			return err
 		})
 		if err != nil {
@@ -192,25 +230,38 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		var statCts [][]*paillier.Ciphertext
 		err = p.timedWire(&p.Stats.Phases.LocalComputation, &p.Stats.Phases.LocalComputationWire, func() error {
 			var err error
-			statCts, err = p.computeSplitStatsLevel(splitNodes, gchs)
+			statCts, err = p.computeSplitStatsLevel(directNodes, gchs)
 			return err
 		})
 		if err != nil {
 			return nil, p.errf("level %d split statistics: %w", depth, err)
 		}
 
-		nShares := make([]mpc.Share, len(splitNodes))
-		for i := range splitNodes {
-			nShares[i] = splitNodes[i].nd.tot[0]
+		nDirect := make([]mpc.Share, len(direct))
+		for i := range directNodes {
+			nDirect[i] = directNodes[i].nd.tot[0]
 		}
-		var totalsAll, statsAll []mpc.Share
-		totalsAll, statsAll, err = p.convertSplitStats(nShares, gchs, statCts, C)
+		var totalsDirect, statsDirect []mpc.Share
+		totalsDirect, statsDirect, err = p.convertSplitStats(nDirect, gchs, statCts, C)
 		if err != nil {
 			return nil, p.errf("level %d statistics conversion: %w", depth, err)
 		}
 		per := S * (2 + 2*C)
+		totals := make([][]mpc.Share, G)
+		for i, g := range direct {
+			stats[g] = statsDirect[i*per : (i+1)*per]
+			totals[g] = totalsDirect[i*C : (i+1)*C]
+		}
+		p.deriveStats(frontier, splitters, stats)
+		var totalsAll, statsAll []mpc.Share
+		nShares := make([]mpc.Share, len(splitters))
 		for i, g := range splitters {
-			stats[g] = statsAll[i*per : (i+1)*per]
+			if totals[g] == nil {
+				totals[g] = frontier[g].nd.tot[1 : 1+C]
+			}
+			nShares[i] = frontier[g].nd.tot[0]
+			totalsAll = append(totalsAll, totals[g]...)
+			statsAll = append(statsAll, stats[g]...)
 		}
 
 		err = p.timedWire(&p.Stats.Phases.MPCComputation, &p.Stats.Phases.MPCComputationWire, func() error {
@@ -427,9 +478,12 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		} else {
 			r := splitResults[g]
 			model.Nodes = append(model.Nodes, r.node)
+			right := frontierNode{nd: r.right, tree: frontier[g].tree, parent: idx}
+			if depth+1 < p.cfg.Tree.MaxDepth {
+				right.pstats = stats[g]
+			}
 			next = append(next,
-				frontierNode{nd: r.left, tree: frontier[g].tree, parent: idx, left: true},
-				frontierNode{nd: r.right, tree: frontier[g].tree, parent: idx})
+				frontierNode{nd: r.left, tree: frontier[g].tree, parent: idx, left: true}, right)
 		}
 		if fp := frontier[g].parent; fp >= 0 {
 			if frontier[g].left {
@@ -440,6 +494,32 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		}
 	}
 	return next, nil
+}
+
+// siblingOf reports whether frontier[g] is a right child that carries its
+// parent's statistics with its left sibling just before it — the node a level
+// derives when that sibling splits too.  A frontier of one never has one.
+func siblingOf(frontier []frontierNode, g int) bool {
+	return frontier[g].pstats != nil && g > 0 && frontier[g-1].left &&
+		frontier[g-1].tree == frontier[g].tree && frontier[g-1].parent == frontier[g].parent
+}
+
+// deriveStats gives every splitter still without statistics — a right child
+// whose left sibling splits — its parent's expanded statistics minus that
+// sibling's, entry by entry on shares.  Every entry is linear in the mask
+// vector, and α_parent = α_left + α_right on every sample; on authenticated
+// shares the MACs follow, so CheckMACs covers what is derived.
+func (p *Party) deriveStats(frontier []frontierNode, splitters []int, stats [][]mpc.Share) {
+	for _, g := range splitters {
+		if stats[g] != nil {
+			continue
+		}
+		left := stats[g-1]
+		stats[g] = make([]mpc.Share, len(left))
+		for e, ps := range frontier[g].pstats {
+			stats[g][e] = p.eng.Sub(ps, left[e])
+		}
+	}
 }
 
 // updateLevelBatched dispatches the frontier-wide batched model update on

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/paillier"
+	"repro/internal/tree"
 )
 
 // Level-wise vs per-node equivalence: the batched pipeline must produce the
@@ -18,7 +20,42 @@ func trainBothModes(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (perNo
 	t.Helper()
 	sPN, _, mPN := trainSessionSpec(t, ds, m, cfg, TrainSpec{PerNode: true})
 	sLW, _, mLW := trainSession(t, ds, m, cfg)
+	assertDerived(t, cfg, mLW, sPN.Stats(), sLW.Stats())
 	return mPN, mLW, sPN.Stats(), sLW.Stats()
+}
+
+// siblingPairs counts the internal nodes below the root level whose left
+// sibling splits too: the right children a level-wise training derives at
+// least (a left child that passes pruning and then stops at zero gain still
+// lends its statistics, so there may be more).
+func siblingPairs(m *Model) int {
+	pairs := 0
+	for _, n := range m.Nodes {
+		if !n.Leaf && !m.Nodes[n.Left].Leaf && !m.Nodes[n.Right].Leaf {
+			pairs++
+		}
+	}
+	return pairs
+}
+
+// assertDerived holds RunStats.NodesDerived to the trees: the per-node
+// oracle trains frontiers of one and never derives; the level-wise schedule
+// derives every right child whose left sibling splits — exactly 2^(h−1) − 1
+// of them in a full tree of depth h.
+func assertDerived(t *testing.T, cfg Config, mLW *Model, pn, lw RunStats) {
+	t.Helper()
+	if pn.NodesDerived != 0 {
+		t.Errorf("per-node oracle derived %d nodes, want 0", pn.NodesDerived)
+	}
+	h := cfg.Tree.MaxDepth
+	if mLW.InternalNodes() == 1<<h-1 {
+		if want := 1<<(h-1) - 1; lw.NodesDerived != want {
+			t.Errorf("full depth-%d tree: %d nodes derived, want %d", h, lw.NodesDerived, want)
+		}
+	} else if lw.NodesDerived < siblingPairs(mLW) {
+		t.Errorf("%d nodes derived, fewer than the tree's %d sibling pairs", lw.NodesDerived, siblingPairs(mLW))
+	}
+	t.Logf("nodes derived: %d of %d trained (internal %d)", lw.NodesDerived, lw.NodesTrained, mLW.InternalNodes())
 }
 
 func TestLevelwiseEquivalenceClassification(t *testing.T) {
@@ -42,6 +79,68 @@ func TestLevelwiseEquivalenceClassification(t *testing.T) {
 	}
 	t.Logf("rounds: per-node %d, level-wise %d (%.2fx)",
 		stPN.MPC.Rounds, stLW.MPC.Rounds, float64(stPN.MPC.Rounds)/float64(stLW.MPC.Rounds))
+}
+
+// TestLevelwisePrunedLeftSibling: a right child whose left sibling is pruned
+// has no statistics to derive from and is trained directly.  Client 0's x0
+// isolates four class-1 rows (fewer than MinSamplesSplit = 5, so that left
+// child is pruned); client 1's x1 then splits the twelve on the right (nine
+// class 0, three class 1).  The level-wise tree — over the memory network
+// (barrier) and loopback TCP (pipelined: the right child was left out of the
+// speculative γ pass and gets its channels once pruning has spoken) — must
+// equal the per-node oracle's and the plaintext CART tree, with no node
+// derived.
+func TestLevelwisePrunedLeftSibling(t *testing.T) {
+	ds := &dataset.Dataset{Classes: 2}
+	for _, r := range []struct {
+		x0, x1, y float64
+		count     int
+	}{{0, 0, 1, 4}, {1, 0, 0, 9}, {1, 1, 1, 3}} {
+		for k := 0; k < r.count; k++ {
+			ds.X, ds.Y = append(ds.X, []float64{r.x0, r.x1}), append(ds.Y, r.y)
+		}
+	}
+	cfg := testConfig()
+	cfg.Tree.MinSamplesSplit = 5
+	const want = "x0<=0.5(1,x1<=0.5(0,1))"
+
+	// Both kinds of tree in one notation: global feature indices, preorder,
+	// the x <= threshold side first.
+	var renderCART func(nodes []tree.Node, i int) string
+	renderCART = func(nodes []tree.Node, i int) string {
+		if n := nodes[i]; !n.Leaf {
+			return fmt.Sprintf("x%d<=%g(%s,%s)", n.Feature, n.Threshold, renderCART(nodes, n.Left), renderCART(nodes, n.Right))
+		}
+		return fmt.Sprintf("%g", nodes[i].Value)
+	}
+	ref, err := tree.Fit(ds, tree.Hyper{MaxDepth: cfg.Tree.MaxDepth, MaxSplits: cfg.Tree.MaxSplits, MinSamplesSplit: cfg.Tree.MinSamplesSplit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderCART(ref.Nodes, 0); got != want {
+		t.Fatalf("plaintext CART grew %s, want %s", got, want)
+	}
+	train := func(c Config, spec TrainSpec) {
+		t.Helper()
+		s, parts, m := trainSessionSpec(t, ds, 2, c, spec)
+		var render func(i int) string
+		render = func(i int) string {
+			if n := m.Nodes[i]; !n.Leaf {
+				return fmt.Sprintf("x%d<=%g(%s,%s)", parts[n.Owner].Features[n.Feature], n.Threshold, render(n.Left), render(n.Right))
+			}
+			return fmt.Sprintf("%g", m.Nodes[i].Label)
+		}
+		if got := render(0); got != want {
+			t.Errorf("tcp %v, per-node %v: grew %s, the plaintext CART tree is %s", c.TCPLoopback, spec.PerNode, got, want)
+		}
+		if d := s.Stats().NodesDerived; d != 0 {
+			t.Errorf("tcp %v, per-node %v: %d nodes derived beside a pruned sibling, want 0", c.TCPLoopback, spec.PerNode, d)
+		}
+	}
+	train(cfg, TrainSpec{PerNode: true})
+	train(cfg, TrainSpec{})
+	cfg.TCPLoopback = true
+	train(cfg, TrainSpec{})
 }
 
 func TestLevelwiseEquivalenceRegression(t *testing.T) {

@@ -18,10 +18,11 @@ import (
 // or opened value):
 //
 //  1. Speculative gammas: at the super client, the next phase's masked
-//     label channels for the WHOLE frontier are computed in a background
-//     goroutine while the pruning conversion and comparison rounds are in
-//     flight; once the surviving splitters are known, only their slices
-//     are broadcast — the same bytes the barrier path sends.
+//     label channels of every frontier node that may be trained directly
+//     (all but the right children a sibling may derive) are computed in a
+//     background goroutine while the pruning conversion and comparison
+//     rounds are in flight; once the surviving splitters are known, only
+//     their slices are broadcast — the same bytes the barrier path sends.
 //  2. Leaf/update overlap: the frontier's leaf chain (grouped argmax or
 //     reciprocal chain + opening) runs on a forked engine over its own transport
 //     lane, concurrently with the winner-identifier opening and the
@@ -91,6 +92,7 @@ func (p *Party) join(lp *Party) {
 	p.Stats.HEOps += lp.Stats.HEOps
 	p.Stats.TreesTrained += lp.Stats.TreesTrained
 	p.Stats.NodesTrained += lp.Stats.NodesTrained
+	p.Stats.NodesDerived += lp.Stats.NodesDerived
 	p.Stats.UpdateRounds += lp.Stats.UpdateRounds
 	if lp.eng != p.eng {
 		p.eng.MergeStats(lp.eng)
@@ -101,8 +103,8 @@ func (p *Party) join(lp *Party) {
 // Speculative gamma computation (overlap 1)
 
 // gammaSpec is an in-flight speculative gamma pass: the super client's
-// masked label channels for every frontier node, computing while the
-// pruning rounds are on the wire.
+// masked label channels for the nodes it was started on, computing while
+// the pruning rounds are on the wire.
 type gammaSpec struct {
 	ch chan gammaSpecResult
 	lp *Party
@@ -133,8 +135,8 @@ func (p *Party) startGammaSpec(frontier []frontierNode) *gammaSpec {
 }
 
 // wait blocks for the pass and folds the fork's compute counters back in.
-// The returned slice is the whole frontier's masked channels in frontier
-// order — slice out the splitters before broadcasting.
+// The returned slice holds the nodes' masked channels in the order they
+// were given — slice out the splitters before broadcasting.
 func (gs *gammaSpec) wait(p *Party) ([]*paillier.Ciphertext, error) {
 	res := <-gs.ch
 	p.join(gs.lp)

@@ -213,8 +213,9 @@ func cloneModel(m *Model) *Model {
 
 // cloneFrontier copies the frontier structs: nodeTotals writes a root's
 // totals into the slice elements in place, so the elements must be copied;
-// the totals and ciphertext slices are never mutated in place and stay
-// shared.  A frontier at MaxDepth may hold nil [α] — only its totals count.
+// the totals, parent statistics and ciphertext slices are never mutated in
+// place and stay shared.  A frontier at MaxDepth may hold nil [α] — only its
+// totals count.
 func cloneFrontier(frontier []frontierNode) []frontierNode {
 	return append([]frontierNode(nil), frontier...)
 }

@@ -49,6 +49,13 @@ func crashAndResume(t *testing.T, parts []*dataset.Partition, cfg Config,
 	if ck.Depth < 1 {
 		t.Fatalf("checkpoint depth = %d, want >= 1", ck.Depth)
 	}
+	// Below MaxDepth the resumed level may derive its right children, so the
+	// checkpointed frontier carries their parents' statistics.
+	for _, fn := range ck.parties[0].frontier {
+		if !fn.left && (fn.pstats != nil) != (ck.Depth < cfg.Tree.MaxDepth) {
+			t.Fatalf("checkpoint at depth %d of %d: right child carries parent statistics %v", ck.Depth, cfg.Tree.MaxDepth, fn.pstats != nil)
+		}
+	}
 
 	rcfg := cfg
 	rcfg.Checkpoint = store

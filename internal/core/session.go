@@ -382,6 +382,7 @@ func (s *Session) Stats() RunStats {
 		total.UpdateRounds = s.parties[0].Stats.UpdateRounds
 		total.TreesTrained = s.parties[0].Stats.TreesTrained
 		total.NodesTrained = s.parties[0].Stats.NodesTrained
+		total.NodesDerived = s.parties[0].Stats.NodesDerived
 		total.InFlightPeak = s.parties[0].Stats.InFlightPeak
 	}
 	return total

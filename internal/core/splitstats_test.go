@@ -320,9 +320,9 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			}
 			// The α path: each child's own vectors, and the totals Algorithm 3
 			// converted from them.
-			vl := s.Party(c).indic[j][sw]
-			child := func(vec []*paillier.Ciphertext, right bool) []*paillier.Ciphertext {
-				left := p.pk.ScalarMulVec(vec, vl, 1)
+			owner := s.Party(c)
+			child := func(vec []*paillier.Ciphertext, split int, right bool) []*paillier.Ciphertext {
+				left := p.pk.ScalarMulVec(vec, owner.indic[j][split], 1)
 				if right {
 					return p.pk.SubVec(vec, left, 1)
 				}
@@ -330,11 +330,11 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			}
 			var childOracle []*paillier.Ciphertext
 			for _, right := range []bool{false, true} {
-				a := child(alpha, right)
+				a := child(alpha, sw, right)
 				childOracle = append(childOracle, p.foldAdd(a))
 				for k := 0; k < C; k++ {
 					if tc.encLabels {
-						childOracle = append(childOracle, p.foldAdd(child(nd.gch[k], right)))
+						childOracle = append(childOracle, p.foldAdd(child(nd.gch[k], sw, right)))
 						continue
 					}
 					dot, err := p.pk.Dot(betas[k], a)
@@ -385,6 +385,60 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 				if g, w := mpc.Signed(v), p.pk.DecodeSigned(want[derived+i%(2+2*C)]); g.Cmp(w) != 0 {
 					return fmt.Errorf("child total %d (selected by %s): %v, the α path gives %v",
 						i%(2+2*C), []string{"public index", "λ"}[i/(2+2*C)], g, w)
+				}
+			}
+
+			// The sibling leg: the children of two winners (splits 0 and 1 of
+			// that feature), one frontier [L0, R0, L1, R1].  Each converts its
+			// own statistics from its mask vector, as a directly trained
+			// splitter does; deriveStats then rebuilds each right child's as
+			// the parent's minus its left sibling's.  Two pairs in one
+			// frontier, so a right child paired with the other winner's left
+			// child, or parent and sibling swapped, gives other values.
+			pairs := []splitOutcome{{win: seg0}, {win: seg0 + 1}}
+			p.childTotals(pairs, [][]mpc.Share{stats, stats})
+			var kids []frontierNode
+			for w, o := range pairs {
+				for _, right := range []bool{false, true} {
+					kid := frontierNode{nd: nodeData{alpha: child(alpha, w, right), tot: o.left.tot}, parent: w, left: !right}
+					if right {
+						kid.nd.tot, kid.pstats = o.right.tot, stats
+					}
+					for k := range nd.gch {
+						kid.nd.gch = append(kid.nd.gch, child(nd.gch[k], w, right))
+					}
+					kids = append(kids, kid)
+				}
+			}
+			kgchs, err := p.computeGammasLevel(kids)
+			if err != nil {
+				return err
+			}
+			kstatCts, err := p.computeSplitStatsLevel(kids, kgchs)
+			if err != nil {
+				return err
+			}
+			kn := []mpc.Share{kids[0].nd.tot[0], kids[1].nd.tot[0], kids[2].nd.tot[0], kids[3].nd.tot[0]}
+			_, own, err := p.convertSplitStats(kn, kgchs, kstatCts, C)
+			if err != nil {
+				return err
+			}
+			per := len(stats)
+			kstats := [][]mpc.Share{own[:per], nil, own[2*per : 3*per], nil}
+			if !siblingOf(kids, 1) || !siblingOf(kids, 3) {
+				return fmt.Errorf("the right children are not paired with their left siblings")
+			}
+			p.deriveStats(kids, []int{0, 1, 2, 3}, kstats)
+			sib := p.eng.OpenVec(append(append(append(append([]mpc.Share(nil),
+				kstats[1]...), kstats[3]...), own[per:2*per]...), own[3*per:]...))
+			if p.cfg.Malicious {
+				if err := p.eng.CheckMACs(); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < 2*per; i++ {
+				if g, w := mpc.Signed(sib[i]), mpc.Signed(sib[2*per+i]); g.Cmp(w) != 0 {
+					return fmt.Errorf("right child %d, entry %d: parent − left gives %v, its own statistics %v", i/per, i%per, g, w)
 				}
 			}
 			return nil
