@@ -237,30 +237,26 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			return nil, p.errf("level %d split statistics: %w", depth, err)
 		}
 
-		nDirect := make([]mpc.Share, len(direct))
+		tots := make([][]mpc.Share, len(direct))
 		for i := range directNodes {
-			nDirect[i] = directNodes[i].nd.tot[0]
+			tots[i] = directNodes[i].nd.tot
 		}
-		var totalsDirect, statsDirect []mpc.Share
-		totalsDirect, statsDirect, err = p.convertSplitStats(nDirect, gchs, statCts, C)
+		var statsDirect []mpc.Share
+		statsDirect, err = p.convertSplitStats(tots, statCts, C, E)
 		if err != nil {
 			return nil, p.errf("level %d statistics conversion: %w", depth, err)
 		}
 		per := S * (2 + 2*C)
-		totals := make([][]mpc.Share, G)
 		for i, g := range direct {
 			stats[g] = statsDirect[i*per : (i+1)*per]
-			totals[g] = totalsDirect[i*C : (i+1)*C]
 		}
 		p.deriveStats(frontier, splitters, stats)
+		// Every splitter's ⟨n⟩ and channel totals are the ones it carries.
 		var totalsAll, statsAll []mpc.Share
 		nShares := make([]mpc.Share, len(splitters))
 		for i, g := range splitters {
-			if totals[g] == nil {
-				totals[g] = frontier[g].nd.tot[1 : 1+C]
-			}
 			nShares[i] = frontier[g].nd.tot[0]
-			totalsAll = append(totalsAll, totals[g]...)
+			totalsAll = append(totalsAll, frontier[g].nd.tot[1:1+C]...)
 			statsAll = append(statsAll, stats[g]...)
 		}
 
@@ -839,34 +835,27 @@ func (p *Party) computeSplitStatsLevel(nodes []frontierNode, gchs [][][]*paillie
 }
 
 // convertSplitStats runs the one Algorithm-2 conversion for the statistics of
-// the whole frontier — per splitter, the E sent channel totals followed by the
-// S·(1+E) left statistics (only the super client's ciphertexts matter; the
-// others contribute masks) — and expands the shares for computeGains.
-func (p *Party) convertSplitStats(nShares []mpc.Share, gchs [][][]*paillier.Ciphertext, statCts [][]*paillier.Ciphertext, C int) (totals, stats []mpc.Share, err error) {
-	E := len(gchs[0])
-	per := E + p.totalSplits()*(1+E)
-	all := make([]*paillier.Ciphertext, 0, len(gchs)*per)
-	for i, chs := range gchs {
-		for _, ch := range chs {
-			all = append(all, p.foldAdd(ch))
-		}
-		if p.ID == p.Super {
-			all = append(all, statCts[i]...)
-		} else {
-			all = append(all, make([]*paillier.Ciphertext, per-E)...)
+// the whole frontier — per splitter, the S·(1+E) left statistics (only the
+// super client's ciphertexts matter; the others contribute masks) — and
+// expands the shares for computeGains against each splitter's carried totals
+// tots[i] (nodeData.tot).
+func (p *Party) convertSplitStats(tots [][]mpc.Share, statCts [][]*paillier.Ciphertext, C, E int) ([]mpc.Share, error) {
+	var all []*paillier.Ciphertext
+	if p.ID == p.Super {
+		for _, cts := range statCts {
+			all = append(all, cts...)
 		}
 	}
 	var shares []mpc.Share
-	err = p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
+	err := p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
 		var err error
-		shares, err = p.encToShares(all, len(all), p.w.stat)
+		shares, err = p.encToShares(all, len(tots)*p.totalSplits()*(1+E), p.w.stat)
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	totals, stats = p.expandStats(shares, nShares, C, E)
-	return totals, stats, nil
+	return p.expandStats(shares, tots, C, E), nil
 }
 
 // provenSplitStats is the malicious-mode (§9.1.2) computeSplitStatsLevel:

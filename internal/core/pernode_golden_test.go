@@ -89,6 +89,31 @@ import (
 //	gbdt-classification      8332 → 7909  3219708 → 3216133
 //	gbdt-regression          3847 → 3694  1074949 → 1073692
 //
+// When the split statistics began to expand against the totals every node
+// carries, the conversion stopped folding each sent γ channel and converting
+// its total per node.  Encryptions, decryption shares and bytes of all
+// thirteen entries were re-recorded by the same script check (trees, node
+// order, predictions — dp's included — MPC rounds, update rounds and
+// messages unchanged).  Old → new:
+//
+//	entry                    enc          dec        bytes
+//	basic-classification     590 → 580    172 → 162  1336811 → 1335859
+//	basic-regression         1268 → 1254  354 → 340  2188231 → 2186930
+//	basic-entropy            362 → 356    104 → 98   2602412 → 2601829
+//	enhanced-hide-threshold  737 → 727    204 → 194  1352906 → 1351948
+//	enhanced-hide-feature    469 → 463    120 → 114  818095 → 817511
+//	enhanced-hide-client     551 → 545    120 → 114  832008 → 831439
+//	enhanced-regression      1527 → 1513  402 → 388  2219499 → 2218158
+//	malicious                234 → 228    56 → 50    641511 → 640123
+//	dp                       362 → 356    104 → 98   1814773 → 1814200
+//	rf-classification        532 → 520    112 → 100  858614 → 857435
+//	rf-regression            824 → 812    164 → 152  1043668 → 1042490
+//	gbdt-classification      2216 → 2192  520 → 496  3216133 → 3213825
+//	gbdt-regression          980 → 968    228 → 216  1073692 → 1072524
+//
+// The per-node oracle never derives a node from its sibling (its frontiers
+// hold one node), so sibling derivation moved no column here.
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC

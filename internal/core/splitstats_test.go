@@ -275,7 +275,6 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			if err := p.nodeTotals(nodes); err != nil {
 				return err
 			}
-			nShares := nodes[0].nd.tot[:1]
 			gchs, err := p.computeGammasLevel(nodes)
 			if err != nil {
 				return err
@@ -287,8 +286,9 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			C := p.channels(nd)
-			totals, stats, err := p.convertSplitStats(nShares, gchs, statCts, C)
+			C, E := p.channels(nd), len(gchs[0])
+			totals := nodes[0].nd.tot[1 : 1+C]
+			stats, err := p.convertSplitStats([][]mpc.Share{nodes[0].nd.tot}, statCts, C, E)
 			if err != nil {
 				return err
 			}
@@ -418,8 +418,7 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			kn := []mpc.Share{kids[0].nd.tot[0], kids[1].nd.tot[0], kids[2].nd.tot[0], kids[3].nd.tot[0]}
-			_, own, err := p.convertSplitStats(kn, kgchs, kstatCts, C)
+			own, err := p.convertSplitStats([][]mpc.Share{kids[0].nd.tot, kids[1].nd.tot, kids[2].nd.tot, kids[3].nd.tot}, kstatCts, C, E)
 			if err != nil {
 				return err
 			}

@@ -262,35 +262,30 @@ func (p *Party) bucketStats(channels [][][]*paillier.Ciphertext) ([]*paillier.Ci
 	return out, nil
 }
 
-// expandStats rebuilds, from the converted block of each splitter — E sent
-// channel totals, then [n_l, ch_1,l … ch_E,l] per split — the C totals per
-// node and [n_l, n_r, ch1_l, ch1_r, …] per split that computeGains takes.
-// The rest is linear on shares and exact on integers: n_r = n − n_l, ch_r =
-// total − ch_l, and for classification's unsent last class total = n − Σ
-// totals and left = n_l − Σ lefts.
-func (p *Party) expandStats(shares, nShares []mpc.Share, C, E int) (totals, stats []mpc.Share) {
+// expandStats rebuilds, from the converted block of each splitter —
+// [n_l, ch_1,l … ch_E,l] per split — and its carried totals tots[i] (⟨n⟩,
+// then the C channel totals) the [n_l, n_r, ch1_l, ch1_r, …] per split that
+// computeGains takes.  The rest is linear on shares and exact on integers:
+// n_r = n − n_l, ch_r = total − ch_l, and for classification's unsent last
+// class left = n_l − Σ lefts.
+func (p *Party) expandStats(shares []mpc.Share, tots [][]mpc.Share, C, E int) (stats []mpc.Share) {
 	S, eng := p.totalSplits(), p.eng
-	per := E + S*(1+E)
-	for i, n := range nShares {
+	per := S * (1 + E)
+	for i, tot := range tots {
 		blk := shares[i*per : (i+1)*per]
-		tot := blk[:E:E]
-		if E < C {
-			tot = append(tot, eng.Sub(n, eng.Sum(tot)))
-		}
-		totals = append(totals, tot...)
 		for s := 0; s < S; s++ {
-			ls := blk[E+s*(1+E) : E+(s+1)*(1+E)]
+			ls := blk[s*(1+E) : (s+1)*(1+E)]
 			lefts := ls[1:]
 			if E < C {
 				lefts = append(lefts[:E:E], eng.Sub(ls[0], eng.Sum(lefts)))
 			}
-			stats = append(stats, ls[0], eng.Sub(n, ls[0]))
+			stats = append(stats, ls[0], eng.Sub(tot[0], ls[0]))
 			for k, l := range lefts {
-				stats = append(stats, l, eng.Sub(tot[k], l))
+				stats = append(stats, l, eng.Sub(tot[1+k], l))
 			}
 		}
 	}
-	return totals, stats
+	return stats
 }
 
 // computeGains turns the converted statistics into one secretly shared gain
