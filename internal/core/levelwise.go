@@ -493,11 +493,11 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 }
 
 // siblingOf reports whether frontier[g] is a right child that carries its
-// parent's statistics with its left sibling just before it — the node a level
-// derives when that sibling splits too.  A frontier of one never has one.
+// parent's statistics with its left sibling just before it (trainLevel
+// appends a split's children as a pair) — the node a level derives when that
+// sibling splits too.  The per-node walk's frontiers of one never hold one.
 func siblingOf(frontier []frontierNode, g int) bool {
-	return frontier[g].pstats != nil && g > 0 && frontier[g-1].left &&
-		frontier[g-1].tree == frontier[g].tree && frontier[g-1].parent == frontier[g].parent
+	return g > 0 && frontier[g].pstats != nil
 }
 
 // deriveStats gives every splitter still without statistics — a right child

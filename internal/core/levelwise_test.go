@@ -24,10 +24,10 @@ func trainBothModes(t *testing.T, ds *dataset.Dataset, m int, cfg Config) (perNo
 	return mPN, mLW, sPN.Stats(), sLW.Stats()
 }
 
-// siblingPairs counts the internal nodes below the root level whose left
-// sibling splits too: the right children a level-wise training derives at
-// least (a left child that passes pruning and then stops at zero gain still
-// lends its statistics, so there may be more).
+// siblingPairs counts the splits whose two children both split: the right
+// children a level-wise training derives at least (a left child that passes
+// pruning and then stops at zero gain still lends its statistics, so there
+// may be more).
 func siblingPairs(m *Model) int {
 	pairs := 0
 	for _, n := range m.Nodes {

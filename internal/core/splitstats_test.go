@@ -424,9 +424,6 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			}
 			per := len(stats)
 			kstats := [][]mpc.Share{own[:per], nil, own[2*per : 3*per], nil}
-			if !siblingOf(kids, 1) || !siblingOf(kids, 3) {
-				return fmt.Errorf("the right children are not paired with their left siblings")
-			}
 			p.deriveStats(kids, []int{0, 1, 2, 3}, kstats)
 			sib := p.eng.OpenVec(append(append(append(append([]mpc.Share(nil),
 				kstats[1]...), kstats[3]...), own[per:2*per]...), own[3*per:]...))
