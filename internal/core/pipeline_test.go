@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +103,7 @@ func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config, kin
 		t.Fatal(err)
 	}
 	var out []Predictor
+	var driven []driverEntry
 	for _, tcp := range []bool{false, true} {
 		c := cfg
 		c.TCPLoopback = tcp
@@ -121,8 +125,18 @@ func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config, kin
 				t.Fatal(err)
 			}
 			out = append(out, mdl)
+			if tcp {
+				st := s.Stats().Traffic
+				d := st.Peers[len(st.Peers)-1] // the dealer's row
+				e := driverEntry{MPCRounds: s.Stats().MPC.Rounds, Messages: st.MsgsRecv - d.MsgsRecv}
+				for _, tree := range predictorTrees(mdl) {
+					e.Outlines = append(e.Outlines, tree.String())
+				}
+				driven = append(driven, e)
+			}
 		}
 	}
+	checkDriverGolden(t, driven)
 	bar := renderForest(&ForestModel{Trees: predictorTrees(out[0])})
 	for _, pipelined := range out[1:] {
 		if pip := renderForest(&ForestModel{Trees: predictorTrees(pipelined)}); bar != pip {
@@ -130,6 +144,40 @@ func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config, kin
 		}
 	}
 	return out[0]
+}
+
+// driverEntry is one training of a pipelined session: each tree's rendering
+// and the session's cumulative MPC rounds and messages after it.  Messages
+// are counted where they are received, from the parties only: a party has
+// read every frame sent to it when its training returns, while a TCP
+// writer may count its last frames after that.  Bytes are not recorded:
+// minimal-length encodings of randomly drawn ciphertexts move them from run
+// to run.
+type driverEntry struct {
+	Outlines  []string `json:"outlines"`
+	MPCRounds int64    `json:"mpc_rounds"`
+	Messages  int64    `json:"messages"`
+}
+
+// checkDriverGolden holds the TCP trainings of the calling equivalence test
+// to testdata/driver_golden.json, recorded from the overlapped driver as it
+// stood before its overlaps were folded onto one fork primitive: the lanes
+// may reorder chains, but never add a round or a message, or grow another
+// tree.  A failure prints what this tree produces.
+func checkDriverGolden(t *testing.T, got []driverEntry) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/driver_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded map[string][]driverEntry
+	if err := json.Unmarshal(raw, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	if want := recorded[t.Name()]; !reflect.DeepEqual(got, want) {
+		out, _ := json.MarshalIndent(map[string][]driverEntry{t.Name(): got}, "", "  ")
+		t.Fatalf("pipelined trainings differ from the recorded ones; this tree produces:\n%s", out)
+	}
 }
 
 func TestPipelineEquivalenceDT(t *testing.T) {
