@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/rand/v2"
+	"time"
 
 	"repro/internal/mpc"
 	"repro/internal/paillier"
@@ -30,41 +31,68 @@ type BoostModel struct {
 // TrainRF trains cfg.NumTrees independent trees on public bootstrap
 // resamples (§7.1: "each tree can be built ... and released separately").
 // The bootstrap multiplicities are drawn from a PRG seeded by the shared
-// session seed, so every client derives the same public counts.  Under a
-// checkpoint store the trees train in turn, not on concurrent lanes: those
-// share no level join to snapshot at.
+// session seed, so every client derives the same public counts.
 func (p *Party) TrainRF() (*ForestModel, error) {
 	if p.cfg.Protocol != Basic {
 		// §7: "we assume that all the trees can be released in plaintext";
 		// the round-robin ensemble prediction needs the public model.
 		return nil, p.errf("ensemble training requires the basic protocol (paper §7)")
 	}
-	if p.pipelined() && p.ck == nil && p.cfg.NumTrees > 1 {
-		return p.trainRFPipelined()
-	}
 	fm := &ForestModel{Classes: p.part.Classes}
-	if err := p.rfRounds(fm, 0); err != nil {
+	if err := p.rfTrees(fm, 0); err != nil {
 		return nil, err
 	}
 	return fm, nil
 }
 
-// rfRounds trains forest trees w = start..NumTrees-1, arming the recovery
-// unit context at each tree boundary so a level checkpoint inside tree w
-// records the completed trees alongside it.
-func (p *Party) rfRounds(fm *ForestModel, start int) error {
-	for w := start; w < p.cfg.NumTrees; w++ {
-		if p.ck != nil {
-			p.rctx = &outerSnap{kind: kindRF, unit: w, trees: append([]*Model(nil), fm.Trees...)}
-		}
-		counts := bootstrapCounts(p.part.N, p.cfg.Subsample, uint64(p.cfg.Seed)+uint64(w))
-		tree, err := p.trainTree(counts, nil, nil)
+// rfTrees trains forest trees w = start..NumTrees-1 into fm.Trees, tree w
+// on slot w mod slots: every party assigns identical trees to identical
+// lanes with no coordination.  A party that pipelines forks up to
+// maxRFLanes lanes, except under a checkpoint store — lanes share no level
+// join to snapshot at.  With one slot the trees train in turn on the party
+// itself, which arms the recovery unit context at each tree boundary so a
+// level checkpoint inside tree w records the completed trees alongside it.
+func (p *Party) rfTrees(fm *ForestModel, start int) error {
+	W := p.cfg.NumTrees
+	slots := 1
+	if p.pipelined() && p.ck == nil {
+		slots = min(W-start, maxRFLanes)
+	}
+	began := time.Now()
+	fm.Trees = append(fm.Trees, make([]*Model, W-start)...)
+	waits := make([]func() error, 0, slots)
+	for s := 0; s < slots; s++ {
+		wait, err := p.fork(uint32(s+1), slots > 1, func(lp *Party) error {
+			for w := start + s; w < W; w += slots {
+				if lp.ck != nil {
+					lp.rctx = &outerSnap{kind: kindRF, unit: w, trees: append([]*Model(nil), fm.Trees[:w]...)}
+				}
+				counts := bootstrapCounts(lp.part.N, lp.cfg.Subsample, uint64(lp.cfg.Seed)+uint64(w))
+				tree, err := lp.trainTree(counts, nil, nil)
+				if err != nil {
+					return err
+				}
+				fm.Trees[w] = tree
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		fm.Trees = append(fm.Trees, tree)
+		waits = append(waits, wait)
 	}
-	return nil
+	var firstErr error
+	for _, wait := range waits {
+		if err := wait(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if slots > 1 {
+		// Lanes' wall time is not joined: the forest is timed whole.
+		p.Stats.Wall += time.Since(began)
+		p.gatherStats()
+	}
+	return firstErr
 }
 
 func bootstrapCounts(n int, frac float64, seed uint64) []int64 {

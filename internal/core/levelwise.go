@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/big"
 
 	"repro/internal/dp"
@@ -85,26 +84,19 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 	p.Stats.NodesTrained += G
 
 	// Overlap 1 (pipelined only): while the pruning conversion and
-	// comparison rounds below are on the wire, the super client already
-	// computes in the background the masked label channels of every
-	// frontier node that may be trained directly — all but the right
-	// children a sibling may derive.  Pure local compute — nothing is sent
-	// until the splitters are known, so the wire traffic is exactly the
-	// barrier path's.
-	var spec *gammaSpec
-	var specAt []int // frontier index → node of the speculative pass, or -1
+	// comparison rounds below are on the wire, the super client computes the
+	// masked label channels of the whole frontier in the background.  Pure
+	// local compute — nothing is sent until the splitters are known, so the
+	// wire traffic is exactly the barrier path's.
+	var spec []*paillier.Ciphertext
+	var waitSpec func() error
 	if p.pipelined() && p.ID == p.Super && depth < p.cfg.Tree.MaxDepth &&
 		p.totalSplits() > 0 && frontier[0].nd.gch == nil {
-		var nodes []frontierNode
-		specAt = make([]int, G)
-		for g := range frontier {
-			specAt[g] = -1
-			if !siblingOf(frontier, g) {
-				specAt[g] = len(nodes)
-				nodes = append(nodes, frontier[g])
-			}
-		}
-		spec = p.startGammaSpec(nodes)
+		lp, nodes := p.forkLocal(), append([]frontierNode(nil), frontier...)
+		waitSpec = p.spawn(lp, func() (err error) {
+			spec, err = lp.gammaMaskedSuper(nodes)
+			return err
+		})
 	}
 
 	// ----- pruning conditions (Algorithm 3, lines 1-3), batched -----
@@ -167,61 +159,31 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 		}
 	}
 	p.Stats.NodesDerived += len(splitters) - len(direct)
+	if waitSpec != nil {
+		if err := waitSpec(); err != nil {
+			return nil, p.errf("level %d speculative gammas: %w", depth, err)
+		}
+	}
 
 	// ----- local computation + conversion + gains + grouped argmax -----
 	bests := make([]mpc.ArgmaxResult, G)
 	stats := make([][]mpc.Share, G) // each splitter's expanded statistics
 	if len(splitters) > 0 {
+		// C label channels enter the gains; E are sent (sentChannels).
+		C, E, S := p.channels(frontier[0].nd), p.sentChannels(frontier[0].nd), p.totalSplits()
 		directNodes := make([]frontierNode, len(direct))
+		var masked []*paillier.Ciphertext // the direct splitters' speculative channels
 		for i, g := range direct {
 			directNodes[i] = frontier[g]
+			if spec != nil {
+				masked = append(masked, spec[g*E*p.part.N:(g+1)*E*p.part.N]...)
+			}
 		}
-		// C label channels enter the gains; E are sent (sentChannels).
-		C, E, S := p.channels(directNodes[0].nd), p.sentChannels(directNodes[0].nd), p.totalSplits()
 
 		var gchs [][][]*paillier.Ciphertext
 		err = p.timedWire(&p.Stats.Phases.LocalComputation, &p.Stats.Phases.LocalComputationWire, func() error {
-			if spec != nil {
-				// The masked channels were computed while the pruning rounds
-				// were in flight; broadcast just the direct splitters' slices
-				// — the same plaintexts (and bytes) the barrier path would
-				// send.  A right child whose left sibling was pruned was not
-				// speculated on, so its channels are computed now.
-				maskedAll, specErr := spec.wait(p)
-				spec = nil
-				if specErr != nil {
-					return specErr
-				}
-				var late []frontierNode
-				for _, g := range direct {
-					if specAt[g] < 0 {
-						late = append(late, frontier[g])
-					}
-				}
-				var lateMasked []*paillier.Ciphertext
-				if len(late) > 0 {
-					var err error
-					if lateMasked, err = p.gammaMaskedSuper(late); err != nil {
-						return err
-					}
-				}
-				n := p.part.N
-				sel := make([]*paillier.Ciphertext, 0, len(direct)*E*n)
-				for _, g := range direct {
-					if i := specAt[g]; i >= 0 {
-						sel = append(sel, maskedAll[i*E*n:(i+1)*E*n]...)
-					} else {
-						sel, lateMasked = append(sel, lateMasked[:E*n]...), lateMasked[E*n:]
-					}
-				}
-				if err := p.broadcastCtsChunked(sel); err != nil {
-					return err
-				}
-				gchs = splitChannels(sel, len(direct), E, n)
-				return nil
-			}
 			var err error
-			gchs, err = p.computeGammasLevel(directNodes)
+			gchs, err = p.computeGammasLevel(directNodes, masked)
 			return err
 		})
 		if err != nil {
@@ -317,12 +279,6 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			return nil, p.errf("level %d gain computation: %v", depth, err)
 		}
 	}
-	if spec != nil {
-		// Every frontier node was pruned to a leaf; retire the speculative
-		// pass and fold its (wasted) compute counters in.
-		_, _ = spec.wait(p)
-		spec = nil
-	}
 
 	// ----- leaf resolution, winner opening, model update -----
 	var leafGs, splitGs []int
@@ -346,32 +302,49 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			openCols = 2
 		}
 	}
-	var entries []frontierNode
+	// Overlap 2: the leaf chain is forked first, so on a lane its
+	// conversion/argmax rounds fly while the main lane opens the winners and
+	// runs the update chain; inline it runs first — leaves, winners, update:
+	// the barrier order.  The lane exclusively owns the task models' Leaves
+	// counters until joined; materialization below runs after.
+	leafNodes := make(map[int]Node, len(leafGs))
+	waitLeaves := func() error { return nil }
 	if len(leafGs) > 0 {
-		entries = make([]frontierNode, len(leafGs))
+		entries := make([]frontierNode, len(leafGs))
 		for i, g := range leafGs {
 			entries[i] = frontier[g]
 		}
+		waitLeaves, err = p.fork(1, len(splitGs) > 0, func(lp *Party) error {
+			nodes, err := lp.makeLeavesLevel(tasks, entries)
+			for i := range nodes {
+				leafNodes[leafGs[i]] = nodes[i]
+			}
+			return err
+		})
+		if err != nil {
+			return nil, p.errf("level %d leaves: %v", depth, err)
+		}
 	}
-	winnerIn := func() []mpc.Share {
+
+	var outcomes []splitOutcome
+	if len(splitGs) > 0 {
 		openIn := make([]mpc.Share, 0, len(splitGs)*openCols)
 		for _, g := range splitGs {
 			openIn = append(openIn, bests[g].IDs[:openCols]...)
 		}
-		return openIn
-	}
-	// The children get every vector while a later split needs them, only [α]
-	// when they are leaves whose masks are captured, and none otherwise: a
-	// leaf counts from the totals it inherits.
-	kids := 0
-	if depth+1 < p.cfg.Tree.MaxDepth {
-		kids = 1 + len(frontier[0].nd.gch)
-	} else if tasks[0].capture {
-		kids = 1
-	}
-	var opened []*big.Int
-	var outcomes []splitOutcome
-	runUpdate := func() error {
+		var opened []*big.Int
+		if openCols > 0 {
+			opened = p.eng.OpenVec(openIn)
+		}
+		// The children get every vector while a later split needs them, only
+		// [α] when they are leaves whose masks are captured, and none
+		// otherwise: a leaf counts from the totals it inherits.
+		kids := 0
+		if depth+1 < p.cfg.Tree.MaxDepth {
+			kids = 1 + len(frontier[0].nd.gch)
+		} else if tasks[0].capture {
+			kids = 1
+		}
 		nds := make([]nodeData, len(splitGs))
 		bestsK := make([]mpc.ArgmaxResult, len(splitGs))
 		idsK := make([][]*big.Int, len(splitGs))
@@ -382,7 +355,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			idsK[i] = opened[i*openCols : (i+1)*openCols]
 			statsK[i] = stats[g]
 		}
-		return p.timedWire(&p.Stats.Phases.ModelUpdate, &p.Stats.Phases.ModelUpdateWire, func() error {
+		err = p.timedWire(&p.Stats.Phases.ModelUpdate, &p.Stats.Phases.ModelUpdateWire, func() error {
 			r0 := p.eng.Stats.Rounds
 			var err error
 			outcomes, err = p.updateLevelBatched(nds, bestsK, idsK, kids)
@@ -393,71 +366,12 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			return err
 		})
 	}
-
-	leafNodes := make(map[int]Node, len(leafGs))
-	if p.pipelined() && len(leafGs) > 0 && len(splitGs) > 0 {
-		// Overlap 2: issue the winner opening, run the whole leaf chain on
-		// its own lane, then await the winners and run the update chain on
-		// the main lane — the leaf conversions/argmax rounds fly while the
-		// update rounds do.  The lane exclusively owns the task models'
-		// Leaves counters until joined; materialization below runs after.
-		var pendingWin *mpc.PendingOpen
-		if openCols > 0 {
-			pendingWin = p.eng.OpenVecIssue(winnerIn())
-		}
-		lp := p.lane(1)
-		type leafRes struct {
-			nodes []Node
-			err   error
-		}
-		ch := make(chan leafRes, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					ch <- leafRes{err: fmt.Errorf("leaf lane: %v", r)}
-				}
-			}()
-			nodes, err := lp.makeLeavesLevel(tasks, entries)
-			if err == nil {
-				lp.eng.Retire()
-			}
-			ch <- leafRes{nodes: nodes, err: err}
-		}()
-		if pendingWin != nil {
-			opened = pendingWin.Await()
-		}
-		updErr := runUpdate()
-		res := <-ch
-		p.join(lp)
-		if updErr != nil {
-			return nil, p.errf("level %d model update: %v", depth, updErr)
-		}
-		if res.err != nil {
-			return nil, p.errf("level %d leaves: %v", depth, res.err)
-		}
-		for i, g := range leafGs {
-			leafNodes[g] = res.nodes[i]
-		}
-	} else {
-		// Barrier order: leaves first, then the winner opening, then the
-		// update chain — the equivalence oracle for the overlapped path.
-		if len(leafGs) > 0 {
-			nodes, err := p.makeLeavesLevel(tasks, entries)
-			if err != nil {
-				return nil, p.errf("level %d leaves: %v", depth, err)
-			}
-			for i, g := range leafGs {
-				leafNodes[g] = nodes[i]
-			}
-		}
-		if len(splitGs) > 0 && openCols > 0 {
-			opened = p.eng.OpenVec(winnerIn())
-		}
-		if len(splitGs) > 0 {
-			if err := runUpdate(); err != nil {
-				return nil, p.errf("level %d model update: %v", depth, err)
-			}
-		}
+	leafErr := waitLeaves()
+	if err != nil {
+		return nil, p.errf("level %d model update: %v", depth, err)
+	}
+	if leafErr != nil {
+		return nil, p.errf("level %d leaves: %v", depth, leafErr)
 	}
 
 	// ----- breadth-first materialization, one model per task -----
@@ -673,11 +587,12 @@ func (p *Party) childTotals(out []splitOutcome, stats [][]mpc.Share) {
 // client derives every splitter's masked label channels [γ] from its [α]
 // (classification: one 0/1 channel per class but the last, which is α minus
 // the others; regression: y and y² channels) in one parallel Paillier batch
-// and ships them in a single broadcast.  In encrypted-label mode the channels
+// and ships them in a single broadcast; masked, when the speculative pass
+// already made them, is that batch.  In encrypted-label mode the channels
 // are already maintained per node by the split owners and nothing is sent.
 // In malicious mode every channel travels inside its POPCM proofs against the
 // label commitments (§9.1.2), one message per node and channel.
-func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Ciphertext, error) {
+func (p *Party) computeGammasLevel(nodes []frontierNode, masked []*paillier.Ciphertext) ([][][]*paillier.Ciphertext, error) {
 	out := make([][][]*paillier.Ciphertext, len(nodes))
 	if nodes[0].nd.gch != nil {
 		for i := range nodes {
@@ -700,12 +615,13 @@ func (p *Party) computeGammasLevel(nodes []frontierNode) ([][][]*paillier.Cipher
 		}
 		return out, nil
 	}
-	var masked []*paillier.Ciphertext
 	var err error
 	if p.ID != p.Super {
 		masked, err = p.recvCtsChunked(p.Super, len(nodes)*E*n)
 	} else {
-		masked, err = p.gammaMaskedSuper(nodes)
+		if masked == nil {
+			masked, err = p.gammaMaskedSuper(nodes)
+		}
 		if err == nil {
 			err = p.broadcastCtsChunked(masked)
 		}

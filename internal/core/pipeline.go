@@ -1,36 +1,30 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"repro/internal/paillier"
-)
+import "fmt"
 
 // Pipelined level execution: overlap purely-local Paillier work and
 // independent round chains with in-flight MPC rounds, instead of letting
 // every party idle while level d's openings are on the wire.
 //
-// Three overlaps are implemented, all run wherever Config.pipelineActive
-// holds and all bit-identical to the barrier driver (masks and Beaver
+// There is one training driver.  Each overlap is a chain handed to fork:
+// on a party that pipelines (Config.pipelineActive and a tag-multiplexed
+// session) it runs on its own lane in a goroutine while the caller goes on;
+// everywhere else it runs inline, in the barrier order that is the
+// equivalence oracle.  Both orders are bit-identical (masks and Beaver
 // triples cancel, so reordering independent work never changes a decrypted
 // or opened value):
 //
-//  1. Speculative gammas: at the super client, the next phase's masked
-//     label channels of every frontier node that may be trained directly
-//     (all but the right children a sibling may derive) are computed in a
-//     background goroutine while the pruning conversion and comparison
-//     rounds are in flight; once the surviving splitters are known, only
-//     their slices are broadcast — the same bytes the barrier path sends.
-//  2. Leaf/update overlap: the frontier's leaf chain (grouped argmax or
-//     reciprocal chain + opening) runs on a forked engine over its own transport
-//     lane, concurrently with the winner-identifier opening and the
-//     batched model-update chain on the main lane.  The winner opening is
-//     itself issued before the leaf fork and awaited after (issue/await).
-//  3. Random-forest tree lanes: independent bootstrap trees train
-//     concurrently, one round chain per lane, instead of strictly
-//     sequentially (TrainRF's loop), except under a checkpoint store.
+//  1. Speculative gammas: at the super client, the masked label channels of
+//     the whole frontier are computed in the background (spawn, on a
+//     forkLocal clone) while the pruning conversion and comparison rounds
+//     are in flight; only the direct splitters' slices are broadcast — the
+//     same bytes the barrier path sends.
+//  2. Leaf/update overlap: trainLevel forks the frontier's leaf chain
+//     (grouped argmax or reciprocal chain + opening) on lane 1, then opens
+//     the winners and runs the batched model-update chain on the main lane.
+//  3. Random-forest tree lanes: rfTrees forks up to maxRFLanes lanes, each
+//     training a round-robin share of the trees, except under a checkpoint
+//     store.
 //
 // Lanes are SPMD like everything else: every party derives the same lane
 // tag at the same fork point (parent*64+slot), so the tag-multiplexed
@@ -52,14 +46,51 @@ func (p *Party) pipelined() bool {
 	return p.mux != nil && !p.perNode && p.cfg.pipelineActive()
 }
 
+// fork runs fn as a chain that may overlap the caller's next work.  When
+// the party pipelines and overlap says there is such work, fn runs on lane
+// slot in its own goroutine, its engine retired once it succeeds, and wait
+// joins the lane.  Otherwise fn runs inline on p itself — the barrier order
+// — and its error comes back at once, so the caller stops where the
+// barrier driver does; wait then has nothing to join.
+func (p *Party) fork(slot uint32, overlap bool, fn func(*Party) error) (wait func() error, err error) {
+	if !overlap || !p.pipelined() {
+		return func() error { return nil }, fn(p)
+	}
+	lp := p.lane(slot)
+	return p.spawn(lp, func() error {
+		err := fn(lp)
+		if err == nil {
+			lp.eng.Retire()
+		}
+		return err
+	}), nil
+}
+
+// spawn runs fn in a goroutine on the fork lp, turning a panic into an
+// error; wait blocks for it and joins lp's counters into p.
+func (p *Party) spawn(lp *Party, fn func() error) (wait func() error) {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("lane %d: %v", lp.laneTag, r)
+			}
+		}()
+		done <- fn()
+	}()
+	return func() error {
+		err := <-done
+		p.join(lp)
+		return err
+	}
+}
+
 // lane forks this party onto lane slot (1..63): same identity, data and
 // keys, but messaging through its own transport lane and a forked engine,
-// with fresh counters.  A lane whose chain succeeds retires its engine
-// (mpc.Engine.Retire) before its goroutine ends, and the caller must join()
-// the lane after that goroutine.  Party protocol methods route all
-// messaging through p.ep/p.eng, so the fork can run any whole chain — up to
-// a full tree — concurrently with the parent.  Only the parent checkpoints
-// and ticks the chaos level marker.
+// with fresh counters.  Party protocol methods route all messaging through
+// p.ep/p.eng, so the fork can run any whole chain — up to a full tree —
+// concurrently with the parent.  Only the parent checkpoints and ticks the
+// chaos level marker.
 func (p *Party) lane(slot uint32) *Party {
 	tag := p.laneTag*64 + slot
 	lp := p.forkLocal()
@@ -81,7 +112,7 @@ func (p *Party) forkLocal() *Party {
 	return &lp
 }
 
-// join folds a retired fork's counters back into the parent.  Wall is
+// join folds a finished fork's counters back into the parent.  Wall is
 // deliberately skipped (the parent times the whole overlapped section) and
 // so are the traffic totals (lanes share the endpoint's counters — they
 // are already counted once).
@@ -97,109 +128,4 @@ func (p *Party) join(lp *Party) {
 	if lp.eng != p.eng {
 		p.eng.MergeStats(lp.eng)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Speculative gamma computation (overlap 1)
-
-// gammaSpec is an in-flight speculative gamma pass: the super client's
-// masked label channels for the nodes it was started on, computing while
-// the pruning rounds are on the wire.
-type gammaSpec struct {
-	ch chan gammaSpecResult
-	lp *Party
-}
-
-type gammaSpecResult struct {
-	masked []*paillier.Ciphertext
-	err    error
-}
-
-// startGammaSpec launches the speculative pass.  Caller guarantees: super
-// client, plaintext-label mode (nd.gch == nil), at least one split
-// candidate.  The pass is pure local compute on a forkLocal clone, so it
-// races nothing.
-func (p *Party) startGammaSpec(frontier []frontierNode) *gammaSpec {
-	nodes := append([]frontierNode(nil), frontier...)
-	gs := &gammaSpec{ch: make(chan gammaSpecResult, 1), lp: p.forkLocal()}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				gs.ch <- gammaSpecResult{err: fmt.Errorf("speculative gammas: %v", r)}
-			}
-		}()
-		masked, err := gs.lp.gammaMaskedSuper(nodes)
-		gs.ch <- gammaSpecResult{masked: masked, err: err}
-	}()
-	return gs
-}
-
-// wait blocks for the pass and folds the fork's compute counters back in.
-// The returned slice holds the nodes' masked channels in the order they
-// were given — slice out the splitters before broadcasting.
-func (gs *gammaSpec) wait(p *Party) ([]*paillier.Ciphertext, error) {
-	res := <-gs.ch
-	p.join(gs.lp)
-	return res.masked, res.err
-}
-
-// ---------------------------------------------------------------------------
-// Random-forest tree lanes (overlap 3)
-
-// trainRFPipelined trains the forest's trees on concurrent lanes: up to
-// maxRFLanes slot lanes each train a deterministic round-robin subset
-// (tree w on slot w mod slots), so every party assigns identical trees to
-// identical lanes with no coordination.  Trees land in fm.Trees in tree
-// order; counters merge deterministically in slot order.
-func (p *Party) trainRFPipelined() (*ForestModel, error) {
-	W := p.cfg.NumTrees
-	slots := W
-	if slots > maxRFLanes {
-		slots = maxRFLanes
-	}
-	start := time.Now()
-	defer func() {
-		p.Stats.Wall += time.Since(start)
-		p.gatherStats()
-	}()
-	lanes := make([]*Party, slots)
-	for s := range lanes {
-		lanes[s] = p.lane(uint32(s + 1))
-	}
-	trees := make([]*Model, W)
-	errs := make([]error, slots)
-	var wg sync.WaitGroup
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[s] = fmt.Errorf("rf lane %d: %v", s, r)
-				}
-			}()
-			for w := s; w < W; w += slots {
-				counts := bootstrapCounts(p.part.N, p.cfg.Subsample, uint64(p.cfg.Seed)+uint64(w))
-				tree, err := lanes[s].trainTree(counts, nil, nil)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				trees[w] = tree
-			}
-			lanes[s].eng.Retire()
-		}(s)
-	}
-	wg.Wait()
-	var firstErr error
-	for s := range lanes {
-		p.join(lanes[s])
-		if errs[s] != nil && firstErr == nil {
-			firstErr = errs[s]
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &ForestModel{Classes: p.part.Classes, Trees: trees}, nil
 }

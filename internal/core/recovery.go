@@ -34,9 +34,9 @@ import (
 // resumed run replays the same draws — the privacy-safe choice, since fresh
 // draws after a crash would answer the same queries a second time.
 //
-// Pipelined sessions checkpoint too: trainLevel joins its leaf lane and
-// awaits the speculative-gamma pass before it returns, and lanes never
-// checkpoint (TrainRF trains its trees in turn under a store).
+// Pipelined sessions checkpoint too: every chain trainLevel forks is joined
+// before it returns, and lanes never checkpoint (rfTrees trains its trees in
+// turn, on the party itself, under a store).
 //
 // What is NOT recoverable: malicious-mode sessions (the SPDZ MAC transcript
 // cannot be replayed — see mpc.EngineState; newSession refuses a store with
@@ -387,7 +387,7 @@ func (p *Party) resumeRF(snap *partySnap) (*ForestModel, error) {
 		return nil, err
 	}
 	fm.Trees = append(fm.Trees, tasks[0].model)
-	if err := p.rfRounds(fm, o.unit+1); err != nil {
+	if err := p.rfTrees(fm, o.unit+1); err != nil {
 		return nil, err
 	}
 	return fm, nil

@@ -59,7 +59,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 
 // TestSessionCloseUnderPipelinedTraining is the close-under-pipeline race
 // stress: Close fired at varying offsets into a pipelined training phase —
-// with speculative lanes and in-flight PendingOpens on the wire — must
+// with a speculative gamma pass and forked leaf lanes in flight — must
 // drain the phase or surface a deterministic error (ErrSessionClosed on
 // later phases), and must never panic a lane goroutine.  Runs in the
 // nightly -race suite.

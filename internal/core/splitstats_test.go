@@ -275,7 +275,7 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			if err := p.nodeTotals(nodes); err != nil {
 				return err
 			}
-			gchs, err := p.computeGammasLevel(nodes)
+			gchs, err := p.computeGammasLevel(nodes, nil)
 			if err != nil {
 				return err
 			}
@@ -410,7 +410,7 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 					kids = append(kids, kid)
 				}
 			}
-			kgchs, err := p.computeGammasLevel(kids)
+			kgchs, err := p.computeGammasLevel(kids, nil)
 			if err != nil {
 				return err
 			}

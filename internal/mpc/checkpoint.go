@@ -65,22 +65,19 @@ func (st *EngineState) clone() *EngineState {
 	return &EngineState{alphaShare: st.alphaShare, local: st.local.clone(), mat: st.mat.clone()}
 }
 
-// quiescent reports why the engine cannot be snapshotted or restored now.
-func (e *Engine) quiescent(verb string) error {
+// replayable reports why the engine's state cannot be snapshotted or
+// restored.
+func (e *Engine) replayable(verb string) error {
 	if e.cfg.Authenticated {
 		return fmt.Errorf("mpc: cannot %s an authenticated session (the MAC transcript cannot be replayed)", verb)
-	}
-	if len(e.pendingOpens) > 0 {
-		return fmt.Errorf("mpc: cannot %s with %d opens in flight", verb, len(e.pendingOpens))
 	}
 	return nil
 }
 
 // Snapshot copies the engine's consumable state, after reading every
-// prefetched response still in flight.  The engine must be quiescent (no
-// pending opens) and semi-honest.
+// prefetched response still in flight.  The engine must be semi-honest.
 func (e *Engine) Snapshot() (*EngineState, error) {
-	if err := e.quiescent("snapshot"); err != nil {
+	if err := e.replayable("snapshot"); err != nil {
 		return nil, err
 	}
 	e.drainFetches()
@@ -94,7 +91,7 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 // share are rewound.  Responses still in flight are read first and
 // discarded with the queues they would have filled.
 func (e *Engine) Restore(st *EngineState) error {
-	if err := e.quiescent("restore"); err != nil {
+	if err := e.replayable("restore"); err != nil {
 		return err
 	}
 	e.drainFetches()

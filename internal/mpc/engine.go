@@ -67,8 +67,7 @@ type Engine struct {
 	pendingA []Elem // opened values awaiting MAC check
 	pendingM []Elem // this party's MAC shares for them
 
-	pendingOpens []*PendingOpen // issued-but-unawaited openings, FIFO
-	gauge        *RoundGauge    // in-flight rounds across this engine and forks
+	gauge *RoundGauge // in-flight rounds across this engine and forks
 
 	wbuf []byte // outgoing frame under construction (Send does not retain it)
 
@@ -331,8 +330,7 @@ func (e *Engine) SelectVec(s Share, as, bs []Share) []Share {
 
 // OpenVec reconstructs values: every party broadcasts its shares and sums
 // the contributions.  One synchronous round for the whole batch.  With MACs
-// the opened values are queued for CheckMACs.  Implemented as an
-// issue/await pair; see OpenVecIssue for the overlapped form.
+// the opened values are queued for CheckMACs.
 func (e *Engine) OpenVec(xs []Share) []*big.Int {
 	return elemsToBig(e.openElems(xs))
 }
@@ -340,7 +338,41 @@ func (e *Engine) OpenVec(xs []Share) []*big.Int {
 // openElems is OpenVec for callers inside the package: the opened values
 // stay field elements.
 func (e *Engine) openElems(xs []Share) []Elem {
-	return e.OpenVecIssue(xs).await()
+	e.Stats.Opens++
+	e.Stats.OpenValues += int64(len(xs))
+	e.Stats.Rounds++
+	if e.gauge != nil {
+		e.gauge.enter()
+		defer e.gauge.leave()
+	}
+	sum := make([]Elem, len(xs))
+	e.wbuf = binary.AppendUvarint(e.wbuf[:0], uint64(len(xs)))
+	for i := range xs {
+		sum[i] = xs[i].V
+		e.wbuf = appendElem(e.wbuf, xs[i].V)
+	}
+	if err := e.broadcast(e.wbuf); err != nil {
+		panic(fmt.Sprintf("mpc: open broadcast: %v", err))
+	}
+	for p := 0; p < e.n; p++ {
+		if p == e.id {
+			continue
+		}
+		frame, err := e.ep.Recv(p)
+		if err == nil {
+			err = addElems(sum, frame)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("mpc: open recv from party %d: %v", p, err))
+		}
+	}
+	if e.cfg.Authenticated {
+		e.pendingA = append(e.pendingA, sum...)
+		for i := range xs {
+			e.pendingM = append(e.pendingM, xs[i].M)
+		}
+	}
+	return sum
 }
 
 // Open reconstructs a single value.
@@ -359,7 +391,6 @@ func (e *Engine) OpenSigned(x Share) *big.Int {
 // parties pass a slice of the same length (they know it from protocol
 // context), whose contents are ignored.
 func (e *Engine) InputVec(owner int, xs []*big.Int) []Share {
-	e.drainPendingOpens() // the owner's delta recv must not race an issued open
 	count := len(xs)
 	masks := take(e, e.inputMaskQueue(owner), count)
 	var deltas []Elem
@@ -494,7 +525,6 @@ func (e *Engine) CheckMACs() error {
 // broadcasts msg, and returns every peer's opened message (nil at this
 // party's own index) after checking it against the commitment.
 func (e *Engine) exchangeCommitted(msg []byte) ([][]byte, error) {
-	e.drainPendingOpens()
 	h := sha256.Sum256(msg)
 	if err := e.broadcast(h[:]); err != nil {
 		return nil, err

@@ -217,11 +217,10 @@ func semiHonestScript(e *Engine, log func(tag string, xs ...*big.Int)) error {
 	log("mulbounded", e.OpenVec(e.MulVecBounded(pos, pos, 24, 24))...)
 	log("openbounded", e.OpenVecBounded(pos, 25)...)
 
-	// Two overlapped openings, awaited in issue order.
-	po1 := e.OpenVecIssue(xs[:5])
-	po2 := e.OpenVecIssue(ys[:7])
-	log("issue1", po1.Await()...)
-	log("issue2", po2.Await()...)
+	// Two openings in a row, logged under the tags of the issue/await pair
+	// they replaced: the frames and the opened values are the same.
+	log("issue1", e.OpenVec(xs[:5])...)
+	log("issue2", e.OpenVec(ys[:7])...)
 
 	log("trunc", e.OpenVec(e.TruncVec(prods, 54, 16))...)
 	log("mod2m", e.OpenVec(e.Mod2mVec(xs, 32, 9))...)
