@@ -68,6 +68,57 @@ func TestMaliciousHonestRunSucceeds(t *testing.T) {
 	}
 }
 
+// TestMaliciousRootTotalsBound has the super client prove a root's class
+// totals for a label vector other than the one it committed (the two
+// classes' indicator vectors swapped after the commitment phase): every
+// other client refuses the proof, and its training returns the error.
+func TestMaliciousRootTotalsBound(t *testing.T) {
+	cfg := testConfig()
+	cfg.Malicious = true
+	cfg.Tree.MaxDepth, cfg.Tree.MaxSplits = 2, 2
+	parts, err := dataset.VerticalPartition(dataset.SyntheticClassification(16, 4, 2, 3.0, 3), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(parts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	errs := make([]error, s.M)
+	// growTrees with the tampering between its commitment phase and the
+	// level loop.
+	err = s.Each(func(p *Party) error {
+		errs[p.ID] = func() error {
+			if err := p.audit.commitTraining(p.labelVectors()); err != nil {
+				return err
+			}
+			if p.ID == p.Super {
+				lp := p.audit.labelPlain
+				lp[0], lp[1] = lp[1], lp[0]
+			}
+			alpha, err := p.initialAlpha(nil)
+			if err != nil {
+				return err
+			}
+			task := &treeTask{model: &Model{Classes: p.part.Classes}}
+			return p.runLevels([]*treeTask{task}, []frontierNode{{nd: nodeData{alpha: alpha}, parent: -1}}, 0)
+		}()
+		return errs[p.ID]
+	})
+	if err == nil {
+		t.Fatal("training with misreported root totals succeeded")
+	}
+	for id, err := range errs {
+		if id == s.Party(id).Super {
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "root total") || !strings.Contains(err.Error(), "POHDP") {
+			t.Errorf("client %d: training returned %v, want the refused root-total proof", id, err)
+		}
+	}
+}
+
 func TestMaliciousMatchesSemiHonestShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow protocol run")

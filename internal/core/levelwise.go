@@ -486,7 +486,8 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 // channel totals, the super client's β_k·[α] (foldAdd([γ_k]) in
 // encrypted-label mode).  Plaintext-label classes partition the samples, so
 // there the C dot products touch each sample once between them and ⟨n⟩ is
-// their sum on shares.
+// their sum on shares.  In malicious mode the dot products are proven
+// against the label commitments (labelDotsWithProofs).
 func (p *Party) nodeTotals(nodes []frontierNode) error {
 	nd := nodes[0].nd
 	C := p.channels(nd)
@@ -495,24 +496,33 @@ func (p *Party) nodeTotals(nodes []frontierNode) error {
 	if sumN {
 		per, width = C, p.w.count+2 // counts only
 	}
-	var cts []*paillier.Ciphertext // only the super client's are converted
-	if p.ID == p.Super {
-		var dots []*paillier.Ciphertext
-		if nd.gch == nil {
-			var xss [][]*big.Int
-			var chs [][]*paillier.Ciphertext
-			betas := p.labelVectors()
-			for i := range nodes {
-				for _, beta := range betas {
-					xss, chs = append(xss, beta), append(chs, nodes[i].nd.alpha)
-				}
-			}
-			p.poolReserve(len(xss))
-			var err error
-			if dots, err = p.dotRerandVec(xss, chs); err != nil {
-				return err
+	var dots []*paillier.Ciphertext // the super client's β_k·[α], node-major
+	var err error
+	switch {
+	case nd.gch != nil:
+	case p.audit != nil:
+		alphas := make([][]*paillier.Ciphertext, len(nodes))
+		for i := range nodes {
+			alphas[i] = nodes[i].nd.alpha
+		}
+		dots, err = p.audit.labelDotsWithProofs(alphas)
+	case p.ID == p.Super:
+		var xss [][]*big.Int
+		var chs [][]*paillier.Ciphertext
+		betas := p.labelVectors()
+		for i := range nodes {
+			for _, beta := range betas {
+				xss, chs = append(xss, beta), append(chs, nodes[i].nd.alpha)
 			}
 		}
+		p.poolReserve(len(xss))
+		dots, err = p.dotRerandVec(xss, chs)
+	}
+	if err != nil {
+		return err
+	}
+	var cts []*paillier.Ciphertext // only the super client's are converted
+	if p.ID == p.Super {
 		for i := range nodes {
 			if !sumN {
 				cts = append(cts, p.foldAdd(nodes[i].nd.alpha))
@@ -527,7 +537,7 @@ func (p *Party) nodeTotals(nodes []frontierNode) error {
 		}
 	}
 	var shares []mpc.Share
-	err := p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
+	err = p.timedWire(&p.Stats.Phases.Conversion, &p.Stats.Phases.ConversionWire, func() error {
 		var err error
 		shares, err = p.encToShares(cts, len(nodes)*per, width)
 		return err

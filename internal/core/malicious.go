@@ -19,6 +19,7 @@ import (
 //	conversion masks  -> POPK   (modified Algorithm 2, §9.1.1)
 //	[γ_k] broadcast   -> POPCM  (local computation step, §9.1.2)
 //	split statistics  -> POHDP  (local computation step, §9.1.2)
+//	root label totals -> POHDP  (against the label commitments)
 //
 // The MPC side runs with authenticated (MACed) shares; see mpc.CheckMACs.
 type auditor struct {
@@ -268,16 +269,11 @@ func (a *auditor) gammaWithProofs(encAlpha []*paillier.Ciphertext, k int) ([]*pa
 // commitments.  flatIdx identifies the split commitment.
 func (a *auditor) statWithProof(flatIdx int, gamma []*paillier.Ciphertext, v []*big.Int) (*paillier.Ciphertext, error) {
 	p := a.p
-	pr, res, err := zkp.ProvePOHDP(p.pk, a.ownIndicComms[flatIdx], gamma, v, a.ownIndicNonces[flatIdx])
+	res, payload, err := a.proveDot(a.ownIndicComms[flatIdx], gamma, v, a.ownIndicNonces[flatIdx])
 	if err != nil {
 		return nil, err
 	}
 	if p.ID != p.Super {
-		payload := []*big.Int{res.C}
-		for j := range pr.Terms {
-			q := pr.Proofs[j]
-			payload = append(payload, pr.Terms[j].C, q.U1, q.U2, q.Z, q.W1, q.W2)
-		}
 		if err := transport.SendInts(p.ep, p.Super, payload); err != nil {
 			return nil, err
 		}
@@ -287,11 +283,65 @@ func (a *auditor) statWithProof(flatIdx int, gamma []*paillier.Ciphertext, v []*
 
 // verifyStat receives and verifies one proven statistic from a peer.
 func (a *auditor) verifyStat(from, flatIdx int, gamma []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	p := a.p
-	n := len(gamma)
-	xs, err := p.recvIntsN(from, 1+6*n)
+	res, err := a.recvDot(from, a.indicComms[from][flatIdx], gamma)
 	if err != nil {
-		return nil, fmt.Errorf("stat proof: %w", err)
+		return nil, fmt.Errorf("client %d split %d: %w", from, flatIdx, err)
+	}
+	return res, nil
+}
+
+// labelDotsWithProofs is nodeTotals' malicious-mode (§9.1.2) dot products,
+// node-major: the super client proves every β_k·[α] with a POHDP against its
+// label commitment k and broadcasts it, and every other client verifies it.
+// The class totals a root's gains start from — and, through childTotals,
+// every right child's — are thereby bound to the committed labels.
+func (a *auditor) labelDotsWithProofs(alphas [][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	p := a.p
+	var dots []*paillier.Ciphertext
+	for _, alpha := range alphas {
+		for k, comms := range a.labelComms {
+			var dot *paillier.Ciphertext
+			var err error
+			if p.ID == p.Super {
+				var payload []*big.Int
+				if dot, payload, err = a.proveDot(comms, alpha, a.labelPlain[k], a.labelNonces[k]); err == nil {
+					err = p.broadcastInts(payload)
+				}
+			} else {
+				dot, err = a.recvDot(p.Super, comms, alpha)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("root total %d: %w", k, err)
+			}
+			dots = append(dots, dot)
+		}
+	}
+	return dots, nil
+}
+
+// proveDot computes v ⊙ [γ] with a POHDP against comms, which nonces open
+// to v, and returns it with its wire form: the result, then each term and
+// its POPCM.
+func (a *auditor) proveDot(comms, gamma []*paillier.Ciphertext, v, nonces []*big.Int) (*paillier.Ciphertext, []*big.Int, error) {
+	pr, res, err := zkp.ProvePOHDP(a.p.pk, comms, gamma, v, nonces)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload := []*big.Int{res.C}
+	for j := range pr.Terms {
+		q := pr.Proofs[j]
+		payload = append(payload, pr.Terms[j].C, q.U1, q.U2, q.Z, q.W1, q.W2)
+	}
+	return res, payload, nil
+}
+
+// recvDot receives a dot product over gamma from a peer and verifies its
+// POHDP against comms.
+func (a *auditor) recvDot(from int, comms, gamma []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
+	n := len(gamma)
+	xs, err := a.p.recvIntsN(from, 1+6*n)
+	if err != nil {
+		return nil, fmt.Errorf("dot product proof: %w", err)
 	}
 	res := &paillier.Ciphertext{C: xs[0]}
 	pr := &zkp.POHDP{Terms: make([]*paillier.Ciphertext, n), Proofs: make([]*zkp.POPCM, n)}
@@ -299,8 +349,8 @@ func (a *auditor) verifyStat(from, flatIdx int, gamma []*paillier.Ciphertext) (*
 		pr.Terms[j] = &paillier.Ciphertext{C: xs[1+6*j]}
 		pr.Proofs[j] = &zkp.POPCM{U1: xs[2+6*j], U2: xs[3+6*j], Z: xs[4+6*j], W1: xs[5+6*j], W2: xs[6+6*j]}
 	}
-	if err := zkp.VerifyPOHDP(p.pk, a.indicComms[from][flatIdx], gamma, res, pr); err != nil {
-		return nil, fmt.Errorf("client %d split %d: %w", from, flatIdx, err)
+	if err := zkp.VerifyPOHDP(a.p.pk, comms, gamma, res, pr); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

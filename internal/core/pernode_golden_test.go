@@ -114,6 +114,14 @@ import (
 // The per-node oracle never derives a node from its sibling (its frontiers
 // hold one node), so sibling derivation moved no column here.
 //
+// Binding a malicious root's class totals to the label commitments (the
+// super client proves each β_k·[α] with a POHDP and broadcasts it) moved
+// three columns of the malicious entry and nothing else, after the same
+// script check: encryptions 228 → 226 (the two dot products are no longer
+// rerandomised; the proof's terms already are), messages 1077 → 1079 (one
+// proof per class to the other client) and bytes 640123 → 652556 (the
+// proofs).
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC
