@@ -208,10 +208,10 @@ func TestPipelineEquivalenceHidden(t *testing.T) {
 	trainPipelineBoth(t, smallClassification(40), 2, cfg, KindDT)
 }
 
+// TestPipelineEquivalenceRF is not -short-skipped: with
+// TestPipelineOverlapFloor it is where the short race leg runs forked lanes
+// concurrently (three tree lanes, each forking leaf lanes of its own).
 func TestPipelineEquivalenceRF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow protocol run")
-	}
 	cfg := testConfig()
 	cfg.NumTrees = 3
 	trainPipelineBoth(t, smallClassification(40), 2, cfg, KindRF)
@@ -228,11 +228,9 @@ func TestPipelineEquivalenceGBDT(t *testing.T) {
 
 // TestPipelineOverlapFloor pins the tentpole's mechanism, not just its
 // result: with two forest lanes over a delayed wire, at least two MPC
-// rounds must genuinely be in flight at once at some point.
+// rounds must genuinely be in flight at once at some point.  Not
+// -short-skipped, like TestPipelineEquivalenceRF.
 func TestPipelineOverlapFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow protocol run")
-	}
 	ds := smallClassification(40)
 	cfg := testConfig()
 	cfg.NumTrees = 2
