@@ -92,6 +92,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 	var waitSpec func() error
 	if p.pipelined() && p.ID == p.Super && depth < p.cfg.Tree.MaxDepth &&
 		p.totalSplits() > 0 && frontier[0].nd.gch == nil {
+		// A copy: nodeTotals writes the roots' totals into the frontier.
 		lp, nodes := p.forkLocal(), append([]frontierNode(nil), frontier...)
 		waitSpec = p.spawn(lp, func() (err error) {
 			spec, err = lp.gammaMaskedSuper(nodes)

@@ -126,9 +126,9 @@ func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config, kin
 			}
 			out = append(out, mdl)
 			if tcp {
-				st := s.Stats().Traffic
-				d := st.Peers[len(st.Peers)-1] // the dealer's row
-				e := driverEntry{MPCRounds: s.Stats().MPC.Rounds, Messages: st.MsgsRecv - d.MsgsRecv}
+				st := s.Stats()
+				dealer := st.Traffic.Peers[len(st.Traffic.Peers)-1]
+				e := driverEntry{MPCRounds: st.MPC.Rounds, Messages: st.Traffic.MsgsRecv - dealer.MsgsRecv}
 				for _, tree := range predictorTrees(mdl) {
 					e.Outlines = append(e.Outlines, tree.String())
 				}

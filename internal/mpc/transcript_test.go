@@ -217,8 +217,7 @@ func semiHonestScript(e *Engine, log func(tag string, xs ...*big.Int)) error {
 	log("mulbounded", e.OpenVec(e.MulVecBounded(pos, pos, 24, 24))...)
 	log("openbounded", e.OpenVecBounded(pos, 25)...)
 
-	// Two openings in a row, logged under the tags of the issue/await pair
-	// they replaced: the frames and the opened values are the same.
+	// Two openings in a row.  The results digest hashes the tags too.
 	log("issue1", e.OpenVec(xs[:5])...)
 	log("issue2", e.OpenVec(ys[:7])...)
 
