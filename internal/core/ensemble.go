@@ -60,6 +60,7 @@ func (p *Party) rfTrees(fm *ForestModel, start int) error {
 	}
 	began := time.Now()
 	fm.Trees = append(fm.Trees, make([]*Model, W-start)...)
+	tots := make([][][]mpc.Share, W)
 	waits := make([]func() error, 0, slots)
 	for s := 0; s < slots; s++ {
 		wait, err := p.fork(uint32(s+1), slots > 1, func(lp *Party) error {
@@ -68,11 +69,11 @@ func (p *Party) rfTrees(fm *ForestModel, start int) error {
 					lp.rctx = &outerSnap{kind: kindRF, unit: w, trees: append([]*Model(nil), fm.Trees[:w]...)}
 				}
 				counts := bootstrapCounts(lp.part.N, lp.cfg.Subsample, uint64(lp.cfg.Seed)+uint64(w))
-				tree, err := lp.trainTree(counts, nil, nil)
+				tree, leafTots, err := lp.trainTree(counts, nil, nil)
 				if err != nil {
 					return err
 				}
-				fm.Trees[w] = tree
+				fm.Trees[w], tots[w] = tree, leafTots
 			}
 			return nil
 		})
@@ -92,6 +93,7 @@ func (p *Party) rfTrees(fm *ForestModel, start int) error {
 		p.Stats.Wall += time.Since(began)
 		p.gatherStats()
 	}
+	p.leafTots = tots
 	return firstErr
 }
 
@@ -191,7 +193,7 @@ func (p *Party) gbdtRegRounds(bm *BoostModel, encY []*paillier.Ciphertext, start
 		}
 		p.captureLeaves = true
 		p.leafAlphas = nil
-		tree, err := p.trainTree(nil, encY, encY2)
+		tree, _, err := p.trainTree(nil, encY, encY2)
 		p.captureLeaves = false
 		if err != nil {
 			return err
@@ -258,7 +260,7 @@ func (p *Party) trainBoostRound(encY [][]*paillier.Ciphertext) ([]*Model, [][][]
 			}
 			p.captureLeaves = true
 			p.leafAlphas = nil
-			tree, err := p.trainTree(nil, encY[k], encY2)
+			tree, _, err := p.trainTree(nil, encY[k], encY2)
 			p.captureLeaves = false
 			if err != nil {
 				return nil, nil, err

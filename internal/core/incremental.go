@@ -30,9 +30,27 @@ import (
 //     The base prediction (label mean at original training time) is NOT
 //     re-centered — later trees absorb any drift, like any warm start.
 //
+// Kept leaf totals: a DT/RF absorb costs what it appends.  Every DT or RF
+// that Train or Update releases on a session leaves each party holding its
+// own additive shares of every leaf's totals (⟨n⟩ and the channel totals,
+// the nodeData.tot the leaf chain reads); the session keeps them, keyed by
+// the released model, with the row count they cover.  An absorb of that
+// model over exactly those rows replays the splits over the appended rows
+// only, converts their per-leaf totals in the one nodeTotals conversion,
+// adds the kept shares and resolves the leaves: kept + appended totals are
+// the union's totals, and the labels are a deterministic function of the
+// totals, so the model is bit-identical to the union replay.  Anything else
+// — a model loaded from disk or released by another session, a session that
+// only ran AppendSamples since, a resumed session — replays the union, the
+// oracle.  Nothing new is opened or sent: the kept shares are what each
+// party already held when the leaf chain ran, and they are never
+// checkpointed or saved.
+//
 // Enhanced, malicious and DP modes refuse: enhanced never discloses the
 // tree (nothing to replay), the §9.1 malicious proofs cover full training
 // transcripts only, and DP noise would compound across repeated absorbs.
+// Every refusal happens before any client starts (checkUpdate), so a
+// refused absorb leaves the session healthy and its partitions unchanged.
 
 // UpdateSpec describes one incremental absorb.
 type UpdateSpec struct {
@@ -49,20 +67,42 @@ type UpdateSpec struct {
 	AddTrees int
 }
 
+// leafTotals is one released DT/RF model's kept leaf totals: tots[c][w][pos]
+// is client c's shares of tree w's leaf pos, over the first rows samples.
+type leafTotals struct {
+	rows int
+	tots [][][][]mpc.Share
+}
+
 // Update absorbs spec.Append into spec.Model on the session and returns
 // the refreshed predictor.  The session's partitions grow by the appended
 // rows (copy-on-append: prior Partition structs are never mutated, so
-// other sessions sharing them keep serving the old view).
+// other sessions sharing them keep serving the old view).  A refused
+// absorb returns its error with the session untouched.
 func Update(s *Session, spec UpdateSpec) (Predictor, error) {
+	kt, err := s.checkUpdate(spec)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Predictor, s.M)
-	err := s.Each(func(p *Party) error {
-		mdl, err := p.update(spec)
-		out[p.ID] = mdl
+	tots := make([][][][]mpc.Share, s.M)
+	rows := 0
+	err = s.Each(func(p *Party) error {
+		var kept [][][]mpc.Share
+		if kt != nil && kt.rows == p.part.N {
+			kept = kt.tots[p.ID]
+		}
+		mdl, t, err := p.update(spec, kept)
+		out[p.ID], tots[p.ID] = mdl, t
+		if p.ID == 0 {
+			rows = p.part.N
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.keepLeafTotals(out[0], rows, tots)
 	return out[0], nil
 }
 
@@ -71,32 +111,116 @@ func Update(s *Session, spec UpdateSpec) (Predictor, error) {
 // to keep the lanes that did not run the update chain aligned with the one
 // that did, and to replay the absorb log into a rebuilt lane.  Purely local at every party: no protocol traffic.
 func AppendSamples(s *Session, parts []*dataset.Partition) error {
+	s.phaseMu.Lock()
+	err := s.checkAppend(parts)
+	s.phaseMu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = s.Each(func(p *Party) error {
+		p.appendData(parts[p.ID])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	s.keepLeafTotals(nil, 0, nil) // drops the entries the append outdated
+	return nil
+}
+
+// keepLeafTotals drops every kept entry the session's current row count
+// outdates and, when mdl is a DT or RF that an Update on this session would
+// accept and tots ([client][tree][LeafPos]) covers the current rows, keeps
+// tots as mdl's leaf totals.
+func (s *Session) keepLeafTotals(mdl Predictor, rows int, tots [][][][]mpc.Share) {
+	s.phaseMu.Lock()
+	defer s.phaseMu.Unlock()
+	n := s.parties[0].part.N
+	for m, kt := range s.kept {
+		if kt.rows != n {
+			delete(s.kept, m)
+		}
+	}
+	if rows != n || s.Cfg.Protocol != Basic || s.Cfg.Malicious || s.Cfg.DP != nil {
+		return
+	}
+	var trees []*Model
+	switch m := mdl.(type) {
+	case *Model:
+		trees = []*Model{m}
+	case *ForestModel:
+		trees = m.Trees
+	default:
+		return
+	}
+	for _, t := range tots {
+		if len(t) != len(trees) {
+			return
+		}
+		for w, tree := range trees {
+			if len(t[w]) != tree.Leaves {
+				return
+			}
+		}
+	}
+	if s.kept == nil {
+		s.kept = make(map[Predictor]*leafTotals)
+	}
+	s.kept[mdl] = &leafTotals{rows: rows, tots: tots}
+}
+
+// checkUpdate refuses, before any client starts, every absorb a client
+// would refuse — a failed phase tears the session down — and returns the
+// model's kept leaf totals, nil when the session keeps none.  Purely local.
+func (s *Session) checkUpdate(spec UpdateSpec) (*leafTotals, error) {
+	switch {
+	case s.Cfg.Protocol != Basic:
+		return nil, fmt.Errorf("core: incremental update requires the basic protocol: a warm start replays the released plaintext trees, which enhanced mode never discloses")
+	case s.Cfg.Malicious:
+		return nil, fmt.Errorf("core: incremental update is unavailable in malicious mode: the §9.1 proofs cover full training transcripts, not replayed absorbs")
+	case s.Cfg.DP != nil:
+		return nil, fmt.Errorf("core: incremental update is unavailable with DP noise: per-absorb noise would compound across repeated updates")
+	}
+	if err := replayable(spec.Model); err != nil {
+		return nil, err
+	}
+	s.phaseMu.Lock()
+	defer s.phaseMu.Unlock()
+	if err := s.checkAppend(spec.Append); err != nil {
+		return nil, err
+	}
+	sup := s.parties[s.parties[0].Super]
+	if c := spec.Model.NumClasses(); c != sup.part.Classes {
+		return nil, fmt.Errorf("core: update: model has %d classes, the session's labels %d", c, sup.part.Classes)
+	}
+	return s.kept[spec.Model], nil
+}
+
+// checkAppend refuses, before any client starts, appended partitions a
+// client would refuse.  The caller holds phaseMu.
+func (s *Session) checkAppend(parts []*dataset.Partition) error {
+	if s.closed {
+		return ErrSessionClosed
+	}
 	if len(parts) != s.M {
 		return fmt.Errorf("core: %d appended partitions for %d clients", len(parts), s.M)
 	}
-	return s.Each(func(p *Party) error { return p.appendData(parts[p.ID]) })
+	for _, p := range s.parties {
+		if err := p.checkAppend(parts[p.ID]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// update is the SPMD body of Update.
-func (p *Party) update(spec UpdateSpec) (Predictor, error) {
+// update is the SPMD body of Update: checkUpdate has accepted spec.  kept
+// is this party's kept leaf totals of spec.Model over the rows before the
+// append (nil: replay the union).  It also returns the refreshed DT/RF's
+// leaf totals over the union.
+func (p *Party) update(spec UpdateSpec, kept [][][]mpc.Share) (Predictor, [][][]mpc.Share, error) {
 	defer p.gatherStats()
-	if p.cfg.Protocol != Basic {
-		return nil, p.errf("incremental update requires the basic protocol: a warm start replays the released plaintext trees, which enhanced mode never discloses")
-	}
-	if p.cfg.Malicious {
-		return nil, p.errf("incremental update is unavailable in malicious mode: the §9.1 proofs cover full training transcripts, not replayed absorbs")
-	}
-	if p.cfg.DP != nil {
-		return nil, p.errf("incremental update is unavailable with DP noise: per-absorb noise would compound across repeated updates")
-	}
-	if len(spec.Append) != p.M {
-		return nil, p.errf("update: %d appended partitions for %d clients", len(spec.Append), p.M)
-	}
-
 	oldN := p.part.N
-	if err := p.appendData(spec.Append[p.ID]); err != nil {
-		return nil, err
-	}
+	p.appendData(spec.Append[p.ID])
 
 	// Absorbs are not checkpointed: a crash mid-update falls back to the
 	// registered model plus a fresh Update call over the same batch.
@@ -105,69 +229,87 @@ func (p *Party) update(spec UpdateSpec) (Predictor, error) {
 	defer func() { p.ck = ck }()
 
 	var out Predictor
+	var tots [][][]mpc.Share
 	err := timed(&p.Stats.Wall, func() error {
 		var err error
 		switch m := spec.Model.(type) {
 		case *Model:
-			if err = replayable(m); err == nil {
-				out, err = p.updateDT(m)
-			}
+			out, tots, err = p.updateDT(m, oldN, kept)
 		case *ForestModel:
-			for _, t := range m.Trees {
-				if err = replayable(t); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				out, err = p.updateRF(m, oldN)
-			}
+			out, tots, err = p.updateRF(m, oldN, kept)
 		case *BoostModel:
-			for _, f := range m.Forests {
-				for _, t := range f {
-					if err = replayable(t); err != nil {
-						break
-					}
-				}
+			add := max(spec.AddTrees, 1)
+			if m.Classes > 0 {
+				out, err = p.updateGBDTCls(m, add)
+			} else {
+				out, err = p.updateGBDTReg(m, add)
 			}
-			if err == nil {
-				add := spec.AddTrees
-				if add < 1 {
-					add = 1
-				}
-				if m.Classes > 0 {
-					out, err = p.updateGBDTCls(m, add)
-				} else {
-					out, err = p.updateGBDTReg(m, add)
-				}
-			}
-		default:
-			err = p.errf("update: unsupported model type %T", spec.Model)
 		}
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, tots, nil
 }
 
-// replayable rejects models whose split decisions are not public.
-func replayable(m *Model) error {
-	if m == nil {
-		return fmt.Errorf("core: update: nil model")
+// replayable refuses a model an absorb cannot replay: anything but released
+// basic-protocol trees, and GBDT forests that are missing, ragged or (for
+// classification) empty.
+func replayable(mdl Predictor) error {
+	tree := func(m *Model) error {
+		if m == nil {
+			return fmt.Errorf("core: update: nil model")
+		}
+		if m.Protocol != Basic {
+			return fmt.Errorf("core: update: model conceals its splits; only released basic-protocol trees can be replayed")
+		}
+		return nil
 	}
-	if m.Protocol != Basic {
-		return fmt.Errorf("core: update: model conceals its splits; only released basic-protocol trees can be replayed")
+	switch m := mdl.(type) {
+	case *Model:
+		return tree(m)
+	case *ForestModel:
+		if m == nil {
+			return fmt.Errorf("core: update: nil model")
+		}
+		for _, t := range m.Trees {
+			if err := tree(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	case *BoostModel:
+		if m == nil {
+			return fmt.Errorf("core: update: nil model")
+		}
+		if c := max(m.Classes, 1); len(m.Forests) != c {
+			return fmt.Errorf("core: update: GBDT model has %d forests for %d classes", len(m.Forests), m.Classes)
+		}
+		for k, f := range m.Forests {
+			if len(f) != len(m.Forests[0]) {
+				return fmt.Errorf("core: update: ragged GBDT forests (class %d has %d trees, class 0 has %d)",
+					k, len(f), len(m.Forests[0]))
+			}
+			for _, t := range f {
+				if err := tree(t); err != nil {
+					return err
+				}
+			}
+		}
+		if m.Classes > 0 && len(m.Forests[0]) == 0 {
+			return fmt.Errorf("core: update: GBDT model has no trained rounds")
+		}
+		return nil
+	default:
+		return fmt.Errorf("core: update: unsupported model type %T", mdl)
 	}
-	return nil
 }
 
-// appendData grows this party's partition by the new rows.  Copy-on-append:
-// serving lanes share Partition pointers, so the old struct stays untouched
-// while other lanes keep serving from it.  The candidate-split grid (and so
-// every peer's splitCounts) is frozen — only the indicator vectors extend,
-// keeping released SplitIndex values valid for replay.
-func (p *Party) appendData(np *dataset.Partition) error {
+// checkAppend refuses an appended batch this party cannot absorb.  The
+// candidate-split grid is frozen, so the batch must match the partition's
+// feature layout, and the super client's labels must be in range.
+func (p *Party) checkAppend(np *dataset.Partition) error {
 	if np == nil || np.N == 0 || len(np.X) != np.N {
 		return p.errf("update: client %d: empty or malformed appended batch", p.ID)
 	}
@@ -192,7 +334,16 @@ func (p *Party) appendData(np *dataset.Partition) error {
 			return err
 		}
 	}
+	return nil
+}
 
+// appendData grows this party's partition by rows checkAppend accepted.
+// Copy-on-append: serving lanes share Partition pointers, so the old struct
+// stays untouched while other lanes keep serving from it.  The
+// candidate-split grid (and so every peer's splitCounts) is frozen — only
+// the indicator vectors extend, keeping released SplitIndex values valid
+// for replay.
+func (p *Party) appendData(np *dataset.Partition) {
 	n := p.part.N + np.N
 	part := &dataset.Partition{
 		Client:   p.part.Client,
@@ -231,7 +382,6 @@ func (p *Party) appendData(np *dataset.Partition) error {
 	p.part = part
 	// Count widths grow with log n; every party recomputes identically.
 	p.w = p.cfg.widths(n)
-	return nil
 }
 
 // replayNode is one frontier entry of the structure replay.
@@ -242,15 +392,17 @@ type replayNode struct {
 }
 
 // replayLeafAlphas recomputes every tree's encrypted per-leaf mask vectors
-// over the current (post-append) samples by replaying the public split
-// structure level by level: per level, each owner computes all of its
-// nodes' left masks in one rerandomized batch and broadcasts them once
-// (right masks derive locally and deterministically, as in §4.1).  Costs
-// O(max depth) HE broadcast phases total — across all trees — and zero MPC
-// rounds.  rootCounts supplies per-tree root multiplicities (nil = all
-// ones; RF passes bootstrap counts).
-func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64) ([][][]*paillier.Ciphertext, error) {
-	n := p.part.N
+// over samples from..N−1 by replaying the public split structure level by
+// level: per level, each owner computes all of its nodes' left masks in one
+// rerandomized batch and broadcasts them once (right masks derive locally
+// and deterministically, as in §4.1).  Costs O(max depth) HE broadcast
+// phases total — across all trees — and zero MPC rounds; the ciphertexts
+// encrypted and sent scale with the replayed rows: N − from, the appended
+// rows alone when the caller keeps the earlier rows' leaf totals.
+// rootCounts supplies per-tree root multiplicities over all N samples (nil
+// = all ones; RF passes bootstrap counts).
+func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64, from int) ([][][]*paillier.Ciphertext, error) {
+	n := p.part.N - from
 	las := make([][][]*paillier.Ciphertext, len(trees))
 	for w, tree := range trees {
 		las[w] = make([][]*paillier.Ciphertext, tree.Leaves)
@@ -261,7 +413,7 @@ func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64) ([][][]*p
 	if p.ID == p.Super {
 		vals := make([]*big.Int, 0, len(trees)*n)
 		for w := range trees {
-			for t := 0; t < n; t++ {
+			for t := from; t < p.part.N; t++ {
 				if rootCounts == nil || rootCounts[w] == nil {
 					vals = append(vals, big.NewInt(1))
 				} else {
@@ -309,7 +461,7 @@ func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64) ([][][]*p
 			for _, rn := range nodes {
 				node := &trees[rn.tree].Nodes[rn.idx]
 				cts = append(cts, rn.alpha...)
-				betas = append(betas, p.indic[node.Feature][node.SplitIndex]...)
+				betas = append(betas, p.indic[node.Feature][node.SplitIndex][from:]...)
 			}
 			p.poolReserve(len(cts))
 			var err error
@@ -350,13 +502,27 @@ func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64) ([][][]*p
 }
 
 // refreshLeaves re-resolves cloned trees' leaf labels over the current
-// samples, structure fixed: every tree's leaves get their totals in one
-// conversion and ride one shared batched leaf chain (the same nodeTotals and
-// makeLeavesLevel the level-wise trainer uses).
-func (p *Party) refreshLeaves(trees []*Model, las [][][]*paillier.Ciphertext) ([]*Model, error) {
+// samples, structure fixed: it replays the splits, gives every replayed leaf
+// its totals in one conversion, and runs all trees' leaves through one
+// shared batched leaf chain (the same nodeTotals and makeLeavesLevel the
+// level-wise trainer uses).  kept, when non-nil, holds each leaf's totals
+// over the first oldN samples: only the appended rows are replayed, and the
+// kept shares are added to theirs, so the leaves still resolve over the
+// union.  rootCounts is as for replayLeafAlphas.  It also returns every
+// clone's leaf totals over the union, in LeafPos order.
+func (p *Party) refreshLeaves(trees []*Model, rootCounts [][]int64, oldN int, kept [][][]mpc.Share) ([]*Model, [][][]mpc.Share, error) {
+	from := 0
+	if kept != nil {
+		from = oldN
+	}
+	las, err := p.replayLeafAlphas(trees, rootCounts, from)
+	if err != nil {
+		return nil, nil, p.errf("update replay: %v", err)
+	}
 	clones := make([]*Model, len(trees))
 	tasks := make([]*treeTask, len(trees))
 	var entries []frontierNode
+	var prior [][]mpc.Share // kept totals, entry by entry
 	for w, tree := range trees {
 		clones[w] = &Model{
 			Nodes:    append([]Node(nil), tree.Nodes...),
@@ -370,18 +536,29 @@ func (p *Party) refreshLeaves(trees []*Model, las [][][]*paillier.Ciphertext) ([
 		tasks[w] = &treeTask{model: clones[w]}
 		for pos := 0; pos < tree.Leaves; pos++ {
 			entries = append(entries, frontierNode{nd: nodeData{alpha: las[w][pos]}, tree: w})
+			if kept != nil {
+				prior = append(prior, kept[w][pos])
+			}
 		}
 	}
+	tots := make([][][]mpc.Share, len(trees))
 	if len(entries) == 0 {
-		return clones, nil
+		return clones, tots, nil
 	}
 	// The replayed leaves have no parent statistics to inherit totals from.
-	if err := p.nodeTotals(entries); err != nil {
-		return nil, err
+	if err := p.nodeTotals(entries, from); err != nil {
+		return nil, nil, err
+	}
+	for i, pt := range prior {
+		sum := make([]mpc.Share, len(pt))
+		for e := range pt {
+			sum[e] = p.eng.Add(pt[e], entries[i].nd.tot[e])
+		}
+		entries[i].nd.tot = sum
 	}
 	nodes, err := p.makeLeavesLevel(tasks, entries)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	off := 0
 	for w, clone := range clones {
@@ -391,47 +568,46 @@ func (p *Party) refreshLeaves(trees []*Model, las [][][]*paillier.Ciphertext) ([
 			}
 		}
 		off += trees[w].Leaves
+		tots[w] = tasks[w].leafTots
 	}
-	return clones, nil
+	return clones, tots, nil
 }
 
 // updateDT refines a decision tree's leaves over the union.
-func (p *Party) updateDT(m *Model) (*Model, error) {
-	las, err := p.replayLeafAlphas([]*Model{m}, nil)
+func (p *Party) updateDT(m *Model, oldN int, kept [][][]mpc.Share) (*Model, [][][]mpc.Share, error) {
+	clones, tots, err := p.refreshLeaves([]*Model{m}, nil, oldN, kept)
 	if err != nil {
-		return nil, p.errf("update replay: %v", err)
+		return nil, nil, err
 	}
-	clones, err := p.refreshLeaves([]*Model{m}, las)
-	if err != nil {
-		return nil, err
-	}
-	return clones[0], nil
+	return clones[0], tots, nil
 }
 
-// updateRF refines every forest tree's leaves over the union.  Old rows
-// keep the bootstrap multiplicities their tree was trained with (the
-// counts are a public function of the session seed); appended rows enter
-// every tree with multiplicity one.
-func (p *Party) updateRF(fm *ForestModel, oldN int) (*ForestModel, error) {
-	n := p.part.N
-	counts := make([][]int64, len(fm.Trees))
-	for w := range fm.Trees {
-		ext := make([]int64, n)
-		copy(ext, bootstrapCounts(oldN, p.cfg.Subsample, uint64(p.cfg.Seed)+uint64(w)))
-		for t := oldN; t < n; t++ {
-			ext[t] = 1
+// updateRF refines every forest tree's leaves over the union.  Appended
+// rows enter every tree with multiplicity one.  With kept totals the
+// earlier rows count with whatever multiplicities the totals were made
+// with, and only the appended rows are replayed; without, the whole union
+// is replayed and the first oldN rows take the bootstrap multiplicities a
+// tree trained on oldN rows draws (a public function of the session seed)
+// — the ones the tree was trained with when it has absorbed nothing yet.
+func (p *Party) updateRF(fm *ForestModel, oldN int, kept [][][]mpc.Share) (*ForestModel, [][][]mpc.Share, error) {
+	var counts [][]int64 // nil: multiplicity one on every replayed row
+	if kept == nil {
+		n := p.part.N
+		counts = make([][]int64, len(fm.Trees))
+		for w := range fm.Trees {
+			ext := make([]int64, n)
+			copy(ext, bootstrapCounts(oldN, p.cfg.Subsample, uint64(p.cfg.Seed)+uint64(w)))
+			for t := oldN; t < n; t++ {
+				ext[t] = 1
+			}
+			counts[w] = ext
 		}
-		counts[w] = ext
 	}
-	las, err := p.replayLeafAlphas(fm.Trees, counts)
+	clones, tots, err := p.refreshLeaves(fm.Trees, counts, oldN, kept)
 	if err != nil {
-		return nil, p.errf("update replay: %v", err)
+		return nil, nil, err
 	}
-	clones, err := p.refreshLeaves(fm.Trees, las)
-	if err != nil {
-		return nil, err
-	}
-	return &ForestModel{Trees: clones, Classes: fm.Classes}, nil
+	return &ForestModel{Trees: clones, Classes: fm.Classes}, tots, nil
 }
 
 // updateGBDTReg warm-starts a regression GBDT: the encrypted residual
@@ -473,7 +649,7 @@ func (p *Party) updateGBDTReg(bm *BoostModel, addTrees int) (*BoostModel, error)
 			return nil, err
 		}
 	}
-	las, err := p.replayLeafAlphas(old, nil)
+	las, err := p.replayLeafAlphas(old, nil, 0)
 	if err != nil {
 		return nil, p.errf("update replay: %v", err)
 	}
@@ -505,16 +681,7 @@ func (p *Party) updateGBDTCls(bm *BoostModel, addTrees int) (*BoostModel, error)
 	if nu == 0 {
 		nu = p.cfg.LearningRate
 	}
-	oldRounds := len(bm.Forests[0])
-	for k := 0; k < c; k++ {
-		if len(bm.Forests[k]) != oldRounds {
-			return nil, p.errf("update: ragged GBDT forests (class %d has %d trees, class 0 has %d)",
-				k, len(bm.Forests[k]), oldRounds)
-		}
-	}
-	if oldRounds == 0 {
-		return nil, p.errf("update: GBDT model has no trained rounds")
-	}
+	oldRounds := len(bm.Forests[0]) // checkUpdate refused ragged and empty forests
 
 	onehot := make([][]mpc.Share, c)
 	for k := 0; k < c; k++ {
@@ -535,7 +702,7 @@ func (p *Party) updateGBDTCls(bm *BoostModel, addTrees int) (*BoostModel, error)
 			flatTrees = append(flatTrees, bm.Forests[k][w])
 		}
 	}
-	las, err := p.replayLeafAlphas(flatTrees, nil)
+	las, err := p.replayLeafAlphas(flatTrees, nil, 0)
 	if err != nil {
 		return nil, p.errf("update replay: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -130,9 +131,6 @@ func TestIncrementalEquivalenceDT(t *testing.T) {
 // with the original bootstrap multiplicities on old rows (a public function
 // of the session seed) and multiplicity one on new rows.
 func TestIncrementalEquivalenceRF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-tree incremental equivalence runs in the nightly suite")
-	}
 	cfg := testConfig()
 	cfg.NumTrees = 2
 	cfg.Subsample = 0.8
@@ -290,18 +288,217 @@ func TestIncrementalEquivalenceGBDT(t *testing.T) {
 	}
 }
 
-// TestIncrementalUpdateRefusals pins the modes an absorb must refuse:
-// enhanced never discloses the tree, and DP noise would compound.
-func TestIncrementalUpdateRefusals(t *testing.T) {
-	ds := smallClassification(16)
-	dummy := &Model{Protocol: Basic}
+// TestIncrementalMatchesUnionReplay pins the kept-totals absorb to the
+// union replay, its oracle.  A session trains through Train, which keeps the
+// leaf totals, and absorbs two batches in turn; after absorb k the model's
+// saved bytes must equal a twin's — same data, same seed — that trains and
+// absorbs batches 1..k in one Update of the trained model round-tripped
+// through SavePredictor/LoadPredictor, which the twin keeps no totals for.
+// One union replay from the trained model is the oracle, not k of them: a
+// forest replayed over a grown union draws bootstrap multiplicities over the
+// grown row count, so only the first replay keeps the trees' own.  The
+// encryption count shows which path ran: the kept totals encrypt the
+// appended rows once per tree and internal node, plus the leaf conversion;
+// the union replay encrypts every row.  The last row absorbs on a session
+// that only ran AppendSamples for the first batch, as a serving lane that
+// did not run the update chain does: it falls back and still matches.
+func TestIncrementalMatchesUnionReplay(t *testing.T) {
+	const base, batch = 24, 4
+	rf := testConfig()
+	rf.NumTrees, rf.Subsample, rf.Tree.MaxDepth = 2, 0.8, 2
+	cls := dataset.SyntheticClassification(base+2*batch, 4, 2, 2.0, 11)
+	reg := dataset.SyntheticRegression(base+2*batch, 4, 0.1, 41)
 	for _, tc := range []struct {
 		name string
-		mut  func(*Config)
-		want string
+		ds   *dataset.Dataset
+		cfg  Config
+		kind ModelKind
 	}{
-		{"enhanced", func(c *Config) { c.Protocol = Enhanced }, "basic protocol"},
-		{"dp", func(c *Config) { c.DP = &DPConfig{Epsilon: 1} }, "DP"},
+		{"dt-classification", cls, testConfig(), KindDT},
+		{"dt-regression", reg, testConfig(), KindDT},
+		{"rf", cls, rf, KindRF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, m0 := trainKept(t, tc.ds, base, tc.cfg, tc.kind)
+			bound := keptBound(m0, batch, s.M, tc.ds.Classes)
+			mdl := m0
+			for k := 1; k <= 2; k++ {
+				lo := base + (k-1)*batch
+				var enc int64
+				mdl, enc = absorb(t, s, mdl, tc.ds, lo, lo+batch)
+				if enc > bound {
+					t.Fatalf("absorb %d encrypted %d ciphertexts, the kept-totals path at most %d", k, enc, bound)
+				}
+				twin, t0 := trainKept(t, tc.ds, base, tc.cfg, tc.kind)
+				want, wenc := absorb(t, twin, roundTrip(t, t0), tc.ds, base, base+k*batch)
+				if wenc <= bound {
+					t.Fatalf("union replay encrypted %d ciphertexts, no more than the kept-totals bound %d", wenc, bound)
+				}
+				if got, exp := saveBytes(t, mdl), saveBytes(t, want); !bytes.Equal(got, exp) {
+					t.Fatalf("absorb %d: kept totals give\n%s\nthe union replay\n%s", k, got, exp)
+				}
+			}
+		})
+	}
+
+	t.Run("append-only-lane", func(t *testing.T) {
+		cfg := testConfig()
+		s, m0 := trainKept(t, cls, base, cfg, KindDT)
+		lane, err := NewSession(partsOf(t, cls, 0, base), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lane.Close()
+		m1, _ := absorb(t, s, m0, cls, base, base+batch)
+		if err := AppendSamples(lane, partsOf(t, cls, base, base+batch)); err != nil {
+			t.Fatal(err)
+		}
+		bound := keptBound(m1, batch, s.M, cls.Classes)
+		want, _ := absorb(t, s, m1, cls, base+batch, base+2*batch)
+		got, enc := absorb(t, lane, m1, cls, base+batch, base+2*batch)
+		if enc <= bound {
+			t.Fatalf("the append-only lane encrypted %d ciphertexts, no more than the kept-totals bound %d", enc, bound)
+		}
+		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+			t.Fatalf("append-only lane's union replay differs from the kept-totals absorb")
+		}
+	})
+}
+
+// TestKeptTotalsConcurrentUsers drives the session's kept leaf totals from
+// two goroutines, as a daemon's update and registry paths do: one absorbs
+// two batches in turn while the other trains fresh models and evicts them.
+// Run under -race it checks that every reader and writer of the kept
+// entries is ordered by the phase lock.
+func TestKeptTotalsConcurrentUsers(t *testing.T) {
+	const base, batch = 24, 4
+	cls := dataset.SyntheticClassification(base+2*batch, 4, 2, 2.0, 11)
+	s, m0 := trainKept(t, cls, base, testConfig(), KindDT)
+	batches := [][]*dataset.Partition{partsOf(t, cls, base, base+batch), partsOf(t, cls, base+batch, base+2*batch)}
+	errs := make(chan error, 2)
+	go func() {
+		mdl := m0
+		var err error
+		for k := 0; k < 2 && err == nil; k++ {
+			mdl, err = Update(s, UpdateSpec{Model: mdl, Append: batches[k]})
+		}
+		errs <- err
+	}()
+	go func() {
+		var err error
+		for k := 0; k < 2 && err == nil; k++ {
+			var mdl Predictor
+			if mdl, err = Train(s, TrainSpec{Model: KindDT}); err == nil {
+				s.EvictShared(mdl)
+			}
+		}
+		errs <- err
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// partsOf partitions rows [lo, hi) of ds across two clients.
+func partsOf(t *testing.T, ds *dataset.Dataset, lo, hi int) []*dataset.Partition {
+	t.Helper()
+	parts, err := dataset.VerticalPartition(sliceDS(ds, lo, hi), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
+// trainKept trains kind on ds's first n rows through Train.
+func trainKept(t *testing.T, ds *dataset.Dataset, n int, cfg Config, kind ModelKind) (*Session, Predictor) {
+	t.Helper()
+	s, err := NewSession(partsOf(t, ds, 0, n), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	mdl, err := Train(s, TrainSpec{Model: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, mdl
+}
+
+// absorb updates mdl with rows [lo, hi) of ds and returns the refreshed
+// model and the encryptions the absorb made.
+func absorb(t *testing.T, s *Session, mdl Predictor, ds *dataset.Dataset, lo, hi int) (Predictor, int64) {
+	t.Helper()
+	before := s.Stats().Encryptions
+	out, err := Update(s, UpdateSpec{Model: mdl, Append: partsOf(t, ds, lo, hi)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, s.Stats().Encryptions - before
+}
+
+// keptBound is the most a kept-totals absorb of rows appended rows into mdl
+// encrypts: the root masks of every tree and each internal node's left
+// masks over the appended rows, and the leaf conversion — at most m + 1
+// ciphertexts per converted total (every client's masks, the super client's
+// label dot products).
+func keptBound(mdl Predictor, rows, m, classes int) int64 {
+	trees := []*Model{}
+	switch x := mdl.(type) {
+	case *Model:
+		trees = append(trees, x)
+	case *ForestModel:
+		trees = x.Trees
+	}
+	channels := max(classes, 2)
+	var replayed, leaves int
+	for _, tr := range trees {
+		replayed += 1 + tr.InternalNodes()
+		leaves += tr.Leaves
+	}
+	return int64(replayed*rows + (m+1)*leaves*(channels+1))
+}
+
+// roundTrip reloads mdl from its saved bytes: the same model under a new
+// identity, for which no session keeps leaf totals.
+func roundTrip(t *testing.T, mdl Predictor) Predictor {
+	t.Helper()
+	out, err := LoadPredictor(bytes.NewReader(saveBytes(t, mdl)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func saveBytes(t *testing.T, mdl Predictor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SavePredictor(&buf, mdl); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestIncrementalUpdateRefusals pins the absorbs that must be refused —
+// enhanced sessions never disclose the tree, DP noise would compound, a nil
+// or concealed model has no splits to replay, a label out of range cannot
+// be counted — and that every refusal comes before any client starts: the
+// session stays healthy and its partitions keep their rows.
+func TestIncrementalUpdateRefusals(t *testing.T) {
+	ds := smallClassification(16)
+	for _, tc := range []struct {
+		name  string
+		mut   func(*Config)
+		model Predictor
+		label float64 // the first appended label
+		want  string
+	}{
+		{"enhanced", func(c *Config) { c.Protocol = Enhanced }, &Model{Protocol: Basic}, 0, "basic protocol"},
+		{"dp", func(c *Config) { c.DP = &DPConfig{Epsilon: 1} }, &Model{Protocol: Basic}, 0, "DP"},
+		{"nil model", func(*Config) {}, (*Model)(nil), 0, "nil model"},
+		{"enhanced model", func(*Config) {}, &Model{Protocol: Enhanced}, 0, "conceals its splits"},
+		{"bad label", func(*Config) {}, &Model{Protocol: Basic}, 7, "label"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -315,9 +512,23 @@ func TestIncrementalUpdateRefusals(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			_, err = Update(s, UpdateSpec{Model: dummy, Append: parts})
+			app, err := dataset.VerticalPartition(ds, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app[0].Y = append([]float64(nil), app[0].Y...)
+			app[0].Y[0] = tc.label
+			_, err = Update(s, UpdateSpec{Model: tc.model, Append: app})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("update under %s: err = %v, want mention of %q", tc.name, err, tc.want)
+			}
+			if !s.Healthy() {
+				t.Fatalf("a refused update under %s aborted the session", tc.name)
+			}
+			for c := 0; c < s.M; c++ {
+				if n := s.Party(c).part.N; n != ds.N() {
+					t.Fatalf("a refused update under %s left client %d with %d rows, want %d", tc.name, c, n, ds.N())
+				}
 			}
 		})
 	}

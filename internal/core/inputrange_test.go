@@ -56,7 +56,7 @@ func TestLabelRangeRefused(t *testing.T) {
 		if _, err := NewSession(parts, testConfig()); !errors.As(err, &bad) {
 			t.Errorf("%s: NewSession returned %v, want an ErrLabelRange", tc.name, err)
 		}
-		if err := sessions[tc.ds].Party(0).appendData(parts[0]); !errors.As(err, &bad) {
+		if err := AppendSamples(sessions[tc.ds], parts); !errors.As(err, &bad) {
 			t.Errorf("%s: appending returned %v, want an ErrLabelRange", tc.name, err)
 		}
 	}

@@ -47,6 +47,7 @@ type treeTask struct {
 	model      *Model
 	capture    bool // record each leaf's encrypted mask vector
 	leafAlphas [][]*paillier.Ciphertext
+	leafTots   [][]mpc.Share // each leaf's totals, in LeafPos order
 }
 
 // splitOutcome is one frontier node's model-update result.  win and lam name
@@ -104,7 +105,7 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 	// Only a training call's roots arrive without totals; every other node
 	// inherited them from its parent's split statistics.
 	if frontier[0].nd.tot == nil {
-		if err := p.nodeTotals(frontier); err != nil {
+		if err := p.nodeTotals(frontier, 0); err != nil {
 			return nil, p.errf("level %d root totals: %v", depth, err)
 		}
 	}
@@ -488,8 +489,10 @@ func (p *Party) updateLevelBatched(nds []nodeData, bests []mpc.ArgmaxResult, ope
 // encrypted-label mode).  Plaintext-label classes partition the samples, so
 // there the C dot products touch each sample once between them and ⟨n⟩ is
 // their sum on shares.  In malicious mode the dot products are proven
-// against the label commitments (labelDotsWithProofs).
-func (p *Party) nodeTotals(nodes []frontierNode) error {
+// against the label commitments (labelDotsWithProofs).  The mask vectors
+// cover samples from..N−1: 0 in training, the first appended row when an
+// absorb keeps the earlier rows' leaf totals.
+func (p *Party) nodeTotals(nodes []frontierNode, from int) error {
 	nd := nodes[0].nd
 	C := p.channels(nd)
 	sumN := nd.gch == nil && p.part.Classes > 0
@@ -513,7 +516,7 @@ func (p *Party) nodeTotals(nodes []frontierNode) error {
 		betas := p.labelVectors()
 		for i := range nodes {
 			for _, beta := range betas {
-				xss, chs = append(xss, beta), append(chs, nodes[i].nd.alpha)
+				xss, chs = append(xss, beta[from:]), append(chs, nodes[i].nd.alpha)
 			}
 		}
 		p.poolReserve(len(xss))
@@ -841,6 +844,7 @@ func (p *Party) makeLeavesLevel(tasks []*treeTask, entries []frontierNode) ([]No
 		if task.capture {
 			task.leafAlphas = append(task.leafAlphas, entries[i].nd.alpha)
 		}
+		task.leafTots = append(task.leafTots, entries[i].nd.tot)
 		nodes[i] = Node{Leaf: true, LeafPos: task.model.Leaves}
 		task.model.Leaves++
 	}

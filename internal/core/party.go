@@ -73,6 +73,11 @@ type Party struct {
 	captureLeaves bool
 	leafAlphas    [][]*paillier.Ciphertext
 
+	// leafTots holds, per tree of the DT or forest the last TrainDT/TrainRF
+	// call released, its leaves' totals in LeafPos order; Train keeps them
+	// on the session for Update (incremental.go).
+	leafTots [][][]mpc.Share
+
 	// Set for the duration of a TrainSpec{PerNode: true} call: train on
 	// Algorithm 3's schedule — depth-first, one node per round chain — the
 	// equivalence oracle of the level-wise schedule.

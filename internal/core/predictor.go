@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/mpc"
 )
 
 // The unified model-facing API.  Every trained Pivot model family —
@@ -139,19 +140,29 @@ func (bm *BoostModel) predictBatch(p *Party, X [][]float64) ([]float64, error) {
 // --- Session drivers ------------------------------------------------------
 
 // Train runs t's training protocol across the session's clients and
-// returns the super client's view of the trained model.
+// returns the super client's view of the trained model.  A DT or RF that
+// Update accepts leaves its leaf totals on the session, so its first
+// absorb replays only the appended rows.
 func Train(s *Session, t Trainer) (Predictor, error) {
 	out := make([]Predictor, s.M)
+	tots := make([][][][]mpc.Share, s.M)
+	rows := 0
 	err := s.Each(func(p *Party) error {
+		p.leafTots = nil
 		mdl, err := t.train(p)
 		if err == nil {
-			out[p.ID] = mdl
+			out[p.ID], tots[p.ID] = mdl, p.leafTots
 		}
+		if p.ID == 0 {
+			rows = p.part.N
+		}
+		p.leafTots = nil
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.keepLeafTotals(out[0], rows, tots)
 	return out[0], nil
 }
 
@@ -261,10 +272,11 @@ func predictPhase(s *Session, mdl Predictor, X [][][]float64) ([]float64, int64,
 }
 
 // EvictShared drops every party's cached secret-shared conversion of
-// mdl's trees.  The serving layer calls it when a registry entry is
-// replaced, so a long-lived session doesn't accumulate dead models'
-// share vectors; a request already in flight with the old model simply
-// re-converts (and re-caches) on its next use.
+// mdl's trees, and the leaf totals the session keeps for it.  The serving
+// layer calls it when a registry entry is replaced, so a long-lived session
+// doesn't accumulate dead models' share vectors; a request already in
+// flight with the old model simply re-converts (and re-caches) on its next
+// use, and an Update of it replays the union.
 func (s *Session) EvictShared(mdl Predictor) {
 	var trees []*Model
 	switch m := mdl.(type) {
@@ -279,6 +291,7 @@ func (s *Session) EvictShared(mdl Predictor) {
 	}
 	s.phaseMu.Lock()
 	defer s.phaseMu.Unlock()
+	delete(s.kept, mdl)
 	for _, p := range s.parties {
 		if p == nil {
 			continue

@@ -43,6 +43,11 @@ type Session struct {
 	// resumeCk is the checkpoint a ResumeSession was built from (nil for a
 	// fresh session); Resume re-enters training from it.
 	resumeCk *Checkpoint
+
+	// kept holds the leaf totals of the DT/RF models released since the
+	// last append, keyed by the Predictor Train or Update returned
+	// (incremental.go).  Guarded by phaseMu; never checkpointed or saved.
+	kept map[Predictor]*leafTotals
 }
 
 // ErrSessionClosed is returned by Each (and everything built on it) once

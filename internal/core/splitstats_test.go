@@ -161,9 +161,11 @@ func TestBucketStatsEqualDots(t *testing.T) {
 		// Incremental: the appended rows land in the frozen grid's buckets.
 		extraRows := splitTestRows(rng, 7)
 		extraRows[0][0], extraRows[1][0] = 1e9, -1e9 // beyond every threshold, below all
-		if err := p.appendData(&dataset.Partition{Client: p.ID, Features: p.part.Features, N: len(extraRows), X: extraRows}); err != nil {
+		np := &dataset.Partition{Client: p.ID, Features: p.part.Features, N: len(extraRows), X: extraRows}
+		if err := p.checkAppend(np); err != nil {
 			t.Fatal(err)
 		}
+		p.appendData(np)
 		channels = splitTestChannels(t, rng, pk, nodes, extra, p.part.N)
 		if got, err = p.bucketStats(channels); err != nil {
 			t.Fatal(err)
@@ -272,7 +274,7 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 
 			// What trainLevel does between the pruning rounds and the gains.
 			nodes := []frontierNode{{nd: nd}}
-			if err := p.nodeTotals(nodes); err != nil {
+			if err := p.nodeTotals(nodes, 0); err != nil {
 				return err
 			}
 			gchs, err := p.computeGammasLevel(nodes, nil)

@@ -27,13 +27,16 @@ func (p *Party) TrainDT() (*Model, error) {
 	if p.ck != nil {
 		p.rctx = &outerSnap{kind: kindDT}
 	}
-	return p.trainTree(nil, nil, nil)
+	m, tots, err := p.trainTree(nil, nil, nil)
+	p.leafTots = [][][]mpc.Share{tots}
+	return m, err
 }
 
 // trainTree is the shared entry point: rootCounts (optional) are public
 // bootstrap multiplicities for RF; encY/encY2 (optional) switch on
-// encrypted-label mode for GBDT boosting rounds.
-func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext) (*Model, error) {
+// encrypted-label mode for GBDT boosting rounds.  It also returns the
+// leaves' totals, in LeafPos order.
+func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext) (*Model, [][]mpc.Share, error) {
 	model := &Model{Classes: p.part.Classes, Protocol: p.cfg.Protocol, Hide: p.cfg.Hide}
 	root := frontierNode{parent: -1}
 	if encY != nil {
@@ -44,10 +47,10 @@ func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext
 	}
 	task := &treeTask{model: model, capture: p.captureLeaves}
 	if err := p.growTrees([]*treeTask{task}, []frontierNode{root}, rootCounts); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.leafAlphas = append(p.leafAlphas, task.leafAlphas...)
-	return model, nil
+	return model, task.leafTots, nil
 }
 
 // trainTreesShared trains one regression tree per encrypted label channel

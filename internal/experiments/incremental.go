@@ -58,8 +58,10 @@ func sameSplits(a, b *core.Model) bool {
 // (BENCH_incremental.json), measured on the in-memory network
 // (deterministic counters).  The workload absorbs a +10% batch of aligned
 // samples into a trained model (core.Update: the released trees are
-// replayed over the union with zero MPC rounds, then only the leaves are
-// re-resolved — DT — or one extra boosting round is trained — GBDT) and
+// replayed with zero MPC rounds — a DT over the appended rows only, its
+// kept leaf totals covering the rest; a GBDT over the union — then only
+// the leaves are re-resolved — DT — or one extra boosting round is
+// trained — GBDT) and
 // compares that against retraining from scratch on the union.  The round
 // and message counters are deterministic and gated; the absorbed model's
 // held-out accuracy must stay within 1% of the retrained model's.

@@ -142,6 +142,59 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdateRefusalKeepsLane sends a wire update whose label is out of
+// range for the two-class DT: the service refuses it, and the refusal comes
+// before the lane's session runs anything, so the one lane stays healthy
+// and the next prediction answers at the unchanged version.
+func TestUpdateRefusalKeepsLane(t *testing.T) {
+	_, parts, newRows, newLabels := updateFixture(t)
+	svc, _ := updateService(t, parts, 1, Config{Window: 2 * time.Millisecond})
+	srv, err := NewServer(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve() }()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	rows := flatRows(parts, svc.Width())
+	want, err := cli.Predict("dt", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]float64(nil), newLabels...)
+	bad[0] = 7
+	if _, err := cli.Update("dt", newRows, bad, 0); err == nil || !strings.Contains(err.Error(), "label") {
+		t.Fatalf("out-of-range label: update returned %v, want a label refusal", err)
+	}
+	if h, err := cli.Health(); err != nil || !h.Healthy || h.LanesHealthy != 1 {
+		t.Fatalf("after the refused update: health %+v, %v", h, err)
+	}
+	got, version, err := cli.PredictVersioned("dt", rows, 0)
+	if err != nil {
+		t.Fatalf("predict after the refused update: %v", err)
+	}
+	if version != 1 {
+		t.Fatalf("refused update moved the model to version %d", version)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: %v after the refused update, %v before", i, got[i], want[i])
+		}
+	}
+
+	if err := cli.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
 // TestUpdateUnderBacklog parks an Update behind a standing backlog of
 // single-sample chains on a one-lane service: the update must take the next
 // lane to free, not lose it to the scheduler until the backlog has drained.

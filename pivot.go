@@ -258,8 +258,10 @@ func (f *Federation) PredictAll(mdl Predictor) ([]float64, error) {
 // Update absorbs a batch of appended aligned samples (global column
 // order, labels included) into a trained model without a full retrain:
 // the clients extend their vertical partitions with the new rows, the
-// released trees are replayed over the union with zero MPC rounds, and
-// only the leaf refinement (DT/RF) or the addTrees extra boosting rounds
+// released trees are replayed over the union with zero MPC rounds — over
+// the new rows only for a DT/RF this federation released, whose leaf
+// totals it keeps as shares — and only the leaf refinement (DT/RF) or the
+// addTrees extra boosting rounds
 // (GBDT; <= 0 selects 1) run secure computation.  The absorbed rows also
 // join the federation's partitions, so PredictAll and later absorbs see
 // the union.  Basic protocol only: a warm start replays released
