@@ -60,37 +60,6 @@ func BenchmarkExperiment(b *testing.B) {
 	}
 }
 
-// benchTrainDT measures one end-to-end decision-tree training run per
-// iteration.
-func benchTrainDT(b *testing.B, workers, poolCapacity int) {
-	b.Helper()
-	ds := SyntheticClassification(48, 6, 2, 2.0, 1)
-	cfg := DefaultConfig()
-	cfg.KeyBits = 256
-	cfg.Workers = workers
-	cfg.PoolCapacity = poolCapacity
-	cfg.Seed = 7
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fed, err := NewFederation(ds, 3, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fed.Train(TrainSpec{Model: KindDT}); err != nil {
-			b.Fatal(err)
-		}
-		fed.Close()
-	}
-}
-
-// BenchmarkTrainSequential is the seed configuration: one worker, no
-// randomness pool — every encryption pays a full modular exponentiation.
-func BenchmarkTrainSequential(b *testing.B) { benchTrainDT(b, 1, -1) }
-
-// BenchmarkTrainAccelerated is the default configuration: all cores plus
-// the precomputed randomness pool.
-func BenchmarkTrainAccelerated(b *testing.B) { benchTrainDT(b, 0, 0) }
-
 // metricUnit builds a whitespace-free unit label (ReportMetric requirement).
 func metricUnit(name, unit string) string {
 	u := name + "/" + unit

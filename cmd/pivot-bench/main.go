@@ -7,7 +7,7 @@
 //	pivot-bench -exp fig4a                 # one experiment, quick preset
 //	pivot-bench -exp all                   # everything, quick preset
 //	pivot-bench -exp fig5b -preset paper   # the paper's parameters (slow!)
-//	pivot-bench -exp paillier -json BENCH_paillier.json   # perf baseline
+//	pivot-bench -exp recovery -json BENCH_recovery.json   # counter baseline
 //	pivot-bench -list
 package main
 
@@ -38,8 +38,6 @@ func main() {
 	preset := flag.String("preset", "quick", "quick | paper")
 	list := flag.Bool("list", false, "list experiment ids")
 	jsonOut := flag.String("json", "", "write the experiment's machine-readable perf baseline (BENCH_*.json) to this file; only experiments with a baseline writer support it")
-	latency := flag.Duration("latency", 0, "simulated WAN one-way delay per message for -exp predict (0 = experiment default)")
-	jitter := flag.Duration("jitter", 0, "simulated WAN jitter bound per message for -exp predict (0 = experiment default)")
 	flag.Parse()
 
 	if *list {
@@ -57,8 +55,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pivot-bench: unknown preset %q\n", *preset)
 		os.Exit(2)
 	}
-	p.NetDelay = *latency
-	p.NetJitter = *jitter
 
 	start := time.Now()
 	elapsed := func() time.Duration { return time.Since(start).Round(time.Millisecond) }

@@ -12,42 +12,51 @@ import (
 	"repro/internal/tree"
 )
 
+// TestNPDDTMatchesCentralizedCART also runs Figure 5b's smallest point
+// (24 rows), where a node leaves a party with no valid split: its "no split"
+// index -1 must cross the wire like any other value.
 func TestNPDDTMatchesCentralizedCART(t *testing.T) {
-	ds := dataset.SyntheticClassification(100, 6, 2, 3.0, 11)
-	parts, err := dataset.VerticalPartition(ds, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Tree.MaxDepth = 3
-	cfg.Tree.MaxSplits = 4
-	model, st, err := TrainNPDDT(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BytesSent == 0 {
-		t.Fatal("no traffic recorded")
-	}
-	ref, err := tree.Fit(ds, tree.Hyper{MaxDepth: 3, MaxSplits: 4, MinSamplesSplit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree := 0
-	for i := 0; i < ds.N(); i++ {
-		feat := make([][]float64, 3)
-		for c := 0; c < 3; c++ {
-			feat[c] = parts[c].X[i]
-		}
-		pp, err := model.PredictPlain(feat)
+	for _, tc := range []struct {
+		n, splits int
+		sep       float64
+		seed      uint64
+	}{{100, 4, 3.0, 11}, {24, 3, 2.0, 99}} {
+		ds := dataset.SyntheticClassification(tc.n, 6, 2, tc.sep, tc.seed)
+		parts, err := dataset.VerticalPartition(ds, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pp == ref.Predict(ds.X[i]) {
-			agree++
+		cfg := DefaultConfig()
+		cfg.Tree.MaxDepth = 3
+		cfg.Tree.MaxSplits = tc.splits
+		model, st, err := TrainNPDDT(parts, cfg)
+		if err != nil {
+			t.Fatalf("n = %d: %v", tc.n, err)
 		}
-	}
-	if frac := float64(agree) / float64(ds.N()); frac < 0.95 {
-		t.Fatalf("NPD-DT agrees with centralized CART on only %.0f%%", frac*100)
+		if st.BytesSent == 0 {
+			t.Fatal("no traffic recorded")
+		}
+		ref, err := tree.Fit(ds, tree.Hyper{MaxDepth: 3, MaxSplits: tc.splits, MinSamplesSplit: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree := 0
+		for i := 0; i < ds.N(); i++ {
+			feat := make([][]float64, 3)
+			for c := 0; c < 3; c++ {
+				feat[c] = parts[c].X[i]
+			}
+			pp, err := model.PredictPlain(feat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pp == ref.Predict(ds.X[i]) {
+				agree++
+			}
+		}
+		if frac := float64(agree) / float64(ds.N()); frac < 0.95 {
+			t.Fatalf("n = %d: NPD-DT agrees with centralized CART on only %.0f%%", tc.n, frac*100)
+		}
 	}
 }
 

@@ -44,6 +44,11 @@ func TrainNPDDT(parts []*dataset.Partition, cfg Config) (*core.Model, Stats, err
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("npd-dt party %d panic: %v", i, r)
 				}
+				if errs[i] != nil {
+					for _, ep := range eps {
+						ep.Close() // the other parties would wait on this one forever
+					}
+				}
 			}()
 			p := &npdParty{id: i, m: m, ep: eps[i], part: parts[i], cfg: cfg}
 			models[i], errs[i] = p.train()
@@ -118,10 +123,12 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 	}
 
 	// Everyone computes its best local split and sends (gain, j, s) to the
-	// super client, which picks the winner and broadcasts it.
+	// super client, which picks the winner and broadcasts it.  A party with
+	// no valid split has j = s = -1, so every field rides the wire mapped
+	// into the ring.
 	bestGain, bestJ, bestS := p.bestLocalSplit(mask)
 	if p.id != 0 {
-		msg := []*big.Int{mpcField(int64(bestGain * 1e9)), big.NewInt(int64(bestJ)), big.NewInt(int64(bestS))}
+		msg := []*big.Int{mpcField(int64(bestGain * 1e9)), mpcField(int64(bestJ)), mpcField(int64(bestS))}
 		if err := transport.SendInts(p.ep, 0, msg); err != nil {
 			return 0, err
 		}
@@ -136,14 +143,14 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 			}
 			g := float64(signedOf(xs[0]).Int64()) / 1e9
 			if g > bg {
-				bg, bi, bj, bs = g, c, int(xs[1].Int64()), int(xs[2].Int64())
+				bg, bi, bj, bs = g, c, int(signedOf(xs[1]).Int64()), int(signedOf(xs[2]).Int64())
 			}
 		}
 		if bg <= 0 {
 			bi = -1 // no useful split anywhere
 		}
 		winner = [3]int64{int64(bi), int64(bj), int64(bs)}
-		msg := []*big.Int{mpcField(winner[0]), big.NewInt(winner[1]), big.NewInt(winner[2])}
+		msg := []*big.Int{mpcField(winner[0]), mpcField(winner[1]), mpcField(winner[2])}
 		for c := 1; c < p.m; c++ {
 			if err := transport.SendInts(p.ep, c, msg); err != nil {
 				return 0, err
@@ -154,7 +161,7 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 		if err != nil {
 			return 0, err
 		}
-		winner = [3]int64{signedOf(xs[0]).Int64(), xs[1].Int64(), xs[2].Int64()}
+		winner = [3]int64{signedOf(xs[0]).Int64(), signedOf(xs[1]).Int64(), signedOf(xs[2]).Int64()}
 	}
 	iStar := int(winner[0])
 	if iStar < 0 {

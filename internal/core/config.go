@@ -119,6 +119,14 @@ type DPConfig struct {
 	Epsilon float64
 }
 
+// The fixed-point and masking parameters are the same in every session.
+const (
+	// FracBits is the number of fixed-point fractional bits f.
+	FracBits uint = 16
+	// Kappa is the statistical masking parameter κ.
+	Kappa uint = 40
+)
+
 // Config collects all protocol knobs.
 type Config struct {
 	Protocol Protocol
@@ -127,10 +135,6 @@ type Config struct {
 	// KeyBits is the threshold Paillier modulus size (paper: 1024 for the
 	// efficiency study, 512 for the accuracy study).
 	KeyBits int
-	// F is the number of fixed-point fractional bits.
-	F uint
-	// Kappa is the statistical masking parameter.
-	Kappa uint
 	// LabelBits bounds |label| < 2^LabelBits (public hyper-parameter needed
 	// to size the statistical masks for regression label sums); the super
 	// client refuses a label outside it with an ErrLabelRange.
@@ -221,8 +225,6 @@ func DefaultConfig() Config {
 		Protocol:     Basic,
 		Tree:         DefaultTreeHyper(),
 		KeyBits:      512,
-		F:            16,
-		Kappa:        40,
 		LabelBits:    8,
 		Workers:      runtime.NumCPU(),
 		NumTrees:     4,
@@ -234,12 +236,6 @@ func DefaultConfig() Config {
 func (c Config) withDefaults() Config {
 	if c.KeyBits == 0 {
 		c.KeyBits = 512
-	}
-	if c.F == 0 {
-		c.F = 16
-	}
-	if c.Kappa == 0 {
-		c.Kappa = 40
 	}
 	if c.LabelBits == 0 {
 		c.LabelBits = 8
@@ -281,8 +277,8 @@ func (c Config) pipelineActive() bool {
 // mpcConfig derives the engine configuration.
 func (c Config) mpcConfig() mpc.Config {
 	return mpc.Config{
-		F:             c.F,
-		Kappa:         c.Kappa,
+		F:             FracBits,
+		Kappa:         Kappa,
 		Authenticated: c.Malicious,
 		Seed:          c.Seed,
 		BatchSize:     512,
@@ -302,9 +298,9 @@ func (c Config) widths(n int) widths {
 	logn := uint(math.Ceil(math.Log2(float64(n+2)))) + 2
 	w := widths{
 		count: logn,
-		stat:  logn + 2*(c.LabelBits+c.F) + 2,
-		gain:  2*c.LabelBits + c.F + 4,
-		value: c.LabelBits + c.F + 4,
+		stat:  logn + 2*(c.LabelBits+FracBits) + 2,
+		gain:  2*c.LabelBits + FracBits + 4,
+		value: c.LabelBits + FracBits + 4,
 	}
 	return w
 }

@@ -457,7 +457,7 @@ func (p *Party) accumulateScores(scores []*paillier.Ciphertext, tree *Model,
 // softmaxSamples computes softmax across classes for every sample, fully
 // batched: scoreShares is laid out class-major ([k*n + t]).
 func (p *Party) softmaxSamples(scoreShares []mpc.Share, c, n int) []mpc.Share {
-	kIn := p.cfg.F + 10
+	kIn := FracBits + 10
 	exps := p.eng.ExpVec(scoreShares, kIn)
 	sums := make([]mpc.Share, n)
 	for t := 0; t < n; t++ {

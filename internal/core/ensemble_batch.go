@@ -70,7 +70,7 @@ func (p *Party) PredictRFBatch(fm *ForestModel, X [][]float64) ([]float64, error
 	if err != nil {
 		return nil, err
 	}
-	scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+	scale := new(big.Int).Lsh(big.NewInt(1), FracBits)
 	diffs := make([]mpc.Share, 0, B*fm.Classes*W)
 	for t := 0; t < B; t++ {
 		row := shares[t*W : (t+1)*W]

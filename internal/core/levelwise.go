@@ -127,13 +127,13 @@ func (p *Party) trainLevel(tasks []*treeTask, frontier []frontierNode, depth int
 			if p.cfg.DP != nil {
 				// §9.2: noisy pruning-condition query (sensitivity 1).  The
 				// counts move to fixed-point scale to match the noise.
-				scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+				scale := new(big.Int).Lsh(big.NewInt(1), FracBits)
 				noise := dp.LaplaceVec(p.eng, 1/p.cfg.DP.Epsilon, G)
 				for g := range xs {
 					xs[g] = p.eng.Add(p.eng.MulPub(xs[g], scale), noise[g])
 				}
 				threshold = p.eng.MulPub(threshold, scale)
-				width += p.cfg.F
+				width += FracBits
 			}
 			for g := range ys {
 				ys[g] = threshold
@@ -873,7 +873,7 @@ func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode
 		// §9.2: Laplace noise on each class count (parallel composition).
 		// Counts are integers; they move to the noise's fixed-point scale.
 		noise := dp.LaplaceVec(p.eng, 1/p.cfg.DP.Epsilon, L*C)
-		scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+		scale := new(big.Int).Lsh(big.NewInt(1), FracBits)
 		for j := range shares {
 			shares[j] = p.eng.Add(p.eng.MulPub(shares[j], scale), noise[j])
 		}
@@ -886,7 +886,7 @@ func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode
 			ids[i*C+k] = []int64{int64(k)}
 		}
 	}
-	kCmp := p.w.count + p.cfg.F + 4
+	kCmp := p.w.count + FracBits + 4
 	bests := p.eng.ArgmaxGrouped(shares, groups, ids, kCmp)
 	if p.cfg.Protocol == Basic {
 		labels := make([]mpc.Share, L)
@@ -900,12 +900,12 @@ func (p *Party) leavesClassification(C int, nodes []Node, entries []frontierNode
 	}
 	// Store the concealed labels at the common fixed-point scale so the
 	// shared-model prediction decodes uniformly.
-	scale := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+	scale := new(big.Int).Lsh(big.NewInt(1), FracBits)
 	scaled := make([]mpc.Share, L)
 	for i := range bests {
 		scaled[i] = p.eng.MulPub(bests[i].IDs[0], scale)
 	}
-	cts, err := p.shareToEnc(scaled, p.cfg.F+10, p.Super)
+	cts, err := p.shareToEnc(scaled, FracBits+10, p.Super)
 	if err != nil {
 		return err
 	}
@@ -926,8 +926,8 @@ func (p *Party) leavesRegression(nodes []Node, entries []frontierNode) error {
 	}
 	recips := p.eng.RecipVec(nShares, p.w.count+2)
 	// 2f-scaled means: |Σy| < 2^stat, 0 < 1/n ≤ 1 at f scale.
-	raws := p.eng.MulVecSigned(sumShares, recips, p.w.stat, p.cfg.F+2)
-	means := p.eng.TruncVec(raws, p.w.stat+p.cfg.F+4, p.cfg.F)
+	raws := p.eng.MulVecSigned(sumShares, recips, p.w.stat, FracBits+2)
+	means := p.eng.TruncVec(raws, p.w.stat+FracBits+4, FracBits)
 	if p.cfg.DP != nil {
 		// §9.2: Laplace noise on each mean.
 		sens := float64(int64(2)<<p.cfg.LabelBits) / float64(maxInt(p.cfg.Tree.MinSamplesSplit, 1))

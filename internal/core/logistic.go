@@ -133,11 +133,11 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 					return nil, err
 				}
 			}
-			zShares, err := p.encToShares(sums, len(batch), p.w.stat+p.cfg.F)
+			zShares, err := p.encToShares(sums, len(batch), p.w.stat+FracBits)
 			if err != nil {
 				return nil, err
 			}
-			zShares = p.eng.TruncVec(zShares, p.w.stat+p.cfg.F+2, p.cfg.F) // back to f scale
+			zShares = p.eng.TruncVec(zShares, p.w.stat+FracBits+2, FracBits) // back to f scale
 
 			// (ii) Secure logistic function and loss ℓ_t = y_t − σ(z_t).
 			probs := p.secureSigmoid(zShares, kVal)
@@ -148,7 +148,7 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 
 			// (iii) Convert the losses back to ciphertexts (§5.2 trick) and
 			// update the encrypted weights locally: θ_j += η·Σ_t ℓ_t·x_tj.
-			encLoss, err := p.shareToEnc(losses, p.cfg.F+8, p.Super)
+			encLoss, err := p.shareToEnc(losses, FracBits+8, p.Super)
 			if err != nil {
 				return nil, err
 			}
@@ -160,12 +160,12 @@ func (p *Party) TrainLR(cfg LRConfig) (*LRModel, error) {
 				scaled[bi] = p.pk.MulConst(encLoss[bi], lrEnc) // 2f-scaled η·ℓ
 			}
 			// Rescale η·ℓ back to f through one conversion round.
-			lshares, err := p.encToShares(scaled, len(batch), p.w.stat+p.cfg.F)
+			lshares, err := p.encToShares(scaled, len(batch), p.w.stat+FracBits)
 			if err != nil {
 				return nil, err
 			}
-			lshares = p.eng.TruncVec(lshares, p.w.stat+p.cfg.F+2, p.cfg.F)
-			encStep, err := p.shareToEnc(lshares, p.cfg.F+8, p.Super)
+			lshares = p.eng.TruncVec(lshares, p.w.stat+FracBits+2, FracBits)
+			encStep, err := p.shareToEnc(lshares, FracBits+8, p.Super)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +238,7 @@ func (p *Party) secureSigmoid(zs []mpc.Share, kIn uint) []mpc.Share {
 		neg[i] = p.eng.Neg(zs[i])
 	}
 	exps := p.eng.ExpVec(neg, kIn)
-	one := new(big.Int).Lsh(big.NewInt(1), p.cfg.F)
+	one := new(big.Int).Lsh(big.NewInt(1), FracBits)
 	denoms := make([]mpc.Share, len(zs))
 	nums := make([]mpc.Share, len(zs))
 	for i := range zs {

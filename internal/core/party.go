@@ -110,7 +110,7 @@ func NewParty(ep transport.Endpoint, part *dataset.Partition, pk *paillier.Publi
 		ID: part.Client, M: m, Super: 0,
 		ep: ep, eng: eng, pk: pk, key: key,
 		part: part, cfg: cfg,
-		cod: fixed.New(cfg.F),
+		cod: fixed.New(FracBits),
 		w:   cfg.widths(part.N),
 	}
 	if mux, ok := ep.(transport.TaggedEndpoint); ok {
@@ -185,7 +185,7 @@ func (p *Party) prepareSplits() error {
 		col := make([]float64, p.part.N)
 		for t := range col {
 			col[t] = p.part.X[t][j]
-			if p.cfg.Protocol == Enhanced && !(math.Abs(math.Round(math.Ldexp(col[t], int(p.cfg.F)))) < lim) {
+			if p.cfg.Protocol == Enhanced && !(math.Abs(math.Round(math.Ldexp(col[t], int(FracBits)))) < lim) {
 				return p.errf("feature %d row %d: %v encodes outside ±2^%d, the enhanced protocol's comparison range", j, t, col[t], p.w.value)
 			}
 		}
@@ -691,7 +691,7 @@ func (p *Party) packPlan(count int, slotW uint) paillier.PackPlan {
 // An audited conversion (malicious mode) proves each packed mask ciphertext:
 // a POPK of a packed plaintext is knowledge of every slot in it.
 func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint, audited bool) ([]*big.Int, *big.Int, error) {
-	maskW := kStat + p.cfg.Kappa
+	maskW := kStat + Kappa
 	offset := new(big.Int).Lsh(big.NewInt(1), kStat-1)
 	masks := make([]*big.Int, count)
 	bound := new(big.Int).Lsh(big.NewInt(1), maskW)
@@ -859,7 +859,7 @@ func (p *Party) shareToEncSeg(shares []mpc.Share, kStat uint, segLens []int, com
 		return nil, p.errf("share conversion: segments cover %d of %d shares", off, count)
 	}
 
-	maskW := kStat + p.cfg.Kappa
+	maskW := kStat + Kappa
 	offset := new(big.Int).Lsh(big.NewInt(1), kStat-1)
 	masks := p.eng.EncMasks(count, maskW)
 	masked := make([]mpc.Share, count)

@@ -412,7 +412,7 @@ func (p *Party) predictEnhancedBatch(sm *SharedModel, X [][]float64) ([]float64,
 // refuses training values outside it), so the clamp changes no comparison.
 // NaN clamps to the top and goes right, as in the plaintext walk.
 func (p *Party) encodeFeature(x float64) *big.Int {
-	lim := math.Ldexp(1, int(p.w.value-p.cfg.F))
+	lim := math.Ldexp(1, int(p.w.value-FracBits))
 	if !(x < lim) {
 		x = lim
 	}

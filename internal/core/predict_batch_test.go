@@ -458,8 +458,8 @@ func TestReleasePackedEquivalence(t *testing.T) {
 	defer s.Close()
 	p0 := s.Party(0)
 	cod := p0.cod
-	lb := float64(int64(1)<<cfg.LabelBits - 1)                            // 255
-	top := float64(int64(1)<<(p0.w.value+1)-1) / float64(int64(1)<<cfg.F) // encodes to 2^(w−1) − 1
+	lb := float64(int64(1)<<cfg.LabelBits - 1)                               // 255
+	top := float64(int64(1)<<(p0.w.value+1)-1) / float64(int64(1)<<FracBits) // encodes to 2^(w−1) − 1
 	thr := [3]float64{0, 0.5, -0.5}
 
 	X := partsX(parts)

@@ -345,7 +345,7 @@ func (p *Party) giniGains(totals, stats, recips []mpc.Share, rns []mpc.Share, C,
 	S := p.totalSplits()
 	G := len(rns)
 	eng := p.eng
-	kSq := 2*p.cfg.F + 4
+	kSq := 2*FracBits + 4
 
 	// Fractions p_{side,k} = g_{side,k} · (1/n_side) for every node, split,
 	// side and class, in one multiplication batch.
@@ -360,8 +360,8 @@ func (p *Party) giniGains(totals, stats, recips []mpc.Share, rns []mpc.Share, C,
 			}
 		}
 	}
-	ps := eng.MulVecBounded(gs, rs, p.w.stat, p.cfg.F+2) // f-scaled fractions
-	sqs := eng.FPMulVecW(ps, ps, p.cfg.F+2, p.cfg.F+2, kSq)
+	ps := eng.MulVecBounded(gs, rs, p.w.stat, FracBits+2) // f-scaled fractions
+	sqs := eng.FPMulVecW(ps, ps, FracBits+2, FracBits+2, kSq)
 
 	// Node impurity terms Σ_k p_k², one per node.
 	var ng, nr []mpc.Share
@@ -371,8 +371,8 @@ func (p *Party) giniGains(totals, stats, recips []mpc.Share, rns []mpc.Share, C,
 			nr = append(nr, rns[g])
 		}
 	}
-	nps := eng.MulVecBounded(ng, nr, p.w.stat, p.cfg.F+2)
-	nsqs := eng.FPMulVecW(nps, nps, p.cfg.F+2, p.cfg.F+2, kSq)
+	nps := eng.MulVecBounded(ng, nr, p.w.stat, FracBits+2)
+	nsqs := eng.FPMulVecW(nps, nps, FracBits+2, FracBits+2, kSq)
 	nodeImps := make([]mpc.Share, G)
 	for g := 0; g < G; g++ {
 		nodeImps[g] = eng.Sum(nsqs[g*C : (g+1)*C])
@@ -396,8 +396,8 @@ func (p *Party) giniGains(totals, stats, recips []mpc.Share, rns []mpc.Share, C,
 			sums = append(sums, sl, sr)
 		}
 	}
-	ws := eng.MulVecBounded(wn, wr, p.w.count, p.cfg.F+2)
-	terms := eng.FPMulVecW(ws, sums, p.cfg.F+2, p.cfg.F+2+uint(C), kSq)
+	ws := eng.MulVecBounded(wn, wr, p.w.count, FracBits+2)
+	terms := eng.FPMulVecW(ws, sums, FracBits+2, FracBits+2+uint(C), kSq)
 	gains := make([]mpc.Share, G*S)
 	for g := 0; g < G; g++ {
 		for s := 0; s < S; s++ {
@@ -418,7 +418,7 @@ func (p *Party) entropyGains(totals, stats, recips []mpc.Share, rns []mpc.Share,
 	S := p.totalSplits()
 	G := len(rns)
 	eng := p.eng
-	kSq := 2*p.cfg.F + 4
+	kSq := 2*FracBits + 4
 
 	// Fractions for every node/split/side/class, with each node's own
 	// fractions appended to its block so one batch covers all logarithm
@@ -439,10 +439,10 @@ func (p *Party) entropyGains(totals, stats, recips []mpc.Share, rns []mpc.Share,
 			rs = append(rs, rns[g])
 		}
 	}
-	ps := eng.MulVecBounded(gs, rs, p.w.stat, p.cfg.F+2) // f-scaled fractions
-	lns := eng.LnVec(ps)                                 // f-scaled ln p (garbage when p = 0)
+	ps := eng.MulVecBounded(gs, rs, p.w.stat, FracBits+2) // f-scaled fractions
+	lns := eng.LnVec(ps)                                  // f-scaled ln p (garbage when p = 0)
 	// p·ln p ∈ (−1/e·…, 0]; exact 0 when p = 0.  |ln p| ≤ f·ln 2 < 2^5.
-	terms := eng.FPMulVecW(ps, lns, p.cfg.F+2, p.cfg.F+6, kSq)
+	terms := eng.FPMulVecW(ps, lns, FracBits+2, FracBits+6, kSq)
 
 	// Node purity terms Σ_k p_k ln p_k (= −IE(D)), one per node.
 	nodeTerms := make([]mpc.Share, G)
@@ -468,8 +468,8 @@ func (p *Party) entropyGains(totals, stats, recips []mpc.Share, rns []mpc.Share,
 			sums = append(sums, sl, sr)
 		}
 	}
-	ws := eng.MulVecBounded(wn, wrc, p.w.count, p.cfg.F+2)
-	weighted := eng.FPMulVecW(ws, sums, p.cfg.F+2, p.cfg.F+6+uint(C), kSq)
+	ws := eng.MulVecBounded(wn, wrc, p.w.count, FracBits+2)
+	weighted := eng.FPMulVecW(ws, sums, FracBits+2, FracBits+6+uint(C), kSq)
 	gains := make([]mpc.Share, G*S)
 	for i := range gains {
 		// gain = IE(D) − Σ w·IE(branch) = Σ w·(p ln p) − node(p ln p).
@@ -482,14 +482,14 @@ func (p *Party) entropyGains(totals, stats, recips []mpc.Share, rns []mpc.Share,
 		// plaintext reference (tree.splitInfoEps) and keeps near-degenerate
 		// splits from dividing by ~0.
 		lnw := eng.LnVec(ws)
-		winfo := eng.FPMulVecW(ws, lnw, p.cfg.F+2, p.cfg.F+6, kSq) // w·ln w ≤ 0
+		winfo := eng.FPMulVecW(ws, lnw, FracBits+2, FracBits+6, kSq) // w·ln w ≤ 0
 		eps := eng.EncodeConst(1.0 / 256)
 		infos := make([]mpc.Share, G*S)
 		for i := range infos {
 			si := eng.Neg(eng.Add(winfo[2*i], winfo[2*i+1]))
 			infos[i] = eng.AddConst(si, eps)
 		}
-		gains = eng.FPDivVec(gains, infos, p.cfg.F+2)
+		gains = eng.FPDivVec(gains, infos, FracBits+2)
 	}
 	return gains, nil
 }
@@ -501,7 +501,7 @@ func (p *Party) varianceGains(totals, stats, recips []mpc.Share, rns []mpc.Share
 	S := p.totalSplits()
 	G := len(rns)
 	eng := p.eng
-	f := p.cfg.F
+	f := FracBits
 	kBig := p.w.stat + f + 4
 	kSq := 2*(p.cfg.LabelBits+f) + 4
 

@@ -43,12 +43,6 @@ type Preset struct {
 	Ws        []int
 	Trials    int // accuracy trials (paper: 10)
 	AccuracyN int // samples for Table 3 stand-ins
-
-	// NetDelay / NetJitter parameterize the WAN latency simulation used by
-	// the predict experiment (zero = the experiment's defaults); set from
-	// cmd/pivot-bench's -latency / -jitter flags.
-	NetDelay  time.Duration
-	NetJitter time.Duration
 }
 
 // Quick returns a laptop-scale preset preserving every protocol shape.
@@ -183,18 +177,6 @@ func trainSpec(ds *dataset.Dataset, m int, cfg core.Config, spec core.TrainSpec)
 		return nil, core.RunStats{}, 0, err
 	}
 	return mdl, s.Stats(), secs, nil
-}
-
-// trainBestOfTwo is trainSpec run twice, reporting the faster wall time to
-// damp scheduler noise; the model and the counters are deterministic under
-// the fixed seed, so the second run's serve.
-func trainBestOfTwo(ds *dataset.Dataset, m int, cfg core.Config, spec core.TrainSpec) (core.Predictor, core.RunStats, float64, error) {
-	_, _, first, err := trainSpec(ds, m, cfg, spec)
-	if err != nil {
-		return nil, core.RunStats{}, 0, err
-	}
-	mdl, stats, second, err := trainSpec(ds, m, cfg, spec)
-	return mdl, stats, min(first, second), err
 }
 
 // render flattens every tree of a trained model for equivalence checks.

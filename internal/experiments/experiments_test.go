@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -246,6 +247,42 @@ func TestRegistry(t *testing.T) {
 	for i, r := range results {
 		if r.ID != saved[i].ID || r.Title != saved[i].Title {
 			t.Errorf("result %d is %q (%q), want %q", i, r.ID, r.Title, saved[i].ID)
+		}
+	}
+}
+
+// TestBaselinesCarryNoClock keeps wall-clock out of the committed
+// baselines: the repository benchmark (benchmark/, BENCHMARK.json) measures
+// time end to end and per layer, so a BENCH_*.json key that names seconds,
+// a speedup, a throughput or an ops/s rate would be a second, ungated clock.
+// The one exception is the pipeline legs' pipelined_seconds and
+// pipelined_wire_wait_seconds: the overlapped driver's only wall-clock
+// evidence until a same-wire barrier run is recorded beside them.
+func TestBaselinesCarryNoClock(t *testing.T) {
+	pipelineClock := regexp.MustCompile(`^legs\[\d+\]\.pipelined_\w*seconds$`)
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed baselines found: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec any
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		name := filepath.Base(f)
+		for _, l := range Flatten(rec) {
+			if name == "BENCH_pipeline.json" && pipelineClock.MatchString(l.Path) {
+				continue
+			}
+			for _, clock := range []string{"seconds", "speedup", "throughput", "ops_per_sec"} {
+				if strings.Contains(l.Path, clock) {
+					t.Errorf("%s: %s is a wall-clock key; the repository benchmark measures time", name, l.Path)
+				}
+			}
 		}
 	}
 }

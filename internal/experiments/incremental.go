@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -92,34 +91,31 @@ func incrementalBaseline(p Preset) (*Baseline, error) {
 
 	// absorb trains kind on the base over a fresh session, absorbs the batch
 	// on the live session and reports what the absorb itself cost (stats
-	// delta around core.Update) and its wall seconds.
-	absorb := func(kind core.ModelKind, addTrees int) (before, after core.Predictor, cost core.RunStats, secs float64, err error) {
+	// delta around core.Update).
+	absorb := func(kind core.ModelKind, addTrees int) (before, after core.Predictor, cost core.RunStats, err error) {
 		sess, err := core.NewSession(baseParts, cfg)
 		if err != nil {
-			return nil, nil, cost, 0, err
+			return nil, nil, cost, err
 		}
 		defer sess.Close()
 		if before, err = core.Train(sess, core.TrainSpec{Model: kind}); err != nil {
-			return nil, nil, cost, 0, fmt.Errorf("base leg: %w", err)
+			return nil, nil, cost, fmt.Errorf("base leg: %w", err)
 		}
 		pre := sess.Stats()
-		start := time.Now()
-		after, err = core.Update(sess, core.UpdateSpec{Model: before, Append: appended, AddTrees: addTrees})
-		secs = time.Since(start).Seconds()
-		if err != nil {
-			return nil, nil, cost, 0, fmt.Errorf("absorb leg: %w", err)
+		if after, err = core.Update(sess, core.UpdateSpec{Model: before, Append: appended, AddTrees: addTrees}); err != nil {
+			return nil, nil, cost, fmt.Errorf("absorb leg: %w", err)
 		}
 		post := sess.Stats()
 		cost.MPC.Rounds = post.MPC.Rounds - pre.MPC.Rounds
 		cost.Traffic.MsgsSent = post.Traffic.MsgsSent - pre.Traffic.MsgsSent
 		cost.Traffic.BytesSent = post.Traffic.BytesSent - pre.Traffic.BytesSent
-		return before, after, cost, secs, nil
+		return before, after, cost, nil
 	}
 
 	// Headline DT leg: absorbing the batch on the live session vs a
 	// from-scratch retrain on the union (fresh session, bring-up included —
 	// same convention as the recovery bench's retrain leg).
-	mdl, upd, dtAbsorb, dtAbsorbSecs, err := absorb(core.KindDT, 0)
+	mdl, upd, dtAbsorb, err := absorb(core.KindDT, 0)
 	if err != nil {
 		return nil, fmt.Errorf("incremental dt %w", err)
 	}
@@ -129,9 +125,7 @@ func incrementalBaseline(p Preset) (*Baseline, error) {
 	if !sameSplits(mdl.(*core.Model), udt) {
 		return nil, fmt.Errorf("incremental bench: the absorb moved a frozen split")
 	}
-	start := time.Now()
 	retrained, dtRetrain, err := core.TrainDecisionTree(union, p.M, cfg)
-	dtRetrainSecs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("incremental retrain leg: %w", err)
 	}
@@ -146,13 +140,13 @@ func incrementalBaseline(p Preset) (*Baseline, error) {
 
 	// GBDT leg: warm-start one extra boosting round over the union vs
 	// retraining all boost_rounds+1 rounds from scratch.
-	_, gupd, gAbsorb, gAbsorbSecs, err := absorb(core.KindGBDT, 1)
+	_, gupd, gAbsorb, err := absorb(core.KindGBDT, 1)
 	if err != nil {
 		return nil, fmt.Errorf("incremental gbdt %w", err)
 	}
 	rcfg := cfg
 	rcfg.NumTrees = p.W + 1
-	gretrained, gRetrain, gRetrainSecs, err := trainKind(union, p.M, rcfg, core.KindGBDT)
+	gretrained, gRetrain, _, err := trainKind(union, p.M, rcfg, core.KindGBDT)
 	if err != nil {
 		return nil, fmt.Errorf("incremental gbdt retrain leg: %w", err)
 	}
@@ -213,11 +207,6 @@ func incrementalBaseline(p Preset) (*Baseline, error) {
 	b.Set("gbdt_absorb_accuracy", gAbsorbAcc)
 	b.Set("gbdt_retrain_accuracy", gRetrainAcc)
 	b.Set("gbdt_accuracy_delta", gDelta)
-	// Advisory wall-clock figures (timing-noisy, never gated).
-	b.Set("absorb_seconds", dtAbsorbSecs)
-	b.Set("retrain_seconds", dtRetrainSecs)
-	b.Set("gbdt_absorb_seconds", gAbsorbSecs)
-	b.Set("gbdt_retrain_seconds", gRetrainSecs)
 	b.Set("round_reduction_ratio", ratio(float64(dtRetrain.MPC.Rounds), float64(dtAbsorb.MPC.Rounds)))
 	b.Set("gbdt_round_reduction_ratio", ratio(float64(gRetrain.MPC.Rounds), float64(gAbsorb.MPC.Rounds)))
 	b.Gate("absorb_mpc_rounds", "retrain_mpc_rounds", "absorb_msgs_sent",

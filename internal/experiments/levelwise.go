@@ -16,22 +16,20 @@ func levelwiseCfg(p Preset) core.Config {
 }
 
 // levelwiseBaseline is the baseline for the level-wise training pipeline
-// (BENCH_levelwise.json): synchronous MPC open rounds, wall time and
-// traffic for a depth-4 tree trained on the paper's per-node schedule vs
-// the level-wise one on the same fixed-seed dataset, plus the rendered-tree
-// equivalence check.  A second, gated pair repeats the round comparison for
+// (BENCH_levelwise.json): synchronous MPC open rounds and traffic for a
+// depth-4 tree trained on the paper's per-node schedule vs the level-wise
+// one on the same fixed-seed dataset, plus the rendered-tree equivalence
+// check.  A second, gated pair repeats the round comparison for
 // a malicious (§9.1) session at the per-node golden file's malicious scale
 // (16 rows, 2 clients, depth 2, 2 splits), so it stays cheap.
 func levelwiseBaseline(p Preset) (*Baseline, error) {
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
 
-	// Best-of-two wall time; on the in-memory transport it is computation
-	// bound — the round reduction is the latency win on a real network.
-	pnModel, pn, pnSecs, err := trainBestOfTwo(ds, p.M, levelwiseCfg(p), core.TrainSpec{PerNode: true})
+	pnModel, pn, _, err := trainSpec(ds, p.M, levelwiseCfg(p), core.TrainSpec{PerNode: true})
 	if err != nil {
 		return nil, fmt.Errorf("per-node run: %w", err)
 	}
-	lwModel, lw, lwSecs, err := trainBestOfTwo(ds, p.M, levelwiseCfg(p), core.TrainSpec{})
+	lwModel, lw, _, err := trainSpec(ds, p.M, levelwiseCfg(p), core.TrainSpec{})
 	if err != nil {
 		return nil, fmt.Errorf("level-wise run: %w", err)
 	}
@@ -65,9 +63,6 @@ func levelwiseBaseline(p Preset) (*Baseline, error) {
 	b.Set("per_node_mpc_rounds", pn.MPC.Rounds)
 	b.Set("levelwise_mpc_rounds", lw.MPC.Rounds)
 	b.Set("round_reduction", ratio(float64(pn.MPC.Rounds), float64(lw.MPC.Rounds)))
-	b.Set("per_node_train_seconds", pnSecs)
-	b.Set("levelwise_train_seconds", lwSecs)
-	b.Set("wall_speedup", ratio(pnSecs, lwSecs))
 	b.Set("per_node_msgs_sent", pn.Traffic.MsgsSent)
 	b.Set("levelwise_msgs_sent", lw.Traffic.MsgsSent)
 	b.Set("per_node_bytes_sent", pn.Traffic.BytesSent)

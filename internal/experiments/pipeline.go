@@ -29,6 +29,11 @@ const pipelineBenchTrees = 4
 // every frame.  The barrier reference is the same configuration on the
 // in-memory network, where the session runs the barrier driver; its
 // counters do not depend on the delay, so it runs once.
+//
+// Unlike every other baseline, each leg keeps two wall-clock keys,
+// pipelined_seconds and pipelined_wire_wait_seconds: they are the overlapped
+// driver's only wall-clock evidence until a same-wire barrier_seconds (the
+// same federation without the tag mux) is recorded beside them.
 func pipelineBaseline(p Preset) (*Baseline, error) {
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, p.Classes, 2.0, 99)
 	barCfg := pipelineBenchCfg(p, 0)

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -42,9 +41,7 @@ func recoveryBaseline(p Preset) (*Baseline, error) {
 
 	// Retrain leg — also the fault-free oracle the recovered model must
 	// match bit for bit.
-	start := time.Now()
 	oracle, retrain, err := core.TrainDecisionTree(ds, p.M, cfg)
-	retrainSecs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("recovery retrain leg: %w", err)
 	}
@@ -80,9 +77,7 @@ func recoveryBaseline(p Preset) (*Baseline, error) {
 		return nil, fmt.Errorf("recovery resume leg: %w", err)
 	}
 	defer rs.Close()
-	start = time.Now()
 	res, err := rs.Resume()
-	resumeSecs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("recovery resume leg: %w", err)
 	}
@@ -123,10 +118,6 @@ func recoveryBaseline(p Preset) (*Baseline, error) {
 	b.Set("resume_msgs_sent", resume.Traffic.MsgsSent)
 	b.Set("retrain_bytes_sent", retrain.Traffic.BytesSent)
 	b.Set("resume_bytes_sent", resume.Traffic.BytesSent)
-	// Advisory wall-clock figures (timing-noisy, never gated).
-	b.Set("retrain_seconds", retrainSecs)
-	b.Set("resume_seconds", resumeSecs)
-	b.Set("resume_speedup", ratio(retrainSecs, resumeSecs))
 	// Resuming must stay cheaper than retraining, and a silently disabled
 	// checkpoint path would zero or inflate these counters.
 	b.Gate("resume_mpc_rounds", "retrain_mpc_rounds", "resume_msgs_sent", "retrain_msgs_sent")

@@ -36,11 +36,9 @@ var Registry = []Experiment{
 	{ID: "ablation-criterion", Title: "gini vs entropy split criterion", Run: AblationCriterion},
 	{ID: "psi", Title: "initialization: PSI alignment time", Run: PSIAlignment},
 	{ID: "phases", Title: "per-phase training time", Run: PhaseBreakdown},
-	{ID: "paillier", Title: "Paillier acceleration layer (ops/sec and train wall time)", Baseline: paillierBaseline},
 	{ID: "levelwise", Title: "per-node vs level-wise training (depth-4 tree)", Baseline: levelwiseBaseline},
 	{ID: "predict", Title: "per-sample vs batched prediction (enhanced protocol)", Baseline: predictBaseline},
-	{ID: "serve", Title: "prediction serving: per-request vs micro-batched round chains (2ms WAN)", Baseline: serveBaseline},
-	{ID: "servescale", Title: "sharded serving: throughput vs lane count (2ms WAN) + lane-kill failover", Baseline: serveScaleBaseline},
+	{ID: "servescale", Title: "sharded serving: per-lane batch cost + lane-kill failover (2ms WAN)", Baseline: serveScaleBaseline},
 	{ID: "update", Title: "per-node vs level-wise model update (depth-4 multi-class GBDT)", Baseline: updateBaseline},
 	{ID: "pipeline", Title: "barrier vs pipelined level execution (random forest, simulated WAN)", Baseline: pipelineBaseline},
 	{ID: "recovery", Title: "crash-at-level resume vs retrain (decision tree)", Baseline: recoveryBaseline},

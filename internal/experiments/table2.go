@@ -46,6 +46,10 @@ func Table2(p Preset) (*Result, error) {
 	return res, nil
 }
 
+// argmaxDelay is the one-way delay of every message on AblationArgmax's
+// engine mesh.
+const argmaxDelay = time.Millisecond
+
 // AblationArgmax compares the paper's linear oblivious-max scan
 // (mpc.ArgmaxLinear) with the tournament the protocols run
 // (mpc.ArgmaxTournament) on the engine alone: d·b split candidates with
@@ -54,16 +58,12 @@ func Table2(p Preset) (*Result, error) {
 // name the same winner (the first maximum).
 func AblationArgmax(p Preset) (*Result, error) {
 	res := &Result{XLabel: "b", Unit: "seconds (rounds series: count)"}
-	delay := p.NetDelay
-	if delay == 0 {
-		delay = time.Millisecond
-	}
 	for _, b := range p.Bs {
 		cands := p.DBar * p.M * b
 		row := Row{X: float64(b), Series: map[string]float64{}}
 		var winners [2]int64
 		for i, name := range []string{"linear (paper)", "tournament"} {
-			rounds, secs, winner, err := argmaxLeg(p.M, cands, i == 1, delay, p.NetJitter)
+			rounds, secs, winner, err := argmaxLeg(p.M, cands, i == 1)
 			if err != nil {
 				return nil, fmt.Errorf("%s b=%d: %w", name, b, err)
 			}
@@ -80,12 +80,13 @@ func AblationArgmax(p Preset) (*Result, error) {
 }
 
 // argmaxLeg runs one oblivious argmax over cands candidates on a fresh
-// m-party engine mesh whose every send is delayed, and returns party 0's
-// round count and wall time for the argmax alone, plus the opened winner.
-func argmaxLeg(m, cands int, tournament bool, delay, jitter time.Duration) (rounds int64, secs float64, winner int64, err error) {
+// m-party engine mesh whose every send is delayed by argmaxDelay, and
+// returns party 0's round count and wall time for the argmax alone, plus the
+// opened winner.
+func argmaxLeg(m, cands int, tournament bool) (rounds int64, secs float64, winner int64, err error) {
 	eps := transport.NewMemoryNetwork(m+1, 8192)
 	for i := range eps {
-		eps[i] = transport.WithLatency(eps[i], delay, jitter, int64(i)+1)
+		eps[i] = transport.WithLatency(eps[i], argmaxDelay, 0, int64(i)+1)
 	}
 	defer func() {
 		for _, ep := range eps {

@@ -15,10 +15,8 @@ func updateBenchCfg(p Preset) core.Config {
 	cfg.Tree.MaxDepth = 4
 	cfg.NumTrees = 2
 	cfg.LearningRate = 0.3
-	// The timed legs run over the kernel loopback (real frames, real socket
-	// scheduling) so the batched pipeline's message reduction (msg_reduction)
-	// shows up as wall-clock, not just counters; the in-memory network
-	// idealizes per-message cost to ~zero and hides it.
+	// The GBDT legs run over the kernel loopback (real frames, real socket
+	// scheduling), the substrate the committed counters were recorded on.
 	cfg.TCPLoopback = true
 	return cfg
 }
@@ -34,16 +32,12 @@ func updateBaseline(p Preset) (*Baseline, error) {
 	const classes = 4
 	ds := dataset.SyntheticClassification(p.N, p.DBar*p.M, classes, 2.0, 99)
 	benchCfg := updateBenchCfg(p)
-	kappa := benchCfg.Kappa
-	if kappa == 0 {
-		kappa = 40 // DefaultConfig's value, applied by withDefaults
-	}
 
-	pnModel, pn, pnSecs, err := trainSpec(ds, p.M, benchCfg, core.TrainSpec{Model: core.KindGBDT, PerNode: true})
+	pnModel, pn, _, err := trainSpec(ds, p.M, benchCfg, core.TrainSpec{Model: core.KindGBDT, PerNode: true})
 	if err != nil {
 		return nil, fmt.Errorf("per-node run: %w", err)
 	}
-	batModel, bat, batSecs, err := trainKind(ds, p.M, benchCfg, core.KindGBDT)
+	batModel, bat, _, err := trainKind(ds, p.M, benchCfg, core.KindGBDT)
 	if err != nil {
 		return nil, fmt.Errorf("level-wise run: %w", err)
 	}
@@ -86,9 +80,9 @@ func updateBaseline(p Preset) (*Baseline, error) {
 	// The statistical masking parameter that sets the packed slot widths of
 	// the conversions and the engine's bounded opens (DESIGN.md, "Ciphertext
 	// packing").
-	b.Set("pack_kappa", int(kappa))
-	// The substrate the timed GBDT legs ran on: "tcp-loopback" (kernel
-	// loopback sockets, per-message cost included) vs "memory".
+	b.Set("pack_kappa", int(core.Kappa))
+	// The substrate the GBDT legs ran on: "tcp-loopback" (kernel loopback
+	// sockets) vs "memory".
 	b.Set("transport", "tcp-loopback")
 	// Depth-4 multi-class GBDT, whole-training counters.
 	b.Set("gbdt_pernode_mpc_rounds", pn.MPC.Rounds)
@@ -99,9 +93,6 @@ func updateBaseline(p Preset) (*Baseline, error) {
 	b.Set("msg_reduction", ratio(float64(pn.Traffic.MsgsSent), float64(bat.Traffic.MsgsSent)))
 	b.Set("gbdt_pernode_bytes_sent", pn.Traffic.BytesSent)
 	b.Set("gbdt_batch_bytes_sent", bat.Traffic.BytesSent)
-	b.Set("gbdt_pernode_train_seconds", pnSecs)
-	b.Set("gbdt_batch_train_seconds", batSecs)
-	b.Set("wall_speedup", ratio(pnSecs, batSecs))
 	// Enhanced-protocol decision tree, update-phase rounds only.
 	b.Set("enhanced_pernode_update_rounds", enhPN.UpdateRounds)
 	b.Set("enhanced_batch_update_rounds", enhBat.UpdateRounds)

@@ -10,8 +10,8 @@ import (
 
 // Microbenchmarks for the encryption hot path: the seed sequential baseline,
 // worker-parallel encryption, and the precomputed (pool + fixed-base)
-// variants.  cmd/pivot-bench -exp paillier wraps the same comparison as a
-// JSON perf baseline (BENCH_paillier.json).
+// variants.  The repository benchmark's per-layer paillier.encrypt_us,
+// encrypt_pooled_us and partial_dec_us track the same operations.
 
 func benchKey(b *testing.B) *PublicKey {
 	b.Helper()

@@ -126,7 +126,9 @@ func TestMulModMatchesBigMod(t *testing.T) {
 // TestMulModAllocs gates the hot loops: a mulMod loop with a held scratch
 // allocates nothing; one FixedBaseTable.Exp and one Dot over 256 indicator
 // terms allocate only their result (the formulas they replace allocated about
-// two objects per term).
+// two objects per term).  Under -race the loops still run but the counts are
+// not checked: the detector's bookkeeping occasionally adds an allocation to
+// Dot, while 1 000 plain runs on fresh random inputs never exceeded a bound.
 func TestMulModAllocs(t *testing.T) {
 	pk, _, _, err := KeyGen(rand.Reader, 512, 2)
 	if err != nil {
@@ -142,14 +144,14 @@ func TestMulModAllocs(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			r.mulMod(acc, acc, y, s)
 		}
-	}); n != 0 {
+	}); n != 0 && !raceEnabled {
 		t.Errorf("mulMod loop: %v allocs per run, want 0", n)
 	}
 
 	tbl := NewFixedBaseTable(x, pk.N2, poolWindow, poolExpBits)
 	e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(one, 256))
 	tbl.Exp(e)
-	if n := testing.AllocsPerRun(50, func() { tbl.Exp(e) }); n > 4 {
+	if n := testing.AllocsPerRun(50, func() { tbl.Exp(e) }); n > 4 && !raceEnabled {
 		t.Errorf("FixedBaseTable.Exp: %v allocs per run, want <= 4", n)
 	}
 
@@ -164,7 +166,7 @@ func TestMulModAllocs(t *testing.T) {
 	if _, err := pk.Dot(xs, cts); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(50, func() { pk.Dot(xs, cts) }); n > 4 {
+	if n := testing.AllocsPerRun(50, func() { pk.Dot(xs, cts) }); n > 4 && !raceEnabled {
 		t.Errorf("Dot over %d indicator terms: %v allocs per run, want <= 4", terms, n)
 	}
 }
