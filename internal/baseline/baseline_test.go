@@ -195,3 +195,109 @@ func TestSPDZDTUsesManyMoreSharedValuesThanSamples(t *testing.T) {
 		t.Fatalf("expected at least n=%d multiplications, got %d", ds.N(), st.MPC.Mults)
 	}
 }
+
+// TestNPDDTForgedFramesRefused plays the peer of one NPD-DT party with a raw
+// endpoint, honest up to one forged frame per receive site.  The party
+// indexed every frame before counting it and panicked on a short one; each
+// site now answers core's ErrMessageLength naming the peer, and a winner or
+// label outside what the party holds is refused by name.
+func TestNPDDTForgedFramesRefused(t *testing.T) {
+	parts, err := dataset.VerticalPartition(dataset.SyntheticClassification(16, 4, 2, 3.0, 3), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := parts[0].N
+	labels := func(k int, forged *big.Int) []*big.Int {
+		out := make([]*big.Int, k)
+		for t := range out {
+			out[t] = mpcField(int64(parts[0].Y[t%n] * 65536))
+		}
+		if forged != nil {
+			out[k-1] = forged
+		}
+		return out
+	}
+	ints := func(vs ...int64) []*big.Int {
+		out := make([]*big.Int, len(vs))
+		for i, v := range vs {
+			out[i] = mpcField(v)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name      string
+		id        int          // the honest party; the raw peer is the other
+		frames    [][]*big.Int // what the peer sends, in order
+		got, want int          // the ErrMessageLength expected, or ...
+		errText   string       // ... an error naming this
+	}{
+		{name: "short label broadcast", id: 1, frames: [][]*big.Int{labels(n-1, nil)}, got: n - 1, want: n},
+		{name: "label not a class", id: 1, frames: [][]*big.Int{labels(n, mpcField(7*65536))}, errText: "not a class"},
+		{name: "short gain report", id: 0, frames: [][]*big.Int{ints(1, 0)}, got: 2, want: 3},
+		{name: "short winner", id: 1, frames: [][]*big.Int{labels(n, nil), ints(1, 0)}, got: 2, want: 3},
+		{name: "winner names no split", id: 1, frames: [][]*big.Int{labels(n, nil), ints(1, 99, 0)}, errText: "names no split"},
+		{name: "short child mask", id: 1, frames: [][]*big.Int{labels(n, nil), ints(0, 0, 0), ints(make([]int64, n)...)}, got: n, want: n + 1},
+	} {
+		eps := transport.NewMemoryNetwork(2, 8)
+		peer := 1 - tc.id
+		for _, f := range tc.frames {
+			if err := transport.SendInts(eps[peer], tc.id, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.Tree.MaxDepth = 2
+		p := &npdParty{id: tc.id, m: 2, ep: eps[tc.id], part: parts[tc.id], cfg: cfg}
+		_, err := p.train()
+		var short *core.ErrMessageLength
+		switch {
+		case tc.errText != "":
+			if err == nil || !strings.Contains(err.Error(), tc.errText) {
+				t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.errText)
+			}
+		case !errors.As(err, &short) || short.From != peer || short.Got != tc.got || short.Want != tc.want:
+			t.Errorf("%s: got %v, want ErrMessageLength from %d with %d of %d values", tc.name, err, peer, tc.got, tc.want)
+		}
+		closeAll(eps)
+	}
+}
+
+// TestSPDZDTForgedFramesRefused: the threshold announcement is counted
+// before it is read, and an opened winner that the public split counts do
+// not hold is refused before the owner indexes its candidates or anyone
+// slices the per-split products by it.
+func TestSPDZDTForgedFramesRefused(t *testing.T) {
+	eps := transport.NewMemoryNetwork(2, 8)
+	defer closeAll(eps)
+	p := &sparty{id: 0, m: 2, ep: eps[0], cfg: DefaultConfig(), splitCounts: [][]int{{2, 1}, {0, 2}}}
+	if err := transport.SendInts(eps[1], 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	var short *core.ErrMessageLength
+	if _, err := p.recvThreshold(1); !errors.As(err, &short) || short.Got != 0 || short.Want != 1 {
+		t.Errorf("empty threshold announcement: got %v, want ErrMessageLength with 0 of 1 values", err)
+	}
+	for _, tc := range []struct {
+		name string
+		ids  []*big.Int
+		ok   bool
+	}{
+		{"honest", []*big.Int{big.NewInt(1), big.NewInt(1), big.NewInt(1)}, true},
+		{"client beyond m", []*big.Int{big.NewInt(2), big.NewInt(0), big.NewInt(0)}, false},
+		{"feature beyond the owner's", []*big.Int{big.NewInt(0), big.NewInt(2), big.NewInt(0)}, false},
+		{"split of a feature with none", []*big.Int{big.NewInt(1), big.NewInt(0), big.NewInt(0)}, false},
+		{"split beyond the count", []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(1)}, false},
+		{"negative split", []*big.Int{big.NewInt(0), big.NewInt(0), big.NewInt(-1)}, false},
+		{"split beyond int64", []*big.Int{big.NewInt(0), big.NewInt(0), new(big.Int).Lsh(big.NewInt(1), 70)}, false},
+	} {
+		if _, _, _, err := p.winner(tc.ids); (err == nil) != tc.ok {
+			t.Errorf("%s: got %v, accepted want %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+func closeAll(eps []transport.Endpoint) {
+	for _, ep := range eps {
+		ep.Close()
+	}
+}

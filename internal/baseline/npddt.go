@@ -91,13 +91,16 @@ func (p *npdParty) train() (*core.Model, error) {
 		}
 		p.labels = p.part.Y
 	} else {
-		xs, err := transport.RecvInts(p.ep, 0)
+		xs, err := recvInts(p.ep, 0, p.part.N)
 		if err != nil {
 			return nil, err
 		}
 		p.labels = make([]float64, len(xs))
 		for t, v := range xs {
 			p.labels[t] = float64(signedOf(v).Int64()) / 65536
+			if k := p.labels[t]; p.part.Classes > 0 && (k != math.Trunc(k) || k < 0 || k >= float64(p.part.Classes)) {
+				return nil, fmt.Errorf("npd-dt party %d: label %d from party 0 is not a class in [0,%d)", p.id, t, p.part.Classes)
+			}
 		}
 	}
 	mask := make([]bool, p.part.N)
@@ -137,7 +140,7 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 	if p.id == 0 {
 		bg, bi, bj, bs := bestGain, 0, bestJ, bestS
 		for c := 1; c < p.m; c++ {
-			xs, err := transport.RecvInts(p.ep, c)
+			xs, err := recvInts(p.ep, c, 3)
 			if err != nil {
 				return 0, err
 			}
@@ -157,7 +160,7 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 			}
 		}
 	} else {
-		xs, err := transport.RecvInts(p.ep, 0)
+		xs, err := recvInts(p.ep, 0, 3)
 		if err != nil {
 			return 0, err
 		}
@@ -168,6 +171,11 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 		return p.makeLeaf(model, mask), nil
 	}
 	jStar, sStar := int(winner[1]), int(winner[2])
+	// The owner indexes its candidates by the winner; everyone else receives
+	// from the owner.
+	if iStar >= p.m || p.id == iStar && (jStar < 0 || jStar >= len(p.cands) || sStar < 0 || sStar >= len(p.cands[jStar])) {
+		return 0, fmt.Errorf("npd-dt party %d: winner (%d, %d, %d) names no split", p.id, iStar, jStar, sStar)
+	}
 
 	// The owner broadcasts the plaintext child mask.
 	node := core.Node{Owner: iStar, Feature: jStar, SplitIndex: sStar}
@@ -192,7 +200,7 @@ func (p *npdParty) buildNode(model *core.Model, mask []bool, depth int) (int, er
 			}
 		}
 	} else {
-		xs, err := transport.RecvInts(p.ep, iStar)
+		xs, err := recvInts(p.ep, iStar, len(mask)+1)
 		if err != nil {
 			return 0, err
 		}
@@ -330,6 +338,20 @@ func (p *npdParty) makeLeaf(model *core.Model, mask []bool) int {
 // (the naive coordinated prediction of §4.3 that leaks the path).
 func PredictNPDDT(model *core.Model, featuresByClient [][]float64) (float64, error) {
 	return model.PredictPlain(featuresByClient)
+}
+
+// recvInts receives one frame from a peer and requires it to hold exactly
+// want integers: every baseline receive indexes what it got, so a short or
+// long frame is core's ErrMessageLength, not a panic.
+func recvInts(ep transport.Endpoint, from, want int) ([]*big.Int, error) {
+	xs, err := transport.RecvInts(ep, from)
+	if err != nil {
+		return nil, err
+	}
+	if len(xs) != want {
+		return nil, &core.ErrMessageLength{Client: ep.ID(), From: from, Got: len(xs), Want: want}
+	}
+	return xs, nil
 }
 
 func mpcField(v int64) *big.Int {

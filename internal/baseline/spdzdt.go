@@ -307,8 +307,10 @@ func (p *sparty) buildNode(model *core.Model, alpha []mpc.Share, depth int) (int
 			return p.makeLeaf(model, alpha, nNode)
 		}
 	}
-	ids := eng.OpenVec(best.IDs)
-	iStar, jStar, sStar := int(ids[0].Int64()), int(ids[1].Int64()), int(ids[2].Int64())
+	iStar, jStar, sStar, err := p.winner(eng.OpenVec(best.IDs))
+	if err != nil {
+		return 0, err
+	}
 
 	node := core.Node{Owner: iStar, Feature: jStar, SplitIndex: sStar}
 	// The owner announces the plaintext threshold (public model).
@@ -322,13 +324,8 @@ func (p *sparty) buildNode(model *core.Model, alpha []mpc.Share, depth int) (int
 				}
 			}
 		}
-	} else {
-		xs, err := transport.RecvInts(p.ep, iStar)
-		if err != nil {
-			return 0, err
-		}
-		v, _ := new(big.Float).SetInt(mpc.Signed(xs[0])).Float64()
-		node.Threshold = v / math.Ldexp(1, int(p.cfg.F))
+	} else if node.Threshold, err = p.recvThreshold(iStar); err != nil {
+		return 0, err
 	}
 
 	// Child masks: the winner's w vector is already available per split;
@@ -353,6 +350,34 @@ func (p *sparty) buildNode(model *core.Model, alpha []mpc.Share, depth int) (int
 	model.Nodes[idx].Left = l
 	model.Nodes[idx].Right = r
 	return idx, nil
+}
+
+// recvThreshold receives the plaintext threshold the winner's owner
+// announces.
+func (p *sparty) recvThreshold(owner int) (float64, error) {
+	xs, err := recvInts(p.ep, owner, 1)
+	if err != nil {
+		return 0, err
+	}
+	v, _ := new(big.Float).SetInt(mpc.Signed(xs[0])).Float64()
+	return v / math.Ldexp(1, int(p.cfg.F)), nil
+}
+
+// winner reads the opened (client, feature, split) identifier, refusing one
+// that the public split counts do not hold: the owner indexes its
+// candidates by it and everyone slices the winner's left indicator out of
+// the per-split products.
+func (p *sparty) winner(ids []*big.Int) (c, j, s int, err error) {
+	for _, id := range ids {
+		if !id.IsInt64() {
+			return 0, 0, 0, fmt.Errorf("spdz-dt party %d: opened winner %v names no split", p.id, ids)
+		}
+	}
+	c, j, s = int(ids[0].Int64()), int(ids[1].Int64()), int(ids[2].Int64())
+	if c < 0 || c >= p.m || j < 0 || j >= len(p.splitCounts[c]) || s < 0 || s >= p.splitCounts[c][j] {
+		return 0, 0, 0, fmt.Errorf("spdz-dt party %d: opened winner %v names no split", p.id, ids)
+	}
+	return c, j, s, nil
 }
 
 func (p *sparty) flatOf(c, j, s int) int {

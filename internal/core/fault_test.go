@@ -80,8 +80,8 @@ func TestEachRecoversPanics(t *testing.T) {
 }
 
 func TestTrainingFailsCleanlyWithFaultyTransport(t *testing.T) {
-	// Wrap client 1's endpoint so its sends start failing mid-protocol; the
-	// training phase must return an error at every client, not hang.
+	// Wrap client 1's endpoint so it crashes after three sends, mid-protocol;
+	// the training phase must return an error at every client, not hang.
 	ds := smallClassification(20)
 	parts, err := dataset.VerticalPartition(ds, 2, 0)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestTrainingFailsCleanlyWithFaultyTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	s.parties[1].ep = transport.WithFaults(s.parties[1].ep, 3, 0)
+	s.parties[1].ep = transport.WithChaos(s.parties[1].ep, transport.ChaosConfig{CrashAfterSends: 3})
 
 	done := make(chan error, 1)
 	go func() {

@@ -169,7 +169,7 @@ func (a *auditor) recvWithPOPK(from, n int) ([]*paillier.Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	cts, err := p.checkedCts(from, 1, xs[:n])
+	cts, err := p.checkedCts(from, xs[:n])
 	if err != nil {
 		return nil, err
 	}

@@ -359,54 +359,35 @@ func (p *Party) recvIntsN(from, want int) ([]*big.Int, error) {
 	return xs, nil
 }
 
-// checkedCts wraps integers received from a peer as level-s ciphertexts
-// after validating them: nothing a peer sends reaches Neg (which panics on a
+// checkedCts wraps integers received from a peer as ciphertexts after
+// validating them: nothing a peer sends reaches Neg (which panics on a
 // non-invertible value) or the mod-N² kernel unchecked.
-func (p *Party) checkedCts(from, level int, xs []*big.Int) ([]*paillier.Ciphertext, error) {
+func (p *Party) checkedCts(from int, xs []*big.Int) ([]*paillier.Ciphertext, error) {
 	cts := paillier.UnmarshalCiphertexts(xs)
-	if err := p.pk.CheckCiphertexts(level, cts); err != nil {
+	if err := p.pk.CheckCiphertexts(cts); err != nil {
 		return nil, fmt.Errorf("client %d: ciphertexts received from client %d: %w", p.ID, from, err)
 	}
 	return cts, nil
 }
 
-// ctChunk is the number of ciphertexts that safely fit in one wire frame;
-// the chunk budget is half of transport.MaxFrameSize to leave headroom for
-// varint overhead.  Deterministic in the public config, so sender and
-// receiver agree on the frame count without negotiation.
-func (p *Party) ctChunk() int { return p.ctChunkLevel(1) }
-
-// ctChunkLevel sizes the budget from the actual byte length of a ciphertext
-// under the key in use: a level-s ciphertext is a value mod N^(s+1), so
-// Damgård–Jurik packed ciphertexts (paillier/dj.go) take (s+1)·|N| bits —
-// assuming mod-N² here would overflow MaxFrameSize the moment they flow
-// through the chunked helpers.
-func (p *Party) ctChunkLevel(level int) int {
+// ctChunk is the number of ciphertexts that safely fit in one wire frame:
+// half of transport.MaxFrameSize, to leave headroom for varint overhead,
+// over the byte length of a mod-N² value under the key in use.
+// Deterministic in the public config, so sender and receiver agree on the
+// frame count without negotiation.
+func (p *Party) ctChunk() int {
 	if p.testCtChunk > 0 {
 		return p.testCtChunk
 	}
-	ctBytes := (p.pk.N.BitLen()*(level+1)+7)/8 + 16
-	chunk := transport.MaxFrameSize / 2 / ctBytes
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
+	ctBytes := (2*p.pk.N.BitLen()+7)/8 + 16
+	return max(1, transport.MaxFrameSize/2/ctBytes)
 }
 
 // chunked runs fn over [lo, hi) windows of at most ctChunk elements.
 func (p *Party) chunked(n int, fn func(lo, hi int) error) error {
-	return p.chunkedLevel(n, 1, fn)
-}
-
-// chunkedLevel is chunked with the frame budget of level-s ciphertexts.
-func (p *Party) chunkedLevel(n, level int, fn func(lo, hi int) error) error {
-	chunk := p.ctChunkLevel(level)
+	chunk := p.ctChunk()
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if err := fn(lo, hi); err != nil {
+		if err := fn(lo, min(lo+chunk, n)); err != nil {
 			return err
 		}
 	}
@@ -428,8 +409,25 @@ func (p *Party) sendIntsChunked(to int, xs []*big.Int) error {
 	return p.chunked(len(xs), func(lo, hi int) error { return transport.SendInts(p.ep, to, xs[lo:hi]) })
 }
 
+// recvIntsChunked receives exactly `total` integers sent in ctChunk-sized
+// frames.
 func (p *Party) recvIntsChunked(from, total int) ([]*big.Int, error) {
-	return p.recvIntsChunkedLevel(from, total, 1)
+	out := make([]*big.Int, 0, total)
+	err := p.chunked(total, func(lo, hi int) error {
+		xs, err := transport.RecvInts(p.ep, from)
+		if err != nil {
+			return err
+		}
+		out = append(out, xs...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != total {
+		return nil, &ErrMessageLength{Client: p.ID, From: from, Got: len(out), Want: total}
+	}
+	return out, nil
 }
 
 func (p *Party) broadcastCtsChunked(cts []*paillier.Ciphertext) error {
@@ -447,46 +445,7 @@ func (p *Party) recvCtsChunked(from, total int) ([]*paillier.Ciphertext, error) 
 	if err != nil {
 		return nil, err
 	}
-	return p.checkedCts(from, 1, xs)
-}
-
-// The *Level variants carry Damgård–Jurik level-s ciphertexts (mod N^(s+1)),
-// whose larger byte size shrinks the per-frame chunk budget accordingly.
-
-func (p *Party) sendCtsChunkedLevel(to, level int, cts []*paillier.Ciphertext) error {
-	xs := paillier.MarshalCiphertexts(cts)
-	return p.chunkedLevel(len(xs), level, func(lo, hi int) error {
-		return transport.SendInts(p.ep, to, xs[lo:hi])
-	})
-}
-
-func (p *Party) recvCtsChunkedLevel(from, total, level int) ([]*paillier.Ciphertext, error) {
-	xs, err := p.recvIntsChunkedLevel(from, total, level)
-	if err != nil {
-		return nil, err
-	}
-	return p.checkedCts(from, level, xs)
-}
-
-// recvIntsChunkedLevel receives exactly `total` integers sent in frames of
-// the level-s ciphertext budget.
-func (p *Party) recvIntsChunkedLevel(from, total, level int) ([]*big.Int, error) {
-	out := make([]*big.Int, 0, total)
-	err := p.chunkedLevel(total, level, func(lo, hi int) error {
-		xs, err := transport.RecvInts(p.ep, from)
-		if err != nil {
-			return err
-		}
-		out = append(out, xs...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != total {
-		return nil, &ErrMessageLength{Client: p.ID, From: from, Got: len(out), Want: total}
-	}
-	return out, nil
+	return p.checkedCts(from, xs)
 }
 
 // encryptVec encrypts with stats accounting and the configured parallelism.
@@ -576,7 +535,7 @@ func (p *Party) combineWithPeers(shares []*paillier.DecryptionShare) ([]*big.Int
 		if err != nil {
 			return nil, err
 		}
-		if err := p.pk.CheckShares(1, xs); err != nil {
+		if err := p.pk.CheckShares(xs); err != nil {
 			return nil, fmt.Errorf("client %d: decryption shares received from client %d: %w", p.ID, c, err)
 		}
 		byParty[c] = paillier.UnmarshalShares(c, xs)
@@ -665,12 +624,12 @@ func (p *Party) packShifted(cts []*paillier.Ciphertext, offset *big.Int, plan pa
 	return packed
 }
 
-// packPlan is the level-1 layout for `count` values of slotW bits: as many
+// packPlan is the layout for `count` values of slotW bits: as many
 // slots to a ciphertext as Z_N holds, at most count, and a single one when
 // two do not fit.
 func (p *Party) packPlan(count int, slotW uint) paillier.PackPlan {
 	slots := max(1, min(count, p.pk.PackCapacity(slotW)))
-	return paillier.PackPlan{SlotW: slotW, Slots: slots, Level: 1}
+	return paillier.PackPlan{SlotW: slotW, Slots: slots}
 }
 
 // convertMasked is the masked-aggregate-and-decrypt core of Algorithm 2:
@@ -704,8 +663,6 @@ func (p *Party) convertMasked(cts []*paillier.Ciphertext, count int, kStat uint,
 	}
 
 	// A slot holds the masked sum x + offset + Σ_i r_i < 2^kStat + M·2^maskW.
-	// The inputs are existing level-1 ciphertexts, which cannot be lifted into
-	// a Damgård–Jurik level (paillier/dj.go), so conversions pack within Z_N.
 	plan := p.packPlan(count, maskW+uint(bits.Len(uint(p.M)))+1)
 	groups := plan.Groups(count)
 	packedMasks := make([]*big.Int, groups)

@@ -352,21 +352,23 @@ func predictionPoint(ds *dataset.Dataset, m int, cfg core.Config, samples int) (
 	return time.Since(start).Seconds() / float64(samples), nil
 }
 
-// Fig4g: prediction time per sample vs m.
-func Fig4g(p Preset) (*Result, error) {
-	res := &Result{XLabel: "m", Unit: "seconds/sample"}
+// predictionSweep is sweep for per-sample prediction time: Pivot-Basic,
+// Pivot-Enhanced and NPD-DT at every x.
+func predictionSweep(p Preset, xlabel string, xs []int, point func(p Preset, x int) (Preset, int)) (*Result, error) {
+	res := &Result{XLabel: xlabel, Unit: "seconds/sample"}
 	const samples = 3
-	for _, m := range p.Ms {
-		ds := synth(p, m)
-		row := Row{X: float64(m), Series: map[string]float64{}}
+	for _, x := range xs {
+		pp, m := point(p, x)
+		ds := synth(pp, m)
+		row := Row{X: float64(x), Series: map[string]float64{}}
 		for name, proto := range map[string]core.Protocol{"Pivot-Basic": core.Basic, "Pivot-Enhanced": core.Enhanced} {
-			v, err := predictionPoint(ds, m, cfgFor(p, proto, 1), samples)
+			v, err := predictionPoint(ds, m, cfgFor(pp, proto, 1), samples)
 			if err != nil {
-				return nil, fmt.Errorf("%s m=%d: %w", name, m, err)
+				return nil, fmt.Errorf("%s %s=%d: %w", name, xlabel, x, err)
 			}
 			row.Series[name] = v
 		}
-		npd, err := npdPredictionPoint(ds, m, p, samples)
+		npd, err := npdPredictionPoint(ds, m, pp, samples)
 		if err != nil {
 			return nil, err
 		}
@@ -376,30 +378,16 @@ func Fig4g(p Preset) (*Result, error) {
 	return res, nil
 }
 
+// Fig4g: prediction time per sample vs m.
+func Fig4g(p Preset) (*Result, error) {
+	return predictionSweep(p, "m", p.Ms,
+		func(p Preset, x int) (Preset, int) { return p, x })
+}
+
 // Fig4h: prediction time per sample vs h.
 func Fig4h(p Preset) (*Result, error) {
-	res := &Result{XLabel: "h", Unit: "seconds/sample"}
-	const samples = 3
-	for _, h := range p.Hs {
-		pp := p
-		pp.H = h
-		ds := synth(pp, pp.M)
-		row := Row{X: float64(h), Series: map[string]float64{}}
-		for name, proto := range map[string]core.Protocol{"Pivot-Basic": core.Basic, "Pivot-Enhanced": core.Enhanced} {
-			v, err := predictionPoint(ds, pp.M, cfgFor(pp, proto, 1), samples)
-			if err != nil {
-				return nil, fmt.Errorf("%s h=%d: %w", name, h, err)
-			}
-			row.Series[name] = v
-		}
-		npd, err := npdPredictionPoint(ds, pp.M, pp, samples)
-		if err != nil {
-			return nil, err
-		}
-		row.Series["NPD-DT"] = npd
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return predictionSweep(p, "h", p.Hs,
+		func(p Preset, x int) (Preset, int) { p.H = x; return p, p.M })
 }
 
 func npdPredictionPoint(ds *dataset.Dataset, m int, p Preset, samples int) (float64, error) {

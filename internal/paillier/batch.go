@@ -230,16 +230,15 @@ func (e *ErrBadCiphertext) Error() string {
 	return fmt.Sprintf("paillier: bad ciphertext at index %d: %s", e.Index, e.Reason)
 }
 
-// CheckCiphertexts validates level-s ciphertexts received from a peer:
-// 0 < c < N^(s+1) and N ∤ c.  Zero and the multiples of N — which anyone can
-// form without a factor of N — have no inverse, and Neg panics on them; a
-// value beyond the modulus would be reduced silently and drag every later
-// product through the reducer's slow path.
-func (pk *PublicKey) CheckCiphertexts(level int, cs []*Ciphertext) error {
-	mod := pk.levelModulus(level)
+// CheckCiphertexts validates ciphertexts received from a peer: 0 < c < N²
+// and N ∤ c.  Zero and the multiples of N — which anyone can form without a
+// factor of N — have no inverse, and Neg panics on them; a value beyond the
+// modulus would be reduced silently and drag every later product through
+// the reducer's slow path.
+func (pk *PublicKey) CheckCiphertexts(cs []*Ciphertext) error {
 	rem := new(big.Int)
 	for i, c := range cs {
-		if err := checkResidue(i, c.C, mod); err != nil {
+		if err := checkResidue(i, c.C, pk.N2); err != nil {
 			return err
 		}
 		if rem.Mod(c.C, pk.N).Sign() == 0 {
@@ -249,24 +248,15 @@ func (pk *PublicKey) CheckCiphertexts(level int, cs []*Ciphertext) error {
 	return nil
 }
 
-// CheckShares validates the range of level-s decryption shares received from
-// a peer: 0 < v < N^(s+1).
-func (pk *PublicKey) CheckShares(level int, xs []*big.Int) error {
-	mod := pk.levelModulus(level)
+// CheckShares validates the range of decryption shares received from a
+// peer: 0 < v < N².
+func (pk *PublicKey) CheckShares(xs []*big.Int) error {
 	for i, x := range xs {
-		if err := checkResidue(i, x, mod); err != nil {
+		if err := checkResidue(i, x, pk.N2); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// levelModulus returns N^(level+1), the level's ciphertext modulus.
-func (pk *PublicKey) levelModulus(level int) *big.Int {
-	if level == 1 {
-		return pk.N2
-	}
-	return new(big.Int).Exp(pk.N, big.NewInt(int64(level+1)), nil)
 }
 
 func checkResidue(i int, x, mod *big.Int) error {

@@ -2,7 +2,6 @@ package paillier
 
 import (
 	"fmt"
-	"io"
 	"math/big"
 )
 
@@ -15,20 +14,14 @@ import (
 // make slot values non-negative by adding a public offset first, exactly as
 // the Algorithm-2 conversion already does for its masked statistics.
 //
-// Two packing routes exist:
-//
-//   - Fresh encryptions: pack plaintext-side (PackInts) and encrypt once,
-//     at level 1 or — when more slots are needed than Z_N holds — at a
-//     Damgård–Jurik level s > 1 (see dj.go and PlanPack).
-//   - Existing level-1 ciphertexts: pack homomorphically with shift-and-add
-//     (PackCiphertexts); the result stays at level 1, so capacity is
-//     bounded by |N|-2 regardless of DJ support.
+// Every packed plaintext is level 1, in Z_N.  Fresh encryptions are packed
+// plaintext-side (PackInts) and encrypted once; existing ciphertexts are
+// packed homomorphically by shift-and-add (PackCiphertexts).
 
 // PackPlan describes a slot layout for one packed plaintext.
 type PackPlan struct {
 	SlotW uint // bits per slot
 	Slots int  // slots per plaintext
-	Level int  // DJ level carrying the packed plaintext (1 = plain Paillier)
 }
 
 // PackCapacity returns how many slotW-bit slots fit in one signed level-1
@@ -38,28 +31,6 @@ func (pk *PublicKey) PackCapacity(slotW uint) int {
 		return 0
 	}
 	return int(uint(pk.N.BitLen()-2) / slotW)
-}
-
-// PlanPack chooses a slot layout for packing `count` values of width slotW
-// as fresh encryptions: level 1 when Z_N already fits at least two slots,
-// otherwise the lowest DJ level (≤ maxLevel) that does.  Slots is capped at
-// count.  A plan with Slots == 1 means packing does not pay for this width.
-func (pk *PublicKey) PlanPack(count int, slotW uint, maxLevel int) PackPlan {
-	if maxLevel < 1 {
-		maxLevel = 1
-	}
-	for level := 1; ; level++ {
-		slots := int(uint(level*pk.N.BitLen()-2) / slotW)
-		if slots >= 2 || level >= maxLevel {
-			if slots < 1 {
-				slots = 1
-			}
-			if slots > count {
-				slots = count
-			}
-			return PackPlan{SlotW: slotW, Slots: slots, Level: level}
-		}
-	}
 }
 
 // Groups returns how many packed plaintexts carry count slots.
@@ -111,25 +82,6 @@ func (pk *PublicKey) PackCiphertexts(cts []*Ciphertext, slotW uint) *Ciphertext 
 		acc = pk.Add(pk.MulConst(acc, shift), cts[j])
 	}
 	return acc
-}
-
-// EncryptPackedVec packs xs (non-negative, < 2^SlotW each) according to plan
-// and encrypts the groups in parallel, at the plan's DJ level.
-func (pk *PublicKey) EncryptPackedVec(random io.Reader, xs []*big.Int, plan PackPlan, workers int) ([]*Ciphertext, error) {
-	groups := plan.Groups(len(xs))
-	packed := make([]*big.Int, groups)
-	for g := 0; g < groups; g++ {
-		lo := g * plan.Slots
-		hi := lo + plan.Slots
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		packed[g] = PackInts(xs[lo:hi], plan.SlotW)
-	}
-	if plan.Level == 1 {
-		return pk.EncryptVec(random, packed, workers)
-	}
-	return pk.DJ(plan.Level).EncryptVec(random, packed, workers)
 }
 
 // ErrPackedRange is returned by UnpackVec for a decrypted total that no

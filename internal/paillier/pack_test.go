@@ -93,41 +93,49 @@ func TestPackIntsRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestEncryptPackedRoundtrip: pack-encrypt-decrypt-unpack across level-1 and
-// DJ plans, threshold and non-threshold.
+// encryptPacked packs xs (non-negative, < 2^SlotW each) plan.Slots to a
+// plaintext and encrypts the groups, as core does for fresh encryptions.
+func encryptPacked(t *testing.T, pk *PublicKey, xs []*big.Int, plan PackPlan) []*Ciphertext {
+	t.Helper()
+	packed := make([]*big.Int, plan.Groups(len(xs)))
+	for g := range packed {
+		packed[g] = PackInts(xs[g*plan.Slots:min((g+1)*plan.Slots, len(xs))], plan.SlotW)
+	}
+	cts, err := pk.EncryptVec(rand.Reader, packed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cts
+}
+
+// TestEncryptPackedRoundtrip: pack-encrypt-decrypt-unpack, threshold and
+// non-threshold, including a width where two slots do not fit in Z_N and a
+// plaintext carries one.
 func TestEncryptPackedRoundtrip(t *testing.T) {
 	pk, sk, pks := testKeys(t, 3)
 	rng := mrand.New(mrand.NewSource(44))
 	for _, tc := range []struct {
 		slotW uint
 		count int
-		level int
+		slots int
 	}{
-		{20, 17, 1},
-		{101, 5, 1},
-		{200, 6, 2}, // needs DJ: one 200-bit slot barely fits in Z_N
-		{300, 4, 3}, // wider than Z_N entirely: only level 3 fits two slots
+		{20, 17, 12},
+		{101, 5, 2},
+		{200, 6, 1},
 	} {
-		plan := pk.PlanPack(tc.count, tc.slotW, MaxDJLevel)
-		if plan.Level != tc.level {
-			t.Fatalf("slotW=%d: plan chose level %d, want %d", tc.slotW, plan.Level, tc.level)
-		}
-		if plan.Level > 1 && plan.Slots < 2 {
-			t.Fatalf("slotW=%d: DJ plan still unpacked (%d slots)", tc.slotW, plan.Slots)
+		plan := PackPlan{SlotW: tc.slotW, Slots: max(1, min(tc.count, pk.PackCapacity(tc.slotW)))}
+		if plan.Slots != tc.slots {
+			t.Fatalf("slotW=%d: %d slots to a plaintext, want %d", tc.slotW, plan.Slots, tc.slots)
 		}
 		vals := randSlots(rng, tc.count, tc.slotW)
-		cts, err := pk.EncryptPackedVec(rand.Reader, vals, plan, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cts := encryptPacked(t, pk, vals, plan)
 		if want := plan.Groups(tc.count); len(cts) != want {
 			t.Fatalf("got %d ciphertexts, want %d", len(cts), want)
 		}
-		dj := pk.DJ(plan.Level)
 		// Non-threshold decrypt.
 		totals := make([]*big.Int, len(cts))
 		for i, ct := range cts {
-			totals[i] = dj.Decrypt(sk, ct)
+			totals[i] = sk.Decrypt(pk, ct)
 		}
 		got, err := UnpackVec(totals, plan, tc.count)
 		if err != nil {
@@ -135,19 +143,15 @@ func TestEncryptPackedRoundtrip(t *testing.T) {
 		}
 		for j := range vals {
 			if got[j].Cmp(vals[j]) != 0 {
-				t.Fatalf("slotW=%d level=%d slot %d: got %v want %v", tc.slotW, plan.Level, j, got[j], vals[j])
+				t.Fatalf("slotW=%d slot %d: got %v want %v", tc.slotW, j, got[j], vals[j])
 			}
 		}
 		// Threshold decrypt with batch-combined shares.
 		shareRows := make([][]*DecryptionShare, len(pks))
 		for p, k := range pks {
-			row, err := dj.PartialDecryptVec(k, cts, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shareRows[p] = row
+			shareRows[p] = k.PartialDecryptVec(pk, cts, 2)
 		}
-		totals2, err := dj.CombineSharesVec(shareRows, 2)
+		totals2, err := pk.CombineSharesVec(shareRows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +161,7 @@ func TestEncryptPackedRoundtrip(t *testing.T) {
 		}
 		for j := range vals {
 			if got2[j].Cmp(vals[j]) != 0 {
-				t.Fatalf("threshold slotW=%d level=%d slot %d: got %v want %v", tc.slotW, plan.Level, j, got2[j], vals[j])
+				t.Fatalf("threshold slotW=%d slot %d: got %v want %v", tc.slotW, j, got2[j], vals[j])
 			}
 		}
 	}
@@ -203,94 +207,39 @@ func TestPackCiphertextsMatchesPlaintextPack(t *testing.T) {
 func TestPackedHomomorphicEquivalence(t *testing.T) {
 	pk, sk, _ := testKeys(t, 2)
 	rng := mrand.New(mrand.NewSource(46))
-	for _, level := range []int{1, 2} {
-		dj := pk.DJ(level)
-		slotW := uint(40)
-		plan := PackPlan{SlotW: slotW, Slots: int((uint(dj.NS.BitLen()) - 2) / slotW), Level: level}
-		count := plan.Slots*2 + 1
-		// Keep slot values 8 bits under the slot width: headroom for the sum
-		// and the scalar multiple.
-		as := randSlots(rng, count, slotW-8)
-		bs := randSlots(rng, count, slotW-8)
-		scalar := big.NewInt(int64(1 + rng.Intn(100)))
-		actA, err := pk.EncryptPackedVec(rand.Reader, as, plan, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		actB, err := pk.EncryptPackedVec(rand.Reader, bs, plan, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums, err := dj.AddVec(actA, actB, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scaled := dj.ScalarMulVec(actA, scalar, 2)
-		decode := func(cts []*Ciphertext) []*big.Int {
-			totals := make([]*big.Int, len(cts))
-			for i, ct := range cts {
-				totals[i] = dj.Decrypt(sk, ct)
-			}
-			vals, err := UnpackVec(totals, plan, count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return vals
-		}
-		gotSum, gotScaled := decode(sums), decode(scaled)
-		for j := 0; j < count; j++ {
-			if want := new(big.Int).Add(as[j], bs[j]); gotSum[j].Cmp(want) != 0 {
-				t.Fatalf("level %d AddVec slot %d: got %v want %v", level, j, gotSum[j], want)
-			}
-			if want := new(big.Int).Mul(as[j], scalar); gotScaled[j].Cmp(want) != 0 {
-				t.Fatalf("level %d ScalarMulVec slot %d: got %v want %v", level, j, gotScaled[j], want)
-			}
-		}
+	slotW := uint(40)
+	plan := PackPlan{SlotW: slotW, Slots: pk.PackCapacity(slotW)}
+	count := plan.Slots*2 + 1
+	// Keep slot values 8 bits under the slot width: headroom for the sum
+	// and the scalar multiple.
+	as := randSlots(rng, count, slotW-8)
+	bs := randSlots(rng, count, slotW-8)
+	scalar := big.NewInt(int64(1 + rng.Intn(100)))
+	actA, actB := encryptPacked(t, pk, as, plan), encryptPacked(t, pk, bs, plan)
+	scalars := make([]*big.Int, len(actA))
+	for i := range scalars {
+		scalars[i] = scalar
 	}
-}
-
-// TestDJHomomorphic exercises the level-s ops directly, including AddPlain,
-// MulConst on signed values, and DotVec.
-func TestDJHomomorphic(t *testing.T) {
-	pk, sk, _ := testKeys(t, 2)
-	for _, s := range []int{1, 2, 3} {
-		dj := pk.DJ(s)
-		x, y := big.NewInt(-123456789), big.NewInt(987654321)
-		cx, err := dj.Encrypt(rand.Reader, x)
+	sums := pk.AddVec(actA, actB, 2)
+	scaled := pk.ScalarMulVec(actA, scalars, 2)
+	decode := func(cts []*Ciphertext) []*big.Int {
+		totals := make([]*big.Int, len(cts))
+		for i, ct := range cts {
+			totals[i] = sk.Decrypt(pk, ct)
+		}
+		vals, err := UnpackVec(totals, plan, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cy, err := dj.Encrypt(rand.Reader, y)
-		if err != nil {
-			t.Fatal(err)
+		return vals
+	}
+	gotSum, gotScaled := decode(sums), decode(scaled)
+	for j := 0; j < count; j++ {
+		if want := new(big.Int).Add(as[j], bs[j]); gotSum[j].Cmp(want) != 0 {
+			t.Fatalf("AddVec slot %d: got %v want %v", j, gotSum[j], want)
 		}
-		if got := dj.Decrypt(sk, dj.Add(cx, cy)); got.Int64() != x.Int64()+y.Int64() {
-			t.Fatalf("s=%d add: got %v", s, got)
-		}
-		if got := dj.Decrypt(sk, dj.MulConst(cx, big.NewInt(-7))); got.Int64() != -7*x.Int64() {
-			t.Fatalf("s=%d mulconst: got %v", s, got)
-		}
-		if got := dj.Decrypt(sk, dj.AddPlain(cx, big.NewInt(1000))); got.Int64() != x.Int64()+1000 {
-			t.Fatalf("s=%d addplain: got %v", s, got)
-		}
-		dot, err := dj.DotVec([]*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(3)},
-			[]*Ciphertext{cy, cx, cy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := dj.Decrypt(sk, dot); got.Int64() != x.Int64()+3*y.Int64() {
-			t.Fatalf("s=%d dot: got %v", s, got)
-		}
-		// A plaintext spanning more than |N| bits, the point of s > 1.
-		if s > 1 {
-			wide := new(big.Int).Lsh(one, uint(pk.N.BitLen())+13)
-			cw, err := dj.Encrypt(rand.Reader, wide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := dj.Decrypt(sk, cw); got.Cmp(wide) != 0 {
-				t.Fatalf("s=%d wide plaintext: got %v want %v", s, got, wide)
-			}
+		if want := new(big.Int).Mul(as[j], scalar); gotScaled[j].Cmp(want) != 0 {
+			t.Fatalf("ScalarMulVec slot %d: got %v want %v", j, gotScaled[j], want)
 		}
 	}
 }
@@ -301,7 +250,7 @@ func TestDJHomomorphic(t *testing.T) {
 // slot values that look honest.  The last group is held to its own, shorter
 // length.
 func TestUnpackVecRefusesOutOfRange(t *testing.T) {
-	plan := PackPlan{SlotW: 8, Slots: 3, Level: 1}
+	plan := PackPlan{SlotW: 8, Slots: 3}
 	fit := new(big.Int).Sub(new(big.Int).Lsh(one, 24), one) // fills three slots exactly
 	for _, tc := range []struct {
 		name   string
@@ -341,7 +290,7 @@ func FuzzUnpackVec(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		plan := PackPlan{SlotW: uint(data[0]&0x3f) + 1, Slots: int(data[1]&0x0f) + 1, Level: 1}
+		plan := PackPlan{SlotW: uint(data[0]&0x3f) + 1, Slots: int(data[1]&0x0f) + 1}
 		total := new(big.Int).SetBytes(data[2:])
 		if data[1]&0x80 != 0 {
 			total.Neg(total)

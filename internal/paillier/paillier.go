@@ -66,10 +66,6 @@ type SecretKey struct {
 type PartialKey struct {
 	Index  int
 	DShare *big.Int
-	// DJShares[s-2] is this party's share of the Damgård–Jurik level-s
-	// threshold exponent d_s ≡ 0 (mod λ), ≡ 1 (mod N^s), for s = 2 up to
-	// MaxDJLevel (see dj.go).
-	DJShares []*big.Int
 }
 
 // Ciphertext is an element of Z_{N^2}.  The zero value is invalid.
@@ -126,47 +122,18 @@ func KeyGen(random io.Reader, bits, parties int) (*PublicKey, *SecretKey, []*Par
 	d := new(big.Int).Mul(lambda, lambdaInv) // ≡ 0 mod λ, ≡ 1 mod N
 
 	// Additive split over the integers with 80 bits of statistical masking.
-	splitAdditive := func(d *big.Int) ([]*big.Int, error) {
-		maskBits := d.BitLen() + 80
-		bound := new(big.Int).Lsh(one, uint(maskBits))
-		out := make([]*big.Int, parties)
-		rest := new(big.Int).Set(d)
-		for i := 0; i < parties-1; i++ {
-			r, err := rand.Int(random, bound)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-			rest.Sub(rest, r)
-		}
-		out[parties-1] = rest
-		return out, nil
-	}
-	dShares, err := splitAdditive(d)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	bound := new(big.Int).Lsh(one, uint(d.BitLen()+80))
 	shares := make([]*PartialKey, parties)
-	for i := range shares {
-		shares[i] = &PartialKey{Index: i, DShare: dShares[i]}
-	}
-	// Level-s Damgård–Jurik threshold exponents d_s = λ·(λ⁻¹ mod N^s),
-	// ≡ 0 (mod λ) and ≡ 1 (mod N^s), shared the same way (see dj.go).
-	ns := new(big.Int).Set(n)
-	for s := 2; s <= MaxDJLevel; s++ {
-		ns.Mul(ns, n)
-		inv := new(big.Int).ModInverse(lambda, ns)
-		if inv == nil {
-			return nil, nil, nil, errors.New("paillier: λ not invertible mod N^s")
-		}
-		ds, err := splitAdditive(new(big.Int).Mul(lambda, inv))
+	rest := new(big.Int).Set(d)
+	for i := 0; i < parties-1; i++ {
+		r, err := rand.Int(random, bound)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for i := range shares {
-			shares[i].DJShares = append(shares[i].DJShares, ds[i])
-		}
+		shares[i] = &PartialKey{Index: i, DShare: r}
+		rest.Sub(rest, r)
 	}
+	shares[parties-1] = &PartialKey{Index: parties - 1, DShare: rest}
 	return pk, sk, shares, nil
 }
 

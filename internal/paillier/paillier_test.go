@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -274,14 +275,13 @@ func TestCheckCiphertexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pk.CheckCiphertexts(1, good); err != nil {
+	if err := pk.CheckCiphertexts(good); err != nil {
 		t.Fatalf("honest ciphertexts refused: %v", err)
 	}
 	shares := MarshalShares(keys[0].PartialDecryptVec(pk, good, 1))
-	if err := pk.CheckShares(1, shares); err != nil {
+	if err := pk.CheckShares(shares); err != nil {
 		t.Fatalf("honest shares refused: %v", err)
 	}
-	n3 := new(big.Int).Mul(pk.N2, pk.N)
 	bad := map[string]*big.Int{
 		"zero":     new(big.Int),
 		"N":        pk.N,
@@ -292,24 +292,17 @@ func TestCheckCiphertexts(t *testing.T) {
 		"nil":      nil,
 	}
 	for name, v := range bad {
-		err := pk.CheckCiphertexts(1, []*Ciphertext{good[0], {C: v}})
+		err := pk.CheckCiphertexts([]*Ciphertext{good[0], {C: v}})
 		var bc *ErrBadCiphertext
 		if !errors.As(err, &bc) || bc.Index != 1 {
 			t.Errorf("%s: got %v, want ErrBadCiphertext at index 1", name, err)
 		}
 		// Shares are range-checked only: a multiple of N below N² passes.
-		err = pk.CheckShares(1, []*big.Int{shares[0], v})
+		err = pk.CheckShares([]*big.Int{shares[0], v})
 		inRange := v != nil && v.Sign() > 0 && v.Cmp(pk.N2) < 0
 		if inRange != (err == nil) {
 			t.Errorf("%s as a share: got %v, in range %v", name, err, inRange)
 		}
-	}
-	// The modulus follows the level: N² is a valid level-2 residue, N³ is not.
-	if err := pk.CheckCiphertexts(2, []*Ciphertext{{C: new(big.Int).Add(pk.N2, one)}}); err != nil {
-		t.Errorf("N²+1 refused at level 2: %v", err)
-	}
-	if err := pk.CheckCiphertexts(2, []*Ciphertext{{C: n3}}); err == nil {
-		t.Error("N³ accepted at level 2")
 	}
 }
 
@@ -401,6 +394,52 @@ func TestEncryptVecFailsWhole(t *testing.T) {
 		}
 		if out, err := pk.DJ(2).EncryptVec(failingReader{}, xs, workers); err == nil || out != nil {
 			t.Errorf("workers %d: DJ.EncryptVec = %d ciphertexts, %v; want nil and the reader's error", workers, len(out), err)
+		}
+	}
+}
+
+// TestDJEncryptDefiningEquation pins the kept level-s encryption to
+// c = (1+N)^m · r^(N^s) mod N^(s+1), m = x mod N^s: a seeded reader feeds
+// Encrypt, a second reader with the same seed redraws r, and a generic
+// modexp recomputes the right-hand side.  At s = 1 the same bytes must also
+// give PublicKey.Encrypt's ciphertext.
+func TestDJEncryptDefiningEquation(t *testing.T) {
+	pk, _, _ := testKeys(t, 2)
+	for s := 1; s <= 3; s++ {
+		dj := pk.DJ(s)
+		onePlusN := new(big.Int).Add(pk.N, one)
+		xs := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(-1),
+			big.NewInt(123456789), big.NewInt(-987654321),
+			new(big.Int).Sub(dj.NS, one),
+			new(big.Int).Lsh(one, uint((s-1)*pk.N.BitLen()+13)), // beyond Z_N from s = 2 on
+		}
+		for i, x := range xs {
+			seed := int64(100*s + i)
+			ct, err := dj.Encrypt(mrand.New(mrand.NewSource(seed)), x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := pk.randomUnit(mrand.New(mrand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := new(big.Int).Mod(x, dj.NS)
+			want := new(big.Int).Exp(onePlusN, m, dj.NS1)
+			want.Mul(want, new(big.Int).Exp(r, dj.NS, dj.NS1))
+			want.Mod(want, dj.NS1)
+			if ct.C.Cmp(want) != 0 {
+				t.Fatalf("s=%d x=%v: ciphertext is not (1+N)^m · r^(N^s) mod N^(s+1)", s, x)
+			}
+			if s == 1 {
+				plain, err := pk.Encrypt(mrand.New(mrand.NewSource(seed)), x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain.C.Cmp(ct.C) != 0 {
+					t.Fatalf("x=%v: level-1 DJ and Paillier encryptions of the same bytes differ", x)
+				}
+			}
 		}
 	}
 }

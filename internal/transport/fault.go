@@ -9,22 +9,14 @@ import (
 )
 
 // Fault injection: test infrastructure for exercising the protocols'
-// failure-handling and recovery paths.  Two layers are provided:
-//
-//   - FaultEndpoint: simple operation budgets (fail after N sends/recvs),
-//     the original harness kept for targeted unit tests.
-//   - ChaosEndpoint: a seeded, deterministic chaos injector — probabilistic
-//     drops, resets and delays plus crash-at-send-N and crash-at-level-N
-//     schedules.  The same seed always yields the same fault trajectory,
-//     so chaos tests are reproducible bit for bit.
-//
-// Both wrappers forward the TaggedEndpoint interface when the wrapped
-// endpoint is tag-multiplexed, so the pipelined path's lane traffic passes
-// through the same budgets and schedules instead of silently bypassing
-// injection.
-
-// ErrInjected is the default failure returned by a FaultEndpoint.
-var ErrInjected = errors.New("transport: injected fault")
+// failure-handling and recovery paths.  ChaosEndpoint is a seeded,
+// deterministic injector — probabilistic drops, resets and delays plus
+// crash-after-N-sends, crash-after-N-recvs and crash-at-level-N schedules.
+// The same seed always yields the same fault trajectory, so chaos tests are
+// reproducible bit for bit.  The wrapper forwards the TaggedEndpoint
+// interface when the wrapped endpoint is tag-multiplexed, so the pipelined
+// path's lane traffic passes through the same schedule instead of silently
+// bypassing injection.
 
 // ErrCrashed is returned by a ChaosEndpoint whose crash schedule has fired:
 // the simulated party is dead and every further operation fails.
@@ -36,123 +28,6 @@ var ErrCrashed = errors.New("transport: injected crash")
 type LevelMarker interface {
 	AdvanceLevel()
 }
-
-// FaultEndpoint wraps an Endpoint and injects failures after configured
-// operation budgets — a crashed peer, a dropped connection.  A budget of
-// zero or negative means unlimited (never fails).
-type FaultEndpoint struct {
-	Endpoint
-	// SendBudget is how many Sends succeed before every later Send fails.
-	SendBudget int64
-	// RecvBudget is how many Recvs succeed before every later Recv fails.
-	RecvBudget int64
-	// Err overrides ErrInjected when non-nil.
-	Err error
-
-	sends atomic.Int64
-	recvs atomic.Int64
-}
-
-// WithFaults wraps ep so that sends (resp. recvs) start failing after
-// sendBudget (resp. recvBudget) successful operations.  If ep is tag-
-// multiplexed the wrapper is too: lane sends and tagged receives count
-// against the same budgets.
-func WithFaults(ep Endpoint, sendBudget, recvBudget int64) Endpoint {
-	f := &FaultEndpoint{Endpoint: ep, SendBudget: sendBudget, RecvBudget: recvBudget}
-	if te, ok := ep.(TaggedEndpoint); ok {
-		return &TaggedFaultEndpoint{FaultEndpoint: f, tagged: te}
-	}
-	return f
-}
-
-func (f *FaultEndpoint) fault() error {
-	if f.Err != nil {
-		return f.Err
-	}
-	return ErrInjected
-}
-
-// sendFault charges one send against the budget.
-func (f *FaultEndpoint) sendFault() error {
-	if f.SendBudget > 0 && f.sends.Add(1) > f.SendBudget {
-		return f.fault()
-	}
-	return nil
-}
-
-// recvFault charges one recv against the budget.
-func (f *FaultEndpoint) recvFault() error {
-	if f.RecvBudget > 0 && f.recvs.Add(1) > f.RecvBudget {
-		return f.fault()
-	}
-	return nil
-}
-
-// Send delegates until the send budget is exhausted, then fails.
-func (f *FaultEndpoint) Send(to int, b []byte) error {
-	if err := f.sendFault(); err != nil {
-		return err
-	}
-	return f.Endpoint.Send(to, b)
-}
-
-// Recv delegates until the recv budget is exhausted, then fails.
-func (f *FaultEndpoint) Recv(from int) ([]byte, error) {
-	if err := f.recvFault(); err != nil {
-		return nil, err
-	}
-	return f.Endpoint.Recv(from)
-}
-
-// TaggedFaultEndpoint is WithFaults over a tag-multiplexed endpoint: lane
-// views and tagged receives share the wrapper's operation budgets, so the
-// pipelined path is exercised under the same faults as the barrier path.
-type TaggedFaultEndpoint struct {
-	*FaultEndpoint
-	tagged TaggedEndpoint
-}
-
-// Lane returns a lane view whose operations count against the shared
-// fault budgets.
-func (f *TaggedFaultEndpoint) Lane(tag uint32) Endpoint {
-	return &faultLane{f: f.FaultEndpoint, lane: f.tagged.Lane(tag)}
-}
-
-// RecvTagged charges the shared recv budget, then delegates.
-func (f *TaggedFaultEndpoint) RecvTagged(from int) (uint32, []byte, error) {
-	if err := f.recvFault(); err != nil {
-		return 0, nil, err
-	}
-	return f.tagged.RecvTagged(from)
-}
-
-// faultLane is one lane's view through the shared fault budgets.
-type faultLane struct {
-	f    *FaultEndpoint
-	lane Endpoint
-}
-
-func (l *faultLane) ID() int       { return l.lane.ID() }
-func (l *faultLane) N() int        { return l.lane.N() }
-func (l *faultLane) Stats() *Stats { return l.lane.Stats() }
-func (l *faultLane) Close() error  { return l.lane.Close() }
-
-func (l *faultLane) Send(to int, b []byte) error {
-	if err := l.f.sendFault(); err != nil {
-		return err
-	}
-	return l.lane.Send(to, b)
-}
-
-func (l *faultLane) Recv(from int) ([]byte, error) {
-	if err := l.f.recvFault(); err != nil {
-		return nil, err
-	}
-	return l.lane.Recv(from)
-}
-
-// ---------------------------------------------------------------------------
-// Seeded deterministic chaos
 
 // ChaosConfig describes a deterministic fault schedule.  All probabilistic
 // decisions are drawn from one PCG stream seeded by Seed, so a fixed seed

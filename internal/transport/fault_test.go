@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -12,115 +11,109 @@ func closeAll(eps []Endpoint) {
 	}
 }
 
-func TestFaultEndpointSendBudget(t *testing.T) {
-	eps := NewMemoryNetwork(2, 4)
-	defer closeAll(eps)
-	f := WithFaults(eps[0], 2, 0)
-	if err := f.Send(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(1, []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(1, []byte("c")); err == nil {
-		t.Fatal("third send should fail")
-	} else if err != ErrInjected {
-		t.Fatalf("unexpected error %v", err)
-	}
-	// Messages sent before the fault are still deliverable.
-	for _, want := range []string{"a", "b"} {
-		got, err := eps[1].Recv(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != want {
-			t.Fatalf("got %q, want %q", got, want)
-		}
-	}
-}
-
-func TestFaultEndpointRecvBudgetAndCustomErr(t *testing.T) {
-	eps := NewMemoryNetwork(2, 4)
-	defer closeAll(eps)
-	custom := fmt.Errorf("link down")
-	f := WithFaults(eps[1], 0, 1).(*FaultEndpoint)
-	f.Err = custom
-	if err := eps[0].Send(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Recv(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Recv(0); err != custom {
-		t.Fatalf("expected custom error, got %v", err)
-	}
-}
-
-func TestFaultEndpointUnlimitedBudgets(t *testing.T) {
-	eps := NewMemoryNetwork(2, 16)
-	defer closeAll(eps)
-	f := WithFaults(eps[0], 0, 0) // zero = unlimited
-	for i := 0; i < 10; i++ {
-		if err := f.Send(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Stats and identity delegate to the wrapped endpoint.
-	if f.ID() != 0 || f.N() != 2 {
-		t.Fatal("identity not delegated")
-	}
-	if f.Stats().MsgsSent.Load() != 10 {
-		t.Fatalf("stats not delegated: %d", f.Stats().MsgsSent.Load())
-	}
-}
-
-// TestFaultEndpointTaggedLanes is the regression test for the pipelined
-// path: wrapping a tag-multiplexed endpoint must preserve the
-// TaggedEndpoint interface and charge lane traffic against the shared
-// budgets, instead of silently bypassing injection.
-func TestFaultEndpointTaggedLanes(t *testing.T) {
-	eps := NewMemoryNetwork(2, 16)
-	defer closeAll(eps)
-	mux0 := NewTagMux(eps[0])
-	mux1 := NewTagMux(eps[1])
-
-	f := WithFaults(mux0, 2, 0)
-	tf, ok := f.(TaggedEndpoint)
-	if !ok {
-		t.Fatal("WithFaults over a TagMux must stay a TaggedEndpoint")
-	}
-	lane := tf.Lane(7)
-	if err := lane.Send(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(1, []byte("b")); err != nil { // lane 0, shares the budget
-		t.Fatal(err)
-	}
-	if err := lane.Send(1, []byte("c")); err != ErrInjected {
-		t.Fatalf("third send (via lane) must hit the shared budget, got %v", err)
-	}
-	// Frames sent before the fault are deliverable with their tags intact.
-	tag, b, err := mux1.RecvTagged(0)
-	if err != nil || tag != 7 || string(b) != "a" {
-		t.Fatalf("RecvTagged = (%d, %q, %v), want (7, \"a\", nil)", tag, b, err)
-	}
-	if b, err := mux1.Recv(0); err != nil || string(b) != "b" {
-		t.Fatalf("Recv = (%q, %v)", b, err)
-	}
-
-	// Recv budgets gate tagged receives too.
-	g := WithFaults(mux1, 0, 1).(TaggedEndpoint)
-	if err := mux0.Lane(9).Send(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mux0.Lane(9).Send(1, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := g.RecvTagged(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Lane(9).Recv(0); err != ErrInjected {
-		t.Fatalf("second tagged recv must hit the shared budget, got %v", err)
+// TestChaosBudgets pins the count schedules: CrashAfterSends and
+// CrashAfterRecvs let exactly that many operations through and crash on the
+// next, frames sent before the crash stay deliverable, zero budgets never
+// fire, and over a TagMux lane sends and tagged receives count against the
+// same budgets instead of bypassing them.
+func TestChaosBudgets(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, eps []Endpoint)
+	}{
+		{"send-budget", func(t *testing.T, eps []Endpoint) {
+			c := WithChaos(eps[0], ChaosConfig{CrashAfterSends: 2})
+			for _, m := range []string{"a", "b"} {
+				if err := c.Send(1, []byte(m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Send(1, []byte("c")); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("third send: got %v, want ErrCrashed", err)
+			}
+			for _, want := range []string{"a", "b"} {
+				if got, err := eps[1].Recv(0); err != nil || string(got) != want {
+					t.Fatalf("Recv = (%q, %v), want %q", got, err, want)
+				}
+			}
+		}},
+		{"recv-budget", func(t *testing.T, eps []Endpoint) {
+			c := WithChaos(eps[1], ChaosConfig{CrashAfterRecvs: 1})
+			for _, m := range []string{"x", "y"} {
+				if err := eps[0].Send(1, []byte(m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := c.Recv(0); err != nil || string(got) != "x" {
+				t.Fatalf("first recv = (%q, %v)", got, err)
+			}
+			if _, err := c.Recv(0); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("second recv: got %v, want ErrCrashed", err)
+			}
+			if err := c.Send(0, []byte("z")); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("send after the crash: got %v, want ErrCrashed", err)
+			}
+		}},
+		{"unlimited", func(t *testing.T, eps []Endpoint) {
+			c := WithChaos(eps[0], ChaosConfig{})
+			for i := 0; i < 10; i++ {
+				if err := c.Send(1, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Stats and identity delegate to the wrapped endpoint.
+			if c.ID() != 0 || c.N() != 2 {
+				t.Fatal("identity not delegated")
+			}
+			if n := c.Stats().MsgsSent.Load(); n != 10 {
+				t.Fatalf("stats not delegated: %d", n)
+			}
+		}},
+		{"tagmux-lanes", func(t *testing.T, eps []Endpoint) {
+			mux0, mux1 := NewTagMux(eps[0]), NewTagMux(eps[1])
+			c, ok := WithChaos(mux0, ChaosConfig{CrashAfterSends: 2}).(TaggedEndpoint)
+			if !ok {
+				t.Fatal("WithChaos over a TagMux must stay a TaggedEndpoint")
+			}
+			if err := c.Lane(7).Send(1, []byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Send(1, []byte("b")); err != nil { // lane 0, shares the budget
+				t.Fatal(err)
+			}
+			if err := c.Lane(7).Send(1, []byte("c")); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("third send (via lane) must hit the shared budget, got %v", err)
+			}
+			// Frames sent before the crash arrive with their tags intact.
+			if tag, b, err := mux1.RecvTagged(0); err != nil || tag != 7 || string(b) != "a" {
+				t.Fatalf("RecvTagged = (%d, %q, %v), want (7, \"a\", nil)", tag, b, err)
+			}
+			if b, err := mux1.Recv(0); err != nil || string(b) != "b" {
+				t.Fatalf("Recv = (%q, %v)", b, err)
+			}
+			// The recv budget gates tagged receives and lane receives alike.
+			rx := NewMemoryNetwork(2, 16)
+			defer closeAll(rx)
+			tx := NewTagMux(rx[0])
+			g := WithChaos(NewTagMux(rx[1]), ChaosConfig{CrashAfterRecvs: 1}).(TaggedEndpoint)
+			for _, m := range []string{"x", "y"} {
+				if err := tx.Lane(9).Send(1, []byte(m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := g.RecvTagged(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Lane(9).Recv(0); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("second tagged recv must hit the shared budget, got %v", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := NewMemoryNetwork(2, 16)
+			defer closeAll(eps)
+			tc.run(t, eps)
+		})
 	}
 }
 
