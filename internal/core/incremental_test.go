@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -208,11 +209,14 @@ func TestIncrementalEquivalenceRF(t *testing.T) {
 	}
 }
 
-// TestIncrementalEquivalenceGBDT warm-starts a regression GBDT with one
-// extra round over the union: the trained prefix must be preserved verbatim
-// and held-out MSE must track a full retrain at the same total rounds.
-// (Regression keeps the oracle leg to one forest; the classification absorb
-// path is accuracy-gated end to end by the incremental bench in CI.)
+// TestIncrementalEquivalenceGBDT warm-starts a GBDT with one extra round over
+// the union: the trained prefix must be preserved verbatim and the held-out
+// quality must track a full retrain at the same total rounds — mean squared
+// error for regression; for classification, accuracy within 0.01 of the
+// retrain's, for the GBDT and for a DT absorbing the same rows.  The warm
+// start's and the retrain's rounds and messages are pinned in
+// testdata/counters_golden.json (they replaced BENCH_incremental.json's GBDT
+// gates), and the warm start must cost fewer rounds.
 func TestIncrementalEquivalenceGBDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round incremental equivalence runs in the nightly suite")
@@ -221,71 +225,109 @@ func TestIncrementalEquivalenceGBDT(t *testing.T) {
 	cfg.NumTrees = 2
 	cfg.LearningRate = 0.8
 	cfg.Tree.MaxDepth = 2
-	full := dataset.SyntheticRegression(88, 4, 0.1, 13)
-	base, extra := sliceDS(full, 0, 24), sliceDS(full, 24, 28)
-	union, heldout := sliceDS(full, 0, 28), sliceDS(full, 28, 88)
-	parts, err := dataset.VerticalPartition(base, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appParts, err := dataset.VerticalPartition(extra, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, bm0p := trainOn(t, parts, cfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
-	bm0 := bm0p.(*BoostModel)
-
-	upd, err := Update(s, UpdateSpec{Model: bm0, Append: appParts, AddTrees: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm1 := upd.(*BoostModel)
-	if bm1.Classes != bm0.Classes || bm1.LearningRate != bm0.LearningRate || bm1.Base != bm0.Base {
-		t.Fatalf("update changed ensemble hyperparameters")
-	}
-	if len(bm1.Forests[0]) != len(bm0.Forests[0])+1 {
-		t.Fatalf("%d rounds after +1 absorb, want %d", len(bm1.Forests[0]), len(bm0.Forests[0])+1)
-	}
-	if !reflect.DeepEqual(bm1.Forests[0][:len(bm0.Forests[0])], bm0.Forests[0]) {
-		t.Fatalf("warm start rewrote the trained prefix")
-	}
-
-	// Full retrain oracle at the same total rounds over the union.
-	unionParts, err := dataset.VerticalPartition(union, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := cfg
-	rcfg.NumTrees = 3
-	_, bmRp := trainOn(t, unionParts, rcfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
-	bmR := bmRp.(*BoostModel)
-
-	teParts, err := dataset.VerticalPartition(heldout, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mse := func(bm *BoostModel) float64 {
-		var sq float64
-		for i := 0; i < heldout.N(); i++ {
-			feat := [][]float64{teParts[0].X[i], teParts[1].X[i]}
-			sc := bm.Base
-			for _, tr := range bm.Forests[0] {
-				v, err := tr.PredictPlain(feat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc += bm.LearningRate * v
+	for _, tc := range []struct {
+		name string
+		base int // rows trained on; the next four are appended, the rest held out
+		ds   *dataset.Dataset
+	}{
+		{"regression", 24, dataset.SyntheticRegression(88, 4, 0.1, 13)},
+		{"classification", 32, dataset.SyntheticClassification(32+4+192, 4, 2, 2.0, 99)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, union := tc.base, tc.base+4
+			s, bm0p := trainOn(t, partsOf(t, tc.ds, 0, base), cfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
+			bm0 := bm0p.(*BoostModel)
+			before := s.Stats()
+			upd, err := Update(s, UpdateSpec{Model: bm0, Append: partsOf(t, tc.ds, base, union), AddTrees: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			d := sc - heldout.Y[i]
-			sq += d * d
+			warm := statsSince(s, before)
+			bm1 := upd.(*BoostModel)
+			if bm1.Classes != bm0.Classes || bm1.LearningRate != bm0.LearningRate || bm1.Base != bm0.Base {
+				t.Fatalf("update changed ensemble hyperparameters")
+			}
+			for k := range bm0.Forests {
+				if len(bm1.Forests[k]) != len(bm0.Forests[k])+1 {
+					t.Fatalf("%d rounds after +1 absorb, want %d", len(bm1.Forests[k]), len(bm0.Forests[k])+1)
+				}
+				if !reflect.DeepEqual(bm1.Forests[k][:len(bm0.Forests[k])], bm0.Forests[k]) {
+					t.Fatalf("warm start rewrote the trained prefix")
+				}
+			}
+
+			// Full retrain oracle at the same total rounds over the union.
+			rcfg := cfg
+			rcfg.NumTrees = 3
+			rs, bmR := trainOn(t, partsOf(t, tc.ds, 0, union), rcfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
+			retrain := rs.Stats()
+			checkGolden(t, "testdata/counters_golden.json", []costEntry{costOf("warm start", warm), costOf("retrain", retrain)})
+			if warm.MPC.Rounds >= retrain.MPC.Rounds {
+				t.Fatalf("warm start cost %d rounds, retrain %d", warm.MPC.Rounds, retrain.MPC.Rounds)
+			}
+
+			held := partsOf(t, tc.ds, union, tc.ds.N())
+			// heldOut is m's mean squared error (regression) or error rate
+			// (classification) over the held-out rows.
+			heldOut := func(m Predictor) float64 {
+				var loss float64
+				for i, y := range held[0].Y {
+					d := scorePlain(t, m, [][]float64{held[0].X[i], held[1].X[i]}) - y
+					if tc.ds.Classes == 0 {
+						loss += d * d
+					} else if d != 0 {
+						loss++
+					}
+				}
+				return loss / float64(len(held[0].Y))
+			}
+			warmLoss, retrainLoss := heldOut(bm1), heldOut(bmR)
+			if tc.ds.Classes == 0 {
+				if warmLoss > retrainLoss*1.5+0.01 {
+					t.Fatalf("warm-start mse %.4f vs retrain %.4f — warm start lost too much", warmLoss, retrainLoss)
+				}
+				return
+			}
+			if math.Abs(warmLoss-retrainLoss) > 0.01 {
+				t.Fatalf("held-out accuracy: warm start %.4f, retrain %.4f", 1-warmLoss, 1-retrainLoss)
+			}
+			ks, dt0 := trainKept(t, tc.ds, base, cfg, KindDT)
+			dt1, _ := absorb(t, ks, dt0, tc.ds, base, union)
+			_, dtR := trainKept(t, tc.ds, union, cfg, KindDT)
+			if a, r := 1-heldOut(dt1), 1-heldOut(dtR); math.Abs(a-r) > 0.01 {
+				t.Fatalf("held-out accuracy: DT absorb %.4f, retrain %.4f", a, r)
+			}
+		})
+	}
+}
+
+// scorePlain is a released basic model's plaintext prediction: a tree's
+// leaf; a GBDT's boosted sum for regression, the class with the highest sum
+// for classification.
+func scorePlain(t *testing.T, m Predictor, x [][]float64) float64 {
+	t.Helper()
+	bm, ok := m.(*BoostModel)
+	if !ok {
+		bm = &BoostModel{LearningRate: 1, Forests: [][]*Model{{m.(*Model)}}}
+	}
+	best, bestSum := 0, math.Inf(-1)
+	for k, forest := range bm.Forests {
+		sum := bm.Base
+		for _, tr := range forest {
+			v, err := tr.PredictPlain(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += bm.LearningRate * v
 		}
-		return sq / float64(heldout.N())
+		if bm.Classes == 0 {
+			return sum
+		}
+		if sum > bestSum {
+			best, bestSum = k, sum
+		}
 	}
-	mseWarm, mseRetrain := mse(bm1), mse(bmR)
-	if mseWarm > mseRetrain*1.5+0.01 {
-		t.Fatalf("warm-start mse %.4f vs retrain %.4f — warm start lost too much", mseWarm, mseRetrain)
-	}
+	return float64(best)
 }
 
 // TestIncrementalMatchesUnionReplay pins the kept-totals absorb to the
@@ -301,7 +343,10 @@ func TestIncrementalEquivalenceGBDT(t *testing.T) {
 // appended rows once per tree and internal node, plus the leaf conversion;
 // the union replay encrypts every row.  The last row absorbs on a session
 // that only ran AppendSamples for the first batch, as a serving lane that
-// did not run the update chain does: it falls back and still matches.
+// did not run the update chain does: it falls back and still matches.  Each
+// row's training and absorbs have their rounds and messages pinned in
+// testdata/counters_golden.json (they replaced BENCH_incremental.json's DT
+// gates), and an absorb costs at most a third of the training's rounds.
 func TestIncrementalMatchesUnionReplay(t *testing.T) {
 	const base, batch = 24, 4
 	rf := testConfig()
@@ -320,24 +365,30 @@ func TestIncrementalMatchesUnionReplay(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, m0 := trainKept(t, tc.ds, base, tc.cfg, tc.kind)
+			costs := []costEntry{costOf("train", s.Stats())}
 			bound := keptBound(m0, batch, s.M, tc.ds.Classes)
 			mdl := m0
 			for k := 1; k <= 2; k++ {
 				lo := base + (k-1)*batch
-				var enc int64
-				mdl, enc = absorb(t, s, mdl, tc.ds, lo, lo+batch)
-				if enc > bound {
-					t.Fatalf("absorb %d encrypted %d ciphertexts, the kept-totals path at most %d", k, enc, bound)
+				var cost RunStats
+				mdl, cost = absorb(t, s, mdl, tc.ds, lo, lo+batch)
+				costs = append(costs, costOf(fmt.Sprintf("absorb %d", k), cost))
+				if cost.Encryptions > bound {
+					t.Fatalf("absorb %d encrypted %d ciphertexts, the kept-totals path at most %d", k, cost.Encryptions, bound)
+				}
+				if 3*cost.MPC.Rounds > costs[0].MPCRounds {
+					t.Fatalf("absorb %d cost %d rounds, more than a third of training's %d", k, cost.MPC.Rounds, costs[0].MPCRounds)
 				}
 				twin, t0 := trainKept(t, tc.ds, base, tc.cfg, tc.kind)
-				want, wenc := absorb(t, twin, roundTrip(t, t0), tc.ds, base, base+k*batch)
-				if wenc <= bound {
-					t.Fatalf("union replay encrypted %d ciphertexts, no more than the kept-totals bound %d", wenc, bound)
+				want, wcost := absorb(t, twin, roundTrip(t, t0), tc.ds, base, base+k*batch)
+				if wcost.Encryptions <= bound {
+					t.Fatalf("union replay encrypted %d ciphertexts, no more than the kept-totals bound %d", wcost.Encryptions, bound)
 				}
 				if got, exp := saveBytes(t, mdl), saveBytes(t, want); !bytes.Equal(got, exp) {
 					t.Fatalf("absorb %d: kept totals give\n%s\nthe union replay\n%s", k, got, exp)
 				}
 			}
+			checkGolden(t, "testdata/counters_golden.json", costs)
 		})
 	}
 
@@ -355,9 +406,9 @@ func TestIncrementalMatchesUnionReplay(t *testing.T) {
 		}
 		bound := keptBound(m1, batch, s.M, cls.Classes)
 		want, _ := absorb(t, s, m1, cls, base+batch, base+2*batch)
-		got, enc := absorb(t, lane, m1, cls, base+batch, base+2*batch)
-		if enc <= bound {
-			t.Fatalf("the append-only lane encrypted %d ciphertexts, no more than the kept-totals bound %d", enc, bound)
+		got, cost := absorb(t, lane, m1, cls, base+batch, base+2*batch)
+		if cost.Encryptions <= bound {
+			t.Fatalf("the append-only lane encrypted %d ciphertexts, no more than the kept-totals bound %d", cost.Encryptions, bound)
 		}
 		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
 			t.Fatalf("append-only lane's union replay differs from the kept-totals absorb")
@@ -427,15 +478,15 @@ func trainKept(t *testing.T, ds *dataset.Dataset, n int, cfg Config, kind ModelK
 }
 
 // absorb updates mdl with rows [lo, hi) of ds and returns the refreshed
-// model and the encryptions the absorb made.
-func absorb(t *testing.T, s *Session, mdl Predictor, ds *dataset.Dataset, lo, hi int) (Predictor, int64) {
+// model and what the absorb cost.
+func absorb(t *testing.T, s *Session, mdl Predictor, ds *dataset.Dataset, lo, hi int) (Predictor, RunStats) {
 	t.Helper()
-	before := s.Stats().Encryptions
+	before := s.Stats()
 	out, err := Update(s, UpdateSpec{Model: mdl, Append: partsOf(t, ds, lo, hi)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, s.Stats().Encryptions - before
+	return out, statsSince(s, before)
 }
 
 // keptBound is the most a kept-totals absorb of rows appended rows into mdl

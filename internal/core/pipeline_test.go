@@ -136,7 +136,7 @@ func trainPipelineBoth(t *testing.T, ds *dataset.Dataset, m int, cfg Config, kin
 			}
 		}
 	}
-	checkDriverGolden(t, driven)
+	checkGolden(t, "testdata/driver_golden.json", driven)
 	bar := renderForest(&ForestModel{Trees: predictorTrees(out[0])})
 	for _, pipelined := range out[1:] {
 		if pip := renderForest(&ForestModel{Trees: predictorTrees(pipelined)}); bar != pip {
@@ -159,25 +159,55 @@ type driverEntry struct {
 	Messages  int64    `json:"messages"`
 }
 
-// checkDriverGolden holds the TCP trainings of the calling equivalence test
-// to testdata/driver_golden.json, recorded from the overlapped driver as it
+// checkGolden holds got to the entry that file records under the calling
+// test's name (subtests included) and fails the test, printing got, when
+// they differ.  testdata/driver_golden.json holds the TCP trainings of the
+// pipeline equivalence tests, recorded from the overlapped driver as it
 // stood before its overlaps were folded onto one fork primitive: the lanes
 // may reorder chains, but never add a round or a message, or grow another
-// tree.  A failure prints what this tree produces.
-func checkDriverGolden(t *testing.T, got []driverEntry) {
+// tree.  testdata/counters_golden.json holds the costEntry rows of the
+// recovery and incremental tests.
+func checkGolden[T any](t *testing.T, file string, got T) {
 	t.Helper()
-	raw, err := os.ReadFile("testdata/driver_golden.json")
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recorded map[string][]driverEntry
+	var recorded map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &recorded); err != nil {
 		t.Fatal(err)
 	}
-	if want := recorded[t.Name()]; !reflect.DeepEqual(got, want) {
-		out, _ := json.MarshalIndent(map[string][]driverEntry{t.Name(): got}, "", "  ")
-		t.Fatalf("pipelined trainings differ from the recorded ones; this tree produces:\n%s", out)
+	var want T
+	if err := json.Unmarshal(recorded[t.Name()], &want); err != nil || !reflect.DeepEqual(got, want) {
+		out, _ := json.MarshalIndent(map[string]T{t.Name(): got}, "", "  ")
+		t.Errorf("%s differs from the entry %s records; this tree produces:\n%s", t.Name(), file, out)
 	}
+}
+
+// costEntry is what one leg of a golden test cost: MPC rounds at the super
+// client and messages sent between the parties (the dealer link excluded,
+// as in every golden).
+type costEntry struct {
+	Leg          string `json:"leg"`
+	MPCRounds    int64  `json:"mpc_rounds"`
+	MessagesSent int64  `json:"messages_sent"`
+}
+
+func costOf(leg string, st RunStats) costEntry {
+	return costEntry{Leg: leg, MPCRounds: st.MPC.Rounds, MessagesSent: st.MessagesSent}
+}
+
+// statsSince is what s has counted since before: MPC rounds, messages,
+// bytes, encryptions and decryption shares.
+func statsSince(s *Session, before RunStats) RunStats {
+	now := s.Stats()
+	var d RunStats
+	d.MPC.Rounds = now.MPC.Rounds - before.MPC.Rounds
+	d.MessagesSent = now.MessagesSent - before.MessagesSent
+	d.BytesSent = now.BytesSent - before.BytesSent
+	d.Encryptions = now.Encryptions - before.Encryptions
+	d.DecShares = now.DecShares - before.DecShares
+	return d
 }
 
 func TestPipelineEquivalenceDT(t *testing.T) {

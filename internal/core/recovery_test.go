@@ -23,9 +23,9 @@ func recoveryCfg() Config {
 // crashAndResume runs train on a session with a crash armed at the given
 // chaos level mark, asserts the crash aborted the run after at least one
 // committed checkpoint, then rebuilds the federation with ResumeSession and
-// returns the recovered model.
+// returns the recovered model and what the resumed session cost.
 func crashAndResume(t *testing.T, parts []*dataset.Partition, cfg Config,
-	crashLevel int, train func(*Party) error) *RecoveredModel {
+	crashLevel int, train func(*Party) error) (*RecoveredModel, RunStats) {
 	t.Helper()
 
 	store := &CheckpointStore{}
@@ -68,14 +68,18 @@ func crashAndResume(t *testing.T, parts []*dataset.Partition, cfg Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, rs.Stats()
 }
 
 // TestRecoveryEquivalenceDT pins the tentpole guarantee: a party crashed
 // mid-level and resumed from the last checkpoint produces a decision tree
 // bit-identical to the fault-free run, on the memory network and over
 // loopback TCP (where the session overlaps).  A DP run replays the same
-// noise draws: they are dealer material, which the snapshots capture.
+// noise draws: they are dealer material, which the snapshots capture.  On
+// the memory network without DP, the fault-free run's and the resumed
+// session's rounds and messages are pinned in testdata/counters_golden.json
+// (they replaced BENCH_recovery.json's gates), and resuming must cost less
+// than retraining.
 func TestRecoveryEquivalenceDT(t *testing.T) {
 	ds := dataset.SyntheticClassification(24, 4, 2, 2.0, 5)
 	parts, err := dataset.VerticalPartition(ds, 2, 0)
@@ -85,16 +89,23 @@ func TestRecoveryEquivalenceDT(t *testing.T) {
 	for _, dp := range []*DPConfig{nil, {Epsilon: 4}} {
 		cfg := recoveryCfg()
 		cfg.DP = dp
-		oracle, _, err := TrainDecisionTree(ds, 2, cfg)
+		oracle, retrain, err := TrainDecisionTree(ds, 2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tcp := range []bool{false, true} {
 			cfg.TCPLoopback = tcp
-			res := crashAndResume(t, parts, cfg, 1, func(p *Party) error {
+			res, resume := crashAndResume(t, parts, cfg, 1, func(p *Party) error {
 				_, err := p.TrainDT()
 				return err
 			})
+			if dp == nil && !tcp {
+				checkGolden(t, "testdata/counters_golden.json", []costEntry{costOf("retrain", retrain), costOf("resume", resume)})
+				if resume.MPC.Rounds >= retrain.MPC.Rounds || resume.MessagesSent >= retrain.MessagesSent {
+					t.Fatalf("resuming cost %d rounds / %d messages, retraining %d / %d",
+						resume.MPC.Rounds, resume.MessagesSent, retrain.MPC.Rounds, retrain.MessagesSent)
+				}
+			}
 			if res.Kind != "dt" || res.DT == nil {
 				t.Fatalf("dp %v, tcp %v: recovered kind = %q", dp, tcp, res.Kind)
 			}
@@ -143,7 +154,7 @@ func TestRecoveryEquivalenceRF(t *testing.T) {
 	// tree 1, so the checkpoint must restore the RF unit context.
 	for _, tcp := range []bool{false, true} {
 		cfg.TCPLoopback = tcp
-		res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+		res, _ := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
 			_, err := p.TrainRF()
 			return err
 		})
@@ -191,7 +202,7 @@ func TestRecoveryEquivalenceGBDT(t *testing.T) {
 
 	for _, tcp := range []bool{false, true} {
 		cfg.TCPLoopback = tcp
-		res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+		res, _ := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
 			_, err := p.TrainGBDT()
 			return err
 		})
@@ -239,7 +250,7 @@ func TestRecoveryEquivalenceGBDTRegression(t *testing.T) {
 
 	for _, tcp := range []bool{false, true} {
 		cfg.TCPLoopback = tcp
-		res := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+		res, _ := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
 			_, err := p.TrainGBDT()
 			return err
 		})
@@ -272,7 +283,7 @@ func TestRecoveryChaosTCPLoopback(t *testing.T) {
 	}
 	tcfg := cfg
 	tcfg.TCPLoopback = true
-	res := crashAndResume(t, parts, tcfg, 1, func(p *Party) error {
+	res, _ := crashAndResume(t, parts, tcfg, 1, func(p *Party) error {
 		if !p.pipelined() || p.ck == nil {
 			t.Errorf("party %d: pipelined() = %v, store wired %v; want both", p.ID, p.pipelined(), p.ck != nil)
 		}
