@@ -1,11 +1,12 @@
 package pivot
 
 // One sub-benchmark per registered experiment — every table and figure of
-// the paper's evaluation (§8) and every BENCH_*.json baseline.  Each runs
-// at the bench preset (a scaled-down workload that preserves the protocol
-// shapes) and reports the headline series as custom metrics, so `go test -bench=. -benchmem` regenerates every result in one
-// command.  For full-scale sweeps use `go run ./cmd/pivot-bench -preset
-// paper`.
+// the paper's evaluation (§8).  Each runs at the bench preset (a
+// scaled-down workload that preserves the protocol shapes) and reports the
+// headline series as custom metrics, so `go test -bench=. -benchmem`
+// regenerates every result in one command.  For full-scale sweeps use
+// `go run ./cmd/pivot-bench -preset paper`; the deterministic counters are
+// pinned by internal/core's golden tests, wall-clock by `go run ./benchmark`.
 
 import (
 	"strings"
@@ -36,8 +37,7 @@ func benchPreset() experiments.Preset {
 // BenchmarkExperiment runs every registered experiment as a sub-benchmark
 // named by its id (`-bench 'Experiment/fig4a$'` regenerates Figure 4a; see
 // `pivot-bench -list` for the ids): one run per iteration, the last row's
-// series reported as metrics (seconds, or accuracy for Table 3; a baseline
-// experiment's last leg, or its whole record when it has none).
+// series reported as metrics (seconds, or accuracy for Table 3).
 func BenchmarkExperiment(b *testing.B) {
 	p := benchPreset()
 	for _, e := range experiments.Registry {
@@ -45,7 +45,7 @@ func BenchmarkExperiment(b *testing.B) {
 			var res *experiments.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				if res, _, err = e.Exec(p); err != nil {
+				if res, err = e.Exec(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,13 +1,11 @@
-// pivot-bench regenerates the paper's tables and figures and the
-// deterministic-counter baselines (BENCH_*.json); every experiment comes
-// from the one registry in internal/experiments.
+// pivot-bench regenerates the paper's tables and figures; every experiment
+// comes from the one registry in internal/experiments.
 //
 // Usage:
 //
 //	pivot-bench -exp fig4a                 # one experiment, quick preset
 //	pivot-bench -exp all                   # everything, quick preset
 //	pivot-bench -exp fig5b -preset paper   # the paper's parameters (slow!)
-//	pivot-bench -exp recovery -json BENCH_recovery.json   # counter baseline
 //	pivot-bench -list
 package main
 
@@ -21,15 +19,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// listExperiments prints every registered id, marking the baseline
-// experiments — the ones -json can write (CI's bench loop parses the mark).
+// listExperiments prints every registered id.
 func listExperiments(w io.Writer, indent string) {
 	for _, e := range experiments.Registry {
-		if e.Baseline != nil {
-			fmt.Fprintf(w, "%s%s (baseline writer)\n", indent, e.ID)
-		} else {
-			fmt.Fprintf(w, "%s%s\n", indent, e.ID)
-		}
+		fmt.Fprintf(w, "%s%s\n", indent, e.ID)
 	}
 }
 
@@ -37,7 +30,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	preset := flag.String("preset", "quick", "quick | paper")
 	list := flag.Bool("list", false, "list experiment ids")
-	jsonOut := flag.String("json", "", "write the experiment's machine-readable perf baseline (BENCH_*.json) to this file; only experiments with a baseline writer support it")
 	flag.Parse()
 
 	if *list {
@@ -78,26 +70,11 @@ func main() {
 		listExperiments(os.Stderr, "  ")
 		os.Exit(2)
 	}
-	// Figure experiments have no baseline format, so -json on them is an
-	// error instead of a silently ignored flag.
-	if *jsonOut != "" && e.Baseline == nil {
-		fmt.Fprintf(os.Stderr, "pivot-bench: experiment %q has no baseline writer for -json; see -list\n", *exp)
-		os.Exit(2)
-	}
-
-	res, rec, err := e.Exec(p)
+	res, err := e.Exec(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pivot-bench:", err)
 		os.Exit(1)
 	}
 	fmt.Println(res.Format())
-	if *jsonOut == "" {
-		fmt.Printf("done in %s\n", elapsed())
-		return
-	}
-	if err := rec.WriteFile(*jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "pivot-bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s baseline -> %s in %s\n%s\n", *exp, *jsonOut, elapsed(), rec.Summary())
+	fmt.Printf("done in %s\n", elapsed())
 }

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§8) and the deterministic-counter baselines CI pins
-// (BENCH_*.json).  Registry lists them all: a figure driver returns a Result
-// whose series mirror the lines/columns of the original plot, a baseline
-// experiment fills a Baseline record; cmd/pivot-bench prints and writes
-// them and bench_test.go runs them as Go benchmarks.
+// evaluation (§8).  Registry lists them all: each driver returns a Result
+// whose series mirror the lines/columns of the original plot;
+// cmd/pivot-bench prints them and bench_test.go runs them as Go benchmarks.
+// The deterministic counters CI pins (MPC rounds, messages, bytes) live in
+// internal/core's golden tests, and wall-clock in the repository benchmark.
 //
 // Absolute times are not comparable to the paper's cluster (see DESIGN.md),
 // so each experiment is parameterized by a Preset: Quick (laptop seconds,
@@ -14,7 +14,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -106,15 +105,6 @@ func (r *Result) Format() string {
 	sort.Strings(names)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s (unit: %s)\n", r.ID, r.Title, r.Unit)
-	if len(r.Rows) == 1 {
-		// A single point (a flat baseline record has dozens of series)
-		// reads better one series per line than as one very wide row.
-		fmt.Fprintf(&sb, "%36s  %g\n", r.XLabel, r.Rows[0].X)
-		for _, n := range names {
-			fmt.Fprintf(&sb, "%36s  %s\n", n, strconv.FormatFloat(r.Rows[0].Series[n], 'f', -1, 64))
-		}
-		return sb.String()
-	}
 	fmt.Fprintf(&sb, "%12s", r.XLabel)
 	for _, n := range names {
 		fmt.Fprintf(&sb, "  %22s", n)
@@ -156,11 +146,6 @@ func synth(p Preset, m int) *dataset.Dataset {
 // ds and reports the model, the session's aggregate stats (bring-up
 // handshakes included) and the wall time of the training phase alone.
 func trainKind(ds *dataset.Dataset, m int, cfg core.Config, kind core.ModelKind) (core.Predictor, core.RunStats, float64, error) {
-	return trainSpec(ds, m, cfg, core.TrainSpec{Model: kind})
-}
-
-// trainSpec is trainKind for a full TrainSpec (the per-node oracle legs).
-func trainSpec(ds *dataset.Dataset, m int, cfg core.Config, spec core.TrainSpec) (core.Predictor, core.RunStats, float64, error) {
 	parts, err := dataset.VerticalPartition(ds, m, 0)
 	if err != nil {
 		return nil, core.RunStats{}, 0, err
@@ -171,64 +156,12 @@ func trainSpec(ds *dataset.Dataset, m int, cfg core.Config, spec core.TrainSpec)
 	}
 	defer s.Close()
 	start := time.Now()
-	mdl, err := core.Train(s, spec)
+	mdl, err := core.Train(s, core.TrainSpec{Model: kind})
 	secs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, core.RunStats{}, 0, err
 	}
 	return mdl, s.Stats(), secs, nil
-}
-
-// render flattens every tree of a trained model for equivalence checks.
-func render(mdl core.Predictor) string {
-	var trees []*core.Model
-	switch m := mdl.(type) {
-	case *core.Model:
-		trees = []*core.Model{m}
-	case *core.ForestModel:
-		trees = m.Trees
-	case *core.BoostModel:
-		for _, forest := range m.Forests {
-			trees = append(trees, forest...)
-		}
-	}
-	out := ""
-	for _, t := range trees {
-		out += t.String() + "\n"
-	}
-	return out
-}
-
-// ratio is a/b, or 0 when b is not positive (an empty leg).
-func ratio(a, b float64) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return a / b
-}
-
-// msOf is d in (fractional) milliseconds, the unit of the *_ms keys.
-func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// flatRows rebuilds the first n samples as flat global-column rows, the way
-// the serving wire carries them.
-func flatRows(parts []*dataset.Partition, n int) [][]float64 {
-	width := 0
-	for _, pt := range parts {
-		for _, f := range pt.Features {
-			width = max(width, f+1)
-		}
-	}
-	rows := make([][]float64, n)
-	for t := range rows {
-		rows[t] = make([]float64, width)
-		for _, pt := range parts {
-			for j, f := range pt.Features {
-				rows[t][f] = pt.X[t][j]
-			}
-		}
-	}
-	return rows
 }
 
 // variants are the four lines of Figure 4a-4e.

@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"reflect"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -153,29 +148,6 @@ func TestTable3ProducesAllSixColumns(t *testing.T) {
 	}
 }
 
-func TestRecoveryBenchResumesCheaper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash/recovery bench")
-	}
-	// Quick, not tiny: the armed crash must land inside a level that the
-	// last checkpoint precedes, which needs the full H=3 tree.
-	e, _ := Lookup("recovery")
-	b, err := e.Baseline(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Bool("model_match") {
-		t.Fatal("resumed model differs from the fault-free oracle")
-	}
-	resume, retrain := b.Int("resume_mpc_rounds"), b.Int("retrain_mpc_rounds")
-	if resume <= 0 || resume >= retrain {
-		t.Fatalf("resume rounds %d vs retrain %d: resuming must do less work", resume, retrain)
-	}
-	if resume, retrain := b.Int("resume_msgs_sent"), b.Int("retrain_msgs_sent"); resume >= retrain {
-		t.Fatalf("resume msgs %d vs retrain %d", resume, retrain)
-	}
-}
-
 func TestFormatRendersAllSeries(t *testing.T) {
 	r := &Result{ID: "x", Title: "demo", XLabel: "n", Unit: "s",
 		Rows: []Row{{X: 1, Series: map[string]float64{"a": 0.5, "b": 1.5}}}}
@@ -196,35 +168,17 @@ func TestPresetsAreComplete(t *testing.T) {
 }
 
 // TestRegistry pins the one list every consumer reads: ids are unique,
-// exactly one of Run/Baseline is set, the committed BENCH_<id>.json files
-// and the registered baseline experiments are the same set, and All visits
-// every entry (counted with stubs, not by running the slow ones).
+// every entry has a Run, and All visits every entry (counted with stubs,
+// not by running the slow ones).
 func TestRegistry(t *testing.T) {
 	seen := map[string]bool{}
-	baselines := map[string]bool{}
 	for _, e := range Registry {
 		if seen[e.ID] {
 			t.Errorf("experiment %q registered twice", e.ID)
 		}
 		seen[e.ID] = true
-		if (e.Run == nil) == (e.Baseline == nil) {
-			t.Errorf("experiment %q must set exactly one of Run and Baseline", e.ID)
-		}
-		if e.Baseline != nil {
-			baselines[e.ID] = true
-			if _, err := os.Stat(filepath.Join("..", "..", "BENCH_"+e.ID+".json")); err != nil {
-				t.Errorf("baseline experiment %q has no committed file: %v", e.ID, err)
-			}
-		}
-	}
-	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no committed baselines found: %v", err)
-	}
-	for _, f := range files {
-		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
-		if !baselines[id] {
-			t.Errorf("%s names no registered baseline experiment", filepath.Base(f))
+		if e.Run == nil {
+			t.Errorf("experiment %q has no Run", e.ID)
 		}
 	}
 
@@ -233,12 +187,8 @@ func TestRegistry(t *testing.T) {
 	visits := 0
 	Registry = make([]Experiment, len(saved))
 	for i, e := range saved {
-		Registry[i] = Experiment{ID: e.ID, Title: e.Title}
-		if e.Run != nil {
-			Registry[i].Run = func(Preset) (*Result, error) { visits++; return &Result{}, nil }
-		} else {
-			Registry[i].Baseline = func(Preset) (*Baseline, error) { visits++; return &Baseline{}, nil }
-		}
+		Registry[i] = Experiment{ID: e.ID, Title: e.Title,
+			Run: func(Preset) (*Result, error) { visits++; return &Result{}, nil }}
 	}
 	results, err := All(Quick())
 	if err != nil || len(results) != len(saved) || visits != len(saved) {
@@ -248,108 +198,5 @@ func TestRegistry(t *testing.T) {
 		if r.ID != saved[i].ID || r.Title != saved[i].Title {
 			t.Errorf("result %d is %q (%q), want %q", i, r.ID, r.Title, saved[i].ID)
 		}
-	}
-}
-
-// TestBaselinesCarryNoClock keeps wall-clock out of the committed
-// baselines: the repository benchmark (benchmark/, BENCHMARK.json) measures
-// time end to end and per layer, so a BENCH_*.json key that names seconds,
-// a speedup, a throughput or an ops/s rate would be a second, ungated clock.
-// The one exception is the pipeline legs' pipelined_seconds and
-// pipelined_wire_wait_seconds: the overlapped driver's only wall-clock
-// evidence until a same-wire barrier run is recorded beside them.
-func TestBaselinesCarryNoClock(t *testing.T) {
-	pipelineClock := regexp.MustCompile(`^legs\[\d+\]\.pipelined_\w*seconds$`)
-	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no committed baselines found: %v", err)
-	}
-	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec any
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		name := filepath.Base(f)
-		for _, l := range Flatten(rec) {
-			if name == "BENCH_pipeline.json" && pipelineClock.MatchString(l.Path) {
-				continue
-			}
-			for _, clock := range []string{"seconds", "speedup", "throughput", "ops_per_sec"} {
-				if strings.Contains(l.Path, clock) {
-					t.Errorf("%s: %s is a wall-clock key; the repository benchmark measures time", name, l.Path)
-				}
-			}
-		}
-	}
-}
-
-// TestBaselineRecord pins the record type against the committed files'
-// shape: insertion-ordered keys, nested records and arrays, gates last,
-// and the flattened paths of the marshalled JSON equal to the record's own.
-func TestBaselineRecord(t *testing.T) {
-	leg := func(ms float64, rounds int64) *Baseline {
-		l := &Baseline{}
-		l.Set("delay_ms", ms)
-		l.Set("pipelined_mpc_rounds", rounds)
-		l.Set("trees_identical", true)
-		return l
-	}
-	kill := &Baseline{}
-	kill.Set("requeued", int64(3))
-	b := &Baseline{}
-	b.Set("key_bits", 256)
-	b.Set("transport", "memory")
-	b.Set("wall_speedup", 0.0) // placeholder: a later Set keeps the position
-	b.Set("legs", []*Baseline{leg(2, 12224), leg(10, 12225)})
-	b.Set("kill", kill)
-	b.Set("wall_speedup", 1.5)
-	b.Gate("legs[1].pipelined_mpc_rounds")
-
-	out, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"key_bits":256,"transport":"memory","wall_speedup":1.5,` +
-		`"legs":[{"delay_ms":2,"pipelined_mpc_rounds":12224,"trees_identical":true},` +
-		`{"delay_ms":10,"pipelined_mpc_rounds":12225,"trees_identical":true}],` +
-		`"kill":{"requeued":3},"gates":{"require":["legs[1].pipelined_mpc_rounds"]}}`
-	if string(out) != want {
-		t.Fatalf("marshalled record:\n got %s\nwant %s", out, want)
-	}
-	if got := b.Int("legs[1].pipelined_mpc_rounds"); got != 12225 {
-		t.Fatalf("lookup by dotted path = %d", got)
-	}
-	if !b.Bool("legs[0].trees_identical") || b.Bool("legs[0].absent") || b.Int("kill.requeued") != 3 {
-		t.Fatal("typed lookups disagree with the record")
-	}
-
-	// One flattening rule: the record and its decoded JSON yield the same paths.
-	var decoded any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	paths := func(leaves []Leaf) map[string]bool {
-		m := map[string]bool{}
-		for _, l := range leaves {
-			m[l.Path] = true
-		}
-		return m
-	}
-	if got, want := paths(Flatten(b)), paths(Flatten(decoded)); !reflect.DeepEqual(got, want) || len(got) != 11 {
-		t.Fatalf("flattened paths differ:\nrecord %v\n  json %v", got, want)
-	}
-
-	if s := b.Summary(); s != "legs[0].pipelined_mpc_rounds=12224, legs[0].trees_identical=true, "+
-		"legs[1].pipelined_mpc_rounds=12225, legs[1].trees_identical=true" {
-		t.Fatalf("summary = %q", s)
-	}
-	tab := b.Table()
-	if tab.XLabel != "delay_ms" || len(tab.Rows) != 2 || tab.Rows[1].X != 10 ||
-		tab.Rows[1].Series["pipelined_mpc_rounds"] != 12225 || tab.Rows[0].Series["trees_identical"] != 1 {
-		t.Fatalf("derived table: %+v", tab)
 	}
 }

@@ -2,21 +2,17 @@ package experiments
 
 import "fmt"
 
-// Experiment is one entry of the evaluation.  Exactly one of Run and
-// Baseline is set: Run regenerates a paper table, figure or ablation;
-// Baseline fills the record committed as BENCH_<ID>.json, from which the
-// experiment's table is derived (Baseline.Table).
+// Experiment is one entry of the evaluation: Run regenerates a paper table,
+// figure or ablation.
 type Experiment struct {
-	ID       string
-	Title    string
-	Run      func(Preset) (*Result, error)
-	Baseline func(Preset) (*Baseline, error)
+	ID    string
+	Title string
+	Run   func(Preset) (*Result, error)
 }
 
 // Registry is every experiment, in the order `pivot-bench -exp all` runs
-// them.  It is the only list: -exp, -list, -json, go test -bench and CI's
-// baseline loop all read it, so registering an experiment here (and, for a
-// baseline experiment, committing its BENCH_<ID>.json) is all it takes.
+// them.  It is the only list: -exp, -list and go test -bench all read it,
+// so registering an experiment here is all it takes.
 var Registry = []Experiment{
 	{ID: "table2", Title: "cost model: predicted vs measured training time", Run: Table2},
 	{ID: "table3", Title: "model accuracy vs non-private baselines", Run: Table3},
@@ -36,13 +32,6 @@ var Registry = []Experiment{
 	{ID: "ablation-criterion", Title: "gini vs entropy split criterion", Run: AblationCriterion},
 	{ID: "psi", Title: "initialization: PSI alignment time", Run: PSIAlignment},
 	{ID: "phases", Title: "per-phase training time", Run: PhaseBreakdown},
-	{ID: "levelwise", Title: "per-node vs level-wise training (depth-4 tree)", Baseline: levelwiseBaseline},
-	{ID: "predict", Title: "per-sample vs batched prediction (enhanced protocol)", Baseline: predictBaseline},
-	{ID: "servescale", Title: "sharded serving: per-lane batch cost + lane-kill failover (2ms WAN)", Baseline: serveScaleBaseline},
-	{ID: "update", Title: "per-node vs level-wise model update (depth-4 multi-class GBDT)", Baseline: updateBaseline},
-	{ID: "pipeline", Title: "barrier vs pipelined level execution (random forest, simulated WAN)", Baseline: pipelineBaseline},
-	{ID: "recovery", Title: "crash-at-level resume vs retrain (decision tree)", Baseline: recoveryBaseline},
-	{ID: "incremental", Title: "absorb +10% data vs full retrain", Baseline: incrementalBaseline},
 }
 
 // Lookup finds a registered experiment by id.
@@ -55,26 +44,14 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Exec runs the experiment and returns its table; a baseline experiment
-// also returns the record the table was derived from.
-func (e Experiment) Exec(p Preset) (*Result, *Baseline, error) {
-	var (
-		res *Result
-		rec *Baseline
-		err error
-	)
-	if e.Baseline != nil {
-		if rec, err = e.Baseline(p); err == nil {
-			res = rec.Table()
-		}
-	} else {
-		res, err = e.Run(p)
-	}
+// Exec runs the experiment and returns its table.
+func (e Experiment) Exec(p Preset) (*Result, error) {
+	res, err := e.Run(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", e.ID, err)
+		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
 	res.ID, res.Title = e.ID, e.Title
-	return res, rec, nil
+	return res, nil
 }
 
 // All runs every registered experiment (cmd/pivot-bench -exp all); on an
@@ -82,7 +59,7 @@ func (e Experiment) Exec(p Preset) (*Result, *Baseline, error) {
 func All(p Preset) ([]*Result, error) {
 	var out []*Result
 	for _, e := range Registry {
-		res, _, err := e.Exec(p)
+		res, err := e.Exec(p)
 		if err != nil {
 			return out, err
 		}
