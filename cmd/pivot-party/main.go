@@ -54,6 +54,19 @@ func main() {
 	resumeTimeout := flag.Duration("resume-timeout", 0, "how long a broken -reconnect wire keeps redialing before failing terminally (0 = 10s default)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "per-peer dial bound during mesh bring-up and redials (0 = 15s default)")
 	flag.Parse()
+	if *role != "client" && *role != "dealer" {
+		fmt.Fprintf(os.Stderr, "pivot-party: unknown role %q (client | dealer)\n", *role)
+		os.Exit(2)
+	}
+	proto := core.Basic
+	switch *protocol {
+	case "basic":
+	case "enhanced":
+		proto = core.Enhanced
+	default:
+		fmt.Fprintf(os.Stderr, "pivot-party: unknown protocol %q (basic | enhanced)\n", *protocol)
+		os.Exit(2)
+	}
 
 	addrList := strings.Split(*addrs, ",")
 	if len(addrList) < 3 {
@@ -143,9 +156,7 @@ func main() {
 	cfg.KeyBits = *keyBits
 	cfg.Seed = *seed
 	cfg.Tree = core.TreeHyper{MaxDepth: *depth, MaxSplits: *splits, MinSamplesSplit: 2, LeafOnZeroGain: true}
-	if *protocol == "enhanced" {
-		cfg.Protocol = core.Enhanced
-	}
+	cfg.Protocol = proto
 
 	// Standalone parties own their key copy, so each enables its own
 	// randomness pool (in-process sessions share one via core.NewSession).

@@ -66,6 +66,15 @@ func main() {
 	auth := flag.String("auth", "", "shared auth token clients must present (pair with TLS off-loopback)")
 	stateDir := flag.String("state-dir", "", "journal the model registry here and reload it on boot")
 	flag.Parse()
+	proto := pivot.Basic
+	switch *protocol {
+	case "basic":
+	case "enhanced":
+		proto = pivot.Enhanced
+	default:
+		fmt.Fprintf(os.Stderr, "pivot-serve: unknown protocol %q (basic | enhanced)\n", *protocol)
+		os.Exit(2)
+	}
 
 	var ds *pivot.Dataset
 	var err error
@@ -86,9 +95,7 @@ func main() {
 	cfg.Tree.MaxDepth = *depth
 	cfg.Tree.MaxSplits = *splits
 	cfg.NumTrees = *trees
-	if *protocol == "enhanced" {
-		cfg.Protocol = pivot.Enhanced
-	}
+	cfg.Protocol = proto
 
 	// The persistence store is opened further down (it needs the registry);
 	// the journal closure reads it at call time, so version bumps from

@@ -44,6 +44,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pivot-train: -data is required")
 		os.Exit(2)
 	}
+	proto := pivot.Basic
+	switch *protocol {
+	case "basic":
+	case "enhanced":
+		proto = pivot.Enhanced
+	default:
+		fmt.Fprintf(os.Stderr, "pivot-train: unknown protocol %q (basic | enhanced)\n", *protocol)
+		os.Exit(2)
+	}
 	ds, err := pivot.LoadCSVFile(*dataPath, *classes)
 	if err != nil {
 		fail(err)
@@ -55,9 +64,7 @@ func main() {
 	cfg.Malicious = *malicious
 	cfg.NumTrees = *trees
 	cfg.Tree = pivot.TreeHyper{MaxDepth: *depth, MaxSplits: *splits, MinSamplesSplit: 2, LeafOnZeroGain: true}
-	if *protocol == "enhanced" {
-		cfg.Protocol = pivot.Enhanced
-	}
+	cfg.Protocol = proto
 	switch *hide {
 	case "threshold":
 		cfg.Hide = pivot.HideThreshold
