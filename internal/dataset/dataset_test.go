@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -171,6 +172,45 @@ func TestLoadCSVErrors(t *testing.T) {
 	if _, err := LoadCSV(bytes.NewBufferString("h1,label\nx,1\n"), 0); err == nil {
 		t.Error("expected error: non-numeric")
 	}
+}
+
+// FuzzLoadCSV feeds arbitrary bytes to LoadCSV, the loader behind every
+// command's -data file.  It must never panic; whatever it accepts must be
+// rectangular — one name per feature column, every row that wide, one label
+// per row — and survive SaveCSV → LoadCSV unchanged (NaN included).
+func FuzzLoadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, err := LoadCSV(bytes.NewReader(data), 2)
+		if err != nil {
+			return
+		}
+		d := len(ds.Names)
+		if d < 1 || ds.N() < 1 || len(ds.Y) != ds.N() {
+			t.Fatalf("accepted %d names, %d rows, %d labels", d, ds.N(), len(ds.Y))
+		}
+		for i, row := range ds.X {
+			if len(row) != d {
+				t.Fatalf("row %d has %d values, the header names %d", i, len(row), d)
+			}
+		}
+		var buf bytes.Buffer
+		if err := SaveCSV(ds, &buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadCSV(&buf, 2)
+		if err != nil {
+			t.Fatalf("saved dataset does not load: %v\n%q", err, buf.Bytes())
+		}
+		// Bit equality, so that a NaN equals itself.
+		same := func(a, b []float64) bool {
+			return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		}
+		ok := back.Classes == ds.Classes && slices.Equal(back.Names, ds.Names) && same(back.Y, ds.Y) &&
+			slices.EqualFunc(back.X, ds.X, same)
+		if !ok {
+			t.Fatalf("round trip changed the dataset:\n%+v\n%+v", ds, back)
+		}
+	})
 }
 
 func TestTableThreeStandInShapes(t *testing.T) {
