@@ -209,95 +209,103 @@ func TestIncrementalEquivalenceRF(t *testing.T) {
 	}
 }
 
-// TestIncrementalEquivalenceGBDT warm-starts a GBDT with one extra round over
-// the union: the trained prefix must be preserved verbatim and the held-out
-// quality must track a full retrain at the same total rounds — mean squared
-// error for regression; for classification, accuracy within 0.01 of the
-// retrain's, for the GBDT and for a DT absorbing the same rows.  The warm
-// start's and the retrain's rounds and messages are pinned in
-// testdata/counters_golden.json (they replaced BENCH_incremental.json's GBDT
-// gates), and the warm start must cost fewer rounds.
+// TestIncrementalEquivalenceGBDT warm-starts a GBDT with one extra round
+// over the union: the trained prefix must be preserved verbatim and the
+// held-out quality must track a full retrain at the same total rounds — MSE
+// for regression; for classification, accuracy within 0.01 of the retrain's,
+// for the GBDT and for a DT absorbing the same rows.  The warm start's and
+// the retrain's rounds and messages are pinned in
+// testdata/counters_golden.json, and the warm start must cost fewer rounds.
 func TestIncrementalEquivalenceGBDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round incremental equivalence runs in the nightly suite")
 	}
+	t.Run("regression", func(t *testing.T) { warmStartGBDT(t, dataset.SyntheticRegression(88, 4, 0.1, 13), 24) })
+	t.Run("classification", func(t *testing.T) { warmStartGBDT(t, dataset.SyntheticClassification(228, 4, 2, 2.0, 99), 32) })
+}
+
+// warmStartGBDT trains on full's first n rows, absorbs the next four and
+// holds out the rest.
+func warmStartGBDT(t *testing.T, full *dataset.Dataset, n int) {
 	cfg := testConfig()
 	cfg.NumTrees = 2
 	cfg.LearningRate = 0.8
 	cfg.Tree.MaxDepth = 2
-	for _, tc := range []struct {
-		name string
-		base int // rows trained on; the next four are appended, the rest held out
-		ds   *dataset.Dataset
-	}{
-		{"regression", 24, dataset.SyntheticRegression(88, 4, 0.1, 13)},
-		{"classification", 32, dataset.SyntheticClassification(32+4+192, 4, 2, 2.0, 99)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base, union := tc.base, tc.base+4
-			s, bm0p := trainOn(t, partsOf(t, tc.ds, 0, base), cfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
-			bm0 := bm0p.(*BoostModel)
-			before := s.Stats()
-			upd, err := Update(s, UpdateSpec{Model: bm0, Append: partsOf(t, tc.ds, base, union), AddTrees: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm := statsSince(s, before)
-			bm1 := upd.(*BoostModel)
-			if bm1.Classes != bm0.Classes || bm1.LearningRate != bm0.LearningRate || bm1.Base != bm0.Base {
-				t.Fatalf("update changed ensemble hyperparameters")
-			}
-			for k := range bm0.Forests {
-				if len(bm1.Forests[k]) != len(bm0.Forests[k])+1 {
-					t.Fatalf("%d rounds after +1 absorb, want %d", len(bm1.Forests[k]), len(bm0.Forests[k])+1)
-				}
-				if !reflect.DeepEqual(bm1.Forests[k][:len(bm0.Forests[k])], bm0.Forests[k]) {
-					t.Fatalf("warm start rewrote the trained prefix")
-				}
-			}
+	base, extra := sliceDS(full, 0, n), sliceDS(full, n, n+4)
+	union, heldout := sliceDS(full, 0, n+4), sliceDS(full, n+4, full.N())
+	parts, err := dataset.VerticalPartition(base, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appParts, err := dataset.VerticalPartition(extra, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			// Full retrain oracle at the same total rounds over the union.
-			rcfg := cfg
-			rcfg.NumTrees = 3
-			rs, bmR := trainOn(t, partsOf(t, tc.ds, 0, union), rcfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
-			retrain := rs.Stats()
-			checkGolden(t, "testdata/counters_golden.json", []costEntry{costOf("warm start", warm), costOf("retrain", retrain)})
-			if warm.MPC.Rounds >= retrain.MPC.Rounds {
-				t.Fatalf("warm start cost %d rounds, retrain %d", warm.MPC.Rounds, retrain.MPC.Rounds)
-			}
+	s, bm0p := trainOn(t, parts, cfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
+	bm0 := bm0p.(*BoostModel)
 
-			held := partsOf(t, tc.ds, union, tc.ds.N())
-			// heldOut is m's mean squared error (regression) or error rate
-			// (classification) over the held-out rows.
-			heldOut := func(m Predictor) float64 {
-				var loss float64
-				for i, y := range held[0].Y {
-					d := scorePlain(t, m, [][]float64{held[0].X[i], held[1].X[i]}) - y
-					if tc.ds.Classes == 0 {
-						loss += d * d
-					} else if d != 0 {
-						loss++
-					}
-				}
-				return loss / float64(len(held[0].Y))
+	before := s.Stats()
+	upd, err := Update(s, UpdateSpec{Model: bm0, Append: appParts, AddTrees: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := statsSince(s, before)
+	bm1 := upd.(*BoostModel)
+	if bm1.Classes != bm0.Classes || bm1.LearningRate != bm0.LearningRate || bm1.Base != bm0.Base {
+		t.Fatalf("update changed ensemble hyperparameters")
+	}
+	if len(bm1.Forests[0]) != len(bm0.Forests[0])+1 {
+		t.Fatalf("%d rounds after +1 absorb, want %d", len(bm1.Forests[0]), len(bm0.Forests[0])+1)
+	}
+	if !reflect.DeepEqual(bm1.Forests[0][:len(bm0.Forests[0])], bm0.Forests[0]) {
+		t.Fatalf("warm start rewrote the trained prefix")
+	}
+
+	// Full retrain oracle at the same total rounds over the union.
+	unionParts, err := dataset.VerticalPartition(union, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.NumTrees = 3
+	rs, bmR := trainOn(t, unionParts, rcfg, func(p *Party) (Predictor, error) { return p.TrainGBDT() })
+	checkGolden(t, "testdata/counters_golden.json", []costEntry{costOf("warm start", warm), costOf("retrain", rs.Stats())})
+	if warm.MPC.Rounds >= rs.Stats().MPC.Rounds {
+		t.Fatalf("warm start cost %d rounds, retrain %d", warm.MPC.Rounds, rs.Stats().MPC.Rounds)
+	}
+
+	teParts, err := dataset.VerticalPartition(heldout, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// loss is the MSE (regression) or error rate (classification) on heldout.
+	loss := func(m Predictor) float64 {
+		var sq float64
+		for i := 0; i < heldout.N(); i++ {
+			feat := [][]float64{teParts[0].X[i], teParts[1].X[i]}
+			d := scorePlain(t, m, feat) - heldout.Y[i]
+			if full.Classes > 0 && d != 0 {
+				d = 1
 			}
-			warmLoss, retrainLoss := heldOut(bm1), heldOut(bmR)
-			if tc.ds.Classes == 0 {
-				if warmLoss > retrainLoss*1.5+0.01 {
-					t.Fatalf("warm-start mse %.4f vs retrain %.4f — warm start lost too much", warmLoss, retrainLoss)
-				}
-				return
-			}
-			if math.Abs(warmLoss-retrainLoss) > 0.01 {
-				t.Fatalf("held-out accuracy: warm start %.4f, retrain %.4f", 1-warmLoss, 1-retrainLoss)
-			}
-			ks, dt0 := trainKept(t, tc.ds, base, cfg, KindDT)
-			dt1, _ := absorb(t, ks, dt0, tc.ds, base, union)
-			_, dtR := trainKept(t, tc.ds, union, cfg, KindDT)
-			if a, r := 1-heldOut(dt1), 1-heldOut(dtR); math.Abs(a-r) > 0.01 {
-				t.Fatalf("held-out accuracy: DT absorb %.4f, retrain %.4f", a, r)
-			}
-		})
+			sq += d * d
+		}
+		return sq / float64(heldout.N())
+	}
+	mseWarm, mseRetrain := loss(bm1), loss(bmR)
+	if full.Classes == 0 {
+		if mseWarm > mseRetrain*1.5+0.01 {
+			t.Fatalf("warm-start mse %.4f vs retrain %.4f — warm start lost too much", mseWarm, mseRetrain)
+		}
+		return
+	}
+	ks, dt0 := trainKept(t, full, n, cfg, KindDT)
+	dt1, _ := absorb(t, ks, dt0, full, n, n+4)
+	_, dtR := trainKept(t, full, n+4, cfg, KindDT)
+	for _, c := range [][2]float64{{mseWarm, mseRetrain}, {loss(dt1), loss(dtR)}} {
+		if math.Abs(c[0]-c[1]) > 0.01 {
+			t.Fatalf("held-out accuracy: absorb %.4f, retrain %.4f (GBDT, then DT)", 1-c[0], 1-c[1])
+		}
 	}
 }
 
@@ -345,8 +353,8 @@ func scorePlain(t *testing.T, m Predictor, x [][]float64) float64 {
 // that only ran AppendSamples for the first batch, as a serving lane that
 // did not run the update chain does: it falls back and still matches.  Each
 // row's training and absorbs have their rounds and messages pinned in
-// testdata/counters_golden.json (they replaced BENCH_incremental.json's DT
-// gates), and an absorb costs at most a third of the training's rounds.
+// testdata/counters_golden.json, and an absorb costs at most a third of the
+// training's rounds.
 func TestIncrementalMatchesUnionReplay(t *testing.T) {
 	const base, batch = 24, 4
 	rf := testConfig()

@@ -126,11 +126,9 @@ import (
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC
 // rounds; its node order is breadth-first, so Nodes is not compared.  That
-// leg's own costs are the levelwise_* columns, recorded from the level-wise
-// schedule when they replaced BENCH_levelwise.json's and BENCH_update.json's
-// ±10 % gates: MPC rounds and messages exactly, bytes within ±10 % either
-// way (minimal-length encodings of random ciphertexts move them by a few
-// bytes a run).  DP noise is drawn in a different order there, so that leg
+// leg's own costs are the levelwise_* columns: MPC rounds and messages
+// exactly, bytes within ±10 % either way (minimal-length encodings of random
+// ciphertexts move them by a few bytes a run).  DP noise is drawn in a different order there, so that leg
 // skips the dp variant; TestDPDeterministic holds it to growing the same
 // tree twice.
 
@@ -356,8 +354,8 @@ func TestPerNodeScheduleGolden(t *testing.T) {
 		if g.MPCRounds >= w.MPCRounds {
 			t.Errorf("%s level-wise: %d MPC rounds, not below the per-node %d", v.name, g.MPCRounds, w.MPCRounds)
 		}
-		if g.MPCRounds != w.LevelwiseMPCRounds || g.MessagesSent != w.LevelwiseMessagesSent ||
-			!within10(g.BytesSent, w.LevelwiseBytesSent) {
+		if d := g.BytesSent - w.LevelwiseBytesSent; g.MPCRounds != w.LevelwiseMPCRounds ||
+			g.MessagesSent != w.LevelwiseMessagesSent || 10*max(d, -d) > w.LevelwiseBytesSent {
 			t.Errorf("%s level-wise: %d rounds / %d messages / %d bytes, recorded %d / %d / %d (bytes ±10%%)", v.name,
 				g.MPCRounds, g.MessagesSent, g.BytesSent, w.LevelwiseMPCRounds, w.LevelwiseMessagesSent, w.LevelwiseBytesSent)
 		}
@@ -366,12 +364,6 @@ func TestPerNodeScheduleGolden(t *testing.T) {
 		out, _ := json.MarshalIndent(got, "", "  ")
 		t.Logf("this tree produces:\n%s", out)
 	}
-}
-
-// within10 reports whether got is within ±10 % of the recorded want: the
-// bound for a counter that moves a little from run to run.
-func within10(got, want int64) bool {
-	return 10*got >= 9*want && 10*got <= 11*want
 }
 
 // TestDPDeterministic pins what lets a recorded DP entry exist at all, and

@@ -159,14 +159,12 @@ type driverEntry struct {
 	Messages  int64    `json:"messages"`
 }
 
-// checkGolden holds got to the entry that file records under the calling
-// test's name (subtests included) and fails the test, printing got, when
-// they differ.  testdata/driver_golden.json holds the TCP trainings of the
-// pipeline equivalence tests, recorded from the overlapped driver as it
-// stood before its overlaps were folded onto one fork primitive: the lanes
+// checkGolden fails the test, printing got, unless got equals what file
+// records under the test's name.  testdata/driver_golden.json holds the TCP
+// trainings of the pipeline equivalence tests, recorded from the overlapped
+// driver before its overlaps were folded onto one fork primitive: the lanes
 // may reorder chains, but never add a round or a message, or grow another
-// tree.  testdata/counters_golden.json holds the costEntry rows of the
-// recovery and incremental tests.
+// tree.  testdata/counters_golden.json holds costEntry rows.
 func checkGolden[T any](t *testing.T, file string, got T) {
 	t.Helper()
 	raw, err := os.ReadFile(file)
@@ -198,13 +196,12 @@ func costOf(leg string, st RunStats) costEntry {
 }
 
 // statsSince is what s has counted since before: MPC rounds, messages,
-// bytes, encryptions and decryption shares.
+// encryptions and decryption shares.
 func statsSince(s *Session, before RunStats) RunStats {
 	now := s.Stats()
 	var d RunStats
 	d.MPC.Rounds = now.MPC.Rounds - before.MPC.Rounds
 	d.MessagesSent = now.MessagesSent - before.MessagesSent
-	d.BytesSent = now.BytesSent - before.BytesSent
 	d.Encryptions = now.Encryptions - before.Encryptions
 	d.DecShares = now.DecShares - before.DecShares
 	return d

@@ -21,25 +21,10 @@ import (
 // and the window-one schedule, the paper's, may send no more messages.
 //
 // The other window-one counters are pinned exactly, as are the one-batch
-// driver's rounds and messages (batch_* columns, which replaced
-// BENCH_servescale.json's per-batch message gate): three runs of the one
-// body agreed on each.  Its rounds, encryptions and decryption shares were
-// re-recorded from the body when the pins became exact; where they had
-// fallen below the per-sample bodies' figures (old → new):
-//
-//	entry                    rounds       enc          dec
-//	basic-classification     =            208 → 80     =
-//	basic-regression         =            208 → 80     =
-//	enhanced-hide-threshold  416 → 272    =            =
-//	enhanced-hide-feature    368 → 256    =            =
-//	enhanced-hide-client     368 → 256    =            =
-//	enhanced-regression      416 → 272    =            =
-//	malicious-basic          =            208 → 80     =
-//	malicious-enhanced       482 → 338    14 → 6       14 → 6
-//	rf-classification        304 → 208    352 → 128    =
-//	rf-regression            =            416 → 144    =
-//	gbdt-classification      =            720 → 240    =
-//	gbdt-regression          =            416 → 144    =
+// driver's rounds and messages (batch_* columns): three runs of the one body
+// agreed on each.  Its rounds, encryptions and decryption shares were
+// re-recorded from the body when the pins became exact, where they had
+// fallen below the per-sample bodies' figures.
 
 func goldenPredictCls() *dataset.Dataset { return smallClassification(16) }
 func goldenPredictReg() *dataset.Dataset { return dataset.SyntheticRegression(16, 4, 0.2, 9) }
@@ -176,8 +161,8 @@ func TestPredictScheduleGolden(t *testing.T) {
 			t.Errorf("%s: no recorded entry", v.name)
 			continue
 		}
-		t.Logf("%-24s rounds %d msgs %d -> %d enc %d dec %d; one batch: rounds %d msgs %d", v.name,
-			g.MPCRounds, w.MessagesSent, g.MessagesSent, g.Encryptions, g.DecShares, g.BatchMPCRounds, g.BatchMessagesSent)
+		t.Logf("%-24s rounds %d -> %d msgs %d -> %d enc %d -> %d dec %d -> %d", v.name,
+			w.MPCRounds, g.MPCRounds, w.MessagesSent, g.MessagesSent, w.Encryptions, g.Encryptions, w.DecShares, g.DecShares)
 		for k, d := range predictDrivers {
 			if !reflect.DeepEqual(preds[k], w.Predictions) {
 				t.Errorf("%s: %s predicts %v, recorded %v", v.name, d.name, preds[k], w.Predictions)

@@ -77,9 +77,8 @@ func crashAndResume(t *testing.T, parts []*dataset.Partition, cfg Config,
 // loopback TCP (where the session overlaps).  A DP run replays the same
 // noise draws: they are dealer material, which the snapshots capture.  On
 // the memory network without DP, the fault-free run's and the resumed
-// session's rounds and messages are pinned in testdata/counters_golden.json
-// (they replaced BENCH_recovery.json's gates), and resuming must cost less
-// than retraining.
+// session's rounds and messages are pinned in testdata/counters_golden.json,
+// and resuming must cost less than retraining.
 func TestRecoveryEquivalenceDT(t *testing.T) {
 	ds := dataset.SyntheticClassification(24, 4, 2, 2.0, 5)
 	parts, err := dataset.VerticalPartition(ds, 2, 0)

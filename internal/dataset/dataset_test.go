@@ -185,13 +185,8 @@ func FuzzLoadCSV(f *testing.F) {
 			return
 		}
 		d := len(ds.Names)
-		if d < 1 || ds.N() < 1 || len(ds.Y) != ds.N() {
-			t.Fatalf("accepted %d names, %d rows, %d labels", d, ds.N(), len(ds.Y))
-		}
-		for i, row := range ds.X {
-			if len(row) != d {
-				t.Fatalf("row %d has %d values, the header names %d", i, len(row), d)
-			}
+		if d < 1 || ds.N() < 1 || len(ds.Y) != ds.N() || slices.ContainsFunc(ds.X, func(row []float64) bool { return len(row) != d }) {
+			t.Fatalf("accepted a dataset that is not rectangular: %d names, %+v", d, ds)
 		}
 		var buf bytes.Buffer
 		if err := SaveCSV(ds, &buf); err != nil {
