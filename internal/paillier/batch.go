@@ -230,19 +230,25 @@ func (e *ErrBadCiphertext) Error() string {
 	return fmt.Sprintf("paillier: bad ciphertext at index %d: %s", e.Index, e.Reason)
 }
 
-// CheckCiphertexts validates ciphertexts received from a peer: 0 < c < N²
-// and N ∤ c.  Zero and the multiples of N — which anyone can form without a
-// factor of N — have no inverse, and Neg panics on them; a value beyond the
-// modulus would be reduced silently and drag every later product through
-// the reducer's slow path.
+// CheckCiphertexts validates ciphertexts received from a peer: 0 < c < N²,
+// N ∤ c and c ≢ 1 (mod N).  Zero and the multiples of N — which anyone can
+// form without a factor of N — have no inverse, and Neg panics on them; a
+// value beyond the modulus would be reduced silently and drag every later
+// product through the reducer's slow path.  c ≡ 1 (mod N) means unit
+// randomness (r^N ≡ 1 only for r ≡ 1): a trivial encryption such as
+// EncryptPublic's, whose plaintext anyone reads as (c−1)/N, so a sender
+// that forgot to rerandomize is refused rather than read.
 func (pk *PublicKey) CheckCiphertexts(cs []*Ciphertext) error {
 	rem := new(big.Int)
 	for i, c := range cs {
 		if err := checkResidue(i, c.C, pk.N2); err != nil {
 			return err
 		}
-		if rem.Mod(c.C, pk.N).Sign() == 0 {
+		switch rem.Mod(c.C, pk.N); {
+		case rem.Sign() == 0:
 			return &ErrBadCiphertext{Index: i, Reason: "multiple of N"}
+		case rem.Cmp(one) == 0:
+			return &ErrBadCiphertext{Index: i, Reason: "unit randomness"}
 		}
 	}
 	return nil

@@ -406,6 +406,15 @@ func (pk *PublicKey) ZeroDeterministic() *Ciphertext {
 	return &Ciphertext{C: big.NewInt(1)}
 }
 
+// EncryptPublic returns the trivial encryption of a public x (unit
+// randomness: c = (1+N)^x = 1 + xN).  Like ZeroDeterministic it hides
+// nothing — anyone reads x as (c−1)/N — so every party can derive the same
+// ciphertext locally, and CheckCiphertexts refuses it on receive: whatever
+// is sent from it must be rerandomized first.
+func (pk *PublicKey) EncryptPublic(x *big.Int) *Ciphertext {
+	return &Ciphertext{C: pk.onePlusNExp(pk.EncodeSigned(x))}
+}
+
 // Clone returns a deep copy of the ciphertext.
 func (c *Ciphertext) Clone() *Ciphertext {
 	return &Ciphertext{C: new(big.Int).Set(c.C)}

@@ -267,8 +267,9 @@ func BenchmarkDotBinary(b *testing.B) {
 }
 
 // TestCheckCiphertexts: values no honest peer can send — zero, multiples of
-// N, anything at or beyond the modulus, negatives — are refused with a typed
-// error carrying the index; honest ciphertexts and shares pass.
+// N, trivial encryptions (≡ 1 mod N), anything at or beyond the modulus,
+// negatives — are refused with a typed error carrying the index; honest
+// ciphertexts and shares pass.
 func TestCheckCiphertexts(t *testing.T) {
 	pk, _, keys := testKeys(t, 2)
 	good, err := pk.EncryptVec(rand.Reader, []*big.Int{big.NewInt(7), big.NewInt(-7)}, 1)
@@ -286,6 +287,8 @@ func TestCheckCiphertexts(t *testing.T) {
 		"zero":     new(big.Int),
 		"N":        pk.N,
 		"7N":       new(big.Int).Mul(pk.N, big.NewInt(7)),
+		"one":      big.NewInt(1),
+		"1+5N":     pk.EncryptPublic(big.NewInt(5)).C,
 		"N2":       pk.N2,
 		"2^4096":   new(big.Int).Lsh(one, 4096),
 		"negative": big.NewInt(-5),
@@ -304,6 +307,48 @@ func TestCheckCiphertexts(t *testing.T) {
 			t.Errorf("%s as a share: got %v, in range %v", name, err, inRange)
 		}
 	}
+}
+
+// fuzzKey is a fixed 256-bit test key, N = p·q, for FuzzCheckCiphertexts:
+// its committed corpus holds values relative to N (N, N + 1, N² − 1, 3p, …).
+func fuzzKey() *PublicKey {
+	p, _ := new(big.Int).SetString("c9c6e76550001f71d9926c3c9a53de79", 16)
+	q, _ := new(big.Int).SetString("ea3e5fec4f772409940da53aeca5e81d", 16)
+	n := new(big.Int).Mul(p, q)
+	return &PublicKey{N: n, N2: new(big.Int).Mul(n, n)}
+}
+
+// FuzzCheckCiphertexts: bytes → a received value c (big-endian, negated when
+// neg is set).  CheckCiphertexts never panics; it accepts c exactly when
+// 0 < c < N² and c mod N is neither 0 nor 1, and refuses everything else
+// with an ErrBadCiphertext at the index; Neg on an accepted value does not
+// panic.  The one accepted value Neg cannot invert, a multiple of a single
+// prime factor, takes the factorisation to form; the target recognises it
+// by its gcd with N rather than pay a gcd per received ciphertext.
+func FuzzCheckCiphertexts(f *testing.F) {
+	pk := fuzzKey()
+	f.Fuzz(func(t *testing.T, data []byte, neg bool) {
+		c := new(big.Int).SetBytes(data)
+		if neg {
+			c.Neg(c)
+		}
+		err := pk.CheckCiphertexts([]*Ciphertext{{C: c}})
+		rem := new(big.Int).Mod(c, pk.N)
+		valid := c.Sign() > 0 && c.Cmp(pk.N2) < 0 && rem.Sign() != 0 && rem.Cmp(one) != 0
+		if !valid {
+			var bad *ErrBadCiphertext
+			if !errors.As(err, &bad) || bad.Index != 0 {
+				t.Fatalf("%v: got %v, want an ErrBadCiphertext at index 0", c, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%v refused: %v", c, err)
+		}
+		if new(big.Int).GCD(nil, nil, c, pk.N).Cmp(one) == 0 {
+			pk.Neg(&Ciphertext{C: c})
+		}
+	})
 }
 
 // TestSubVecMatchesSub: SubVec inverts once per block, and every output is
