@@ -97,12 +97,9 @@ func TestMaliciousRootTotalsBound(t *testing.T) {
 				lp := p.audit.labelPlain
 				lp[0], lp[1] = lp[1], lp[0]
 			}
-			alpha, err := p.initialAlpha(nil)
-			if err != nil {
-				return err
-			}
 			task := &treeTask{model: &Model{Classes: p.part.Classes}}
-			return p.runLevels([]*treeTask{task}, []frontierNode{{nd: nodeData{alpha: alpha}, parent: -1}}, 0)
+			root := frontierNode{nd: nodeData{alpha: p.rootMask(p.part.N, nil)}, parent: -1}
+			return p.runLevels([]*treeTask{task}, []frontierNode{root}, 0)
 		}()
 		return errs[p.ID]
 	})

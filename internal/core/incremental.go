@@ -393,9 +393,10 @@ type replayNode struct {
 
 // replayLeafAlphas recomputes every tree's encrypted per-leaf mask vectors
 // over samples from..N−1 by replaying the public split structure level by
-// level: per level, each owner computes all of its nodes' left masks in one
-// rerandomized batch and broadcasts them once (right masks derive locally
-// and deterministically, as in §4.1).  Costs O(max depth) HE broadcast
+// level from the locally derived root masks (rootMask): per level, each
+// owner computes all of its nodes' left masks in one rerandomized batch and
+// broadcasts them once (right masks derive locally and deterministically,
+// as in §4.1).  Costs O(max depth) HE broadcast
 // phases total — across all trees — and zero MPC rounds; the ciphertexts
 // encrypted and sent scale with the replayed rows: N − from, the appended
 // rows alone when the caller keeps the earlier rows' leaf totals.
@@ -408,39 +409,13 @@ func (p *Party) replayLeafAlphas(trees []*Model, rootCounts [][]int64, from int)
 		las[w] = make([][]*paillier.Ciphertext, tree.Leaves)
 	}
 
-	// Root masks for every tree in one encrypt+broadcast batch.
-	var flat []*paillier.Ciphertext
-	if p.ID == p.Super {
-		vals := make([]*big.Int, 0, len(trees)*n)
-		for w := range trees {
-			for t := from; t < p.part.N; t++ {
-				if rootCounts == nil || rootCounts[w] == nil {
-					vals = append(vals, big.NewInt(1))
-				} else {
-					vals = append(vals, big.NewInt(rootCounts[w][t]))
-				}
-			}
-		}
-		p.poolReserve(len(vals))
-		cts, err := p.encryptVec(vals)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.broadcastCtsChunked(cts); err != nil {
-			return nil, err
-		}
-		flat = cts
-	} else {
-		var err error
-		flat, err = p.recvCtsChunked(p.Super, len(trees)*n)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	frontier := make([]replayNode, len(trees))
 	for w := range trees {
-		frontier[w] = replayNode{tree: w, alpha: flat[w*n : (w+1)*n]}
+		var counts []int64
+		if rootCounts != nil && rootCounts[w] != nil {
+			counts = rootCounts[w][from:]
+		}
+		frontier[w] = replayNode{tree: w, alpha: p.rootMask(n, counts)}
 	}
 	for len(frontier) > 0 {
 		var next []replayNode

@@ -302,6 +302,13 @@ func warmStartGBDT(t *testing.T, full *dataset.Dataset, n int) {
 	ks, dt0 := trainKept(t, full, n, cfg, KindDT)
 	dt1, _ := absorb(t, ks, dt0, full, n, n+4)
 	_, dtR := trainKept(t, full, n+4, cfg, KindDT)
+	// The 0.01 bound is a property of this data draw (seed 99, 32 base
+	// rows), not of the absorb: at seed 99 the DT gap read 0.010–0.021 at
+	// 16–24, 28 and 30 base rows, 0 at 26 and 32, 0.036 at 40 and 0.073 at 48
+	// (the retrain worse), and at 24 rows it held for 4 of data seeds 1–12.
+	// A change that moves one split can trip it without being wrong; the
+	// tree equalities of TestIncrementalMatchesUnionReplay are what defend
+	// the absorb's correctness.
 	for _, c := range [][2]float64{{mseWarm, mseRetrain}, {loss(dt1), loss(dtR)}} {
 		if math.Abs(c[0]-c[1]) > 0.01 {
 			t.Fatalf("held-out accuracy: absorb %.4f, retrain %.4f (GBDT, then DT)", 1-c[0], 1-c[1])

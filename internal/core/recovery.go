@@ -357,7 +357,7 @@ func (p *Party) resumeFrom(snap *partySnap) (*RecoveredModel, error) {
 }
 
 // finishUnit completes the interrupted tree/round from the snapshot: the
-// level loop re-enters at the saved depth (initialAlpha and the audit
+// level loop re-enters at the saved depth (rootMask and the audit
 // prologue are NOT re-run — the frontier already carries the masks).
 func (p *Party) finishUnit(snap *partySnap) ([]*treeTask, error) {
 	tasks := restoreTasks(snap.tasks)

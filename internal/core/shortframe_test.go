@@ -68,11 +68,7 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = s.Each(func(p *Party) error {
-			alpha, err := p.initialAlpha(nil)
-			if err != nil {
-				return err
-			}
-			nd := nodeData{alpha: alpha}
+			nd := nodeData{alpha: p.rootMask(p.part.N, nil)}
 			if p.ID == 1 {
 				return tc.hostile(p, nd)
 			}
@@ -128,12 +124,12 @@ func (e *shortFrameEndpoint) Send(to int, b []byte) error {
 
 // TestShortTrainingFrameRefused has one client send the other one of the
 // vectors of a training run at the wrong length: the super client the vectors
-// that open it — the encrypted root mask, the encrypted GBDT labels, the GBDT
-// base prediction — one value short, and either side a local-computation
-// message at the length it had while right sides and the last class were
-// still sent (C·n masked label ciphertexts, 2 + 2C statistics per split).
-// The first three used to be taken at whatever length they arrived and
-// indexed later (alpha[t], xs[0]): a panic in the honest client; so were a
+// that open it — the encrypted GBDT labels, the GBDT base prediction — one
+// value short, and either side a local-computation message at the length it
+// had while right sides and the last class were still sent (C·n masked label
+// ciphertexts, the first ciphertext frame a DT receives; 2 + 2C statistics
+// per split).  The GBDT frames used to be taken at whatever length they
+// arrived and indexed later (xs[0]): a panic in the honest client; so were a
 // malicious-mode commitment and the partial sums of a logistic-regression
 // mini-batch (theirs[bi]).  Every one is a counted receive.
 func TestShortTrainingFrameRefused(t *testing.T) {
@@ -156,12 +152,11 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 		train     func(p *Party) error
 		got, want int
 	}{
-		{"root mask vector", cls, false, 0, 0, 0, dt, n - 1, n},
 		{"gbdt regression labels", reg, false, 0, 0, 0, gbdt, n - 1, n},
 		{"gbdt regression base prediction", reg, false, 0, 1, 0, gbdt, 0, 1},
 		{"gbdt classification residuals", cls, false, 0, 0, 0, gbdt, n - 1, n},
 		// Binary labels: C = 2 channels, E = 1 of them sent.
-		{"masked labels of all C classes", cls, false, 0, 2, 2, dt, 2 * n, n},
+		{"masked labels of all C classes", cls, false, 0, 1, 2, dt, 2 * n, n},
 		{"two-sided statistics of all C classes", cls, false, 1, 2, 3, dt, s1 * (2 + 2*2), s1 * (1 + 1)},
 		// A committed vector is n ciphertexts and three POPK values for each;
 		// any multiple of 4 used to pass for one.

@@ -232,10 +232,7 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 					return err
 				}
 			}
-			alpha, err := p.initialAlpha(counts)
-			if err != nil {
-				return err
-			}
+			alpha := p.rootMask(p.part.N, counts)
 			// The label channels in the clear, C of them; the super client's
 			// labels are the dataset's.
 			super := s.Party(p.Super)

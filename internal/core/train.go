@@ -101,18 +101,11 @@ func (p *Party) growTrees(tasks []*treeTask, roots []frontierNode, rootCounts []
 			return p.errf("commitment phase: %w", err)
 		}
 	}
-	var alpha []*paillier.Ciphertext
-	err := timed(&p.Stats.Phases.LocalComputation, func() error {
-		var err error
-		alpha, err = p.initialAlpha(rootCounts)
-		return err
-	})
-	if err != nil {
-		return err
-	}
+	alpha := p.rootMask(p.part.N, rootCounts)
 	for i := range roots {
 		roots[i].nd.alpha = alpha
 	}
+	var err error
 	if p.perNode {
 		err = p.walkDepthFirst(tasks, roots, 0)
 	} else {
@@ -162,29 +155,23 @@ func (p *Party) labelVectors() [][]*big.Int {
 	return [][]*big.Int{y, y2}
 }
 
-// initialAlpha builds the root's encrypted mask vector: all ones (or the
-// public bootstrap counts for an RF tree), encrypted by the super client and
-// broadcast (§4.1).
-func (p *Party) initialAlpha(counts []int64) ([]*paillier.Ciphertext, error) {
-	if p.ID == p.Super {
-		vals := make([]*big.Int, p.part.N)
-		for t := range vals {
-			if counts == nil {
-				vals[t] = big.NewInt(1)
-			} else {
-				vals[t] = big.NewInt(counts[t])
-			}
+// rootMask returns the root's mask vector [α] over n samples: all ones, or
+// an RF tree's bootstrap counts.  §4.1 has the super client encrypt and
+// broadcast it, but its plaintext is public — every party computes the
+// counts from Config.Seed — so each derives the same trivial encryption
+// (EncryptPublic) locally.  Every ciphertext derived from it that leaves a
+// party is rerandomized first, or carries a factor that was, so no party's
+// view gains anything; CheckCiphertexts refuses any that is not.
+func (p *Party) rootMask(n int, counts []int64) []*paillier.Ciphertext {
+	alpha := make([]*paillier.Ciphertext, n)
+	for t := range alpha {
+		x := int64(1)
+		if counts != nil {
+			x = counts[t]
 		}
-		cts, err := p.encryptVec(vals)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.broadcastCtsChunked(cts); err != nil {
-			return nil, err
-		}
-		return cts, nil
+		alpha[t] = p.pk.EncryptPublic(big.NewInt(x))
 	}
-	return p.recvCtsChunked(p.Super, p.part.N)
+	return alpha
 }
 
 // channels returns the number of label channels C: one per class for
