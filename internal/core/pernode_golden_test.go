@@ -122,6 +122,29 @@ import (
 // proof per class to the other client) and bytes 640123 → 652556 (the
 // proofs).
 //
+// When every party began to derive the root mask vector locally (a trivial
+// encryption of public counts) instead of the super client encrypting and
+// broadcasting it, each training root lost n encryptions and one message
+// per receiver.  Encryptions, messages and bytes of both legs were
+// re-recorded by the same script check, each lower (trees, node order,
+// predictions, MPC rounds, update rounds and decryption shares unchanged).
+// Old → new:
+//
+//	entry                    enc          msgs         bytes              lw msgs      lw bytes
+//	basic-classification     580 → 548    1736 → 1735  1335859 → 1333777  1058 → 1057  1319030 → 1316953
+//	basic-regression         1254 → 1222  4121 → 4120  2186930 → 2184854  1271 → 1270  2120567 → 2118483
+//	basic-entropy            356 → 324    2038 → 2037  2601829 → 2599748  1363 → 1362  2592925 → 2590844
+//	enhanced-hide-threshold  727 → 695    1794 → 1793  1351948 → 1349869  1114 → 1113  1335024 → 1332943
+//	enhanced-hide-feature    463 → 431    1092 → 1091  817511 → 815434    743 → 742    808926 → 806844
+//	enhanced-hide-client     545 → 513    1090 → 1089  831439 → 829352    741 → 740    822868 → 820784
+//	enhanced-regression      1513 → 1481  4247 → 4246  2218158 → 2216085  1325 → 1324  2150990 → 2148904
+//	malicious                226 → 210    1079 → 1078  652556 → 651519    703 → 702    588815 → 587758
+//	dp                       356 → 324    5133 → 5132  1814200 → 1812118
+//	rf-classification        520 → 456    2029 → 2027  857435 → 853274    1332 → 1330  842053 → 837891
+//	rf-regression            812 → 748    3676 → 3674  1042490 → 1038326  1769 → 1767  997956 → 993794
+//	gbdt-classification      2192 → 2064  7909 → 7905  3213825 → 3205491  2315 → 2313  3108657 → 3104500
+//	gbdt-regression          968 → 904    3694 → 3692  1072524 → 1068352  1786 → 1784  1036260 → 1032100
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC

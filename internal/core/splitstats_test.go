@@ -256,6 +256,7 @@ func TestDerivedStatisticsEqualDots(t *testing.T) {
 			if tc.encLabels {
 				nd.gch = make([][]*paillier.Ciphertext, 2)
 				for k := range nd.gch {
+					var err error
 					if p.ID == p.Super {
 						if nd.gch[k], err = p.encryptVec(betas[k]); err == nil {
 							err = p.broadcastCtsChunked(nd.gch[k])
