@@ -288,7 +288,6 @@ func TestCheckCiphertexts(t *testing.T) {
 		"N":        pk.N,
 		"7N":       new(big.Int).Mul(pk.N, big.NewInt(7)),
 		"one":      big.NewInt(1),
-		"1+5N":     pk.EncryptPublic(big.NewInt(5)).C,
 		"N2":       pk.N2,
 		"2^4096":   new(big.Int).Lsh(one, 4096),
 		"negative": big.NewInt(-5),
