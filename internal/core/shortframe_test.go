@@ -99,6 +99,7 @@ func TestShortUpdateFrameRefused(t *testing.T) {
 type shortFrameEndpoint struct {
 	transport.Endpoint
 	to, nth, seen, grow int
+	honest              int // the length of the frame it replaced; -1 until it replaces one
 }
 
 func (e *shortFrameEndpoint) Send(to int, b []byte) error {
@@ -108,6 +109,7 @@ func (e *shortFrameEndpoint) Send(to int, b []byte) error {
 			if err != nil || len(xs) == 0 {
 				return err
 			}
+			e.honest = len(xs)
 			wrong := xs[:len(xs)-1]
 			if e.grow > 0 {
 				wrong = nil
@@ -132,6 +134,12 @@ func (e *shortFrameEndpoint) Send(to int, b []byte) error {
 // arrived and indexed later (xs[0]): a panic in the honest client; so were a
 // malicious-mode commitment and the partial sums of a logistic-regression
 // mini-batch (theirs[bi]).  Every one is a counted receive.
+//
+// A row names its frame by send ordinal, so each also pins the honest length
+// of the frame it replaced and the stage the honest client's error names
+// (none where the receive is not wrapped): a protocol change that adds or
+// drops an earlier message moves the ordinal onto another frame and fails
+// here instead of forging that one.
 func TestShortTrainingFrameRefused(t *testing.T) {
 	const n = 16
 	const s1 = 2 * 4 // client 1's candidate splits: two continuous features × testConfig's MaxSplits
@@ -150,18 +158,20 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 		from      int // the client whose message is wrong; the other one is honest
 		nth, grow int // which of its messages to the honest client, and how (shortFrameEndpoint)
 		train     func(p *Party) error
+		honest    int    // the length of the frame the ordinal lands on
+		stage     string // the training stage the honest client's error names
 		got, want int
 	}{
-		{"gbdt regression labels", reg, false, 0, 0, 0, gbdt, n - 1, n},
-		{"gbdt regression base prediction", reg, false, 0, 1, 0, gbdt, 0, 1},
-		{"gbdt classification residuals", cls, false, 0, 0, 0, gbdt, n - 1, n},
+		{"gbdt regression labels", reg, false, 0, 0, 0, gbdt, n, "", n - 1, n},
+		{"gbdt regression base prediction", reg, false, 0, 1, 0, gbdt, 1, "", 0, 1},
+		{"gbdt classification residuals", cls, false, 0, 0, 0, gbdt, n, "", n - 1, n},
 		// Binary labels: C = 2 channels, E = 1 of them sent.
-		{"masked labels of all C classes", cls, false, 0, 1, 2, dt, 2 * n, n},
-		{"two-sided statistics of all C classes", cls, false, 1, 2, 3, dt, s1 * (2 + 2*2), s1 * (1 + 1)},
+		{"masked labels of all C classes", cls, false, 0, 1, 2, dt, n, "level 0 gamma computation", 2 * n, n},
+		{"two-sided statistics of all C classes", cls, false, 1, 2, 3, dt, s1 * (1 + 1), "level 0 split statistics", s1 * (2 + 2*2), s1 * (1 + 1)},
 		// A committed vector is n ciphertexts and three POPK values for each;
 		// any multiple of 4 used to pass for one.
-		{"malicious commit phase, a split indicator", cls, true, 1, 0, 0, dt, 4*n - 1, 4 * n},
-		{"logistic regression, a mini-batch of partial sums", cls, false, 1, 0, 0, lr, n/2 - 1, n / 2},
+		{"malicious commit phase, a split indicator", cls, true, 1, 0, 0, dt, 4 * n, "commitment phase", 4*n - 1, 4 * n},
+		{"logistic regression, a mini-batch of partial sums", cls, false, 1, 0, 0, lr, n / 2, "", n/2 - 1, n / 2},
 	} {
 		cfg := testConfig()
 		cfg.NumTrees = 1
@@ -179,7 +189,8 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 			t.Fatalf("client 1 has %d candidate splits, the table assumes %d", got, s1)
 		}
 		hostile, to := s.Party(tc.from), 1-tc.from
-		hostile.ep = &shortFrameEndpoint{Endpoint: hostile.ep, to: to, nth: tc.nth, grow: tc.grow}
+		forger := &shortFrameEndpoint{Endpoint: hostile.ep, to: to, nth: tc.nth, grow: tc.grow, honest: -1}
+		hostile.ep = forger
 		var honest error // the honest client's outcome; Each reports the first client's
 		_ = s.Each(func(p *Party) (err error) {
 			if p.ID == to {
@@ -193,6 +204,10 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 			return tc.train(p)
 		})
 		s.Close()
+		if forger.honest != tc.honest {
+			t.Errorf("%s: message %d from client %d replaced a frame of %d values, want %d (-1: no such message)", tc.name, tc.nth, tc.from, forger.honest, tc.honest)
+			continue
+		}
 		var short *ErrMessageLength
 		if !errors.As(honest, &short) {
 			t.Errorf("%s: client %d got %v, want an ErrMessageLength", tc.name, to, honest)
@@ -200,6 +215,9 @@ func TestShortTrainingFrameRefused(t *testing.T) {
 		}
 		if short.Client != to || short.From != tc.from || short.Got != tc.got || short.Want != tc.want {
 			t.Errorf("%s: got %+v, want client %d refusing %d of %d values from client %d", tc.name, *short, to, tc.got, tc.want, tc.from)
+		}
+		if stage := strings.TrimSuffix(honest.Error(), short.Error()); (stage == "") != (tc.stage == "") || !strings.Contains(stage, tc.stage) {
+			t.Errorf("%s: refused with context %q, want the %q stage", tc.name, stage, tc.stage)
 		}
 	}
 }
