@@ -145,6 +145,33 @@ import (
 //	gbdt-classification      2192 → 2064  7909 → 7905  3213825 → 3205491  2315 → 2313  3108657 → 3104500
 //	gbdt-regression          968 → 904    3694 → 3692  1072524 → 1068352  1786 → 1784  1036260 → 1032100
 //
+// When a division began to normalise its divisor in one chain at its
+// declared width (the borrow chain of its bit decomposition carries each
+// normalisation step, and a reciprocal's count is no longer raised to F+2
+// bits), and a multiply began to pack each Beaver difference at its own
+// operand's width, MPC rounds, messages and bytes of both legs were
+// re-recorded by the same script check (trees, node order, predictions —
+// dp's included — update rounds, encryptions and decryption shares
+// unchanged).  Rounds and messages fell on every entry.  Bytes fell on every
+// entry but basic-entropy, whose logarithms normalise at 17 bits and carry
+// the exponent p as well: two wide update products per bit where the MSB-first
+// chain paid one bit product.  Old → new:
+//
+//	entry                    rounds       msgs         bytes              lw rounds   lw msgs      lw bytes
+//	basic-classification     850 → 705    1735 → 1445  1333777 → 1216369  516 → 429   1057 → 883   1316953 → 1197540
+//	basic-regression         2035 → 1600  4120 → 3250  2184854 → 1998453  622 → 506   1270 → 1038  2118483 → 1938805
+//	basic-entropy            1007 → 818   2037 → 1659  2599748 → 2674142  672 → 546   1362 → 1110  2590844 → 2665576
+//	enhanced-hide-threshold  868 → 723    1793 → 1503  1349869 → 1232439  534 → 447   1113 → 939   1332943 → 1213525
+//	enhanced-hide-feature    527 → 440    1091 → 917   815434 → 745005    356 → 298   742 → 626    806844 → 735412
+//	enhanced-hide-client     525 → 438    1089 → 915   829352 → 758907    354 → 296   740 → 624    820784 → 749314
+//	enhanced-regression      2077 → 1642  4246 → 3376  2216085 → 2029769  640 → 524   1324 → 1092  2148904 → 1969289
+//	malicious                512 → 422    1078 → 898   651519 → 607776    330 → 270   702 → 582    587758 → 543826
+//	dp                       2554 → 2076  5132 → 4176  1812118 → 1774335
+//	rf-classification        991 → 817    2027 → 1679  853274 → 774556    648 → 532   1330 → 1098  837891 → 758323
+//	rf-regression            1814 → 1408  3674 → 2862  1038326 → 940268   866 → 692   1767 → 1419  993794 → 902887
+//	gbdt-classification      3896 → 3033  7905 → 6179  3205491 → 3070630  1130 → 905  2313 → 1863  3104500 → 2993023
+//	gbdt-regression          1818 → 1412  3692 → 2880  1068352 → 970274   870 → 696   1784 → 1436  1032100 → 941235
+//
 // The recursion is reached through TrainSpec{PerNode: true}.  A second leg
 // trains every variant on the default level-wise schedule — malicious
 // included — and holds it to the recorded trees and predictions at fewer MPC

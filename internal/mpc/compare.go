@@ -3,6 +3,7 @@ package mpc
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // Comparison and truncation protocols in the style of Catrina–de Hoogh
@@ -341,6 +342,20 @@ func (e *Engine) EQPub(a Share, c *big.Int, k uint) Share {
 
 // BitDecVec decomposes non-negative a < 2^k into k shared bits (LSB first).
 func (e *Engine) BitDecVec(as []Share, k uint) [][]Share {
+	out, _, _ := e.bitDecChain(as, k, false, false)
+	return out
+}
+
+// bitDecChain decomposes non-negative a < 2^k into k shared bits (LSB first)
+// with a borrow chain of k rounds after one masked opening.  With norm set it
+// also normalises a in the same chain: once bit z_i is decided,
+// v ← z_i·2^(k-1-i) + (1-z_i)·v, and with withP p ← z_i·i + (1-z_i)·p, so
+// after the top bit v = 2^(k-1-p) for p the index of a's most significant set
+// bit — a·v ∈ [2^(k-1), 2^k) — and v = p = 0 for a = 0.  The products
+// (1-z_i)·v and (1-z_i)·p ride in the opening of bit i+1's borrow product,
+// each group at its own slot width, so normalising costs one round past the
+// decomposition: 1 + k + 1 in all.
+func (e *Engine) bitDecChain(as []Share, k uint, norm, withP bool) (out [][]Share, vs, ps []Share) {
 	e.checkWidth(k)
 	count := len(as)
 	rbits, rlow := e.randBitwise(count, k)
@@ -354,65 +369,73 @@ func (e *Engine) BitDecVec(as []Share, k uint) [][]Share {
 	// bits(a) = bits((c - r) mod 2^k): binary subtraction with shared borrow.
 	one := e.ConstInt64(1)
 	flat := make([]Share, count*int(k))
-	out := make([][]Share, count)
+	out = make([][]Share, count)
 	for t := range out {
 		out[t] = flat[t*int(k) : (t+1)*int(k) : (t+1)*int(k)]
 	}
 	borrow := make([]Share, count)
 	xs := make([]Share, count)
-	for i := 0; i < int(k); i++ {
-		// One batched multiplication per level: r_i·borrow.
-		for t := 0; t < count; t++ {
-			xs[t] = rbits[t][i]
+	var notZ []Share // 1 - z_(i-1)
+	if norm {
+		vs, notZ = make([]Share, count), make([]Share, count)
+		if withP {
+			ps = make([]Share, count)
 		}
-		rb := e.mulVecBits(xs, borrow)
-		for t := 0; t < count; t++ {
-			ri := rbits[t][i]
-			sum := e.Add(ri, borrow[t])
-			// xor = r_i ⊕ borrow (shared), then ⊕ public c_i;
-			// borrow' = (1-c_i)·(r_i OR borrow) + c_i·(r_i AND borrow).
-			xor := e.Sub(sum, e.Add(rb[t], rb[t]))
-			if cs[t].Bit(i) == 1 {
-				out[t][i] = e.Sub(one, xor)
-				borrow[t] = rb[t]
-			} else {
-				out[t][i] = xor
-				borrow[t] = e.Sub(sum, rb[t])
+	}
+	pw := uint(bits.Len(k)) // p < k < 2^pw
+	groups := make([]mulGroup, 0, 3)
+	for i := 0; i <= int(k); i++ {
+		// One batched multiplication per level: r_i·borrow, and the
+		// normalisation step of bit i-1.
+		groups = groups[:0]
+		if i < int(k) {
+			for t := 0; t < count; t++ {
+				xs[t] = rbits[t][i]
+			}
+			groups = append(groups, mulGroup{xs, borrow, 1, 1})
+		}
+		if norm && i > 0 {
+			for t := range notZ {
+				notZ[t] = e.Sub(one, out[t][i-1])
+			}
+			// v ≤ 2^(k-1) and p < k: both groups are bounded, neither signed.
+			groups = append(groups, mulGroup{notZ, vs, 1, k})
+			if withP {
+				groups = append(groups, mulGroup{notZ, ps, 1, pw})
+			}
+		}
+		if len(groups) == 0 {
+			break
+		}
+		prods := e.mulVecGrouped(groups)
+		if i < int(k) {
+			rb := prods[0]
+			prods = prods[1:]
+			for t := 0; t < count; t++ {
+				ri := rbits[t][i]
+				sum := e.Add(ri, borrow[t])
+				// xor = r_i ⊕ borrow (shared), then ⊕ public c_i;
+				// borrow' = (1-c_i)·(r_i OR borrow) + c_i·(r_i AND borrow).
+				xor := e.Sub(sum, e.Add(rb[t], rb[t]))
+				if cs[t].Bit(i) == 1 {
+					out[t][i] = e.Sub(one, xor)
+					borrow[t] = rb[t]
+				} else {
+					out[t][i] = xor
+					borrow[t] = e.Sub(sum, rb[t])
+				}
+			}
+		}
+		if norm && i > 0 {
+			j := uint(i - 1)
+			for t := 0; t < count; t++ {
+				z := out[t][j]
+				vs[t] = e.Add(e.lsh(z, k-1-j), prods[0][t])
+				if withP {
+					ps[t] = e.Add(e.mulElem(z, Elem{uint64(j)}), prods[1][t])
+				}
 			}
 		}
 	}
-	return out
-}
-
-// msbNormalizeVec returns, for positive a < 2^k given by shared bits, the
-// sharing of v = 2^(k-1-p) where p is the index of a's most significant set
-// bit.  a·v then lies in [2^(k-1), 2^k).  It also returns ⟨p⟩.
-func (e *Engine) msbNormalizeVec(bits [][]Share, k uint) ([]Share, []Share) {
-	count := len(bits)
-	// Suffix products of (1 - z_i) from the MSB: suffix[t] after step i is
-	// Π_{j>=i}(1-z_j); s_i = 1 - suffix marks "some bit >= i is set".
-	one := e.ConstInt64(1)
-	suffix := make([]Share, count)
-	sPrev := make([]Share, count) // s_{i+1}
-	vs := make([]Share, count)
-	ps := make([]Share, count)
-	for t := range suffix {
-		suffix[t] = one
-	}
-	ys := make([]Share, count)
-	for i := int(k) - 1; i >= 0; i-- {
-		for t := 0; t < count; t++ {
-			ys[t] = e.Sub(one, bits[t][i])
-		}
-		prods := e.mulVecBits(suffix, ys)
-		for t := 0; t < count; t++ {
-			sCur := e.Sub(one, prods[t])
-			m := e.Sub(sCur, sPrev[t]) // 1 exactly at the MSB position
-			vs[t] = e.Add(vs[t], e.lsh(m, k-1-uint(i)))
-			ps[t] = e.Add(ps[t], e.mulElem(m, Elem{uint64(i)}))
-			sPrev[t] = sCur
-		}
-		suffix = prods
-	}
-	return vs, ps
+	return out, vs, ps
 }

@@ -203,11 +203,17 @@ func TestLadderRoundDepth(t *testing.T) {
 			{"TruncVec(54, 16)", func() { e.TruncVec(xs, 54, 16) }, 1 + log2(16)},
 			{"LTZVec(38)", func() { e.LTZVec(xs, 38) }, 1 + log2(37)},
 			{"LEVec(38)", func() { e.LEVec(xs, pos, 38) }, 1 + log2(38)},
-			// Bit decomposition and normalization keep their per-bit chains
-			// (they need every prefix); everything else in a division is a
-			// product or a truncation.
+			// A division normalises its divisor in one per-bit chain at the
+			// declared width (the borrow chain, each normalisation step riding
+			// in the next bit's round, then one more); everything else is a
+			// product or a truncation.  A divisor width k ≤ f needs no
+			// truncation to reach f-scale, and a reciprocal no a·v product.
 			{"FPDivVec(26)", func() { e.FPDivVec(pos, pos, 26) },
-				(1 + 26) + 26 + 1 + (1 + log2(26-f)) + 8*fpMul + 2 + (1 + log2(26))},
+				(1 + 26 + 1) + 1 + (1 + log2(26-f)) + 8*fpMul + 2 + (1 + log2(26))}, // 90
+			{"FPDivVec(38)", func() { e.FPDivVec(pos, pos, 38) },
+				(1 + 38 + 1) + 1 + (1 + log2(38-f)) + 8*fpMul + 2 + (1 + log2(38))}, // 104
+			{"RecipVec(11)", func() { e.RecipVec(pos, 11) },
+				(1 + 11 + 1) + 1 + 8*fpMul + 1 + (1 + log2(11))}, // 68
 			{"ArgmaxGrouped(18 candidates)", func() { e.ArgmaxGrouped(xs, []int{18}, ids, 38) },
 				log2(18) * ((1 + log2(38)) + 1)},
 			{"ArgmaxGrouped(groups of 5, 2, 11)", func() { e.ArgmaxGrouped(xs, []int{5, 2, 11}, ids, 38) },

@@ -131,13 +131,14 @@ func divisionOperands(k uint) (as, bs []int64) {
 
 // TestDivisionMatchesOracle holds FPDivVec, RecipVec and LnVec to the
 // division as first written, value for value, zero divisors and LnVec's
-// zero input included, in both threat models; the authenticated run must
-// pass its MAC check afterwards.
+// zero input included, and the one normalising chain's v and p to the
+// MSB-first chain's, in both threat models; the authenticated run must pass
+// its MAC check afterwards.
 func TestDivisionMatchesOracle(t *testing.T) {
 	for _, auth := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.Authenticated = auth
-		runParties(t, 3, cfg, func(e *Engine) error {
+		runParties(t, 2, cfg, func(e *Engine) error {
 			consts := func(vs []int64) []Share {
 				out := make([]Share, len(vs))
 				for i, v := range vs {
@@ -162,6 +163,14 @@ func TestDivisionMatchesOracle(t *testing.T) {
 				}
 				ones := e.constVec(len(bs), Elem{1})
 				if err := same(fmt.Sprintf("RecipVec(k=%d)", k), e.RecipVec(bs, k), e.fpDivOracle(ones, bs, k)); err != nil {
+					return err
+				}
+				_, vs, ps := e.bitDecChain(bs, k, true, true)
+				wantV, wantP := e.msbNormalizeOracle(e.BitDecVec(bs, k), k)
+				if err := same(fmt.Sprintf("v(k=%d)", k), vs, wantV); err != nil {
+					return err
+				}
+				if err := same(fmt.Sprintf("p(k=%d)", k), ps, wantP); err != nil {
 					return err
 				}
 			}

@@ -60,25 +60,52 @@ func (e *Engine) FPMul(x, y Share, k uint) Share {
 }
 
 // FPDivVec computes, elementwise, the f-scaled quotient ⟨2^F·a/b⟩ for
-// non-negative a and positive b, both bounded by 2^k (as raw integers; if
-// both carry the same scale the quotient is f-scaled directly).  A zero
-// divisor yields zero.  Requires F+2 <= k and 2k+F+2+κ within the field.
+// non-negative a and b, both below 2^k (as raw integers; if both carry the
+// same scale the quotient is f-scaled directly).  A zero divisor yields zero.
+// Requires 2k+F+2+κ within the field.
 func (e *Engine) FPDivVec(as, bs []Share, k uint) []Share {
-	if k <= e.cfg.F+1 {
-		k = e.cfg.F + 2
-	}
-	e.checkWidth(2*k + e.cfg.F + 2)
-	e.Stats.Divisions += int64(len(as))
-	f := e.cfg.F
-	count := len(as)
+	return e.divVec(as, bs, k)
+}
 
-	// Normalize: B = b·v ∈ [2^(k-1), 2^k).  b and v are positive and below
-	// 2^k, so the product's Beaver differences open bounded and packed.
-	bits := e.BitDecVec(bs, k)
-	vs, _ := e.msbNormalizeVec(bits, k)
+// FPDiv divides one pair.
+func (e *Engine) FPDiv(a, b Share, k uint) Share {
+	return e.FPDivVec([]Share{a}, []Share{b}, k)[0]
+}
+
+// RecipVec computes f-scaled reciprocals ⟨2^F/b⟩ for non-negative integers
+// b < 2^k; a zero b yields zero.
+func (e *Engine) RecipVec(bs []Share, k uint) []Share {
+	return e.divVec(nil, bs, k)
+}
+
+// divVec is FPDivVec, and RecipVec when as is nil: a ≡ 1 needs no a·v
+// product.  The divisor is normalised at its declared width k: the integers
+// are those of a normalisation at any wider K, whose v is this v·2^(K-k), so
+// x and the quotient ⌊a·v·w / 2^k⌋ do not depend on k.
+func (e *Engine) divVec(as, bs []Share, k uint) []Share {
+	f := e.cfg.F
+	num := k // a·v, or v alone, is below 2^num
+	if as != nil {
+		num = 2 * k
+	}
+	e.checkWidth(num + f + 2)
+	e.Stats.Divisions += int64(len(bs))
+	count := len(bs)
+
+	// Normalize: B = b·v ∈ [2^(k-1), 2^k).  b and v are non-negative and
+	// below 2^k, so the product's Beaver differences open bounded and packed.
+	_, vs, _ := e.bitDecChain(bs, k, true, false)
 	Bs := e.MulVecBounded(bs, vs, k, k)
-	// x = B·2^(f-k), an f-scaled value in [0.5, 1).
-	xs := e.TruncVec(Bs, k+1, k-f)
+	// x = B·2^(f-k), an f-scaled value in [0.5, 1): a local shift when k ≤ f.
+	var xs []Share
+	if k <= f {
+		xs = make([]Share, count)
+		for t := range xs {
+			xs[t] = e.lsh(Bs[t], f-k)
+		}
+	} else {
+		xs = e.TruncVec(Bs, k+1, k-f)
+	}
 
 	// w ≈ 2^(2f)/x via Newton iterations from w0 = 2.9142 - 2x.  On the
 	// normal path x ∈ [0.5, 1] and w < 4.  On the zero-divisor path v = 0
@@ -101,23 +128,16 @@ func (e *Engine) FPDivVec(as, bs []Share, k uint) []Share {
 		ws = e.FPMulVecW(ws, corr, f+6, f+2, 2*f+9)
 	}
 
-	// result = Trunc(a·v·w, 2k).  a·v·w = a·v·2^(2f)/x·... = 2^f·a/b.
+	// result = Trunc(a·v·w, k): w ≈ 2^(2f)/x = 2^(f+k)/(b·v), so a·v·w ≈ 2^(f+k)·a/b.
 	// a·v < 2^(2k) can exceed the packing capacity; MulVecSigned falls back
 	// to the uniform path on its own when the slots no longer fit.  A zero
 	// divisor has v = 0, so a·v·w = 0 regardless of the inflated w.
-	avs := e.MulVecSigned(as, vs, k, k)
-	prods := e.MulVecSigned(avs, ws, 2*k, f+6)
-	return e.TruncVec(prods, 2*k+f+2, k)
-}
-
-// FPDiv divides one pair.
-func (e *Engine) FPDiv(a, b Share, k uint) Share {
-	return e.FPDivVec([]Share{a}, []Share{b}, k)[0]
-}
-
-// RecipVec computes f-scaled reciprocals ⟨2^F/b⟩ for positive integers b.
-func (e *Engine) RecipVec(bs []Share, k uint) []Share {
-	return e.FPDivVec(e.constVec(len(bs), Elem{1}), bs, k)
+	nums := vs
+	if as != nil {
+		nums = e.MulVecSigned(as, vs, k, k)
+	}
+	prods := e.MulVecSigned(nums, ws, num, f+6)
+	return e.TruncVec(prods, num+f+2, k)
 }
 
 // expMaxAbs bounds the clamped exponent input.
@@ -253,8 +273,7 @@ func (e *Engine) LnVec(xs []Share) []Share {
 
 	// Normalize x to B = x·2^(f-p) ∈ [2^f, 2^(f+1)), i.e. value u ∈ [1, 2).
 	// x and v are positive and below 2^(f+1), so the product packs.
-	bits := e.BitDecVec(xs, k)
-	vs, ps := e.msbNormalizeVec(bits, k)
+	_, vs, ps := e.bitDecChain(xs, k, true, true)
 	Bs := e.MulVecBounded(xs, vs, f+1, f+1)
 
 	// w = u - 1 ∈ [0, 1);  t = w / (2 + w) ∈ [0, 1/3);

@@ -527,9 +527,11 @@ func TestAuthenticatedHonestRun(t *testing.T) {
 
 // TestAuthenticatedDetectsTampering has party 2 shift its share of one
 // value before an opening — a plain one, a packed OpenVecBounded one (inside
-// a slot, and by 2^width so it carries into the next slot), and a
-// MulVecBounded Beaver difference, which rides a packed opening too.  The
-// MAC check must fail for each, and pass on the same script run honestly.
+// a slot, and by 2^width so it carries into the next slot), a MulVecBounded
+// Beaver difference, which rides a packed opening too, and one in each group
+// of a grouped multiply whose two groups pack at different widths in one
+// opening.  The MAC check must fail for each, and pass on the same script run
+// honestly.
 func TestAuthenticatedDetectsTampering(t *testing.T) {
 	const width = 8
 	small := func(e *Engine) []Share {
@@ -563,6 +565,16 @@ func TestAuthenticatedDetectsTampering(t *testing.T) {
 			tamper(&bits[1], Elem{1})
 			e.MulVecBounded(bits, bits, 1, 1)
 		}},
+		{"grouped multiply, bit group", func(e *Engine, tamper func(*Share, Elem)) {
+			bits, wide := twoWidthGroups(e)
+			tamper(&bits.xs[2], Elem{1})
+			e.mulVecGrouped([]mulGroup{bits, wide})
+		}},
+		{"grouped multiply, wide group", func(e *Engine, tamper func(*Share, Elem)) {
+			bits, wide := twoWidthGroups(e)
+			tamper(&wide.ys[1], Elem{1})
+			e.mulVecGrouped([]mulGroup{bits, wide})
+		}},
 	} {
 		for _, malicious := range []bool{false, true} {
 			results := runAuthenticated(t, func(e *Engine) error {
@@ -582,6 +594,15 @@ func TestAuthenticatedDetectsTampering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// twoWidthGroups returns the two groups of a grouped multiply that open at
+// different slot widths: bit products, and bits times 30-bit values.
+func twoWidthGroups(e *Engine) (bits, wide mulGroup) {
+	bv := []*big.Int{big.NewInt(1), big.NewInt(0), big.NewInt(1), big.NewInt(1)}
+	wv := []*big.Int{big.NewInt(1 << 29), big.NewInt(12345), big.NewInt(0), big.NewInt(1<<30 - 1)}
+	bs, ws := e.InputVec(0, bv), e.InputVec(1, wv)
+	return mulGroup{bs, bs, 1, 1}, mulGroup{bs, ws, 1, 30}
 }
 
 // runAuthenticated runs body as each of three authenticated parties and

@@ -41,29 +41,60 @@ func (e *Engine) OpenVecBounded(xs []Share, width uint) []*big.Int {
 
 // openBoundedElems is OpenVecBounded for callers inside the package.
 func (e *Engine) openBoundedElems(xs []Share, width uint) []Elem {
-	slots := packCapacity(width)
-	if slots < 2 || len(xs) < 2 {
-		return e.openElems(xs)
-	}
-	groups := (len(xs) + slots - 1) / slots
-	packed := make([]Share, groups)
-	for g := range packed {
-		lo := g * slots
-		hi := min(lo+slots, len(xs))
-		// Horner from the top slot.
-		acc := xs[hi-1]
-		for j := hi - 2; j >= lo; j-- {
-			acc = e.Add(e.lsh(acc, width), xs[j])
-		}
-		packed[g] = acc
-	}
+	return e.openPacked(xs, uniformWidths(len(xs), width))
+}
+
+// openPacked opens values the caller promises are non-negative and below
+// 2^widths[j], packed (packSlots) into one round.
+func (e *Engine) openPacked(xs []Share, widths []uint) []Elem {
+	packed := e.packSlots(xs, widths)
 	totals := e.openElems(packed)
 	// The open counted the field elements; account for the logical values.
 	e.Stats.OpenValues += int64(len(xs) - len(packed))
-	out := make([]Elem, len(xs))
-	for j := range out {
-		out[j] = totals[j/slots].slot(width*uint(j%slots), width)
+	return unpackSlots(totals, widths)
+}
+
+// fullSlot is the width of a value that is not bounded: it fills a field
+// element alone.
+const fullSlot = packFieldBits + 1
+
+// slotLayout places value j of a packed opening at bit offset shift of
+// element elem: each value takes the next widths[j] bits of the current
+// element, or starts the next element when it would pass packFieldBits.
+// Values of one width w therefore pack ⌊254/w⌋ to an element, one alone when
+// a slot cannot fit twice.  It returns the number of elements.
+func slotLayout(widths []uint, place func(j, elem int, shift uint)) int {
+	elem, used := 0, uint(0)
+	for j, w := range widths {
+		if used > 0 && used+w > packFieldBits {
+			elem, used = elem+1, 0
+		}
+		place(j, elem, used)
+		used += w
 	}
+	if len(widths) == 0 {
+		return 0
+	}
+	return elem + 1
+}
+
+// packSlots packs xs by slotLayout.  It is a local linear combination of the
+// shares, so the MAC shares follow.
+func (e *Engine) packSlots(xs []Share, widths []uint) []Share {
+	packed := make([]Share, len(xs))
+	n := slotLayout(widths, func(j, elem int, shift uint) {
+		packed[elem] = e.Add(packed[elem], e.lsh(xs[j], shift))
+	})
+	return packed[:n]
+}
+
+// unpackSlots splits the values packSlots packed back out of the opened
+// elements.
+func unpackSlots(opened []Elem, widths []uint) []Elem {
+	out := make([]Elem, len(widths))
+	slotLayout(widths, func(j, elem int, shift uint) {
+		out[j] = opened[elem].slot(shift, widths[j])
+	})
 	return out
 }
 
@@ -78,38 +109,81 @@ type twidth struct{ wa, wb uint }
 // masked openings — so the opened differences are small and pack several per
 // field element.  The products are identical to MulVec's.
 func (e *Engine) MulVecBounded(xs, ys []Share, wx, wy uint) []Share {
-	if len(xs) != len(ys) {
-		panic("mpc: MulVecBounded length mismatch")
+	return e.mulVecGrouped([]mulGroup{{xs, ys, wx, wy}})[0]
+}
+
+// mulGroup is one group of a grouped bounded multiply: pairwise products
+// x·y of operands the caller promises are non-negative with x < 2^wx and
+// y < 2^wy.
+type mulGroup struct {
+	xs, ys []Share
+	wx, wy uint
+}
+
+// mulVecGrouped multiplies every group as MulVecBounded would and opens all
+// their Beaver differences in one round, each difference packed at its own
+// slot width (x − a at wx+κ+1 bits, y − b at wy+κ+1): bit products that
+// share a round with wide products keep their narrow slots.  A group whose
+// masks would reach Q (wa+wb ≥ 254), or whose slot does not fit twice in the
+// field, takes uniform triples and opens each difference in an element of
+// its own, as MulVec does.
+func (e *Engine) mulVecGrouped(groups []mulGroup) [][]Share {
+	type plan struct {
+		ts         []triple
+		offA, offB Elem // lift the differences to non-negative values
+		at         int  // the group's first difference in the opening
 	}
-	if len(xs) == 0 {
-		return nil
+	plans := make([]plan, len(groups))
+	n := 0
+	for _, grp := range groups {
+		n += 2 * len(grp.xs)
 	}
-	wa, wb := wx+e.cfg.Kappa, wy+e.cfg.Kappa
-	slotW := wa
-	if wb > slotW {
-		slotW = wb
-	}
-	slotW++
-	// c = a·b must stay below Q, and a slot must fit at least twice.
-	if wa+wb >= 254 || packCapacity(slotW) < 2 {
-		return e.MulVec(xs, ys)
-	}
-	e.Stats.Mults += int64(len(xs))
-	ts := take(e, e.boundedQueue(wa, wb), len(xs))
-	offA, offB := Elem{1}.Lsh(wa), Elem{1}.Lsh(wb)
-	opens := make([]Share, 2*len(xs))
-	for i := range xs {
-		// d = x - a ∈ (-2^wa, 2^wx]; d + 2^wa is non-negative and < 2^slotW.
-		opens[2*i] = e.addElem(e.Sub(xs[i], ts[i].a), offA)
-		opens[2*i+1] = e.addElem(e.Sub(ys[i], ts[i].b), offB)
-	}
-	vals := e.openBoundedElems(opens, slotW)
-	out := make([]Share, len(xs))
-	parallelFor(len(xs), e.cfg.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.beaver(&ts[i], vals[2*i].Sub(offA), vals[2*i+1].Sub(offB))
+	diffs, widths := make([]Share, 0, n), make([]uint, 0, n)
+	for g, grp := range groups {
+		if len(grp.xs) != len(grp.ys) {
+			panic("mpc: MulVecBounded length mismatch")
 		}
-	})
+		pl := &plans[g]
+		pl.at = len(diffs)
+		if len(grp.xs) == 0 {
+			continue
+		}
+		e.Stats.Mults += int64(len(grp.xs))
+		wa, wb := grp.wx+e.cfg.Kappa, grp.wy+e.cfg.Kappa
+		slotA, slotB := uint(fullSlot), uint(fullSlot)
+		if wa+wb < 254 && packCapacity(max(wa, wb)+1) >= 2 {
+			pl.ts = take(e, e.boundedQueue(wa, wb), len(grp.xs))
+			pl.offA, pl.offB = Elem{1}.Lsh(wa), Elem{1}.Lsh(wb)
+			slotA, slotB = wa+1, wb+1
+		} else {
+			pl.ts = take(e, e.triples, len(grp.xs))
+		}
+		for i := range grp.xs {
+			// d = x - a ∈ (-2^wa, 2^wx]; d + 2^wa is non-negative and < 2^(wa+1).
+			diffs = append(diffs, e.addElem(e.Sub(grp.xs[i], pl.ts[i].a), pl.offA),
+				e.addElem(e.Sub(grp.ys[i], pl.ts[i].b), pl.offB))
+			widths = append(widths, slotA, slotB)
+		}
+	}
+	out := make([][]Share, len(groups))
+	if len(diffs) == 0 {
+		return out
+	}
+	vals := e.openPacked(diffs, widths)
+	for g, grp := range groups {
+		pl := &plans[g]
+		if len(grp.xs) == 0 {
+			continue
+		}
+		ds := vals[pl.at:]
+		prods := make([]Share, len(grp.xs))
+		parallelFor(len(prods), e.cfg.Workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				prods[i] = e.beaver(&pl.ts[i], ds[2*i].Sub(pl.offA), ds[2*i+1].Sub(pl.offB))
+			}
+		})
+		out[g] = prods
+	}
 	return out
 }
 
