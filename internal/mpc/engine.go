@@ -440,30 +440,10 @@ func (e *Engine) beaver(t *triple, d, f Elem) Share {
 }
 
 // MulVec multiplies pairwise with Beaver triples: one open round per batch.
+// It is the grouped multiply's unbounded group: uniform triples, each
+// difference opened in an element of its own.
 func (e *Engine) MulVec(xs, ys []Share) []Share {
-	if len(xs) != len(ys) {
-		panic("mpc: MulVec length mismatch")
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	e.Stats.Mults += int64(len(xs))
-	ts := take(e, e.triples, len(xs))
-	opens := make([]Share, 2*len(xs))
-	for i := range xs {
-		opens[2*i] = e.Sub(xs[i], ts[i].a)
-		opens[2*i+1] = e.Sub(ys[i], ts[i].b)
-	}
-	df := e.openElems(opens)
-	out := make([]Share, len(xs))
-	// Beaver recombination is communication-free and touches only immutable
-	// engine state, so it parallelizes across the configured workers.
-	parallelFor(len(xs), e.cfg.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.beaver(&ts[i], df[2*i], df[2*i+1])
-		}
-	})
-	return out
+	return e.mulVecGrouped([]mulGroup{{xs, ys, fullSlot, fullSlot}})[0]
 }
 
 // Mul multiplies two shared values.

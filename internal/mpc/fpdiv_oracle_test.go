@@ -109,13 +109,13 @@ func (e *Engine) lnOracle(xs []Share) []Share {
 }
 
 // divisionOperands returns, for divisors below 2^k, the edge divisors 0, 1,
-// 2^(k-1)-1, 2^(k-1), 2^k-1 and a sweep of eight more, each paired with the
+// 2^(k-1)-1, 2^(k-1), 2^k-1 and a sweep of four more, each paired with the
 // dividends 0, 1, b and 2^k-1.
 func divisionOperands(k uint) (as, bs []int64) {
 	top := int64(1)<<k - 1
 	divisors := []int64{0, 1, 1<<(k-1) - 1, 1 << (k - 1), top}
 	x := uint64(k)*0x9e3779b97f4a7c15 + 1
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 4; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17

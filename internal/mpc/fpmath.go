@@ -64,6 +64,9 @@ func (e *Engine) FPMul(x, y Share, k uint) Share {
 // same scale the quotient is f-scaled directly).  A zero divisor yields zero.
 // Requires 2k+F+2+κ within the field.
 func (e *Engine) FPDivVec(as, bs []Share, k uint) []Share {
+	if len(as) != len(bs) {
+		panic("mpc: FPDivVec length mismatch")
+	}
 	return e.divVec(as, bs, k)
 }
 
@@ -128,7 +131,8 @@ func (e *Engine) divVec(as, bs []Share, k uint) []Share {
 		ws = e.FPMulVecW(ws, corr, f+6, f+2, 2*f+9)
 	}
 
-	// result = Trunc(a·v·w, k): w ≈ 2^(2f)/x = 2^(f+k)/(b·v), so a·v·w ≈ 2^(f+k)·a/b.
+	// result = Trunc(a·v·w, k): w ≈ 2^(2f)/x = 2^(f+k)/(b·v), so
+	// a·v·w ≈ 2^(f+k)·a/b.
 	// a·v < 2^(2k) can exceed the packing capacity; MulVecSigned falls back
 	// to the uniform path on its own when the slots no longer fit.  A zero
 	// divisor has v = 0, so a·v·w = 0 regardless of the inflated w.

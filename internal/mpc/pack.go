@@ -112,21 +112,27 @@ func (e *Engine) MulVecBounded(xs, ys []Share, wx, wy uint) []Share {
 	return e.mulVecGrouped([]mulGroup{{xs, ys, wx, wy}})[0]
 }
 
-// mulGroup is one group of a grouped bounded multiply: pairwise products
-// x·y of operands the caller promises are non-negative with x < 2^wx and
-// y < 2^wy.
+// mulGroup is one group of a grouped multiply: pairwise products x·y of
+// operands the caller promises are non-negative with x < 2^wx and y < 2^wy
+// (fullSlot: no bound).
 type mulGroup struct {
 	xs, ys []Share
 	wx, wy uint
 }
 
-// mulVecGrouped multiplies every group as MulVecBounded would and opens all
-// their Beaver differences in one round, each difference packed at its own
-// slot width (x − a at wx+κ+1 bits, y − b at wy+κ+1): bit products that
-// share a round with wide products keep their narrow slots.  A group whose
-// masks would reach Q (wa+wb ≥ 254), or whose slot does not fit twice in the
-// field, takes uniform triples and opens each difference in an element of
-// its own, as MulVec does.
+// boundedFits reports whether wx×wy products take bounded triples: c = a·b
+// must stay below Q, and a slot must fit at least twice in the field.
+func (e *Engine) boundedFits(wx, wy uint) bool {
+	wa, wb := wx+e.cfg.Kappa, wy+e.cfg.Kappa
+	return wa+wb < 254 && packCapacity(max(wa, wb)+1) >= 2
+}
+
+// mulVecGrouped multiplies every group and opens all their Beaver
+// differences in one round.  A group that boundedFits draws bounded triples
+// and packs each difference at its own slot width (x − a at wx+κ+1 bits,
+// y − b at wy+κ+1), so bit products that share a round with wide products
+// keep their narrow slots; any other group takes uniform triples and opens
+// each difference in an element of its own.
 func (e *Engine) mulVecGrouped(groups []mulGroup) [][]Share {
 	type plan struct {
 		ts         []triple
@@ -141,7 +147,7 @@ func (e *Engine) mulVecGrouped(groups []mulGroup) [][]Share {
 	diffs, widths := make([]Share, 0, n), make([]uint, 0, n)
 	for g, grp := range groups {
 		if len(grp.xs) != len(grp.ys) {
-			panic("mpc: MulVecBounded length mismatch")
+			panic("mpc: multiply length mismatch")
 		}
 		pl := &plans[g]
 		pl.at = len(diffs)
@@ -151,7 +157,7 @@ func (e *Engine) mulVecGrouped(groups []mulGroup) [][]Share {
 		e.Stats.Mults += int64(len(grp.xs))
 		wa, wb := grp.wx+e.cfg.Kappa, grp.wy+e.cfg.Kappa
 		slotA, slotB := uint(fullSlot), uint(fullSlot)
-		if wa+wb < 254 && packCapacity(max(wa, wb)+1) >= 2 {
+		if e.boundedFits(grp.wx, grp.wy) {
 			pl.ts = take(e, e.boundedQueue(wa, wb), len(grp.xs))
 			pl.offA, pl.offB = Elem{1}.Lsh(wa), Elem{1}.Lsh(wb)
 			slotA, slotB = wa+1, wb+1
@@ -177,6 +183,8 @@ func (e *Engine) mulVecGrouped(groups []mulGroup) [][]Share {
 		}
 		ds := vals[pl.at:]
 		prods := make([]Share, len(grp.xs))
+		// Beaver recombination is communication-free and touches only
+		// immutable engine state, so it parallelizes across the workers.
 		parallelFor(len(prods), e.cfg.Workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				prods[i] = e.beaver(&pl.ts[i], ds[2*i].Sub(pl.offA), ds[2*i+1].Sub(pl.offB))
@@ -202,8 +210,8 @@ func (e *Engine) mulVecBits(xs, ys []Share) []Share {
 //	x·y = (x+X)(y+Y) − Y·x − X·y − X·Y,  X = 2^wx, Y = 2^wy.
 //
 // The products are identical to MulVec's; only the opened Beaver differences
-// change (they pack several per field element).  Falls back to MulVec under
-// the same conditions as MulVecBounded.
+// change (they pack several per field element).  Falls back to MulVec where
+// the lifted widths do not fit bounded triples.
 func (e *Engine) MulVecSigned(xs, ys []Share, wx, wy uint) []Share {
 	if len(xs) != len(ys) {
 		panic("mpc: MulVecSigned length mismatch")
@@ -211,15 +219,8 @@ func (e *Engine) MulVecSigned(xs, ys []Share, wx, wy uint) []Share {
 	if len(xs) == 0 {
 		return nil
 	}
-	// Mirror MulVecBounded's fallback condition for the lifted widths so the
-	// lift is only paid when packing actually happens.
-	wa, wb := wx+1+e.cfg.Kappa, wy+1+e.cfg.Kappa
-	slotW := wa
-	if wb > slotW {
-		slotW = wb
-	}
-	slotW++
-	if wa+wb >= 254 || packCapacity(slotW) < 2 {
+	// The lift is only paid when the lifted products take bounded triples.
+	if !e.boundedFits(wx+1, wy+1) {
 		return e.MulVec(xs, ys)
 	}
 	X, Y := Elem{1}.Lsh(wx), Elem{1}.Lsh(wy)
