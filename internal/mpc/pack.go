@@ -79,18 +79,26 @@ func slotLayout(widths []uint, place func(j, elem int, shift uint)) int {
 }
 
 // packSlots packs xs by slotLayout.  It is a local linear combination of the
-// shares, so the MAC shares follow.
+// shares, so the MAC shares follow.  When no two values share an element it
+// returns xs itself.
 func (e *Engine) packSlots(xs []Share, widths []uint) []Share {
-	packed := make([]Share, len(xs))
-	n := slotLayout(widths, func(j, elem int, shift uint) {
+	n := slotLayout(widths, func(int, int, uint) {})
+	if n == len(xs) {
+		return xs
+	}
+	packed := make([]Share, n)
+	slotLayout(widths, func(j, elem int, shift uint) {
 		packed[elem] = e.Add(packed[elem], e.lsh(xs[j], shift))
 	})
-	return packed[:n]
+	return packed
 }
 
 // unpackSlots splits the values packSlots packed back out of the opened
 // elements.
 func unpackSlots(opened []Elem, widths []uint) []Elem {
+	if len(opened) == len(widths) {
+		return opened // one value per element
+	}
 	out := make([]Elem, len(widths))
 	slotLayout(widths, func(j, elem int, shift uint) {
 		out[j] = opened[elem].slot(shift, widths[j])
@@ -165,9 +173,13 @@ func (e *Engine) mulVecGrouped(groups []mulGroup) [][]Share {
 			pl.ts = take(e, e.triples, len(grp.xs))
 		}
 		for i := range grp.xs {
-			// d = x - a ∈ (-2^wa, 2^wx]; d + 2^wa is non-negative and < 2^(wa+1).
-			diffs = append(diffs, e.addElem(e.Sub(grp.xs[i], pl.ts[i].a), pl.offA),
-				e.addElem(e.Sub(grp.ys[i], pl.ts[i].b), pl.offB))
+			dx, dy := e.Sub(grp.xs[i], pl.ts[i].a), e.Sub(grp.ys[i], pl.ts[i].b)
+			if slotA != fullSlot {
+				// d = x - a ∈ (-2^wa, 2^wx]; d + 2^wa is non-negative and
+				// < 2^(wa+1).
+				dx, dy = e.addElem(dx, pl.offA), e.addElem(dy, pl.offB)
+			}
+			diffs = append(diffs, dx, dy)
 			widths = append(widths, slotA, slotB)
 		}
 	}
