@@ -215,7 +215,9 @@ func TestIncrementalEquivalenceRF(t *testing.T) {
 // for regression; for classification, accuracy within 0.01 of the retrain's,
 // for the GBDT and for a DT absorbing the same rows.  The warm start's and
 // the retrain's rounds and messages are pinned in
-// testdata/counters_golden.json, and the warm start must cost fewer rounds.
+// testdata/counters_golden.json, and the warm start must cost fewer rounds;
+// every round of the updated model, the fresh one included, is pinned in
+// testdata/warmstart_golden.json.
 func TestIncrementalEquivalenceGBDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round incremental equivalence runs in the nightly suite")
@@ -261,6 +263,13 @@ func warmStartGBDT(t *testing.T, full *dataset.Dataset, n int) {
 	if !reflect.DeepEqual(bm1.Forests[0][:len(bm0.Forests[0])], bm0.Forests[0]) {
 		t.Fatalf("warm start rewrote the trained prefix")
 	}
+	rounds := make([][]string, len(bm1.Forests[0])) // [round][class]
+	for w := range rounds {
+		for _, forest := range bm1.Forests {
+			rounds[w] = append(rounds[w], forest[w].String())
+		}
+	}
+	checkGolden(t, "testdata/warmstart_golden.json", rounds)
 
 	// Full retrain oracle at the same total rounds over the union.
 	unionParts, err := dataset.VerticalPartition(union, 2, 0)
