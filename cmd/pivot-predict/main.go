@@ -42,7 +42,7 @@ func main() {
 	auth := flag.String("auth", "", "shared auth token matching the daemon's -auth (with -remote)")
 	retryWait := flag.Duration("retry", 0, "ride out daemon degradation for up to this long per request (with -remote)")
 	update := flag.String("update", "", "CSV of appended labelled samples to absorb into the model first (with -remote; incremental training, installs version+1)")
-	addTrees := flag.Int("addtrees", 0, "extra boosting rounds for a GBDT -update (<= 0 selects 1)")
+	addTrees := flag.Int("addtrees", 0, fmt.Sprintf("extra boosting rounds for a GBDT -update (<= 0 selects 1, at most %d)", core.MaxAddTrees))
 	flag.Parse()
 
 	var opts pivot.ServeDialOptions

@@ -62,10 +62,14 @@ type UpdateSpec struct {
 	// session's layout, labels at the super client only.
 	Append []*dataset.Partition
 	// AddTrees is the number of fresh boosting rounds a GBDT absorb
-	// trains on top of the replayed ensemble (minimum and default 1).
-	// DT/RF absorbs refine leaves only and ignore it.
+	// trains on top of the replayed ensemble (minimum and default 1, at
+	// most MaxAddTrees).  DT/RF absorbs refine leaves only and ignore it.
 	AddTrees int
 }
+
+// MaxAddTrees bounds UpdateSpec.AddTrees.  Each added round is a full
+// secure boosting round, and the count comes from the wire unchecked.
+const MaxAddTrees = 64
 
 // leafTotals is one released DT/RF model's kept leaf totals: tots[c][w][pos]
 // is client c's shares of tree w's leaf pos, over the first rows samples.
@@ -180,6 +184,8 @@ func (s *Session) checkUpdate(spec UpdateSpec) (*leafTotals, error) {
 		return nil, fmt.Errorf("core: incremental update is unavailable in malicious mode: the §9.1 proofs cover full training transcripts, not replayed absorbs")
 	case s.Cfg.DP != nil:
 		return nil, fmt.Errorf("core: incremental update is unavailable with DP noise: per-absorb noise would compound across repeated updates")
+	case spec.AddTrees > MaxAddTrees:
+		return nil, fmt.Errorf("core: update: AddTrees %d exceeds the limit of %d boosting rounds per absorb", spec.AddTrees, MaxAddTrees)
 	}
 	if err := replayable(spec.Model); err != nil {
 		return nil, err

@@ -558,24 +558,35 @@ func saveBytes(t *testing.T, mdl Predictor) []byte {
 // TestIncrementalUpdateRefusals pins the absorbs that must be refused —
 // enhanced sessions never disclose the tree, DP noise would compound, a nil
 // or concealed model has no splits to replay, a label out of range cannot
-// be counted — and that every refusal comes before any client starts: the
-// session stays healthy and its partitions keep their rows.
+// be counted, more added boosting rounds than MaxAddTrees (math.MaxInt once
+// overflowed the round count, and the absorb installed no new round) — and
+// that every refusal comes before any client starts: the session stays
+// healthy and its partitions keep their rows.
 func TestIncrementalUpdateRefusals(t *testing.T) {
-	ds := smallClassification(16)
+	leaf := &Model{Protocol: Basic, Nodes: []Node{{Leaf: true}}, Leaves: 1}
 	for _, tc := range []struct {
 		name  string
 		mut   func(*Config)
 		model Predictor
 		label float64 // the first appended label
+		add   int     // UpdateSpec.AddTrees
 		want  string
 	}{
-		{"enhanced", func(c *Config) { c.Protocol = Enhanced }, &Model{Protocol: Basic}, 0, "basic protocol"},
-		{"dp", func(c *Config) { c.DP = &DPConfig{Epsilon: 1} }, &Model{Protocol: Basic}, 0, "DP"},
-		{"nil model", func(*Config) {}, (*Model)(nil), 0, "nil model"},
-		{"enhanced model", func(*Config) {}, &Model{Protocol: Enhanced}, 0, "conceals its splits"},
-		{"bad label", func(*Config) {}, &Model{Protocol: Basic}, 7, "label"},
+		{"enhanced", func(c *Config) { c.Protocol = Enhanced }, &Model{Protocol: Basic}, 0, 0, "basic protocol"},
+		{"dp", func(c *Config) { c.DP = &DPConfig{Epsilon: 1} }, &Model{Protocol: Basic}, 0, 0, "DP"},
+		{"nil model", func(*Config) {}, (*Model)(nil), 0, 0, "nil model"},
+		{"enhanced model", func(*Config) {}, &Model{Protocol: Enhanced}, 0, 0, "conceals its splits"},
+		{"bad label", func(*Config) {}, &Model{Protocol: Basic}, 7, 0, "label"},
+		{"gbdt regression add trees", func(*Config) {}, &BoostModel{LearningRate: 0.5,
+			Forests: [][]*Model{{leaf, leaf}}}, 0, math.MaxInt, "AddTrees"},
+		{"gbdt classification add trees", func(*Config) {}, &BoostModel{Classes: 2, LearningRate: 0.5,
+			Forests: [][]*Model{{leaf, leaf}, {leaf, leaf}}}, 0, math.MaxInt, "AddTrees"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ds := smallClassification(16)
+			if bm, ok := tc.model.(*BoostModel); ok && bm.Classes == 0 {
+				ds = dataset.SyntheticRegression(16, 4, 0.1, 3)
+			}
 			cfg := testConfig()
 			tc.mut(&cfg)
 			parts, err := dataset.VerticalPartition(ds, 2, 0)
@@ -593,7 +604,7 @@ func TestIncrementalUpdateRefusals(t *testing.T) {
 			}
 			app[0].Y = append([]float64(nil), app[0].Y...)
 			app[0].Y[0] = tc.label
-			_, err = Update(s, UpdateSpec{Model: tc.model, Append: app})
+			_, err = Update(s, UpdateSpec{Model: tc.model, Append: app, AddTrees: tc.add})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("update under %s: err = %v, want mention of %q", tc.name, err, tc.want)
 			}

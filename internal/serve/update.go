@@ -68,7 +68,7 @@ func localRows(feats []int, rows [][]float64) [][]float64 {
 // (a purely local phase), so they join every lane's training partitions for
 // later absorbs.  Predictions admitted before the install keep serving the
 // prior version.  addTrees sets the extra boosting rounds for GBDT models
-// (<= 0 selects 1) and is ignored for DT/RF.
+// (<= 0 selects 1, at most core.MaxAddTrees) and is ignored for DT/RF.
 func (s *Service) Update(name string, rows [][]float64, labels []float64, addTrees int) (*Entry, error) {
 	entry, err := s.Lookup(name)
 	if err != nil {

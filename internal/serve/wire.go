@@ -58,7 +58,8 @@ type predictResp struct {
 // updateReq is the opUpdate body: appended aligned samples (flat feature
 // rows in global column order, one label each) absorbed into the named
 // model.  AddTrees sets the extra boosting rounds for GBDT absorbs
-// (<= 0 selects 1); DT/RF absorbs refine leaves only and ignore it.
+// (<= 0 selects 1; above core.MaxAddTrees the update is refused before any
+// client starts); DT/RF absorbs refine leaves only and ignore it.
 type updateReq struct {
 	Model    string      `json:"model"`
 	Samples  [][]float64 `json:"samples"`

@@ -262,7 +262,7 @@ func (f *Federation) PredictAll(mdl Predictor) ([]float64, error) {
 // the new rows only for a DT/RF this federation released, whose leaf
 // totals it keeps as shares — and only the leaf refinement (DT/RF) or the
 // addTrees extra boosting rounds
-// (GBDT; <= 0 selects 1) run secure computation.  The absorbed rows also
+// (GBDT; <= 0 selects 1, at most core.MaxAddTrees) run secure computation.  The absorbed rows also
 // join the federation's partitions, so PredictAll and later absorbs see
 // the union.  Basic protocol only: a warm start replays released
 // plaintext trees, which the enhanced protocol never discloses.
