@@ -69,7 +69,7 @@ func (p *Party) rfTrees(fm *ForestModel, start int) error {
 					lp.rctx = &outerSnap{kind: kindRF, unit: w, trees: append([]*Model(nil), fm.Trees[:w]...)}
 				}
 				counts := bootstrapCounts(lp.part.N, lp.cfg.Subsample, uint64(lp.cfg.Seed)+uint64(w))
-				tree, leafTots, err := lp.trainTree(counts, nil, nil)
+				tree, leafTots, err := lp.trainTree(counts)
 				if err != nil {
 					return err
 				}
@@ -112,113 +112,283 @@ func bootstrapCounts(n int, frac float64, seed uint64) []int64 {
 
 // TrainGBDT trains a gradient-boosted ensemble (§7.2).  Regression keeps
 // the residual labels encrypted between rounds; classification runs
-// one-vs-the-rest with a secure softmax between rounds.
+// one-vs-the-rest with a secure softmax between rounds.  Both run the one
+// boosting loop: a regression round is the class-shared round at C = 1.
 func (p *Party) TrainGBDT() (*BoostModel, error) {
 	if p.cfg.Protocol != Basic {
 		return nil, p.errf("ensemble training requires the basic protocol (paper §7)")
 	}
-	if p.part.Classes > 0 {
-		return p.trainGBDTClassification()
-	}
-	return p.trainGBDTRegression()
-}
-
-func (p *Party) trainGBDTRegression() (*BoostModel, error) {
-	bm := &BoostModel{LearningRate: p.cfg.LearningRate, Forests: make([][]*Model, 1)}
-	n := p.part.N
-
-	// The super client centers the labels (the public base prediction) and
-	// encrypts them; residuals stay encrypted for every round (§7.2).
-	var encY []*paillier.Ciphertext
-	err := timed(&p.Stats.Phases.LocalComputation, func() error {
-		if p.ID == p.Super {
-			var mean float64
-			for _, y := range p.part.Y {
-				mean += y
-			}
-			mean /= float64(n)
-			bm.Base = mean
-			vals := make([]*big.Int, n)
-			for t := 0; t < n; t++ {
-				vals[t] = p.cod.Encode(p.part.Y[t] - mean)
-			}
-			cts, err := p.encryptVec(vals)
-			if err != nil {
-				return err
-			}
-			if err := p.broadcastCtsChunked(cts); err != nil {
-				return err
-			}
-			// Base is public model information: announce it.
-			if err := p.broadcastInts([]*big.Int{mpc.ToField(p.cod.Encode(mean))}); err != nil {
-				return err
-			}
-			encY = cts
-			return nil
-		}
-		var err error
-		encY, err = p.recvCtsChunked(p.Super, n)
-		if err != nil {
-			return err
-		}
-		xs, err := p.recvIntsN(p.Super, 1)
-		if err != nil {
-			return err
-		}
-		bm.Base = p.cod.Decode(mpc.Signed(xs[0]))
-		return nil
-	})
+	c := p.part.Classes
+	b, err := p.boostTargets(&BoostModel{Classes: c, LearningRate: p.cfg.LearningRate, Forests: make([][]*Model, max(c, 1))}, true)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := p.gbdtRegRounds(bm, encY, 0); err != nil {
+	if err := p.boostRounds(b, 0, p.cfg.NumTrees, nil, nil); err != nil {
 		return nil, err
 	}
-	return bm, nil
+	return b.bm, nil
 }
 
-// gbdtRegRounds runs boosting rounds w = start..NumTrees-1 on the encrypted
-// residuals, arming the recovery unit context at each round boundary.
-func (p *Party) gbdtRegRounds(bm *BoostModel, encY []*paillier.Ciphertext, start int) error {
-	for w := start; w < p.cfg.NumTrees; w++ {
-		if p.ck != nil {
-			p.rctx = &outerSnap{kind: kindGBDTReg, unit: w, base: bm.Base,
-				forests: [][]*Model{append([]*Model(nil), bm.Forests[0]...)},
-				encY:    [][]*paillier.Ciphertext{encY}}
+// boosting is a GBDT's state between rounds: the model so far, the
+// encrypted residual channels the next round fits (one for regression, one
+// per class) and, for classification only, the encrypted raw scores and the
+// one-hot target shares the residuals are recomputed from.  Slices are
+// reassigned, never mutated in place, so a clone shares their contents.
+type boosting struct {
+	bm     *BoostModel
+	resid  [][]*paillier.Ciphertext
+	scores [][]*paillier.Ciphertext
+	onehot [][]mpc.Share
+}
+
+// clone copies b deeply enough that neither copy's rounds show in the
+// other: a checkpoint snapshots one and every resume restores one.
+func (b *boosting) clone() *boosting {
+	bm := *b.bm
+	bm.Forests = make([][]*Model, len(b.bm.Forests))
+	for k, f := range b.bm.Forests {
+		bm.Forests[k] = append([]*Model(nil), f...)
+	}
+	return &boosting{bm: &bm, onehot: b.onehot,
+		resid:  append([][]*paillier.Ciphertext(nil), b.resid...),
+		scores: append([][]*paillier.Ciphertext(nil), b.scores...)}
+}
+
+// add appends one round's trees, one per class, to the model.
+func (b *boosting) add(trees []*Model) {
+	for k, tree := range trees {
+		b.bm.Forests[k] = append(b.bm.Forests[k], tree)
+	}
+}
+
+// boostTargets sets up the targets of bm over the current samples: a fresh
+// train when fresh, else a warm start that keeps bm.Base and derives its
+// residuals from the replayed rounds.  Regression: the super client
+// encrypts and broadcasts the centred labels y − Base; a fresh train first
+// takes Base as the label mean and announces it (public model
+// information).  Classification: the super client inputs the one-hot
+// targets as shares and, on a fresh train, broadcasts the encrypted initial
+// residuals onehot − 1/C.
+func (p *Party) boostTargets(bm *BoostModel, fresh bool) (*boosting, error) {
+	b := &boosting{bm: bm}
+	y := p.part.Y
+	err := timed(&p.Stats.Phases.LocalComputation, func() error {
+		c := bm.Classes
+		if c == 0 {
+			if fresh && p.ID == p.Super {
+				for _, v := range y {
+					bm.Base += v
+				}
+				bm.Base /= float64(len(y))
+			}
+			ch, err := p.superEncrypt(func(t int) float64 { return y[t] - bm.Base })
+			b.resid = [][]*paillier.Ciphertext{ch}
+			if err != nil || !fresh {
+				return err
+			}
+			if p.ID == p.Super {
+				return p.broadcastInts([]*big.Int{mpc.ToField(p.cod.Encode(bm.Base))})
+			}
+			xs, err := p.recvIntsN(p.Super, 1)
+			if err != nil {
+				return err
+			}
+			bm.Base = p.cod.Decode(mpc.Signed(xs[0]))
+			return nil
 		}
-		encY2, err := p.squareChannel(encY)
+		b.resid = make([][]*paillier.Ciphertext, c)
+		b.scores = make([][]*paillier.Ciphertext, c)
+		b.onehot = make([][]mpc.Share, c)
+		for k := 0; k < c; k++ {
+			oneHot := func(t int) float64 {
+				if int(y[t]) == k {
+					return 1
+				}
+				return 0
+			}
+			vals := make([]*big.Int, p.part.N)
+			for t := 0; t < len(vals) && p.ID == p.Super; t++ {
+				vals[t] = p.cod.Encode(oneHot(t))
+			}
+			b.onehot[k] = p.eng.InputVec(p.Super, vals)
+			if fresh {
+				var err error
+				b.resid[k], err = p.superEncrypt(func(t int) float64 { return oneHot(t) - 1.0/float64(c) })
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	return b, err
+}
+
+// superEncrypt has the super client encrypt f(t) for every sample t and
+// broadcast the ciphertexts; every party returns them.
+func (p *Party) superEncrypt(f func(t int) float64) ([]*paillier.Ciphertext, error) {
+	n := p.part.N
+	if p.ID != p.Super {
+		return p.recvCtsChunked(p.Super, n)
+	}
+	vals := make([]*big.Int, n)
+	for t := range vals {
+		vals[t] = p.cod.Encode(f(t))
+	}
+	p.poolReserve(n)
+	cts, err := p.encryptVec(vals)
+	if err != nil {
+		return nil, err
+	}
+	return cts, p.broadcastCtsChunked(cts)
+}
+
+// boostRounds runs boosting rounds start..end−1, arming the recovery unit
+// context at each round boundary.  Every round but the last is absorbed
+// into the state the next one fits.  When trees is non-empty, round start
+// is already trained — a warm start's last replayed round, or the round a
+// checkpoint resume finished — and only its absorption runs.
+func (p *Party) boostRounds(b *boosting, start, end int, trees []*Model, las [][][]*paillier.Ciphertext) error {
+	for w := start; w < end; w++ {
+		if len(trees) == 0 {
+			if p.ck != nil {
+				p.rctx = &outerSnap{kind: kindGBDT, unit: w, boost: b.clone()}
+			}
+			var err error
+			if trees, las, err = p.trainBoostRound(b.resid); err != nil {
+				return p.errf("round %d: %w", w, err)
+			}
+		}
+		b.add(trees)
+		if w+1 < end {
+			if err := p.absorbRound(b, trees, las); err != nil {
+				return err
+			}
+		}
+		trees, las = nil, nil
+	}
+	return nil
+}
+
+// trainBoostRound trains one boosting round's trees, one per residual
+// channel.  On the level-wise schedule all C trees share a single frontier,
+// so each depth's conversion, gain, argmax and model-update chains run once
+// for the whole round instead of once per class; the per-node schedule
+// keeps the paper's per-class loop.
+func (p *Party) trainBoostRound(resid [][]*paillier.Ciphertext) ([]*Model, [][][]*paillier.Ciphertext, error) {
+	groups := [][][]*paillier.Ciphertext{resid}
+	if p.perNode {
+		groups = make([][][]*paillier.Ciphertext, len(resid))
+		for k := range resid {
+			groups[k] = resid[k : k+1]
+		}
+	}
+	var trees []*Model
+	var las [][][]*paillier.Ciphertext
+	for _, g := range groups {
+		sq, err := p.squareChannels(g)
 		if err != nil {
-			return p.errf("round %d label squaring: %v", w, err)
+			return nil, nil, err
 		}
-		p.captureLeaves = true
-		p.leafAlphas = nil
-		tree, _, err := p.trainTree(nil, encY, encY2)
-		p.captureLeaves = false
+		ts, ls, err := p.trainTreesShared(g, sq)
+		if err != nil {
+			return nil, nil, err
+		}
+		trees, las = append(trees, ts...), append(las, ls...)
+	}
+	return trees, las, nil
+}
+
+// absorbRound folds a trained round into the state the next round fits.
+// Classification then recomputes the residuals onehot − softmax(scores) on
+// shares and converts them back to ciphertexts (§7.2).
+func (p *Party) absorbRound(b *boosting, trees []*Model, las [][][]*paillier.Ciphertext) error {
+	p.addEstimates(b, trees, las)
+	if b.onehot == nil {
+		return nil
+	}
+	c, n := len(trees), p.part.N
+	flat := make([]*paillier.Ciphertext, 0, c*n)
+	for k := 0; k < c; k++ {
+		flat = append(flat, b.scores[k]...)
+	}
+	scoreShares, err := p.encToShares(flat, len(flat), p.w.stat)
+	if err != nil {
+		return err
+	}
+	probs := p.softmaxSamples(scoreShares, c, n)
+	for k := 0; k < c; k++ {
+		resid := make([]mpc.Share, n)
+		for t := 0; t < n; t++ {
+			resid[t] = p.eng.Sub(b.onehot[k][t], probs[k*n+t])
+		}
+		b.resid[k], err = p.shareToEnc(resid, p.w.value+4, p.Super)
 		if err != nil {
 			return err
-		}
-		bm.Forests[0] = append(bm.Forests[0], tree)
-		if w+1 < p.cfg.NumTrees {
-			encY = p.residualUpdate(encY, tree, p.leafAlphas, p.cfg.LearningRate)
 		}
 	}
 	return nil
 }
 
-// squareChannel derives [y²] (2f-scaled) from [y] by one round of MPC
-// squaring — the per-round computation §7.2 introduces so that the split
-// owners can thereafter maintain [γ₂] with cheap plaintext masking.
-func (p *Party) squareChannel(encY []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	out, err := p.squareChannels([][]*paillier.Ciphertext{encY})
-	if err != nil {
-		return nil, err
+// addEstimates adds one round's estimates [Ŷ] to b, scaled by the learning
+// rate ν: −ν onto the residuals (regression), +ν onto the raw scores
+// (classification).
+func (p *Party) addEstimates(b *boosting, trees []*Model, las [][][]*paillier.Ciphertext) {
+	nu := b.bm.LearningRate
+	for k, tree := range trees {
+		if b.onehot == nil {
+			b.resid[k] = p.addEstimate(b.resid[k], tree, las[k], -nu)
+		} else {
+			b.scores[k] = p.addEstimate(b.scores[k], tree, las[k], nu)
+		}
 	}
-	return out[0], nil
 }
 
-// squareChannels derives [y²] for every class channel in one conversion and
-// one multiplication chain shared across classes.
+// addEstimate returns acc ⊕ coef·[Ŷ] for one tree, where the encrypted
+// estimation [Ŷ] is assembled from the tree's leaf labels (public, basic
+// protocol) and its leaves' encrypted mask vectors las.  A nil acc starts
+// from zero.
+func (p *Party) addEstimate(acc []*paillier.Ciphertext, tree *Model,
+	las [][]*paillier.Ciphertext, coef float64) []*paillier.Ciphertext {
+
+	n := p.part.N
+	scaled := make([]*big.Int, tree.Leaves)
+	for _, node := range tree.Nodes {
+		if node.Leaf {
+			scaled[node.LeafPos] = p.cod.Encode(coef * node.Label)
+		}
+	}
+	out := make([]*paillier.Ciphertext, n)
+	for t := 0; t < n; t++ {
+		var sum *paillier.Ciphertext
+		if acc != nil {
+			sum = acc[t]
+		}
+		for leaf, s := range scaled {
+			if s.Sign() == 0 {
+				continue
+			}
+			term := p.pk.MulConst(las[leaf][t], s)
+			if sum == nil {
+				sum = term
+			} else {
+				sum = p.pk.Add(sum, term)
+			}
+		}
+		if sum == nil {
+			// No informative leaves; a zero ciphertext keeps shapes uniform.
+			sum = p.pk.MulConst(las[0][t], big.NewInt(0))
+		}
+		out[t] = sum
+	}
+	p.Stats.HEOps += int64(n * tree.Leaves)
+	return out
+}
+
+// squareChannels derives [y²] (2f-scaled) for every residual channel in one
+// conversion and one multiplication chain shared across channels — the
+// per-round computation §7.2 introduces so that the split owners can
+// thereafter maintain [γ₂] with cheap plaintext masking.
 func (p *Party) squareChannels(encYs [][]*paillier.Ciphertext) ([][]*paillier.Ciphertext, error) {
 	var flat []*paillier.Ciphertext
 	for _, ch := range encYs {
@@ -241,217 +411,6 @@ func (p *Party) squareChannels(encYs [][]*paillier.Ciphertext) ([][]*paillier.Ci
 		off += len(ch)
 	}
 	return out, nil
-}
-
-// trainBoostRound trains one boosting round's class trees.  On the
-// level-wise schedule all C trees share a single frontier, so each depth's
-// conversion, gain, argmax and model-update chains run once for the whole
-// round instead of once per class; the per-node schedule keeps the paper's
-// per-class loop.
-func (p *Party) trainBoostRound(encY [][]*paillier.Ciphertext) ([]*Model, [][][]*paillier.Ciphertext, error) {
-	c := len(encY)
-	if p.perNode {
-		trees := make([]*Model, c)
-		las := make([][][]*paillier.Ciphertext, c)
-		for k := 0; k < c; k++ {
-			encY2, err := p.squareChannel(encY[k])
-			if err != nil {
-				return nil, nil, err
-			}
-			p.captureLeaves = true
-			p.leafAlphas = nil
-			tree, _, err := p.trainTree(nil, encY[k], encY2)
-			p.captureLeaves = false
-			if err != nil {
-				return nil, nil, err
-			}
-			trees[k] = tree
-			las[k] = p.leafAlphas
-		}
-		return trees, las, nil
-	}
-	encY2s, err := p.squareChannels(encY)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.trainTreesShared(encY, encY2s)
-}
-
-// residualUpdate computes [Y^{w+1}] = [Y^w] ⊖ ν·[Ŷ^w], where the encrypted
-// estimation [Ŷ] is assembled from the tree's leaf labels (public, basic
-// protocol) and the captured encrypted leaf mask vectors.
-func (p *Party) residualUpdate(encY []*paillier.Ciphertext, tree *Model,
-	leafAlphas [][]*paillier.Ciphertext, nu float64) []*paillier.Ciphertext {
-
-	n := len(encY)
-	out := make([]*paillier.Ciphertext, n)
-	scaled := make([]*big.Int, tree.Leaves)
-	for _, node := range tree.Nodes {
-		if node.Leaf {
-			scaled[node.LeafPos] = p.cod.Encode(-nu * node.Label)
-		}
-	}
-	for t := 0; t < n; t++ {
-		acc := encY[t]
-		for leaf := 0; leaf < tree.Leaves; leaf++ {
-			if scaled[leaf].Sign() == 0 {
-				continue
-			}
-			acc = p.pk.Add(acc, p.pk.MulConst(leafAlphas[leaf][t], scaled[leaf]))
-		}
-		out[t] = acc
-	}
-	p.Stats.HEOps += int64(n * tree.Leaves)
-	return out
-}
-
-func (p *Party) trainGBDTClassification() (*BoostModel, error) {
-	c := p.part.Classes
-	n := p.part.N
-	bm := &BoostModel{Classes: c, LearningRate: p.cfg.LearningRate, Forests: make([][]*Model, c)}
-
-	// One-hot targets as shares (input once by the super client) and the
-	// initial residuals onehot − 1/c, encrypted by the super client.
-	onehot := make([][]mpc.Share, c)
-	encY := make([][]*paillier.Ciphertext, c)
-	for k := 0; k < c; k++ {
-		vals := make([]*big.Int, n)
-		encVals := make([]*big.Int, n)
-		for t := 0; t < n && p.ID == p.Super; t++ {
-			var oh float64
-			if int(p.part.Y[t]) == k {
-				oh = 1
-			}
-			{
-				vals[t] = p.cod.Encode(oh)
-				encVals[t] = p.cod.Encode(oh - 1.0/float64(c))
-			}
-		}
-		onehot[k] = p.eng.InputVec(p.Super, vals)
-		if p.ID == p.Super {
-			cts, err := p.encryptVec(encVals)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.broadcastCtsChunked(cts); err != nil {
-				return nil, err
-			}
-			encY[k] = cts
-		} else {
-			var err error
-			encY[k], err = p.recvCtsChunked(p.Super, n)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Encrypted raw scores per class, accumulated across rounds.
-	scores := make([][]*paillier.Ciphertext, c)
-	if err := p.gbdtClsRounds(bm, onehot, encY, scores, 0, nil, nil); err != nil {
-		return nil, err
-	}
-	return bm, nil
-}
-
-// gbdtClsRounds runs classification boosting rounds w = start..NumTrees-1.
-// When trees is non-nil, round start's class trees are already trained (a
-// checkpoint resume finished them) and only the post-round bookkeeping —
-// score accumulation and the softmax residual update — runs for that round.
-func (p *Party) gbdtClsRounds(bm *BoostModel, onehot [][]mpc.Share,
-	encY, scores [][]*paillier.Ciphertext, start int,
-	trees []*Model, las [][][]*paillier.Ciphertext) error {
-
-	c := bm.Classes
-	n := p.part.N
-	for w := start; w < p.cfg.NumTrees; w++ {
-		if trees == nil {
-			if p.ck != nil {
-				forests := make([][]*Model, c)
-				for k := 0; k < c; k++ {
-					forests[k] = append([]*Model(nil), bm.Forests[k]...)
-				}
-				p.rctx = &outerSnap{kind: kindGBDTCls, unit: w, forests: forests,
-					encY:   append([][]*paillier.Ciphertext(nil), encY...),
-					scores: append([][]*paillier.Ciphertext(nil), scores...),
-					onehot: onehot}
-			}
-			var err error
-			trees, las, err = p.trainBoostRound(encY)
-			if err != nil {
-				return p.errf("round %d: %v", w, err)
-			}
-		}
-		for k := 0; k < c; k++ {
-			bm.Forests[k] = append(bm.Forests[k], trees[k])
-			scores[k] = p.accumulateScores(scores[k], trees[k], las[k], p.cfg.LearningRate)
-		}
-		trees, las = nil, nil
-		if w+1 == p.cfg.NumTrees {
-			break
-		}
-		// Secure softmax over the current scores; the next residuals are
-		// onehot − softmax, converted back to ciphertexts (§7.2).
-		flat := make([]*paillier.Ciphertext, 0, c*n)
-		for k := 0; k < c; k++ {
-			flat = append(flat, scores[k]...)
-		}
-		scoreShares, err := p.encToShares(flat, len(flat), p.w.stat)
-		if err != nil {
-			return err
-		}
-		probs := p.softmaxSamples(scoreShares, c, n)
-		for k := 0; k < c; k++ {
-			resid := make([]mpc.Share, n)
-			for t := 0; t < n; t++ {
-				resid[t] = p.eng.Sub(onehot[k][t], probs[k*n+t])
-			}
-			encY[k], err = p.shareToEnc(resid, p.w.value+4, p.Super)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// accumulateScores adds ν·[Ŷ] for the freshly trained tree to the running
-// encrypted scores.
-func (p *Party) accumulateScores(scores []*paillier.Ciphertext, tree *Model,
-	leafAlphas [][]*paillier.Ciphertext, nu float64) []*paillier.Ciphertext {
-
-	n := p.part.N
-	scaled := make([]*big.Int, tree.Leaves)
-	for _, node := range tree.Nodes {
-		if node.Leaf {
-			scaled[node.LeafPos] = p.cod.Encode(nu * node.Label)
-		}
-	}
-	out := make([]*paillier.Ciphertext, n)
-	for t := 0; t < n; t++ {
-		var acc *paillier.Ciphertext
-		if scores != nil {
-			acc = scores[t]
-		}
-		for leaf := 0; leaf < tree.Leaves; leaf++ {
-			if scaled[leaf].Sign() == 0 {
-				continue
-			}
-			term := p.pk.MulConst(leafAlphas[leaf][t], scaled[leaf])
-			if acc == nil {
-				acc = term
-			} else {
-				acc = p.pk.Add(acc, term)
-			}
-		}
-		if acc == nil {
-			// No informative leaves; a zero ciphertext keeps shapes uniform.
-			acc = p.pk.MulConst(leafAlphas[0][t], big.NewInt(0))
-		}
-		out[t] = acc
-	}
-	p.Stats.HEOps += int64(n * tree.Leaves)
-	return out
 }
 
 // softmaxSamples computes softmax across classes for every sample, fully

@@ -244,12 +244,7 @@ func (p *Party) update(spec UpdateSpec, kept [][][]mpc.Share) (Predictor, [][][]
 		case *ForestModel:
 			out, tots, err = p.updateRF(m, oldN, kept)
 		case *BoostModel:
-			add := max(spec.AddTrees, 1)
-			if m.Classes > 0 {
-				out, err = p.updateGBDTCls(m, add)
-			} else {
-				out, err = p.updateGBDTReg(m, add)
-			}
+			out, err = p.updateGBDT(m, max(spec.AddTrees, 1))
 		}
 		return err
 	})
@@ -591,125 +586,43 @@ func (p *Party) updateRF(fm *ForestModel, oldN int, kept [][][]mpc.Share) (*Fore
 	return &ForestModel{Trees: clones, Classes: fm.Classes}, tots, nil
 }
 
-// updateGBDTReg warm-starts a regression GBDT: the encrypted residual
-// channel is rebuilt over the union (Enc(y − Base) minus each existing
-// tree's ν-scaled estimation via replayed leaf masks, all local HE after
-// the replay), then addTrees fresh rounds run through the standard
-// boosting loop.
-func (p *Party) updateGBDTReg(bm *BoostModel, addTrees int) (*BoostModel, error) {
-	n := p.part.N
-	old := bm.Forests[0]
+// updateGBDT warm-starts a GBDT over the union: boostTargets re-inputs the
+// targets around the model's own base prediction, every existing tree's
+// leaf masks are replayed in one batch, the rounds before the last are
+// added to the boosting state locally, and the last is handed to
+// boostRounds as already trained — its absorption (for classification with
+// the softmax residual refresh) is exactly the inter-round chain a fresh
+// run pays, so the warm start re-enters the one loop for addTrees fresh
+// rounds.
+func (p *Party) updateGBDT(bm *BoostModel, addTrees int) (*BoostModel, error) {
+	c := len(bm.Forests)
+	rounds := len(bm.Forests[0]) // checkUpdate refused ragged forests
 	nu := bm.LearningRate
 	if nu == 0 {
 		nu = p.cfg.LearningRate
 	}
-	out := &BoostModel{
-		LearningRate: nu, Base: bm.Base,
-		Forests: [][]*Model{append([]*Model(nil), old...)},
+	b, err := p.boostTargets(&BoostModel{Classes: bm.Classes, LearningRate: nu, Base: bm.Base,
+		Forests: make([][]*Model, c)}, false)
+	if err != nil {
+		return nil, err
 	}
-
-	var encY []*paillier.Ciphertext
-	if p.ID == p.Super {
-		vals := make([]*big.Int, n)
-		for t := 0; t < n; t++ {
-			vals[t] = p.cod.Encode(p.part.Y[t] - bm.Base)
-		}
-		p.poolReserve(n)
-		cts, err := p.encryptVec(vals)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.broadcastCtsChunked(cts); err != nil {
-			return nil, err
-		}
-		encY = cts
-	} else {
-		var err error
-		encY, err = p.recvCtsChunked(p.Super, n)
-		if err != nil {
-			return nil, err
+	trees := make([]*Model, 0, rounds*c) // round-major
+	for w := 0; w < rounds; w++ {
+		for k := 0; k < c; k++ {
+			trees = append(trees, bm.Forests[k][w])
 		}
 	}
-	las, err := p.replayLeafAlphas(old, nil, 0)
+	las, err := p.replayLeafAlphas(trees, nil, 0)
 	if err != nil {
 		return nil, p.errf("update replay: %v", err)
 	}
-	for w, tree := range old {
-		encY = p.residualUpdate(encY, tree, las[w], nu)
+	start := max(rounds-1, 0)
+	for i := 0; i < start*c; i += c {
+		b.add(trees[i : i+c])
+		p.addEstimates(b, trees[i:i+c], las[i:i+c])
 	}
-
-	restore := p.cfg
-	defer func() { p.cfg = restore }()
-	p.cfg.NumTrees = len(old) + addTrees
-	p.cfg.LearningRate = nu
-	if err := p.gbdtRegRounds(out, encY, len(old)); err != nil {
+	if err := p.boostRounds(b, start, rounds+addTrees, trees[start*c:], las[start*c:]); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// updateGBDTCls warm-starts a classification GBDT: one-hot targets are
-// re-input over the union, every existing tree's leaf masks are replayed
-// in one batch, the encrypted score channels rebuild locally, and the last
-// pre-trained round is handed to gbdtClsRounds as its "already trained"
-// round — its bookkeeping (score accumulation + softmax residual refresh)
-// is exactly the inter-round chain a fresh run pays, so the warm start
-// re-enters the standard loop with no duplicated protocol code.
-func (p *Party) updateGBDTCls(bm *BoostModel, addTrees int) (*BoostModel, error) {
-	c := bm.Classes
-	n := p.part.N
-	nu := bm.LearningRate
-	if nu == 0 {
-		nu = p.cfg.LearningRate
-	}
-	oldRounds := len(bm.Forests[0]) // checkUpdate refused ragged and empty forests
-
-	onehot := make([][]mpc.Share, c)
-	for k := 0; k < c; k++ {
-		vals := make([]*big.Int, n)
-		for t := 0; t < n && p.ID == p.Super; t++ {
-			var oh float64
-			if int(p.part.Y[t]) == k {
-				oh = 1
-			}
-			vals[t] = p.cod.Encode(oh)
-		}
-		onehot[k] = p.eng.InputVec(p.Super, vals)
-	}
-
-	flatTrees := make([]*Model, 0, oldRounds*c)
-	for w := 0; w < oldRounds; w++ {
-		for k := 0; k < c; k++ {
-			flatTrees = append(flatTrees, bm.Forests[k][w])
-		}
-	}
-	las, err := p.replayLeafAlphas(flatTrees, nil, 0)
-	if err != nil {
-		return nil, p.errf("update replay: %v", err)
-	}
-
-	out := &BoostModel{Classes: c, LearningRate: nu, Base: bm.Base, Forests: make([][]*Model, c)}
-	scores := make([][]*paillier.Ciphertext, c)
-	for w := 0; w < oldRounds-1; w++ {
-		for k := 0; k < c; k++ {
-			out.Forests[k] = append(out.Forests[k], bm.Forests[k][w])
-			scores[k] = p.accumulateScores(scores[k], bm.Forests[k][w], las[w*c+k], nu)
-		}
-	}
-	lastTrees := make([]*Model, c)
-	lastLas := make([][][]*paillier.Ciphertext, c)
-	for k := 0; k < c; k++ {
-		lastTrees[k] = bm.Forests[k][oldRounds-1]
-		lastLas[k] = las[(oldRounds-1)*c+k]
-	}
-
-	restore := p.cfg
-	defer func() { p.cfg = restore }()
-	p.cfg.NumTrees = oldRounds + addTrees
-	p.cfg.LearningRate = nu
-	encY := make([][]*paillier.Ciphertext, c)
-	if err := p.gbdtClsRounds(out, onehot, encY, scores, oldRounds-1, lastTrees, lastLas); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return b.bm, nil
 }

@@ -68,11 +68,6 @@ type Party struct {
 	// each must pay its Algorithm-2 conversion only once per session.
 	shared map[*Model]*SharedModel
 
-	// captureLeaves makes training record each leaf's encrypted mask
-	// vector; the GBDT extension uses them to form encrypted estimations.
-	captureLeaves bool
-	leafAlphas    [][]*paillier.Ciphertext
-
 	// leafTots holds, per tree of the DT or forest the last TrainDT/TrainRF
 	// call released, its leaves' totals in LeafPos order; Train keeps them
 	// on the session for Update (incremental.go).

@@ -108,7 +108,6 @@ func (p *Party) lane(slot uint32) *Party {
 func (p *Party) forkLocal() *Party {
 	lp := *p
 	lp.Stats = RunStats{}
-	lp.leafAlphas = nil
 	return &lp
 }
 

@@ -24,10 +24,10 @@ import (
 // What a checkpoint holds, per party: the MPC engine's consumable state
 // (dealer-material buffers + local PRG cursor), the level frontier, the
 // model built so far, and the training driver's unit context (completed RF
-// trees, GBDT residual/score ciphertexts, one-hot target shares).  The
-// threshold key material is captured once at session creation — a resumed
-// session MUST reuse it, or every checkpointed ciphertext becomes
-// undecryptable.
+// trees, or the GBDT boosting state: rounds so far, residual/score
+// ciphertexts, one-hot target shares).  The threshold key material is
+// captured once at session creation — a resumed session MUST reuse it, or
+// every checkpointed ciphertext becomes undecryptable.
 //
 // DP runs recover like any other: their Laplace and exponential-mechanism
 // noise is dealer material, so DealerCheckpoint + Snapshot capture it, and a
@@ -48,21 +48,11 @@ type trainKind int
 const (
 	kindDT trainKind = iota
 	kindRF
-	kindGBDTReg
-	kindGBDTCls
+	kindGBDT
 )
 
 func (k trainKind) String() string {
-	switch k {
-	case kindRF:
-		return "rf"
-	case kindGBDTReg:
-		return "gbdt-regression"
-	case kindGBDTCls:
-		return "gbdt-classification"
-	default:
-		return "dt"
-	}
+	return [...]string{"dt", "rf", "gbdt"}[k]
 }
 
 // outerSnap is the training driver's unit-level context: everything beyond
@@ -72,15 +62,10 @@ func (k trainKind) String() string {
 // shares them.
 type outerSnap struct {
 	kind trainKind
-	unit int // tree index (RF, GBDT regression) or boosting round (GBDT)
+	unit int // tree index (RF) or boosting round (GBDT)
 
-	trees []*Model // RF: trees completed before this unit
-
-	base    float64                  // GBDT regression: public base prediction
-	forests [][]*Model               // GBDT: per-class forests completed so far
-	encY    [][]*paillier.Ciphertext // GBDT: residual channels at unit start
-	scores  [][]*paillier.Ciphertext // GBDT classification: accumulated scores
-	onehot  [][]mpc.Share            // GBDT classification: one-hot target shares
+	trees []*Model  // RF: trees completed before this unit
+	boost *boosting // GBDT: the boosting state at unit start
 }
 
 // taskSnap deep-copies a treeTask (its model is mutated level by level).
@@ -339,21 +324,17 @@ func (p *Party) resumeFrom(snap *partySnap) (*RecoveredModel, error) {
 		return nil, err
 	}
 	p.rctx = snap.outer
+	res := &RecoveredModel{Kind: snap.outer.kind.String()}
+	var err error
 	switch snap.outer.kind {
 	case kindDT:
-		m, err := p.resumeDT(snap)
-		return &RecoveredModel{Kind: "dt", DT: m}, err
+		res.DT, err = p.resumeDT(snap)
 	case kindRF:
-		fm, err := p.resumeRF(snap)
-		return &RecoveredModel{Kind: "rf", Forest: fm}, err
-	case kindGBDTReg:
-		bm, err := p.resumeGBDTReg(snap)
-		return &RecoveredModel{Kind: "gbdt", Boost: bm}, err
-	case kindGBDTCls:
-		bm, err := p.resumeGBDTCls(snap)
-		return &RecoveredModel{Kind: "gbdt", Boost: bm}, err
+		res.Forest, err = p.resumeRF(snap)
+	case kindGBDT:
+		res.Boost, err = p.resumeGBDT(snap)
 	}
-	return nil, fmt.Errorf("core: unknown checkpoint kind %d", snap.outer.kind)
+	return res, err
 }
 
 // finishUnit completes the interrupted tree/round from the snapshot: the
@@ -373,9 +354,6 @@ func (p *Party) resumeDT(snap *partySnap) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tasks[0].capture {
-		p.leafAlphas = append(p.leafAlphas, tasks[0].leafAlphas...)
-	}
 	return tasks[0].model, nil
 }
 
@@ -393,47 +371,18 @@ func (p *Party) resumeRF(snap *partySnap) (*ForestModel, error) {
 	return fm, nil
 }
 
-func (p *Party) resumeGBDTReg(snap *partySnap) (*BoostModel, error) {
+// resumeGBDT hands the round the snapshot finishes to the boosting loop as
+// already trained, on a copy of the boosting state at the round's start.
+func (p *Party) resumeGBDT(snap *partySnap) (*BoostModel, error) {
 	o := snap.outer
-	bm := &BoostModel{
-		LearningRate: p.cfg.LearningRate,
-		Base:         o.base,
-		Forests:      [][]*Model{append([]*Model(nil), o.forests[0]...)},
-	}
+	b := o.boost.clone()
 	tasks, err := p.finishUnit(snap)
 	if err != nil {
 		return nil, err
 	}
-	tree := tasks[0].model
-	bm.Forests[0] = append(bm.Forests[0], tree)
-	encY := o.encY[0]
-	if o.unit+1 < p.cfg.NumTrees {
-		encY = p.residualUpdate(encY, tree, tasks[0].leafAlphas, p.cfg.LearningRate)
-	}
-	if err := p.gbdtRegRounds(bm, encY, o.unit+1); err != nil {
+	trees, las := boostRound(tasks)
+	if err := p.boostRounds(b, o.unit, p.cfg.NumTrees, trees, las); err != nil {
 		return nil, err
 	}
-	return bm, nil
-}
-
-func (p *Party) resumeGBDTCls(snap *partySnap) (*BoostModel, error) {
-	o := snap.outer
-	c := len(o.encY)
-	bm := &BoostModel{Classes: c, LearningRate: p.cfg.LearningRate, Forests: make([][]*Model, c)}
-	for k := 0; k < c; k++ {
-		bm.Forests[k] = append([]*Model(nil), o.forests[k]...)
-	}
-	tasks, err := p.finishUnit(snap)
-	if err != nil {
-		return nil, err
-	}
-	trees := make([]*Model, c)
-	las := make([][][]*paillier.Ciphertext, c)
-	for k, task := range tasks {
-		trees[k] = task.model
-		las[k] = task.leafAlphas
-	}
-	scores := append([][]*paillier.Ciphertext(nil), o.scores...)
-	encY := append([][]*paillier.Ciphertext(nil), o.encY...)
-	return bm, p.gbdtClsRounds(bm, o.onehot, encY, scores, o.unit, trees, las)
+	return b.bm, nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // nodeData carries a node's state down the tree: the encrypted mask vector
-// [α] (§4.1), in encrypted-label mode (GBDT trees after the first round,
-// §7.2) the masked label channels [γ], and the node's totals as shares — ⟨n⟩,
+// [α] (§4.1), in encrypted-label mode (every GBDT tree, §7.2) the masked
+// label channels [γ], and the node's totals as shares — ⟨n⟩,
 // then the C channel totals (class counts, or Σy and Σy²).  A child's totals
 // are selected from its parent's split statistics (childTotals); its vectors
 // are nil when no later split needs them and no leaf mask is captured.
@@ -27,30 +27,20 @@ func (p *Party) TrainDT() (*Model, error) {
 	if p.ck != nil {
 		p.rctx = &outerSnap{kind: kindDT}
 	}
-	m, tots, err := p.trainTree(nil, nil, nil)
+	m, tots, err := p.trainTree(nil)
 	p.leafTots = [][][]mpc.Share{tots}
 	return m, err
 }
 
-// trainTree is the shared entry point: rootCounts (optional) are public
-// bootstrap multiplicities for RF; encY/encY2 (optional) switch on
-// encrypted-label mode for GBDT boosting rounds.  It also returns the
-// leaves' totals, in LeafPos order.
-func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext) (*Model, [][]mpc.Share, error) {
-	model := &Model{Classes: p.part.Classes, Protocol: p.cfg.Protocol, Hide: p.cfg.Hide}
-	root := frontierNode{parent: -1}
-	if encY != nil {
-		model.Classes = 0 // boosting rounds fit regression trees
-		// Encrypted-label mode: γ channels start as the (already masked by
-		// all-ones α) encrypted label and squared-label vectors.
-		root.nd.gch = [][]*paillier.Ciphertext{encY, encY2}
-	}
-	task := &treeTask{model: model, capture: p.captureLeaves}
-	if err := p.growTrees([]*treeTask{task}, []frontierNode{root}, rootCounts); err != nil {
+// trainTree trains one tree on the plaintext labels (DT, RF): rootCounts
+// (optional) are public bootstrap multiplicities for RF.  It also returns
+// the leaves' totals, in LeafPos order.
+func (p *Party) trainTree(rootCounts []int64) (*Model, [][]mpc.Share, error) {
+	task := &treeTask{model: &Model{Classes: p.part.Classes, Protocol: p.cfg.Protocol, Hide: p.cfg.Hide}}
+	if err := p.growTrees([]*treeTask{task}, []frontierNode{{parent: -1}}, rootCounts); err != nil {
 		return nil, nil, err
 	}
-	p.leafAlphas = append(p.leafAlphas, task.leafAlphas...)
-	return model, task.leafTots, nil
+	return task.model, task.leafTots, nil
 }
 
 // trainTreesShared trains one regression tree per encrypted label channel
@@ -58,7 +48,7 @@ func (p *Party) trainTree(rootCounts []int64, encY, encY2 []*paillier.Ciphertext
 // extension): one root mask vector serves all trees, and each depth's
 // conversion, gain, argmax and batched-update chains run once for the whole
 // set of class trees.  It returns the models and each tree's captured leaf
-// mask vectors, exactly as sequential trainTree calls would.
+// mask vectors.  With one channel it trains a GBDT regression round.
 func (p *Party) trainTreesShared(encYs, encY2s [][]*paillier.Ciphertext) ([]*Model, [][][]*paillier.Ciphertext, error) {
 	tasks := make([]*treeTask, len(encYs))
 	roots := make([]frontierNode, len(encYs))
@@ -75,13 +65,19 @@ func (p *Party) trainTreesShared(encYs, encY2s [][]*paillier.Ciphertext) ([]*Mod
 	if err := p.growTrees(tasks, roots, nil); err != nil {
 		return nil, nil, err
 	}
+	models, las := boostRound(tasks)
+	return models, las, nil
+}
+
+// boostRound returns the trees of a boosting round's finished tasks and
+// each tree's captured leaf mask vectors.
+func boostRound(tasks []*treeTask) ([]*Model, [][][]*paillier.Ciphertext) {
 	models := make([]*Model, len(tasks))
 	las := make([][][]*paillier.Ciphertext, len(tasks))
 	for k, task := range tasks {
-		models[k] = task.model
-		las[k] = task.leafAlphas
+		models[k], las[k] = task.model, task.leafAlphas
 	}
-	return models, las, nil
+	return models, las
 }
 
 // growTrees is the body every training call shares: the §9.1 commitment
