@@ -166,99 +166,62 @@ func TestRecoveryEquivalenceRF(t *testing.T) {
 	}
 }
 
-// TestRecoveryEquivalenceGBDT crashes inside a classification boosting
-// round: the checkpoint must carry the one-hot shares, accumulated scores
-// and residual ciphertexts, and the resumed ensemble must match the oracle.
+// TestRecoveryEquivalenceGBDT crashes inside a boosting round, once per
+// row: the checkpoint must carry the boosting state (the rounds so far and
+// the residual ciphertexts; for classification also the one-hot shares and
+// the accumulated scores), and the resumed ensemble must match the
+// fault-free oracle on the memory network and over loopback TCP.
 func TestRecoveryEquivalenceGBDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round recovery equivalence runs in the nightly suite")
 	}
-	cfg := recoveryCfg()
-	cfg.Tree.MaxDepth = 2
-	cfg.NumTrees = 2
-	ds := dataset.SyntheticClassification(24, 4, 2, 2.0, 8)
-	parts, err := dataset.VerticalPartition(ds, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		ds   *dataset.Dataset
+	}{
+		{"classification", dataset.SyntheticClassification(24, 4, 2, 2.0, 8)},
+		{"regression", dataset.SyntheticRegression(24, 4, 0.1, 9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := recoveryCfg()
+			cfg.Tree.MaxDepth = 2
+			cfg.NumTrees = 2
+			parts, err := dataset.VerticalPartition(tc.ds, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var oracle *BoostModel
-	s, err := NewSession(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s.Each(func(p *Party) error {
-		bm, err := p.TrainGBDT()
-		if err == nil && p.ID == 0 {
-			oracle = bm
-		}
-		return err
-	})
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+			var oracle *BoostModel
+			s, err := NewSession(parts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Each(func(p *Party) error {
+				bm, err := p.TrainGBDT()
+				if err == nil && p.ID == 0 {
+					oracle = bm
+				}
+				return err
+			})
+			s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for _, tcp := range []bool{false, true} {
-		cfg.TCPLoopback = tcp
-		res, _ := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
-			_, err := p.TrainGBDT()
-			return err
+			for _, tcp := range []bool{false, true} {
+				cfg.TCPLoopback = tcp
+				res, _ := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
+					_, err := p.TrainGBDT()
+					return err
+				})
+				if res.Kind != "gbdt" || res.Boost == nil {
+					t.Fatalf("tcp %v: recovered kind = %q", tcp, res.Kind)
+				}
+				if !reflect.DeepEqual(res.Boost, oracle) {
+					t.Fatalf("tcp %v: recovered GBDT differs from fault-free oracle", tcp)
+				}
+			}
 		})
-		if res.Kind != "gbdt" || res.Boost == nil {
-			t.Fatalf("tcp %v: recovered kind = %q", tcp, res.Kind)
-		}
-		if !reflect.DeepEqual(res.Boost, oracle) {
-			t.Fatalf("tcp %v: recovered GBDT differs from fault-free oracle", tcp)
-		}
-	}
-}
-
-// TestRecoveryEquivalenceGBDTRegression covers the regression boosting
-// path: base prediction and residual ciphertexts restored from the
-// checkpoint, residualUpdate replayed from the captured leaf masks.
-func TestRecoveryEquivalenceGBDTRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-round recovery equivalence runs in the nightly suite")
-	}
-	cfg := recoveryCfg()
-	cfg.Tree.MaxDepth = 2
-	cfg.NumTrees = 2
-	ds := dataset.SyntheticRegression(24, 4, 0.1, 9)
-	parts, err := dataset.VerticalPartition(ds, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var oracle *BoostModel
-	s, err := NewSession(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s.Each(func(p *Party) error {
-		bm, err := p.TrainGBDT()
-		if err == nil && p.ID == 0 {
-			oracle = bm
-		}
-		return err
-	})
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tcp := range []bool{false, true} {
-		cfg.TCPLoopback = tcp
-		res, _ := crashAndResume(t, parts, cfg, 4, func(p *Party) error {
-			_, err := p.TrainGBDT()
-			return err
-		})
-		if res.Boost == nil {
-			t.Fatalf("tcp %v: recovered kind = %q", tcp, res.Kind)
-		}
-		if !reflect.DeepEqual(res.Boost, oracle) {
-			t.Fatalf("tcp %v: recovered GBDT regression ensemble differs from fault-free oracle", tcp)
-		}
 	}
 }
 
