@@ -132,8 +132,9 @@ func (p *Party) TrainGBDT() (*BoostModel, error) {
 // boosting is a GBDT's state between rounds: the model so far, the
 // encrypted residual channels the next round fits (one for regression, one
 // per class) and, for classification only, the encrypted raw scores and the
-// one-hot target shares the residuals are recomputed from.  Slices are
-// reassigned, never mutated in place, so a clone shares their contents.
+// one-hot target shares the residuals are recomputed from.  A channel's
+// ciphertext slice is replaced, never written in place, so a clone copies
+// only the per-channel slice headers.
 type boosting struct {
 	bm     *BoostModel
 	resid  [][]*paillier.Ciphertext

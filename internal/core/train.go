@@ -10,10 +10,10 @@ import (
 
 // nodeData carries a node's state down the tree: the encrypted mask vector
 // [α] (§4.1), in encrypted-label mode (every GBDT tree, §7.2) the masked
-// label channels [γ], and the node's totals as shares — ⟨n⟩,
-// then the C channel totals (class counts, or Σy and Σy²).  A child's totals
-// are selected from its parent's split statistics (childTotals); its vectors
-// are nil when no later split needs them and no leaf mask is captured.
+// label channels [γ], and the node's totals as shares — ⟨n⟩, then the C
+// channel totals (class counts, or Σy and Σy²).  A child's totals are
+// selected from its parent's split statistics (childTotals); its vectors are
+// nil when no later split needs them and no leaf mask is captured.
 type nodeData struct {
 	alpha []*paillier.Ciphertext
 	gch   [][]*paillier.Ciphertext // nil in plain-label mode
